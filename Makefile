@@ -1,7 +1,7 @@
 # Tier-1 verify is `make verify` (build + test); see ROADMAP.md.
 GO ?= go
 
-.PHONY: build test vet fmt race bench bench-ingest bench-json bench-store bench-api bench-api-quick fuzz-smoke crash-smoke api-smoke cluster-smoke verify ci all ingest-demo ingest-demo-quick
+.PHONY: build test vet vet-bench fmt race bench bench-ingest bench-json bench-store bench-api bench-api-quick fuzz-smoke crash-smoke api-smoke cluster-smoke verify ci all ingest-demo ingest-demo-quick
 
 all: verify vet
 
@@ -13,6 +13,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# bench/ is its own module (replace cwatrace => ../), so ./... does not
+# reach it: vet it separately, which compiles the harness and its tests
+# against this checkout. A root-module API change that breaks the
+# benchmark then fails here, not in the benchmark driver.
+vet-bench:
+	$(GO) vet -C bench ./...
 
 # Fails when any file needs gofmt (same check CI runs).
 fmt:
@@ -101,8 +108,8 @@ ingest-demo-quick:
 
 verify: build test
 
-# Mirrors .github/workflows/ci.yml: the formatting gate, static checks,
-# the full test suite, the race pass, the ingest smoke run, the crash
-# drill, the API conditional-GET smoke, the cluster kill/recovery drill
-# and the fuzz smoke.
-ci: fmt vet build test race ingest-demo-quick crash-smoke api-smoke cluster-smoke fuzz-smoke
+# Mirrors .github/workflows/ci.yml: the formatting gate, static checks
+# (the bench module included), the full test suite, the race pass, the
+# ingest smoke run, the crash drill, the API conditional-GET smoke, the
+# cluster kill/recovery drill and the fuzz smoke.
+ci: fmt vet vet-bench build test race ingest-demo-quick crash-smoke api-smoke cluster-smoke fuzz-smoke

@@ -119,7 +119,7 @@ func main() {
 		eventRing   = flag.Int("event-ring", 512, "flight-recorder event ring capacity (0 disables events)")
 
 		dataDir      = flag.String("data-dir", "", "durable store directory (enables WAL, checkpoints and /query)")
-		fsyncPolicy  = flag.String("fsync", "interval", "WAL fsync policy: always, interval or never")
+		fsyncPolicy  = flag.String("fsync", "interval", "WAL fsync policy: always (a record counted as processed is on stable storage; one fsync per commit group, not per datagram), interval (fsync every -fsync-interval) or never (only on seal, checkpoint and shutdown)")
 		fsyncEvery   = flag.Duration("fsync-interval", time.Second, "fsync cadence under -fsync=interval")
 		ckptEvery    = flag.Duration("checkpoint-interval", 5*time.Minute, "checkpoint/compaction cadence (0 disables the ticker)")
 		tierOn       = flag.Bool("tier", true, "fold long-horizon day/week tier frames at checkpoint time (enables resolution=day|week|auto queries)")

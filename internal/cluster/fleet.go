@@ -275,10 +275,19 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 			return nil, fmt.Errorf("cluster: shard %d origin %s differs from fleet origin %s",
 				i, p.snap.Origin, origin)
 		}
-		for _, dc := range p.snap.Districts {
-			if dc.Name != "" || dc.StateCode != "" {
-				names[dc.ID] = districtName{dc.Name, dc.StateCode}
+		// A day/week answer served entirely from tier frames has an empty
+		// raw residual, so its snapshot lists no districts: the names of
+		// the long-horizon block then come only from that block itself.
+		harvest := func(ds []streaming.DistrictCount) {
+			for _, dc := range ds {
+				if dc.Name != "" || dc.StateCode != "" {
+					names[dc.ID] = districtName{dc.Name, dc.StateCode}
+				}
 			}
+		}
+		harvest(p.snap.Districts)
+		if p.longHorizon != nil {
+			harvest(p.longHorizon.Districts)
 		}
 		m.Merge(streaming.FromSnapshot(p.snap.Streaming()))
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -13,6 +14,7 @@ import (
 	"cwatrace/internal/api"
 	v1 "cwatrace/internal/api/v1"
 	"cwatrace/internal/entime"
+	"cwatrace/internal/geo"
 	"cwatrace/internal/netflow"
 	"cwatrace/internal/store"
 	"cwatrace/internal/streaming"
@@ -42,8 +44,15 @@ func tierCapture(days int) [][]netflow.Record {
 // filters the capture to the records this shard owns.
 func newTierNode(t *testing.T, days int, byDay [][]netflow.Record, owns func(*netflow.Record) bool) *node {
 	t.Helper()
+	return newTierNodeWith(t, streaming.Config{WindowHours: days*24 + 48, TopK: 10}, byDay, owns)
+}
+
+// newTierNodeWith is newTierNode under a caller-chosen analytics
+// configuration (a geo database, for answers that carry districts).
+func newTierNodeWith(t *testing.T, acfg streaming.Config, byDay [][]netflow.Record, owns func(*netflow.Record) bool) *node {
+	t.Helper()
 	st, err := store.Open(t.TempDir(), store.Options{
-		Analytics: streaming.Config{WindowHours: days*24 + 48, TopK: 10},
+		Analytics: acfg,
 		Sync:      store.SyncNever,
 		Tier:      true,
 	})
@@ -149,6 +158,67 @@ func TestClusterLongHorizonMerge(t *testing.T) {
 			gb, _ := json.Marshal(got)
 			rb, _ := json.Marshal(reference)
 			t.Fatalf("%d-shard merge diverges from single node:\n got %.500s\nwant %.500s", shards, gb, rb)
+		}
+	}
+}
+
+// TestClusterLongHorizonLabelsFullyTiered pins the district labels of a
+// routed long-horizon answer that is served entirely from tier frames.
+// Such a shard answer has an empty raw residual, so its snapshot lists
+// no districts at all and the long-horizon block is the only place the
+// names the shard rendered appear; the router, whose merge carries no
+// geo model, must re-attach them from there. Routed over 1, 2 and 4
+// shards the block equals the single node's, name and state included.
+func TestClusterLongHorizonLabelsFullyTiered(t *testing.T) {
+	const days = 12
+	model := geo.Germany()
+	db, prefixes := testGeoDB(t, model)
+	acfg := streaming.Config{WindowHours: days*24 + 48, TopK: 10, DB: db, Model: model}
+	byDay := make([][]netflow.Record, days)
+	for d := range byDay {
+		for hh := 0; hh < 3; hh++ {
+			at := entime.StudyStart.Add(time.Duration(d*24+hh*8) * time.Hour)
+			for c := 0; c < 8; c++ {
+				a4 := prefixes[(d*31+c*47)%len(prefixes)].Addr().As4()
+				a4[3] = byte(1 + c)
+				byDay[d] = append(byDay[d], keptRecord(at, netip.AddrFrom4(a4), uint64(250+d+c)))
+			}
+		}
+	}
+	// Days 2..7 closed long ago: covered by day frames, no raw residual.
+	params := fmt.Sprintf("resolution=day&from=%d&to=%d",
+		entime.StudyStart.Add(2*24*time.Hour).Unix(), entime.StudyStart.Add(8*24*time.Hour).Unix())
+
+	all := func(*netflow.Record) bool { return true }
+	single := newTierNodeWith(t, acfg, byDay, all)
+	resp, reference := longHorizonOf(t, single.ts.URL, params)
+	lh := resp.LongHorizon
+	if lh.RawFrames != 0 || lh.TierFrames == 0 || len(resp.Snapshot.Districts) != 0 {
+		t.Fatalf("not a fully tiered answer: %d tier + %d raw frames, %d snapshot districts",
+			lh.TierFrames, lh.RawFrames, len(resp.Snapshot.Districts))
+	}
+	if len(lh.Districts) == 0 {
+		t.Fatal("reference answer located no district")
+	}
+	for _, dc := range lh.Districts {
+		if dc.Name == "" || dc.StateCode == "" {
+			t.Fatalf("single node rendered district %s without labels", dc.ID)
+		}
+	}
+
+	for _, shards := range []int{1, 2, 4} {
+		nodes := make([]*node, shards)
+		for i := range nodes {
+			i := i
+			nodes[i] = newTierNodeWith(t, acfg, byDay, func(r *netflow.Record) bool {
+				return Owner(r, db, shards) == i
+			})
+		}
+		_, got := longHorizonOf(t, newRouter(t, nodes, acfg.TopK).URL, params)
+		if !reflect.DeepEqual(got, reference) {
+			gb, _ := json.Marshal(got["districts"])
+			rb, _ := json.Marshal(reference["districts"])
+			t.Fatalf("%d shards: routed fully tiered answer diverges from the single node:\n got %.400s\nwant %.400s", shards, gb, rb)
 		}
 	}
 }

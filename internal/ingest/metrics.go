@@ -18,8 +18,9 @@ import (
 // nil) is the disabled mode: every Observe is a nil-receiver no-op.
 type pipelineMetrics struct {
 	// decodeSeconds times PeekSourceID+DecodeInto+dispatch, sampled
-	// 1-in-64 datagrams; batchSeconds times one worker batch
-	// (filter+sink+analytics), sampled 1-in-64 batches.
+	// 1-in-64 datagrams; batchSeconds times one worker commit — the
+	// group of batches it found queued (filter+sink+analytics) — sampled
+	// 1-in-64 commits.
 	decodeSeconds *obs.Histogram
 	batchSeconds  *obs.Histogram
 	// droppedBatchRecords is the backpressure loss distribution: the
@@ -35,7 +36,7 @@ func (m *pipelineMetrics) register(reg *obs.Registry) {
 	m.decodeSeconds = reg.Histogram("ingest_decode_seconds",
 		"Datagram decode+dispatch latency (sampled 1-in-64).", obs.DurationBuckets)
 	m.batchSeconds = reg.Histogram("ingest_batch_seconds",
-		"Worker batch processing latency: filter, sink append, analytics (sampled 1-in-64).",
+		"Worker commit latency: filter, one sink commit, analytics for every batch queued on the lane, at most 64 (sampled 1-in-64 commits).",
 		obs.DurationBuckets)
 	m.droppedBatchRecords = reg.Histogram("ingest_dropped_batch_records",
 		"Records lost per batch dropped under backpressure (sampled 1-in-64).", obs.SizeBuckets)

@@ -38,6 +38,16 @@ type Sink interface {
 	Append(batch []netflow.Record) error
 }
 
+// GroupSink is the optional group-commit side of a Sink: a worker hands
+// it everything it found queued on its lane — one or more non-empty
+// batches — as a single commit, so a durable sink can pay one write and
+// one fsync for the lot. A Sink that does not implement it is fed the
+// group batch by batch. The rules of Append apply: nothing is retained,
+// calls run concurrently on the worker goroutines.
+type GroupSink interface {
+	AppendGroup(batches [][]netflow.Record) error
+}
+
 // Flusher is the optional periodic-flush side of a Sink: when the sink
 // implements it and FlushInterval is set, the pipeline calls Flush on
 // that cadence (and once more after the final drain). The store uses it
@@ -56,7 +66,9 @@ type Config struct {
 	// (0 = runtime.NumCPU(), 1 = serial).
 	Workers int
 	// ShardBuffer is the per-shard channel capacity in batches (default
-	// 256). Together with the ≤MTU batch size it bounds pipeline memory.
+	// 256). Together with the ≤MTU batch size and the one commit group
+	// (≤ maxCommitGroup batches) each worker holds, it bounds pipeline
+	// memory.
 	ShardBuffer int
 	// ReadBuffer sizes the socket receive buffer (default 8 MiB) so short
 	// export bursts survive scheduling hiccups.
@@ -64,8 +76,9 @@ type Config struct {
 	// Analytics configures the streaming shards.
 	Analytics streaming.Config
 	// Sink, when set, receives every processed batch (before the lane's
-	// own analytics). Errors are counted as SinkErrors, never fatal: a
-	// full disk degrades durability, it must not stop the collector.
+	// own analytics), through AppendGroup when it is a GroupSink. Errors
+	// are counted as SinkErrors, never fatal: a full disk degrades
+	// durability, it must not stop the collector.
 	Sink Sink
 	// SinkOnly skips the per-lane analytics shards entirely: the sink
 	// owns all aggregate state. The persistent collector runs this way —
@@ -102,8 +115,9 @@ type Config struct {
 	// record per drop). Nil disables.
 	Events *obs.EventRing
 
-	// workerDelay slows every worker batch; the backpressure tests use it
-	// to simulate an overloaded consumer.
+	// workerDelay slows every worker batch (a commit group sleeps once
+	// per batch it carries); the backpressure tests use it to simulate an
+	// overloaded consumer.
 	workerDelay time.Duration
 }
 
@@ -151,8 +165,10 @@ type Stats struct {
 	ShardFiltered uint64 `json:"shard_filtered,omitempty"`
 	// SocketErrors counts transient receive errors the readers retried.
 	SocketErrors uint64 `json:"socket_errors"`
-	// SinkErrors counts failed sink appends and flushes (batches that
-	// reached the analytics but may not have reached durable storage).
+	// SinkErrors counts failed sink flushes and the batches of failed
+	// sink appends (batches that reached the analytics but may not have
+	// reached durable storage; a failed group commit counts every batch
+	// it carried).
 	SinkErrors uint64 `json:"sink_errors"`
 	// Sources is the number of distinct exporter sources seen. SeqGaps,
 	// SeqLost and SeqReordered aggregate the per-source sequence audits
@@ -459,35 +475,75 @@ func (p *Pipeline) noteDropStorm() {
 		obs.Int("dropped_records", int64(records)))
 }
 
-// work drains one lane into the sink and its analytics shard.
+// maxCommitGroup caps how many queued batches a worker commits at once.
+// It bounds what a worker holds outside its lane (64 datagrams ≈ 2k
+// records) and how long a commit can run before processed moves; past a
+// few dozen batches the per-commit costs (one write, one fsync) are
+// amortized away anyway.
+const maxCommitGroup = 64
+
+// work drains one lane into the sink and its analytics shard. It
+// commits what is queued, not one datagram: the first slab is awaited,
+// whatever else the lane holds (up to maxCommitGroup) is taken without
+// blocking, and the group goes through commit as one unit. An idle lane
+// therefore yields groups of one and a backed-up lane amortizes the
+// sink's per-commit cost over the backlog — the batching adapts to load
+// with no timer and no added latency.
 func (p *Pipeline) work(lane *shardLane) {
 	defer p.workerWG.Done()
+	group, _ := p.cfg.Sink.(GroupSink)
+	slabs := make([]*netflow.Slab, 0, maxCommitGroup)
+	batches := make([][]netflow.Record, 0, maxCommitGroup)
 	for slab := range lane.ch {
+		slabs = append(slabs[:0], slab)
+	drain:
+		for len(slabs) < maxCommitGroup {
+			select {
+			case next, ok := <-lane.ch:
+				if !ok {
+					break drain
+				}
+				slabs = append(slabs, next)
+			default:
+				break drain
+			}
+		}
+		p.commit(lane, group, slabs, batches)
+	}
+}
+
+// commit processes one group of slabs: watermark and shard filter per
+// batch, one sink commit, the lane analytics, and only then the
+// processed counter and the slab recycling — so "processed" still
+// implies "handed to the sink and returned" (written, and under the
+// store's always policy fsynced). batches is the worker's scratch
+// slice for the non-empty filtered batches.
+func (p *Pipeline) commit(lane *shardLane, group GroupSink, slabs []*netflow.Slab, batches [][]netflow.Record) {
+	if p.cfg.workerDelay > 0 {
+		time.Sleep(time.Duration(len(slabs)) * p.cfg.workerDelay)
+	}
+	timed := p.m.batchSeconds != nil && lane.tick&0x3f == 0
+	lane.tick++
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
+	// Freshness watermark: the newest record start time in the group,
+	// taken before the shard filter — staleness is measured against
+	// what arrived off the wire, whoever owns it. One branch per
+	// record over memory the worker is about to walk anyway, and the
+	// lane has a single worker, so a plain load/store suffices.
+	var wm int64
+	received := 0
+	batches = batches[:0]
+	for _, slab := range slabs {
 		batch := slab.Recs
-		if p.cfg.workerDelay > 0 {
-			time.Sleep(p.cfg.workerDelay)
-		}
-		timed := p.m.batchSeconds != nil && lane.tick&0x3f == 0
-		lane.tick++
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		// Freshness watermark: the newest record start time in the batch,
-		// taken before the shard filter — staleness is measured against
-		// what arrived off the wire, whoever owns it. One branch per
-		// record over memory the worker is about to walk anyway, and the
-		// lane has a single worker, so a plain load/store suffices.
-		var wm int64
 		for i := range batch {
 			if n := batch[i].First.UnixNano(); n > wm {
 				wm = n
 			}
 		}
-		if wm > lane.watermark.Load() {
-			lane.watermark.Store(wm)
-		}
-		received := len(batch)
+		received += len(batch)
 		if p.cfg.ShardFilter != nil {
 			// Compact in place: kept trails the read index, so this never
 			// clobbers an unread record, and the slab keeps its storage.
@@ -497,29 +553,47 @@ func (p *Pipeline) work(lane *shardLane) {
 					kept = append(kept, batch[i])
 				}
 			}
-			lane.shardFiltered.Add(uint64(received - len(kept)))
+			lane.shardFiltered.Add(uint64(len(batch) - len(kept)))
 			batch = kept
 		}
-		if p.cfg.Sink != nil && len(batch) > 0 {
-			// Durability first: anything the analytics (or the sink's own
-			// state) count is already written through. Errors degrade
-			// durability, never availability.
+		if len(batch) > 0 {
+			batches = append(batches, batch)
+		}
+	}
+	if wm > lane.watermark.Load() {
+		lane.watermark.Store(wm)
+	}
+	// Durability first: anything the analytics (or the sink's own
+	// state) count is already written through. Errors degrade
+	// durability, never availability; they are counted in batches.
+	switch {
+	case p.cfg.Sink == nil || len(batches) == 0:
+	case group != nil:
+		if err := group.AppendGroup(batches); err != nil {
+			lane.sinkErrors.Add(uint64(len(batches)))
+		}
+	default:
+		for _, batch := range batches {
 			if err := p.cfg.Sink.Append(batch); err != nil {
 				lane.sinkErrors.Add(1)
 			}
 		}
-		if !p.cfg.SinkOnly {
-			lane.mu.Lock()
+	}
+	if !p.cfg.SinkOnly {
+		lane.mu.Lock()
+		for _, batch := range batches {
 			lane.an.Ingest(batch)
-			lane.mu.Unlock()
 		}
-		// Processed counts everything the worker consumed, shard-filtered
-		// records included, so Drained's invariant survives sharding.
-		lane.processed.Add(uint64(received))
+		lane.mu.Unlock()
+	}
+	// Processed counts everything the worker consumed, shard-filtered
+	// records included, so Drained's invariant survives sharding.
+	lane.processed.Add(uint64(received))
+	for _, slab := range slabs {
 		netflow.RecycleSlab(slab)
-		if timed {
-			p.m.batchSeconds.ObserveSince(t0)
-		}
+	}
+	if timed {
+		p.m.batchSeconds.ObserveSince(t0)
 	}
 }
 

@@ -73,8 +73,11 @@ func TestBackpressureBoundedAndAccounted(t *testing.T) {
 	r := p.newLoopReader()
 
 	// Queued records can never exceed the channels plus one in-flight
-	// batch per worker.
-	bound := uint64(workers * (shardBuf + 1) * recsPerPkt)
+	// commit group per worker. A group is usually the batch the worker
+	// waited for plus what its lane held, but the dispatcher may refill
+	// the lane while the worker drains it, so only maxCommitGroup is a
+	// hard limit — still a fraction of the packets*recsPerPkt on offer.
+	bound := uint64(workers * (shardBuf + maxCommitGroup) * recsPerPkt)
 
 	for i, pkt := range encodePackets(t, packets, recsPerPkt) {
 		p.handleDatagram(r, "203.0.113.7:2055", pkt)

@@ -20,28 +20,47 @@ func benchBatch(h, salt, n int) []netflow.Record {
 // BenchmarkStoreAppend measures the durable append path (encode + CRC +
 // write-through + tail fold) per sync policy. The interval policy is the
 // production default: fsync rides the pipeline's flush hook, not the
-// append path, so it benches like SyncNever.
+// append path, so it benches like SyncNever. always/group=32 commits 32
+// batches per AppendGroup — what a pipeline worker does with a backed-up
+// lane — against always committing them one by one: same records, same
+// WAL bytes, one write and one fsync per 32 batches.
 func BenchmarkStoreAppend(b *testing.B) {
 	const perBatch = 25
-	for _, pol := range []SyncPolicy{SyncNever, SyncAlways} {
-		b.Run(string(pol), func(b *testing.B) {
-			s, err := Open(b.TempDir(), Options{Analytics: testConfig(), Sync: pol})
+	for _, c := range []struct {
+		name  string
+		pol   SyncPolicy
+		group int
+	}{
+		{"never", SyncNever, 1},
+		{"always", SyncAlways, 1},
+		{"always/group=32", SyncAlways, 32},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := Open(b.TempDir(), Options{Analytics: testConfig(), Sync: c.pol})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer s.Close()
-			batch := benchBatch(1, 0, perBatch)
+			group := make([][]netflow.Record, c.group)
+			for i := range group {
+				group[i] = benchBatch(1, i, perBatch)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := s.Append(batch); err != nil {
+				if c.group == 1 {
+					err = s.Append(group[0])
+				} else {
+					err = s.AppendGroup(group)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
 			elapsed := b.Elapsed()
 			if elapsed > 0 {
-				b.ReportMetric(float64(b.N*perBatch)/elapsed.Seconds(), "records/s")
+				b.ReportMetric(float64(b.N*c.group*perBatch)/elapsed.Seconds(), "records/s")
 			}
 		})
 	}

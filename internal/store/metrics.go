@@ -1,8 +1,9 @@
 // The store metric catalogue: the scalar names predate the registry
 // (cmd/collectord rendered them from Metrics() by hand) and are frozen
 // by the daemons' exposition tests; the duration histograms cover the
-// four I/O stages an operator tunes against — append (WAL write-through
-// under the hot mutex), fsync (the policy-driven durability cost),
+// four I/O stages an operator tunes against — append (one commit: WAL
+// write-through and tail folds under the hot mutex, then the policy
+// fsync outside it), fsync (the policy-driven durability cost),
 // checkpoint (tail fold + frame write) and compaction (frame-pair
 // folds). Everything scalar reads the store's existing counters under
 // mu at render time, so the append path carries only the histogram
@@ -30,10 +31,10 @@ func (m *storeObsMetrics) register(reg *obs.Registry) {
 		return
 	}
 	m.appendSeconds = reg.Histogram("store_append_seconds",
-		"WAL append latency: framing, segment write, tail fold (per batch).",
+		"Commit latency: framing, one segment write, tail folds, policy fsync, for the batches of one Append or AppendGroup (mean group size = store.appended_batches of /api/v1/stats / store_append_seconds_count).",
 		obs.DurationBuckets)
 	m.fsyncSeconds = reg.Histogram("store_fsync_seconds",
-		"Active-segment fsync latency (SyncAlways appends and periodic flushes).",
+		"Active-segment fsync latency (SyncAlways commits and periodic flushes; commits an earlier fsync already covered issue none).",
 		obs.DurationBuckets)
 	m.checkpointSeconds = reg.Histogram("store_checkpoint_seconds",
 		"Checkpoint latency: seal, tail marshal, frame write, WAL fold.",

@@ -197,9 +197,10 @@ type metaFile struct {
 
 // Store is an open durable state store. All methods are safe for
 // concurrent use; mu serializes the WAL and in-memory state (the hot
-// Append path), while ckptMu serializes whole checkpoints so their
-// heavy I/O can run outside mu without two folds interleaving. Lock
-// order: ckptMu before mu.
+// Append path), ckptMu serializes whole checkpoints so their heavy I/O
+// can run outside mu without two folds interleaving, and syncMu
+// serializes fsyncs and closes of segment fds so the policy fsync can
+// run outside mu. Lock order: ckptMu → mu → syncMu.
 type Store struct {
 	mu     sync.Mutex
 	ckptMu sync.Mutex
@@ -235,6 +236,16 @@ type Store struct {
 
 	payloadBuf []byte
 	recordBuf  []byte
+
+	// syncMu guards the durable WAL position: every segment below
+	// durableSeq, and the first durableOff bytes of segment durableSeq,
+	// are on stable storage. A committer whose position is already
+	// covered skips its fsync. Segment fds are closed only under syncMu,
+	// after a sync that marks the whole segment durable, so a committer
+	// that captured an fd under mu never syncs it closed.
+	syncMu     sync.Mutex
+	durableSeq uint64
+	durableOff int64
 
 	appendedRecords uint64
 	appendedBatches uint64
@@ -702,10 +713,26 @@ func (s *Store) openSegmentLocked() error {
 // policy) and folds it into the tail shard. The batch is not retained.
 // It is the ingest pipeline's Sink.
 func (s *Store) Append(batch []netflow.Record) error {
-	if len(batch) == 0 {
+	return s.AppendGroup([][]netflow.Record{batch})
+}
+
+// AppendGroup commits several batches at once: one framed WAL record per
+// batch (the on-disk format does not know about groups), one write(2)
+// for all of them, one tail fold each, and one policy fsync for the lot.
+// Empty batches are skipped. Under SyncAlways a nil return means every
+// batch is on stable storage. It is the ingest pipeline's GroupSink.
+func (s *Store) AppendGroup(batches [][]netflow.Record) error {
+	var nBatches, nRecords uint64
+	for _, b := range batches {
+		if len(b) > 0 {
+			nBatches++
+			nRecords += uint64(len(b))
+		}
+	}
+	if nBatches == 0 {
 		return nil
 	}
-	// Unsampled timing: an append is already a framed write syscall, so
+	// Unsampled timing: a commit is already a framed write syscall, so
 	// two clock reads vanish in the noise (unlike the ingest decode path,
 	// which samples).
 	var t0 time.Time
@@ -714,73 +741,121 @@ func (s *Store) Append(batch []netflow.Record) error {
 		defer func() { s.om.appendSeconds.ObserveSince(t0) }()
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return errors.New("store: closed")
 	}
 	if s.opts.ReadOnly {
+		s.mu.Unlock()
 		return errors.New("store: read-only")
 	}
-	walErr := s.writeWALLocked(batch)
+	err := s.writeWALLocked(batches)
 	// Availability over durability: the tail — and with it /snapshot,
-	// /query and the next checkpoint — sees the batch even when the WAL
+	// /query and the next checkpoint — sees the group even when the WAL
 	// write failed. A WAL error only degrades crash-durability until the
 	// next successful checkpoint folds the tail into a frame; the caller
 	// (the pipeline's SinkErrors counter) surfaces it.
-	s.tail.Ingest(batch)
-	s.tailRecords += uint64(len(batch))
+	for _, b := range batches {
+		s.tail.Ingest(b)
+	}
+	s.tailRecords += nRecords
 	s.tailGen++
-	s.appendedRecords += uint64(len(batch))
-	s.appendedBatches++
-	if walErr != nil {
-		return walErr
+	s.appendedRecords += nRecords
+	s.appendedBatches += nBatches
+	// The commit's WAL position, taken before a rotation moves it: the
+	// seal then covers it and the sync below returns without a syscall.
+	f, seq, off := s.active, s.activeSeq, s.activeOff
+	if err == nil && s.activeOff >= s.opts.SegmentBytes {
+		err = s.rotateLocked()
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return err
 	}
 	if s.opts.Sync == SyncAlways {
-		if err := s.syncActiveLocked(); err != nil {
+		if err := s.syncTo(f, seq, off); err != nil {
 			return fmt.Errorf("store: WAL sync: %w", err)
 		}
-	}
-	if s.activeOff >= s.opts.SegmentBytes {
-		return s.rotateLocked()
 	}
 	return nil
 }
 
-// syncActiveLocked fsyncs the active segment, timing the policy-driven
-// durability cost. Each fsync is its own background trace (nil-safe
-// no-op when the store runs untraced), so a device whose sync latency
-// degrades shows up in the tail-sampled ring as slow store.fsync
-// traces.
-func (s *Store) syncActiveLocked() error {
+// syncTo makes the WAL durable up to offset off of segment seq (whose
+// open fd is f), unless an earlier fsync or a seal already covered that
+// position. It runs outside mu: other committers write and fold, and
+// readers read, while the disk works. The timing and the store.fsync
+// background trace (tail-sampled: a device whose sync latency degrades
+// shows up as slow traces) wrap exactly the File.Sync call.
+func (s *Store) syncTo(f *os.File, seq uint64, off int64) error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	if seq < s.durableSeq || seq == s.durableSeq && off <= s.durableOff {
+		return nil
+	}
 	_, sp := s.opts.Tracer.StartTrace(context.Background(), "store.fsync", 0)
 	var t0 time.Time
 	if s.om.fsyncSeconds != nil {
 		t0 = time.Now()
 	}
-	err := s.active.Sync()
+	err := f.Sync()
 	if s.om.fsyncSeconds != nil {
 		s.om.fsyncSeconds.ObserveSince(t0)
 	}
 	sp.Fail(err)
 	sp.End()
+	if err == nil {
+		s.durableSeq, s.durableOff = seq, off
+	}
 	return err
 }
 
-// writeWALLocked appends one framed batch record to the active segment,
-// recovering from earlier failures: a missing active segment (a rotation
-// that hit transient ENOSPC) is reopened, and a failed write is rolled
-// back to the last record boundary so the segment stays parseable. A
+// sealActiveLocked syncs and closes the active segment's fd and lists
+// the segment as sealed. Sync and close happen under syncMu and a
+// successful sync marks the whole segment durable, so a committer still
+// waiting to sync a position in it finds that position covered instead
+// of a closed fd. A failed sync leaves the segment active for the caller
+// to retry, unless force is set (callers with no later chance: Close,
+// and the rollback path abandoning a torn segment). Caller holds mu.
+func (s *Store) sealActiveLocked(force bool) error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	err := s.active.Sync()
+	if err != nil && !force {
+		return err
+	}
+	if err == nil {
+		s.durableSeq, s.durableOff = s.activeSeq+1, 0
+	}
+	if cerr := s.active.Close(); err == nil {
+		err = cerr
+	}
+	s.active = nil
+	s.sealed = append(s.sealed, segInfo{seq: s.activeSeq, path: segPath(s.dir, s.activeSeq), size: s.activeOff})
+	return err
+}
+
+// writeWALLocked appends one framed record per non-empty batch to the
+// active segment with a single write, recovering from earlier failures:
+// a missing active segment (a rotation that hit transient ENOSPC) is
+// reopened, and a failed write is rolled back to the last record
+// boundary — the whole group — so the segment stays parseable. A
 // momentary disk problem must never permanently disable persistence.
-func (s *Store) writeWALLocked(batch []netflow.Record) error {
+func (s *Store) writeWALLocked(batches [][]netflow.Record) error {
 	if s.active == nil {
 		if err := s.openSegmentLocked(); err != nil {
 			return err
 		}
 	}
-	s.payloadBuf = appendBatchPayload(s.payloadBuf[:0], batch)
-	s.recordBuf = appendRecordFrame(s.recordBuf[:0], recTypeBatch, s.payloadBuf)
+	s.recordBuf = s.recordBuf[:0]
+	for _, b := range batches {
+		if len(b) == 0 {
+			continue
+		}
+		s.payloadBuf = appendBatchPayload(s.payloadBuf[:0], b)
+		s.recordBuf = appendRecordFrame(s.recordBuf, recTypeBatch, s.payloadBuf)
+	}
 	if _, err := s.active.Write(s.recordBuf); err != nil {
-		// Roll back the partial record. Truncate trims the file but does
+		// Roll back the partial group. Truncate trims the file but does
 		// NOT move the fd offset — without the Seek, the next append
 		// would land past a zero-filled hole and recovery would discard
 		// everything after it as a torn tail.
@@ -801,11 +876,8 @@ func (s *Store) writeWALLocked(batch []netflow.Record) error {
 			// disk would make a crash before that checkpoint unrecoverable
 			// (recovery treats damage in a non-final segment as corruption
 			// and fails the whole Open).
-			s.active.Close()
-			s.active = nil
-			path := segPath(s.dir, s.activeSeq)
-			s.sealed = append(s.sealed, segInfo{seq: s.activeSeq, path: path, size: s.activeOff})
-			if perr := os.Truncate(path, s.activeOff); perr != nil {
+			_ = s.sealActiveLocked(true) // the write error below is what the caller gets
+			if perr := os.Truncate(segPath(s.dir, s.activeSeq), s.activeOff); perr != nil {
 				return fmt.Errorf("store: WAL append: %w (torn bytes remain: rollback failed %v, truncate failed %v)", err, terr, perr)
 			}
 		}
@@ -820,14 +892,9 @@ func (s *Store) writeWALLocked(batch []netflow.Record) error {
 // one.
 func (s *Store) rotateLocked() error {
 	if s.active != nil {
-		if err := s.active.Sync(); err != nil {
+		if err := s.sealActiveLocked(false); err != nil {
 			return fmt.Errorf("store: sealing segment: %w", err)
 		}
-		if err := s.active.Close(); err != nil {
-			return fmt.Errorf("store: sealing segment: %w", err)
-		}
-		s.sealed = append(s.sealed, segInfo{seq: s.activeSeq, path: segPath(s.dir, s.activeSeq), size: s.activeOff})
-		s.active = nil
 	}
 	return s.openSegmentLocked()
 }
@@ -1105,15 +1172,19 @@ func mergeBound(a, b int64, max bool) int64 {
 	return b
 }
 
-// Flush fsyncs the active segment. The ingest pipeline's periodic flush
-// hook calls it under the SyncInterval policy.
+// Flush makes everything appended so far durable. The ingest pipeline's
+// periodic flush hook calls it under the SyncInterval policy. Like a
+// SyncAlways commit it syncs outside mu, and not at all when nothing
+// was written since the last sync.
 func (s *Store) Flush() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed || s.opts.ReadOnly || s.active == nil {
+		s.mu.Unlock()
 		return nil
 	}
-	return s.syncActiveLocked()
+	f, seq, off := s.active, s.activeSeq, s.activeOff
+	s.mu.Unlock()
+	return s.syncTo(f, seq, off)
 }
 
 // Snapshot merges the checkpointed base state with the live tail into
@@ -1186,12 +1257,7 @@ func (s *Store) Close() error {
 	if s.active == nil {
 		return nil
 	}
-	err := s.active.Sync()
-	if cerr := s.active.Close(); err == nil {
-		err = cerr
-	}
-	s.active = nil
-	if err != nil {
+	if err := s.sealActiveLocked(true); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil

@@ -1,19 +1,23 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cwatrace/internal/core"
 	"cwatrace/internal/entime"
 	"cwatrace/internal/netflow"
+	"cwatrace/internal/obs"
 	"cwatrace/internal/streaming"
 )
 
@@ -188,6 +192,113 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	}
 	if n != 7 {
 		t.Fatalf("WalkWAL sees %d records, want 7", n)
+	}
+
+	t.Run("group_cut_at_every_offset", testTornGroupEveryOffset)
+}
+
+// testTornGroupEveryOffset commits one group of k batches with a single
+// AppendGroup — one write(2), the unit a power cut can tear — and then
+// cuts the segment at every byte offset inside it. Recovery must replay
+// exactly the whole record frames before the cut, account the rest as
+// truncated, leave a WAL that WalkWAL reads the same way, and serve the
+// snapshot streaming computes over those batches: a group is k ordinary
+// records on disk, nothing more.
+func testTornGroupEveryOffset(t *testing.T) {
+	group := [][]netflow.Record{
+		{keptRecord(0, 1, 100), keptRecord(0, 2, 200), droppedRecord(1, 3)},
+		{keptRecord(1, 4, 300)},
+		nil, // skipped: leaves no record on disk
+		{keptRecord(2, 5, 400), keptRecord(30, 6, 500)},
+		{droppedRecord(2, 7), keptRecord(3, 8, 600), keptRecord(3, 9, 700)},
+	}
+	src := t.TempDir()
+	s := mustOpen(t, src, Options{})
+	if err := s.AppendGroup(group); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := walFiles(t, src)
+	if len(segs) != 1 {
+		t.Fatalf("segments on disk: %v", segs)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := os.ReadFile(filepath.Join(src, metaName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The segment is the header plus one ordinary frame per non-empty
+	// batch, byte for byte what k single Appends write. ends[i] is the
+	// offset just past frame i.
+	var batches [][]netflow.Record
+	want := append([]byte(nil), seg[:segHeaderLen]...)
+	var ends []int
+	for _, b := range group {
+		if len(b) == 0 {
+			continue
+		}
+		batches = append(batches, b)
+		want = appendRecordFrame(want, recTypeBatch, appendBatchPayload(nil, b))
+		ends = append(ends, len(want))
+	}
+	if !bytes.Equal(seg, want) {
+		t.Fatalf("group commit wrote %d bytes, want the %d bytes of %d single-batch frames", len(seg), len(want), len(batches))
+	}
+
+	for cut := segHeaderLen; cut <= len(seg); cut++ {
+		whole, boundary := 0, segHeaderLen
+		for whole < len(ends) && ends[whole] <= cut {
+			boundary = ends[whole]
+			whole++
+		}
+		ref := streaming.New(testConfig())
+		records := 0
+		for _, b := range batches[:whole] {
+			ref.Ingest(b)
+			records += len(b)
+		}
+
+		dir := filepath.Join(t.TempDir(), "d")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, metaName), meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(segs[0])), seg[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r := mustOpen(t, dir, Options{})
+		m := r.Metrics()
+		if m.RecoveredWALRecords != uint64(records) || m.TruncatedBytes != int64(cut-boundary) {
+			t.Fatalf("cut %d: replayed %d records and truncated %d bytes, want %d and %d",
+				cut, m.RecoveredWALRecords, m.TruncatedBytes, records, cut-boundary)
+		}
+		if got, want := snapJSON(t, r.Snapshot()), snapJSON(t, ref.Snapshot()); got != want {
+			t.Fatalf("cut %d: recovered snapshot diverges from streaming over %d batches", cut, whole)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		walked := 0
+		if err := WalkWAL(dir, func(batch []netflow.Record) error {
+			if !bytes.Equal(appendBatchPayload(nil, batch), appendBatchPayload(nil, batches[walked])) {
+				t.Fatalf("cut %d: WalkWAL batch %d differs from what was committed", cut, walked)
+			}
+			walked++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if walked != whole {
+			t.Fatalf("cut %d: WalkWAL sees %d batches, want %d", cut, walked, whole)
+		}
 	}
 }
 
@@ -460,6 +571,98 @@ func TestConcurrentAppendCheckpointQuery(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	t.Run("always_group_close_midflight", testGroupCommitCloseMidFlight)
+}
+
+// testGroupCommitCloseMidFlight adds the fourth lock domain — syncMu,
+// the fsync that runs outside mu — to the hammering: group commits at
+// SyncAlways race Flush, Checkpoint, Query and tiny-segment rotations,
+// and Close lands while all of them are in flight. A committer that
+// captured a segment fd under mu must never sync it closed (every close
+// happens under syncMu after a sync that covers the waiters), so the
+// only error anyone may see is the store reporting itself closed; what
+// AppendGroup acknowledged is exactly what a reopen finds; and skipping
+// covered positions never costs an extra fsync.
+func testGroupCommitCloseMidFlight(t *testing.T) {
+	const (
+		writers   = 4
+		perWriter = 400
+		perGroup  = 3
+	)
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	s := mustOpen(t, dir, Options{Sync: SyncAlways, SegmentBytes: 2048, MaxFrames: 3, Metrics: reg})
+	var acked, commits, halfway atomic.Int64
+	closedOrNil := func(op string, err error) bool {
+		if err != nil && err.Error() != "store: closed" {
+			t.Errorf("%s: %v", op, err)
+		}
+		return err == nil
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				group := make([][]netflow.Record, perGroup)
+				for g := range group {
+					group[g] = []netflow.Record{keptRecord(i%40, (w*perWriter+i)*perGroup+g, 100)}
+				}
+				commits.Add(1)
+				if !closedOrNil("append group", s.AppendGroup(group)) {
+					return
+				}
+				acked.Add(perGroup)
+				if i == perWriter/2 {
+					halfway.Add(1)
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	background := func(op func() bool) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for op() {
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	background(func() bool {
+		commits.Add(1)
+		return closedOrNil("flush", s.Flush())
+	})
+	background(func() bool { return closedOrNil("checkpoint", s.Checkpoint()) })
+	background(func() bool {
+		_, err := s.Query(time.Time{}, time.Time{})
+		_ = s.Snapshot()
+		return closedOrNil("query", err)
+	})
+	// Close once every writer is half done: all of them are mid-stream.
+	for halfway.Load() < writers && !t.Failed() {
+		runtime.Gosched()
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("close mid-flight: %v", err)
+	}
+	close(done)
+	wg.Wait()
+
+	if fsyncs := s.om.fsyncSeconds.Count(); fsyncs == 0 || int64(fsyncs) > commits.Load() {
+		t.Fatalf("%d policy fsyncs for %d commits and flushes", fsyncs, commits.Load())
+	}
+	r := mustOpen(t, dir, Options{})
+	defer r.Close()
+	if got := int64(r.Snapshot().Census.Kept); got != acked.Load() {
+		t.Fatalf("reopen finds %d records, %d were acknowledged", got, acked.Load())
 	}
 }
 
