@@ -1,7 +1,7 @@
 # Tier-1 verify is `make verify` (build + test); see ROADMAP.md.
 GO ?= go
 
-.PHONY: build test vet vet-bench fmt race bench bench-ingest bench-json bench-store bench-api bench-api-quick fuzz-smoke crash-smoke api-smoke cluster-smoke verify ci all ingest-demo ingest-demo-quick
+.PHONY: build test test-bench vet vet-bench fmt race bench bench-ingest bench-json bench-store bench-api bench-api-quick fuzz-smoke crash-smoke api-smoke cluster-smoke verify ci all ingest-demo ingest-demo-quick
 
 all: verify vet
 
@@ -20,6 +20,14 @@ vet:
 # benchmark then fails here, not in the benchmark driver.
 vet-bench:
 	$(GO) vet -C bench ./...
+
+# The harness's own tests (~25 s): statistics, compare verdicts, and
+# TestSmoke, which builds this checkout's daemons and drives all four
+# workloads against them on reduced inputs. A change to an API the
+# harness decorates, or to what the daemons serve it, fails here rather
+# than in the benchmark driver.
+test-bench:
+	cd bench && $(GO) test ./...
 
 # Fails when any file needs gofmt (same check CI runs).
 fmt:
@@ -75,11 +83,19 @@ bench-api-quick:
 api-smoke:
 	$(GO) test -run TestAPISmoke -count=1 -v ./cmd/collectord/
 
-# Short fuzz pass over the two wire/disk decoders: the NFv9 packet
-# decoder and the store record codec. CI runs the same smoke.
+# Short fuzz pass over every decoder that reads bytes from outside the
+# process: NFv9 packets off the wire, store records, tier frames and
+# sketches off the disk, shard state at the router. One target per
+# invocation (go test -fuzz takes one). Minimizing a multi-kilobyte
+# input with the default 60 s budget would eat the whole pass, so it is
+# capped. CI runs the same smoke.
+FUZZ = $(GO) test -run XXX -fuzztime=10s -fuzzminimizetime=1s
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run XXX ./internal/nfv9/
-	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run XXX ./internal/store/
+	$(FUZZ) -fuzz=FuzzDecode ./internal/nfv9/
+	$(FUZZ) -fuzz=FuzzDecode ./internal/store/
+	$(FUZZ) -fuzz=FuzzTierDecode ./internal/tier/
+	$(FUZZ) -fuzz=FuzzSketchDecode ./internal/sketch/
+	$(FUZZ) -fuzz=FuzzShardState ./internal/api/
 
 # SIGKILL drill: start a durable collector, stream half a trace over
 # UDP, kill -9 mid-capture, restart on the same data dir and require the
@@ -109,7 +125,8 @@ ingest-demo-quick:
 verify: build test
 
 # Mirrors .github/workflows/ci.yml: the formatting gate, static checks
-# (the bench module included), the full test suite, the race pass, the
-# ingest smoke run, the crash drill, the API conditional-GET smoke, the
-# cluster kill/recovery drill and the fuzz smoke.
-ci: fmt vet vet-bench build test race ingest-demo-quick crash-smoke api-smoke cluster-smoke fuzz-smoke
+# (the bench module included), the full test suite and the harness's own,
+# the race pass, the ingest smoke run, the crash drill, the API
+# conditional-GET smoke, the cluster kill/recovery drill and the fuzz
+# smoke.
+ci: fmt vet vet-bench build test test-bench race ingest-demo-quick crash-smoke api-smoke cluster-smoke fuzz-smoke

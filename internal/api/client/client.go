@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"cwatrace/internal/api"
 	v1 "cwatrace/internal/api/v1"
 	"cwatrace/internal/obs"
 	"cwatrace/internal/store"
@@ -127,48 +128,63 @@ func (o *ReqOpts) values() url.Values {
 
 // Snapshot fetches /api/v1/snapshot.
 func (c *Client) Snapshot(ctx context.Context, opts *ReqOpts) (*v1.Snapshot, error) {
-	out, _, err := c.SnapshotTag(ctx, opts)
-	return out, err
-}
-
-// SnapshotTag is Snapshot plus the response's strong ETag. The cluster
-// query router composes the per-shard tags into its cluster-wide
-// validator, so it needs them surfaced, not just cached. The tag is
-// empty when the server sent none (a degraded upstream, or validator
-// churn).
-func (c *Client) SnapshotTag(ctx context.Context, opts *ReqOpts) (*v1.Snapshot, string, error) {
 	var out v1.Snapshot
-	etag, err := c.getJSON(ctx, "/api/v1/snapshot", opts.values(), true, &out)
-	if err != nil {
-		return nil, "", err
+	if err := c.getJSON(ctx, "/api/v1/snapshot", opts.values(), true, &out); err != nil {
+		return nil, err
 	}
-	return &out, etag, nil
+	return &out, nil
 }
 
 // Query fetches /api/v1/query for [from, to); zero bounds are open
 // ends.
 func (c *Client) Query(ctx context.Context, from, to time.Time, opts *ReqOpts) (*v1.QueryResponse, error) {
-	out, _, err := c.QueryTag(ctx, from, to, opts)
-	return out, err
+	q := opts.values()
+	setBounds(q, from, to)
+	var out v1.QueryResponse
+	if err := c.getJSON(ctx, "/api/v1/query", q, true, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
-// QueryTag is Query plus the response's strong ETag (see SnapshotTag).
-func (c *Client) QueryTag(ctx context.Context, from, to time.Time, opts *ReqOpts) (*v1.QueryResponse, string, error) {
-	q := opts.values()
-	// RFC3339Nano keeps sub-second bounds lossless; store.ParseTime on
-	// the server accepts the fractional form.
+// setBounds renders the query range. RFC3339Nano keeps sub-second
+// bounds lossless; store.ParseTime on the server accepts the fractional
+// form.
+func setBounds(q url.Values, from, to time.Time) {
 	if !from.IsZero() {
 		q.Set("from", from.Format(time.RFC3339Nano))
 	}
 	if !to.IsZero() {
 		q.Set("to", to.Format(time.RFC3339Nano))
 	}
-	var out v1.QueryResponse
-	etag, err := c.getJSON(ctx, "/api/v1/query", q, true, &out)
-	if err != nil {
-		return nil, "", err
+}
+
+// MaxStateBytes bounds one shard-state body. The largest honest one is
+// streaming.MaxWindowHours of hourly bins (24 bytes each, ~4 MiB) plus
+// district rows and a tier frame; a peer sending more is refused
+// instead of being read to the end.
+const MaxStateBytes = 16 << 20
+
+// SnapshotState fetches /api/v1/snapshot in the shard-state
+// representation (see api.DecodeState) and returns the raw bytes with
+// the response's strong ETag. The cluster query router is the consumer:
+// it decodes and merges the state, and composes the per-shard tags into
+// its cluster-wide validator, so it needs them surfaced, not just
+// cached. The tag is empty when the shard sent none (validator churn);
+// a 304-revalidated fetch returns the cached bytes under the same tag.
+func (c *Client) SnapshotState(ctx context.Context) ([]byte, string, error) {
+	return c.get(ctx, "/api/v1/snapshot", url.Values{}, true, true)
+}
+
+// QueryState is SnapshotState for /api/v1/query over [from, to) at a
+// resolution (empty = the exact hourly path).
+func (c *Client) QueryState(ctx context.Context, from, to time.Time, resolution string) ([]byte, string, error) {
+	q := url.Values{}
+	if resolution != "" {
+		q.Set("resolution", resolution)
 	}
-	return &out, etag, nil
+	setBounds(q, from, to)
+	return c.get(ctx, "/api/v1/query", q, true, true)
 }
 
 // QueryBounds is Query with string bounds in the forms every store
@@ -189,7 +205,7 @@ func (c *Client) QueryBounds(ctx context.Context, from, to string, opts *ReqOpts
 // Stats fetches /api/v1/stats (never cached: it changes every packet).
 func (c *Client) Stats(ctx context.Context) (*v1.StatsResponse, error) {
 	var out v1.StatsResponse
-	if _, err := c.getJSON(ctx, "/api/v1/stats", nil, false, &out); err != nil {
+	if err := c.getJSON(ctx, "/api/v1/stats", nil, false, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -220,10 +236,24 @@ func (c *Client) Health(ctx context.Context) (*v1.HealthResponse, error) {
 	return nil, apiError(resp.StatusCode, body)
 }
 
-// getJSON is the shared GET path: retries, the ETag cache, and the
-// error-envelope decoding. It returns the response's ETag ("" when the
-// server sent none — including every degraded partial response).
-func (c *Client) getJSON(ctx context.Context, path string, q url.Values, cacheable bool, out any) (string, error) {
+// getJSON fetches a JSON body and decodes it into out.
+func (c *Client) getJSON(ctx context.Context, path string, q url.Values, cacheable bool, out any) error {
+	body, _, err := c.get(ctx, path, q, cacheable, false)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(body, out)
+}
+
+// get is the shared GET path: retries, the ETag cache, and the
+// error-envelope decoding. It returns the body and the response's ETag
+// ("" when the server sent none — including every degraded partial
+// response). state asks for the shard-state representation instead of
+// JSON and refuses an answer that is anything else.
+func (c *Client) get(ctx context.Context, path string, q url.Values, cacheable, state bool) ([]byte, string, error) {
+	if state {
+		q.Set("format", "state")
+	}
 	u := c.base + path
 	if len(q) > 0 {
 		u += "?" + q.Encode()
@@ -234,20 +264,20 @@ func (c *Client) getJSON(ctx context.Context, path string, q url.Values, cacheab
 			delay := c.backoff << (attempt - 1)
 			select {
 			case <-ctx.Done():
-				return "", ctx.Err()
+				return nil, "", ctx.Err()
 			case <-time.After(delay):
 			}
 		}
-		body, etag, err := c.try(ctx, u, cacheable)
+		body, etag, err := c.try(ctx, u, cacheable, state)
 		if err == nil {
-			return etag, json.Unmarshal(body, out)
+			return body, etag, nil
 		}
 		lastErr = err
 		if !retryable(err) {
 			break
 		}
 	}
-	return "", lastErr
+	return nil, "", lastErr
 }
 
 // setRequestID forwards the trace context riding the request's
@@ -265,12 +295,19 @@ func setRequestID(req *http.Request) {
 }
 
 // try runs one conditional GET against url.
-func (c *Client) try(ctx context.Context, url string, cacheable bool) ([]byte, string, error) {
+func (c *Client) try(ctx context.Context, url string, cacheable, state bool) ([]byte, string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, "", err
 	}
 	setRequestID(req)
+	if state {
+		// State is dense binary travelling one hop inside a cluster:
+		// compressing it costs both ends more than the bytes are worth.
+		// An explicit Accept-Encoding also switches off the transport's
+		// transparent gzip, whichever http.Client the caller injected.
+		req.Header.Set("Accept-Encoding", "identity")
+	}
 	var prior *cachedResp
 	if cacheable {
 		c.mu.Lock()
@@ -293,7 +330,11 @@ func (c *Client) try(ctx context.Context, url string, cacheable bool) ([]byte, s
 		}
 		return prior.body, prior.etag, nil
 	}
-	body, err := io.ReadAll(resp.Body)
+	var src io.Reader = resp.Body
+	if state {
+		src = io.LimitReader(src, MaxStateBytes+1)
+	}
+	body, err := io.ReadAll(src)
 	if err != nil {
 		return nil, "", &transportError{err}
 	}
@@ -302,6 +343,18 @@ func (c *Client) try(ctx context.Context, url string, cacheable bool) ([]byte, s
 	// error. It never carries an ETag and must not enter the cache.
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusPartialContent {
 		return nil, "", apiError(resp.StatusCode, body)
+	}
+	if state {
+		// Neither failure is worth a retry: the peer would say the same
+		// again. A shard from before the state representation ignores the
+		// unknown parameter and answers JSON.
+		if ct := resp.Header.Get("Content-Type"); ct != api.StateMediaType {
+			return nil, "", fmt.Errorf("client: %s answered %q, not %s (a shard that predates the state representation? upgrade shards before routers)",
+				c.base, ct, api.StateMediaType)
+		}
+		if len(body) > MaxStateBytes {
+			return nil, "", fmt.Errorf("client: shard state from %s exceeds %d bytes", c.base, MaxStateBytes)
+		}
 	}
 	etag := resp.Header.Get("ETag")
 	if cacheable && resp.StatusCode == http.StatusOK && etag != "" {

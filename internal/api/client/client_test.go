@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -260,5 +261,50 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 		if err != nil {
 			return b
 		}
+	}
+}
+
+// TestDegraded206DecodesWithoutCaching pins the partial-response
+// handling: a 206 body decodes as a success (the typed degraded
+// envelope, not an error) and never enters the ETag cache — a later
+// 200 must not be answered from, or revalidated against, partial bytes.
+func TestDegraded206DecodesWithoutCaching(t *testing.T) {
+	degraded := true
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("If-None-Match") != "" {
+			t.Errorf("client revalidated against a partial response")
+		}
+		if degraded {
+			w.Header().Set("Cache-Control", "no-store")
+			w.WriteHeader(http.StatusPartialContent)
+			json.NewEncoder(w).Encode(v1.Snapshot{
+				WindowHours: 4,
+				Degraded:    &v1.Degraded{MissingShards: []int{1}},
+			})
+			return
+		}
+		w.Header().Set("ETag", `"full"`)
+		json.NewEncoder(w).Encode(v1.Snapshot{WindowHours: 8})
+	}))
+	defer srv.Close()
+
+	c, err := New(srv.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.Snapshot(context.Background(), nil)
+	if err != nil {
+		t.Fatalf("206 should decode, not error: %v", err)
+	}
+	if len(c.cache) != 0 || snap.Degraded == nil || len(snap.Degraded.MissingShards) != 1 {
+		t.Fatalf("degraded fetch: %d cache entries, marker %+v", len(c.cache), snap.Degraded)
+	}
+	degraded = false
+	snap, err = c.Snapshot(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.cache) != 1 || snap.WindowHours != 8 || snap.Degraded != nil {
+		t.Fatalf("recovered fetch: %d cache entries, %+v", len(c.cache), snap)
 	}
 }

@@ -1,0 +1,156 @@
+package client
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"cwatrace/internal/api"
+	v1 "cwatrace/internal/api/v1"
+	"cwatrace/internal/entime"
+)
+
+// TestStateFetchSurfacesETag pins the state fetch the cluster router
+// composes its validator from, against a real shard API: the request
+// asks for the state representation uncompressed, the first fetch
+// returns the shard's strong ETag with bytes that decode, and a
+// revalidated fetch is a 304 on the wire that replays the byte-identical
+// cached state under the SAME tag — the tag identifies bytes, not
+// transfers. The JSON fetch of the same range shares neither cache entry
+// nor validator.
+func TestStateFetchSurfacesETag(t *testing.T) {
+	_, shard, full := testServer(t)
+	var (
+		mu       sync.Mutex
+		statuses []int
+	)
+	wire := func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		out := statuses
+		statuses = nil
+		return out
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("format") == "state" && r.Header.Get("Accept-Encoding") != "identity" {
+			t.Errorf("state request asked for Accept-Encoding %q, want identity", r.Header.Get("Accept-Encoding"))
+		}
+		rec := httptest.NewRecorder()
+		shard.Config.Handler.ServeHTTP(rec, r)
+		mu.Lock()
+		statuses = append(statuses, rec.Code)
+		mu.Unlock()
+		if rec.Header().Get("Content-Encoding") != "" {
+			t.Errorf("%s answered with Content-Encoding %q", r.URL, rec.Header().Get("Content-Encoding"))
+		}
+		for k, vs := range rec.Header() {
+			w.Header()[k] = vs
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	defer ts.Close()
+	c, err := New(ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	from, to := entime.StudyStart, entime.StudyStart.Add(4*time.Hour)
+
+	for name, fetch := range map[string]func() ([]byte, string, error){
+		"snapshot": func() ([]byte, string, error) { return c.SnapshotState(ctx) },
+		"query":    func() ([]byte, string, error) { return c.QueryState(ctx, from, to, "") },
+	} {
+		wire()
+		first, etag, err := fetch()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if etag == "" {
+			t.Fatalf("%s: state fetch surfaced no ETag", name)
+		}
+		st, err := api.DecodeState(first)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// The shard's origin is anchored at +02:00; it must come back so.
+		if _, off := st.Analytics.Config().Origin.Zone(); off != 2*3600 || !st.Analytics.Config().Origin.Equal(entime.StudyStart) {
+			t.Fatalf("%s: origin came back as %s", name, st.Analytics.Config().Origin)
+		}
+		fullBefore := full.Load()
+		second, etag2, err := fetch()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := wire(); len(got) != 2 || got[0] != http.StatusOK || got[1] != http.StatusNotModified || full.Load() != fullBefore {
+			t.Fatalf("%s: wire statuses %v, want a 200 then a 304", name, got)
+		}
+		if etag2 != etag || !bytes.Equal(first, second) {
+			t.Fatalf("%s: revalidated fetch returned tag %q (first %q), identical bytes %v", name, etag2, etag, bytes.Equal(first, second))
+		}
+	}
+
+	// One range, two representations: separate validators, and the JSON
+	// fetch is not answered from the cached state.
+	if _, err := c.Query(ctx, from, to, nil); err != nil {
+		t.Fatalf("JSON query after the state fetch: %v", err)
+	}
+	_, etag, _ := c.QueryState(ctx, from, to, "")
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tags := map[string]bool{}
+	for _, e := range c.cache {
+		tags[e.etag] = true
+	}
+	if len(c.cache) != 3 || len(tags) != 3 || !tags[etag] {
+		t.Fatalf("cache holds %d entries under %d tags, want snapshot state, query state and query JSON apart", len(c.cache), len(tags))
+	}
+}
+
+// TestStateFetchRefusesWhatIsNotState pins the client's half of the
+// trust boundary: a peer answering JSON (a shard from before the state
+// representation ignores the parameter) or more than MaxStateBytes is
+// an error naming the cause, reached without a retry and without
+// entering the cache.
+func TestStateFetchRefusesWhatIsNotState(t *testing.T) {
+	for name, c := range map[string]struct {
+		handler http.HandlerFunc
+		want    string
+	}{
+		"json": {func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("ETag", `"old"`)
+			json.NewEncoder(w).Encode(v1.Snapshot{WindowHours: 4})
+		}, "upgrade shards before routers"},
+		"oversized": {func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", api.StateMediaType)
+			w.Header().Set("ETag", `"big"`)
+			w.Write(make([]byte, MaxStateBytes+1))
+		}, "exceeds"},
+	} {
+		var hits atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+			c.handler(w, r)
+		}))
+		cl, err := New(srv.URL, &Options{Backoff: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, etag, err := cl.SnapshotState(context.Background())
+		if err == nil || !strings.Contains(err.Error(), c.want) || body != nil || etag != "" {
+			t.Fatalf("%s: got %d bytes, tag %q, err %v; want an error mentioning %q", name, len(body), etag, err, c.want)
+		}
+		if hits.Load() != 1 || len(cl.cache) != 0 {
+			t.Fatalf("%s: %d requests and %d cache entries, want one request and nothing cached", name, hits.Load(), len(cl.cache))
+		}
+		srv.Close()
+	}
+}

@@ -1,7 +1,7 @@
 // The clustered side of the API surface: a Server built with
 // Config.Fanout fronts N shard collectors instead of a local pipeline or
 // store. The Fanout implementation (internal/cluster.Fleet) gathers every
-// shard's full response, merges the aggregates deterministically, and
+// shard's state (state.go), merges the aggregates deterministically, and
 // composes the per-shard strong ETags into one cluster-wide validator;
 // the handlers here translate its results into the v1 wire contract —
 // including the partial-failure envelope, which is the part that keeps a
@@ -56,7 +56,7 @@ type FanResult struct {
 	TailIncluded bool
 	// Resolution and LongHorizon carry the merged long-horizon answer of
 	// a day/week/auto-resolution query fan-out (sketches merge across
-	// shards; see tier.Builder.MergeAnswer). Both are empty on the exact
+	// shards; see tier.Answer.Frame). Both are empty on the exact
 	// hourly path and for snapshot fan-outs.
 	Resolution  string
 	LongHorizon *tier.Answer
@@ -232,19 +232,13 @@ func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, p
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	body, err := s.cache.get(etag, func() ([]byte, error) {
-		v, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return marshalBody(v, pretty)
-	})
+	body, err := s.cache.get(etag, jsonBody(pretty, build))
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "building response failed", err.Error())
 		return
 	}
 	h.Set("ETag", etag)
-	s.writeBody(w, r, http.StatusOK, body)
+	s.writeBody(w, r, http.StatusOK, jsonMediaType, body)
 }
 
 // handleFanStats is /api/v1/stats in fan-out mode: the field-wise sum

@@ -1,0 +1,108 @@
+package api
+
+import (
+	"errors"
+	"testing"
+
+	"cwatrace/internal/streaming"
+	"cwatrace/internal/tier"
+)
+
+// stateSeeds fetches real shard answers — the exact path over a store
+// with a live tail, and a tiered store at hour, day and week.
+func stateSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	var seeds [][]byte
+	fetch := func(url string) {
+		resp, body := get(t, url, identity)
+		if resp.StatusCode != 200 || resp.Header.Get("Content-Type") != StateMediaType {
+			t.Fatalf("seed %s: %d %s", url, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		seeds = append(seeds, body)
+	}
+	_, exact := storeServer(t)
+	fetch(exact.URL + "/api/v1/snapshot?format=state")
+	_, tiered := tierServer(t, 16)
+	for _, res := range []string{"hour", "day", "week"} {
+		fetch(tiered.URL + "/api/v1/query?format=state&resolution=" + res)
+	}
+	return seeds
+}
+
+// useState does to a decoded state what the router does, so a decode
+// that succeeds on hostile bytes still has to survive the merge.
+func useState(t *testing.T, st *ShardState) {
+	t.Helper()
+	cfg := st.Analytics.Config()
+	if cfg.WindowHours <= 0 || cfg.WindowHours > streaming.MaxWindowHours {
+		t.Fatalf("decoded state claims a %d-hour window", cfg.WindowHours)
+	}
+	if (st.LongHorizon == nil) != (st.Resolution == "") {
+		t.Fatalf("resolution %q with long-horizon frame present=%v", st.Resolution, st.LongHorizon != nil)
+	}
+	m := streaming.New(streaming.Config{Origin: cfg.Origin, WindowHours: cfg.WindowHours})
+	m.Merge(st.Analytics)
+	m.Snapshot()
+	if st.LongHorizon != nil {
+		b := tier.NewBuilder(st.Resolution, cfg.Origin)
+		b.AddFrame(st.LongHorizon)
+		b.Answer()
+	}
+}
+
+// TestShardStateRejectsDamage walks every truncation and every single
+// bit flip of real shard answers through the decoder: each must be
+// ErrBadState (the envelope CRC covers header and payloads), none may
+// panic.
+func TestShardStateRejectsDamage(t *testing.T) {
+	for i, seed := range stateSeeds(t) {
+		st, err := DecodeState(seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		useState(t, st)
+		for n := 0; n < len(seed); n++ {
+			if _, err := DecodeState(seed[:n]); !errors.Is(err, ErrBadState) {
+				t.Fatalf("seed %d cut to %d of %d bytes: err = %v", i, n, len(seed), err)
+			}
+		}
+		bad := append([]byte(nil), seed...)
+		for pos := range bad {
+			for bit := 0; bit < 8; bit++ {
+				bad[pos] ^= 1 << bit
+				if _, err := DecodeState(bad); !errors.Is(err, ErrBadState) {
+					t.Fatalf("seed %d, bit %d of byte %d flipped: err = %v", i, bit, pos, err)
+				}
+				bad[pos] ^= 1 << bit
+			}
+		}
+		if _, err := DecodeState(append(bad, 0)); !errors.Is(err, ErrBadState) {
+			t.Fatalf("seed %d with a trailing byte: err = %v", i, err)
+		}
+	}
+}
+
+// FuzzShardState hammers the shard-state decoder, the router's side of
+// the shard→router trust boundary, with arbitrary bytes: it never
+// panics, refuses with ErrBadState, and whatever it accepts merges and
+// renders within streaming.MaxWindowHours.
+func FuzzShardState(f *testing.F) {
+	for _, seed := range stateSeeds(f) {
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+		f.Add(seed[:stateHeaderLen])
+	}
+	f.Add([]byte{})
+	f.Add([]byte(`{"from":"0001-01-01T00:00:00Z","frames":3,"snapshot":{}}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := DecodeState(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadState) {
+				t.Fatalf("non-codec error from arbitrary bytes: %v", err)
+			}
+			return
+		}
+		useState(t, st)
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 // tierServer builds a tier-folding store holding days whole days (one
 // checkpoint per day, so day frames fold as they close) and a server
 // over it.
-func tierServer(t *testing.T, days int) (*store.Store, *httptest.Server) {
+func tierServer(t testing.TB, days int) (*store.Store, *httptest.Server) {
 	t.Helper()
 	st, err := store.Open(t.TempDir(), store.Options{
 		Analytics: streaming.Config{WindowHours: days*24 + 48, TopK: 5},
@@ -147,6 +148,62 @@ func TestQueryResolutionAPI(t *testing.T) {
 		t.Fatalf("bogus resolution: %d", resp.StatusCode)
 	}
 	decodeError(t, body)
+}
+
+// TestQueryResolutionResidualSeries pins what the snapshot of a day/week
+// answer is: the exact raw residual, whose hourly series starts at the
+// residual's own first populated hour. The hours before it are answered
+// by long_horizon.buckets; rendering them as rows of zero flows would
+// contradict the buckets (and was most of a year-span body). The hour
+// path keeps rendering the whole covered span.
+func TestQueryResolutionResidualSeries(t *testing.T) {
+	const days = 12
+	_, ts := tierServer(t, days)
+	// Days 0-10 are folded; the last day's checkpoint frame is the raw
+	// residual, with traffic at hours 0, 8 and 16 of that day.
+	const first = (days - 1) * 24
+	until := url.QueryEscape(entime.StudyStart.Add((first + 12) * time.Hour).Format(time.RFC3339))
+	for _, c := range []struct {
+		query string
+		hours int
+	}{
+		{"resolution=day", 17},
+		{"resolution=week", 17},
+		{"resolution=day&from=" + url.QueryEscape(entime.StudyStart.Add(48*time.Hour).Format(time.RFC3339)), 17},
+		{"resolution=day&to=" + until, 12},
+	} {
+		_, body := get(t, ts.URL+"/api/v1/query?"+c.query, nil)
+		var resp v1.QueryResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		snap := resp.Snapshot
+		if resp.LongHorizon == nil || resp.LongHorizon.RawFrames != 1 {
+			t.Fatalf("%s: want a tiered answer with one residual frame, got %+v", c.query, resp.LongHorizon)
+		}
+		if snap.SeriesStart != first || len(snap.Hours) != c.hours || snap.Hours[0].Hour != first || snap.Hours[0].Flows == 0 {
+			t.Fatalf("%s: residual series starts at hour %d with %d rows (first row %+v), want %d rows from the first populated hour %d",
+				c.query, snap.SeriesStart, len(snap.Hours), snap.Hours[0], c.hours, first)
+		}
+		// Nothing is lost by not rendering the tiered hours here: over an
+		// untrimmed range the buckets account for every kept flow.
+		var bucketed float64
+		for _, b := range resp.LongHorizon.Buckets {
+			bucketed += b.Flows
+		}
+		if c.hours == 17 && int(bucketed) != resp.LongHorizon.Census.Kept {
+			t.Fatalf("%s: buckets hold %v flows, census kept %d", c.query, bucketed, resp.LongHorizon.Census.Kept)
+		}
+	}
+
+	_, body := get(t, ts.URL+"/api/v1/query?resolution=hour", nil)
+	var hour v1.QueryResponse
+	if err := json.Unmarshal(body, &hour); err != nil {
+		t.Fatal(err)
+	}
+	if hour.Snapshot.SeriesStart != 0 || len(hour.Snapshot.Hours) != first+17 {
+		t.Fatalf("hour path: series starts at %d with %d rows, want 0 with %d", hour.Snapshot.SeriesStart, len(hour.Snapshot.Hours), first+17)
+	}
 }
 
 // TestLegacyQueryRejectsResolution pins the compatibility boundary: the

@@ -331,15 +331,22 @@ type reqParams struct {
 	fields v1.FieldSet
 	top    int
 	pretty bool
+	// state selects the shard-state representation (?format=state, see
+	// state.go) instead of the JSON body; fields, top and pretty do not
+	// apply to it.
+	state bool
 }
 
-// key renders the parameters canonically for ETag derivation.
+// key renders the parameters canonically for ETag derivation. The
+// representation is part of it: a strong ETag names bytes, so the JSON
+// and state answers to one range never share a validator or a cache
+// entry.
 func (p reqParams) key() string {
-	return fmt.Sprintf("fields=%s&top=%d&pretty=%t", p.fields, p.top, p.pretty)
+	return fmt.Sprintf("fields=%s&top=%d&pretty=%t&state=%t", p.fields, p.top, p.pretty, p.state)
 }
 
-// parseParams reads ?fields=, ?top= and ?pretty=; a bad value is a
-// structured 400.
+// parseParams reads ?fields=, ?top=, ?pretty= and ?format=; a bad value
+// is a structured 400.
 func (s *Server) parseParams(w http.ResponseWriter, r *http.Request) (reqParams, bool) {
 	q := r.URL.Query()
 	p := reqParams{fields: v1.AllFields}
@@ -358,6 +365,20 @@ func (s *Server) parseParams(w http.ResponseWriter, r *http.Request) (reqParams,
 		p.top = n
 	}
 	p.pretty = prettyRequested(q.Get("pretty"))
+	switch format := q.Get("format"); format {
+	case "":
+	case "state":
+		if s.cfg.Fanout != nil {
+			s.writeError(w, http.StatusBadRequest, v1.CodeBadRequest, "bad format parameter",
+				"format=state is served by shard nodes, not by a query router")
+			return p, false
+		}
+		p.state = true
+	default:
+		s.writeError(w, http.StatusBadRequest, v1.CodeBadRequest, "bad format parameter",
+			fmt.Sprintf("want state, or none for JSON; got %q", format))
+		return p, false
+	}
 	return p, true
 }
 
@@ -406,9 +427,13 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.handleFanSnapshot(w, r, p)
 		return
 	}
-	s.serveCached(w, r, "v1/snapshot", p.key(), s.snapshotVersion, func() (any, error) {
-		return v1.NewSnapshot(s.snapshotSource()(), p.fields, p.top), nil
-	}, p.pretty)
+	s.serveCached(w, r, "v1/snapshot", p.key(), s.snapshotVersion, p.mediaType(), func() ([]byte, error) {
+		snap := s.snapshotSource()()
+		if p.state {
+			return encodeState(&store.QueryResult{Snapshot: snap})
+		}
+		return marshalBody(v1.NewSnapshot(snap, p.fields, p.top), p.pretty)
+	})
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -443,12 +468,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	key := fmt.Sprintf("from=%s&to=%s&resolution=%s&%s", stamp(from), stamp(to), resolution, p.key())
 	version := func() uint64 { return s.cfg.History.Version(from, to) }
-	s.serveCached(w, r, "v1/query", key, version, func() (any, error) {
+	s.serveCached(w, r, "v1/query", key, version, p.mediaType(), func() ([]byte, error) {
 		res, err := s.cfg.History.QueryResolution(from, to, resolution)
 		if err != nil {
 			return nil, err
 		}
-		return &v1.QueryResponse{
+		if p.state {
+			return encodeState(res)
+		}
+		return marshalBody(&v1.QueryResponse{
 			From:         res.From,
 			To:           res.To,
 			Frames:       res.Frames,
@@ -456,8 +484,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Snapshot:     v1.NewSnapshot(res.Snapshot, p.fields, p.top),
 			Resolution:   string(res.Resolution),
 			LongHorizon:  res.LongHorizon,
-		}, nil
-	}, p.pretty)
+		}, p.pretty)
+	})
 }
 
 func (s *Server) handleUnknown(w http.ResponseWriter, r *http.Request) {
@@ -507,9 +535,9 @@ func (s *Server) handleLegacySnapshot(w http.ResponseWriter, r *http.Request) {
 	// fetched inside the build so the body matches the token epoch.
 	version := func() uint64 { return mix64(s.snapshotVersion(), statsHash(s.liveStats())) }
 	key := fmt.Sprintf("pretty=%t", pretty)
-	s.serveCached(w, r, "legacy/snapshot", key, version, func() (any, error) {
+	s.serveCached(w, r, "legacy/snapshot", key, version, jsonMediaType, jsonBody(pretty, func() (any, error) {
 		return legacySnapshotBody{Stats: s.liveStats(), Snapshot: s.snapshotSource()()}, nil
-	}, pretty)
+	}))
 }
 
 func (s *Server) handleLegacyQuery(w http.ResponseWriter, r *http.Request) {
@@ -539,9 +567,9 @@ func (s *Server) handleLegacyQuery(w http.ResponseWriter, r *http.Request) {
 	pretty := prettyRequested(q.Get("pretty"))
 	key := fmt.Sprintf("from=%s&to=%s&pretty=%t", stamp(from), stamp(to), pretty)
 	version := func() uint64 { return s.cfg.History.Version(from, to) }
-	s.serveCached(w, r, "legacy/query", key, version, func() (any, error) {
+	s.serveCached(w, r, "legacy/query", key, version, jsonMediaType, jsonBody(pretty, func() (any, error) {
 		return s.cfg.History.Query(from, to)
-	}, pretty)
+	}))
 }
 
 // ---- data-source plumbing ----
@@ -621,7 +649,7 @@ var gzipPool = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
 // already holds the genuine older body). On a mismatch the build
 // retries under the fresh tag; under pathological churn the response
 // goes out without a validator rather than with a dishonest one.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, params string, version func() uint64, build func() (any, error), pretty bool) {
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, params string, version func() uint64, mediaType string, build func() ([]byte, error)) {
 	h := w.Header()
 	h.Set("Cache-Control", "no-cache") // cacheable, but revalidate: ETags are the invalidation channel
 	var (
@@ -637,13 +665,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, p
 			return
 		}
 		var err error
-		body, err = s.cache.get(etag, func() ([]byte, error) {
-			v, err := build()
-			if err != nil {
-				return nil, err
-			}
-			return marshalBody(v, pretty)
-		})
+		body, err = s.cache.get(etag, build)
 		if err != nil {
 			s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "building response failed", err.Error())
 			return
@@ -659,7 +681,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, p
 			break
 		}
 	}
-	s.writeBody(w, r, http.StatusOK, body)
+	s.writeBody(w, r, http.StatusOK, mediaType, body)
 }
 
 // writeJSON marshals and sends an uncached response.
@@ -669,16 +691,20 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v
 		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "encoding response failed", err.Error())
 		return
 	}
-	s.writeBody(w, r, status, body)
+	s.writeBody(w, r, status, jsonMediaType, body)
 }
 
-// writeBody sends a marshaled JSON body, gzip-compressed when the
-// client accepts it and the body is big enough to bother. Every path
-// that could compress declares Vary, so a shared cache never replays
-// gzip bytes to a client that did not ask for them.
-func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, status int, body []byte) {
+// writeBody sends a rendered body, gzip-compressed when the client
+// accepts it and the body is big enough to bother. Every path that
+// could compress declares Vary, so a shared cache never replays gzip
+// bytes to a client that did not ask for them. Only JSON may be
+// content-sniffed: any other representation is marked nosniff.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, status int, mediaType string, body []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	h.Set("Content-Type", mediaType)
+	if mediaType != jsonMediaType {
+		h.Set("X-Content-Type-Options", "nosniff")
+	}
 	h.Set("Vary", "Accept-Encoding")
 	compress := len(body) >= gzipMinBytes && acceptsGzip(r)
 	if r.Method == http.MethodHead {
@@ -728,6 +754,28 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, message, de
 	w.WriteHeader(status)
 	if _, err := w.Write(body); err != nil {
 		s.errorf("error envelope for status %d: %v", status, err)
+	}
+}
+
+const jsonMediaType = "application/json"
+
+// mediaType is the Content-Type of the representation p selects.
+func (p reqParams) mediaType() string {
+	if p.state {
+		return StateMediaType
+	}
+	return jsonMediaType
+}
+
+// jsonBody adapts a value builder to the body builder serveCached
+// caches: build, then marshal.
+func jsonBody(pretty bool, build func() (any, error)) func() ([]byte, error) {
+	return func() ([]byte, error) {
+		v, err := build()
+		if err != nil {
+			return nil, err
+		}
+		return marshalBody(v, pretty)
 	}
 }
 

@@ -76,7 +76,7 @@ func liveServer(t *testing.T, snap *streaming.Snapshot) *httptest.Server {
 
 // storeServer builds a durable store with three checkpointed hours 0-3
 // plus a live tail at hours 30-31, and a server over it.
-func storeServer(t *testing.T) (*store.Store, *httptest.Server) {
+func storeServer(t testing.TB) (*store.Store, *httptest.Server) {
 	t.Helper()
 	st, err := store.Open(t.TempDir(), store.Options{Analytics: testCfg()})
 	if err != nil {
@@ -127,7 +127,7 @@ func sampleSnapshot(t *testing.T, shards int) *streaming.Snapshot {
 
 // get runs one GET with optional extra headers and returns the response
 // plus its full body.
-func get(t *testing.T, url string, hdr map[string]string) (*http.Response, []byte) {
+func get(t testing.TB, url string, hdr map[string]string) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {

@@ -10,18 +10,22 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"cwatrace/internal/api"
+	"cwatrace/internal/api/client"
 	v1 "cwatrace/internal/api/v1"
 	"cwatrace/internal/core"
 	"cwatrace/internal/entime"
@@ -490,6 +494,117 @@ func TestClusterDegradation(t *testing.T) {
 	}
 	if !bytes.Equal(body, healthyBody) {
 		t.Fatalf("recovered body differs from pre-kill body")
+	}
+}
+
+// TestClusterUndecodableShardIsMissing pins the router's side of the
+// shard→router trust boundary. A shard that answers 200 with bytes the
+// router cannot merge — damaged state, more than the client's bound, a
+// header origin the state blob contradicts, or JSON because the shard
+// predates the state representation — is exactly as missing as a dead
+// one: 206, Cache-Control: no-store, no ETag, the shard named in
+// missing_shards with the cause, totals equal to the healthy shards' sum.
+func TestClusterUndecodableShardIsMissing(t *testing.T) {
+	model := geo.Germany()
+	db, prefixes := testGeoDB(t, model)
+	recs := buildCapture(prefixes)
+	acfg := streaming.Config{WindowHours: 96, TopK: 10, DB: db, Model: model}
+
+	const n = 3
+	parts := partition(recs, db, n)
+	nodes := make([]*node, n)
+	for i := range nodes {
+		nodes[i] = newNode(t, acfg, parts[i])
+	}
+	healthyKept := nodes[0].st.Snapshot().Census.Kept + nodes[1].st.Snapshot().Census.Kept
+
+	// answer runs the request against shard 2's real API and returns what
+	// it would have sent.
+	answer := func(r *http.Request) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		nodes[2].srv.ServeHTTP(rec, r)
+		return rec
+	}
+	send := func(w http.ResponseWriter, rec *httptest.ResponseRecorder, body []byte) {
+		for k, vs := range rec.Header() {
+			w.Header()[k] = vs
+		}
+		w.Header().Del("Content-Length")
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}
+	for _, c := range []struct {
+		name, cause string
+		shard       http.HandlerFunc
+	}{
+		{"corrupt", "bad shard state", func(w http.ResponseWriter, r *http.Request) {
+			rec := answer(r)
+			body := rec.Body.Bytes()
+			body[len(body)/2] ^= 0x04
+			send(w, rec, body)
+		}},
+		{"oversized", "exceeds", func(w http.ResponseWriter, r *http.Request) {
+			send(w, answer(r), make([]byte, client.MaxStateBytes+1))
+		}},
+		{"wrong-origin", "bad shard state", func(w http.ResponseWriter, r *http.Request) {
+			// A well-formed envelope (valid CRC) whose header origin, bytes
+			// 8-15, is an hour off the origin inside the state blob.
+			rec := answer(r)
+			body := rec.Body.Bytes()
+			origin := int64(binary.BigEndian.Uint64(body[8:])) + int64(time.Hour)
+			binary.BigEndian.PutUint64(body[8:], uint64(origin))
+			crc := crc32.Update(crc32.ChecksumIEEE(body[:40]), crc32.IEEETable, body[44:])
+			binary.BigEndian.PutUint32(body[40:], crc)
+			send(w, rec, body)
+		}},
+		{"json-instead-of-state", "upgrade shards before routers", func(w http.ResponseWriter, r *http.Request) {
+			// What a shard from before the representation does: the
+			// unknown parameter is ignored.
+			q := r.URL.Query()
+			q.Del("format")
+			r.URL.RawQuery = q.Encode()
+			rec := answer(r)
+			send(w, rec, rec.Body.Bytes())
+		}},
+	} {
+		hostile := httptest.NewServer(c.shard)
+		fleet, err := New([]string{nodes[0].ts.URL, nodes[1].ts.URL, hostile.URL},
+			Options{TopK: acfg.TopK, ClientOptions: &client.Options{Backoff: time.Millisecond}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := api.New(api.Config{Fanout: fleet})
+		if err != nil {
+			t.Fatal(err)
+		}
+		router := httptest.NewServer(srv)
+		for _, path := range []string{"/api/v1/snapshot", "/api/v1/query"} {
+			status, hdr, body := get(t, router.URL+path, nil)
+			if status != http.StatusPartialContent || hdr.Get("Cache-Control") != "no-store" || hdr.Get("ETag") != "" {
+				t.Fatalf("%s %s: status %d, Cache-Control %q, ETag %q; want 206, no-store, no validator\n%.300s",
+					c.name, path, status, hdr.Get("Cache-Control"), hdr.Get("ETag"), body)
+			}
+			var q v1.QueryResponse
+			snap := new(v1.Snapshot)
+			if err := json.Unmarshal(body, snap); err != nil {
+				t.Fatal(err)
+			}
+			degraded := snap.Degraded
+			if path == "/api/v1/query" {
+				if err := json.Unmarshal(body, &q); err != nil {
+					t.Fatal(err)
+				}
+				snap, degraded = q.Snapshot, q.Degraded
+			}
+			if degraded == nil || !reflect.DeepEqual(degraded.MissingShards, []int{2}) || !strings.Contains(degraded.Detail, c.cause) {
+				t.Fatalf("%s %s: degraded marker %+v, want missing_shards [2] with a detail mentioning %q", c.name, path, degraded, c.cause)
+			}
+			if snap.Census == nil || snap.Census.Kept != healthyKept {
+				t.Fatalf("%s %s: census %+v, want the healthy shards' %d kept", c.name, path, snap.Census, healthyKept)
+			}
+		}
+		router.Close()
+		hostile.Close()
 	}
 }
 

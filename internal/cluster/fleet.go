@@ -1,9 +1,11 @@
 // The query-router half of the package: Fleet gathers every shard's
-// full API response over the typed client, reconstructs per-shard
-// streaming state with streaming.FromSnapshot, folds it with the
-// commutative Merge, and composes the per-shard strong ETags into one
-// cluster-wide validator. It implements api.Fanout, so cmd/queryrouterd
-// is just api.New(Config{Fanout: fleet}).
+// state over the typed client (the ?format=state representation: the
+// codecs the durable store writes frames in), folds it exactly as a
+// store folds the frames on its disk — streaming.Merge for the exact
+// part, tier.Builder.AddFrame for the long-horizon part — renders once,
+// and composes the per-shard strong ETags into one cluster-wide
+// validator. It implements api.Fanout, so cmd/queryrouterd is just
+// api.New(Config{Fanout: fleet}).
 package cluster
 
 import (
@@ -17,6 +19,7 @@ import (
 	"cwatrace/internal/api"
 	"cwatrace/internal/api/client"
 	v1 "cwatrace/internal/api/v1"
+	"cwatrace/internal/geo"
 	"cwatrace/internal/obs"
 	"cwatrace/internal/store"
 	"cwatrace/internal/streaming"
@@ -55,6 +58,10 @@ type Fleet struct {
 	nonce   uint64
 	m       fleetMetrics
 	events  *obs.EventRing
+	// model labels the merged districts. Shard state carries district
+	// ids only; every shard that has districts at all (-geodb) names
+	// them from this same model.
+	model *geo.Model
 	// down tracks per-shard reachability purely for event edges: a
 	// shard_dead event fires on the first failure, shard_recovered on
 	// the first success after failures.
@@ -72,6 +79,7 @@ func New(nodes []string, opts Options) (*Fleet, error) {
 		topK:    opts.TopK,
 		timeout: opts.Timeout,
 		events:  opts.Events,
+		model:   geo.Germany(),
 		down:    make([]atomic.Bool, len(nodes)),
 	}
 	if f.topK <= 0 {
@@ -173,85 +181,79 @@ func (f *Fleet) noteShard(i int, err error) {
 	}
 }
 
-// part is one shard's contribution to a data fan-out.
+// part is one shard's contribution to a data fan-out: its decoded state
+// and the strong ETag the bytes travelled under.
 type part struct {
-	snap         *v1.Snapshot
-	etag         string
-	frames       int
-	tailIncluded bool
-	// resolution/longHorizon carry the shard's long-horizon block for
-	// day/week-resolution query fan-outs (empty on the exact path).
-	resolution  string
-	longHorizon *tier.Answer
+	*api.ShardState
+	etag string
 }
 
-// districtName is a shard-rendered district label, keyed by district id
-// in the merge's name map.
-type districtName struct{ name, state string }
-
-// fullFields requests everything untruncated — the merge needs complete
-// per-shard state; field selection and top-K truncation are re-applied
-// by the router's own renderer.
-var fullFields = &client.ReqOpts{Fields: v1.AllFields, Top: 0}
-
-// Snapshot implements api.Fanout.
-func (f *Fleet) Snapshot(ctx context.Context) (*api.FanResult, error) {
+// gather fetches and decodes every shard's state. A shard whose bytes
+// do not decode is as missing as one that did not answer: what it sent
+// cannot be merged, and the fan-out says so instead of guessing.
+func (f *Fleet) gather(ctx context.Context, fetch func(ctx context.Context, c *client.Client) ([]byte, string, error)) ([]*part, []api.ShardError, []api.ShardTiming) {
 	parts := make([]*part, len(f.clients))
 	missing, timings := f.eachShard(ctx, func(ctx context.Context, i int, c *client.Client) error {
-		snap, etag, err := c.SnapshotTag(ctx, fullFields)
+		body, etag, err := fetch(ctx, c)
 		if err != nil {
 			return err
 		}
-		parts[i] = &part{snap: snap, etag: etag}
+		st, err := api.DecodeState(body)
+		if err != nil {
+			return err
+		}
+		parts[i] = &part{st, etag}
 		return nil
+	})
+	return parts, missing, timings
+}
+
+// Snapshot implements api.Fanout.
+func (f *Fleet) Snapshot(ctx context.Context) (*api.FanResult, error) {
+	parts, missing, timings := f.gather(ctx, func(ctx context.Context, c *client.Client) ([]byte, string, error) {
+		return c.SnapshotState(ctx)
 	})
 	return f.merge(parts, missing, timings, time.Time{}, time.Time{})
 }
 
 // Query implements api.Fanout. res is forwarded to every shard
-// verbatim; each durable shard answers from its own tiers and the
-// carried sketch state merges here (estimates cannot be summed across
-// shards, sketches can).
+// verbatim; each durable shard answers from its own tiers and ships the
+// sketches behind its answer, which merge here (estimates cannot be
+// summed across shards, sketches can).
 func (f *Fleet) Query(ctx context.Context, from, to time.Time, res tier.Resolution) (*api.FanResult, error) {
-	opts := *fullFields
-	if res != "" && res != tier.ResolutionHour {
-		opts.Resolution = string(res)
+	resolution := ""
+	if res != tier.ResolutionHour {
+		resolution = string(res)
 	}
-	parts := make([]*part, len(f.clients))
-	missing, timings := f.eachShard(ctx, func(ctx context.Context, i int, c *client.Client) error {
-		resp, etag, err := c.QueryTag(ctx, from, to, &opts)
-		if err != nil {
-			return err
-		}
-		if resp.Snapshot == nil {
-			return fmt.Errorf("cluster: shard query returned no snapshot")
-		}
-		parts[i] = &part{
-			snap:         resp.Snapshot,
-			etag:         etag,
-			frames:       resp.Frames,
-			tailIncluded: resp.TailIncluded,
-			resolution:   resp.Resolution,
-			longHorizon:  resp.LongHorizon,
-		}
-		return nil
+	parts, missing, timings := f.gather(ctx, func(ctx context.Context, c *client.Client) ([]byte, string, error) {
+		return c.QueryState(ctx, from, to, resolution)
 	})
 	return f.merge(parts, missing, timings, from, to)
 }
 
-// merge folds the gathered parts into one FanResult. The range bounds
-// re-trim the merged hour series for queries (FromSnapshot reconstructs
-// zero-gap hours as populated-empty bins; a fresh SnapshotRange drops
-// the ones outside every shard's actual range, exactly as the union
-// collector's own query path would).
+// merge folds the gathered parts into one FanResult and renders it with
+// the geo model every shard labels its districts from. The range bounds
+// trim the merged hour series for queries exactly as a union
+// collector's own query path would (a shard's zero-flow gap hours arrive
+// as populated-empty bins; the ones outside every shard's actual range
+// are dropped again here).
+//
+// The answering shards must agree on the effective resolution — with a
+// concrete day/week request they always do; an auto request against a
+// fleet whose shards hold very different history spans can disagree, and
+// a mixed-resolution merge would silently sum day buckets into week
+// buckets, so it is an error instead.
 func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.ShardTiming, from, to time.Time) (*api.FanResult, error) {
 	res := &api.FanResult{Missing: missing, Timings: timings}
 	var (
 		m      *streaming.Analytics
-		origin time.Time
-		names  map[string]districtName
+		first  *part
+		lh     *tier.Builder
 		etags  = make([]string, len(parts))
 		tagged int
+		// The long-horizon sources: a shard's frame stands for all the
+		// tier and raw frames behind its answer.
+		tierFrames, rawFrames int
 	)
 	for i, p := range parts {
 		if p == nil {
@@ -261,107 +263,51 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 		if p.etag != "" {
 			tagged++
 		}
-		res.Frames += p.frames
-		res.TailIncluded = res.TailIncluded || p.tailIncluded
-		if m == nil {
-			origin = p.snap.Origin
+		cfg := p.Analytics.Config()
+		if first == nil {
+			first = p
 			m = streaming.New(streaming.Config{
-				Origin:      origin,
-				WindowHours: p.snap.WindowHours,
+				Origin:      cfg.Origin,
+				WindowHours: cfg.WindowHours,
 				TopK:        f.topK,
+				Model:       f.model,
 			})
-			names = make(map[string]districtName)
-		} else if !p.snap.Origin.Equal(origin) {
-			return nil, fmt.Errorf("cluster: shard %d origin %s differs from fleet origin %s",
-				i, p.snap.Origin, origin)
-		}
-		// A day/week answer served entirely from tier frames has an empty
-		// raw residual, so its snapshot lists no districts: the names of
-		// the long-horizon block then come only from that block itself.
-		harvest := func(ds []streaming.DistrictCount) {
-			for _, dc := range ds {
-				if dc.Name != "" || dc.StateCode != "" {
-					names[dc.ID] = districtName{dc.Name, dc.StateCode}
-				}
+			if p.Resolution != "" {
+				lh = tier.NewBuilder(p.Resolution, cfg.Origin)
 			}
+		} else if origin := first.Analytics.Config().Origin; !cfg.Origin.Equal(origin) {
+			return nil, fmt.Errorf("cluster: shard %d origin %s differs from fleet origin %s", i, cfg.Origin, origin)
+		} else if p.Resolution != first.Resolution {
+			return nil, fmt.Errorf("cluster: shard %d answered at resolution %q, fleet at %q (retry with an explicit resolution)",
+				i, p.Resolution, first.Resolution)
 		}
-		harvest(p.snap.Districts)
-		if p.longHorizon != nil {
-			harvest(p.longHorizon.Districts)
+		res.Frames += p.Frames
+		res.TailIncluded = res.TailIncluded || p.TailIncluded
+		m.Merge(p.Analytics)
+		if lh != nil {
+			lh.AddFrame(p.LongHorizon)
+			tierFrames += p.TierFrames
+			rawFrames += p.RawFrames
 		}
-		m.Merge(streaming.FromSnapshot(p.snap.Streaming()))
 	}
 	if m == nil {
 		return res, nil // every shard missing; the handler turns this into 503
 	}
-	snap := m.SnapshotRange(from, to)
-	// The merged analytics carries no geo model; re-attach the district
-	// names the shards rendered.
-	for i := range snap.Districts {
-		if e, ok := names[snap.Districts[i].ID]; ok {
-			snap.Districts[i].Name = e.name
-			snap.Districts[i].StateCode = e.state
-		}
-	}
-	res.Snapshot = snap
-	if err := f.mergeLongHorizon(res, parts, origin, names); err != nil {
-		return nil, err
+	if lh == nil {
+		res.Snapshot = m.SnapshotRange(from, to)
+	} else {
+		// The merged exact part is the raw residual: render it under the
+		// store's own rule for one (see store.QueryResolution), so routed
+		// and single-node answers stay the same bytes.
+		res.Snapshot = m.SnapshotPopulatedRange(from, to)
+		res.Resolution = string(first.Resolution)
+		res.LongHorizon = lh.Answer()
+		res.LongHorizon.TierFrames, res.LongHorizon.RawFrames = tierFrames, rawFrames
+		res.LongHorizon.Label(f.model)
 	}
 	res.Version = composeVersion(etags)
 	res.Validated = len(missing) == 0 && tagged == len(parts)
 	return res, nil
-}
-
-// mergeLongHorizon folds the shards' long-horizon answers into one. The
-// answering shards must agree on the effective resolution — with a
-// concrete day/week request they always do; an auto request against a
-// fleet whose shards hold very different history spans can disagree,
-// and a mixed-resolution merge would silently sum day buckets into week
-// buckets, so it is an error instead. Sketch state merges through
-// tier.Builder.MergeAnswer; corrupt sketch bytes from a shard fail the
-// fan-out rather than merging garbage.
-func (f *Fleet) mergeLongHorizon(res *api.FanResult, parts []*part, origin time.Time, names map[string]districtName) error {
-	resolution := ""
-	any := false
-	for i, p := range parts {
-		if p == nil {
-			continue
-		}
-		if !any {
-			resolution = p.resolution
-			any = true
-		} else if p.resolution != resolution {
-			return fmt.Errorf("cluster: shard %d answered at resolution %q, fleet at %q (retry with an explicit resolution)",
-				i, p.resolution, resolution)
-		}
-	}
-	if !any || resolution == "" {
-		return nil // exact hourly path: no long-horizon block to merge
-	}
-	b := tier.NewBuilder(tier.Resolution(resolution), origin)
-	for i, p := range parts {
-		if p == nil {
-			continue
-		}
-		if p.longHorizon == nil {
-			return fmt.Errorf("cluster: shard %d answered at resolution %q without a long-horizon block", i, resolution)
-		}
-		if err := b.MergeAnswer(p.longHorizon); err != nil {
-			return fmt.Errorf("cluster: shard %d long-horizon sketches: %w", i, err)
-		}
-	}
-	ans := b.Answer()
-	// The builder carries no geo model; re-attach the names the shards
-	// rendered, same as the merged snapshot's districts.
-	for i := range ans.Districts {
-		if e, ok := names[ans.Districts[i].ID]; ok {
-			ans.Districts[i].Name = e.name
-			ans.Districts[i].StateCode = e.state
-		}
-	}
-	res.Resolution = resolution
-	res.LongHorizon = ans
-	return nil
 }
 
 // composeVersion hashes the per-shard strong ETags, in shard order,

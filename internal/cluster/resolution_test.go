@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -166,9 +167,10 @@ func TestClusterLongHorizonMerge(t *testing.T) {
 // routed long-horizon answer that is served entirely from tier frames.
 // Such a shard answer has an empty raw residual, so its snapshot lists
 // no districts at all and the long-horizon block is the only place the
-// names the shard rendered appear; the router, whose merge carries no
-// geo model, must re-attach them from there. Routed over 1, 2 and 4
-// shards the block equals the single node's, name and state included.
+// labels appear at all. Shard state carries district ids only; the
+// router labels the merged block from the same geo model the shards
+// render with. Routed over 1, 2 and 4 shards the block equals the single
+// node's, name and state included.
 func TestClusterLongHorizonLabelsFullyTiered(t *testing.T) {
 	const days = 12
 	model := geo.Germany()
@@ -219,6 +221,53 @@ func TestClusterLongHorizonLabelsFullyTiered(t *testing.T) {
 			gb, _ := json.Marshal(got["districts"])
 			rb, _ := json.Marshal(reference["districts"])
 			t.Fatalf("%d shards: routed fully tiered answer diverges from the single node:\n got %.400s\nwant %.400s", shards, gb, rb)
+		}
+	}
+}
+
+// TestClusterLongHorizonResidualSeries pins the exact half of a routed
+// day/week answer: the snapshot is the merged raw residual, and its
+// hourly series starts at the residual's first populated hour under the
+// same rule the store applies — so the routed snapshot is the single
+// node's, byte for byte, at 1, 2 and 4 shards, instead of a span of zero
+// rows for hours the buckets account for.
+func TestClusterLongHorizonResidualSeries(t *testing.T) {
+	const days = 12
+	byDay := tierCapture(days)
+	snapshotOf := func(base, params string) (*v1.QueryResponse, []byte) {
+		resp, _ := longHorizonOf(t, base, params)
+		raw, err := json.Marshal(resp.Snapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, raw
+	}
+	const first = (days - 1) * 24 // the last day is the unfolded raw residual
+	queries := []string{
+		"resolution=day",
+		"resolution=week",
+		fmt.Sprintf("resolution=day&from=%d&to=%d",
+			entime.StudyStart.Add(3*24*time.Hour).Unix(), entime.StudyStart.Add((first+10)*time.Hour).Unix()),
+	}
+	single := newTierNode(t, days, byDay, func(*netflow.Record) bool { return true })
+	for _, params := range queries {
+		resp, reference := snapshotOf(single.ts.URL, params)
+		if hours := resp.Snapshot.Hours; len(hours) == 0 || hours[0].Hour != first || hours[0].Flows == 0 || resp.Snapshot.SeriesStart != first {
+			t.Fatalf("%s: single-node residual series starts at %d with %d rows, want the first populated hour %d",
+				params, resp.Snapshot.SeriesStart, len(hours), first)
+		}
+		for _, shards := range []int{1, 2, 4} {
+			nodes := make([]*node, shards)
+			for i := range nodes {
+				i := i
+				nodes[i] = newTierNode(t, days, byDay, func(r *netflow.Record) bool {
+					return Owner(r, nil, shards) == i
+				})
+			}
+			if _, got := snapshotOf(tierRouter(t, nodes).URL, params); !bytes.Equal(got, reference) {
+				t.Fatalf("%s over %d shards: routed residual snapshot diverges from the single node:\n got %.400s\nwant %.400s",
+					params, shards, got, reference)
+			}
 		}
 	}
 }

@@ -467,16 +467,13 @@ func (s *Store) tryQueryTier(from, to time.Time, res tier.Resolution) (*QueryRes
 		acc.AddShard(tailClone)
 		result.TailIncluded = true
 	}
-	result.Snapshot = m.SnapshotRange(from, to)
+	// The residual series starts at its own first populated hour: the
+	// hours before it are what the selected tier frames cover, and
+	// rendering them would report zero traffic where the buckets report
+	// some (and dominate a year-span answer with empty rows).
+	result.Snapshot = m.SnapshotPopulatedRange(from, to)
 	b.AddResidual(result.Snapshot, acc, result.Frames)
 	result.LongHorizon = b.Answer()
-	if s.cfg.Model != nil {
-		for i := range result.LongHorizon.Districts {
-			if d, ok := s.cfg.Model.DistrictByID(result.LongHorizon.Districts[i].ID); ok {
-				result.LongHorizon.Districts[i].Name = d.Name
-				result.LongHorizon.Districts[i].StateCode = d.StateCode
-			}
-		}
-	}
+	result.LongHorizon.Label(s.cfg.Model)
 	return result, nil
 }

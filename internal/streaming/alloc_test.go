@@ -1,6 +1,7 @@
 package streaming
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -32,5 +33,35 @@ func TestIngestZeroAllocSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { a.Ingest(recs) })
 	if allocs != 0 {
 		t.Fatalf("steady-state Ingest of %d records allocated %.1f times per run, want 0", len(recs), allocs)
+	}
+}
+
+// TestSnapshotRangeAllocatesRequestedHoursOnly pins the cost of a short
+// range on a long window: the series is sized for the hours asked for,
+// so a one-day range of a year of hourly bins allocates a small fraction
+// of what rendering the year does.
+func TestSnapshotRangeAllocatesRequestedHoursOnly(t *testing.T) {
+	const hours = 364 * 24
+	a := New(Config{WindowHours: hours})
+	for h := 0; h < hours; h += 24 {
+		a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(time.Duration(h)*time.Hour), client(h), 500)})
+	}
+	from := entime.StudyStart.Add(100 * 24 * time.Hour)
+	bytesPerRun := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 20; i++ {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 20
+	}
+	day := bytesPerRun(func() { a.SnapshotRange(from, from.Add(24*time.Hour)) })
+	year := bytesPerRun(func() { a.Snapshot() })
+	if s := a.SnapshotRange(from, from.Add(24*time.Hour)); len(s.Hours) != 24 || cap(s.Hours) != 24 {
+		t.Fatalf("one-day range rendered %d hours in a slice of %d, want 24 in 24", len(s.Hours), cap(s.Hours))
+	}
+	if day*10 > year {
+		t.Fatalf("one-day range allocated %d bytes, the full year %d: want under a tenth", day, year)
 	}
 }

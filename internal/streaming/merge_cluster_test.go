@@ -148,8 +148,8 @@ func TestMergeOrderInvarianceAcrossDistrictShards(t *testing.T) {
 	}
 }
 
-// TestFromSnapshotRoundTrip pins the reconstruction the query router
-// performs: rendering a shard and restoring it with FromSnapshot must
+// TestFromSnapshotRoundTrip pins the reconstruction behind the state a
+// shard ships to the query router: rendering a shard and restoring it with FromSnapshot must
 // yield a shard whose own rendering is byte-identical, and merging
 // restored shards must equal merging the originals.
 func TestFromSnapshotRoundTrip(t *testing.T) {
@@ -173,8 +173,8 @@ func TestFromSnapshotRoundTrip(t *testing.T) {
 	restored := FromSnapshot(orig)
 
 	// The restored shard has no Model, so rendered district names are
-	// empty — the router re-attaches names harvested from the shard
-	// responses. Compare everything else byte-for-byte by re-rendering
+	// empty — the router labels the merged result from its own model.
+	// Compare everything else byte-for-byte by re-rendering
 	// the original through the same nameless merge path.
 	nameless := New(Config{Origin: orig.Origin, WindowHours: orig.WindowHours})
 	nameless.Merge(a)

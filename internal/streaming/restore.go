@@ -3,12 +3,13 @@ package streaming
 import "cwatrace/internal/core"
 
 // FromSnapshot rebuilds an Analytics shard from a rendered Snapshot, the
-// inverse of snapshot() for everything Merge consumes. The cluster query
-// router uses it to make shard responses mergeable again: each collectord
-// node renders its own aggregates to the v1 wire shape, the router
-// reconstructs one Analytics per shard and folds them with Merge, and the
-// re-rendered union is byte-identical to what a single node holding every
-// record would have served.
+// inverse of snapshot() for everything Merge consumes. It is how a
+// rendered answer becomes mergeable again: a collectord shard answering
+// the cluster query router turns the snapshot it would have served into
+// state with it and ships that state (MarshalBinary), the router folds
+// one Analytics per shard with Merge, and the re-rendered union is
+// byte-identical to what a single node holding every record would have
+// served.
 //
 // The snapshot must be a full rendering (no field selection, no top-K
 // truncation): omitted sections come back zero, and a truncated

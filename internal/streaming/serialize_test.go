@@ -219,6 +219,83 @@ func TestSnapshotRangeTrimsExactly(t *testing.T) {
 	}
 }
 
+// trimmedReference is the specification SnapshotRange is held to: render
+// the whole window, keep the hours inside [from, to), detect spikes on
+// what is left.
+func trimmedReference(a *Analytics, from, to time.Time) *Snapshot {
+	s := a.Snapshot()
+	if from.IsZero() && to.IsZero() {
+		return s
+	}
+	var kept []HourPoint
+	for _, p := range s.Hours {
+		if (from.IsZero() || !p.Time.Before(from)) && (to.IsZero() || p.Time.Before(to)) {
+			kept = append(kept, p)
+		}
+	}
+	s.Hours, s.SeriesStart = kept, 0
+	if len(kept) > 0 {
+		s.SeriesStart = kept[0].Hour
+	}
+	s.Spikes = detectSpikes(s.Hours, a.cfg)
+	return s
+}
+
+// TestSnapshotRangeMatchesTrimmedSnapshot holds the range renderer,
+// which computes its hour bounds up front, to the trim-afterwards
+// specification: bounds on and off the hour grid, before Origin, past
+// the newest hour, inverted, on a window that has slid and on an empty
+// shard.
+func TestSnapshotRangeMatchesTrimmedSnapshot(t *testing.T) {
+	slid := New(Config{WindowHours: 48, SpikeHistory: 2, SpikeMinFlows: 1})
+	for h := 0; h < 70; h += 3 {
+		for i := 0; i <= h%5*4; i++ {
+			slid.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(time.Duration(h)*time.Hour), client(i), 100)})
+		}
+	}
+	offsets := []time.Duration{-50 * time.Hour, -time.Nanosecond, 0, time.Nanosecond, 21 * time.Hour,
+		22*time.Hour + 30*time.Minute, 23*time.Hour - time.Nanosecond, 47 * time.Hour, 69 * time.Hour,
+		69*time.Hour + time.Nanosecond, 70 * time.Hour, 500 * time.Hour}
+	for name, a := range map[string]*Analytics{"slid": slid, "empty": New(Config{WindowHours: 48})} {
+		bounds := []time.Time{{}}
+		for _, d := range offsets {
+			bounds = append(bounds, entime.StudyStart.Add(d))
+		}
+		for _, from := range bounds {
+			for _, to := range bounds {
+				if got, want := a.SnapshotRange(from, to), trimmedReference(a, from, to); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s [%s, %s): series start %d with %d hours, want start %d with %d hours",
+						name, from, to, got.SeriesStart, len(got.Hours), want.SeriesStart, len(want.Hours))
+				}
+			}
+		}
+	}
+}
+
+// TestSnapshotPopulatedRangeStartsAtFirstBin pins the residual
+// renderer: the series starts at the first populated hour when the
+// range starts before it, and is SnapshotRange otherwise.
+func TestSnapshotPopulatedRangeStartsAtFirstBin(t *testing.T) {
+	a := New(Config{WindowHours: 100})
+	for _, h := range []int{40, 43, 60} {
+		a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(time.Duration(h)*time.Hour), client(h), 100)})
+	}
+	at := func(h int) time.Time { return entime.StudyStart.Add(time.Duration(h) * time.Hour) }
+	for _, from := range []time.Time{{}, at(0), at(40)} {
+		s := a.SnapshotPopulatedRange(from, at(50))
+		if s.SeriesStart != 40 || len(s.Hours) != 10 || s.Hours[0].Flows != 1 {
+			t.Fatalf("from %s: series start %d with %d hours, want 40 with 10", from, s.SeriesStart, len(s.Hours))
+		}
+	}
+	if got, want := a.SnapshotPopulatedRange(at(42), at(50)), a.SnapshotRange(at(42), at(50)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("range inside the populated hours: start %d, want %d", got.SeriesStart, want.SeriesStart)
+	}
+	empty := New(Config{WindowHours: 100})
+	if s := empty.SnapshotPopulatedRange(time.Time{}, at(50)); len(s.Hours) != 0 || s.SeriesStart != 0 {
+		t.Fatalf("empty shard: start %d, %d hours", s.SeriesStart, len(s.Hours))
+	}
+}
+
 // TestUnmarshalStoredAdoptsWiderWindow pins the archive-frame contract:
 // the strict unmarshal rejects a state window that differs from the
 // configuration, while UnmarshalAnalyticsStored adopts the embedded

@@ -227,6 +227,11 @@ func New(cfg Config) *Analytics {
 	return a
 }
 
+// Config returns the shard's resolved configuration. For a shard
+// restored with UnmarshalAnalyticsStored, WindowHours is the window the
+// state was captured at.
+func (a *Analytics) Config() Config { return a.cfg }
+
 // enableDistricts turns the per-district rollup on (idempotent).
 func (a *Analytics) enableDistricts() {
 	if a.hasDistricts {
@@ -571,37 +576,70 @@ func (a *Analytics) Bounds() (minHour, maxHour int, ok bool) {
 
 // SnapshotRange renders a snapshot restricted to hours with
 // from <= Time < to. Zero bounds are open: a zero from means "since
-// Origin", a zero to means "until now". Spikes are re-detected on the
+// Origin", a zero to means "until now". Spikes are detected on the
 // trimmed series (so head hours of the range lack trailing baseline,
 // exactly like the head of a live window); the census, prefix and
 // district aggregates are not time-resolved and keep shard granularity.
+// Only the requested hours are rendered: a one-day range of a year-long
+// window costs one day of points, not the year.
 func (a *Analytics) SnapshotRange(from, to time.Time) *Snapshot {
-	s := a.snapshot()
-	if from.IsZero() && to.IsZero() {
-		return s
+	lo, hi := a.hourRange(from, to)
+	return a.render(lo, hi)
+}
+
+// SnapshotPopulatedRange is SnapshotRange with the series additionally
+// starting no earlier than the first populated hour (Bounds). The
+// long-horizon query path renders its exact raw residual with it: the
+// hours before the residual's first bin are covered by tier buckets, and
+// rendering them here would report zero traffic for hours that had some.
+func (a *Analytics) SnapshotPopulatedRange(from, to time.Time) *Snapshot {
+	lo, hi := a.hourRange(from, to)
+	if first, _, ok := a.Bounds(); ok && first > lo {
+		lo = first
 	}
-	kept := s.Hours[:0]
-	for _, p := range s.Hours {
-		if !from.IsZero() && p.Time.Before(from) {
-			continue
+	return a.render(lo, hi)
+}
+
+// hourRange intersects the covered window with [from, to) and returns
+// the inclusive hour-index range to render (lo > hi when it is empty).
+func (a *Analytics) hourRange(from, to time.Time) (lo, hi int) {
+	lo, hi = a.maxHour-a.cfg.WindowHours+1, a.maxHour
+	if lo < 0 {
+		lo = 0
+	}
+	// Hour h is in range when from <= Origin+h·hour < to, i.e. when
+	// ceil(from-Origin) <= h < ceil(to-Origin) in whole hours.
+	if !from.IsZero() {
+		if h := ceilHours(from.Sub(a.cfg.Origin)); h > lo {
+			lo = h
 		}
-		if !to.IsZero() && !p.Time.Before(to) {
-			continue
+	}
+	if !to.IsZero() {
+		if h := ceilHours(to.Sub(a.cfg.Origin)) - 1; h < hi {
+			hi = h
 		}
-		kept = append(kept, p)
 	}
-	s.Hours = kept
-	if len(kept) > 0 {
-		s.SeriesStart = kept[0].Hour
-	} else {
-		s.Hours = nil
-		s.SeriesStart = 0
+	return lo, hi
+}
+
+// ceilHours rounds d up to whole hours. Division truncates toward zero,
+// which already is the ceiling of a negative duration.
+func ceilHours(d time.Duration) int {
+	h := d / time.Hour
+	if d%time.Hour > 0 {
+		h++
 	}
-	s.Spikes = detectSpikes(s.Hours, a.cfg)
-	return s
+	return int(h)
 }
 
 func (a *Analytics) snapshot() *Snapshot {
+	lo, hi := a.hourRange(time.Time{}, time.Time{})
+	return a.render(lo, hi)
+}
+
+// render builds the snapshot with the hourly series over the inclusive
+// hour range [lo, hi], which must lie inside the covered window.
+func (a *Analytics) render(lo, hi int) *Snapshot {
 	cfg := a.cfg
 	s := &Snapshot{
 		Origin:      cfg.Origin,
@@ -622,13 +660,10 @@ func (a *Analytics) snapshot() *Snapshot {
 	}
 
 	// The populated window, oldest hour first.
-	if a.maxHour >= 0 {
-		lo := a.maxHour - cfg.WindowHours + 1
-		if lo < 0 {
-			lo = 0
-		}
+	if a.maxHour >= 0 && lo <= hi {
 		s.SeriesStart = lo
-		for h := lo; h <= a.maxHour; h++ {
+		s.Hours = make([]HourPoint, 0, hi-lo+1)
+		for h := lo; h <= hi; h++ {
 			slot := h % cfg.WindowHours
 			p := HourPoint{Hour: h, Time: cfg.Origin.Add(time.Duration(h) * time.Hour)}
 			if a.binHour[slot] == int32(h) {

@@ -7,11 +7,14 @@ package tier
 // query-time aggregation cannot drift apart.
 
 import (
+	"fmt"
+	"math"
 	"net/netip"
 	"sort"
 	"time"
 
 	"cwatrace/internal/core"
+	"cwatrace/internal/geo"
 	"cwatrace/internal/sketch"
 	"cwatrace/internal/streaming"
 )
@@ -44,9 +47,10 @@ type Answer struct {
 	// the number of prefix-day observations, not prefixes.
 	DistinctPrefixes uint64         `json:"distinct_prefixes"`
 	Presence         sketch.Summary `json:"presence"`
-	// PrefixSketch/PresenceSketch carry the marshaled sketch state so a
-	// cluster router can merge answers across shards — estimates cannot
-	// be summed (prefix sets overlap between shards), sketches can.
+	// PrefixSketch/PresenceSketch carry the marshaled sketch state:
+	// estimates cannot be summed (prefix sets overlap between shards),
+	// sketches can, so a consumer that wants to combine answers merges
+	// these (see Frame for how the cluster router does).
 	PrefixSketch   []byte `json:"prefix_sketch,omitempty"`
 	PresenceSketch []byte `json:"presence_sketch,omitempty"`
 }
@@ -252,39 +256,64 @@ func (b *Builder) Answer() *Answer {
 	return ans
 }
 
-// MergeAnswer folds another shard's answer into this builder using the
-// carried sketch state — the cluster router's scatter-gather path.
-// Returns an error if the peer's sketch bytes are corrupt; the caller
-// treats that shard as degraded rather than merging garbage.
-func (b *Builder) MergeAnswer(a *Answer) error {
-	b.tierFrames += a.TierFrames
-	b.rawFrames += a.RawFrames
-	b.census.Total += a.Census.Total
-	b.census.Kept += a.Census.Kept
+// Frame renders the answer as a tier frame at the answer's level, the
+// form a shard ships its long-horizon state to the cluster router in:
+// the router folds shard frames with AddFrame exactly as a store folds
+// the frames on its disk, and EncodeFrame/DecodeFrame are the (fuzzed)
+// wire codec. The frame carries the aggregates and both sketches; it has
+// no file identity or WAL interval, and the answer's source counts
+// (TierFrames, RawFrames) and rendered labels travel beside it, not in it.
+func (a *Answer) Frame() (*Frame, error) {
+	level := a.Resolution.Level()
+	if level == 0 {
+		return nil, fmt.Errorf("tier: no frame level for resolution %q", a.Resolution)
+	}
+	f := &Frame{
+		Level:   level,
+		MinHour: -1,
+		MaxHour: -1,
+		Total:   uint64(a.Census.Total),
+		Kept:    uint64(a.Census.Kept),
+		Dropped: make([]uint64, nReasons),
+		Late:    a.Late,
+		Located: a.Located,
+	}
 	for r, n := range a.Census.Dropped {
-		b.census.Dropped[r] += n
+		if r < 0 || int(r) >= nReasons || n < 0 {
+			return nil, fmt.Errorf("tier: census drop reason %d with count %d", r, n)
+		}
+		f.Dropped[r] = uint64(n)
 	}
-	b.late += a.Late
-	b.located += a.Located
 	for _, d := range a.Districts {
-		b.districts[d.ID] += d.Flows
-	}
-	for _, bk := range a.Buckets {
-		b.buckets.add(bk.StartHour, bk.Flows, bk.Bytes)
-	}
-	if len(a.PrefixSketch) > 0 {
-		h, _, err := sketch.DecodeHLL(a.PrefixSketch)
-		if err != nil {
-			return err
+		if len(d.ID) > math.MaxUint8 {
+			return nil, fmt.Errorf("tier: district id %q too long for a frame", d.ID)
 		}
-		b.hll.Merge(h)
+		f.Districts = append(f.Districts, District{ID: d.ID, Flows: d.Flows})
 	}
-	if len(a.PresenceSketch) > 0 {
-		q, _, err := sketch.DecodeQuantile(a.PresenceSketch)
-		if err != nil {
-			return err
+	for _, b := range a.Buckets {
+		f.Buckets = append(f.Buckets, Bucket{StartHour: b.StartHour, Flows: b.Flows, Bytes: b.Bytes})
+	}
+	var err error
+	if f.Prefixes, _, err = sketch.DecodeHLL(a.PrefixSketch); err != nil {
+		return nil, fmt.Errorf("tier: answer prefix sketch: %w", err)
+	}
+	if f.Presence, _, err = sketch.DecodeQuantile(a.PresenceSketch); err != nil {
+		return nil, fmt.Errorf("tier: answer presence sketch: %w", err)
+	}
+	return f, nil
+}
+
+// Label fills the district names and state codes in from the geo model.
+// Frames and builders carry ids only; every renderer of an answer (the
+// store, the cluster router) labels it last. A nil model leaves the
+// labels blank.
+func (a *Answer) Label(m *geo.Model) {
+	if m == nil {
+		return
+	}
+	for i := range a.Districts {
+		if d, ok := m.DistrictByID(a.Districts[i].ID); ok {
+			a.Districts[i].Name, a.Districts[i].StateCode = d.Name, d.StateCode
 		}
-		b.quant.Merge(q)
 	}
-	return nil
 }

@@ -291,17 +291,20 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBuilderMergeAnswer pins the cluster path: merging two shard
-// answers through their carried sketch state equals building one answer
-// from everything — including the estimates, because sketches merge
-// where estimates cannot.
-func TestBuilderMergeAnswer(t *testing.T) {
+// TestAnswerFrameMergesLikeTheWhole pins the cluster path: two shard
+// answers shipped as frames (Answer.Frame through the wire codec) and
+// folded with AddFrame equal one answer built from everything —
+// including the estimates, because sketches merge where estimates
+// cannot. Only the source count differs: the router sums the shards'
+// own counts instead.
+func TestAnswerFrameMergesLikeTheWhole(t *testing.T) {
 	origin := entime.StudyStart
 	mkFrame := func(seq, base uint64, h int64, clients ...int) *Frame {
-		recs := make([]netflow.Record, 0, len(clients))
+		recs := make([]netflow.Record, 0, len(clients)+1)
 		for _, c := range clients {
 			recs = append(recs, keptRecord(int(h), c, 100))
 		}
+		recs = append(recs, droppedRecord(int(h)))
 		f, err := FoldRaw(LevelDay, seq, testCfg(), []Input{input(base, h, h, shard(recs...))})
 		if err != nil {
 			t.Fatal(err)
@@ -311,37 +314,43 @@ func TestBuilderMergeAnswer(t *testing.T) {
 	// Overlapping prefix sets across "shards" — the case where summing
 	// per-shard estimates would overcount.
 	f1 := mkFrame(1, 0, 2, 1, 2, 3)
-	f2 := mkFrame(2, 0, 2, 2, 3, 4)
-
-	b1 := NewBuilder(ResolutionDay, origin)
-	b1.AddFrame(f1)
-	b2 := NewBuilder(ResolutionDay, origin)
-	b2.AddFrame(f2)
+	f2 := mkFrame(2, 0, 30, 2, 3, 4)
 
 	merged := NewBuilder(ResolutionDay, origin)
-	if err := merged.MergeAnswer(b1.Answer()); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.MergeAnswer(b2.Answer()); err != nil {
-		t.Fatal(err)
+	for _, f := range []*Frame{f1, f2} {
+		b := NewBuilder(ResolutionDay, origin)
+		b.AddFrame(f)
+		shipped, err := b.Answer().Frame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := DecodeFrame(EncodeFrame(shipped))
+		if err != nil {
+			t.Fatalf("shipped frame does not survive its own codec: %v", err)
+		}
+		merged.AddFrame(decoded)
 	}
 
 	whole := NewBuilder(ResolutionDay, origin)
 	whole.AddFrame(f1)
 	whole.AddFrame(f2)
 
-	if !reflect.DeepEqual(merged.Answer(), whole.Answer()) {
-		t.Fatalf("scatter-gather drift:\n got %+v\nwant %+v", merged.Answer(), whole.Answer())
+	got, want := merged.Answer(), whole.Answer()
+	if got.DistinctPrefixes != 4 || len(got.Buckets) != 2 || got.Census.Total != 8 {
+		t.Fatalf("merged answer: %d distinct prefixes, %d buckets, census total %d", got.DistinctPrefixes, len(got.Buckets), got.Census.Total)
 	}
-	if got := merged.Answer().DistinctPrefixes; got != 4 {
-		t.Fatalf("merged distinct prefixes = %d, want 4", got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scatter-gather drift:\n got %+v\nwant %+v", got, want)
 	}
 
-	// Corrupt sketch state from a peer must be an error, not a merge.
-	bad := b1.Answer()
+	// An answer that cannot be a frame is an error, not a silent merge.
+	bad := whole.Answer()
 	bad.PrefixSketch[len(bad.PrefixSketch)-1] ^= 0x10
-	if err := NewBuilder(ResolutionDay, origin).MergeAnswer(bad); err == nil {
-		t.Fatal("corrupt peer sketch merged cleanly")
+	if _, err := bad.Frame(); err == nil {
+		t.Fatal("corrupt sketch state rendered a frame")
+	}
+	if _, err := (&Answer{Resolution: ResolutionHour}).Frame(); err == nil {
+		t.Fatal("hour resolution rendered a frame")
 	}
 }
 
