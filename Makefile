@@ -85,7 +85,9 @@ api-smoke:
 
 # Short fuzz pass over every decoder that reads bytes from outside the
 # process: NFv9 packets off the wire, store records, tier frames and
-# sketches off the disk, shard state at the router. One target per
+# sketches off the disk, shard state at the router, and the analytics
+# state inside checkpoint frames and shard state (one parser, fuzzed
+# through both of its consumers). One target per
 # invocation (go test -fuzz takes one). Minimizing a multi-kilobyte
 # input with the default 60 s budget would eat the whole pass, so it is
 # capped. CI runs the same smoke.
@@ -96,6 +98,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzTierDecode ./internal/tier/
 	$(FUZZ) -fuzz=FuzzSketchDecode ./internal/sketch/
 	$(FUZZ) -fuzz=FuzzShardState ./internal/api/
+	$(FUZZ) -fuzz=FuzzStoredState ./internal/streaming/
 
 # SIGKILL drill: start a durable collector, stream half a trace over
 # UDP, kill -9 mid-capture, restart on the same data dir and require the

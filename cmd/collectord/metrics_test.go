@@ -120,6 +120,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		"store_appended_records_total", "store_checkpoints_total",
 		"store_compacted_frames_total", "store_recovered_wal_records_total",
 		"store_recovered_frames_total",
+		"store_frame_cache_hits_total", "store_frame_cache_misses_total",
 	}
 	for _, name := range counters {
 		if typ := exp.Types[name]; typ != "counter" {
@@ -133,7 +134,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		"ingest_sources", "ingest_watermark_timestamp_seconds",
 		"store_segments", "store_wal_bytes", "store_frames",
 		"store_tail_records", "store_last_checkpoint_age_seconds",
-		"store_watermark_timestamp_seconds",
+		"store_watermark_timestamp_seconds", "store_frame_cache_bytes",
 	}
 	for _, name := range gauges {
 		if typ := exp.Types[name]; typ != "gauge" {

@@ -165,6 +165,12 @@ func setBounds(q url.Values, from, to time.Time) {
 // instead of being read to the end.
 const MaxStateBytes = 16 << 20
 
+// MaxJSONBytes bounds every other body (stats, JSON snapshot and query
+// answers, error envelopes). The largest honest one is a full snapshot
+// of streaming.MaxWindowHours hourly points at ~100 bytes each, some
+// 17 MiB; a peer sending more is refused like an oversized state.
+const MaxJSONBytes = 32 << 20
+
 // SnapshotState fetches /api/v1/snapshot in the shard-state
 // representation (see api.DecodeState) and returns the raw bytes with
 // the response's strong ETag. The cluster query router is the consumer:
@@ -330,13 +336,17 @@ func (c *Client) try(ctx context.Context, url string, cacheable, state bool) ([]
 		}
 		return prior.body, prior.etag, nil
 	}
-	var src io.Reader = resp.Body
+	limit := MaxJSONBytes
 	if state {
-		src = io.LimitReader(src, MaxStateBytes+1)
+		limit = MaxStateBytes
 	}
-	body, err := io.ReadAll(src)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, int64(limit)+1))
 	if err != nil {
 		return nil, "", &transportError{err}
+	}
+	if len(body) > limit {
+		// Not worth a retry: the peer would say the same again.
+		return nil, "", fmt.Errorf("client: response from %s exceeds %d bytes", c.base, limit)
 	}
 	// 206 Partial Content is a clustered router's documented degraded
 	// envelope: a valid typed body (with a Degraded marker), not an
@@ -345,15 +355,11 @@ func (c *Client) try(ctx context.Context, url string, cacheable, state bool) ([]
 		return nil, "", apiError(resp.StatusCode, body)
 	}
 	if state {
-		// Neither failure is worth a retry: the peer would say the same
-		// again. A shard from before the state representation ignores the
-		// unknown parameter and answers JSON.
+		// Not worth a retry either. A shard from before the state
+		// representation ignores the unknown parameter and answers JSON.
 		if ct := resp.Header.Get("Content-Type"); ct != api.StateMediaType {
 			return nil, "", fmt.Errorf("client: %s answered %q, not %s (a shard that predates the state representation? upgrade shards before routers)",
 				c.base, ct, api.StateMediaType)
-		}
-		if len(body) > MaxStateBytes {
-			return nil, "", fmt.Errorf("client: shard state from %s exceeds %d bytes", c.base, MaxStateBytes)
 		}
 	}
 	etag := resp.Header.Get("ETag")

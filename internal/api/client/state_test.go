@@ -118,22 +118,29 @@ func TestStateFetchSurfacesETag(t *testing.T) {
 // trust boundary: a peer answering JSON (a shard from before the state
 // representation ignores the parameter) or more than MaxStateBytes is
 // an error naming the cause, reached without a retry and without
-// entering the cache.
+// entering the cache. The same bound, at MaxJSONBytes, guards every
+// JSON body (json: true fetches /api/v1/snapshot as JSON).
 func TestStateFetchRefusesWhatIsNotState(t *testing.T) {
 	for name, c := range map[string]struct {
 		handler http.HandlerFunc
 		want    string
+		json    bool
 	}{
-		"json": {func(w http.ResponseWriter, r *http.Request) {
+		"oversized-json": {handler: func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("ETag", `"big"`)
+			w.Write(bytes.Repeat([]byte{' '}, MaxJSONBytes+1))
+		}, want: "exceeds", json: true},
+		"json": {handler: func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("ETag", `"old"`)
 			json.NewEncoder(w).Encode(v1.Snapshot{WindowHours: 4})
-		}, "upgrade shards before routers"},
-		"oversized": {func(w http.ResponseWriter, r *http.Request) {
+		}, want: "upgrade shards before routers"},
+		"oversized": {handler: func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", api.StateMediaType)
 			w.Header().Set("ETag", `"big"`)
 			w.Write(make([]byte, MaxStateBytes+1))
-		}, "exceeds"},
+		}, want: "exceeds"},
 	} {
 		var hits atomic.Int64
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -144,7 +151,16 @@ func TestStateFetchRefusesWhatIsNotState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, etag, err := cl.SnapshotState(context.Background())
+		var body []byte
+		var etag string
+		if c.json {
+			var snap *v1.Snapshot
+			if snap, err = cl.Snapshot(context.Background(), nil); snap != nil {
+				t.Fatalf("%s: got a snapshot from an endless body", name)
+			}
+		} else {
+			body, etag, err = cl.SnapshotState(context.Background())
+		}
 		if err == nil || !strings.Contains(err.Error(), c.want) || body != nil || etag != "" {
 			t.Fatalf("%s: got %d bytes, tag %q, err %v; want an error mentioning %q", name, len(body), etag, err, c.want)
 		}

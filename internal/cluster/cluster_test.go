@@ -504,6 +504,9 @@ func TestClusterDegradation(t *testing.T) {
 // predates the state representation — is exactly as missing as a dead
 // one: 206, Cache-Control: no-store, no ETag, the shard named in
 // missing_shards with the cause, totals equal to the healthy shards' sum.
+// The JSON the router reads from its peers (the /api/v1/stats fan-out)
+// is bounded the same way: an endless stats body costs that shard its
+// place in the sum, not the router its memory.
 func TestClusterUndecodableShardIsMissing(t *testing.T) {
 	model := geo.Germany()
 	db, prefixes := testGeoDB(t, model)
@@ -517,6 +520,7 @@ func TestClusterUndecodableShardIsMissing(t *testing.T) {
 		nodes[i] = newNode(t, acfg, parts[i])
 	}
 	healthyKept := nodes[0].st.Snapshot().Census.Kept + nodes[1].st.Snapshot().Census.Kept
+	healthyAppended := nodes[0].st.Metrics().AppendedRecords + nodes[1].st.Metrics().AppendedRecords
 
 	// answer runs the request against shard 2's real API and returns what
 	// it would have sent.
@@ -536,17 +540,22 @@ func TestClusterUndecodableShardIsMissing(t *testing.T) {
 	for _, c := range []struct {
 		name, cause string
 		shard       http.HandlerFunc
+		stats       bool // the damage is on /api/v1/stats, not the data paths
 	}{
-		{"corrupt", "bad shard state", func(w http.ResponseWriter, r *http.Request) {
+		{name: "oversized-stats", cause: "exceeds", stats: true, shard: func(w http.ResponseWriter, r *http.Request) {
+			// Valid JSON that never ends: whitespace past the bound.
+			send(w, answer(r), bytes.Repeat([]byte{' '}, client.MaxJSONBytes+1))
+		}},
+		{name: "corrupt", cause: "bad shard state", shard: func(w http.ResponseWriter, r *http.Request) {
 			rec := answer(r)
 			body := rec.Body.Bytes()
 			body[len(body)/2] ^= 0x04
 			send(w, rec, body)
 		}},
-		{"oversized", "exceeds", func(w http.ResponseWriter, r *http.Request) {
+		{name: "oversized", cause: "exceeds", shard: func(w http.ResponseWriter, r *http.Request) {
 			send(w, answer(r), make([]byte, client.MaxStateBytes+1))
 		}},
-		{"wrong-origin", "bad shard state", func(w http.ResponseWriter, r *http.Request) {
+		{name: "wrong-origin", cause: "bad shard state", shard: func(w http.ResponseWriter, r *http.Request) {
 			// A well-formed envelope (valid CRC) whose header origin, bytes
 			// 8-15, is an hour off the origin inside the state blob.
 			rec := answer(r)
@@ -557,7 +566,7 @@ func TestClusterUndecodableShardIsMissing(t *testing.T) {
 			binary.BigEndian.PutUint32(body[40:], crc)
 			send(w, rec, body)
 		}},
-		{"json-instead-of-state", "upgrade shards before routers", func(w http.ResponseWriter, r *http.Request) {
+		{name: "json-instead-of-state", cause: "upgrade shards before routers", shard: func(w http.ResponseWriter, r *http.Request) {
 			// What a shard from before the representation does: the
 			// unknown parameter is ignored.
 			q := r.URL.Query()
@@ -578,11 +587,28 @@ func TestClusterUndecodableShardIsMissing(t *testing.T) {
 			t.Fatal(err)
 		}
 		router := httptest.NewServer(srv)
-		for _, path := range []string{"/api/v1/snapshot", "/api/v1/query"} {
+		paths := []string{"/api/v1/snapshot", "/api/v1/query"}
+		if c.stats {
+			paths = []string{"/api/v1/stats"}
+		}
+		for _, path := range paths {
 			status, hdr, body := get(t, router.URL+path, nil)
 			if status != http.StatusPartialContent || hdr.Get("Cache-Control") != "no-store" || hdr.Get("ETag") != "" {
 				t.Fatalf("%s %s: status %d, Cache-Control %q, ETag %q; want 206, no-store, no validator\n%.300s",
 					c.name, path, status, hdr.Get("Cache-Control"), hdr.Get("ETag"), body)
+			}
+			if c.stats {
+				var st v1.StatsResponse
+				if err := json.Unmarshal(body, &st); err != nil {
+					t.Fatal(err)
+				}
+				if st.Degraded == nil || !reflect.DeepEqual(st.Degraded.MissingShards, []int{2}) || !strings.Contains(st.Degraded.Detail, c.cause) {
+					t.Fatalf("%s %s: degraded marker %+v, want missing_shards [2] with a detail mentioning %q", c.name, path, st.Degraded, c.cause)
+				}
+				if st.Store == nil || st.Store.AppendedRecords != healthyAppended {
+					t.Fatalf("%s %s: store totals %+v, want the healthy shards' %d appended records", c.name, path, st.Store, healthyAppended)
+				}
+				continue
 			}
 			var q v1.QueryResponse
 			snap := new(v1.Snapshot)

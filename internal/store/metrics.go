@@ -7,7 +7,10 @@
 // checkpoint (tail fold + frame write) and compaction (frame-pair
 // folds). Everything scalar reads the store's existing counters under
 // mu at render time, so the append path carries only the histogram
-// clocks.
+// clocks. The three store_frame_cache_* samples read the decoded-frame
+// cache (framecache.go); their consumers are the warm-query test, the
+// hit-share line of EXPERIMENTS.md and the DESIGN.md runbook row for a
+// year-span query that got slow again.
 package store
 
 import (
@@ -110,6 +113,22 @@ func registerStoreFuncs(reg *obs.Registry, s *Store) {
 		locked(func() float64 { return float64(s.recoveredWAL) }))
 	counter("store_recovered_frames_total", "Checkpoint frames loaded at open.",
 		locked(func() float64 { return float64(s.recoveredFrames) }))
+	// The decoded-frame cache has its own leaf mutex; a sample never takes
+	// the store mutex for it.
+	cache := s.frameCache
+	cached := func(pick func() float64) func() float64 {
+		return func() float64 {
+			cache.mu.Lock()
+			defer cache.mu.Unlock()
+			return pick()
+		}
+	}
+	counter("store_frame_cache_hits_total", "Checkpoint frame reads served from the decoded-frame cache.",
+		cached(func() float64 { return float64(cache.hits) }))
+	counter("store_frame_cache_misses_total", "Checkpoint frame reads that read and decoded the frame file (a miss rate near the query rate means the working set exceeds the cache budget).",
+		cached(func() float64 { return float64(cache.misses) }))
+	gauge("store_frame_cache_bytes", "Decoded checkpoint frame state held in the cache (bounded by a 64 MiB constant).",
+		cached(func() float64 { return float64(cache.bytes) }))
 	gauge("store_tier_frames_day", "Day tier frames on disk.",
 		locked(func() float64 { return float64(len(s.tierDay)) }))
 	gauge("store_tier_frames_week", "Week tier frames on disk.",

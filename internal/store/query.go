@@ -67,10 +67,11 @@ type QueryResult struct {
 // accounting (no kept hours) ride along with every query so the census
 // stays complete.
 //
-// Frame files are loaded outside the store mutex — a historical query
-// must never stall the hot Append path (a blocked worker means dropped
-// batches upstream). Frame files are immutable once written, so the
-// only hazard is a concurrent checkpoint's compaction removing one
+// Frames are read outside the store mutex — a historical query must
+// never stall the hot Append path (a blocked worker means dropped
+// batches upstream) — and from the decoded-frame cache when they were
+// read before. Frame files are immutable once written, so the only
+// hazard is a concurrent checkpoint's compaction removing one
 // mid-query; that retries against the fresh (equivalent, merged)
 // frame set.
 func (s *Store) Query(from, to time.Time) (*QueryResult, error) {
@@ -160,11 +161,11 @@ func (s *Store) tryQuery(from, to time.Time) (*QueryResult, error) {
 	res := &QueryResult{From: from, To: to}
 	m := streaming.New(qcfg)
 	for _, fr := range frames {
-		_, a, err := loadFrameFile(fr.path, s.cfg)
+		st, err := s.frameState(fr)
 		if err != nil {
 			return nil, err
 		}
-		m.Merge(a)
+		m.MergeStored(st)
 		res.Frames++
 	}
 	if tailClone != nil {
@@ -180,7 +181,7 @@ func (s *Store) tryQuery(from, to time.Time) (*QueryResult, error) {
 // unchanged). Every merge target sized from frame metadata or live
 // bounds goes through it — merging archived hours at a window narrower
 // than their span evicts bins, which for compaction means permanent
-// loss. Callers' inputs are bounded (loadFrameFile validates frame
+// loss. Callers' inputs are bounded (loadFrame validates frame
 // metadata, ingest caps record hours), so the result never exceeds
 // streaming.MaxWindowHours.
 func widenWindow(cfg streaming.Config, minHour, maxHour int64) streaming.Config {

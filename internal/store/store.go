@@ -167,8 +167,8 @@ type Metrics struct {
 	TierFolds      uint64 `json:"tier_folds,omitempty"`
 }
 
-// frameMeta is one live checkpoint frame (metadata only; the analytics
-// state stays on disk until a query loads it).
+// frameMeta is one live checkpoint frame (metadata only; the decoded
+// state lives in the frame cache, or on disk until a read loads it).
 type frameMeta struct {
 	frameInfo
 	path string
@@ -274,6 +274,11 @@ type Store struct {
 	tierFoldsDay  uint64
 	tierFoldsWeek uint64
 
+	// Decoded checkpoint frames by frame seq (see framecache.go): seeded
+	// by Open, dropped when compaction retires a frame, pruned to the
+	// registered set at every checkpoint.
+	frameCache *frameCache
+
 	om storeObsMetrics
 
 	closed bool
@@ -344,6 +349,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		cfg:  cfg,
 		base: streaming.New(cfg),
 		boot: uint64(time.Now().UnixNano()) ^ uint64(os.Getpid())<<32,
+
+		frameCache: newFrameCache(frameCacheBudget),
 	}
 	s.tail = s.newTail()
 	if meta == nil {
@@ -541,28 +548,25 @@ func matchSeq(name, prefix, suffix string) *uint64 {
 // merges the survivors into the base state in WAL order, and returns the
 // highest covered segment.
 func (s *Store) loadFrames(ckpts []frameMeta) (uint64, error) {
-	// One read+decode per frame; the analytics ride along until the
-	// obsolete sweep decides which ones merge (recovery is the latency-
-	// critical path, re-reading every file would double its I/O).
-	decoded := make([]*streaming.Analytics, len(ckpts))
+	// One read+decode per frame; the states ride along until the obsolete
+	// sweep decides which ones merge (recovery is the latency-critical
+	// path, re-reading every file would double its I/O).
+	decoded := make([]*streaming.Stored, len(ckpts))
 	for i := range ckpts {
-		info, a, err := loadFrameFile(ckpts[i].path, s.cfg)
+		info, st, err := loadFrame(ckpts[i], s.cfg)
 		if err != nil {
 			return 0, fmt.Errorf("store: checkpoint %s: %w", filepath.Base(ckpts[i].path), err)
 		}
-		if info.Seq != ckpts[i].Seq {
-			return 0, fmt.Errorf("store: checkpoint %s carries frame seq %d", filepath.Base(ckpts[i].path), info.Seq)
-		}
 		ckpts[i].frameInfo = info
-		decoded[i] = a
+		decoded[i] = st
 	}
 
 	// A compaction writes the merged frame before removing its inputs; a
 	// crash in between leaves frames whose (BaseSeg, CoveredSeg] interval
 	// is contained in the merged one. Containment with a higher Seq wins.
 	type liveFrame struct {
-		meta frameMeta
-		a    *streaming.Analytics
+		meta  frameMeta
+		state *streaming.Stored
 	}
 	var live []liveFrame
 	for i := range ckpts {
@@ -583,13 +587,14 @@ func (s *Store) loadFrames(ckpts []frameMeta) (uint64, error) {
 			}
 			continue
 		}
-		live = append(live, liveFrame{meta: ckpts[i], a: decoded[i]})
+		live = append(live, liveFrame{meta: ckpts[i], state: decoded[i]})
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].meta.BaseSeg < live[j].meta.BaseSeg })
 
 	var covered uint64
 	for _, fr := range live {
-		s.base.Merge(fr.a)
+		s.base.MergeStored(fr.state)
+		s.frameCache.put(fr.meta.Seq, fr.state)
 		s.frames = append(s.frames, fr.meta)
 		s.frameRecords += fr.meta.Records
 		if fr.meta.CoveredSeg > covered {
@@ -921,6 +926,7 @@ func (s *Store) Checkpoint() error {
 	// microseconds it only survives as the 1-in-N baseline.
 	ctx, sp := s.opts.Tracer.StartTrace(context.Background(), "store.checkpoint", 0)
 	err := s.checkpointLocked(ctx, sp)
+	s.pruneFrameCache()
 	sp.Fail(err)
 	sp.End()
 	return err
@@ -1104,11 +1110,11 @@ func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
 	// noise even uninstrumented.
 	foldStart := time.Now()
 
-	_, a0, err := loadFrameFile(f0.path, s.cfg)
+	a0, err := s.frameState(f0)
 	if err != nil {
 		return false, fmt.Errorf("store: compacting %s: %w", filepath.Base(f0.path), err)
 	}
-	_, a1, err := loadFrameFile(f1.path, s.cfg)
+	a1, err := s.frameState(f1)
 	if err != nil {
 		return false, fmt.Errorf("store: compacting %s: %w", filepath.Base(f1.path), err)
 	}
@@ -1127,12 +1133,12 @@ func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
 	// with the input files deleted below, permanently lose — the
 	// oldest hourly bins of any pair spanning more than the window
 	// (inevitable once a capture outlives WindowHours). The merged
-	// state persists its own window; UnmarshalAnalyticsStored adopts
-	// it on load, and queries widen their merge target to the selected
-	// span, so /query serves every hour ever checkpointed.
+	// state persists its own window; DecodeStored adopts it on load,
+	// and queries widen their merge target to the selected span, so
+	// /query serves every hour ever checkpointed.
 	m := streaming.New(widenWindow(s.cfg, info.MinHour, info.MaxHour))
-	m.Merge(a0)
-	m.Merge(a1)
+	m.MergeStored(a0)
+	m.MergeStored(a1)
 	state, err := m.MarshalBinary()
 	if err != nil {
 		return false, err
@@ -1152,6 +1158,7 @@ func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
 	s.compacted++
 	s.ckptGen++
 	s.mu.Unlock()
+	s.frameCache.retain(func(seq uint64) bool { return seq != f0.Seq && seq != f1.Seq })
 	_ = os.Remove(f0.path)
 	_ = os.Remove(f1.path)
 	s.om.compactionSeconds.ObserveSince(foldStart)
@@ -1261,46 +1268,6 @@ func (s *Store) Close() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
-}
-
-// loadFrameFile reads and validates one checkpoint frame file. The
-// frame's analytics state is restored at its own persisted window length
-// (cfg's Origin must match): compacted frames are archives whose span —
-// and therefore window — can exceed the live sliding window.
-func loadFrameFile(path string, cfg streaming.Config) (frameInfo, *streaming.Analytics, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return frameInfo{}, nil, err
-	}
-	typ, payload, n, err := readRecordFrame(data)
-	if err != nil {
-		return frameInfo{}, nil, err
-	}
-	if typ != recTypeFrame {
-		return frameInfo{}, nil, fmt.Errorf("%w: record type %d in checkpoint", ErrCorrupt, typ)
-	}
-	if n != len(data) {
-		return frameInfo{}, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-n)
-	}
-	info, state, err := decodeFramePayload(payload)
-	if err != nil {
-		return frameInfo{}, nil, err
-	}
-	// Bound the metadata hour span before anything sizes a merge window
-	// from it (tryQuery, compact): the record-layer CRC does not bound
-	// allocations, so implausible bounds are corruption, not a request
-	// for a multi-GB ring. Valid frames are either both -1 (accounting
-	// only) or 0 <= MinHour <= MaxHour < the plausibility cap ingest
-	// enforces.
-	if (info.MinHour == -1) != (info.MaxHour == -1) ||
-		info.MinHour < -1 || info.MaxHour < info.MinHour || info.MaxHour >= streaming.MaxWindowHours {
-		return frameInfo{}, nil, fmt.Errorf("%w: frame hour bounds [%d, %d]", ErrCorrupt, info.MinHour, info.MaxHour)
-	}
-	a, err := streaming.UnmarshalAnalyticsStored(cfg, state)
-	if err != nil {
-		return frameInfo{}, nil, err
-	}
-	return info, a, nil
 }
 
 // atomicWrite lands data at path via temp file + fsync + rename, with a

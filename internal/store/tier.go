@@ -201,10 +201,14 @@ func (s *Store) tierFoldDayOnce(ctx context.Context) (bool, error) {
 	err := s.tierFoldSpan(ctx, tier.LevelDay, seq, len(run), func() (*tier.Frame, error) {
 		inputs := make([]tier.Input, 0, len(run))
 		for _, fm := range run {
-			_, a, err := loadFrameFile(fm.path, s.cfg)
+			st, err := s.frameState(fm)
 			if err != nil {
 				return nil, fmt.Errorf("store: tier fold input %s: %w", filepath.Base(fm.path), err)
 			}
+			// FoldRaw takes shards; an archive one holds whatever window
+			// the frame was persisted at.
+			a := s.newTail()
+			a.MergeStored(st)
 			inputs = append(inputs, tier.Input{
 				Meta:  tier.Meta{Seq: fm.Seq, BaseSeg: fm.BaseSeg, CoveredSeg: fm.CoveredSeg, MinHour: fm.MinHour, MaxHour: fm.MaxHour},
 				State: a,
@@ -454,17 +458,17 @@ func (s *Store) tryQueryTier(from, to time.Time, res tier.Resolution) (*QueryRes
 	m := streaming.New(qcfg)
 	acc := tier.NewSketchAccum()
 	for _, fr := range resid {
-		_, a, err := loadFrameFile(fr.path, s.cfg)
+		st, err := s.frameState(fr)
 		if err != nil {
 			return nil, err
 		}
-		m.Merge(a)
-		acc.AddShard(a)
+		m.MergeStored(st)
+		acc.AddShard(st.EachPrefix)
 		result.Frames++
 	}
 	if tailClone != nil {
 		m.Merge(tailClone)
-		acc.AddShard(tailClone)
+		acc.AddShard(tailClone.EachPrefix)
 		result.TailIncluded = true
 	}
 	// The residual series starts at its own first populated hour: the

@@ -9,6 +9,7 @@
 package streaming
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -61,12 +62,7 @@ func (a *Analytics) MarshalBinary() ([]byte, error) {
 	// Full prefix counters in address order.
 	prefixes := make([]netip.Prefix, 0, len(a.prefixList))
 	prefixes = append(prefixes, a.prefixList...)
-	sort.Slice(prefixes, func(i, j int) bool {
-		if c := prefixes[i].Addr().Compare(prefixes[j].Addr()); c != 0 {
-			return c < 0
-		}
-		return prefixes[i].Bits() < prefixes[j].Bits()
-	})
+	sort.Slice(prefixes, func(i, j int) bool { return lessPrefix(prefixes[i], prefixes[j]) })
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(prefixes)))
 	for _, p := range prefixes {
 		addr := p.Addr()
@@ -114,45 +110,94 @@ func UnmarshalAnalytics(cfg Config, data []byte) (*Analytics, error) {
 
 // UnmarshalAnalyticsStored reconstructs a shard adopting the window
 // length embedded in the state instead of requiring it to match cfg
-// (Origin must still match). The durable store loads checkpoint frames
-// with it: compacted frames are archives persisted at a window wide
-// enough to hold their whole hour span, which can exceed the live
-// sliding window.
+// (Origin must still match): a compacted checkpoint frame is an archive
+// persisted at a window wide enough to hold its whole hour span, which
+// can exceed the live sliding window. Readers that only fold the state
+// into another shard use DecodeStored + MergeStored instead and never
+// build the ring.
 func UnmarshalAnalyticsStored(cfg Config, data []byte) (*Analytics, error) {
 	return unmarshalAnalytics(cfg, data, true)
 }
 
+// unmarshalAnalytics places a decoded state into a fresh ring at the
+// state's own window. The header's maxHour is restored as written (a
+// fold would recompute it from the bins), so MarshalBinary of the result
+// reproduces canonical input byte for byte.
 func unmarshalAnalytics(cfg Config, data []byte, adoptWindow bool) (*Analytics, error) {
+	st, err := decodeStored(cfg, data, adoptWindow)
+	if err != nil {
+		return nil, err
+	}
+	cfg.WindowHours = st.window
+	a := New(cfg)
+	a.maxHour = st.maxHour
+	a.late = st.late
+	a.located = st.located
+	a.dropped = st.dropped
+	for _, bin := range st.bins {
+		slot := bin.hour % st.window
+		a.binHour[slot] = int32(bin.hour)
+		a.binFlows[slot] = bin.flows
+		a.binBytes[slot] = bin.bytes
+	}
+	if len(st.bins) > 0 {
+		a.archiveMin = st.bins[0].hour
+	}
+	for i, p := range st.prefixes {
+		a.prefixCount[a.internPrefix(p)] = st.prefixCount[i]
+	}
+	if st.hasDistricts {
+		a.enableDistricts()
+		for i, id := range st.districtIDs {
+			a.districtCount[a.internDistrict(id)] = st.districtCount[i]
+		}
+	}
+	return a, nil
+}
+
+// DecodeStored parses MarshalBinary output into its compact form,
+// adopting the window length embedded in the state exactly like
+// UnmarshalAnalyticsStored (cfg supplies the Origin the state must have
+// been captured under). It is the one walk over the state format:
+// UnmarshalAnalytics and UnmarshalAnalyticsStored are built on it, so
+// every bound and error is shared.
+func DecodeStored(cfg Config, data []byte) (*Stored, error) {
+	return decodeStored(cfg, data, true)
+}
+
+func decodeStored(cfg Config, data []byte, adoptWindow bool) (*Stored, error) {
 	d := stateDecoder{buf: data}
 	if v := d.u8(); v != stateVersion {
 		return nil, fmt.Errorf("streaming: state version %d, want %d", v, stateVersion)
 	}
 	origin := time.Unix(0, int64(d.u64())).UTC()
-	window := int(d.u32())
-	cfg = cfg.withDefaults()
+	st := &Stored{window: int(d.u32())}
 	if d.err == nil {
-		if !origin.Equal(cfg.Origin) || (!adoptWindow && window != cfg.WindowHours) {
+		cfg = cfg.withDefaults()
+		if !origin.Equal(cfg.Origin) || (!adoptWindow && st.window != cfg.WindowHours) {
 			return nil, fmt.Errorf("streaming: state window [%s +%dh] does not match config [%s +%dh]",
-				origin, window, cfg.Origin, cfg.WindowHours)
+				origin, st.window, cfg.Origin, cfg.WindowHours)
 		}
-		if window <= 0 || (adoptWindow && window > MaxWindowHours) {
-			return nil, fmt.Errorf("streaming: implausible state window length %d", window)
+		if st.window <= 0 || (adoptWindow && st.window > MaxWindowHours) {
+			return nil, fmt.Errorf("streaming: implausible state window length %d", st.window)
 		}
-		cfg.WindowHours = window
 	}
-	a := New(cfg)
-	a.maxHour = int(int64(d.u64()))
-	a.late = d.u64()
-	a.located = d.u64()
+	st.maxHour = int(int64(d.u64()))
+	st.late = d.u64()
+	st.located = d.u64()
 
 	if n := int(d.u32()); d.err == nil && n != nReasons {
 		return nil, fmt.Errorf("streaming: state has %d drop reasons, want %d", n, nReasons)
 	}
-	for i := range a.dropped {
-		a.dropped[i] = d.u64()
+	for i := range st.dropped {
+		st.dropped[i] = d.u64()
 	}
 
+	// Declared counts are not trusted for sizing: every table is capped by
+	// what the remaining bytes could hold at the smallest row size.
 	nBins := int(d.u32())
+	st.bins = make([]hourBin, 0, min(nBins, len(d.buf)/binRowLen))
+	ordered := true
 	for i := 0; i < nBins && d.err == nil; i++ {
 		h := int(int64(d.u64()))
 		flows := math.Float64frombits(d.u64())
@@ -160,19 +205,31 @@ func unmarshalAnalytics(cfg Config, data []byte, adoptWindow bool) (*Analytics, 
 		if d.err != nil {
 			break
 		}
-		if h < 0 || h > a.maxHour || (a.maxHour >= 0 && h <= a.maxHour-a.cfg.WindowHours) {
-			return nil, fmt.Errorf("streaming: state bin hour %d outside window ending at %d", h, a.maxHour)
+		// The ring keeps hours in an int32 column; an hour that does not
+		// fit it is as far outside any window as one past maxHour.
+		if h < 0 || h > st.maxHour || h > math.MaxInt32 || (st.maxHour >= 0 && h <= st.maxHour-st.window) {
+			return nil, fmt.Errorf("streaming: state bin hour %d outside window ending at %d", h, st.maxHour)
 		}
-		slot := h % a.cfg.WindowHours
-		a.binHour[slot] = int32(h)
-		a.binFlows[slot] = flows
-		a.binBytes[slot] = bytes
-		if a.archiveMin < 0 || h < a.archiveMin {
-			a.archiveMin = h
+		if n := len(st.bins); n > 0 && h <= st.bins[n-1].hour {
+			ordered = false
 		}
+		st.bins = append(st.bins, hourBin{hour: h, flows: flows, bytes: bytes})
+	}
+	if !ordered {
+		// Not MarshalBinary's order: sort, and let the last entry for an
+		// hour win, which is what writing each bin to its ring slot did.
+		sort.SliceStable(st.bins, func(i, j int) bool { return st.bins[i].hour < st.bins[j].hour })
+		kept := st.bins[:0]
+		for i, bin := range st.bins {
+			if i+1 == len(st.bins) || st.bins[i+1].hour != bin.hour {
+				kept = append(kept, bin)
+			}
+		}
+		st.bins = kept
 	}
 
 	nPrefixes := int(d.u32())
+	prefixes := newStoredTable(min(nPrefixes, len(d.buf)/minPrefixRowLen), lessPrefix)
 	for i := 0; i < nPrefixes && d.err == nil; i++ {
 		fam := d.u8()
 		var addr netip.Addr
@@ -199,22 +256,24 @@ func unmarshalAnalytics(cfg Config, data []byte, adoptWindow bool) (*Analytics, 
 		if err != nil {
 			return nil, fmt.Errorf("streaming: state prefix %s/%d: %v", addr, bits, err)
 		}
-		a.prefixCount[a.internPrefix(p)] = count
+		prefixes.set(p, count)
 	}
+	st.prefixes, st.prefixCount = prefixes.keys, prefixes.counts
 
 	if d.u8() == 1 {
-		a.enableDistricts()
+		st.hasDistricts = true
 		nDistricts := int(d.u32())
+		districts := newStoredTable(min(nDistricts, len(d.buf)/minDistrictRowLen), cmp.Less[string])
 		for i := 0; i < nDistricts && d.err == nil; i++ {
 			idLen := int(d.u8())<<8 | int(d.u8())
-			id := make([]byte, idLen)
-			d.bytes(id)
+			id := d.take(idLen)
 			count := d.u64()
 			if d.err != nil {
 				break
 			}
-			a.districtCount[a.internDistrict(string(id))] = count
+			districts.set(string(id), count)
 		}
+		st.districtIDs, st.districtCount = districts.keys, districts.counts
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("streaming: truncated state: %v", d.err)
@@ -222,7 +281,51 @@ func unmarshalAnalytics(cfg Config, data []byte, adoptWindow bool) (*Analytics, 
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("streaming: %d trailing state bytes", len(d.buf))
 	}
-	return a, nil
+	return st, nil
+}
+
+// Encoded row sizes: a bin is hour + flows + bytes; the smallest prefix
+// row is an IPv4 one (family, address, bits, count) and the smallest
+// district row has an empty id (length, count).
+const (
+	binRowLen         = 24
+	minPrefixRowLen   = 1 + 4 + 1 + 8
+	minDistrictRowLen = 2 + 8
+)
+
+// storedTable collects one counter table of a state in encoded order. A
+// repeated key overwrites its count in place — what assigning through the
+// interning map did — but the map that finds repeats is built only once
+// the keys stop ascending: MarshalBinary emits them strictly ascending,
+// so canonical input never builds it.
+type storedTable[K comparable] struct {
+	keys   []K
+	counts []uint64
+	less   func(a, b K) bool
+	index  map[K]int
+}
+
+func newStoredTable[K comparable](sizeHint int, less func(a, b K) bool) *storedTable[K] {
+	return &storedTable[K]{keys: make([]K, 0, sizeHint), counts: make([]uint64, 0, sizeHint), less: less}
+}
+
+func (t *storedTable[K]) set(k K, count uint64) {
+	n := len(t.keys)
+	if t.index == nil && n > 0 && !t.less(t.keys[n-1], k) {
+		t.index = make(map[K]int, n)
+		for i, have := range t.keys {
+			t.index[have] = i
+		}
+	}
+	if t.index != nil {
+		if i, ok := t.index[k]; ok {
+			t.counts[i] = count
+			return
+		}
+		t.index[k] = n
+	}
+	t.keys = append(t.keys, k)
+	t.counts = append(t.counts, count)
 }
 
 // stateDecoder cursors over a state blob, latching the first error so the

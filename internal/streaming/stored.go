@@ -1,0 +1,127 @@
+package streaming
+
+import "net/netip"
+
+// Stored is one decoded Analytics state in compact form: the header
+// counters, the populated bins already in canonical (ascending hour)
+// order, and the prefix and district tables as flat parallel slices. It
+// has no ring and no maps — a reader that only folds a checkpoint frame
+// into a merge target (every historical query, compaction, recovery)
+// never needed either; building them per frame read and scanning an
+// all-but-empty ring back out was most of what a year-span query cost.
+//
+// A Stored is immutable once DecodeStored returns it, so one value may be
+// folded by any number of goroutines at once; the durable store keeps
+// them cached per checkpoint frame.
+type Stored struct {
+	window  int
+	maxHour int
+	late    uint64
+	located uint64
+	dropped [nReasons]uint64
+
+	bins []hourBin // ascending hour, one per hour
+
+	// The counter tables in encoded order, one entry per key.
+	prefixes      []netip.Prefix
+	prefixCount   []uint64
+	hasDistricts  bool
+	districtIDs   []string
+	districtCount []uint64
+}
+
+// Size is the heap footprint of the decoded form in bytes, for callers
+// that budget how many they keep.
+func (st *Stored) Size() int {
+	// Row sizes on a 64-bit platform: a bin is three words, a netip.Prefix
+	// four, a string header two; every count is one.
+	n := 256 + len(st.bins)*24 + len(st.prefixes)*(32+8) + len(st.districtIDs)*(16+8)
+	for _, id := range st.districtIDs {
+		n += len(id)
+	}
+	return n
+}
+
+// EachPrefix calls fn for every client prefix of the state with its kept
+// flow count (see Analytics.EachPrefix).
+func (st *Stored) EachPrefix(fn func(p netip.Prefix, flows uint64)) {
+	for i, p := range st.prefixes {
+		fn(p, st.prefixCount[i])
+	}
+}
+
+// stored views a live shard in the compact form, sharing its counter
+// tables; the view must not outlive the next write to a.
+func (a *Analytics) stored() Stored {
+	return Stored{
+		window:        a.cfg.WindowHours,
+		maxHour:       a.maxHour,
+		late:          a.late,
+		located:       a.located,
+		dropped:       a.dropped,
+		bins:          a.sortedBins(),
+		prefixes:      a.prefixList,
+		prefixCount:   a.prefixCount,
+		hasDistricts:  a.hasDistricts,
+		districtIDs:   a.districtIDs,
+		districtCount: a.districtCount,
+	}
+}
+
+// Merge folds other into a without modifying other. Both shards must
+// share one Origin; other's window length may differ (a restored archive
+// frame can be wider than the live window — its overflow bins evict or
+// count late against a's window like any arrival). Aggregation is
+// commutative, so any merge order yields the same result; incremental
+// callers (the ingest pipeline's snapshot) merge one locked shard at a
+// time instead of quiescing them all.
+func (a *Analytics) Merge(other *Analytics) {
+	st := other.stored()
+	a.MergeStored(&st)
+	if other.newestNano > a.newestNano {
+		a.newestNano = other.newestNano
+	}
+}
+
+// MergeStored folds a decoded state into a, exactly as
+// Merge(UnmarshalAnalyticsStored(data)) would for the bytes st was
+// decoded from. st is not modified.
+func (a *Analytics) MergeStored(st *Stored) {
+	// Fold the incoming bins oldest hour first — the order live ingestion
+	// would have seen them. Any other order would let a newer incoming bin
+	// slide the window before an older (but still in-order) one is folded,
+	// miscounting it as late; chronological order keeps merging a state
+	// that spans more hours than this window (the store's compacted
+	// archive frames) deterministic, with the overflow evicted silently
+	// exactly as live ingestion evicts. binFor applies the same
+	// MaxWindowHours plausibility bound as ingest: a state persisted
+	// before the bound (or hand-built) must not poison this shard.
+	for i := range st.bins {
+		bin := &st.bins[i]
+		slot := a.binFor(bin.hour)
+		if slot < 0 {
+			a.late += uint64(bin.flows)
+			continue
+		}
+		a.binFlows[slot] += bin.flows
+		a.binBytes[slot] += bin.bytes
+	}
+	for i, n := range st.dropped {
+		a.dropped[i] += n
+	}
+	a.late += st.late
+	for i, p := range st.prefixes {
+		a.prefixCount[a.internPrefix(p)] += st.prefixCount[i]
+	}
+	if st.hasDistricts {
+		// Adopt the rollup even if this shard has no geolocation sidecar:
+		// checkpoint frames carry district counts that must survive a
+		// merge into a DB-less shard (a read-only query opens the store
+		// without the sidecar the collector ran with).
+		a.enableDistricts()
+		for i, id := range st.districtIDs {
+			a.districtCount[a.internDistrict(id)] += st.districtCount[i]
+		}
+	}
+	a.located += st.located
+}

@@ -110,7 +110,7 @@ func (c Config) withDefaults() Config {
 
 // hourBin is one populated hourly bucket in canonical (row) form. The live
 // ring stores bins column-wise (see Analytics); hourBin remains the unit
-// sortedBins, Merge and the state codec exchange.
+// sortedBins, the fold (MergeStored) and the state codec exchange.
 type hourBin struct {
 	hour  int
 	flows float64
@@ -245,16 +245,27 @@ func (a *Analytics) enableDistricts() {
 // sight and registering the IPv4 fast-index entry when p matches the
 // hot-path shape.
 func (a *Analytics) internPrefix(p netip.Prefix) uint32 {
-	if idx, ok := a.prefixIdx[p]; ok {
+	// A fold interns every row of every table it merges, and nearly all
+	// of them have the hot-path shape: probe the word-keyed index for
+	// those (no hashing of a 32-byte netip.Prefix), the canonical one
+	// for the rest.
+	hot := p.Bits() == a.cfg.PrefixBits && p.Addr().Is4()
+	var key uint32
+	if hot {
+		b := p.Addr().As4()
+		key = binary.BigEndian.Uint32(b[:])
+		if idx, ok := a.prefix4Idx[key]; ok {
+			return idx
+		}
+	} else if idx, ok := a.prefixIdx[p]; ok {
 		return idx
 	}
 	idx := uint32(len(a.prefixList))
 	a.prefixIdx[p] = idx
 	a.prefixList = append(a.prefixList, p)
 	a.prefixCount = append(a.prefixCount, 0)
-	if p.Bits() == a.cfg.PrefixBits && p.Addr().Is4() {
-		b := p.Addr().As4()
-		a.prefix4Idx[binary.BigEndian.Uint32(b[:])] = idx
+	if hot {
+		a.prefix4Idx[key] = idx
 	}
 	return idx
 }
@@ -438,57 +449,6 @@ func (a *Analytics) ensureArchiveWindow(h int) {
 	}
 	if a.archiveMin < 0 || h < a.archiveMin {
 		a.archiveMin = h
-	}
-}
-
-// Merge folds other into a without modifying other. Both shards must
-// share one Origin; other's window length may differ (a restored archive
-// frame can be wider than the live window — its overflow bins evict or
-// count late against a's window like any arrival). Aggregation is
-// commutative, so any merge order yields the same result; incremental
-// callers (the ingest pipeline's snapshot) merge one locked shard at a
-// time instead of quiescing them all.
-func (a *Analytics) Merge(other *Analytics) {
-	// Fold the incoming bins oldest hour first — the order live ingestion
-	// would have seen them. Ring-slot order would let a newer incoming bin
-	// slide the window before an older (but still in-order) one is folded,
-	// miscounting it as late; chronological order keeps merging a shard
-	// that spans more hours than this window (the store's compacted
-	// archive frames) deterministic, with the overflow evicted silently
-	// exactly as live ingestion evicts. binFor applies the same
-	// MaxWindowHours plausibility bound as ingest: a shard restored from
-	// before the bound (or hand-built) must not poison this one.
-	bins := other.sortedBins()
-	for i := range bins {
-		bin := &bins[i]
-		slot := a.binFor(bin.hour)
-		if slot < 0 {
-			a.late += uint64(bin.flows)
-			continue
-		}
-		a.binFlows[slot] += bin.flows
-		a.binBytes[slot] += bin.bytes
-	}
-	for i, n := range other.dropped {
-		a.dropped[i] += n
-	}
-	a.late += other.late
-	for i, p := range other.prefixList {
-		a.prefixCount[a.internPrefix(p)] += other.prefixCount[i]
-	}
-	if other.hasDistricts {
-		// Adopt the rollup even if this shard has no geolocation sidecar:
-		// restored checkpoint frames carry district counts that must
-		// survive a merge into a DB-less shard (a read-only query opens
-		// the store without the sidecar the collector ran with).
-		a.enableDistricts()
-		for i, id := range other.districtIDs {
-			a.districtCount[a.internDistrict(id)] += other.districtCount[i]
-		}
-	}
-	a.located += other.located
-	if other.newestNano > a.newestNano {
-		a.newestNano = other.newestNano
 	}
 }
 
@@ -728,6 +688,15 @@ func detectSpikes(hours []HourPoint, cfg Config) []Spike {
 	return out
 }
 
+// lessPrefix is the canonical prefix order (address, then length) of the
+// state codec and of leaderboard ties.
+func lessPrefix(a, b netip.Prefix) bool {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c < 0
+	}
+	return a.Bits() < b.Bits()
+}
+
 // topPrefixes ranks prefixes by flow count, ties broken by prefix order so
 // the leaderboard is deterministic. It sorts counts in place.
 func topPrefixes(counts []PrefixCount, k int) []PrefixCount {
@@ -736,11 +705,7 @@ func topPrefixes(counts []PrefixCount, k int) []PrefixCount {
 		if out[i].Flows != out[j].Flows {
 			return out[i].Flows > out[j].Flows
 		}
-		a, b := out[i].Prefix, out[j].Prefix
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c < 0
-		}
-		return a.Bits() < b.Bits()
+		return lessPrefix(out[i].Prefix, out[j].Prefix)
 	})
 	if len(out) > k {
 		out = out[:k]

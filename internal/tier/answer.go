@@ -115,7 +115,7 @@ func sortDistricts(m map[string]uint64) []District {
 	return out
 }
 
-// SketchAccum feeds the two sketches from per-shard analytics state:
+// SketchAccum feeds the two sketches from per-shard prefix tables:
 // the HLL sees every distinct prefix, the presence map counts how many
 // shards (raw checkpoint frames) each prefix appeared in. Folds use it
 // per run; queries use it over the raw residual.
@@ -129,9 +129,11 @@ func NewSketchAccum() *SketchAccum {
 	return &SketchAccum{hll: sketch.NewHLL(), presence: map[string]uint64{}}
 }
 
-// AddShard folds one analytics shard's full prefix table in.
-func (sa *SketchAccum) AddShard(a *streaming.Analytics) {
-	a.EachPrefix(func(p netip.Prefix, flows uint64) {
+// AddShard folds one shard's full prefix table in, given its prefix
+// enumeration: the EachPrefix method of a live streaming.Analytics or of
+// a decoded streaming.Stored.
+func (sa *SketchAccum) AddShard(eachPrefix func(fn func(p netip.Prefix, flows uint64))) {
+	eachPrefix(func(p netip.Prefix, flows uint64) {
 		s := p.String()
 		sa.hll.Add(s)
 		sa.presence[s]++

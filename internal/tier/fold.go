@@ -119,7 +119,7 @@ func FoldRaw(level Level, seq uint64, cfg streaming.Config, inputs []Input) (*Fr
 			}
 		}
 		m.Merge(in.State)
-		acc.AddShard(in.State)
+		acc.AddShard(in.State.EachPrefix)
 	}
 	acc.fill(f)
 

@@ -367,7 +367,7 @@ func TestBuilderResidual(t *testing.T) {
 	}
 	resid := shard(keptRecord(30, 1, 10), keptRecord(30, 9, 20))
 	acc := NewSketchAccum()
-	acc.AddShard(resid)
+	acc.AddShard(resid.EachPrefix)
 
 	b := NewBuilder(ResolutionDay, origin)
 	b.AddFrame(f)
