@@ -43,9 +43,9 @@ race:
 	$(GO) test -race ./internal/sim/ ./internal/netflow/ ./internal/cwaserver/ ./internal/cdn/ ./internal/workgroup/ ./internal/scenario/ ./internal/ingest/ ./internal/streaming/ ./internal/store/ ./internal/tier/ ./internal/sketch/ ./internal/api/ ./internal/api/client/ ./internal/cluster/ ./internal/obs/
 
 # One pass over every figure/table/ablation benchmark (see DESIGN.md for
-# the experiment index) plus the ingest and store benchmarks.
+# the experiment index) plus the ingest, store and API-edge benchmarks.
 bench:
-	$(GO) test -run XXX -bench=. -benchtime=1x -benchmem . ./internal/ingest/ ./internal/store/
+	$(GO) test -run XXX -bench=. -benchtime=1x -benchmem . ./internal/ingest/ ./internal/store/ ./internal/api/
 
 # The ingest throughput benchmark alone (the EXPERIMENTS.md snapshot).
 bench-ingest:
@@ -83,11 +83,12 @@ bench-api-quick:
 api-smoke:
 	$(GO) test -run TestAPISmoke -count=1 -v ./cmd/collectord/
 
-# Short fuzz pass over every decoder that reads bytes from outside the
+# Short fuzz pass over everything that reads bytes from outside the
 # process: NFv9 packets off the wire, store records, tier frames and
-# sketches off the disk, shard state at the router, and the analytics
+# sketches off the disk, shard state at the router, the analytics
 # state inside checkpoint frames and shard state (one parser, fuzzed
-# through both of its consumers). One target per
+# through both of its consumers), and the query string of
+# /api/v1/query at the client edge. One target per
 # invocation (go test -fuzz takes one). Minimizing a multi-kilobyte
 # input with the default 60 s budget would eat the whole pass, so it is
 # capped. CI runs the same smoke.
@@ -98,6 +99,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzTierDecode ./internal/tier/
 	$(FUZZ) -fuzz=FuzzSketchDecode ./internal/sketch/
 	$(FUZZ) -fuzz=FuzzShardState ./internal/api/
+	$(FUZZ) -fuzz=FuzzQueryParams ./internal/api/
 	$(FUZZ) -fuzz=FuzzStoredState ./internal/streaming/
 
 # SIGKILL drill: start a durable collector, stream half a trace over

@@ -226,6 +226,7 @@ func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, p
 		return
 	}
 	h.Set("Cache-Control", "no-cache")
+	h.Set("Vary", "Accept-Encoding")
 	etag := etagFor(s.boot, endpoint, params, res.Version)
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
 		h.Set("ETag", etag)

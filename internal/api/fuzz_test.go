@@ -1,7 +1,13 @@
 package api
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"cwatrace/internal/streaming"
@@ -104,5 +110,86 @@ func FuzzShardState(f *testing.F) {
 			return
 		}
 		useState(t, st)
+	})
+}
+
+// FuzzQueryParams hammers the raw query string of /api/v1/query — the
+// client→server trust boundary — on a durable, tier-folding server, with
+// and without gzip: it never panics, answers 200 or a structured 400
+// envelope and nothing else, every 200 is valid JSON under an ETag that
+// revalidates to a bodyless 304, and every gzip body inflates.
+func FuzzQueryParams(f *testing.F) {
+	for _, q := range []string{
+		"",
+		"resolution=day",
+		"resolution=week&fields=hourly&top=3",
+		"from=2020-06-16T00:00:00Z&to=2020-06-18T00:00:00Z&resolution=hour&pretty=1",
+		"from=1592265600&to=1592352000&resolution=auto",
+		"format=state",
+		"format=json",
+		"top=-1",
+		"fields=hourly,bogus",
+		"from=notatime",
+		"resolution=fortnight",
+		"to=99999999999999999999&from=-1",
+		"from=1592352000&to=1592265600",
+		"pretty=true&top=00000000000000000009",
+		"a=%zz&;&=&fields=%00",
+	} {
+		f.Add(q, true)
+		f.Add(q, false)
+	}
+	_, ts := tierServer(f, 10)
+	s := ts.Config.Handler // straight into ServeHTTP: no socket per exec
+	serve := func(rawQuery string, hdr map[string]string) *httptest.ResponseRecorder {
+		// Set RawQuery directly: the target is what the handlers make of
+		// it, not what NewRequest's URL parser lets through.
+		r := httptest.NewRequest(http.MethodGet, "/api/v1/query", nil)
+		r.URL.RawQuery = rawQuery
+		for k, v := range hdr {
+			r.Header.Set(k, v)
+		}
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, r)
+		return w
+	}
+
+	f.Fuzz(func(t *testing.T, rawQuery string, acceptGzip bool) {
+		hdr := map[string]string{}
+		if acceptGzip {
+			hdr["Accept-Encoding"] = "gzip"
+		}
+		w := serve(rawQuery, hdr)
+		body := w.Body.Bytes()
+		if w.Header().Get("Content-Encoding") == "gzip" {
+			if !acceptGzip {
+				t.Fatalf("%q: gzip body nobody asked for", rawQuery)
+			}
+			gr, err := gzip.NewReader(bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("%q: %v", rawQuery, err)
+			}
+			if body, err = io.ReadAll(gr); err != nil {
+				t.Fatalf("%q: gzip body does not inflate: %v", rawQuery, err)
+			}
+		}
+		switch w.Code {
+		case http.StatusBadRequest:
+			decodeError(t, body)
+		case http.StatusOK:
+			if w.Header().Get("Content-Type") == jsonMediaType && !json.Valid(body) {
+				t.Fatalf("%q: 200 body is not JSON: %.200q", rawQuery, body)
+			}
+			etag := w.Header().Get("ETag")
+			if etag == "" {
+				t.Fatalf("%q: 200 on a quiescent store carries no ETag", rawQuery)
+			}
+			hdr["If-None-Match"] = etag
+			if again := serve(rawQuery, hdr); again.Code != http.StatusNotModified || again.Body.Len() != 0 {
+				t.Fatalf("%q: revalidation got %d with %dB, want bodyless 304", rawQuery, again.Code, again.Body.Len())
+			}
+		default:
+			t.Fatalf("%q: status %d, want 200 or 400: %.200q", rawQuery, w.Code, body)
+		}
 	})
 }

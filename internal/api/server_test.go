@@ -244,6 +244,11 @@ func TestETagRoundTrip(t *testing.T) {
 	if len(body) != 0 {
 		t.Fatalf("304 carried %d body bytes", len(body))
 	}
+	// A 304 carries the Cache-Control, ETag and Vary its 200 would
+	// (RFC 9110 §15.4.5).
+	if resp.Header.Get("Vary") != "Accept-Encoding" || resp.Header.Get("ETag") != etag || resp.Header.Get("Cache-Control") != "no-cache" {
+		t.Fatalf("304 headers: Vary %q, ETag %q, Cache-Control %q", resp.Header.Get("Vary"), resp.Header.Get("ETag"), resp.Header.Get("Cache-Control"))
+	}
 
 	// Live ingest outside the queried range does not invalidate.
 	if err := st.Append([]netflow.Record{keptRecord(31, 9, 100)}); err != nil {

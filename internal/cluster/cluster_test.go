@@ -176,7 +176,13 @@ func newRouter(t *testing.T, nodes []*node, topK int) *httptest.Server {
 // get fetches url and returns status, headers and body.
 func get(t *testing.T, url string, hdr map[string]string) (int, http.Header, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	return do(t, http.MethodGet, url, hdr)
+}
+
+// do is get for any method.
+func do(t *testing.T, method, url string, hdr map[string]string) (int, http.Header, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,9 +338,12 @@ func TestClusterByteIdentity(t *testing.T) {
 					t.Fatalf("n=%d %s: two routers over one fleet disagree on ETag: %q != %q",
 						n, url, etag, hdrB.Get("ETag"))
 				}
-				st304, _, body304 := get(t, router.URL+url, map[string]string{"If-None-Match": etag})
+				st304, hdr304, body304 := get(t, router.URL+url, map[string]string{"If-None-Match": etag})
 				if st304 != http.StatusNotModified || len(body304) != 0 {
 					t.Fatalf("n=%d %s: If-None-Match got %d with %d body bytes, want bodyless 304", n, url, st304, len(body304))
+				}
+				if hdr304.Get("Vary") != gotHdr.Get("Vary") || hdr304.Get("Vary") != "Accept-Encoding" {
+					t.Fatalf("n=%d %s: 304 Vary %q, its 200 sent %q", n, url, hdr304.Get("Vary"), gotHdr.Get("Vary"))
 				}
 			}
 		}

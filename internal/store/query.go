@@ -26,7 +26,9 @@ import (
 
 // ParseTime parses a query bound the way every store consumer does
 // (collectord's /query params, cwanalyze's -from/-to flags): RFC 3339
-// or unix seconds, with the empty string meaning an open bound.
+// or unix seconds, with the empty string meaning an open bound. Answers
+// echo their bounds as RFC 3339, so unix seconds outside its years 0-9999
+// are refused here, not at marshal time.
 func ParseTime(s string) (time.Time, error) {
 	if s == "" {
 		return time.Time{}, nil
@@ -35,7 +37,10 @@ func ParseTime(s string) (time.Time, error) {
 		return t, nil
 	}
 	if secs, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return time.Unix(secs, 0).UTC(), nil
+		if t := time.Unix(secs, 0).UTC(); t.Year() >= 0 && t.Year() <= 9999 {
+			return t, nil
+		}
+		return time.Time{}, fmt.Errorf("unix seconds %s fall outside years 0-9999", s)
 	}
 	return time.Time{}, fmt.Errorf("want RFC 3339 or unix seconds, got %q", s)
 }

@@ -66,6 +66,10 @@ func TestParseTime(t *testing.T) {
 		{in: "0x5ee80000", wantErr: true},           // hex
 		{in: " 1592265600", wantErr: true},          // stray whitespace
 		{in: "99999999999999999999", wantErr: true}, // overflows int64
+		{in: "253402300799", want: time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC)},
+		{in: "253402300800", wantErr: true},        // year 10000: RFC 3339 cannot echo it
+		{in: "-62167219201", wantErr: true},        // year -1
+		{in: "9223372036854775807", wantErr: true}, // wraps inside time.Unix
 	}
 	for _, tc := range cases {
 		got, err := ParseTime(tc.in)
