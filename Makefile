@@ -87,8 +87,8 @@ api-smoke:
 # process: NFv9 packets off the wire, store records, tier frames and
 # sketches off the disk, shard state at the router, the analytics
 # state inside checkpoint frames and shard state (one parser, fuzzed
-# through both of its consumers), and the query string of
-# /api/v1/query at the client edge. One target per
+# through both of its consumers), and the query strings of
+# /api/v1/query and /api/v1/snapshot at the client edge. One target per
 # invocation (go test -fuzz takes one). Minimizing a multi-kilobyte
 # input with the default 60 s budget would eat the whole pass, so it is
 # capped. CI runs the same smoke.
@@ -100,6 +100,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzSketchDecode ./internal/sketch/
 	$(FUZZ) -fuzz=FuzzShardState ./internal/api/
 	$(FUZZ) -fuzz=FuzzQueryParams ./internal/api/
+	$(FUZZ) -fuzz=FuzzSnapshotParams ./internal/api/
 	$(FUZZ) -fuzz=FuzzStoredState ./internal/streaming/
 
 # SIGKILL drill: start a durable collector, stream half a trace over

@@ -103,7 +103,7 @@ func main() {
 		workers     = flag.Int("workers", 0, "pipeline workers / analytics shards (0 = all CPUs)")
 		shardBuffer = flag.Int("shard-buffer", 0, "per-shard channel capacity in batches (0 = default)")
 		geoPath     = flag.String("geodb", "", "geolocation sidecar enabling per-district rollups")
-		windowHours = flag.Int("window-hours", entime.StudyHours()+24, "sliding window length in hours")
+		windowHours = flag.Int("window-hours", entime.StudyHours()+24, "live sliding window length in hours (bounds the snapshot view and ingest eviction, not what a range query costs)")
 		topK        = flag.Int("topk", 10, "active-prefix leaderboard size")
 		shard       = flag.String("shard", "", "cluster shard assignment i/N (e.g. 0/3): keep only this node's records")
 		demo        = flag.Bool("demo", false, "self-contained sim -> exporter -> pipeline loopback run")

@@ -81,8 +81,8 @@ func TestStateFetchSurfacesETag(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		// The shard's origin is anchored at +02:00; it must come back so.
-		if _, off := st.Analytics.Config().Origin.Zone(); off != 2*3600 || !st.Analytics.Config().Origin.Equal(entime.StudyStart) {
-			t.Fatalf("%s: origin came back as %s", name, st.Analytics.Config().Origin)
+		if _, off := st.Origin.Zone(); off != 2*3600 || !st.Origin.Equal(entime.StudyStart) {
+			t.Fatalf("%s: origin came back as %s", name, st.Origin)
 		}
 		fullBefore := full.Load()
 		second, etag2, err := fetch()

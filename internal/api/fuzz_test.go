@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
+	"time"
 
 	"cwatrace/internal/streaming"
 	"cwatrace/internal/tier"
@@ -36,21 +38,39 @@ func stateSeeds(t testing.TB) [][]byte {
 }
 
 // useState does to a decoded state what the router does, so a decode
-// that succeeds on hostile bytes still has to survive the merge.
+// that succeeds on hostile bytes still has to survive the merge — and the
+// merge has to agree with the ring it replaced: a sliding shard as wide as
+// the answer says it is folds the same state to the same snapshot, and
+// that snapshot goes back on the wire as the bytes FromSnapshot +
+// MarshalBinary make of it.
 func useState(t *testing.T, st *ShardState) {
 	t.Helper()
-	cfg := st.Analytics.Config()
-	if cfg.WindowHours <= 0 || cfg.WindowHours > streaming.MaxWindowHours {
-		t.Fatalf("decoded state claims a %d-hour window", cfg.WindowHours)
+	if w := st.State.Window(); w <= 0 || w > streaming.MaxWindowHours {
+		t.Fatalf("decoded state claims a %d-hour window", w)
 	}
 	if (st.LongHorizon == nil) != (st.Resolution == "") {
 		t.Fatalf("resolution %q with long-horizon frame present=%v", st.Resolution, st.LongHorizon != nil)
 	}
-	m := streaming.New(streaming.Config{Origin: cfg.Origin, WindowHours: cfg.WindowHours})
-	m.Merge(st.Analytics)
-	m.Snapshot()
+	m := streaming.NewRange(streaming.Config{Origin: st.Origin, WindowHours: st.State.Window()}, time.Time{}, time.Time{})
+	m.MergeStored(st.State)
+	got := m.Snapshot()
+	if got.WindowHours < st.State.Window() || got.WindowHours > streaming.MaxWindowHours {
+		t.Fatalf("a %d-hour state rendered at a %d-hour window", st.State.Window(), got.WindowHours)
+	}
+	ring := streaming.New(streaming.Config{Origin: st.Origin, WindowHours: got.WindowHours})
+	ring.MergeStored(st.State)
+	if want := ring.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the range fold renders\n%+v\nthe ring\n%+v", got, want)
+	}
+	gotBytes, err := got.Stored().AppendBinary(nil, got.Origin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantBytes, _ := streaming.FromSnapshot(got).MarshalBinary(); !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatalf("the flat encoder and the ring's disagree on %+v", got)
+	}
 	if st.LongHorizon != nil {
-		b := tier.NewBuilder(st.Resolution, cfg.Origin)
+		b := tier.NewBuilder(st.Resolution, st.Origin)
 		b.AddFrame(st.LongHorizon)
 		b.Answer()
 	}
@@ -116,26 +136,45 @@ func FuzzShardState(f *testing.F) {
 // FuzzQueryParams hammers the raw query string of /api/v1/query — the
 // client→server trust boundary — on a durable, tier-folding server, with
 // and without gzip: it never panics, answers 200 or a structured 400
-// envelope and nothing else, every 200 is valid JSON under an ETag that
+// envelope and nothing else, every 200 is valid JSON (or, for
+// format=state, a body DecodeState accepts) under an ETag that
 // revalidates to a bodyless 304, and every gzip body inflates.
 func FuzzQueryParams(f *testing.F) {
-	for _, q := range []string{
+	fuzzParams(f, "/api/v1/query",
+		"from=2020-06-16T00:00:00Z&to=2020-06-18T00:00:00Z&resolution=hour&pretty=1",
+		"from=1592265600&to=1592352000&resolution=auto",
+		"from=notatime",
+		"to=99999999999999999999&from=-1",
+		"from=1592352000&to=1592265600",
+	)
+}
+
+// FuzzSnapshotParams is FuzzQueryParams for /api/v1/snapshot, which
+// shares parseParams with it but not the handler behind: the range and
+// resolution parameters mean nothing here and must do no harm.
+func FuzzSnapshotParams(f *testing.F) {
+	fuzzParams(f, "/api/v1/snapshot",
+		"fields=hourly,filters,spikes,prefixes,districts&top=1",
+		"format=state&fields=hourly&top=2&pretty=1",
+		"from=2020-06-16T00:00:00Z&resolution=week",
+	)
+}
+
+// fuzzParams is the body of the two targets above: seeds every target
+// shares plus its own, and the oracle.
+func fuzzParams(f *testing.F, path string, seeds ...string) {
+	for _, q := range append(seeds,
 		"",
 		"resolution=day",
 		"resolution=week&fields=hourly&top=3",
-		"from=2020-06-16T00:00:00Z&to=2020-06-18T00:00:00Z&resolution=hour&pretty=1",
-		"from=1592265600&to=1592352000&resolution=auto",
 		"format=state",
 		"format=json",
 		"top=-1",
 		"fields=hourly,bogus",
-		"from=notatime",
 		"resolution=fortnight",
-		"to=99999999999999999999&from=-1",
-		"from=1592352000&to=1592265600",
 		"pretty=true&top=00000000000000000009",
 		"a=%zz&;&=&fields=%00",
-	} {
+	) {
 		f.Add(q, true)
 		f.Add(q, false)
 	}
@@ -144,7 +183,7 @@ func FuzzQueryParams(f *testing.F) {
 	serve := func(rawQuery string, hdr map[string]string) *httptest.ResponseRecorder {
 		// Set RawQuery directly: the target is what the handlers make of
 		// it, not what NewRequest's URL parser lets through.
-		r := httptest.NewRequest(http.MethodGet, "/api/v1/query", nil)
+		r := httptest.NewRequest(http.MethodGet, path, nil)
 		r.URL.RawQuery = rawQuery
 		for k, v := range hdr {
 			r.Header.Set(k, v)
@@ -177,8 +216,17 @@ func FuzzQueryParams(f *testing.F) {
 		case http.StatusBadRequest:
 			decodeError(t, body)
 		case http.StatusOK:
-			if w.Header().Get("Content-Type") == jsonMediaType && !json.Valid(body) {
-				t.Fatalf("%q: 200 body is not JSON: %.200q", rawQuery, body)
+			switch w.Header().Get("Content-Type") {
+			case jsonMediaType:
+				if !json.Valid(body) {
+					t.Fatalf("%q: 200 body is not JSON: %.200q", rawQuery, body)
+				}
+			case StateMediaType:
+				if _, err := DecodeState(body); err != nil {
+					t.Fatalf("%q: 200 state body does not decode: %v", rawQuery, err)
+				}
+			default:
+				t.Fatalf("%q: 200 with Content-Type %q", rawQuery, w.Header().Get("Content-Type"))
 			}
 			etag := w.Header().Get("ETag")
 			if etag == "" {

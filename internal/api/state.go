@@ -2,7 +2,7 @@
 // query router does not want a shard's rendering — it merges shard
 // state and renders once itself — so ?format=state answers
 // /api/v1/snapshot and /api/v1/query with the state behind the JSON
-// body: the exact part as a streaming.Analytics state blob, the
+// body: the exact part as a streaming state blob (Stored.AppendBinary), the
 // long-horizon part of a day/week answer as a tier frame, both in the
 // codecs the durable store writes to disk, behind one small header.
 // It rides the same ETag, response-cache, timeout and tracing plumbing
@@ -60,11 +60,12 @@ var ErrBadState = errors.New("api: bad shard state")
 
 // ShardState is one shard's decoded contribution to a data fan-out.
 type ShardState struct {
-	// Analytics is the exact part, ready to Merge: the full history for a
-	// snapshot, the range (or, under a day/week resolution, the raw
-	// residual) for a query. Its Config carries the shard's Origin in the
-	// shard's zone and the window the state was rendered at.
-	Analytics *streaming.Analytics
+	// State is the exact part, ready to fold (streaming.Range.MergeStored):
+	// the full history for a snapshot, the range (or, under a day/week
+	// resolution, the raw residual) for a query. Its Window is the one the
+	// shard rendered at; Origin is the shard's, in the shard's zone.
+	State  *streaming.Stored
+	Origin time.Time
 	// Frames and TailIncluded are the query metadata (zero for snapshots).
 	Frames       int
 	TailIncluded bool
@@ -78,41 +79,36 @@ type ShardState struct {
 }
 
 // encodeState renders a query result (or, with only Snapshot set, a
-// snapshot) as shard state. The exact part is rebuilt from the rendered
-// snapshot, so the router merges precisely what it would have
+// snapshot) as shard state. The exact part is the state the rendered
+// snapshot carries, so the router merges precisely what it would have
 // reconstructed from the JSON body.
 func encodeState(res *store.QueryResult) ([]byte, error) {
-	state, err := streaming.FromSnapshot(res.Snapshot).MarshalBinary()
+	buf, err := res.Snapshot.Stored().AppendBinary(make([]byte, stateHeaderLen), res.Snapshot.Origin)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		frame []byte
-		head  [stateHeaderLen]byte
-	)
-	copy(head[:], stateMagic)
-	head[4] = stateVersion
+	stateLen := len(buf) - stateHeaderLen
+	copy(buf, stateMagic)
+	buf[4] = stateVersion
 	if res.TailIncluded {
-		head[5] = flagTail
+		buf[5] = flagTail
 	}
 	if lh := res.LongHorizon; lh != nil {
 		f, err := lh.Frame()
 		if err != nil {
 			return nil, err
 		}
-		frame = tier.EncodeFrame(f)
-		head[6] = byte(f.Level)
-		binary.BigEndian.PutUint32(head[24:], uint32(lh.TierFrames))
-		binary.BigEndian.PutUint32(head[28:], uint32(lh.RawFrames))
+		buf = append(buf, tier.EncodeFrame(f)...)
+		buf[6] = byte(f.Level)
+		binary.BigEndian.PutUint32(buf[24:], uint32(lh.TierFrames))
+		binary.BigEndian.PutUint32(buf[28:], uint32(lh.RawFrames))
 	}
 	_, zone := res.Snapshot.Origin.Zone()
-	binary.BigEndian.PutUint64(head[8:], uint64(res.Snapshot.Origin.UnixNano()))
-	binary.BigEndian.PutUint32(head[16:], uint32(int32(zone)))
-	binary.BigEndian.PutUint32(head[20:], uint32(res.Frames))
-	binary.BigEndian.PutUint32(head[32:], uint32(len(state)))
-	binary.BigEndian.PutUint32(head[36:], uint32(len(frame)))
-	buf := make([]byte, 0, stateHeaderLen+len(state)+len(frame))
-	buf = append(append(append(buf, head[:]...), state...), frame...)
+	binary.BigEndian.PutUint64(buf[8:], uint64(res.Snapshot.Origin.UnixNano()))
+	binary.BigEndian.PutUint32(buf[16:], uint32(int32(zone)))
+	binary.BigEndian.PutUint32(buf[20:], uint32(res.Frames))
+	binary.BigEndian.PutUint32(buf[32:], uint32(stateLen))
+	binary.BigEndian.PutUint32(buf[36:], uint32(len(buf)-stateHeaderLen-stateLen))
 	binary.BigEndian.PutUint32(buf[stateCRCOff:], stateCRC(buf))
 	return buf, nil
 }
@@ -151,12 +147,11 @@ func DecodeState(data []byte) (*ShardState, error) {
 	if zone < -maxZoneSeconds || zone > maxZoneSeconds {
 		return nil, fmt.Errorf("%w: origin zone offset %ds", ErrBadState, zone)
 	}
-	// MarshalBinary keeps the origin as an instant; the header restores
-	// the zone it is rendered in, and UnmarshalAnalyticsStored refuses a
-	// state blob anchored at a different instant.
-	origin := time.Unix(0, int64(binary.BigEndian.Uint64(data[8:]))).In(time.FixedZone("", zone))
-
+	// The state blob keeps the origin as an instant; the header restores
+	// the zone it is rendered in, and DecodeStored refuses a blob anchored
+	// at a different instant.
 	st := &ShardState{
+		Origin:       time.Unix(0, int64(binary.BigEndian.Uint64(data[8:]))).In(time.FixedZone("", zone)),
 		Frames:       int(binary.BigEndian.Uint32(data[20:])),
 		TailIncluded: data[5]&flagTail != 0,
 		TierFrames:   int(binary.BigEndian.Uint32(data[24:])),
@@ -164,7 +159,7 @@ func DecodeState(data []byte) (*ShardState, error) {
 	}
 	payload := data[stateHeaderLen:]
 	var err error
-	st.Analytics, err = streaming.UnmarshalAnalyticsStored(streaming.Config{Origin: origin}, payload[:stateLen])
+	st.State, err = streaming.DecodeStored(streaming.Config{Origin: st.Origin}, payload[:stateLen])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadState, err)
 	}

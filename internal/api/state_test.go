@@ -106,8 +106,8 @@ func TestStateRepresentationContract(t *testing.T) {
 		cfg := streaming.Config{WindowHours: snap.WindowHours, TopK: testCfg().TopK}
 		want := streaming.New(cfg)
 		want.Merge(streaming.FromSnapshot(snap.Streaming()))
-		got := streaming.New(cfg)
-		got.Merge(st.Analytics)
+		got := streaming.NewRange(cfg, time.Time{}, time.Time{})
+		got.MergeStored(st.State)
 		if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
 			t.Fatalf("%s: state merges to\n%+v\nthe JSON body to\n%+v", path, got.Snapshot(), want.Snapshot())
 		}
@@ -156,7 +156,7 @@ func TestStateLongHorizon(t *testing.T) {
 	if st.TierFrames != q.LongHorizon.TierFrames || st.RawFrames != q.LongHorizon.RawFrames || st.TierFrames == 0 {
 		t.Fatalf("sources: state %d tier + %d raw, JSON %d + %d", st.TierFrames, st.RawFrames, q.LongHorizon.TierFrames, q.LongHorizon.RawFrames)
 	}
-	b := tier.NewBuilder(st.Resolution, st.Analytics.Config().Origin)
+	b := tier.NewBuilder(st.Resolution, st.Origin)
 	b.AddFrame(st.LongHorizon)
 	got := b.Answer()
 	got.TierFrames, got.RawFrames = st.TierFrames, st.RawFrames
@@ -189,7 +189,9 @@ func TestStateOriginKeepsZone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := json.Marshal(st.Analytics.Snapshot())
+		m := streaming.NewRange(streaming.Config{Origin: st.Origin, WindowHours: st.State.Window()}, time.Time{}, time.Time{})
+		m.MergeStored(st.State)
+		got, _ := json.Marshal(m.Snapshot())
 		want, _ := json.Marshal(streaming.FromSnapshot(a.Snapshot()).Snapshot())
 		if !bytes.Equal(got, want) {
 			t.Fatalf("origin %s re-rendered as\n%s\nwant\n%s", origin.Format(time.RFC3339), got, want)

@@ -246,7 +246,7 @@ func (f *Fleet) Query(ctx context.Context, from, to time.Time, res tier.Resoluti
 func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.ShardTiming, from, to time.Time) (*api.FanResult, error) {
 	res := &api.FanResult{Missing: missing, Timings: timings}
 	var (
-		m      *streaming.Analytics
+		m      *streaming.Range
 		first  *part
 		lh     *tier.Builder
 		etags  = make([]string, len(parts))
@@ -263,27 +263,26 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 		if p.etag != "" {
 			tagged++
 		}
-		cfg := p.Analytics.Config()
 		if first == nil {
 			first = p
-			m = streaming.New(streaming.Config{
-				Origin:      cfg.Origin,
-				WindowHours: cfg.WindowHours,
+			m = streaming.NewRange(streaming.Config{
+				Origin:      p.Origin,
+				WindowHours: p.State.Window(),
 				TopK:        f.topK,
 				Model:       f.model,
-			})
+			}, from, to)
 			if p.Resolution != "" {
-				lh = tier.NewBuilder(p.Resolution, cfg.Origin)
+				lh = tier.NewBuilder(p.Resolution, p.Origin)
 			}
-		} else if origin := first.Analytics.Config().Origin; !cfg.Origin.Equal(origin) {
-			return nil, fmt.Errorf("cluster: shard %d origin %s differs from fleet origin %s", i, cfg.Origin, origin)
+		} else if !p.Origin.Equal(first.Origin) {
+			return nil, fmt.Errorf("cluster: shard %d origin %s differs from fleet origin %s", i, p.Origin, first.Origin)
 		} else if p.Resolution != first.Resolution {
 			return nil, fmt.Errorf("cluster: shard %d answered at resolution %q, fleet at %q (retry with an explicit resolution)",
 				i, p.Resolution, first.Resolution)
 		}
 		res.Frames += p.Frames
 		res.TailIncluded = res.TailIncluded || p.TailIncluded
-		m.Merge(p.Analytics)
+		m.MergeStored(p.State)
 		if lh != nil {
 			lh.AddFrame(p.LongHorizon)
 			tierFrames += p.TierFrames
@@ -294,12 +293,12 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 		return res, nil // every shard missing; the handler turns this into 503
 	}
 	if lh == nil {
-		res.Snapshot = m.SnapshotRange(from, to)
+		res.Snapshot = m.Snapshot()
 	} else {
 		// The merged exact part is the raw residual: render it under the
 		// store's own rule for one (see store.QueryResolution), so routed
 		// and single-node answers stay the same bytes.
-		res.Snapshot = m.SnapshotPopulatedRange(from, to)
+		res.Snapshot = m.SnapshotPopulated()
 		res.Resolution = string(first.Resolution)
 		res.LongHorizon = lh.Answer()
 		res.LongHorizon.TierFrames, res.LongHorizon.RawFrames = tierFrames, rawFrames

@@ -71,7 +71,10 @@ func BenchmarkStoreAppend(b *testing.B) {
 
 // BenchmarkQueryRange measures historical range queries against a store
 // holding many checkpoint frames: sub-ranges load only the overlapping
-// frames, the full range merges everything.
+// frames, the full range merges everything. The window dimension is the
+// live sliding window the store was opened at — the study window, and the
+// year-retaining 12 000 hours of the end-to-end harness: a query costs
+// its span, so the two read the same.
 func BenchmarkQueryRange(b *testing.B) {
 	const (
 		frames     = 16
@@ -79,50 +82,51 @@ func BenchmarkQueryRange(b *testing.B) {
 		batchesPer = 8
 		perBatch   = 25
 	)
-	dir := b.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	for f := 0; f < frames; f++ {
-		for i := 0; i < batchesPer; i++ {
-			if err := s.Append(benchBatch(f*hoursPer+i%hoursPer, f*batchesPer+i, perBatch)); err != nil {
+	for _, window := range []int{264, 12000} {
+		s, err := Open(b.TempDir(), Options{Analytics: streaming.Config{WindowHours: window}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		for f := 0; f < frames; f++ {
+			for i := 0; i < batchesPer; i++ {
+				if err := s.Append(benchBatch(f*hoursPer+i%hoursPer, f*batchesPer+i, perBatch)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := s.Checkpoint(); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := s.Checkpoint(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	origin := s.Config().Origin
+		origin := s.Config().Origin
 
-	// warm is the steady state (every frame read before, so served from
-	// the decoded-frame cache); cold empties the cache before each query,
-	// which is what every query cost before the cache and what the first
-	// read of a frame after a checkpoint still costs.
-	for _, span := range []int{hoursPer, frames * hoursPer / 2, frames * hoursPer} {
-		for _, cold := range []bool{true, false} {
-			name := fmt.Sprintf("span=%dh/warm", span)
-			if cold {
-				name = fmt.Sprintf("span=%dh/cold", span)
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if cold {
-						s.frameCache.retain(func(uint64) bool { return false })
-					}
-					from := origin.Add(time.Duration(i*hoursPer%(frames*hoursPer-span+1)) * time.Hour)
-					res, err := s.Query(from, from.Add(time.Duration(span)*time.Hour))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Frames == 0 {
-						b.Fatal("query selected no frames")
-					}
+		// warm is the steady state (every frame read before, so served from
+		// the decoded-frame cache); cold empties the cache before each query,
+		// which is what every query cost before the cache and what the first
+		// read of a frame after a checkpoint still costs.
+		for _, span := range []int{hoursPer, frames * hoursPer / 2, frames * hoursPer} {
+			for _, cold := range []bool{true, false} {
+				name := fmt.Sprintf("window=%d/span=%dh/warm", window, span)
+				if cold {
+					name = fmt.Sprintf("window=%d/span=%dh/cold", window, span)
 				}
-			})
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if cold {
+							s.frameCache.retain(func(uint64) bool { return false })
+						}
+						from := origin.Add(time.Duration(i*hoursPer%(frames*hoursPer-span+1)) * time.Hour)
+						res, err := s.Query(from, from.Add(time.Duration(span)*time.Hour))
+						if err != nil {
+							b.Fatal(err)
+						}
+						if res.Frames == 0 {
+							b.Fatal("query selected no frames")
+						}
+					}
+				})
+			}
 		}
 	}
 }

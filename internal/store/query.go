@@ -91,80 +91,23 @@ func (s *Store) Query(from, to time.Time) (*QueryResult, error) {
 func (s *Store) tryQuery(from, to time.Time) (*QueryResult, error) {
 	s.mu.Lock()
 	var frames []frameMeta
-	span := struct{ lo, hi int64 }{-1, -1}
-	cover := func(lo, hi int64) {
-		if lo < 0 {
-			return
-		}
-		if span.lo < 0 || lo < span.lo {
-			span.lo = lo
-		}
-		if hi > span.hi {
-			span.hi = hi
-		}
-	}
 	for _, fr := range s.frames {
 		if s.hoursOverlap(fr.MinHour, fr.MaxHour, from, to) {
 			frames = append(frames, fr)
-			cover(fr.MinHour, fr.MaxHour)
 		}
 	}
-	// The live, un-checkpointed state is the tail plus any checkpoint
-	// fold currently in flight (chronologically between the frames and
-	// the tail). The two merge as one unit: if either overlaps the
-	// range, both are cloned — and every shard that gets merged widens
-	// the merge window, overlap or not, because the newer bins of a
-	// non-overlapping shard would otherwise slide a span-sized window
-	// and evict the in-range bins merged alongside them (SnapshotRange
-	// trims the out-of-range overflow at the end).
-	// Bounds is a linear ring scan (archive tails can be wide) and this
-	// runs under mu against the hot Append path, so scan each shard once.
-	includeLive := false
-	var liveBounds [][2]int64
-	for _, live := range []*streaming.Analytics{s.foldingTail, s.tail} {
-		if live == nil {
-			continue
-		}
-		minH, maxH := int64(-1), int64(-1)
-		if lo, hi, ok := live.Bounds(); ok {
-			minH, maxH = int64(lo), int64(hi)
-			liveBounds = append(liveBounds, [2]int64{minH, maxH})
-		}
-		if s.hoursOverlap(minH, maxH, from, to) {
-			includeLive = true
-		}
-	}
-	if s.foldingRecords+s.tailRecords == 0 {
-		includeLive = false
-	}
-	if includeLive {
-		for _, b := range liveBounds {
-			cover(b[0], b[1])
-		}
-	}
-	// A historical range can span more hours than the live sliding
-	// window (that is the point of the store); merging at the live
-	// window would evict the head of the range. Widen the merge target
-	// to cover every selected hour — frames never lose bins on disk:
-	// tail shards archive without eviction (see Store.newTail), and both
-	// checkpoint and compacted frames persist state at their own window,
-	// however many hours that spans.
-	qcfg := widenWindow(s.cfg, span.lo, span.hi)
-	// Clone the live state while locked; the frame loads below run
-	// lock-free, and the clone merges last so any window slide happens
-	// in chronological order (frames, then live), exactly like Snapshot.
-	var tailClone *streaming.Analytics
-	if includeLive {
-		tailClone = streaming.New(qcfg)
-		if s.foldingTail != nil {
-			tailClone.Merge(s.foldingTail)
-		}
-		tailClone.Merge(s.tail)
-	}
+	live := s.detachLive(from, to)
 	s.mu.Unlock()
 
-	res := &QueryResult{From: from, To: to}
-	m := streaming.New(qcfg)
+	// A historical range can span more hours than the live sliding
+	// window (that is the point of the store), so the fold target is not
+	// a ring at that window but a streaming.Range: sized by the hours the
+	// range shares with the selected frames, evicting nothing, and
+	// reporting the window a ring widened to hold them all would have.
+	// The frame loads run lock-free, and the detached live state folds
+	// last, in chronological order (frames, then live), like Snapshot.
+	res := &QueryResult{From: from, To: to, TailIncluded: live != nil}
+	m := streaming.NewRange(s.cfg, from, to)
 	for _, fr := range frames {
 		st, err := s.frameState(fr)
 		if err != nil {
@@ -173,27 +116,54 @@ func (s *Store) tryQuery(from, to time.Time) (*QueryResult, error) {
 		m.MergeStored(st)
 		res.Frames++
 	}
-	if tailClone != nil {
-		m.Merge(tailClone)
-		res.TailIncluded = true
+	for _, st := range live {
+		m.MergeStored(st)
 	}
-	res.Snapshot = m.SnapshotRange(from, to)
+	res.Snapshot = m.Snapshot()
 	return res, nil
 }
 
-// widenWindow returns cfg with WindowHours widened to hold the
-// inclusive hour span [minHour, maxHour] (-1 bounds: no span, cfg
-// unchanged). Every merge target sized from frame metadata or live
-// bounds goes through it — merging archived hours at a window narrower
-// than their span evicts bins, which for compaction means permanent
-// loss. Callers' inputs are bounded (loadFrame validates frame
-// metadata, ingest caps record hours), so the result never exceeds
-// streaming.MaxWindowHours.
-func widenWindow(cfg streaming.Config, minHour, maxHour int64) streaming.Config {
-	if need := int(maxHour - minHour + 1); minHour >= 0 && need > cfg.WindowHours {
-		cfg.WindowHours = need
+// detachLive copies the live, un-checkpointed state for a query over
+// [from, to): the tail plus any checkpoint fold currently in flight
+// (chronologically between the frames and the tail). The two are one
+// unit: if either overlaps the range, both are copied, oldest first; nil
+// means the live state contributes nothing. Caller holds mu, which
+// ingest appends wait on — hence Detach, whose copy is sized by the range
+// and not by what the tails have archived.
+func (s *Store) detachLive(from, to time.Time) []*streaming.Stored {
+	if !s.liveIncluded(from, to) {
+		return nil
 	}
-	return cfg
+	live := make([]*streaming.Stored, 0, 2)
+	for _, t := range []*streaming.Analytics{s.foldingTail, s.tail} {
+		if t != nil {
+			live = append(live, t.Detach(from, to))
+		}
+	}
+	return live
+}
+
+// liveIncluded is the one rule for whether the live state is part of a
+// query over [from, to) (and so of its Version): it holds records, and
+// either tail could hold hours of the range — a tail without kept hours
+// always could, its accounting must reach every query. Caller holds mu.
+func (s *Store) liveIncluded(from, to time.Time) bool {
+	if s.foldingRecords+s.tailRecords == 0 {
+		return false
+	}
+	for _, t := range []*streaming.Analytics{s.foldingTail, s.tail} {
+		if t == nil {
+			continue
+		}
+		minH, maxH := int64(-1), int64(-1)
+		if lo, hi, ok := t.Bounds(); ok {
+			minH, maxH = int64(lo), int64(hi)
+		}
+		if s.hoursOverlap(minH, maxH, from, to) {
+			return true
+		}
+	}
+	return false
 }
 
 // Version reports an opaque generation token for the data a
@@ -211,28 +181,13 @@ func widenWindow(cfg streaming.Config, minHour, maxHour int64) streaming.Config 
 //     served from immutable frames, so its token stays stable under
 //     live ingest until the next checkpoint.
 //
-// The tail-overlap test mirrors tryQuery's inclusion rule exactly: if
+// The tail-overlap test is tryQuery's inclusion rule (liveIncluded): if
 // ingest later grows the tail into a range that was frames-only, the
 // tail generation enters the mix and the token changes with it.
 func (s *Store) Version(from, to time.Time) uint64 {
 	s.mu.Lock()
 	boot, ckptGen, tailGen := s.boot, s.ckptGen, s.tailGen
-	live := false
-	for _, t := range []*streaming.Analytics{s.foldingTail, s.tail} {
-		if t == nil {
-			continue
-		}
-		minH, maxH := int64(-1), int64(-1)
-		if lo, hi, ok := t.Bounds(); ok {
-			minH, maxH = int64(lo), int64(hi)
-		}
-		if s.hoursOverlap(minH, maxH, from, to) {
-			live = true
-		}
-	}
-	if s.foldingRecords+s.tailRecords == 0 {
-		live = false
-	}
+	live := s.liveIncluded(from, to)
 	s.mu.Unlock()
 
 	h := fnv.New64a()

@@ -1134,8 +1134,8 @@ func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
 	// oldest hourly bins of any pair spanning more than the window
 	// (inevitable once a capture outlives WindowHours). The merged
 	// state persists its own window; DecodeStored adopts it on load,
-	// and queries widen their merge target to the selected span, so
-	// /query serves every hour ever checkpointed.
+	// and queries fold into a target that evicts nothing
+	// (streaming.Range), so /query serves every hour ever checkpointed.
 	m := streaming.New(widenWindow(s.cfg, info.MinHour, info.MaxHour))
 	m.MergeStored(a0)
 	m.MergeStored(a1)
@@ -1163,6 +1163,19 @@ func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
 	_ = os.Remove(f1.path)
 	s.om.compactionSeconds.ObserveSince(foldStart)
 	return false, nil
+}
+
+// widenWindow returns cfg with WindowHours widened to hold the
+// inclusive hour span [minHour, maxHour] (-1 bounds: no span, cfg
+// unchanged): merging archived hours into a ring narrower than their
+// span evicts bins, which for compaction means permanent loss. The
+// bounds are frame metadata loadFrame validated, so the result never
+// exceeds streaming.MaxWindowHours.
+func widenWindow(cfg streaming.Config, minHour, maxHour int64) streaming.Config {
+	if need := int(maxHour - minHour + 1); minHour >= 0 && need > cfg.WindowHours {
+		cfg.WindowHours = need
+	}
+	return cfg
 }
 
 // mergeBound combines two possibly-absent (-1) hour bounds.

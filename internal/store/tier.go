@@ -363,88 +363,19 @@ func (s *Store) historyBounds() (start, end time.Time) {
 }
 
 func (s *Store) tryQueryTier(from, to time.Time, res tier.Resolution) (*QueryResult, error) {
+	// Under mu, which ingest appends wait on, only what has to be one
+	// consistent cut: the live state and the three frame lists — their
+	// headers suffice, the lists are appended to or replaced whole, never
+	// written in place. Planning and selection run on the cut, unlocked.
 	s.mu.Lock()
-	weekMetas := make([]tier.FrameMeta, len(s.tierWeek))
-	for i, m := range s.tierWeek {
-		weekMetas[i] = m.FrameMeta
-	}
-	dayMetas := make([]tier.FrameMeta, len(s.tierDay))
-	for i, m := range s.tierDay {
-		dayMetas[i] = m.FrameMeta
-	}
-	plan := tier.BuildPlan(res, s.cfg.Origin, from, to, weekMetas, dayMetas)
-	selected := make([]tierFrameMeta, 0, len(plan.Week)+len(plan.Day))
-	for _, m := range s.tierWeek {
-		for _, seq := range plan.Week {
-			if m.Seq == seq {
-				selected = append(selected, m)
-			}
-		}
-	}
-	for _, m := range s.tierDay {
-		for _, seq := range plan.Day {
-			if m.Seq == seq {
-				selected = append(selected, m)
-			}
-		}
-	}
-
-	// The raw residual: frames beyond every selected tier's coverage,
-	// plus the live tail — the same selection, widening and clone
-	// discipline as the exact path (see tryQuery).
-	var resid []frameMeta
-	span := struct{ lo, hi int64 }{-1, -1}
-	cover := func(lo, hi int64) {
-		if lo < 0 {
-			return
-		}
-		if span.lo < 0 || lo < span.lo {
-			span.lo = lo
-		}
-		if hi > span.hi {
-			span.hi = hi
-		}
-	}
-	for _, fr := range s.frames {
-		if fr.BaseSeg >= plan.RawFloor && s.hoursOverlap(fr.MinHour, fr.MaxHour, from, to) {
-			resid = append(resid, fr)
-			cover(fr.MinHour, fr.MaxHour)
-		}
-	}
-	includeLive := false
-	var liveBounds [][2]int64
-	for _, live := range []*streaming.Analytics{s.foldingTail, s.tail} {
-		if live == nil {
-			continue
-		}
-		minH, maxH := int64(-1), int64(-1)
-		if lo, hi, ok := live.Bounds(); ok {
-			minH, maxH = int64(lo), int64(hi)
-			liveBounds = append(liveBounds, [2]int64{minH, maxH})
-		}
-		if s.hoursOverlap(minH, maxH, from, to) {
-			includeLive = true
-		}
-	}
-	if s.foldingRecords+s.tailRecords == 0 {
-		includeLive = false
-	}
-	if includeLive {
-		for _, b := range liveBounds {
-			cover(b[0], b[1])
-		}
-	}
-	qcfg := widenWindow(s.cfg, span.lo, span.hi)
-	var tailClone *streaming.Analytics
-	if includeLive {
-		tailClone = streaming.New(qcfg)
-		if s.foldingTail != nil {
-			tailClone.Merge(s.foldingTail)
-		}
-		tailClone.Merge(s.tail)
-	}
+	weeks, days, frames := s.tierWeek, s.tierDay, s.frames
+	live := s.detachLive(from, to)
 	s.mu.Unlock()
 
+	plan := tier.BuildPlan(res, s.cfg.Origin, from, to, tierMetas(weeks), tierMetas(days))
+	selected := make([]tierFrameMeta, 0, len(plan.Week)+len(plan.Day))
+	selected = appendPlanned(selected, weeks, plan.Week)
+	selected = appendPlanned(selected, days, plan.Day)
 	b := tier.NewBuilder(res, s.cfg.Origin)
 	for _, tm := range selected {
 		f, err := s.loadTierFrame(tm)
@@ -454,10 +385,16 @@ func (s *Store) tryQueryTier(from, to time.Time, res tier.Resolution) (*QueryRes
 		b.AddFrame(f)
 	}
 
-	result := &QueryResult{From: from, To: to, Resolution: res}
-	m := streaming.New(qcfg)
+	// The raw residual: frames beyond every selected tier's coverage,
+	// plus the live state — the same selection and fold as the exact
+	// path (see tryQuery).
+	result := &QueryResult{From: from, To: to, Resolution: res, TailIncluded: live != nil}
+	m := streaming.NewRange(s.cfg, from, to)
 	acc := tier.NewSketchAccum()
-	for _, fr := range resid {
+	for _, fr := range frames {
+		if fr.BaseSeg < plan.RawFloor || !s.hoursOverlap(fr.MinHour, fr.MaxHour, from, to) {
+			continue
+		}
 		st, err := s.frameState(fr)
 		if err != nil {
 			return nil, err
@@ -466,18 +403,48 @@ func (s *Store) tryQueryTier(from, to time.Time, res tier.Resolution) (*QueryRes
 		acc.AddShard(st.EachPrefix)
 		result.Frames++
 	}
-	if tailClone != nil {
-		m.Merge(tailClone)
-		acc.AddShard(tailClone.EachPrefix)
-		result.TailIncluded = true
+	if live != nil {
+		// To the presence sketch, which counts the shards a prefix appears
+		// in, the live tails are one shard: a prefix both hold counts once.
+		shard := streaming.NewRange(s.cfg, from, to)
+		for _, st := range live {
+			m.MergeStored(st)
+			shard.MergeStored(st)
+		}
+		acc.AddShard(shard.EachPrefix)
 	}
 	// The residual series starts at its own first populated hour: the
 	// hours before it are what the selected tier frames cover, and
 	// rendering them would report zero traffic where the buckets report
 	// some (and dominate a year-span answer with empty rows).
-	result.Snapshot = m.SnapshotPopulatedRange(from, to)
+	result.Snapshot = m.SnapshotPopulated()
 	b.AddResidual(result.Snapshot, acc, result.Frames)
 	result.LongHorizon = b.Answer()
 	result.LongHorizon.Label(s.cfg.Model)
 	return result, nil
+}
+
+// tierMetas is the planner's view of a tier frame list.
+func tierMetas(list []tierFrameMeta) []tier.FrameMeta {
+	metas := make([]tier.FrameMeta, len(list))
+	for i, m := range list {
+		metas[i] = m.FrameMeta
+	}
+	return metas
+}
+
+// appendPlanned appends the frames of list a plan selected. BuildPlan
+// emits seqs as a subsequence of the list it was given, in order, so one
+// walk of both finds them all.
+func appendPlanned(dst, list []tierFrameMeta, seqs []uint64) []tierFrameMeta {
+	for _, m := range list {
+		if len(seqs) == 0 {
+			break
+		}
+		if m.Seq == seqs[0] {
+			dst = append(dst, m)
+			seqs = seqs[1:]
+		}
+	}
+	return dst
 }

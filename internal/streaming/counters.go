@@ -1,0 +1,172 @@
+package streaming
+
+import (
+	"encoding/binary"
+	"net/netip"
+	"sort"
+
+	"cwatrace/internal/core"
+)
+
+// counters is the half of a shard's state that is not time-resolved: the
+// drop census, the late and located totals and the interned per-prefix
+// and per-district flow counts. A live shard (Analytics) and a query's
+// fold target (Range) differ only in how they keep the hourly series, so
+// both embed this and share one fold (mergeCounters) and one rendering
+// (snapshot) of everything else.
+type counters struct {
+	dropped [nReasons]uint64
+	late    uint64
+	located uint64
+
+	// Interned prefix counters. prefix4Idx indexes the IPv4 prefixes at
+	// exactly prefixBits (every kept record's prefix — the filter only
+	// keeps IPv4) by the masked big-endian address word: no hashing of a
+	// 32-byte netip.Prefix on the hot path. prefixIdx indexes the rest.
+	prefixBits  int
+	prefixIdx   map[netip.Prefix]uint32
+	prefix4Idx  map[uint32]uint32
+	prefixList  []netip.Prefix
+	prefixCount []uint64
+
+	// Interned district counters; hasDistricts plays the role the nil-ness
+	// of the old district map played (rollup enabled).
+	hasDistricts  bool
+	districtIdx   map[string]uint32
+	districtIDs   []string
+	districtCount []uint64
+}
+
+func newCounters(prefixBits int) counters {
+	return counters{
+		prefixBits: prefixBits,
+		prefixIdx:  make(map[netip.Prefix]uint32),
+		prefix4Idx: make(map[uint32]uint32),
+	}
+}
+
+// enableDistricts turns the per-district rollup on (idempotent).
+func (c *counters) enableDistricts() {
+	if c.hasDistricts {
+		return
+	}
+	c.hasDistricts = true
+	c.districtIdx = make(map[string]uint32)
+}
+
+// internPrefix returns the counter index for p, allocating one on first
+// sight and registering the IPv4 fast-index entry when p matches the
+// hot-path shape.
+func (c *counters) internPrefix(p netip.Prefix) uint32 {
+	// A fold interns every row of every table it merges, and nearly all
+	// of them have the hot-path shape.
+	hot := p.Bits() == c.prefixBits && p.Addr().Is4()
+	var key uint32
+	if hot {
+		b := p.Addr().As4()
+		key = binary.BigEndian.Uint32(b[:])
+		if idx, ok := c.prefix4Idx[key]; ok {
+			return idx
+		}
+	} else if idx, ok := c.prefixIdx[p]; ok {
+		return idx
+	}
+	idx := uint32(len(c.prefixList))
+	c.prefixList = append(c.prefixList, p)
+	c.prefixCount = append(c.prefixCount, 0)
+	if hot {
+		c.prefix4Idx[key] = idx
+	} else {
+		c.prefixIdx[p] = idx
+	}
+	return idx
+}
+
+// internDistrict returns the counter index for a district ID, allocating
+// one on first sight.
+func (c *counters) internDistrict(id string) uint32 {
+	if idx, ok := c.districtIdx[id]; ok {
+		return idx
+	}
+	idx := uint32(len(c.districtIDs))
+	c.districtIdx[id] = idx
+	c.districtIDs = append(c.districtIDs, id)
+	c.districtCount = append(c.districtCount, 0)
+	return idx
+}
+
+// EachPrefix calls fn for every interned client prefix with its kept
+// flow count, in interning order. Snapshots truncate the prefix table at
+// TopK for transport; the tier folds need the full set to feed the
+// cardinality and persistence sketches, which this enumerates without
+// materializing a sorted copy.
+func (c *counters) EachPrefix(fn func(p netip.Prefix, flows uint64)) {
+	for i, p := range c.prefixList {
+		fn(p, c.prefixCount[i])
+	}
+}
+
+// mergeCounters folds everything of st but its hourly bins.
+func (c *counters) mergeCounters(st *Stored) {
+	for i, n := range st.dropped {
+		c.dropped[i] += n
+	}
+	c.late += st.late
+	for i, p := range st.prefixes {
+		c.prefixCount[c.internPrefix(p)] += st.prefixCount[i]
+	}
+	if st.hasDistricts {
+		// Adopt the rollup even if this shard has no geolocation sidecar:
+		// checkpoint frames carry district counts that must survive a
+		// merge into a DB-less shard (a read-only query opens the store
+		// without the sidecar the collector ran with).
+		c.enableDistricts()
+		for i, id := range st.districtIDs {
+			c.districtCount[c.internDistrict(id)] += st.districtCount[i]
+		}
+	}
+	c.located += st.located
+}
+
+// snapshot renders everything of a Snapshot but its hourly series and
+// the spikes detected on it.
+func (c *counters) snapshot(cfg Config) *Snapshot {
+	s := &Snapshot{
+		Origin:      cfg.Origin,
+		WindowHours: cfg.WindowHours,
+		Late:        c.late,
+		Located:     c.located,
+	}
+
+	// Census in the batch pipeline's shape.
+	s.Census = core.Census{Dropped: make(map[core.DropReason]int)}
+	for i, n := range c.dropped {
+		s.Census.Total += int(n)
+		if core.DropReason(i) == core.Kept {
+			s.Census.Kept = int(n)
+		} else if n > 0 {
+			s.Census.Dropped[core.DropReason(i)] = int(n)
+		}
+	}
+
+	counts := make([]PrefixCount, len(c.prefixList))
+	for i, p := range c.prefixList {
+		counts[i] = PrefixCount{Prefix: p, Flows: c.prefixCount[i]}
+	}
+	s.TopPrefixes = topPrefixes(counts, cfg.TopK)
+
+	if c.hasDistricts {
+		ids := append([]string(nil), c.districtIDs...)
+		sort.Strings(ids)
+		for _, id := range ids {
+			dc := DistrictCount{ID: id, Flows: c.districtCount[c.districtIdx[id]]}
+			if cfg.Model != nil {
+				if d, ok := cfg.Model.DistrictByID(id); ok {
+					dc.Name, dc.StateCode = d.Name, d.StateCode
+				}
+			}
+			s.Districts = append(s.Districts, dc)
+		}
+	}
+	return s
+}

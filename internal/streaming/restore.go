@@ -3,13 +3,11 @@ package streaming
 import "cwatrace/internal/core"
 
 // FromSnapshot rebuilds an Analytics shard from a rendered Snapshot, the
-// inverse of snapshot() for everything Merge consumes. It is how a
-// rendered answer becomes mergeable again: a collectord shard answering
-// the cluster query router turns the snapshot it would have served into
-// state with it and ships that state (MarshalBinary), the router folds
-// one Analytics per shard with Merge, and the re-rendered union is
-// byte-identical to what a single node holding every record would have
-// served.
+// inverse of snapshot() for everything Merge consumes. The serving path
+// no longer builds this ring — a shard answering the cluster query router
+// encodes Snapshot.Stored directly — but FromSnapshot(s).MarshalBinary()
+// stays the reference those bytes are tested against, and the end-to-end
+// harness times it.
 //
 // The snapshot must be a full rendering (no field selection, no top-K
 // truncation): omitted sections come back zero, and a truncated

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 )
@@ -36,36 +37,49 @@ const MaxWindowHours = 20 * 366 * 24
 // MarshalBinary encodes the shard's complete aggregate state. The shard
 // is not modified; callers must hold whatever lock guards live ingestion.
 func (a *Analytics) MarshalBinary() ([]byte, error) {
-	// Generous pre-size: fixed head + live bins + prefix/district entries.
-	buf := make([]byte, 0, 64+len(a.prefixList)*16+len(a.districtIDs)*24+a.cfg.WindowHours/4)
+	st := a.stored()
+	return st.AppendBinary(nil, a.cfg.Origin)
+}
+
+// AppendBinary appends the state's encoding to buf: the one writer of the
+// format decodeStored reads. origin is the instant hour 0 is anchored at
+// (a Stored does not carry it; its readers check it against their own).
+// The counter tables are emitted in key order whatever order st holds
+// them in, so equal states encode to equal bytes.
+func (st *Stored) AppendBinary(buf []byte, origin time.Time) ([]byte, error) {
+	// Sized for IPv4 prefixes, the only kind a kept record has.
+	size := 64 + 8*nReasons + binRowLen*len(st.bins) + minPrefixRowLen*len(st.prefixes)
+	for _, id := range st.districtIDs {
+		if len(id) > math.MaxUint16 {
+			return nil, fmt.Errorf("streaming: district id %q too long", id)
+		}
+		size += minDistrictRowLen + len(id)
+	}
+	buf = slices.Grow(buf, size)
 	buf = append(buf, stateVersion)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(a.cfg.Origin.UnixNano()))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(a.cfg.WindowHours))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(a.maxHour)))
-	buf = binary.BigEndian.AppendUint64(buf, a.late)
-	buf = binary.BigEndian.AppendUint64(buf, a.located)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(origin.UnixNano()))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(st.window))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(st.maxHour)))
+	buf = binary.BigEndian.AppendUint64(buf, st.late)
+	buf = binary.BigEndian.AppendUint64(buf, st.located)
 
 	buf = binary.BigEndian.AppendUint32(buf, uint32(nReasons))
-	for _, n := range a.dropped {
+	for _, n := range st.dropped {
 		buf = binary.BigEndian.AppendUint64(buf, n)
 	}
 
 	// Populated window bins, oldest hour first.
-	bins := a.sortedBins()
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(bins)))
-	for _, bin := range bins {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(st.bins)))
+	for _, bin := range st.bins {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(int64(bin.hour)))
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(bin.flows))
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(bin.bytes))
 	}
 
 	// Full prefix counters in address order.
-	prefixes := make([]netip.Prefix, 0, len(a.prefixList))
-	prefixes = append(prefixes, a.prefixList...)
-	sort.Slice(prefixes, func(i, j int) bool { return lessPrefix(prefixes[i], prefixes[j]) })
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(prefixes)))
-	for _, p := range prefixes {
-		addr := p.Addr()
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(st.prefixes)))
+	for _, i := range ascending(st.prefixes, lessPrefix) {
+		addr := st.prefixes[i].Addr()
 		if addr.Is4() {
 			b := addr.As4()
 			buf = append(buf, 4)
@@ -75,28 +89,36 @@ func (a *Analytics) MarshalBinary() ([]byte, error) {
 			buf = append(buf, 16)
 			buf = append(buf, b[:]...)
 		}
-		buf = append(buf, byte(p.Bits()))
-		buf = binary.BigEndian.AppendUint64(buf, a.prefixCount[a.prefixIdx[p]])
+		buf = append(buf, byte(st.prefixes[i].Bits()))
+		buf = binary.BigEndian.AppendUint64(buf, st.prefixCount[i])
 	}
 
 	// District rollup (flag + sorted entries).
-	if !a.hasDistricts {
-		buf = append(buf, 0)
-	} else {
-		buf = append(buf, 1)
-		ids := append([]string(nil), a.districtIDs...)
-		sort.Strings(ids)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(ids)))
-		for _, id := range ids {
-			if len(id) > math.MaxUint16 {
-				return nil, fmt.Errorf("streaming: district id %q too long", id)
-			}
-			buf = append(buf, byte(len(id)>>8), byte(len(id)))
-			buf = append(buf, id...)
-			buf = binary.BigEndian.AppendUint64(buf, a.districtCount[a.districtIdx[id]])
-		}
+	if !st.hasDistricts {
+		return append(buf, 0), nil
+	}
+	buf = append(buf, 1)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(st.districtIDs)))
+	for _, i := range ascending(st.districtIDs, cmp.Less[string]) {
+		id := st.districtIDs[i]
+		buf = append(buf, byte(len(id)>>8), byte(len(id)))
+		buf = append(buf, id...)
+		buf = binary.BigEndian.AppendUint64(buf, st.districtCount[i])
 	}
 	return buf, nil
+}
+
+// ascending returns the indexes of keys in less order.
+func ascending[K any](keys []K, less func(a, b K) bool) []int {
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	byKey := func(i, j int) bool { return less(keys[order[i]], keys[order[j]]) }
+	if !sort.SliceIsSorted(order, byKey) {
+		sort.Slice(order, byKey)
+	}
+	return order
 }
 
 // UnmarshalAnalytics reconstructs a shard from MarshalBinary output. The

@@ -1,6 +1,12 @@
 package streaming
 
-import "net/netip"
+import (
+	"net/netip"
+	"slices"
+	"time"
+
+	"cwatrace/internal/core"
+)
 
 // Stored is one decoded Analytics state in compact form: the header
 // counters, the populated bins already in canonical (ascending hour)
@@ -10,9 +16,11 @@ import "net/netip"
 // never needed either; building them per frame read and scanning an
 // all-but-empty ring back out was most of what a year-span query cost.
 //
-// A Stored is immutable once DecodeStored returns it, so one value may be
-// folded by any number of goroutines at once; the durable store keeps
-// them cached per checkpoint frame.
+// A Stored is immutable once built, so one value may be folded by any
+// number of goroutines at once; the durable store keeps them cached per
+// checkpoint frame. Besides DecodeStored there are two more sources:
+// Analytics.Detach (a live shard, copied) and Snapshot.Stored (a rendered
+// answer made mergeable again); AppendBinary is the one encoder.
 type Stored struct {
 	window  int
 	maxHour int
@@ -50,16 +58,114 @@ func (st *Stored) EachPrefix(fn func(p netip.Prefix, flows uint64)) {
 	}
 }
 
+// Window is the window length the state was captured at.
+func (st *Stored) Window() int { return st.window }
+
+// Stored returns the state a full rendering carries, in compact form: how
+// a rendered answer becomes mergeable again. A collectord shard answering
+// the cluster query router ships it (AppendBinary), the router folds one
+// per shard, and the re-rendered union is byte-identical to what a single
+// node holding every record would have served. It encodes to the bytes
+// FromSnapshot(s).MarshalBinary() produces, without the ring in between.
+//
+// The snapshot must be a full rendering (no field selection, no top-K
+// truncation beyond the shard's own): omitted sections come back zero.
+// Spikes and Census.Total are render-time derivations and not state.
+// Every rendered hour becomes a bin, populated or not — the live shard
+// cannot tell a zero-flow gap hour from an empty one either.
+func (s *Snapshot) Stored() *Stored {
+	st := &Stored{
+		window:  s.WindowHours,
+		maxHour: -1,
+		late:    s.Late,
+		located: s.Located,
+		bins:    make([]hourBin, 0, len(s.Hours)),
+	}
+	for i := range s.Hours {
+		p := &s.Hours[i]
+		if p.Hour >= MaxWindowHours {
+			// Cannot happen for a self-consistent snapshot; a hand-built
+			// one degrades like ingestion of an implausible record.
+			st.late += uint64(p.Flows)
+			continue
+		}
+		st.bins = append(st.bins, hourBin{hour: p.Hour, flows: p.Flows, bytes: p.Bytes})
+		st.maxHour = p.Hour
+	}
+	for reason, n := range s.Census.Dropped {
+		if r := int(reason); r >= 0 && r < len(st.dropped) {
+			st.dropped[r] = uint64(n)
+		}
+	}
+	st.dropped[core.Kept] = uint64(s.Census.Kept)
+
+	st.prefixes = make([]netip.Prefix, len(s.TopPrefixes))
+	st.prefixCount = make([]uint64, len(s.TopPrefixes))
+	for i, pc := range s.TopPrefixes {
+		st.prefixes[i], st.prefixCount[i] = pc.Prefix, pc.Flows
+	}
+	if len(s.Districts) > 0 || s.Located > 0 {
+		st.hasDistricts = true
+		st.districtIDs = make([]string, len(s.Districts))
+		st.districtCount = make([]uint64, len(s.Districts))
+		for i, dc := range s.Districts {
+			st.districtIDs[i], st.districtCount[i] = dc.ID, dc.Flows
+		}
+	}
+	return st
+}
+
+// Detach copies the live shard into compact form, sharing nothing with
+// it, for a fold that renders no hour outside [from, to) (zero bounds are
+// open). Only the bins in that range are copied, plus the shard's oldest
+// and newest bin: a fold reads the bins outside its range for nothing but
+// how far they reach. The durable store detaches its live tails under the
+// mutex ingest appends wait on, so the copy walks the hours of the range,
+// not the ring (an archive tail knows its Bounds without a scan either).
+func (a *Analytics) Detach(from, to time.Time) *Stored {
+	var bins []hourBin
+	if first, last, ok := a.Bounds(); ok {
+		lo, hi := clipHours(a.cfg.Origin, from, to)
+		inRange := func(h int) bool { return h >= lo && h <= hi }
+		w := a.cfg.WindowHours
+		bin := func(h int) {
+			if s := h % w; a.binHour[s] == int32(h) {
+				bins = append(bins, hourBin{hour: h, flows: a.binFlows[s], bytes: a.binBytes[s]})
+			}
+		}
+		lo, hi = max(lo, first), min(hi, last)
+		bins = make([]hourBin, 0, max(hi-lo+1, 0)+2)
+		if !inRange(first) {
+			bin(first)
+		}
+		for h := lo; h <= hi; h++ {
+			bin(h)
+		}
+		if !inRange(last) && last != first {
+			bin(last)
+		}
+	}
+	st := a.storedWith(bins)
+	st.prefixes = slices.Clone(st.prefixes)
+	st.prefixCount = slices.Clone(st.prefixCount)
+	st.districtIDs = slices.Clone(st.districtIDs)
+	st.districtCount = slices.Clone(st.districtCount)
+	return &st
+}
+
 // stored views a live shard in the compact form, sharing its counter
 // tables; the view must not outlive the next write to a.
-func (a *Analytics) stored() Stored {
+func (a *Analytics) stored() Stored { return a.storedWith(a.sortedBins()) }
+
+// storedWith is stored with the caller's choice of bins.
+func (a *Analytics) storedWith(bins []hourBin) Stored {
 	return Stored{
 		window:        a.cfg.WindowHours,
 		maxHour:       a.maxHour,
 		late:          a.late,
 		located:       a.located,
 		dropped:       a.dropped,
-		bins:          a.sortedBins(),
+		bins:          bins,
 		prefixes:      a.prefixList,
 		prefixCount:   a.prefixCount,
 		hasDistricts:  a.hasDistricts,
@@ -106,22 +212,5 @@ func (a *Analytics) MergeStored(st *Stored) {
 		a.binFlows[slot] += bin.flows
 		a.binBytes[slot] += bin.bytes
 	}
-	for i, n := range st.dropped {
-		a.dropped[i] += n
-	}
-	a.late += st.late
-	for i, p := range st.prefixes {
-		a.prefixCount[a.internPrefix(p)] += st.prefixCount[i]
-	}
-	if st.hasDistricts {
-		// Adopt the rollup even if this shard has no geolocation sidecar:
-		// checkpoint frames carry district counts that must survive a
-		// merge into a DB-less shard (a read-only query opens the store
-		// without the sidecar the collector ran with).
-		a.enableDistricts()
-		for i, id := range st.districtIDs {
-			a.districtCount[a.internDistrict(id)] += st.districtCount[i]
-		}
-	}
-	a.located += st.located
+	a.mergeCounters(st)
 }

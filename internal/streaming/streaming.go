@@ -19,6 +19,7 @@ package streaming
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net/netip"
 	"sort"
 	"time"
@@ -160,9 +161,6 @@ type Analytics struct {
 	curHour int
 	curSlot int
 
-	dropped [nReasons]uint64
-	late    uint64
-
 	// newestNano is the freshness watermark: the newest First timestamp
 	// (UnixNano) of any record binned into this shard. In-memory only —
 	// it is intentionally NOT serialized (frame byte-compatibility) and
@@ -170,16 +168,9 @@ type Analytics struct {
 	// be re-proven by live traffic.
 	newestNano int64
 
-	// Interned prefix counters. prefixIdx is the canonical index over every
-	// prefix this shard has seen; prefix4Idx is the hot-path shortcut for
-	// IPv4 prefixes at exactly cfg.PrefixBits (every kept record's prefix —
-	// the filter only keeps IPv4), keyed by the masked big-endian address
-	// word. internPrefix keeps the two in sync.
-	prefixIdx   map[netip.Prefix]uint32
-	prefix4Idx  map[uint32]uint32
+	// The drop census and the interned prefix and district counters.
+	counters
 	prefix4Mask uint32
-	prefixList  []netip.Prefix
-	prefixCount []uint64
 	// lastPrefKey/lastPrefIdx memoize the most recent fast-index hit:
 	// client records cluster by network, so runs of records share a
 	// prefix and skip even the int-keyed map probe. Indexes are
@@ -187,14 +178,6 @@ type Analytics struct {
 	lastPrefKey uint32
 	lastPrefIdx uint32
 	lastPrefOK  bool
-
-	// Interned district counters; hasDistricts plays the role the nil-ness
-	// of the old district map played (rollup enabled).
-	hasDistricts  bool
-	districtIdx   map[string]uint32
-	districtIDs   []string
-	districtCount []uint64
-	located       uint64
 }
 
 // New creates an empty shard.
@@ -210,8 +193,7 @@ func New(cfg Config) *Analytics {
 		maxHour:    -1,
 		archiveMin: -1,
 		curHour:    -1,
-		prefixIdx:  make(map[netip.Prefix]uint32),
-		prefix4Idx: make(map[uint32]uint32),
+		counters:   newCounters(cfg.PrefixBits),
 	}
 	for i := range a.binHour {
 		a.binHour[i] = -1
@@ -231,57 +213,6 @@ func New(cfg Config) *Analytics {
 // restored with UnmarshalAnalyticsStored, WindowHours is the window the
 // state was captured at.
 func (a *Analytics) Config() Config { return a.cfg }
-
-// enableDistricts turns the per-district rollup on (idempotent).
-func (a *Analytics) enableDistricts() {
-	if a.hasDistricts {
-		return
-	}
-	a.hasDistricts = true
-	a.districtIdx = make(map[string]uint32)
-}
-
-// internPrefix returns the counter index for p, allocating one on first
-// sight and registering the IPv4 fast-index entry when p matches the
-// hot-path shape.
-func (a *Analytics) internPrefix(p netip.Prefix) uint32 {
-	// A fold interns every row of every table it merges, and nearly all
-	// of them have the hot-path shape: probe the word-keyed index for
-	// those (no hashing of a 32-byte netip.Prefix), the canonical one
-	// for the rest.
-	hot := p.Bits() == a.cfg.PrefixBits && p.Addr().Is4()
-	var key uint32
-	if hot {
-		b := p.Addr().As4()
-		key = binary.BigEndian.Uint32(b[:])
-		if idx, ok := a.prefix4Idx[key]; ok {
-			return idx
-		}
-	} else if idx, ok := a.prefixIdx[p]; ok {
-		return idx
-	}
-	idx := uint32(len(a.prefixList))
-	a.prefixIdx[p] = idx
-	a.prefixList = append(a.prefixList, p)
-	a.prefixCount = append(a.prefixCount, 0)
-	if hot {
-		a.prefix4Idx[key] = idx
-	}
-	return idx
-}
-
-// internDistrict returns the counter index for a district ID, allocating
-// one on first sight.
-func (a *Analytics) internDistrict(id string) uint32 {
-	if idx, ok := a.districtIdx[id]; ok {
-		return idx
-	}
-	idx := uint32(len(a.districtIDs))
-	a.districtIdx[id] = idx
-	a.districtIDs = append(a.districtIDs, id)
-	a.districtCount = append(a.districtCount, 0)
-	return idx
-}
 
 // Ingest runs one record batch through the filter and into every live
 // aggregate. The batch is not retained.
@@ -452,17 +383,6 @@ func (a *Analytics) ensureArchiveWindow(h int) {
 	}
 }
 
-// EachPrefix calls fn for every interned client prefix with its kept
-// flow count, in interning order. Snapshots truncate the prefix table at
-// TopK for transport; the tier folds need the full set to feed the
-// cardinality and persistence sketches, which this enumerates without
-// materializing a sorted copy.
-func (a *Analytics) EachPrefix(fn func(p netip.Prefix, flows uint64)) {
-	for i, p := range a.prefixList {
-		fn(p, a.prefixCount[i])
-	}
-}
-
 // Watermark returns the newest record start timestamp binned into this
 // shard (the freshness watermark), or the zero time before any.
 func (a *Analytics) Watermark() time.Time {
@@ -473,15 +393,32 @@ func (a *Analytics) Watermark() time.Time {
 }
 
 // sortedBins returns the populated window bins, oldest hour first — the
-// canonical bin order Merge folds in and MarshalBinary persists.
+// canonical bin order Merge folds in and MarshalBinary persists. Hour h
+// lives in slot h mod w and the window holds the w hours ending at
+// maxHour, so walking the ring from the slot after maxHour's meets the
+// hours in ascending order: no sort, and only the populated count is
+// allocated.
 func (a *Analytics) sortedBins() []hourBin {
-	bins := make([]hourBin, 0, len(a.binHour))
-	for s, h := range a.binHour {
+	n := 0
+	for _, h := range a.binHour {
 		if h >= 0 {
-			bins = append(bins, hourBin{hour: int(h), flows: a.binFlows[s], bytes: a.binBytes[s]})
+			n++
 		}
 	}
-	sort.Slice(bins, func(i, j int) bool { return bins[i].hour < bins[j].hour })
+	bins := make([]hourBin, 0, n)
+	w := len(a.binHour)
+	s := 0
+	if a.maxHour >= 0 {
+		s = (a.maxHour + 1) % w
+	}
+	for range w {
+		if h := a.binHour[s]; h >= 0 {
+			bins = append(bins, hourBin{hour: int(h), flows: a.binFlows[s], bytes: a.binBytes[s]})
+		}
+		if s++; s == w {
+			s = 0
+		}
+	}
 	return bins
 }
 
@@ -563,21 +500,20 @@ func (a *Analytics) SnapshotPopulatedRange(from, to time.Time) *Snapshot {
 // hourRange intersects the covered window with [from, to) and returns
 // the inclusive hour-index range to render (lo > hi when it is empty).
 func (a *Analytics) hourRange(from, to time.Time) (lo, hi int) {
-	lo, hi = a.maxHour-a.cfg.WindowHours+1, a.maxHour
-	if lo < 0 {
-		lo = 0
-	}
-	// Hour h is in range when from <= Origin+h·hour < to, i.e. when
-	// ceil(from-Origin) <= h < ceil(to-Origin) in whole hours.
+	lo, hi = clipHours(a.cfg.Origin, from, to)
+	return max(lo, a.maxHour-a.cfg.WindowHours+1), min(hi, a.maxHour)
+}
+
+// clipHours returns the inclusive range of hour indexes h with
+// from <= origin+h·hour < to, i.e. ceil(from-origin) <= h < ceil(to-origin)
+// in whole hours; a zero bound is open.
+func clipHours(origin time.Time, from, to time.Time) (lo, hi int) {
+	lo, hi = 0, math.MaxInt
 	if !from.IsZero() {
-		if h := ceilHours(from.Sub(a.cfg.Origin)); h > lo {
-			lo = h
-		}
+		lo = max(lo, ceilHours(from.Sub(origin)))
 	}
 	if !to.IsZero() {
-		if h := ceilHours(to.Sub(a.cfg.Origin)) - 1; h < hi {
-			hi = h
-		}
+		hi = ceilHours(to.Sub(origin)) - 1
 	}
 	return lo, hi
 }
@@ -601,23 +537,7 @@ func (a *Analytics) snapshot() *Snapshot {
 // hour range [lo, hi], which must lie inside the covered window.
 func (a *Analytics) render(lo, hi int) *Snapshot {
 	cfg := a.cfg
-	s := &Snapshot{
-		Origin:      cfg.Origin,
-		WindowHours: cfg.WindowHours,
-		Late:        a.late,
-		Located:     a.located,
-	}
-
-	// Census in the batch pipeline's shape.
-	s.Census = core.Census{Dropped: make(map[core.DropReason]int)}
-	for i, n := range a.dropped {
-		s.Census.Total += int(n)
-		if core.DropReason(i) == core.Kept {
-			s.Census.Kept = int(n)
-		} else if n > 0 {
-			s.Census.Dropped[core.DropReason(i)] = int(n)
-		}
-	}
+	s := a.counters.snapshot(cfg)
 
 	// The populated window, oldest hour first.
 	if a.maxHour >= 0 && lo <= hi {
@@ -633,27 +553,7 @@ func (a *Analytics) render(lo, hi int) *Snapshot {
 			s.Hours = append(s.Hours, p)
 		}
 	}
-
 	s.Spikes = detectSpikes(s.Hours, cfg)
-	counts := make([]PrefixCount, len(a.prefixList))
-	for i, p := range a.prefixList {
-		counts[i] = PrefixCount{Prefix: p, Flows: a.prefixCount[i]}
-	}
-	s.TopPrefixes = topPrefixes(counts, cfg.TopK)
-
-	if a.hasDistricts {
-		ids := append([]string(nil), a.districtIDs...)
-		sort.Strings(ids)
-		for _, id := range ids {
-			dc := DistrictCount{ID: id, Flows: a.districtCount[a.districtIdx[id]]}
-			if cfg.Model != nil {
-				if d, ok := cfg.Model.DistrictByID(id); ok {
-					dc.Name, dc.StateCode = d.Name, d.StateCode
-				}
-			}
-			s.Districts = append(s.Districts, dc)
-		}
-	}
 	return s
 }
 

@@ -56,7 +56,9 @@ func AutoSpan(from, to, histStart, histEnd time.Time) Resolution {
 // BuildPlan selects sources for a concrete resolution. weeks and days
 // are the durable tier frames per level, ordered by their WAL chain
 // (oldest first); selection is by hour overlap, mirroring the raw
-// path's rule (accounting-only frames always ride along).
+// path's rule (accounting-only frames always ride along). Plan.Week and
+// Plan.Day name frames in the order weeks and days list them — the store
+// matches them back to its metadata in one walk of both.
 func BuildPlan(res Resolution, origin time.Time, from, to time.Time, weeks, days []FrameMeta) Plan {
 	p := Plan{Resolution: res}
 	if res != ResolutionDay && res != ResolutionWeek {
