@@ -70,9 +70,13 @@ bench-store:
 
 # The API throughput benchmark (the EXPERIMENTS.md snapshot): a durable
 # store + versioned API under live ingest, measuring per-hit marshaling
-# vs the single-flight response cache vs conditional (ETag) 304s.
+# vs the single-flight response cache vs conditional (ETag) 304s. Then
+# the two halves of a miss in isolation: value to body (marshalBody: 1-day,
+# 30-day and year-span hour answers, B/op beside the body size) and body
+# to wire (writeBody).
 bench-api:
 	$(GO) run ./cmd/apiload -self -duration 5s -c 8
+	$(GO) test -run XXX -bench 'BenchmarkMarshalBody|BenchmarkWriteBody' -benchmem ./internal/api/
 
 bench-api-quick:
 	$(GO) run ./cmd/apiload -self -quick -duration 2s -c 4
@@ -88,8 +92,10 @@ api-smoke:
 # sketches off the disk, shard state at the router, the analytics
 # state inside checkpoint frames and shard state (one parser, fuzzed
 # through both of its consumers), and the query strings of
-# /api/v1/query and /api/v1/snapshot at the client edge. One target per
-# invocation (go test -fuzz takes one). Minimizing a multi-kilobyte
+# /api/v1/query and /api/v1/snapshot at the client edge — plus the one
+# target that reads nothing from outside: FuzzAppendJSON holds the v1
+# append encoder to encoding/json's bytes, which is that encoder's
+# contract. One target per invocation (go test -fuzz takes one). Minimizing a multi-kilobyte
 # input with the default 60 s budget would eat the whole pass, so it is
 # capped. CI runs the same smoke.
 FUZZ = $(GO) test -run XXX -fuzztime=10s -fuzzminimizetime=1s
@@ -102,6 +108,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzQueryParams ./internal/api/
 	$(FUZZ) -fuzz=FuzzSnapshotParams ./internal/api/
 	$(FUZZ) -fuzz=FuzzStoredState ./internal/streaming/
+	$(FUZZ) -fuzz=FuzzAppendJSON ./internal/api/v1/
 
 # SIGKILL drill: start a durable collector, stream half a trace over
 # UDP, kill -9 mid-capture, restart on the same data dir and require the

@@ -4,9 +4,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"testing"
+	"time"
 
+	v1 "cwatrace/internal/api/v1"
+	"cwatrace/internal/core"
 	"cwatrace/internal/entime"
+	"cwatrace/internal/streaming"
 )
 
 // wireCounter is a ResponseWriter that counts body bytes and keeps
@@ -55,5 +60,47 @@ func BenchmarkWriteBody(b *testing.B) {
 				b.ReportMetric(float64(w.n)/float64(b.N), "wire_B/op")
 			})
 		}
+	}
+}
+
+// BenchmarkMarshalBody is the render stage in isolation: an
+// hour-resolution answer of one day, one month and one year (the
+// harness's panels) from value to cached bytes. B/op beside the body size
+// is the memory fix — one exact-size allocation per body — and allocs/op
+// is what the append encoder leaves of encoding/json.
+func BenchmarkMarshalBody(b *testing.B) {
+	for _, hours := range []int{24, 720, 8736} {
+		src := &streaming.Snapshot{
+			Origin:      entime.StudyStart,
+			WindowHours: hours,
+			Census:      core.Census{Total: 3 * hours, Kept: 2 * hours, Dropped: map[core.DropReason]int{core.DropNotTCP: hours}},
+			Located:     uint64(hours),
+		}
+		for h := 0; h < hours; h++ {
+			src.Hours = append(src.Hours, streaming.HourPoint{Hour: h, Time: entime.StudyStart.Add(time.Duration(h) * time.Hour),
+				Flows: float64(1000 + h%97), Bytes: float64(1_500_000 + 1009*h)})
+		}
+		for i := 0; i < 10; i++ {
+			src.TopPrefixes = append(src.TopPrefixes, streaming.PrefixCount{Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 64, byte(i), 0}), 24), Flows: uint64(900 - i)})
+		}
+		for i := 0; i < 401; i++ {
+			src.Districts = append(src.Districts, streaming.DistrictCount{ID: fmt.Sprintf("%05d", 1001+i), Name: fmt.Sprintf("Landkreis %d", i), StateCode: "NW", Flows: uint64(i)})
+		}
+		resp := &v1.QueryResponse{From: entime.StudyStart, Frames: hours / 24, TailIncluded: true, Snapshot: v1.NewSnapshot(src, v1.AllFields, 0)}
+		b.Run(fmt.Sprintf("%dh", hours), func(b *testing.B) {
+			body, err := marshalBody(resp, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if body, err = marshalBody(resp, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(body)), "body_B")
+		})
 	}
 }

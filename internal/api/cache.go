@@ -70,6 +70,11 @@ func (c *respCache) get(key string, fill func() ([]byte, error)) ([]byte, error)
 			close(e.ready)
 		}()
 		e.body, e.err = fill()
+		if cap(e.body) != len(e.body) {
+			// The entry outlives the request by up to max-1 other keys:
+			// hold the body, not the buffer it grew in.
+			e.body = append(make([]byte, 0, len(e.body)), e.body...)
+		}
 	}()
 
 	if e.err != nil {

@@ -1,11 +1,15 @@
 package api
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	v1 "cwatrace/internal/api/v1"
 )
 
 // TestCacheSingleFlight requires N concurrent identical requests to
@@ -91,5 +95,59 @@ func TestCacheEviction(t *testing.T) {
 	}
 	if refilled {
 		t.Fatal("LRU evicted the most recently used key")
+	}
+}
+
+// TestBodiesAreExactlySized pins the memory fix: a cached body lives as
+// long as its ETag is in use, so it must not carry the spare capacity of
+// the buffer it was rendered in. Every kind of body — both data bodies,
+// an envelope, compact and indented — comes out of marshalBody with
+// cap == len and the bytes a json.Encoder writes, and that is what the
+// response cache ends up holding.
+func TestBodiesAreExactlySized(t *testing.T) {
+	snap := v1.NewSnapshot(sampleSnapshot(t, 2), v1.AllFields, 0)
+	values := []any{
+		snap,
+		&v1.QueryResponse{Frames: 2, Snapshot: snap, Resolution: "hour"},
+		v1.ErrorResponse{Error: &v1.Error{Code: v1.CodeBadRequest, Message: "<bad> & worse"}},
+		v1.HealthResponse{Status: v1.StatusOK},
+	}
+	for _, v := range values {
+		for _, pretty := range []bool{false, true} {
+			body, err := marshalBody(v, pretty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(body) != len(body) {
+				t.Errorf("%T pretty=%t: body of %d bytes holds %d", v, pretty, len(body), cap(body))
+			}
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			if pretty {
+				enc.SetIndent("", "  ")
+			}
+			if err := enc.Encode(v); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, want.Bytes()) {
+				t.Errorf("%T pretty=%t:\n got %s\nwant %s", v, pretty, body, want.Bytes())
+			}
+		}
+	}
+
+	_, ts := storeServer(t)
+	for _, path := range []string{"/api/v1/query", "/api/v1/query?pretty=1", "/api/v1/snapshot?fields=hourly", "/api/v1/query?format=state"} {
+		get(t, ts.URL+path, nil)
+	}
+	cache := ts.Config.Handler.(*Server).cache
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	if len(cache.entries) != 4 {
+		t.Fatalf("%d cache entries, want 4", len(cache.entries))
+	}
+	for key, e := range cache.entries {
+		if cap(e.body) != len(e.body) {
+			t.Errorf("cache entry %s: body of %d bytes holds %d", key, len(e.body), cap(e.body))
+		}
 	}
 }

@@ -340,13 +340,9 @@ func (c *Client) try(ctx context.Context, url string, cacheable, state bool) ([]
 	if state {
 		limit = MaxStateBytes
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, int64(limit)+1))
+	body, err := c.readBody(resp, limit)
 	if err != nil {
-		return nil, "", &transportError{err}
-	}
-	if len(body) > limit {
-		// Not worth a retry: the peer would say the same again.
-		return nil, "", fmt.Errorf("client: response from %s exceeds %d bytes", c.base, limit)
+		return nil, "", err
 	}
 	// 206 Partial Content is a clustered router's documented degraded
 	// envelope: a valid typed body (with a Degraded marker), not an
@@ -375,6 +371,39 @@ func (c *Client) try(ctx context.Context, url string, cacheable, state bool) ([]
 		c.mu.Unlock()
 	}
 	return body, etag, nil
+}
+
+// readBody reads a response body of at most limit bytes. A declared
+// Content-Length (every identity-coded answer of this API carries one,
+// shard state included) sizes the buffer once, and is held to: fewer
+// bytes are an unexpected EOF, more are refused — a state cut to the
+// length its header lied about is never returned. Without one (chunked,
+// or decompressed by the transport) the body is read until it ends or
+// passes the limit. Size refusals are not worth a retry — the peer would
+// say the same again — so only read failures are transport errors.
+func (c *Client) readBody(resp *http.Response, limit int) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 {
+		body, err := io.ReadAll(io.LimitReader(resp.Body, int64(limit)+1))
+		if err != nil {
+			return nil, &transportError{err}
+		}
+		n = int64(len(body))
+		if n <= int64(limit) {
+			return body, nil
+		}
+	}
+	if n > int64(limit) {
+		return nil, fmt.Errorf("client: response from %s exceeds %d bytes", c.base, limit)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		return nil, &transportError{err}
+	}
+	if extra, _ := resp.Body.Read(make([]byte, 1)); extra > 0 {
+		return nil, fmt.Errorf("client: response from %s is longer than the %d bytes it declared", c.base, n)
+	}
+	return body, nil
 }
 
 // transportError marks network-level failures (always retryable).

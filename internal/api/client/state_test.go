@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -168,5 +170,68 @@ func TestStateFetchRefusesWhatIsNotState(t *testing.T) {
 			t.Fatalf("%s: %d requests and %d cache entries, want one request and nothing cached", name, hits.Load(), len(cl.cache))
 		}
 		srv.Close()
+	}
+}
+
+// roundTrip is an http.RoundTripper from a function.
+type roundTrip func(*http.Request) (*http.Response, error)
+
+func (f roundTrip) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestContentLengthIsHeldTo pins the sized body read: the declared
+// length sizes the buffer, and a peer whose body is shorter or longer
+// than it declared is an error — the caller never gets the state cut or
+// padded to the lie. A declaration over the limit is refused unread. The
+// short case also runs against a real server, where the lie surfaces as
+// the transport's unexpected EOF.
+func TestContentLengthIsHeldTo(t *testing.T) {
+	state := bytes.Repeat([]byte("state"), 200)
+	for name, c := range map[string]struct {
+		declared int64
+		body     []byte
+		want     string // "" = the body, whole
+	}{
+		"honest":         {declared: int64(len(state)), body: state},
+		"undeclared":     {declared: -1, body: state},
+		"empty":          {declared: 0, body: []byte{}},
+		"short":          {declared: int64(len(state)) + 1, body: state, want: "unexpected EOF"},
+		"long":           {declared: int64(len(state)) - 1, body: state, want: "longer than the 999 bytes it declared"},
+		"over the limit": {declared: MaxStateBytes + 1, body: state, want: "exceeds"},
+	} {
+		cl, err := New("http://shard.invalid", &Options{Retries: -1, HTTPClient: &http.Client{Transport: roundTrip(func(r *http.Request) (*http.Response, error) {
+			return &http.Response{StatusCode: http.StatusOK, ContentLength: c.declared, Request: r,
+				Header: http.Header{"Content-Type": {api.StateMediaType}, "Etag": {`"s"`}},
+				Body:   io.NopCloser(bytes.NewReader(c.body))}, nil
+		})}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, etag, err := cl.SnapshotState(context.Background())
+		if c.want != "" {
+			if err == nil || !strings.Contains(err.Error(), c.want) || body != nil || len(cl.cache) != 0 {
+				t.Errorf("%s: %d bytes, %d cached, err %v; want an error mentioning %q", name, len(body), len(cl.cache), err, c.want)
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(body, c.body) || etag != `"s"` {
+			t.Errorf("%s: %d bytes, tag %q, err %v; want the whole body", name, len(body), etag, err)
+		}
+		if c.declared >= 0 && cap(body) != len(body) {
+			t.Errorf("%s: a declared body of %d bytes was read into %d", name, len(body), cap(body))
+		}
+	}
+
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", api.StateMediaType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(state)+1))
+		w.Write(state)
+	}))
+	defer srv.Close()
+	cl, err := New(srv.URL, &Options{Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body, _, err := cl.SnapshotState(context.Background()); err == nil || body != nil {
+		t.Fatalf("short body from a real server: %d bytes, err %v", len(body), err)
 	}
 }

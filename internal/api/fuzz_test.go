@@ -70,7 +70,7 @@ func useState(t *testing.T, st *ShardState) {
 		t.Fatalf("the flat encoder and the ring's disagree on %+v", got)
 	}
 	if st.LongHorizon != nil {
-		b := tier.NewBuilder(st.Resolution, st.Origin)
+		b := tier.NewBuilder(st.Resolution, st.Origin, nil)
 		b.AddFrame(st.LongHorizon)
 		b.Answer()
 	}

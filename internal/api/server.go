@@ -788,19 +788,51 @@ func jsonBody(pretty bool, build func() (any, error)) func() ([]byte, error) {
 }
 
 // marshalBody renders compact JSON (the default) or two-space
-// indentation under ?pretty=1, newline-terminated: one Encoder pass
-// into one buffer, the bytes json.Marshal[Indent] + '\n' would give.
+// indentation under ?pretty=1, newline-terminated — the bytes a
+// json.Encoder writes. It renders into pooled scratch and returns an
+// exact-size copy: the response cache keeps a body for as long as its
+// ETag is in use, and a grown buffer would pin up to twice the body.
 func marshalBody(v any, pretty bool) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if pretty {
-		enc.SetIndent("", "  ")
-	}
-	if err := enc.Encode(v); err != nil {
+	scratch := bodyScratch.Get().(*[]byte)
+	defer bodyScratch.Put(scratch)
+	b, err := appendJSON((*scratch)[:0], v)
+	*scratch = b // keep what the rendering grew
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	if pretty {
+		var buf bytes.Buffer
+		if err := json.Indent(&buf, b, "", "  "); err != nil {
+			return nil, err
+		}
+		b = buf.Bytes()
+	}
+	body := make([]byte, len(b))
+	copy(body, b)
+	return body, nil
 }
+
+// appendJSON appends v's compact encoding and the newline: the two data
+// bodies through the v1 package's append encoder, the error, health and
+// stats envelopes (and the legacy shapes) through encoding/json.
+func appendJSON(b []byte, v any) ([]byte, error) {
+	var err error
+	switch v := v.(type) {
+	case *v1.QueryResponse:
+		b, err = v.AppendJSON(b)
+	case *v1.Snapshot:
+		b, err = v.AppendJSON(b)
+	default:
+		var j []byte
+		j, err = json.Marshal(v)
+		b = append(b, j...)
+	}
+	return append(b, '\n'), err
+}
+
+// bodyScratch holds the buffers bodies are rendered in before their
+// exact-size copy is taken.
+var bodyScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // acceptsGzip reports whether the client advertises gzip support. A
 // qvalue of 0 is an explicit refusal (RFC 9110 §12.4.2), not support.

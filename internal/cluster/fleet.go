@@ -272,7 +272,7 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 				Model:       f.model,
 			}, from, to)
 			if p.Resolution != "" {
-				lh = tier.NewBuilder(p.Resolution, p.Origin)
+				lh = tier.NewBuilder(p.Resolution, p.Origin, nil)
 			}
 		} else if !p.Origin.Equal(first.Origin) {
 			return nil, fmt.Errorf("cluster: shard %d origin %s differs from fleet origin %s", i, p.Origin, first.Origin)

@@ -26,7 +26,6 @@
 package sketch
 
 import (
-	"hash/fnv"
 	"math"
 	"math/bits"
 )
@@ -54,11 +53,21 @@ func NewHLL() *HLL { return &HLL{} }
 // FNV-1a alone clusters in the low bits for short similar strings (every
 // client prefix differs in a handful of characters), so the finalizer of
 // splitmix64 scrambles it; the composition is fixed — it is part of the
-// sketch's deterministic identity across processes and releases.
-func HashString(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return mix64(h.Sum64())
+// sketch's deterministic identity across processes and releases, and
+// registers computed with it are on disk in every tier frame.
+func HashString(s string) uint64 { return hash(s) }
+
+// HashBytes is HashString of the same bytes, for callers that format an
+// item into a buffer of their own.
+func HashBytes(b []byte) uint64 { return hash(b) }
+
+func hash[T string | []byte](item T) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a, 64 bit
+	for i := 0; i < len(item); i++ {
+		h ^= uint64(item[i])
+		h *= 1099511628211
+	}
+	return mix64(h)
 }
 
 // mix64 is the splitmix64 finalizer.

@@ -3,8 +3,10 @@ package sketch
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"net/netip"
 	"sort"
 	"testing"
 
@@ -225,5 +227,48 @@ func TestHLLEstimateMonotoneSmall(t *testing.T) {
 		if est := h.Estimate(); est != uint64(i+1) {
 			t.Fatalf("after %d adds: estimate %d", i+1, est)
 		}
+	}
+}
+
+// TestHashValuesAreFrozen pins the hash to values computed before it was
+// inlined: HLL registers are persisted in tier frames, so an item must
+// land in the register, at the rank, it always has. The register file of
+// a fixed item set is pinned whole (by checksum) on top of single values.
+func TestHashValuesAreFrozen(t *testing.T) {
+	golden := map[string]uint64{
+		"":                    0xf52a15e9a9b5e89b,
+		"a":                   0x2c0bdbf481420f8,
+		"100.64.3.0/24":       0xf8587e12ff34afca,
+		"2001:db8::/32":       0x4e93fcbf364ec3f8,
+		"::ffff:10.1.2.0/120": 0x5a934c7e20560f48,
+		"invalid Prefix":      0x7020a0b475f38a13,
+		"203.0.113.0/24":      0xf46cb6788e0372e4,
+	}
+	for item, want := range golden {
+		if got := HashString(item); got != want {
+			t.Errorf("HashString(%q) = %#x, want %#x", item, got, want)
+		}
+		if got := HashBytes([]byte(item)); got != want {
+			t.Errorf("HashBytes(%q) = %#x, want %#x", item, got, want)
+		}
+	}
+
+	h := NewHLL()
+	var buf [64]byte
+	for i := 0; i < 5000; i++ {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, byte(64 + i>>16), byte(i >> 8), byte(i)}), 24+i%9)
+		if i%2 == 0 {
+			h.Add(p.String())
+		} else {
+			h.AddHash(HashBytes(p.AppendTo(buf[:0])))
+		}
+	}
+	for i := 0; i < 300; i++ {
+		var a [16]byte
+		a[0], a[1], a[14], a[15] = 0x20, 0x01, byte(i>>8), byte(i)
+		h.Add(netip.PrefixFrom(netip.AddrFrom16(a), 64+i%65).String())
+	}
+	if crc := crc32.ChecksumIEEE(h.reg[:]); crc != 0xea0dec2d || h.Estimate() != 5242 {
+		t.Fatalf("register file checksum %#x estimate %d, want 0xea0dec2d and 5242", crc, h.Estimate())
 	}
 }

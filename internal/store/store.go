@@ -267,10 +267,13 @@ type Store struct {
 
 	// Long-horizon tier frames per level (sorted by BaseSeg, under mu)
 	// and the decoded-frame cache (tier files are immutable; the cache
-	// is keyed by Seq, which is unique across levels).
+	// is keyed by Seq, which is unique across levels). Frames enter it
+	// through cacheTierFrame, resolved against districts, so a query
+	// folds their district rows by index.
 	tierDay       []tierFrameMeta
 	tierWeek      []tierFrameMeta
 	tierCache     sync.Map
+	districts     *tier.DistrictTable
 	tierFoldsDay  uint64
 	tierFoldsWeek uint64
 
@@ -351,6 +354,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		boot: uint64(time.Now().UnixNano()) ^ uint64(os.Getpid())<<32,
 
 		frameCache: newFrameCache(frameCacheBudget),
+		districts:  tier.NewDistrictTable(),
 	}
 	s.tail = s.newTail()
 	if meta == nil {

@@ -92,7 +92,7 @@ func (s *Store) loadTierFrames(found []tierFrameMeta) error {
 			}
 			continue
 		}
-		s.tierCache.Store(found[i].Seq, frames[i])
+		s.cacheTierFrame(frames[i])
 		live = append(live, found[i])
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].BaseSeg < live[j].BaseSeg })
@@ -125,8 +125,16 @@ func (s *Store) loadTierFrame(m tierFrameMeta) (*tier.Frame, error) {
 	if f.Seq != m.Seq || f.Level != m.Level {
 		return nil, fmt.Errorf("store: tier frame %s carries seq %d level %s", filepath.Base(m.path), f.Seq, f.Level)
 	}
-	s.tierCache.Store(m.Seq, f)
+	s.cacheTierFrame(f)
 	return f, nil
+}
+
+// cacheTierFrame publishes a decoded or freshly folded frame to the
+// query cache. Nothing else holds f yet, which is what lets its district
+// rows be resolved to dense indexes here, once, without a lock on f.
+func (s *Store) cacheTierFrame(f *tier.Frame) {
+	s.districts.Resolve(f)
+	s.tierCache.Store(f.Seq, f)
 }
 
 // tierFold runs the fold scheduler after a checkpoint (caller holds
@@ -296,7 +304,7 @@ func (s *Store) tierFoldSpan(ctx context.Context, level tier.Level, seq uint64, 
 	}
 	s.ckptGen++
 	s.mu.Unlock()
-	s.tierCache.Store(seq, f)
+	s.cacheTierFrame(f)
 	s.om.tierFoldSeconds.ObserveSince(t0)
 	s.opts.Events.Record("tier_fold", "lower-level frames folded into a durable tier frame",
 		obs.Str("level", level.String()),
@@ -376,7 +384,7 @@ func (s *Store) tryQueryTier(from, to time.Time, res tier.Resolution) (*QueryRes
 	selected := make([]tierFrameMeta, 0, len(plan.Week)+len(plan.Day))
 	selected = appendPlanned(selected, weeks, plan.Week)
 	selected = appendPlanned(selected, days, plan.Day)
-	b := tier.NewBuilder(res, s.cfg.Origin)
+	b := tier.NewBuilder(res, s.cfg.Origin, s.districts)
 	for _, tm := range selected {
 		f, err := s.loadTierFrame(tm)
 		if err != nil {

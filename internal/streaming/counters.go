@@ -149,11 +149,7 @@ func (c *counters) snapshot(cfg Config) *Snapshot {
 		}
 	}
 
-	counts := make([]PrefixCount, len(c.prefixList))
-	for i, p := range c.prefixList {
-		counts[i] = PrefixCount{Prefix: p, Flows: c.prefixCount[i]}
-	}
-	s.TopPrefixes = topPrefixes(counts, cfg.TopK)
+	s.TopPrefixes = c.topPrefixes(cfg.TopK)
 
 	if c.hasDistricts {
 		ids := append([]string(nil), c.districtIDs...)
@@ -169,4 +165,60 @@ func (c *counters) snapshot(cfg Config) *Snapshot {
 		}
 	}
 	return s
+}
+
+// outranks reports whether interned prefix i ranks before j on the
+// leaderboard: more flows first, ties in prefix order. Interned prefixes
+// are distinct, so the order is total.
+func (c *counters) outranks(i, j uint32) bool {
+	if c.prefixCount[i] != c.prefixCount[j] {
+		return c.prefixCount[i] > c.prefixCount[j]
+	}
+	return lessPrefix(c.prefixList[i], c.prefixList[j])
+}
+
+// topPrefixes returns the k busiest prefixes in leaderboard order. Every
+// poll renders a leaderboard and the table holds every prefix the range
+// saw, so the table is not sorted: one pass keeps the k best rows so far
+// in a heap with the worst of them at the root — nearly every row loses
+// to the root on its flow count alone — and only those k are sorted, by
+// popping them.
+func (c *counters) topPrefixes(k int) []PrefixCount {
+	k = max(0, min(k, len(c.prefixList)))
+	heap := make([]uint32, k)
+	down := func(at int) {
+		for {
+			worse := 2*at + 1
+			if worse >= len(heap) {
+				return
+			}
+			if right := worse + 1; right < len(heap) && c.outranks(heap[worse], heap[right]) {
+				worse = right
+			}
+			if !c.outranks(heap[at], heap[worse]) {
+				return
+			}
+			heap[at], heap[worse] = heap[worse], heap[at]
+			at = worse
+		}
+	}
+	for i := range heap {
+		heap[i] = uint32(i)
+	}
+	for at := k/2 - 1; at >= 0; at-- {
+		down(at)
+	}
+	for row := uint32(k); k > 0 && int(row) < len(c.prefixList); row++ {
+		if c.outranks(row, heap[0]) {
+			heap[0] = row
+			down(0)
+		}
+	}
+	top := make([]PrefixCount, k)
+	for n := k - 1; n >= 0; n-- { // the worst of what is left is the last of it
+		top[n] = PrefixCount{Prefix: c.prefixList[heap[0]], Flows: c.prefixCount[heap[0]]}
+		heap[0], heap = heap[n], heap[:n]
+		down(0)
+	}
+	return top
 }

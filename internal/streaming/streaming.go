@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"sort"
 	"time"
 
 	"cwatrace/internal/adoption"
@@ -595,22 +594,6 @@ func lessPrefix(a, b netip.Prefix) bool {
 		return c < 0
 	}
 	return a.Bits() < b.Bits()
-}
-
-// topPrefixes ranks prefixes by flow count, ties broken by prefix order so
-// the leaderboard is deterministic. It sorts counts in place.
-func topPrefixes(counts []PrefixCount, k int) []PrefixCount {
-	out := counts
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Flows != out[j].Flows {
-			return out[i].Flows > out[j].Flows
-		}
-		return lessPrefix(out[i].Prefix, out[j].Prefix)
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
 }
 
 // HourPoint is one bucket of the sliding hourly window.

@@ -1,8 +1,10 @@
 package streaming
 
 import (
+	"math/rand"
 	"net/netip"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -144,6 +146,46 @@ func TestTopPrefixesDeterministicOrder(t *testing.T) {
 	// Tie at 2 flows: the lower address wins deterministically.
 	if snap.TopPrefixes[0].Prefix.String() != "100.64.0.0/24" || snap.TopPrefixes[1].Prefix.String() != "203.0.113.0/24" {
 		t.Fatalf("topk order = %v", snap.TopPrefixes)
+	}
+}
+
+// TestTopPrefixesSelectsTheFullSortsPrefix is the property the heap
+// selection rests on: for any table — tied flow counts, mixed families and
+// prefix lengths, any interning order — and any K, the leaderboard is the
+// first K rows of the whole table sorted by (flows descending, prefix
+// order), which is what the full sort used to return.
+func TestTopPrefixesSelectsTheFullSortsPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, n := range []int{0, 1, 2, 9, 10, 11, 500} {
+		c := newCounters(24)
+		for len(c.prefixList) < n {
+			var p netip.Prefix
+			if rng.Intn(4) == 0 {
+				var a [16]byte
+				rng.Read(a[12:])
+				p = netip.PrefixFrom(netip.AddrFrom16(a), 96+rng.Intn(33))
+			} else {
+				p = netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 64, byte(rng.Intn(8)), byte(rng.Intn(4))}), 22+rng.Intn(11))
+			}
+			c.prefixCount[c.internPrefix(p)] = uint64(rng.Intn(4)) // few distinct counts: ties everywhere
+		}
+		want := make([]PrefixCount, 0, n)
+		c.EachPrefix(func(p netip.Prefix, flows uint64) { want = append(want, PrefixCount{Prefix: p, Flows: flows}) })
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Flows != want[j].Flows {
+				return want[i].Flows > want[j].Flows
+			}
+			return lessPrefix(want[i].Prefix, want[j].Prefix)
+		})
+		for _, k := range []int{0, 1, 10, n, n + 1} {
+			got := c.topPrefixes(k)
+			if got == nil {
+				t.Fatalf("n=%d k=%d: nil leaderboard (renders as null, not [])", n, k)
+			}
+			if !reflect.DeepEqual(got, want[:min(k, n)]) {
+				t.Fatalf("n=%d k=%d:\n got %v\nwant %v", n, k, got, want[:min(k, n)])
+			}
+		}
 	}
 }
 

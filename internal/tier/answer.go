@@ -10,7 +10,10 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"cwatrace/internal/core"
@@ -55,44 +58,53 @@ type Answer struct {
 	PresenceSketch []byte `json:"presence_sketch,omitempty"`
 }
 
-// bucketMap accumulates level-aligned buckets out of order.
-type bucketMap struct {
+// buckets accumulates level-aligned buckets, kept sorted by StartHour.
+// Sources arrive oldest first — tier frames in WAL order, then the raw
+// residual's ascending hours — so nearly every add lands in the last
+// bucket or opens the next one; anything older is inserted in place.
+type buckets struct {
 	width int64
-	m     map[int64]*Bucket
+	list  []Bucket
 }
 
-func newBucketMap(level Level) bucketMap {
-	return bucketMap{width: int64(level.BucketHours()), m: map[int64]*Bucket{}}
+func newBuckets(level Level) buckets {
+	return buckets{width: int64(level.BucketHours())}
 }
 
-func (bm bucketMap) add(hour int64, flows, bytes float64) {
-	start := hour - hour%bm.width
-	b := bm.m[start]
-	if b == nil {
-		b = &Bucket{StartHour: start}
-		bm.m[start] = b
+func (bs *buckets) add(hour int64, flows, bytes float64) {
+	start := hour - hour%bs.width
+	at := len(bs.list) - 1
+	switch {
+	case at >= 0 && bs.list[at].StartHour == start:
+	case at < 0 || bs.list[at].StartHour < start:
+		at++
+		bs.list = append(bs.list, Bucket{StartHour: start})
+	default:
+		at = sort.Search(len(bs.list), func(i int) bool { return bs.list[i].StartHour >= start })
+		if bs.list[at].StartHour != start {
+			bs.list = slices.Insert(bs.list, at, Bucket{StartHour: start})
+		}
 	}
-	b.Flows += flows
-	b.Bytes += bytes
+	bs.list[at].Flows += flows
+	bs.list[at].Bytes += bytes
 }
 
-func (bm bucketMap) addHours(hours []streaming.HourPoint) {
+func (bs *buckets) addHours(hours []streaming.HourPoint) {
 	for _, p := range hours {
 		if p.Flows == 0 && p.Bytes == 0 {
 			continue
 		}
-		bm.add(int64(p.Hour), p.Flows, p.Bytes)
+		bs.add(int64(p.Hour), p.Flows, p.Bytes)
 	}
 }
 
 // render returns the buckets sorted by StartHour, with Time filled from
-// origin when non-zero (frames store no Time; answers render it).
-func (bm bucketMap) render(origin *time.Time) []Bucket {
-	out := make([]Bucket, 0, len(bm.m))
-	for _, b := range bm.m {
-		out = append(out, *b)
+// origin when non-nil (frames store no Time; answers render it).
+func (bs *buckets) render(origin *time.Time) []Bucket {
+	out := slices.Clone(bs.list)
+	if out == nil {
+		out = []Bucket{}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].StartHour < out[j].StartHour })
 	if origin != nil {
 		for i := range out {
 			out[i].Time = origin.Add(time.Duration(out[i].StartHour) * time.Hour)
@@ -121,22 +133,24 @@ func sortDistricts(m map[string]uint64) []District {
 // per run; queries use it over the raw residual.
 type SketchAccum struct {
 	hll      *sketch.HLL
-	presence map[string]uint64
+	presence map[netip.Prefix]uint64
 }
 
 // NewSketchAccum builds an empty accumulator.
 func NewSketchAccum() *SketchAccum {
-	return &SketchAccum{hll: sketch.NewHLL(), presence: map[string]uint64{}}
+	return &SketchAccum{hll: sketch.NewHLL(), presence: map[netip.Prefix]uint64{}}
 }
 
 // AddShard folds one shard's full prefix table in, given its prefix
 // enumeration: the EachPrefix method of a live streaming.Analytics or of
-// a decoded streaming.Stored.
+// a decoded streaming.Stored. The HLL item is the prefix's text, as it
+// has been since the first tier frame was written; it is formatted into
+// a buffer on the stack, not into a string per row.
 func (sa *SketchAccum) AddShard(eachPrefix func(fn func(p netip.Prefix, flows uint64))) {
+	var text [len("ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255/128")]byte
 	eachPrefix(func(p netip.Prefix, flows uint64) {
-		s := p.String()
-		sa.hll.Add(s)
-		sa.presence[s]++
+		sa.hll.AddHash(sketch.HashBytes(p.AppendTo(text[:0])))
+		sa.presence[p]++
 	})
 }
 
@@ -149,32 +163,101 @@ func (sa *SketchAccum) fill(f *Frame) {
 	}
 }
 
+// DistrictTable interns district ids as dense indexes, so a fold over
+// hundreds of tier frames adds into a slice instead of probing a string
+// map once per district per frame. A store owns one and resolves each
+// frame against it once, before the frame is published to its cache;
+// builders given the same table fold that frame by index. Ids are only
+// ever added, so an index is good for the table's lifetime. Safe for
+// concurrent use.
+type DistrictTable struct {
+	mu  sync.Mutex
+	idx map[string]uint32
+	ids []string // append-only: a slice header read under mu stays valid
+}
+
+// NewDistrictTable builds an empty table.
+func NewDistrictTable() *DistrictTable {
+	return &DistrictTable{idx: map[string]uint32{}}
+}
+
+func (t *DistrictTable) intern(id string) uint32 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	i, ok := t.idx[id]
+	if !ok {
+		i = uint32(len(t.ids))
+		t.idx[id] = i
+		t.ids = append(t.ids, id)
+	}
+	return i
+}
+
+// snapshot returns the ids interned so far, by dense index.
+func (t *DistrictTable) snapshot() []string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.ids
+}
+
+// Resolve records f's district indexes in t. It writes to f, so it must
+// run before f is shared; builders on the same table then read the
+// result concurrently. An id the table has never seen is interned.
+func (t *DistrictTable) Resolve(f *Frame) {
+	idx := make([]uint32, len(f.Districts))
+	for i, d := range f.Districts {
+		idx[i] = t.intern(d.ID)
+	}
+	f.districtTable, f.districtIdx = t, idx
+}
+
 // Builder accumulates a plan's sources into one Answer.
 type Builder struct {
-	res        Resolution
-	origin     time.Time
-	buckets    bucketMap
-	hll        *sketch.HLL
-	quant      *sketch.Quantile
-	census     core.Census
-	late       uint64
-	located    uint64
-	districts  map[string]uint64
+	res     Resolution
+	origin  time.Time
+	buckets buckets
+	hll     *sketch.HLL
+	quant   *sketch.Quantile
+	census  core.Census
+	late    uint64
+	located uint64
+	// Per-district flows by dense index; seen marks the districts a source
+	// named — one listed with zero flows is still listed in the answer.
+	table      *DistrictTable
+	districts  []uint64
+	seen       []bool
 	tierFrames int
 	rawFrames  int
 }
 
 // NewBuilder starts an answer at a concrete (non-auto) resolution.
-func NewBuilder(res Resolution, origin time.Time) *Builder {
-	return &Builder{
-		res:       res,
-		origin:    origin,
-		buckets:   newBucketMap(res.Level()),
-		hll:       sketch.NewHLL(),
-		quant:     sketch.NewQuantile(),
-		census:    core.Census{Dropped: map[core.DropReason]int{}},
-		districts: map[string]uint64{},
+// districts is the table the frames to come were resolved against; nil
+// gives the builder its own, and frames resolved elsewhere or not at all
+// (a router's, off the wire for this one merge) are interned as added.
+func NewBuilder(res Resolution, origin time.Time, districts *DistrictTable) *Builder {
+	if districts == nil {
+		districts = NewDistrictTable()
 	}
+	return &Builder{
+		res:     res,
+		origin:  origin,
+		buckets: newBuckets(res.Level()),
+		hll:     sketch.NewHLL(),
+		quant:   sketch.NewQuantile(),
+		census:  core.Census{Dropped: map[core.DropReason]int{}},
+		table:   districts,
+	}
+}
+
+// addDistrict counts flows for the district at dense index i.
+func (b *Builder) addDistrict(i uint32, flows uint64) {
+	if int(i) >= len(b.districts) {
+		n := max(int(i)+1, len(b.table.snapshot()))
+		b.districts = append(b.districts, make([]uint64, n-len(b.districts))...)
+		b.seen = append(b.seen, make([]bool, n-len(b.seen))...)
+	}
+	b.districts[i] += flows
+	b.seen[i] = true
 }
 
 // AddFrame folds one selected tier frame in. Day buckets re-bucket into
@@ -190,8 +273,14 @@ func (b *Builder) AddFrame(f *Frame) {
 	}
 	b.late += f.Late
 	b.located += f.Located
-	for _, d := range f.Districts {
-		b.districts[d.ID] += d.Flows
+	if f.districtTable == b.table {
+		for i, d := range f.Districts {
+			b.addDistrict(f.districtIdx[i], d.Flows)
+		}
+	} else {
+		for _, d := range f.Districts {
+			b.addDistrict(b.table.intern(d.ID), d.Flows)
+		}
 	}
 	for _, bk := range f.Buckets {
 		b.buckets.add(bk.StartHour, bk.Flows, bk.Bytes)
@@ -216,7 +305,7 @@ func (b *Builder) AddResidual(snap *streaming.Snapshot, acc *SketchAccum, rawFra
 		b.late += snap.Late
 		b.located += snap.Located
 		for _, d := range snap.Districts {
-			b.districts[d.ID] += d.Flows
+			b.addDistrict(b.table.intern(d.ID), d.Flows)
 		}
 		b.buckets.addHours(snap.Hours)
 	}
@@ -245,16 +334,13 @@ func (b *Builder) Answer() *Answer {
 		PrefixSketch:     b.hll.AppendBinary(nil),
 		PresenceSketch:   b.quant.AppendBinary(nil),
 	}
-	if len(b.districts) > 0 {
-		ids := make([]string, 0, len(b.districts))
-		for id := range b.districts {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			ans.Districts = append(ans.Districts, streaming.DistrictCount{ID: id, Flows: b.districts[id]})
+	ids := b.table.snapshot()
+	for i, seen := range b.seen {
+		if seen {
+			ans.Districts = append(ans.Districts, streaming.DistrictCount{ID: ids[i], Flows: b.districts[i]})
 		}
 	}
+	slices.SortFunc(ans.Districts, func(x, y streaming.DistrictCount) int { return strings.Compare(x.ID, y.ID) })
 	return ans
 }
 

@@ -136,7 +136,7 @@ func FoldRaw(level Level, seq uint64, cfg streaming.Config, inputs []Input) (*Fr
 	for _, d := range snap.Districts { // already sorted by ID
 		f.Districts = append(f.Districts, District{ID: d.ID, Flows: d.Flows})
 	}
-	buckets := newBucketMap(level)
+	buckets := newBuckets(level)
 	buckets.addHours(snap.Hours)
 	f.Buckets = buckets.render(nil)
 	return f, nil
@@ -163,7 +163,7 @@ func FoldFrames(level Level, seq uint64, inputs []*Frame) (*Frame, error) {
 		Presence:   sketch.NewQuantile(),
 	}
 	districts := map[string]uint64{}
-	buckets := newBucketMap(level)
+	buckets := newBuckets(level)
 	for i, in := range inputs {
 		if i > 0 {
 			if err := chainErr("input frame", inputs[i-1].CoveredSeg, in.BaseSeg, i); err != nil {

@@ -186,6 +186,11 @@ type Frame struct {
 	// checkpoint cadence).
 	Prefixes *sketch.HLL
 	Presence *sketch.Quantile
+
+	// districtIdx is the dense index of each Districts row in
+	// districtTable, set once by DistrictTable.Resolve.
+	districtTable *DistrictTable
+	districtIdx   []uint32
 }
 
 // FrameMeta is the planner's view of a tier frame: identity and

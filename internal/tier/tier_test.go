@@ -3,14 +3,17 @@ package tier
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/netip"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"cwatrace/internal/core"
 	"cwatrace/internal/entime"
 	"cwatrace/internal/netflow"
+	"cwatrace/internal/sketch"
 	"cwatrace/internal/streaming"
 )
 
@@ -316,9 +319,9 @@ func TestAnswerFrameMergesLikeTheWhole(t *testing.T) {
 	f1 := mkFrame(1, 0, 2, 1, 2, 3)
 	f2 := mkFrame(2, 0, 30, 2, 3, 4)
 
-	merged := NewBuilder(ResolutionDay, origin)
+	merged := NewBuilder(ResolutionDay, origin, nil)
 	for _, f := range []*Frame{f1, f2} {
-		b := NewBuilder(ResolutionDay, origin)
+		b := NewBuilder(ResolutionDay, origin, nil)
 		b.AddFrame(f)
 		shipped, err := b.Answer().Frame()
 		if err != nil {
@@ -331,7 +334,7 @@ func TestAnswerFrameMergesLikeTheWhole(t *testing.T) {
 		merged.AddFrame(decoded)
 	}
 
-	whole := NewBuilder(ResolutionDay, origin)
+	whole := NewBuilder(ResolutionDay, origin, nil)
 	whole.AddFrame(f1)
 	whole.AddFrame(f2)
 
@@ -369,7 +372,7 @@ func TestBuilderResidual(t *testing.T) {
 	acc := NewSketchAccum()
 	acc.AddShard(resid.EachPrefix)
 
-	b := NewBuilder(ResolutionDay, origin)
+	b := NewBuilder(ResolutionDay, origin, nil)
 	b.AddFrame(f)
 	b.AddResidual(resid.Snapshot(), acc, 1)
 	ans := b.Answer()
@@ -393,5 +396,117 @@ func TestBuilderResidual(t *testing.T) {
 	}
 	if !ans.Approximate {
 		t.Fatal("tiered answer not flagged approximate")
+	}
+}
+
+// districtFrame is a day frame that carries only a district rollup and
+// one bucket at hour h.
+func districtFrame(seq uint64, h int64, districts ...District) *Frame {
+	return &Frame{Level: LevelDay, Seq: seq, MinHour: h, MaxHour: h, Dropped: make([]uint64, nReasons),
+		Districts: districts, Buckets: []Bucket{{StartHour: h - h%24, Flows: 1, Bytes: 10}},
+		Prefixes: sketch.NewHLL(), Presence: sketch.NewQuantile()}
+}
+
+// TestBuilderFoldsResolvedFramesLikeInternedOnes pins the dense district
+// index to the answer the id-keyed fold gives: frames resolved against a
+// store's table and folded by index, the same frames straight off the
+// wire and interned per builder, and a table that grew after the builder
+// was made all render one district list — sorted by id, a district a
+// frame names with zero flows still listed, an id no earlier frame had
+// still counted.
+func TestBuilderFoldsResolvedFramesLikeInternedOnes(t *testing.T) {
+	frames := func() []*Frame {
+		return []*Frame{
+			districtFrame(1, 0, District{"05315", 7}, District{"09162", 0}, District{"11000", 2}),
+			districtFrame(2, 24, District{"05315", 1}, District{"11000", 5}),
+			districtFrame(3, 48, District{"01001", 4}, District{"05315", 1}),
+		}
+	}
+	want := []streaming.DistrictCount{{ID: "01001", Flows: 4}, {ID: "05315", Flows: 9}, {ID: "09162", Flows: 0}, {ID: "11000", Flows: 7}, {ID: "16077", Flows: 3}}
+	residual := &streaming.Snapshot{Districts: []streaming.DistrictCount{{ID: "16077", Flows: 3}}}
+
+	table := NewDistrictTable()
+	table.intern("99999") // interned by some other frame, named by none of these: not listed
+	resolved := frames()
+	table.Resolve(resolved[0])
+	dense := NewBuilder(ResolutionDay, entime.StudyStart, table)
+	dense.AddFrame(resolved[0])
+	for _, f := range resolved[1:] { // resolved, and the table grown, after the builder sized itself
+		table.Resolve(f)
+		dense.AddFrame(f)
+	}
+	dense.AddResidual(residual, nil, 0)
+
+	interned := NewBuilder(ResolutionDay, entime.StudyStart, nil)
+	foreign := NewBuilder(ResolutionDay, entime.StudyStart, NewDistrictTable()) // frames resolved against another table
+	for i, f := range frames() {
+		interned.AddFrame(f)
+		foreign.AddFrame(resolved[i])
+	}
+	interned.AddResidual(residual, nil, 0)
+	foreign.AddResidual(residual, nil, 0)
+
+	for name, b := range map[string]*Builder{"dense": dense, "interned": interned, "foreign table": foreign} {
+		if got := b.Answer(); !reflect.DeepEqual(got.Districts, want) {
+			t.Errorf("%s: districts %+v, want %+v", name, got.Districts, want)
+		} else if !reflect.DeepEqual(got, dense.Answer()) {
+			t.Errorf("%s: answer differs from the dense fold's:\n got %+v\nwant %+v", name, got, dense.Answer())
+		}
+	}
+	if got := NewBuilder(ResolutionDay, entime.StudyStart, table).Answer(); got.Districts != nil {
+		t.Errorf("an answer with no district source lists %+v", got.Districts)
+	}
+}
+
+// TestBuildersShareResolvedFrames is the race drill for the dense index:
+// cached frames are folded by concurrent queries while the store resolves
+// newly folded frames — with ids the table has not seen — against the
+// same table. Run under -race (make race).
+func TestBuildersShareResolvedFrames(t *testing.T) {
+	table := NewDistrictTable()
+	var cached []*Frame
+	for i := 0; i < 8; i++ {
+		f := districtFrame(uint64(i), int64(24*i), District{"05315", 1}, District{fmt.Sprintf("%05d", 1000+i), 2})
+		table.Resolve(f)
+		cached = append(cached, f)
+	}
+	var wg sync.WaitGroup
+	for q := 0; q < 4; q++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 50; n++ {
+				b := NewBuilder(ResolutionDay, entime.StudyStart, table)
+				for _, f := range cached {
+					b.AddFrame(f)
+				}
+				if ans := b.Answer(); len(ans.Districts) != 9 || ans.Districts[0].ID != "01000" || ans.Districts[8] != (streaming.DistrictCount{ID: "05315", Flows: 8}) {
+					t.Errorf("districts under concurrent resolves: %+v", ans.Districts)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		table.Resolve(districtFrame(uint64(100+i), 0, District{fmt.Sprintf("%05d", 20000+i), 1}))
+	}
+	wg.Wait()
+}
+
+// TestBucketsStaySortedInAnyOrder covers the path ascending sources never
+// take: an hour older than the newest bucket lands in its own bucket, in
+// place, and the running sums are those of any other order.
+func TestBucketsStaySortedInAnyOrder(t *testing.T) {
+	bs := newBuckets(LevelDay)
+	for _, h := range []int64{50, 49, 3, 100, 26, 2, 75, 120, 0} {
+		bs.add(h, 1, float64(h))
+	}
+	want := []Bucket{{StartHour: 0, Flows: 3, Bytes: 5}, {StartHour: 24, Flows: 1, Bytes: 26}, {StartHour: 48, Flows: 2, Bytes: 99},
+		{StartHour: 72, Flows: 1, Bytes: 75}, {StartHour: 96, Flows: 1, Bytes: 100}, {StartHour: 120, Flows: 1, Bytes: 120}}
+	if got := bs.render(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("buckets %+v, want %+v", got, want)
+	}
+	if got := newBuckets(LevelWeek); got.render(nil) == nil {
+		t.Fatal("no buckets rendered as nil, frames carry an empty list")
 	}
 }
