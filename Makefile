@@ -73,7 +73,8 @@ bench-store:
 # vs the single-flight response cache vs conditional (ETag) 304s. Then
 # the two halves of a miss in isolation: value to body (marshalBody: 1-day,
 # 30-day and year-span hour answers, B/op beside the body size) and body
-# to wire (writeBody).
+# to wire (writeBody: gzip with the block cache warm, gzip-cold with it
+# empty, identity; wire_B/op beside ns/op).
 bench-api:
 	$(GO) run ./cmd/apiload -self -duration 5s -c 8
 	$(GO) test -run XXX -bench 'BenchmarkMarshalBody|BenchmarkWriteBody' -benchmem ./internal/api/
@@ -92,10 +93,12 @@ api-smoke:
 # sketches off the disk, shard state at the router, the analytics
 # state inside checkpoint frames and shard state (one parser, fuzzed
 # through both of its consumers), and the query strings of
-# /api/v1/query and /api/v1/snapshot at the client edge — plus the one
-# target that reads nothing from outside: FuzzAppendJSON holds the v1
+# /api/v1/query and /api/v1/snapshot at the client edge — plus the two
+# targets that read nothing from outside: FuzzAppendJSON holds the v1
 # append encoder to encoding/json's bytes, which is that encoder's
-# contract. One target per invocation (go test -fuzz takes one). Minimizing a multi-kilobyte
+# contract, and FuzzStitchedGzip holds the gzip member the edge stitches
+# from separately deflated chunks to compress/gzip's reader. One target
+# per invocation (go test -fuzz takes one). Minimizing a multi-kilobyte
 # input with the default 60 s budget would eat the whole pass, so it is
 # capped. CI runs the same smoke.
 FUZZ = $(GO) test -run XXX -fuzztime=10s -fuzzminimizetime=1s
@@ -107,6 +110,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzShardState ./internal/api/
 	$(FUZZ) -fuzz=FuzzQueryParams ./internal/api/
 	$(FUZZ) -fuzz=FuzzSnapshotParams ./internal/api/
+	$(FUZZ) -fuzz=FuzzStitchedGzip ./internal/api/
 	$(FUZZ) -fuzz=FuzzStoredState ./internal/streaming/
 	$(FUZZ) -fuzz=FuzzAppendJSON ./internal/api/v1/
 

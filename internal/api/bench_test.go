@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,33 +29,61 @@ func (w *wireCounter) Write(p []byte) (int, error) { w.n += len(p); return len(p
 
 // BenchmarkWriteBody is the client edge in isolation: one rendered
 // hour-resolution answer (a 1-day panel, a year-span one) through
-// writeBody, with gzip accepted and refused. wire_B/op next to ns/op is
-// the trade the compression level makes; the harness measures the same
-// path end to end.
+// writeBody, with gzip accepted and refused. The bodies come out of
+// renderBody, so the year's carries its cuts: gzip is the steady state, a
+// poll whose closed blocks the block cache holds, and gzip-cold the first
+// sight of every block (an empty cache per operation; the one-day body
+// has no closed block and no such case). wire_B/op next to ns/op is the
+// trade the compression level and the stitching make; the harness
+// measures the same path end to end.
 func BenchmarkWriteBody(b *testing.B) {
 	const days = 364
-	_, ts := tierServer(b, days)
+	st, ts := tierServer(b, days)
 	s := ts.Config.Handler.(*Server)
 	spans := []struct {
-		name  string
-		query string
+		name     string
+		from, to time.Time
 	}{
-		{"1d", fmt.Sprintf("?from=%d&to=%d", entime.StudyStart.Unix(), entime.StudyStart.AddDate(0, 0, 1).Unix())},
-		{"364d", ""},
+		{"1d", entime.StudyStart, entime.StudyStart.AddDate(0, 0, 1)},
+		{"364d", time.Time{}, time.Time{}},
 	}
 	for _, span := range spans {
-		_, body := get(b, ts.URL+"/api/v1/query"+span.query, nil)
-		if len(body) < gzipMinBytes {
-			b.Fatalf("%s body is %d B, too small to compress", span.name, len(body))
+		res, err := st.Query(span.from, span.to)
+		if err != nil {
+			b.Fatal(err)
 		}
-		for _, enc := range []string{"gzip", "identity"} {
+		body, err := renderBody(&v1.QueryResponse{From: res.From, To: res.To, Frames: res.Frames,
+			Snapshot: v1.NewSnapshot(res.Snapshot, v1.AllFields, 0)}, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(body.body) < gzipMinBytes {
+			b.Fatalf("%s body is %d B, too small to compress", span.name, len(body.body))
+		}
+		for _, enc := range []string{"gzip", "gzip-cold", "identity"} {
+			cold := enc == "gzip-cold"
+			if cold && len(body.cuts) < 2 {
+				continue
+			}
 			b.Run(span.name+"/"+enc, func(b *testing.B) {
 				r := httptest.NewRequest(http.MethodGet, "/api/v1/query", nil)
-				r.Header.Set("Accept-Encoding", enc)
+				r.Header.Set("Accept-Encoding", strings.TrimSuffix(enc, "-cold"))
 				w := &wireCounter{h: http.Header{}}
+				shared := blocks
+				defer func() { blocks = shared }()
+				blocks = newBlockCache(blockBytes)
+				for i := 0; i < 2; i++ { // a block is kept from its second sighting on
+					s.writeBody(w, r, http.StatusOK, jsonMediaType, body)
+				}
+				w.n = 0
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					if cold {
+						b.StopTimer()
+						blocks = newBlockCache(blockBytes)
+						b.StartTimer()
+					}
 					s.writeBody(w, r, http.StatusOK, jsonMediaType, body)
 				}
 				b.ReportMetric(float64(w.n)/float64(b.N), "wire_B/op")

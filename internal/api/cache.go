@@ -12,7 +12,9 @@ import (
 // request parameters and data generation, so a key can never go stale —
 // it can only fall out of use). N identical dashboard hits between data
 // changes cost one serialization: the first request marshals, everyone
-// else — concurrent or later — gets the cached bytes.
+// else — concurrent or later — gets the cached bytes. A body is filed
+// under its own tag, which the fill reports; while it is built it is
+// found under the tag of the lookup that started it.
 type respCache struct {
 	mu      sync.Mutex
 	max     int
@@ -26,11 +28,14 @@ type respCache struct {
 }
 
 // cacheEntry is one body being (or done being) marshaled. ready is
-// closed once body/err are set; waiters block on it, which is the
-// single-flight collapse.
+// closed once the body, its tag and err are set; waiters block on it,
+// which is the single-flight collapse.
 type cacheEntry struct {
-	ready   chan struct{}
-	body    []byte
+	ready chan struct{}
+	built
+	// tag is the strong ETag of the body; empty when it has none to go
+	// out under (and is then not kept).
+	tag     string
 	err     error
 	lastUse uint64
 }
@@ -42,10 +47,11 @@ func newRespCache(max int) *respCache {
 	return &respCache{max: max, entries: make(map[string]*cacheEntry)}
 }
 
-// get returns the cached body for key, running fill exactly once per
-// key across concurrent callers. Failed fills are not cached — the next
-// request retries.
-func (c *respCache) get(key string, fill func() ([]byte, error)) ([]byte, error) {
+// get returns the cached entry for key, running fill exactly once per
+// key across concurrent callers. fill reports the tag of the body it
+// built, under which the entry stays filed; failed and untagged fills
+// are not cached — the next request builds again.
+func (c *respCache) get(key string, fill func() (built, string, error)) (*cacheEntry, error) {
 	c.mu.Lock()
 	c.clock++
 	if e, ok := c.entries[key]; ok {
@@ -53,7 +59,7 @@ func (c *respCache) get(key string, fill func() ([]byte, error)) ([]byte, error)
 		c.mu.Unlock()
 		c.hits.Inc()
 		<-e.ready
-		return e.body, e.err
+		return e, e.err
 	}
 	e := &cacheEntry{ready: make(chan struct{}), lastUse: c.clock}
 	c.entries[key] = e
@@ -69,7 +75,10 @@ func (c *respCache) get(key string, fill func() ([]byte, error)) ([]byte, error)
 			}
 			close(e.ready)
 		}()
-		e.body, e.err = fill()
+		e.built, e.tag, e.err = fill()
+		if e.err != nil {
+			e.tag = ""
+		}
 		if cap(e.body) != len(e.body) {
 			// The entry outlives the request by up to max-1 other keys:
 			// hold the body, not the buffer it grew in.
@@ -77,14 +86,18 @@ func (c *respCache) get(key string, fill func() ([]byte, error)) ([]byte, error)
 		}
 	}()
 
-	if e.err != nil {
+	if e.tag != key {
 		c.mu.Lock()
 		if c.entries[key] == e {
 			delete(c.entries, key)
 		}
+		if e.tag != "" {
+			c.entries[e.tag] = e
+			c.evictLocked()
+		}
 		c.mu.Unlock()
 	}
-	return e.body, e.err
+	return e, e.err
 }
 
 // evictLocked drops least-recently-used entries until the cache fits.

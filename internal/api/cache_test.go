@@ -5,12 +5,21 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	v1 "cwatrace/internal/api/v1"
 )
+
+// under adapts a body builder to a fill whose body is filed under tag.
+func under(tag string, fill func() ([]byte, error)) func() (built, string, error) {
+	return func() (built, string, error) {
+		body, err := fill()
+		return built{body: body}, tag, err
+	}
+}
 
 // TestCacheSingleFlight requires N concurrent identical requests to
 // cost exactly one fill.
@@ -24,12 +33,12 @@ func TestCacheSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-gate
-			body, err := c.get("k", func() ([]byte, error) {
+			e, err := c.get("k", under("k", func() ([]byte, error) {
 				fills.Add(1)
 				return []byte("body"), nil
-			})
-			if err != nil || string(body) != "body" {
-				t.Errorf("get: %q %v", body, err)
+			}))
+			if err != nil || string(e.body) != "body" {
+				t.Errorf("get: %q %v", e.body, err)
 			}
 		}()
 	}
@@ -43,19 +52,19 @@ func TestCacheSingleFlight(t *testing.T) {
 func TestCacheErrorNotCached(t *testing.T) {
 	c := newRespCache(8)
 	calls := 0
-	fill := func() ([]byte, error) {
+	fill := under("k", func() ([]byte, error) {
 		calls++
 		if calls == 1 {
 			return nil, errors.New("transient")
 		}
 		return []byte("ok"), nil
-	}
+	})
 	if _, err := c.get("k", fill); err == nil {
 		t.Fatal("first fill error swallowed")
 	}
-	body, err := c.get("k", fill)
-	if err != nil || string(body) != "ok" {
-		t.Fatalf("retry after error: %q %v", body, err)
+	e, err := c.get("k", fill)
+	if err != nil || string(e.body) != "ok" {
+		t.Fatalf("retry after error: %q %v", e.body, err)
 	}
 	if calls != 2 {
 		t.Fatalf("fill ran %d times, want 2", calls)
@@ -64,13 +73,72 @@ func TestCacheErrorNotCached(t *testing.T) {
 
 func TestCachePanicReleasesWaiters(t *testing.T) {
 	c := newRespCache(8)
-	if _, err := c.get("k", func() ([]byte, error) { panic("boom") }); err == nil {
+	if _, err := c.get("k", under("k", func() ([]byte, error) { panic("boom") })); err == nil {
 		t.Fatal("panicking fill returned no error")
 	}
 	// The key is free again.
-	body, err := c.get("k", func() ([]byte, error) { return []byte("ok"), nil })
-	if err != nil || string(body) != "ok" {
-		t.Fatalf("after panic: %q %v", body, err)
+	e, err := c.get("k", under("k", func() ([]byte, error) { return []byte("ok"), nil }))
+	if err != nil || string(e.body) != "ok" {
+		t.Fatalf("after panic: %q %v", e.body, err)
+	}
+}
+
+// TestCacheFilesUnderTheBodysTag pins the re-filing: a body built for a
+// lookup under one tag and stamped with another is found under its own
+// afterwards, everyone who waited at the lookup's tag is handed the
+// body's, and a body without a tag is not kept at all.
+func TestCacheFilesUnderTheBodysTag(t *testing.T) {
+	c := newRespCache(8)
+	started, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, err := c.get("asked", func() (built, string, error) {
+				close(started) // a second fill would panic here
+				<-release
+				return built{body: []byte("newer")}, "stamped", nil
+			})
+			if err != nil || e.tag != "stamped" || string(e.body) != "newer" {
+				t.Errorf("waiter got %q under %q, %v", e.body, e.tag, err)
+			}
+		}()
+	}
+	<-started
+	for lookups := uint64(0); lookups < 4; runtime.Gosched() { // until all four are at the entry
+		c.mu.Lock()
+		lookups = c.clock
+		c.mu.Unlock()
+	}
+	close(release)
+	wg.Wait()
+	refill := func() (built, string, error) {
+		t.Error("a filed body was built again")
+		return built{}, "", nil
+	}
+	if e, _ := c.get("stamped", refill); string(e.body) != "newer" {
+		t.Fatalf("under its own tag: %q", e.body)
+	}
+	c.mu.Lock()
+	_, stale := c.entries["asked"]
+	c.mu.Unlock()
+	if stale {
+		t.Fatal("the entry is still filed under the lookup's tag")
+	}
+
+	fills := 0
+	for i := 0; i < 2; i++ {
+		e, err := c.get("untagged", func() (built, string, error) {
+			fills++
+			return built{body: []byte("live")}, "", nil
+		})
+		if err != nil || e.tag != "" || string(e.body) != "live" {
+			t.Fatalf("untagged body: %q under %q, %v", e.body, e.tag, err)
+		}
+	}
+	if fills != 2 || len(c.entries) != 1 {
+		t.Fatalf("untagged body: %d fills and %d entries, want 2 and 1", fills, len(c.entries))
 	}
 }
 
@@ -78,7 +146,7 @@ func TestCacheEviction(t *testing.T) {
 	c := newRespCache(4)
 	for i := 0; i < 10; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if _, err := c.get(key, func() ([]byte, error) { return []byte(key), nil }); err != nil {
+		if _, err := c.get(key, under(key, func() ([]byte, error) { return []byte(key), nil })); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +158,7 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// The most recent key is still served without a refill.
 	refilled := false
-	if _, err := c.get("k9", func() ([]byte, error) { refilled = true; return nil, nil }); err != nil {
+	if _, err := c.get("k9", under("k9", func() ([]byte, error) { refilled = true; return nil, nil })); err != nil {
 		t.Fatal(err)
 	}
 	if refilled {

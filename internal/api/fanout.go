@@ -211,6 +211,10 @@ func (s *Server) handleFanQuery(w http.ResponseWriter, r *http.Request, p reqPar
 func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, params string, res *FanResult, build func() (any, error), pretty bool) {
 	h := w.Header()
 	setServerTiming(h, res.Timings)
+	// Every data response says how it may be reused, the complete one
+	// without a validator too (a shard that sent no ETag: a memory-only
+	// collector under ingest, an older build): revalidate, like the rest.
+	h.Set("Cache-Control", "no-cache")
 	if len(res.Missing) > 0 || !res.Validated {
 		status := http.StatusOK
 		if len(res.Missing) > 0 {
@@ -225,7 +229,6 @@ func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, p
 		s.writeJSON(w, r, status, v, pretty)
 		return
 	}
-	h.Set("Cache-Control", "no-cache")
 	h.Set("Vary", "Accept-Encoding")
 	etag := etagFor(s.boot, endpoint, params, res.Version)
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
@@ -233,13 +236,16 @@ func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, p
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	body, err := s.cache.get(etag, jsonBody(pretty, build))
+	e, err := s.cache.get(etag, func() (built, string, error) {
+		b, err := jsonBody(pretty, build)()
+		return b, etag, err
+	})
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "building response failed", err.Error())
 		return
 	}
 	h.Set("ETag", etag)
-	s.writeBody(w, r, http.StatusOK, jsonMediaType, body)
+	s.writeBody(w, r, http.StatusOK, jsonMediaType, e.built)
 }
 
 // handleFanStats is /api/v1/stats in fan-out mode: the field-wise sum

@@ -65,16 +65,23 @@ func emptySnap() *streaming.Snapshot {
 // TestFanoutUnvalidatedServesWithoutETag pins the honesty rule for a
 // complete-but-unvalidatable gather (a shard answered without an ETag):
 // the body is served as 200, but with no validator — a composite over
-// missing shard tags could collide across states.
+// missing shard tags could collide across states. It still says how it
+// may be reused, like every other data response: no-cache — without the
+// header a shared cache would apply its own heuristic freshness.
 func TestFanoutUnvalidatedServesWithoutETag(t *testing.T) {
 	f := &fakeFanout{shards: 2, res: FanResult{Snapshot: emptySnap(), Version: 7, Validated: false}}
 	s := fanServer(t, f)
-	w := fanGet(t, s, "/api/v1/snapshot", nil)
-	if w.Code != 200 {
-		t.Fatalf("status %d", w.Code)
-	}
-	if etag := w.Header().Get("ETag"); etag != "" {
-		t.Fatalf("unvalidated fan-out carries ETag %q", etag)
+	for _, url := range []string{"/api/v1/snapshot", "/api/v1/query?resolution=hour"} {
+		w := fanGet(t, s, url, nil)
+		if w.Code != 200 {
+			t.Fatalf("%s: status %d", url, w.Code)
+		}
+		if etag := w.Header().Get("ETag"); etag != "" {
+			t.Fatalf("%s: unvalidated fan-out carries ETag %q", url, etag)
+		}
+		if cc := w.Header().Get("Cache-Control"); cc != "no-cache" {
+			t.Fatalf("%s: unvalidated fan-out says Cache-Control %q, want no-cache", url, cc)
+		}
 	}
 }
 

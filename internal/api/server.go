@@ -8,13 +8,13 @@
 // (store.Version, or a pipeline-stats hash on a memory-only collector)
 // plus the request parameters; repeated reads and CDN front-ends
 // revalidate with If-None-Match and get 304 Not Modified instead of a
-// full re-marshal, and a single-flight response cache collapses N
-// identical concurrent hits into one serialization.
+// full re-marshal, a single-flight response cache collapses N identical
+// concurrent hits into one serialization, and a gzip response is
+// stitched from blocks that were deflated once (gzip.go).
 package api
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -47,7 +47,9 @@ type Live interface {
 // History is the durable data source: the store of a -data-dir
 // collector. When present it owns the snapshot state (SinkOnly mode)
 // and answers historical range queries; Version feeds the ETag
-// derivation (see store.Version for the exact invalidation contract).
+// derivation (see store.Version for the exact invalidation contract),
+// and every answer carries the Version of its own cut, which a 200's
+// ETag is derived from.
 type History interface {
 	Snapshot() *streaming.Snapshot
 	Query(from, to time.Time) (*store.QueryResult, error)
@@ -428,12 +430,19 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.handleFanSnapshot(w, r, p)
 		return
 	}
-	s.serveCached(w, r, "v1/snapshot", p.key(), s.snapshotVersion, p.mediaType(), func() ([]byte, error) {
+	s.serveCached(w, r, "v1/snapshot", p.key(), s.snapshotVersion, p.mediaType(), func() (built, error) {
 		snap := s.snapshotSource()()
+		var (
+			b   built
+			err error
+		)
 		if p.state {
-			return encodeState(&store.QueryResult{Snapshot: snap})
+			b.body, err = encodeState(&store.QueryResult{Snapshot: snap})
+		} else {
+			b, err = renderBody(v1.NewSnapshot(snap, p.fields, p.top), p.pretty)
 		}
-		return marshalBody(v1.NewSnapshot(snap, p.fields, p.top), p.pretty)
+		b.version = snap.Version
+		return b, err
 	})
 }
 
@@ -469,23 +478,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	key := fmt.Sprintf("from=%s&to=%s&resolution=%s&%s", stamp(from), stamp(to), resolution, p.key())
 	version := func() uint64 { return s.cfg.History.Version(from, to) }
-	s.serveCached(w, r, "v1/query", key, version, p.mediaType(), func() ([]byte, error) {
+	s.serveCached(w, r, "v1/query", key, version, p.mediaType(), func() (built, error) {
 		res, err := s.cfg.History.QueryResolution(from, to, resolution)
 		if err != nil {
-			return nil, err
+			return built{}, err
 		}
+		var b built
 		if p.state {
-			return encodeState(res)
+			b.body, err = encodeState(res)
+		} else {
+			b, err = renderBody(&v1.QueryResponse{
+				From:         res.From,
+				To:           res.To,
+				Frames:       res.Frames,
+				TailIncluded: res.TailIncluded,
+				Snapshot:     v1.NewSnapshot(res.Snapshot, p.fields, p.top),
+				Resolution:   string(res.Resolution),
+				LongHorizon:  res.LongHorizon,
+			}, p.pretty)
 		}
-		return marshalBody(&v1.QueryResponse{
-			From:         res.From,
-			To:           res.To,
-			Frames:       res.Frames,
-			TailIncluded: res.TailIncluded,
-			Snapshot:     v1.NewSnapshot(res.Snapshot, p.fields, p.top),
-			Resolution:   string(res.Resolution),
-			LongHorizon:  res.LongHorizon,
-		}, p.pretty)
+		b.version = res.Version
+		return b, err
 	})
 }
 
@@ -634,13 +647,16 @@ func stamp(t time.Time) string {
 // responses skip the overhead.
 const gzipMinBytes = 1 << 10
 
-// gzipPool is the serving stack's only compressor. BestSpeed deflates
-// the query traffic 3.6x cheaper than the default level for 1.4x the
-// wire bytes (DESIGN.md, "The API layer"); a valid level cannot error.
-var gzipPool = sync.Pool{New: func() any {
-	gz, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed)
-	return gz
-}}
+// built is one rendered response body.
+type built struct {
+	body []byte
+	// cuts bound the body's closed blocks (v1.AppendJSON, deflater.member).
+	cuts []int
+	// version is the generation token of the cut the body shows, as the
+	// source stamped it (store.QueryResult.Version, Snapshot.Version);
+	// zero when it stamps none: a memory-only collector, a legacy shape.
+	version uint64
+}
 
 // serveCached is the conditional-GET core shared by every cacheable
 // endpoint: derive the strong ETag from (endpoint, params, data
@@ -649,65 +665,64 @@ var gzipPool = sync.Pool{New: func() any {
 // the ETag is the cache key, so N identical hits between data changes
 // cost one serialization.
 //
-// A strong ETag promises byte-identical bodies, so the generation is
-// re-read AFTER the body is built: a data change that lands between
-// the two reads would otherwise let a newer body travel under the
-// older tag (and, via the cache, be replayed to a shared cache that
-// already holds the genuine older body). On a mismatch the build
-// retries under the fresh tag; under pathological churn the response
-// goes out without a validator rather than with a dishonest one.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, params string, version func() uint64, mediaType string, build func() ([]byte, error)) {
+// A strong ETag promises byte-identical bodies, so a body goes out under
+// the tag of the version stamped on it, not of the version() read for
+// If-None-Match and the lookup: under ingest an append lands between any
+// two reads, and the stamp is read with the cut. One read, one build,
+// always a validator. Only an unstamped body falls back to reading
+// version() again after the build: unchanged, the lookup's tag is the
+// body's; changed, it goes out without a validator and is not cached.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, params string, version func() uint64, mediaType string, build func() (built, error)) {
 	h := w.Header()
 	h.Set("Cache-Control", "no-cache") // cacheable, but revalidate: ETags are the invalidation channel
 	h.Set("Vary", "Accept-Encoding")   // a 304 carries the Vary its 200 would (RFC 9110 §15.4.5)
-	var (
-		body []byte
-		etag string
-	)
-	for attempt := 0; ; attempt++ {
-		before := version()
-		etag = etagFor(s.boot, endpoint, params, before)
-		if etagMatch(r.Header.Get("If-None-Match"), etag) {
-			h.Set("ETag", etag)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		var err error
-		body, err = s.cache.get(etag, build)
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "building response failed", err.Error())
-			return
-		}
-		if version() == before {
-			h.Set("ETag", etag)
-			break
-		}
-		if attempt >= 1 {
-			// Generations are moving faster than builds: serve the data,
-			// skip the validator. One retry can buy a validator; more just
-			// multiplies the merge+marshal cost in exactly the hot regime.
-			break
-		}
+	before := version()
+	etag := etagFor(s.boot, endpoint, params, before)
+	if etagMatch(r.Header.Get("If-None-Match"), etag) {
+		h.Set("ETag", etag)
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
-	s.writeBody(w, r, http.StatusOK, mediaType, body)
+	e, err := s.cache.get(etag, func() (built, string, error) {
+		b, err := build()
+		switch {
+		case err != nil:
+			return b, "", err
+		case b.version != 0:
+			return b, etagFor(s.boot, endpoint, params, b.version), nil
+		case version() == before:
+			return b, etag, nil
+		}
+		return b, "", nil
+	})
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "building response failed", err.Error())
+		return
+	}
+	if e.tag != "" {
+		h.Set("ETag", e.tag)
+	}
+	s.writeBody(w, r, http.StatusOK, mediaType, e.built)
 }
 
 // writeJSON marshals and sends an uncached response.
 func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any, pretty bool) {
-	body, err := marshalBody(v, pretty)
+	b, err := renderBody(v, pretty)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "encoding response failed", err.Error())
 		return
 	}
-	s.writeBody(w, r, status, jsonMediaType, body)
+	s.writeBody(w, r, status, jsonMediaType, b)
 }
 
 // writeBody sends a rendered body, gzip-compressed when the client
 // accepts it and the body is big enough to bother. Every path that
 // could compress declares Vary, so a shared cache never replays gzip
 // bytes to a client that did not ask for them. Only JSON may be
-// content-sniffed: any other representation is marked nosniff.
-func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, status int, mediaType string, body []byte) {
+// content-sniffed: any other representation is marked nosniff. The gzip
+// bytes are one member stitched along b.cuts (see gzip.go).
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, status int, mediaType string, b built) {
+	body := b.body
 	h := w.Header()
 	h.Set("Content-Type", mediaType)
 	if mediaType != jsonMediaType {
@@ -729,15 +744,11 @@ func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, status int, m
 	if compress {
 		h.Set("Content-Encoding", "gzip")
 		w.WriteHeader(status)
-		gz := gzipPool.Get().(*gzip.Writer)
-		gz.Reset(w)
-		_, werr := gz.Write(body)
-		if cerr := gz.Close(); werr == nil {
-			werr = cerr
-		}
-		gzipPool.Put(gz)
-		if werr != nil {
-			s.errorf("gzip response for %s: %v", r.URL.Path, werr)
+		d := deflaters.Get().(*deflater)
+		_, err := w.Write(d.member(body, b.cuts, blocks))
+		deflaters.Put(d)
+		if err != nil {
+			s.errorf("gzip response for %s: %v", r.URL.Path, err)
 		}
 		return
 	}
@@ -776,58 +787,65 @@ func (p reqParams) mediaType() string {
 }
 
 // jsonBody adapts a value builder to the body builder serveCached
-// caches: build, then marshal.
-func jsonBody(pretty bool, build func() (any, error)) func() ([]byte, error) {
-	return func() ([]byte, error) {
+// caches: build, then marshal. The body carries no version stamp.
+func jsonBody(pretty bool, build func() (any, error)) func() (built, error) {
+	return func() (built, error) {
 		v, err := build()
 		if err != nil {
-			return nil, err
+			return built{}, err
 		}
-		return marshalBody(v, pretty)
+		return renderBody(v, pretty)
 	}
 }
 
-// marshalBody renders compact JSON (the default) or two-space
+// marshalBody is renderBody for a body that has no cuts to keep.
+func marshalBody(v any, pretty bool) ([]byte, error) {
+	b, err := renderBody(v, pretty)
+	return b.body, err
+}
+
+// renderBody renders compact JSON (the default) or two-space
 // indentation under ?pretty=1, newline-terminated — the bytes a
-// json.Encoder writes. It renders into pooled scratch and returns an
+// json.Encoder writes — with the cuts of the compact form (an indented
+// body has none). It renders into pooled scratch and returns an
 // exact-size copy: the response cache keeps a body for as long as its
 // ETag is in use, and a grown buffer would pin up to twice the body.
-func marshalBody(v any, pretty bool) ([]byte, error) {
+func renderBody(v any, pretty bool) (built, error) {
 	scratch := bodyScratch.Get().(*[]byte)
 	defer bodyScratch.Put(scratch)
-	b, err := appendJSON((*scratch)[:0], v)
+	b, cuts, err := appendJSON((*scratch)[:0], v)
 	*scratch = b // keep what the rendering grew
 	if err != nil {
-		return nil, err
+		return built{}, err
 	}
 	if pretty {
 		var buf bytes.Buffer
 		if err := json.Indent(&buf, b, "", "  "); err != nil {
-			return nil, err
+			return built{}, err
 		}
-		b = buf.Bytes()
+		b, cuts = buf.Bytes(), nil
 	}
 	body := make([]byte, len(b))
 	copy(body, b)
-	return body, nil
+	return built{body: body, cuts: cuts}, nil
 }
 
 // appendJSON appends v's compact encoding and the newline: the two data
-// bodies through the v1 package's append encoder, the error, health and
-// stats envelopes (and the legacy shapes) through encoding/json.
-func appendJSON(b []byte, v any) ([]byte, error) {
-	var err error
+// bodies through the v1 package's append encoder, which reports their
+// cuts, the error, health and stats envelopes (and the legacy shapes)
+// through encoding/json.
+func appendJSON(b []byte, v any) (out []byte, cuts []int, err error) {
 	switch v := v.(type) {
 	case *v1.QueryResponse:
-		b, err = v.AppendJSON(b)
+		b, cuts, err = v.AppendJSON(b)
 	case *v1.Snapshot:
-		b, err = v.AppendJSON(b)
+		b, cuts, err = v.AppendJSON(b)
 	default:
 		var j []byte
 		j, err = json.Marshal(v)
 		b = append(b, j...)
 	}
-	return append(b, '\n'), err
+	return append(b, '\n'), cuts, err
 }
 
 // bodyScratch holds the buffers bodies are rendered in before their

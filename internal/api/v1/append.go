@@ -10,6 +10,12 @@ package v1
 // census, presence, degraded and sketch fields — so the unusual cases and
 // every error are encoding/json's own. The struct tags stay the schema of
 // record; FuzzAppendJSON holds this file to json.Encoder's output.
+//
+// Beside the bytes it reports cuts: the offset of the opening brace of
+// every hours row whose hour index is a multiple of cutHours. The text
+// between two neighbouring cuts is cutHours rows and their commas, the
+// same in every body that spans them wherever its range or array starts,
+// so the edge compresses such a block once (api.writeBody).
 
 import (
 	"encoding/json"
@@ -19,29 +25,33 @@ import (
 	"unicode/utf8"
 )
 
+// cutHours is the row count of one closed block of the hours array.
+const cutHours = 128
+
 // AppendJSON appends the compact JSON encoding of q — what json.Marshal
-// returns, byte for byte — to b.
-func (q *QueryResponse) AppendJSON(b []byte) ([]byte, error) {
+// returns, byte for byte — to b; cuts are offsets into the result.
+func (q *QueryResponse) AppendJSON(b []byte) (out []byte, cuts []int, err error) {
 	e := encoder{b: b}
 	e.query(q)
-	return e.b, e.err
+	return e.b, e.cuts, e.err
 }
 
 // AppendJSON appends the compact JSON encoding of s — what json.Marshal
-// returns, byte for byte — to b.
-func (s *Snapshot) AppendJSON(b []byte) ([]byte, error) {
+// returns, byte for byte — to b; cuts are offsets into the result.
+func (s *Snapshot) AppendJSON(b []byte) (out []byte, cuts []int, err error) {
 	e := encoder{b: b}
 	e.snapshot(s)
-	return e.b, e.err
+	return e.b, e.cuts, e.err
 }
 
 // encoder appends one body. The first error sticks and is the one
 // encoding/json reports for the same value: fields are visited in
 // declaration order and none is marshaled after a failure.
 type encoder struct {
-	b   []byte
-	err error
-	day dayStamp
+	b    []byte
+	cuts []int
+	err  error
+	day  dayStamp
 }
 
 func (e *encoder) raw(s string) { e.b = append(e.b, s...) }
@@ -165,9 +175,18 @@ func (e *encoder) snapshot(s *Snapshot) {
 	e.time(`{"origin":`, s.Origin)
 	e.int(`,"window_hours":`, int64(s.WindowHours))
 	e.int(`,"series_start":`, int64(s.SeriesStart))
+	if n := len(s.Hours); n >= cutHours {
+		e.cuts = make([]int, 0, n/cutHours+1)
+	}
 	for i := range s.Hours {
 		p := &s.Hours[i]
-		e.int(rowKey(i, `,"hours":[{"hour":`, `,{"hour":`), int64(p.Hour))
+		// The cut sits behind the comma (or the bracket), in front of the
+		// brace: a block then reads the same first in its array or not.
+		e.raw(rowKey(i, `,"hours":[`, `,`))
+		if p.Hour%cutHours == 0 {
+			e.cuts = append(e.cuts, len(e.b))
+		}
+		e.int(`{"hour":`, int64(p.Hour))
 		e.time(`,"time":`, p.Time)
 		e.float(`,"flows":`, p.Flows)
 		e.float(`,"bytes":`, p.Bytes)

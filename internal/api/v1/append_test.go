@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 	_ "time/tzdata" // Europe/Berlin wherever the test runs
@@ -17,7 +19,7 @@ import (
 
 // appender is the two bodies the append encoder renders.
 type appender interface {
-	AppendJSON([]byte) ([]byte, error)
+	AppendJSON([]byte) ([]byte, []int, error)
 }
 
 // checkAgainstEncoder is the contract of append.go: for any value,
@@ -28,7 +30,7 @@ func checkAgainstEncoder(t *testing.T, v appender) {
 	t.Helper()
 	var want bytes.Buffer
 	wantErr := json.NewEncoder(&want).Encode(v)
-	got, gotErr := v.AppendJSON(nil)
+	got, cuts, gotErr := v.AppendJSON(nil)
 	if wantErr != nil || gotErr != nil {
 		if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
 			t.Fatalf("errors differ:\n json: %v\n ours: %v", wantErr, gotErr)
@@ -52,10 +54,48 @@ func checkAgainstEncoder(t *testing.T, v appender) {
 		t.Fatalf("indented bodies differ:\n json: %s\n ours: %s", wantPretty.Bytes(), gotPretty.Bytes())
 	}
 
-	// Appending extends the caller's bytes and leaves them alone.
+	// Appending extends the caller's bytes and leaves them alone; the
+	// cuts move with the text.
 	prefix := []byte("prefix")
-	if again, _ := v.AppendJSON(prefix); !bytes.Equal(again[:len(prefix)], prefix) || !bytes.Equal(append(again[len(prefix):], '\n'), got) {
+	again, shifted, _ := v.AppendJSON(prefix)
+	if !bytes.Equal(again[:len(prefix)], prefix) || !bytes.Equal(append(again[len(prefix):], '\n'), got) {
 		t.Fatalf("append onto a prefix changed the rendering: %s", again)
+	}
+	if len(shifted) != len(cuts) {
+		t.Fatalf("%d cuts onto a prefix, %d without", len(shifted), len(cuts))
+	}
+	for i, c := range cuts {
+		if shifted[i] != c+len(prefix) {
+			t.Fatalf("cut %d: %d onto a %d-byte prefix, %d without", i, shifted[i], len(prefix), c)
+		}
+	}
+	checkCuts(t, got, cuts)
+}
+
+// checkCuts is the contract of the cuts: ascending, one in front of the
+// brace of every row that opens a block of cutHours hours, none anywhere
+// else — so the text between two neighbours is those rows alone.
+func checkCuts(t *testing.T, body []byte, cuts []int) {
+	t.Helper()
+	var want []int
+	if at := bytes.Index(body, []byte(`"hours":[`)); at >= 0 {
+		// Rows hold no nested braces: a row runs to the next '}'.
+		for at += len(`"hours":[`); body[at] == '{'; {
+			var hour int
+			if _, err := fmt.Sscanf(string(body[at:]), `{"hour":%d,`, &hour); err != nil {
+				t.Fatalf("row at %d: %v", at, err)
+			}
+			if hour%cutHours == 0 {
+				want = append(want, at)
+			}
+			at += bytes.IndexByte(body[at:], '}') + 1
+			if body[at] == ',' {
+				at++
+			}
+		}
+	}
+	if !slices.Equal(cuts, want) {
+		t.Fatalf("cuts %v, want %v", cuts, want)
 	}
 }
 
@@ -75,6 +115,37 @@ func hourly(origin time.Time, n int) []HourPoint {
 		hours[i] = HourPoint{Hour: i, Time: origin.Add(time.Duration(i) * time.Hour), Flows: float64(3 * i), Bytes: float64(i) * 1500.5}
 	}
 	return hours
+}
+
+// TestBlocksReadTheSameEverywhere is what the cuts are for: the text
+// between the cuts of hours 128 and 256 is the same bytes whether the
+// array starts before the block, on it, or in another body type.
+func TestBlocksReadTheSameEverywhere(t *testing.T) {
+	hours := hourly(time.Date(2020, 6, 15, 0, 0, 0, 0, berlin(t)), 400)
+	var want []byte
+	for start, v := range map[int]appender{
+		0:   &Snapshot{Hours: hours, Late: 7},
+		100: &QueryResponse{Frames: 3, Snapshot: &Snapshot{SeriesStart: 100, Hours: hours[100:]}},
+		128: &Snapshot{SeriesStart: 128, Hours: hours[128:300]},
+	} {
+		body, cuts, err := v.AppendJSON([]byte("some prefix"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := 0
+		if start == 0 {
+			first = 1 // hour 0 opens a block too
+		}
+		block := body[cuts[first]:cuts[first+1]]
+		if !bytes.HasPrefix(block, []byte(`{"hour":128,`)) || !bytes.HasSuffix(block, []byte(`},`)) {
+			t.Fatalf("start %d: block reads %.40s … %s", start, block, block[len(block)-20:])
+		}
+		if want == nil {
+			want = block
+		} else if !bytes.Equal(block, want) {
+			t.Fatalf("start %d: the block of hours 128-255 reads differently", start)
+		}
+	}
 }
 
 func TestAppendJSONMatchesEncoder(t *testing.T) {
@@ -112,6 +183,8 @@ func TestAppendJSONMatchesEncoder(t *testing.T) {
 		"empty not nil":    &Snapshot{Hours: []HourPoint{}, Spikes: []Spike{}, TopPrefixes: []PrefixCount{}, Districts: []DistrictCount{}, Census: &Census{}},
 		"autumn in Berlin": &Snapshot{Origin: time.Date(2020, 10, 24, 0, 0, 0, 0, loc), Hours: hourly(time.Date(2020, 10, 24, 0, 0, 0, 0, loc), 72)},
 		"spring in Berlin": &Snapshot{Origin: time.Date(2021, 3, 27, 0, 0, 0, 0, loc), Hours: hourly(time.Date(2021, 3, 27, 0, 0, 0, 0, loc), 72)},
+		"three blocks":     &Snapshot{SeriesStart: 100, Hours: hourly(time.Date(2020, 6, 15, 0, 0, 0, 0, loc), 400)[100:]},
+		"on a boundary":    &QueryResponse{Snapshot: &Snapshot{SeriesStart: 256, Hours: hourly(time.Date(2020, 6, 15, 0, 0, 0, 0, loc), 300)[256:]}},
 		"half-hour zone":   &Snapshot{Hours: hourly(time.Date(2020, 6, 15, 0, 0, 0, 0, time.FixedZone("", 5*3600+1800)), 30)},
 		"odd-second zone":  &Snapshot{Hours: hourly(time.Date(2020, 6, 15, 0, 0, 0, 0, time.FixedZone("", -(53*60+28))), 30)},
 		"before 1970":      &Snapshot{Hours: hourly(time.Date(1969, 12, 30, 22, 0, 0, 0, loc), 60)},

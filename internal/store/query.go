@@ -64,6 +64,10 @@ type QueryResult struct {
 	// exact hourly path, keeping the v1 wire schema unchanged.
 	Resolution  tier.Resolution `json:"resolution,omitempty"`
 	LongHorizon *tier.Answer    `json:"long_horizon,omitempty"`
+	// Version is Version(From, To) as of this answer's cut: read in the
+	// hold of the store mutex that took the frame list and the live state,
+	// so it names these bytes however many appends land meanwhile.
+	Version uint64 `json:"-"`
 }
 
 // Query merges the frames overlapping [from, to) with the live tail and
@@ -97,6 +101,7 @@ func (s *Store) tryQuery(from, to time.Time) (*QueryResult, error) {
 		}
 	}
 	live := s.detachLive(from, to)
+	version := s.versionLocked(from, to)
 	s.mu.Unlock()
 
 	// A historical range can span more hours than the live sliding
@@ -106,7 +111,7 @@ func (s *Store) tryQuery(from, to time.Time) (*QueryResult, error) {
 	// reporting the window a ring widened to hold them all would have.
 	// The frame loads run lock-free, and the detached live state folds
 	// last, in chronological order (frames, then live), like Snapshot.
-	res := &QueryResult{From: from, To: to, TailIncluded: live != nil}
+	res := &QueryResult{From: from, To: to, TailIncluded: live != nil, Version: version}
 	m := streaming.NewRange(s.cfg, from, to)
 	for _, fr := range frames {
 		st, err := s.frameState(fr)
@@ -184,20 +189,25 @@ func (s *Store) liveIncluded(from, to time.Time) bool {
 // The tail-overlap test is tryQuery's inclusion rule (liveIncluded): if
 // ingest later grows the tail into a range that was frames-only, the
 // tail generation enters the mix and the token changes with it.
+//
+// Every answer carries the token of its own cut: the query paths call
+// versionLocked in the hold of mu that takes it.
 func (s *Store) Version(from, to time.Time) uint64 {
 	s.mu.Lock()
-	boot, ckptGen, tailGen := s.boot, s.ckptGen, s.tailGen
-	live := s.liveIncluded(from, to)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	return s.versionLocked(from, to)
+}
 
+// versionLocked computes the Version token. Caller holds mu.
+func (s *Store) versionLocked(from, to time.Time) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for _, v := range []uint64{boot, ckptGen} {
+	for _, v := range []uint64{s.boot, s.ckptGen} {
 		binary.BigEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	if live {
-		binary.BigEndian.PutUint64(buf[:], tailGen)
+	if s.liveIncluded(from, to) {
+		binary.BigEndian.PutUint64(buf[:], s.tailGen)
 		h.Write(buf[:])
 	}
 	return h.Sum64()

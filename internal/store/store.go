@@ -1213,7 +1213,8 @@ func (s *Store) Flush() error {
 
 // Snapshot merges the checkpointed base state with the live tail into
 // one full-coverage snapshot — the durable equivalent of the pipeline's
-// in-memory view, and identical to it when both saw the same records.
+// in-memory view, and identical to it when both saw the same records —
+// stamped with the Version(zero, zero) of the instant it was taken.
 func (s *Store) Snapshot() *streaming.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1223,7 +1224,9 @@ func (s *Store) Snapshot() *streaming.Snapshot {
 		m.Merge(s.foldingTail)
 	}
 	m.Merge(s.tail)
-	return m.Snapshot()
+	snap := m.Snapshot()
+	snap.Version = s.versionLocked(time.Time{}, time.Time{})
+	return snap
 }
 
 // Config reports the resolved analytics configuration (meta-file values

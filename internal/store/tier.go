@@ -378,6 +378,7 @@ func (s *Store) tryQueryTier(from, to time.Time, res tier.Resolution) (*QueryRes
 	s.mu.Lock()
 	weeks, days, frames := s.tierWeek, s.tierDay, s.frames
 	live := s.detachLive(from, to)
+	version := s.versionLocked(from, to)
 	s.mu.Unlock()
 
 	plan := tier.BuildPlan(res, s.cfg.Origin, from, to, tierMetas(weeks), tierMetas(days))
@@ -396,7 +397,7 @@ func (s *Store) tryQueryTier(from, to time.Time, res tier.Resolution) (*QueryRes
 	// The raw residual: frames beyond every selected tier's coverage,
 	// plus the live state — the same selection and fold as the exact
 	// path (see tryQuery).
-	result := &QueryResult{From: from, To: to, Resolution: res, TailIncluded: live != nil}
+	result := &QueryResult{From: from, To: to, Resolution: res, TailIncluded: live != nil, Version: version}
 	m := streaming.NewRange(s.cfg, from, to)
 	acc := tier.NewSketchAccum()
 	for _, fr := range frames {

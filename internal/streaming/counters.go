@@ -106,12 +106,20 @@ func (c *counters) EachPrefix(fn func(p netip.Prefix, flows uint64)) {
 	}
 }
 
-// mergeCounters folds everything of st but its hourly bins.
+// mergeCounters folds everything of st but its hourly bins. The first
+// table folded into an empty target sizes its index: a query's target
+// starts empty on every poll, the frames of one store hold much the same
+// prefixes and districts, and growing to them was a rehash per doubling.
 func (c *counters) mergeCounters(st *Stored) {
 	for i, n := range st.dropped {
 		c.dropped[i] += n
 	}
 	c.late += st.late
+	if n := len(st.prefixes); len(c.prefixList) == 0 && n > 0 {
+		c.prefix4Idx = make(map[uint32]uint32, n)
+		c.prefixList = make([]netip.Prefix, 0, n)
+		c.prefixCount = make([]uint64, 0, n)
+	}
 	for i, p := range st.prefixes {
 		c.prefixCount[c.internPrefix(p)] += st.prefixCount[i]
 	}
@@ -121,6 +129,11 @@ func (c *counters) mergeCounters(st *Stored) {
 		// merge into a DB-less shard (a read-only query opens the store
 		// without the sidecar the collector ran with).
 		c.enableDistricts()
+		if n := len(st.districtIDs); len(c.districtIDs) == 0 && n > 0 {
+			c.districtIdx = make(map[string]uint32, n)
+			c.districtIDs = make([]string, 0, n)
+			c.districtCount = make([]uint64, 0, n)
+		}
 		for i, id := range st.districtIDs {
 			c.districtCount[c.internDistrict(id)] += st.districtCount[i]
 		}

@@ -559,29 +559,59 @@ func (a *Analytics) render(lo, hi int) *Snapshot {
 // detectSpikes scans the populated window with a trailing-mean baseline.
 // It runs on merged, deterministic bins, so spike output is independent of
 // worker count and arrival order.
+//
+// The baseline of hour i is the sum of the SpikeHistory hours before it,
+// added oldest first — for an hour that clears the SpikeMinFlows floor,
+// and then usually not added at all: a running sum follows the window's
+// plain values (whole, and so small that SpikeHistory of them stay below
+// 2^53, where any order of adding is exact) and counts the others; only
+// a window holding one of those is added up the long way.
 func detectSpikes(hours []HourPoint, cfg Config) []Spike {
-	var out []Spike
+	n := cfg.SpikeHistory
+	if n <= 0 {
+		return nil // no history, no baseline: NaN or -0, never a spike
+	}
+	limit := float64(1<<53) / float64(n)
+	plain := func(v float64) bool { return math.Abs(v) < limit && v == math.Trunc(v) }
+	var (
+		out     []Spike
+		running float64 // sum of the window's plain values
+		others  int     // how many of the window's values are not plain
+	)
+	baseline := func(i int) float64 {
+		sum := running
+		if others > 0 {
+			sum = 0
+			for j := i - n; j < i; j++ {
+				sum += hours[j].Flows
+			}
+		}
+		return sum / float64(n)
+	}
 	for i := range hours {
-		if i < cfg.SpikeHistory {
-			continue // not enough local history for a baseline
+		// Not ">=": a NaN on either side passes the floor, as it always has.
+		if i >= n && !(hours[i].Flows < cfg.SpikeMinFlows) {
+			if b := baseline(i); b > 0 && hours[i].Flows/b >= cfg.SpikeFactor {
+				out = append(out, Spike{
+					Hour:     hours[i].Hour,
+					Time:     hours[i].Time,
+					Flows:    hours[i].Flows,
+					Baseline: b,
+					Ratio:    hours[i].Flows / b,
+				})
+			}
 		}
-		var sum float64
-		for j := i - cfg.SpikeHistory; j < i; j++ {
-			sum += hours[j].Flows
+		if i >= n {
+			if v := hours[i-n].Flows; plain(v) {
+				running -= v
+			} else {
+				others--
+			}
 		}
-		baseline := sum / float64(cfg.SpikeHistory)
-		if baseline <= 0 || hours[i].Flows < cfg.SpikeMinFlows {
-			continue
-		}
-		ratio := hours[i].Flows / baseline
-		if ratio >= cfg.SpikeFactor {
-			out = append(out, Spike{
-				Hour:     hours[i].Hour,
-				Time:     hours[i].Time,
-				Flows:    hours[i].Flows,
-				Baseline: baseline,
-				Ratio:    ratio,
-			})
+		if v := hours[i].Flows; plain(v) {
+			running += v
+		} else {
+			others++
 		}
 	}
 	return out
@@ -644,6 +674,10 @@ type Snapshot struct {
 	Late uint64 `json:"late"`
 	// Located counts kept records the geolocation sidecar could place.
 	Located uint64 `json:"located"`
+	// Version is set by a durable store on the snapshots it serves: the
+	// generation token of the cut this snapshot renders (see
+	// store.Version). Zero everywhere else; never on the wire.
+	Version uint64 `json:"-"`
 }
 
 // Series renders the snapshot's window as flow/byte time series of
