@@ -105,10 +105,11 @@ func (p *collectordProc) linesCopy() []string {
 	return append([]string(nil), p.lines...)
 }
 
-// snapshotBody is the /snapshot response shape the smoke test compares.
+// snapshotBody is what the smoke test compares: the analytics view of
+// /api/v1/snapshot and the pipeline counters of /api/v1/stats.
 type snapshotBody struct {
-	Stats    map[string]any `json:"stats"`
-	Snapshot any            `json:"snapshot"`
+	Stats    map[string]any
+	Snapshot any
 }
 
 // waitForMetric polls /metrics until the named sample reaches at least
@@ -138,15 +139,22 @@ func waitForMetric(t *testing.T, addr, name string, want float64) {
 
 func getSnapshot(t *testing.T, addr string) (snapshotBody, bool) {
 	t.Helper()
-	resp, err := http.Get("http://" + addr + "/snapshot")
-	if err != nil {
-		return snapshotBody{}, false
-	}
-	defer resp.Body.Close()
 	var body snapshotBody
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return snapshotBody{}, false
+	var stats struct {
+		Ingest map[string]any `json:"ingest"`
 	}
+	for path, into := range map[string]any{"/api/v1/snapshot": &body.Snapshot, "/api/v1/stats": &stats} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			return snapshotBody{}, false
+		}
+		err = json.NewDecoder(resp.Body).Decode(into)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			return snapshotBody{}, false
+		}
+	}
+	body.Stats = stats.Ingest
 	return body, true
 }
 
@@ -154,8 +162,8 @@ func getSnapshot(t *testing.T, addr string) (snapshotBody, bool) {
 // crash-smoke` and the CI crash-recovery step: start a durable
 // collector, stream half a quick-sim trace into it over real UDP,
 // SIGKILL it mid-capture (no drain, no final checkpoint), restart it on
-// the same data dir and require the recovered /snapshot to match the
-// pre-kill accounting exactly.
+// the same data dir and require the recovered /api/v1/snapshot to match
+// the pre-kill accounting exactly.
 func TestCrashRecoverySmoke(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "collectord")
 	build := exec.Command("go", "build", "-o", bin, "cwatrace/cmd/collectord")
@@ -251,7 +259,7 @@ func TestCrashRecoverySmoke(t *testing.T) {
 		}
 	}
 	if !ok {
-		t.Fatal("restarted collectord never served /snapshot")
+		t.Fatal("restarted collectord never served /api/v1/snapshot")
 	}
 
 	if !reflect.DeepEqual(recovered.Snapshot, preKill.Snapshot) {

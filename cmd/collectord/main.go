@@ -8,8 +8,8 @@
 // With -data-dir the daemon is durable: every ingested batch is appended
 // to a write-ahead log, the analytics state is checkpointed periodically
 // (and on SIGTERM after the drain), a restart recovers the pre-crash
-// state by replaying the WAL tail onto the latest checkpoints, and the
-// /query endpoint serves historical time-range views merged from the
+// state by replaying the WAL tail onto the latest checkpoints, and
+// /api/v1/query serves historical time-range views merged from the
 // checkpoint frames — the longitudinal analyses a purely in-memory
 // collector forgets on every restart.
 //
@@ -38,14 +38,14 @@
 //	GET /debug/traces[?id=ID]    flight recorder: tail-sampled span traces
 //	GET /debug/events            flight recorder: one-shot event ring
 //
-// The pre-v1 endpoints (/healthz, /snapshot, /query) remain as
-// deprecated aliases over the same handlers. The /debug endpoints
-// share the -http listener with /metrics; bind it to loopback or an
-// internal interface, never publicly.
+// That is the whole HTTP surface; any other path is a plain 404. The
+// /debug endpoints share the -http listener with /metrics; bind it to
+// loopback or an internal interface, never publicly.
 //
-// On SIGINT/SIGTERM the daemon flips the health endpoints to 503
+// On SIGINT/SIGTERM the daemon flips the health endpoint to 503
 // draining, stops the sockets, drains every queued batch, checkpoints
-// the store (when durable) and prints the final snapshot summary.
+// the store (when durable), lets the responses still in flight finish
+// and prints the final snapshot summary.
 //
 // Usage:
 //
@@ -68,13 +68,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"reflect"
@@ -113,12 +110,9 @@ func main() {
 		pprofOn     = flag.Bool("pprof", false, "mount /debug/pprof on the HTTP server")
 		slowQuery   = flag.Duration("slow-query", 0, "log any request at least this slow (0 disables)")
 
-		traceRing   = flag.Int("trace-ring", 256, "flight-recorder trace ring capacity (0 disables span tracing)")
-		traceSlow   = flag.Duration("trace-slow", 500*time.Millisecond, "tail-sampling slow threshold: keep any trace at least this slow (negative disables the slow rule)")
-		traceSample = flag.Int("trace-sample", 64, "keep 1-in-N healthy traces as baseline (0 disables)")
-		eventRing   = flag.Int("event-ring", 512, "flight-recorder event ring capacity (0 disables events)")
+		newObsStack = obs.StackFlags(flag.CommandLine)
 
-		dataDir      = flag.String("data-dir", "", "durable store directory (enables WAL, checkpoints and /query)")
+		dataDir      = flag.String("data-dir", "", "durable store directory (enables WAL, checkpoints and /api/v1/query)")
 		fsyncPolicy  = flag.String("fsync", "interval", "WAL fsync policy: always (a record counted as processed is on stable storage; one fsync per commit group, not per datagram), interval (fsync every -fsync-interval) or never (only on seal, checkpoint and shutdown)")
 		fsyncEvery   = flag.Duration("fsync-interval", time.Second, "fsync cadence under -fsync=interval")
 		ckptEvery    = flag.Duration("checkpoint-interval", 5*time.Minute, "checkpoint/compaction cadence (0 disables the ticker)")
@@ -130,9 +124,9 @@ func main() {
 	// One observability stack for whichever mode runs below: the
 	// registry, the flight recorder's trace/event rings, the SIGQUIT
 	// crash dump and the panic dump on the main goroutine.
-	o := newObsStack(*traceRing, *traceSlow, *traceSample, *eventRing)
-	obs.InstallCrashDump(o.events, os.Stderr)
-	defer obs.DumpOnPanic(o.events, os.Stderr)
+	o := newObsStack()
+	obs.InstallCrashDump(o.Events, os.Stderr)
+	defer obs.DumpOnPanic(o.Events, os.Stderr)
 
 	acfg := streaming.Config{WindowHours: *windowHours, TopK: *topK}
 	if *geoPath != "" {
@@ -160,29 +154,10 @@ func main() {
 			// shutdown. Serve it until SIGTERM, then shut down gracefully:
 			// health flips to 503 draining while in-flight responses
 			// finish.
-			p.RegisterMetrics(o.reg) // safe: the demo pipeline is drained
+			p.RegisterMetrics(o.Reg) // safe: the demo pipeline is drained
 			srv := newAPIServer(p, nil, o, *httpLog, *slowQuery, *pprofOn)
-			ln, err := net.Listen("tcp", *httpAddr)
-			if err != nil {
+			if err := srv.ServeUntilSignal(listenHTTP(*httpAddr), func() { fmt.Println("collectord: draining") }); err != nil {
 				fatal("http: %v", err)
-			}
-			hs := &http.Server{Handler: srv}
-			go func() {
-				if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-					fatal("http: %v", err)
-				}
-			}()
-			fmt.Printf("collectord: live state on http://%s/snapshot\n", ln.Addr())
-			fmt.Printf("collectord: v1 API on http://%s/api/v1/snapshot\n", ln.Addr())
-			sig := make(chan os.Signal, 1)
-			signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-			<-sig
-			srv.SetDraining(true)
-			fmt.Println("collectord: draining")
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := hs.Shutdown(ctx); err != nil {
-				fmt.Fprintf(os.Stderr, "collectord: http shutdown: %v\n", err)
 			}
 		}
 		return
@@ -197,9 +172,9 @@ func main() {
 		ShardBuffer: *shardBuffer,
 		Analytics:   acfg,
 		Logf:        log.Printf,
-		Metrics:     o.reg,
-		Tracer:      o.tracer,
-		Events:      o.events,
+		Metrics:     o.Reg,
+		Tracer:      o.Tracer,
+		Events:      o.Events,
 	}
 	if *shard != "" {
 		asn, err := cluster.ParseAssignment(*shard)
@@ -223,9 +198,9 @@ func main() {
 			SegmentBytes: *segmentBytes,
 			Sync:         pol,
 			Tier:         *tierOn,
-			Metrics:      o.reg,
-			Tracer:       o.tracer,
-			Events:       o.events,
+			Metrics:      o.Reg,
+			Tracer:       o.Tracer,
+			Events:       o.Events,
 		})
 		if err != nil {
 			fatal("%v", err)
@@ -256,20 +231,9 @@ func main() {
 		snapshot = st.Snapshot
 	}
 
-	var srv *api.Server
+	var ln net.Listener
 	if *httpAddr != "" {
-		srv = newAPIServer(p, st, o, *httpLog, *slowQuery, *pprofOn)
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			fatal("http: %v", err)
-		}
-		go func() {
-			if err := http.Serve(ln, srv); err != nil {
-				fatal("http: %v", err)
-			}
-		}()
-		fmt.Printf("collectord: live state on http://%s/snapshot\n", ln.Addr())
-		fmt.Printf("collectord: v1 API on http://%s/api/v1/snapshot\n", ln.Addr())
+		ln = listenHTTP(*httpAddr)
 	}
 
 	if st != nil && *ckptEvery > 0 {
@@ -284,58 +248,49 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
-	fmt.Println("collectord: draining")
-	if srv != nil {
-		// Health flips to 503 before the drain starts, so load balancers
-		// stop routing while the daemon checkpoints its way down.
-		srv.SetDraining(true)
-	}
-	if err := p.Close(); err != nil {
-		fatal("drain: %v", err)
-	}
-	if st != nil {
-		// Checkpoint-on-drain: fold everything the drain flushed into a
-		// frame so the next start replays no WAL at all.
-		if err := st.Checkpoint(); err != nil {
-			fatal("final checkpoint: %v", err)
+	drain := func() {
+		fmt.Println("collectord: draining")
+		if err := p.Close(); err != nil {
+			fatal("drain: %v", err)
 		}
-		if err := st.Close(); err != nil {
-			fatal("closing store: %v", err)
+		if st != nil {
+			// Checkpoint-on-drain: fold everything the drain flushed into a
+			// frame so the next start replays no WAL at all.
+			if err := st.Checkpoint(); err != nil {
+				fatal("final checkpoint: %v", err)
+			}
+			if err := st.Close(); err != nil {
+				fatal("closing store: %v", err)
+			}
 		}
+	}
+	if ln != nil {
+		srv := newAPIServer(p, st, o, *httpLog, *slowQuery, *pprofOn)
+		if err := srv.ServeUntilSignal(ln, drain); err != nil {
+			fatal("http: %v", err)
+		}
+	} else {
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+		<-sig
+		drain()
 	}
 	printSummary(p.Stats(), snapshot())
 }
 
-// obsStack bundles the daemon's observability plumbing: the metrics
-// registry plus the flight recorder's trace and event rings (nil when
-// disabled by their ring-size flags; every consumer is nil-safe).
-type obsStack struct {
-	reg    *obs.Registry
-	tracer *obs.Tracer
-	events *obs.EventRing
-}
-
-// newObsStack builds the registry, the tracer and the event ring from
-// the flight-recorder flags, and registers the runtime-health gauges
-// and the recorder's own accounting on the registry.
-func newObsStack(traceRing int, traceSlow time.Duration, traceSample, eventRing int) obsStack {
-	o := obsStack{reg: obs.NewRegistry()}
-	obs.RegisterRuntimeMetrics(o.reg)
-	if traceRing > 0 {
-		o.tracer = obs.NewTracer(obs.TracerConfig{
-			RingSize: traceRing,
-			Policy:   obs.Policy{Slow: traceSlow, KeepOneIn: traceSample},
-		})
-		o.tracer.RegisterMetrics(o.reg)
+// listenHTTP binds the API listener and announces it. The first line is a
+// harness contract, byte for byte: bench/procs.go and both smoke drills
+// cut the address out of "live state on http://ADDR/snapshot" (a path
+// that no longer exists) and must keep doing so until a benchmark PR may
+// change that parser.
+func listenHTTP(addr string) net.Listener {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fatal("http: %v", err)
 	}
-	if eventRing > 0 {
-		o.events = obs.NewEventRing(eventRing)
-		o.events.RegisterMetrics(o.reg)
-	}
-	return o
+	fmt.Printf("collectord: live state on http://%s/snapshot\n", ln.Addr())
+	fmt.Printf("collectord: v1 API on http://%s/api/v1/snapshot\n", ln.Addr())
+	return ln
 }
 
 // newAPIServer builds the versioned analytics API over the pipeline
@@ -344,8 +299,8 @@ func newObsStack(traceRing int, traceSlow time.Duration, traceSample, eventRing 
 // (plus, opted in, /debug/pprof) behind the same middleware. st is nil
 // without -data-dir; /api/v1/snapshot then serves the pipeline's
 // in-memory state and /api/v1/query explains what is missing.
-func newAPIServer(p *ingest.Pipeline, st *store.Store, o obsStack, accessLog bool, slowQuery time.Duration, pprofOn bool) *api.Server {
-	cfg := api.Config{Live: p, Metrics: o.reg, SlowQuery: slowQuery, Tracer: o.tracer}
+func newAPIServer(p *ingest.Pipeline, st *store.Store, o obs.Stack, accessLog bool, slowQuery time.Duration, pprofOn bool) *api.Server {
+	cfg := api.Config{Live: p, Metrics: o.Reg, SlowQuery: slowQuery, Tracer: o.Tracer}
 	if st != nil {
 		cfg.History = st
 	}
@@ -356,26 +311,8 @@ func newAPIServer(p *ingest.Pipeline, st *store.Store, o obsStack, accessLog boo
 	if err != nil {
 		fatal("%v", err)
 	}
-	srv.Handle("/metrics", o.reg.Handler())
-	// The debug endpoints share the metrics listener: bind -http to
-	// loopback or an internal interface, never publicly.
-	srv.Handle("/debug/traces", o.tracer.Handler())
-	srv.Handle("/debug/events", o.events.Handler())
-	if pprofOn {
-		mountPprof(srv)
-	}
+	srv.MountTelemetry(o.Reg.Handler(), o.Tracer.Handler(), o.Events.Handler(), pprofOn)
 	return srv
-}
-
-// mountPprof exposes the runtime profiles behind the shared middleware.
-// Opt-in (-pprof): the endpoints reveal internals and cost CPU, so a
-// production daemon keeps them off unless a human is debugging.
-func mountPprof(srv *api.Server) {
-	srv.Handle("/debug/pprof/", http.HandlerFunc(pprof.Index))
-	srv.Handle("/debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline))
-	srv.Handle("/debug/pprof/profile", http.HandlerFunc(pprof.Profile))
-	srv.Handle("/debug/pprof/symbol", http.HandlerFunc(pprof.Symbol))
-	srv.Handle("/debug/pprof/trace", http.HandlerFunc(pprof.Trace))
 }
 
 // runDemo is the loopback smoke run: simulate, export, ingest, verify.

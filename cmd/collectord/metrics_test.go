@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -52,8 +53,8 @@ func scrape(t *testing.T, ts *httptest.Server) *obs.Exposition {
 // and the API server exactly as main() wires it.
 func daemonServer(t *testing.T, durable bool) (*httptest.Server, *store.Store) {
 	t.Helper()
-	o := newObsStack(256, 500*time.Millisecond, 64, 512)
-	reg := o.reg
+	o := obs.StackFlags(flag.NewFlagSet("test", flag.ContinueOnError))() // the flag defaults
+	reg := o.Reg
 	acfg := streaming.Config{WindowHours: 48, TopK: 5}
 	icfg := ingest.Config{
 		Listen:    []string{"127.0.0.1:0"},

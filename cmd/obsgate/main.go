@@ -1,26 +1,56 @@
-package main
-
-// The -obs mode: proof that the telemetry layer is effectively free.
-// BenchmarkIngestPipeline runs each ingest mode twice — once with
+// Command obsgate is the proof that the telemetry layer is effectively
+// free. BenchmarkIngestPipeline runs each ingest mode twice — once with
 // obs.Disabled (a nil registry, every instrument a no-op) and once with
 // the full observability stack: a live registry (sampled stage
 // histograms, per-lane gauges, watermark tracking) plus the flight
-// recorder's span tracer and event ring — and this mode pairs them up
-// and reports the throughput delta as overhead_pct. The gate (default
-// 3%) fails the run when the instrumented pipeline falls more than
-// that behind the baseline, so the <3% contract covers span tracing
-// too.
+// recorder's span tracer and event ring — and this command pairs them up,
+// writes the comparison as JSON (BENCH_obs.json, so CI can archive it) and
+// reports the throughput delta as overhead_pct. The gate (default 3%)
+// fails the run when the instrumented pipeline falls more than that
+// behind the baseline, so the <3% contract covers span tracing too.
+//
+// It is the one measurement the bench/ harness does not take; every other
+// number lives there (see bench/README.md).
+package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 )
+
+func main() {
+	count := flag.Int("count", 5, "rounds per ingest mode and variant (at least 5: the medians decide)")
+	out := flag.String("o", "BENCH_obs.json", "output file")
+	maxOverhead := flag.Float64("max-overhead-pct", 3, "fail when instrumentation overhead exceeds this percentage (0 disables the gate)")
+	flag.Parse()
+	if err := runObs(*out, *count, *maxOverhead); err != nil {
+		fmt.Fprintf(os.Stderr, "obsgate: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// result is one parsed benchmark line.
+type result struct {
+	Name          string  `json:"name"`
+	Iterations    int64   `json:"iterations"`
+	NsPerOp       float64 `json:"ns_per_op"`
+	RecordsPerSec float64 `json:"records_per_sec,omitempty"`
+	BytesPerOp    float64 `json:"bytes_per_op"`
+	AllocsPerOp   float64 `json:"allocs_per_op"`
+	// RecordsPerOp and AllocsPerRecord are derived from records/s and
+	// ns/op; zero when the benchmark does not report records/s.
+	RecordsPerOp    float64 `json:"records_per_op,omitempty"`
+	AllocsPerRecord float64 `json:"allocs_per_record,omitempty"`
+}
 
 // obsPair is one ingest mode's baseline/instrumented comparison.
 type obsPair struct {
@@ -134,10 +164,10 @@ func runObs(out string, count int, maxOverheadPct float64) error {
 		return err
 	}
 	for _, p := range rep.Pairs {
-		fmt.Fprintf(os.Stderr, "benchjson: obs %s overhead %.2f%% (%.0f -> %.0f records/s)\n",
+		fmt.Fprintf(os.Stderr, "obsgate: %s overhead %.2f%% (%.0f -> %.0f records/s)\n",
 			p.Mode, p.OverheadPct, p.Baseline.RecordsPerSec, p.Instrumented.RecordsPerSec)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %s (%d pairs)\n", out, len(rep.Pairs))
+	fmt.Fprintf(os.Stderr, "obsgate: wrote %s (%d pairs)\n", out, len(rep.Pairs))
 	if maxOverheadPct > 0 {
 		for _, p := range rep.Pairs {
 			if p.OverheadPct > maxOverheadPct {
@@ -147,4 +177,55 @@ func runObs(out string, count int, maxOverheadPct float64) error {
 		}
 	}
 	return nil
+}
+
+// parseBench extracts benchmark lines from `go test -bench` output. Each
+// line is "BenchmarkName-P  iterations  value unit  value unit ...";
+// units tag the values, so column order does not matter.
+func parseBench(out string) []result {
+	var results []result
+	for _, line := range strings.Split(out, "\n") {
+		fields := strings.Fields(line)
+		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+			continue
+		}
+		iters, err := strconv.ParseInt(fields[1], 10, 64)
+		if err != nil {
+			continue
+		}
+		r := result{Name: trimProcs(fields[0]), Iterations: iters}
+		for i := 2; i+1 < len(fields); i += 2 {
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				continue
+			}
+			switch fields[i+1] {
+			case "ns/op":
+				r.NsPerOp = v
+			case "records/s":
+				r.RecordsPerSec = v
+			case "B/op":
+				r.BytesPerOp = v
+			case "allocs/op":
+				r.AllocsPerOp = v
+			}
+		}
+		if r.RecordsPerSec > 0 && r.NsPerOp > 0 {
+			r.RecordsPerOp = r.RecordsPerSec * r.NsPerOp / 1e9
+			r.AllocsPerRecord = r.AllocsPerOp / r.RecordsPerOp
+		}
+		results = append(results, r)
+	}
+	return results
+}
+
+// trimProcs drops the trailing GOMAXPROCS suffix ("-8") the bench runner
+// appends, keeping names stable across machines.
+func trimProcs(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i]
+		}
+	}
+	return name
 }

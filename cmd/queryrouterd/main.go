@@ -44,7 +44,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -52,13 +51,10 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"net/url"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 
 	"cwatrace/internal/api"
@@ -69,19 +65,15 @@ import (
 
 func main() {
 	var (
-		nodes     = flag.String("nodes", "", "comma-separated shard node addresses, in shard order (required)")
-		httpAddr  = flag.String("http", "127.0.0.1:8056", "HTTP listen address")
-		topK      = flag.Int("topk", 10, "merged leaderboard size (must match the nodes' -topk)")
-		timeout   = flag.Duration("timeout", 10*time.Second, "per-shard request timeout")
-		retries   = flag.Int("retries", 0, "per-shard retries on transient failures (0 = client default, negative = none)")
-		httpLog   = flag.Bool("http-log", false, "log one access line per HTTP request")
-		pprofOn   = flag.Bool("pprof", false, "mount /debug/pprof on the HTTP server")
-		slowQuery = flag.Duration("slow-query", 0, "log any request at least this slow (0 disables)")
-
-		traceRing   = flag.Int("trace-ring", 256, "flight-recorder trace ring capacity (0 disables span tracing)")
-		traceSlow   = flag.Duration("trace-slow", 500*time.Millisecond, "tail-sampling slow threshold: keep any trace at least this slow (negative disables the slow rule)")
-		traceSample = flag.Int("trace-sample", 64, "keep 1-in-N healthy traces as baseline (0 disables)")
-		eventRing   = flag.Int("event-ring", 512, "flight-recorder event ring capacity (0 disables events)")
+		nodes       = flag.String("nodes", "", "comma-separated shard node addresses, in shard order (required)")
+		httpAddr    = flag.String("http", "127.0.0.1:8056", "HTTP listen address")
+		topK        = flag.Int("topk", 10, "merged leaderboard size (must match the nodes' -topk)")
+		timeout     = flag.Duration("timeout", 10*time.Second, "per-shard request timeout")
+		retries     = flag.Int("retries", 0, "per-shard retries on transient failures (0 = client default, negative = none)")
+		httpLog     = flag.Bool("http-log", false, "log one access line per HTTP request")
+		pprofOn     = flag.Bool("pprof", false, "mount /debug/pprof on the HTTP server")
+		slowQuery   = flag.Duration("slow-query", 0, "log any request at least this slow (0 disables)")
+		newObsStack = obs.StackFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -95,16 +87,16 @@ func main() {
 		fatal("no -nodes given (want a comma-separated shard list, e.g. -nodes host1:8055,host2:8055)")
 	}
 
-	o := newObsStack(*traceRing, *traceSlow, *traceSample, *eventRing)
-	obs.InstallCrashDump(o.events, os.Stderr)
-	defer obs.DumpOnPanic(o.events, os.Stderr)
+	o := newObsStack()
+	obs.InstallCrashDump(o.Events, os.Stderr)
+	defer obs.DumpOnPanic(o.Events, os.Stderr)
 
 	fleet, err := cluster.New(addrs, cluster.Options{
 		TopK:          *topK,
 		Timeout:       *timeout,
 		ClientOptions: &client.Options{Retries: *retries},
-		Metrics:       o.reg,
-		Events:        o.events,
+		Metrics:       o.Reg,
+		Events:        o.Events,
 	})
 	if err != nil {
 		fatal("%v", err)
@@ -116,62 +108,19 @@ func main() {
 	if err != nil {
 		fatal("http: %v", err)
 	}
-	hs := &http.Server{Handler: srv}
-	go func() {
-		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-			fatal("http: %v", err)
-		}
-	}()
 	fmt.Printf("queryrouterd: fronting %d shards: %s\n", fleet.NumShards(), strings.Join(fleet.Nodes(), ", "))
 	fmt.Printf("queryrouterd: v1 API on http://%s/api/v1/snapshot\n", ln.Addr())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
-	fmt.Println("queryrouterd: draining")
-	srv.SetDraining(true)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "queryrouterd: http shutdown: %v\n", err)
+	if err := srv.ServeUntilSignal(ln, func() { fmt.Println("queryrouterd: draining") }); err != nil {
+		fatal("http: %v", err)
 	}
-}
-
-// obsStack bundles the router's observability plumbing: the metrics
-// registry plus the flight recorder's trace and event rings (nil when
-// disabled by their ring-size flags; every consumer is nil-safe).
-type obsStack struct {
-	reg    *obs.Registry
-	tracer *obs.Tracer
-	events *obs.EventRing
-}
-
-// newObsStack builds the registry, the tracer and the event ring from
-// the flight-recorder flags, and registers the runtime-health gauges
-// and the recorder's own accounting on the registry.
-func newObsStack(traceRing int, traceSlow time.Duration, traceSample, eventRing int) obsStack {
-	o := obsStack{reg: obs.NewRegistry()}
-	obs.RegisterRuntimeMetrics(o.reg)
-	if traceRing > 0 {
-		o.tracer = obs.NewTracer(obs.TracerConfig{
-			RingSize: traceRing,
-			Policy:   obs.Policy{Slow: traceSlow, KeepOneIn: traceSample},
-		})
-		o.tracer.RegisterMetrics(o.reg)
-	}
-	if eventRing > 0 {
-		o.events = obs.NewEventRing(eventRing)
-		o.events.RegisterMetrics(o.reg)
-	}
-	return o
 }
 
 // newRouterServer builds the router's API server: the fan-out surface,
 // the registry-backed /metrics endpoint, the flight-recorder debug
 // endpoints, and (opted in) /debug/pprof, all behind the shared
 // middleware.
-func newRouterServer(fleet *cluster.Fleet, o obsStack, accessLog bool, slowQuery time.Duration, pprofOn bool) *api.Server {
-	cfg := api.Config{Fanout: fleet, Metrics: o.reg, SlowQuery: slowQuery, Tracer: o.tracer}
+func newRouterServer(fleet *cluster.Fleet, o obs.Stack, accessLog bool, slowQuery time.Duration, pprofOn bool) *api.Server {
+	cfg := api.Config{Fanout: fleet, Metrics: o.Reg, SlowQuery: slowQuery, Tracer: o.Tracer}
 	if accessLog {
 		cfg.Log = log.New(os.Stderr, "queryrouterd: http: ", log.LstdFlags)
 	}
@@ -182,21 +131,13 @@ func newRouterServer(fleet *cluster.Fleet, o obsStack, accessLog bool, slowQuery
 	// The watermark gauges only move on a stats gather; refresh them on
 	// every scrape (bounded by the per-shard timeout) so Prometheus sees
 	// current freshness even on an otherwise idle router.
-	srv.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	metrics := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if _, err := fleet.Stats(r.Context()); err != nil {
 			fmt.Fprintf(os.Stderr, "queryrouterd: stats gather for /metrics: %v\n", err)
 		}
-		o.reg.Handler().ServeHTTP(w, r)
-	}))
-	srv.Handle("/debug/traces", traceHandler(o.tracer, fleet.Nodes()))
-	srv.Handle("/debug/events", o.events.Handler())
-	if pprofOn {
-		srv.Handle("/debug/pprof/", http.HandlerFunc(pprof.Index))
-		srv.Handle("/debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline))
-		srv.Handle("/debug/pprof/profile", http.HandlerFunc(pprof.Profile))
-		srv.Handle("/debug/pprof/symbol", http.HandlerFunc(pprof.Symbol))
-		srv.Handle("/debug/pprof/trace", http.HandlerFunc(pprof.Trace))
-	}
+		o.Reg.Handler().ServeHTTP(w, r)
+	})
+	srv.MountTelemetry(metrics, traceHandler(o.Tracer, fleet.Nodes()), o.Events.Handler(), pprofOn)
 	return srv
 }
 

@@ -1,13 +1,13 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"strings"
 	"testing"
-	"time"
 
 	"cwatrace/internal/api"
 	"cwatrace/internal/api/client"
@@ -70,10 +70,10 @@ func TestRouterMetricsExposition(t *testing.T) {
 	s0 := shardServer(t, 100e9)
 	s1 := shardServer(t, 50e9)
 
-	o := newObsStack(256, 500*time.Millisecond, 64, 512)
+	o := obs.StackFlags(flag.NewFlagSet("test", flag.ContinueOnError))() // the flag defaults
 	fleet, err := cluster.New([]string{s0.URL, s1.URL}, cluster.Options{
-		Metrics:       o.reg,
-		Events:        o.events,
+		Metrics:       o.Reg,
+		Events:        o.Events,
 		ClientOptions: &client.Options{Retries: -1},
 	})
 	if err != nil {

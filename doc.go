@@ -73,7 +73,7 @@
 //   - internal/api — the versioned analytics API served by collectord:
 //     conditional-GET caching (strong ETags from store generations, a
 //     single-flight response cache), field selection, gzip, timeouts,
-//     method enforcement, deprecated legacy aliases
+//     method enforcement — /api/v1 is the only HTTP surface
 //   - internal/api/v1 — the frozen v1 wire schema: typed
 //     request/response structs, the structured error envelope, field
 //     selection vocabulary

@@ -1,7 +1,7 @@
 // Vantagepoint demonstrates the measurement infrastructure of the paper's
 // data set end to end, over the real wire protocol: a router observes
 // packets through a sampled flow cache, exports the records as NetFlow v9
-// datagrams over UDP, a collector decodes them, client addresses are
+// datagrams over UDP, the ingest pipeline decodes them, client addresses are
 // prefix-preserving anonymized, and the paper's filter reduces the stream
 // to the measured data set.
 //
@@ -18,25 +18,40 @@ import (
 
 	"cwatrace/internal/core"
 	"cwatrace/internal/cryptopan"
+	"cwatrace/internal/ingest"
 	"cwatrace/internal/netflow"
 	"cwatrace/internal/netsim"
 	"cwatrace/internal/nfv9"
 )
 
+// collected is the pipeline's sink: it keeps a copy of every batch (the
+// pipeline recycles the storage it hands over).
+type collected struct {
+	mu   sync.Mutex
+	recs []netflow.Record
+}
+
+func (c *collected) Append(batch []netflow.Record) error {
+	c.mu.Lock()
+	c.recs = append(c.recs, batch...)
+	c.mu.Unlock()
+	return nil
+}
+
 func main() {
-	// --- The collector side (BENOCS, in the paper). ---
-	var mu sync.Mutex
-	var received []netflow.Record
-	collector, err := nfv9.NewCollector("127.0.0.1:0", func(recs []netflow.Record) {
-		mu.Lock()
-		received = append(received, recs...)
-		mu.Unlock()
+	// --- The collector side (BENOCS, in the paper): the same pipeline
+	// collectord runs, with the records themselves as its only state. ---
+	received := &collected{}
+	collector, err := ingest.New(ingest.Config{
+		Listen:   []string{"127.0.0.1:0"},
+		Workers:  1,
+		Sink:     received,
+		SinkOnly: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer collector.Close()
-	fmt.Printf("NetFlow v9 collector listening on %s\n", collector.Addr())
+	fmt.Printf("NetFlow v9 collector listening on %s\n", collector.Addrs()[0])
 
 	// --- The router side: flow cache with 1:8 packet sampling. ---
 	cfg := netflow.DefaultConfig()
@@ -46,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	exporter, err := nfv9.NewExporter(collector.Addr(), 64500)
+	exporter, err := nfv9.NewExporter(collector.Addrs()[0], 64500)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,18 +103,15 @@ func main() {
 		log.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(received)
-		mu.Unlock()
-		if n >= len(pending) || time.Now().After(deadline) {
-			break
-		}
+	for collector.Stats().Records < uint64(len(pending)) && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
-	packets, records, errors := collector.Stats()
+	if err := collector.Close(); err != nil { // drains what was received
+		log.Fatal(err)
+	}
+	st := collector.Stats()
 	fmt.Printf("collector received %d datagrams, %d records, %d decode errors\n",
-		packets, records, errors)
+		st.Packets, st.Records, st.DecodeErrors)
 
 	// --- Anonymize (Crypto-PAn) and filter (the paper's data set). ---
 	key := make([]byte, cryptopan.KeySize)
@@ -111,9 +123,7 @@ func main() {
 		log.Fatal(err)
 	}
 	coll := netflow.NewCollector(anon, netsim.IsCWAServer)
-	mu.Lock()
-	coll.Ingest(received)
-	mu.Unlock()
+	coll.Ingest(received.recs)
 	anonymized := coll.Records()
 
 	kept, census := core.ApplyFilter(anonymized, core.DefaultFilter())

@@ -237,7 +237,11 @@ func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, p
 		return
 	}
 	e, err := s.cache.get(etag, func() (built, string, error) {
-		b, err := jsonBody(pretty, build)()
+		v, err := build()
+		if err != nil {
+			return built{}, "", err
+		}
+		b, err := renderBody(v, pretty)
 		return b, etag, err
 	})
 	if err != nil {

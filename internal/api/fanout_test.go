@@ -3,7 +3,6 @@ package api
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -172,19 +171,4 @@ func TestFanoutHealthStates(t *testing.T) {
 	check(503, v1.StatusDegraded)
 	s.SetDraining(true)
 	check(503, v1.StatusDraining)
-}
-
-// TestFanoutLegacyEndpointsGone: a router has no legacy body sources;
-// the deprecated aliases answer with a pointer to the v1 surface.
-func TestFanoutLegacyEndpointsGone(t *testing.T) {
-	f := &fakeFanout{shards: 1, res: FanResult{Snapshot: emptySnap(), Validated: true}}
-	s := fanServer(t, f)
-	w := fanGet(t, s, "/snapshot", nil)
-	if w.Code != 404 {
-		t.Fatalf("legacy /snapshot on a router: %d", w.Code)
-	}
-	body, _ := io.ReadAll(w.Body)
-	if len(body) == 0 {
-		t.Fatal("legacy 404 should explain where to go")
-	}
 }

@@ -16,7 +16,6 @@ import (
 // and api_request_seconds. Unknown paths fold into "other".
 var endpointLabels = []string{
 	"v1_snapshot", "v1_query", "v1_health", "v1_stats", "v1_other",
-	"legacy_snapshot", "legacy_query", "legacy_health",
 	"metrics", "other",
 }
 
@@ -31,12 +30,6 @@ func endpointLabel(path string) string {
 		return "v1_health"
 	case "/api/v1/stats":
 		return "v1_stats"
-	case "/snapshot":
-		return "legacy_snapshot"
-	case "/query":
-		return "legacy_query"
-	case "/healthz":
-		return "legacy_health"
 	case "/metrics":
 		return "metrics"
 	}

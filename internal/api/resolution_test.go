@@ -205,22 +205,3 @@ func TestQueryResolutionResidualSeries(t *testing.T) {
 		t.Fatalf("hour path: series starts at %d with %d rows, want 0 with %d", hour.Snapshot.SeriesStart, len(hour.Snapshot.Hours), first+17)
 	}
 }
-
-// TestLegacyQueryRejectsResolution pins the compatibility boundary: the
-// legacy /query shape cannot carry a long-horizon block, so the
-// parameter is refused loudly instead of silently ignored.
-func TestLegacyQueryRejectsResolution(t *testing.T) {
-	_, ts := tierServer(t, 10)
-	resp, body := get(t, ts.URL+"/query?resolution=day", nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("legacy /query?resolution=day: %d %s", resp.StatusCode, body)
-	}
-	if !bytes.Contains(body, []byte("/api/v1/query")) {
-		t.Fatalf("rejection must point at the v1 endpoint: %s", body)
-	}
-	// Without the parameter the legacy endpoint still answers.
-	resp, _ = get(t, ts.URL+"/query", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /query without resolution: %d", resp.StatusCode)
-	}
-}

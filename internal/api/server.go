@@ -1,9 +1,9 @@
 // Package api is the versioned HTTP analytics surface of collectord:
 // the typed /api/v1/{snapshot,query,health,stats} endpoints (wire
-// schema in internal/api/v1), the deprecated legacy aliases (/snapshot,
-// /query, /healthz), and the middleware they share — method
-// enforcement, request timeouts, gzip, access logging, and the
-// performance headline: conditional-GET caching. Every cacheable
+// schema in internal/api/v1) — the only surface; any other path is the
+// mux's 404 — and the middleware they share: method enforcement, request
+// timeouts, gzip, access logging, and the performance headline,
+// conditional-GET caching. Every cacheable
 // response carries a strong ETag derived from the data-generation token
 // (store.Version, or a pipeline-stats hash on a memory-only collector)
 // plus the request parameters; repeated reads and CDN front-ends
@@ -36,9 +36,8 @@ import (
 )
 
 // Live is the in-memory data source: the ingest pipeline (or anything
-// shaped like it). Stats feeds /api/v1/stats and the legacy /snapshot
-// body; Snapshot serves the analytics on a collector without a durable
-// store.
+// shaped like it). Stats feeds /api/v1/stats; Snapshot serves the
+// analytics on a collector without a durable store.
 type Live interface {
 	Snapshot() *streaming.Snapshot
 	Stats() ingest.Stats
@@ -52,10 +51,9 @@ type Live interface {
 // ETag is derived from.
 type History interface {
 	Snapshot() *streaming.Snapshot
-	Query(from, to time.Time) (*store.QueryResult, error)
-	// QueryResolution is Query with a resolution: hour is the exact
-	// path, day/week answer from the downsampled tier frames plus the
-	// exact raw residual, auto picks by span (see store.QueryResolution).
+	// QueryResolution answers a range query: hour is the exact answer,
+	// day/week come from the downsampled tier frames plus the exact raw
+	// residual, auto picks by span (see store.QueryResolution).
 	QueryResolution(from, to time.Time, res tier.Resolution) (*store.QueryResult, error)
 	Version(from, to time.Time) uint64
 	Metrics() store.Metrics
@@ -111,8 +109,7 @@ type Server struct {
 	draining atomic.Bool
 }
 
-// New builds the server and mounts the v1 surface plus the deprecated
-// legacy aliases.
+// New builds the server and mounts the v1 surface.
 func New(cfg Config) (*Server, error) {
 	if cfg.Live == nil && cfg.History == nil && cfg.Fanout == nil {
 		return nil, fmt.Errorf("api: need a Live, History or Fanout source")
@@ -145,12 +142,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.Handle("/api/v1/health", s.get(s.handleHealth))
 	s.mux.Handle("/api/v1/stats", s.get(s.handleStats))
 	s.mux.Handle("/api/v1/", s.get(s.handleUnknown))
-
-	// Deprecated aliases over the same plumbing (same sources, cache and
-	// ETags; legacy body shapes and text errors preserved).
-	s.mux.Handle("/snapshot", s.get(s.handleLegacySnapshot))
-	s.mux.Handle("/query", s.get(s.handleLegacyQuery))
-	s.mux.Handle("/healthz", s.get(s.handleLegacyHealth))
 
 	timeoutBody, _ := json.Marshal(v1.ErrorResponse{Error: &v1.Error{
 		Code:    v1.CodeTimeout,
@@ -507,85 +498,6 @@ func (s *Server) handleUnknown(w http.ResponseWriter, r *http.Request) {
 		"no such endpoint", r.URL.Path+" is not part of the v1 surface")
 }
 
-// ---- legacy aliases ----
-
-// deprecate marks a legacy response with its successor.
-func deprecate(w http.ResponseWriter, successor string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-}
-
-func (s *Server) handleLegacyHealth(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/api/v1/health")
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	body, status := "ok\n", http.StatusOK
-	if s.draining.Load() {
-		body, status = "draining\n", http.StatusServiceUnavailable
-	}
-	w.WriteHeader(status)
-	if r.Method != http.MethodHead {
-		fmt.Fprint(w, body)
-	}
-}
-
-// legacySnapshotBody is the historical /snapshot shape: pipeline stats
-// wrapped around the full snapshot.
-type legacySnapshotBody struct {
-	Stats    ingest.Stats        `json:"stats"`
-	Snapshot *streaming.Snapshot `json:"snapshot"`
-}
-
-func (s *Server) handleLegacySnapshot(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/api/v1/snapshot")
-	if s.cfg.Live == nil && s.cfg.History == nil {
-		// A pure fan-out router has no local state for the legacy shape to
-		// wrap; the v1 surface is the only one it serves.
-		http.Error(w, "legacy endpoints are not served in fan-out mode; use /api/v1/snapshot", http.StatusNotFound)
-		return
-	}
-	pretty := prettyRequested(r.URL.Query().Get("pretty"))
-	// The legacy body embeds the stats, so the validity token must cover
-	// them too: mix the stats hash into the snapshot version. Stats are
-	// fetched inside the build so the body matches the token epoch.
-	version := func() uint64 { return mix64(s.snapshotVersion(), statsHash(s.liveStats())) }
-	key := fmt.Sprintf("pretty=%t", pretty)
-	s.serveCached(w, r, "legacy/snapshot", key, version, jsonMediaType, jsonBody(pretty, func() (any, error) {
-		return legacySnapshotBody{Stats: s.liveStats(), Snapshot: s.snapshotSource()()}, nil
-	}))
-}
-
-func (s *Server) handleLegacyQuery(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/api/v1/query")
-	if s.cfg.History == nil {
-		http.Error(w, "historical queries need -data-dir", http.StatusNotFound)
-		return
-	}
-	q := r.URL.Query()
-	// The legacy shape has no place for the long-horizon answer, so
-	// silently ignoring ?resolution= would quietly serve the exact hourly
-	// body under a tiered-looking URL. Reject it loudly instead.
-	if q.Get("resolution") != "" {
-		http.Error(w, "resolution is not supported on the legacy endpoint; use /api/v1/query", http.StatusBadRequest)
-		return
-	}
-	from, err := store.ParseTime(q.Get("from"))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("from: %v", err), http.StatusBadRequest)
-		return
-	}
-	to, err := store.ParseTime(q.Get("to"))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("to: %v", err), http.StatusBadRequest)
-		return
-	}
-	pretty := prettyRequested(q.Get("pretty"))
-	key := fmt.Sprintf("from=%s&to=%s&pretty=%t", stamp(from), stamp(to), pretty)
-	version := func() uint64 { return s.cfg.History.Version(from, to) }
-	s.serveCached(w, r, "legacy/query", key, version, jsonMediaType, jsonBody(pretty, func() (any, error) {
-		return s.cfg.History.Query(from, to)
-	}))
-}
-
 // ---- data-source plumbing ----
 
 // snapshotSource picks the state owner: the durable store when present
@@ -596,13 +508,6 @@ func (s *Server) snapshotSource() func() *streaming.Snapshot {
 		return s.cfg.History.Snapshot
 	}
 	return s.cfg.Live.Snapshot
-}
-
-func (s *Server) liveStats() ingest.Stats {
-	if s.cfg.Live == nil {
-		return ingest.Stats{}
-	}
-	return s.cfg.Live.Stats()
 }
 
 // snapshotVersion is the generation token behind /api/v1/snapshot: the
@@ -620,13 +525,6 @@ func (s *Server) snapshotVersion() uint64 {
 func statsHash(st ingest.Stats) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", st)
-	return h.Sum64()
-}
-
-// mix64 combines two version tokens order-sensitively.
-func mix64(a, b uint64) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%x:%x", a, b)
 	return h.Sum64()
 }
 
@@ -654,7 +552,7 @@ type built struct {
 	cuts []int
 	// version is the generation token of the cut the body shows, as the
 	// source stamped it (store.QueryResult.Version, Snapshot.Version);
-	// zero when it stamps none: a memory-only collector, a legacy shape.
+	// zero when it stamps none: a memory-only collector.
 	version uint64
 }
 
@@ -786,18 +684,6 @@ func (p reqParams) mediaType() string {
 	return jsonMediaType
 }
 
-// jsonBody adapts a value builder to the body builder serveCached
-// caches: build, then marshal. The body carries no version stamp.
-func jsonBody(pretty bool, build func() (any, error)) func() (built, error) {
-	return func() (built, error) {
-		v, err := build()
-		if err != nil {
-			return built{}, err
-		}
-		return renderBody(v, pretty)
-	}
-}
-
 // marshalBody is renderBody for a body that has no cuts to keep.
 func marshalBody(v any, pretty bool) ([]byte, error) {
 	b, err := renderBody(v, pretty)
@@ -832,8 +718,7 @@ func renderBody(v any, pretty bool) (built, error) {
 
 // appendJSON appends v's compact encoding and the newline: the two data
 // bodies through the v1 package's append encoder, which reports their
-// cuts, the error, health and stats envelopes (and the legacy shapes)
-// through encoding/json.
+// cuts, the error, health and stats envelopes through encoding/json.
 func appendJSON(b []byte, v any) (out []byte, cuts []int, err error) {
 	switch v := v.(type) {
 	case *v1.QueryResponse:

@@ -206,8 +206,20 @@ func TestErrorEnvelopeEveryFailurePath(t *testing.T) {
 		}
 	}
 
-	// Bad time bounds on a store-backed server.
+	// The pre-v1 paths are gone, on a collector and on a router: the mux's
+	// plain 404, like any path that never existed.
+	router := fanServer(t, &fakeFanout{shards: 1, res: FanResult{Snapshot: emptySnap(), Validated: true}})
 	_, sts := storeServer(t)
+	for _, path := range []string{"/snapshot", "/query", "/healthz", "/never-existed"} {
+		if resp, _ := get(t, sts.URL+path, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s on a collector: %d, want 404", path, resp.StatusCode)
+		}
+		if w := fanGet(t, router, path, nil); w.Code != http.StatusNotFound {
+			t.Errorf("%s on a router: %d, want 404", path, w.Code)
+		}
+	}
+
+	// Bad time bounds on a store-backed server.
 	resp, body := get(t, sts.URL+"/api/v1/query?from=notatime", nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad from: status %d", resp.StatusCode)
@@ -366,7 +378,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 		"/api/v1/snapshot",
 		"/api/v1/snapshot?fields=hourly,prefixes&top=3",
 		"/api/v1/snapshot?pretty=1",
-		"/snapshot", // legacy alias
 	} {
 		_, a := get(t, one.URL+path, nil)
 		_, b := get(t, four.URL+path, nil)
@@ -517,10 +528,6 @@ func TestHealthDraining(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || h.Status != v1.StatusOK {
 		t.Fatalf("healthy: %d %+v", resp.StatusCode, h)
 	}
-	resp, lbody := get(t, ts.URL+"/healthz", nil)
-	if resp.StatusCode != http.StatusOK || string(lbody) != "ok\n" {
-		t.Fatalf("legacy healthy: %d %q", resp.StatusCode, lbody)
-	}
 
 	s.SetDraining(true)
 	resp, body = get(t, ts.URL+"/api/v1/health", nil)
@@ -529,73 +536,6 @@ func TestHealthDraining(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusServiceUnavailable || h.Status != v1.StatusDraining {
 		t.Fatalf("draining: %d %+v", resp.StatusCode, h)
-	}
-	resp, lbody = get(t, ts.URL+"/healthz", nil)
-	if resp.StatusCode != http.StatusServiceUnavailable || string(lbody) != "draining\n" {
-		t.Fatalf("legacy draining: %d %q", resp.StatusCode, lbody)
-	}
-}
-
-// TestLegacyAliases pins the deprecated endpoints: the historical
-// response shapes, the Deprecation/Link headers, and the carried-over
-// hygiene fixes (405, compact by default).
-func TestLegacyAliases(t *testing.T) {
-	st, ts := storeServer(t)
-	_ = st
-
-	resp, body := get(t, ts.URL+"/snapshot", nil)
-	if resp.Header.Get("Deprecation") != "true" || !strings.Contains(resp.Header.Get("Link"), "/api/v1/snapshot") {
-		t.Fatalf("legacy /snapshot lacks deprecation headers: %+v", resp.Header)
-	}
-	var legacy struct {
-		Stats    *ingest.Stats       `json:"stats"`
-		Snapshot *streaming.Snapshot `json:"snapshot"`
-	}
-	if err := json.Unmarshal(body, &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Stats == nil || legacy.Snapshot == nil {
-		t.Fatalf("legacy shape lost a member: %q", body)
-	}
-	if strings.Contains(string(body), "\n  \"") {
-		t.Fatal("legacy default is still indented")
-	}
-	if _, pbody := get(t, ts.URL+"/snapshot?pretty=1", nil); !strings.Contains(string(pbody), "\n  \"") {
-		t.Fatal("legacy ?pretty=1 is not indented")
-	}
-
-	// Legacy /query serves the store.QueryResult shape with an ETag.
-	resp, body = get(t, ts.URL+"/query", nil)
-	var qr store.QueryResult
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Snapshot == nil || qr.Frames != 1 {
-		t.Fatalf("legacy query result: %q", body)
-	}
-	if etag := resp.Header.Get("ETag"); etag != "" {
-		if resp, _ := get(t, ts.URL+"/query", map[string]string{"If-None-Match": etag}); resp.StatusCode != http.StatusNotModified {
-			t.Fatalf("legacy conditional query: %d", resp.StatusCode)
-		}
-	} else {
-		t.Fatal("legacy query carries no ETag")
-	}
-
-	// Legacy text errors are preserved (no envelope).
-	resp, body = get(t, ts.URL+"/query?from=bogus", nil)
-	if resp.StatusCode != http.StatusBadRequest || strings.Contains(string(body), "{") {
-		t.Fatalf("legacy error changed shape: %d %q", resp.StatusCode, body)
-	}
-
-	// The 405 fix applies to legacy paths too.
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/snapshot", nil)
-	mresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
-	if mresp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("legacy POST: %d, want 405", mresp.StatusCode)
 	}
 }
 

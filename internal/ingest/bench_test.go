@@ -28,7 +28,7 @@ func BenchmarkIngestPipeline(b *testing.B) {
 
 	// The instrumented modes run with a live metrics registry (sampled
 	// stage histograms, per-lane gauges, watermark) AND the flight
-	// recorder (span tracer + event ring) — benchjson -obs compares them
+	// recorder (span tracer + event ring) — cmd/obsgate compares them
 	// against the obs.Disabled baselines to prove the full
 	// observability overhead, tracing included, stays under 3%.
 	modes := []struct {

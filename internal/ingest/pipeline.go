@@ -101,12 +101,12 @@ type Config struct {
 	// Metrics, when set, registers the pipeline's telemetry on the
 	// registry (see metrics.go for the catalogue). Nil (obs.Disabled)
 	// runs uninstrumented: the hot paths then pay one nil check per
-	// event and nothing else — the contract BENCH_obs.json audits.
+	// event and nothing else — the contract make obs-gate audits.
 	Metrics *obs.Registry
 	// Tracer, when set, records background traces for the coarse
 	// pipeline operations: one per sink flush, one for the Close drain.
 	// Nothing per-record or per-batch — the hot path stays span-free,
-	// which is how the BENCH_obs.json overhead gate holds with tracing
+	// which is how the obs-gate overhead budget holds with tracing
 	// enabled. Nil disables.
 	Tracer *obs.Tracer
 	// Events, when set, receives drop_storm flight-recorder events: one

@@ -153,14 +153,6 @@ func getBatch() []Record {
 	return (*batchPool.Get().(*[]Record))[:0]
 }
 
-// GetBatch hands out an empty record batch from the shared pool. External
-// producers (the nfv9 decoder, the ingest pipeline) use it so their
-// steady-state batches recycle through the same pool the caches use; hand
-// batches back with RecycleBatch when done.
-func GetBatch() []Record {
-	return getBatch()
-}
-
 // RecycleBatch returns an export batch obtained from Observe, Sweep or
 // Drain to the internal pool. The caller must not retain the slice (or any
 // aliases of it) afterwards.
@@ -173,8 +165,8 @@ func RecycleBatch(recs []Record) {
 }
 
 // Slab is the batch pool's slab mode: a record buffer that travels
-// together with its backing storage. The plain GetBatch/RecycleBatch pair
-// hands out bare slices, which forces RecycleBatch to re-box the slice
+// together with its backing storage. The caches' batch pool hands out
+// bare slices, which forces RecycleBatch to re-box the slice
 // header on every Put — one heap allocation per batch. A Slab keeps the
 // header boxed for its whole life, so the ingest pipeline's
 // datagram→decode→dispatch→recycle round trip allocates nothing in steady

@@ -134,9 +134,10 @@ func fastPathSeeds() [][]byte {
 // FuzzDecode hammers the NFv9 decoder with arbitrary datagrams. The
 // decoder must never panic, and whatever it accepts must be internally
 // consistent (a non-nil packet, records with the exporter name stamped).
-// Decode and DecodeInto run side by side on identical decoder state and
-// must agree on everything: records, header metadata, errors and the
-// sequence audit. The seed corpus is real encoder output — with and
+// DecodeInto runs twice side by side on identical decoder state, once
+// into fresh storage and once into a reused slab, and the two must agree
+// on everything: records, header metadata, errors and the sequence
+// audit — reused storage never leaks into a result. The seed corpus is real encoder output — with and
 // without template FlowSets — plus hand-built packets covering the
 // compiled-template fast paths, so the fuzzer starts from wire-valid
 // packets and mutates from there.
@@ -171,15 +172,15 @@ func FuzzDecode(f *testing.F) {
 		// first decode must not corrupt the second. The slab is reused
 		// across passes, so stale storage must never leak into results.
 		for i := 0; i < 2; i++ {
-			pkt, err := dec.Decode(data)
+			pkt, err := decodePacket(dec, data)
 			recs, meta, ierr := into.DecodeInto(data, slab.Recs[:0])
 			slab.Recs = recs
 			if (err == nil) != (ierr == nil) {
-				t.Fatalf("Decode err %v, DecodeInto err %v", err, ierr)
+				t.Fatalf("fresh err %v, slab err %v", err, ierr)
 			}
 			if err != nil {
 				if err.Error() != ierr.Error() {
-					t.Fatalf("Decode err %q, DecodeInto err %q", err, ierr)
+					t.Fatalf("fresh err %q, slab err %q", err, ierr)
 				}
 				if len(recs) != 0 {
 					t.Fatalf("DecodeInto kept %d records across an error", len(recs))
@@ -194,26 +195,25 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("meta %+v != packet header %+v", meta, pkt)
 			}
 			if len(recs) != len(pkt.Records) {
-				t.Fatalf("DecodeInto %d records, Decode %d", len(recs), len(pkt.Records))
+				t.Fatalf("slab %d records, fresh %d", len(recs), len(pkt.Records))
 			}
 			for j := range recs {
 				if r := pkt.Records[j]; r.Exporter != "fuzz" {
 					t.Fatalf("record exporter %q", r.Exporter)
 				} else if recs[j] != r {
-					t.Fatalf("record %d: DecodeInto %+v != Decode %+v", j, recs[j], r)
+					t.Fatalf("record %d: slab %+v != fresh %+v", j, recs[j], r)
 				}
 			}
-			netflow.RecycleBatch(pkt.Records)
 		}
 		// The sequence audit stays sane on arbitrary input, and identical
-		// across the two decode paths.
+		// across the two decoders.
 		gaps, lost, reordered := dec.SequenceStats()
 		ig, il, ir := into.SequenceStats()
 		if gaps < 0 || reordered < 0 {
 			t.Fatalf("negative sequence stats: %d, %d", gaps, reordered)
 		}
 		if gaps != ig || lost != il || reordered != ir {
-			t.Fatalf("sequence stats diverge: Decode %d/%d/%d, DecodeInto %d/%d/%d",
+			t.Fatalf("sequence stats diverge: fresh %d/%d/%d, slab %d/%d/%d",
 				gaps, lost, reordered, ig, il, ir)
 		}
 	})

@@ -62,18 +62,6 @@ var (
 	ErrUnknownTemplate = errors.New("nfv9: data flowset references unknown template")
 )
 
-// Packet is one decoded export packet. Records is allocated from the
-// shared netflow batch pool; consumers that do not retain it may return it
-// via netflow.RecycleBatch.
-type Packet struct {
-	SequenceNumber uint32
-	SourceID       uint32
-	ExportTime     time.Time
-	Records        []netflow.Record
-	// Templates counts template definitions seen in the packet.
-	Templates int
-}
-
 // Encoder builds export packets for one exporter (identified by SourceID).
 // It is not safe for concurrent use.
 type Encoder struct {
@@ -456,8 +444,7 @@ func (d *Decoder) trackSequence(seq uint32) {
 	d.nextSeq = seq + 1
 }
 
-// PacketMeta is the header-and-census view of one decoded packet, the
-// allocation-free counterpart of Packet for the DecodeInto fast path.
+// PacketMeta is the header-and-census view of one decoded packet.
 type PacketMeta struct {
 	SequenceNumber uint32
 	SourceID       uint32
@@ -466,47 +453,15 @@ type PacketMeta struct {
 	Templates int
 }
 
-// Decode parses one packet. Records are taken from the shared netflow
-// batch pool; pipeline consumers that do not retain them should hand them
-// back via netflow.RecycleBatch.
-func (d *Decoder) Decode(data []byte) (*Packet, error) {
-	recs, meta, err := d.decode(data, nil, true)
-	if err != nil {
-		// Recycle any pool-backed batch already taken for this packet, so
-		// malformed peers cannot bleed batches out of the shared pool.
-		netflow.RecycleBatch(recs)
-		return nil, err
-	}
-	return &Packet{
-		SequenceNumber: meta.SequenceNumber,
-		SourceID:       meta.SourceID,
-		ExportTime:     meta.ExportTime,
-		Records:        recs,
-		Templates:      meta.Templates,
-	}, nil
-}
-
-// DecodeInto is the zero-allocation fast path: it parses one packet
-// appending records onto the caller-owned slice (typically a
-// netflow.Slab the caller recycles), and returns the packet header as a
-// value instead of an allocated Packet. Every field of every appended
-// record is written, so reused storage never leaks stale state. On error
-// the returned slice is out truncated back to its original length — the
-// caller keeps ownership either way, and any records appended before the
-// error are discarded, exactly as Decode recycles its partial batch.
+// DecodeInto parses one packet, appending its records onto the
+// caller-owned slice (typically a netflow.Slab the caller recycles), and
+// returns the packet header as a value: the steady state allocates
+// nothing. Every field of every appended record is written, so reused
+// storage never leaks stale state. On error the returned slice is out
+// truncated back to its original length — the caller keeps ownership
+// either way, and any records appended before the error are discarded.
 func (d *Decoder) DecodeInto(data []byte, out []netflow.Record) ([]netflow.Record, PacketMeta, error) {
 	base := len(out)
-	recs, meta, err := d.decode(data, out, false)
-	if err != nil {
-		return recs[:base], meta, err
-	}
-	return recs, meta, nil
-}
-
-// decode is the shared packet walk. lazyPool selects the legacy Decode
-// contract: out is nil until the first data FlowSet, which takes a batch
-// from the shared pool.
-func (d *Decoder) decode(data []byte, out []netflow.Record, lazyPool bool) ([]netflow.Record, PacketMeta, error) {
 	var meta PacketMeta
 	if len(data) < headerLen {
 		return out, meta, ErrShortPacket
@@ -523,19 +478,19 @@ func (d *Decoder) decode(data []byte, out []netflow.Record, lazyPool bool) ([]ne
 		setID := binary.BigEndian.Uint16(data[off : off+2])
 		setLen := int(binary.BigEndian.Uint16(data[off+2 : off+4]))
 		if setLen < 4 || off+setLen > len(data) {
-			return out, meta, fmt.Errorf("%w: flowset length %d at offset %d", ErrShortPacket, setLen, off)
+			return out[:base], meta, fmt.Errorf("%w: flowset length %d at offset %d", ErrShortPacket, setLen, off)
 		}
 		body := data[off+4 : off+setLen]
 		if setID == 0 {
 			n, err := d.parseTemplates(body)
 			if err != nil {
-				return out, meta, err
+				return out[:base], meta, err
 			}
 			meta.Templates += n
 		} else if setID > 255 {
-			recs, err := d.parseData(setID, body, out, lazyPool)
+			recs, err := d.parseData(setID, body, out)
 			if err != nil {
-				return out, meta, err
+				return out[:base], meta, err
 			}
 			out = recs
 		}
@@ -598,23 +553,17 @@ func fieldLen(typ uint16) uint16 {
 	return 0
 }
 
-// parseData decodes one data FlowSet, appending onto out. When lazyPool is
-// set and out is nil the batch comes from the shared netflow pool, so
-// pipeline consumers that hand packets back via netflow.RecycleBatch run
-// allocation-free in steady state (callers that retain the records simply
-// never recycle). The per-record work runs over the template's compiled
-// accessor table; the two canonical layouts this package's encoder emits
-// additionally get fully unrolled decoders.
-func (d *Decoder) parseData(tid uint16, body []byte, out []netflow.Record, lazyPool bool) ([]netflow.Record, error) {
+// parseData decodes one data FlowSet, appending onto out. The per-record
+// work runs over the template's compiled accessor table; the two
+// canonical layouts this package's encoder emits additionally get fully
+// unrolled decoders.
+func (d *Decoder) parseData(tid uint16, body []byte, out []netflow.Record) ([]netflow.Record, error) {
 	t, ok := d.templates[tid]
 	if !ok {
 		return out, fmt.Errorf("%w: %d", ErrUnknownTemplate, tid)
 	}
 	if t.err != nil {
 		return out, t.err
-	}
-	if out == nil && lazyPool {
-		out = netflow.GetBatch()
 	}
 	n := len(body) / t.recLen
 	if n == 0 {

@@ -34,6 +34,22 @@ func v6Record(i int) netflow.Record {
 	return r
 }
 
+// packet is one decoded export packet as the tests read it: the header
+// view and the records.
+type packet struct {
+	PacketMeta
+	Records []netflow.Record
+}
+
+// decodePacket runs one wire packet through DecodeInto into fresh storage.
+func decodePacket(d *Decoder, data []byte) (*packet, error) {
+	recs, meta, err := d.DecodeInto(data, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &packet{meta, recs}, nil
+}
+
 // stripExporter clears the Exporter field for comparison: the decoder
 // attributes records to the sending address, not the original router name.
 func stripExporter(recs []netflow.Record) []netflow.Record {
@@ -58,7 +74,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec := NewDecoder("")
-	pkt, err := dec.Decode(pktData)
+	pkt, err := decodePacket(dec, pktData)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +112,7 @@ func TestTimestampsMillisecondPrecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := NewDecoder("").Decode(data)
+	pkt, err := decodePacket(NewDecoder(""), data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +132,11 @@ func TestTemplatesOnlyInFirstPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec := NewDecoder("")
-	p1, err := dec.Decode(d1)
+	p1, err := decodePacket(dec, d1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := dec.Decode(d2)
+	p2, err := decodePacket(dec, d2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +152,7 @@ func TestTemplatesOnlyInFirstPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p3, err := dec.Decode(d3)
+	p3, err := decodePacket(dec, d3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,18 +190,18 @@ func TestDecodeBeforeTemplate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDecoder("").Decode(dataOnly); err == nil {
+	if _, err := decodePacket(NewDecoder(""), dataOnly); err == nil {
 		t.Fatal("data before template must fail")
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := NewDecoder("").Decode([]byte{1, 2, 3}); err == nil {
+	if _, err := decodePacket(NewDecoder(""), []byte{1, 2, 3}); err == nil {
 		t.Fatal("short packet must fail")
 	}
 	bad := make([]byte, headerLen)
 	bad[0], bad[1] = 0, 5 // NetFlow v5
-	if _, err := NewDecoder("").Decode(bad); err == nil {
+	if _, err := decodePacket(NewDecoder(""), bad); err == nil {
 		t.Fatal("wrong version must fail")
 	}
 	// Corrupt flowset length.
@@ -196,7 +212,7 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	data[headerLen+2] = 0xFF
 	data[headerLen+3] = 0xFF
-	if _, err := NewDecoder("").Decode(data); err == nil {
+	if _, err := decodePacket(NewDecoder(""), data); err == nil {
 		t.Fatal("oversized flowset length must fail")
 	}
 }
@@ -210,16 +226,8 @@ func TestMixedFamilyRecordRejected(t *testing.T) {
 }
 
 func TestUDPExportCollect(t *testing.T) {
-	recCh := make(chan []netflow.Record, 64)
-	coll, err := NewCollector("127.0.0.1:0", func(recs []netflow.Record) {
-		recCh <- recs
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coll.Close()
-
-	exp, err := NewExporter(coll.Addr(), 42)
+	addr, next := captureConn(t)
+	exp, err := NewExporter(addr, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,15 +244,16 @@ func TestUDPExportCollect(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	dec := NewDecoder("")
 	var got []netflow.Record
-	deadline := time.After(5 * time.Second)
+	packets := 0
 	for len(got) < len(sent) {
-		select {
-		case recs := <-recCh:
-			got = append(got, recs...)
-		case <-deadline:
-			t.Fatalf("timeout: received %d of %d records", len(got), len(sent))
+		pkt, err := decodePacket(dec, next())
+		if err != nil {
+			t.Fatal(err)
 		}
+		packets++
+		got = append(got, pkt.Records...)
 	}
 	wantSet := make(map[netflow.Record]bool)
 	for _, r := range stripExporter(sent) {
@@ -255,9 +264,8 @@ func TestUDPExportCollect(t *testing.T) {
 			t.Fatalf("unexpected record %+v", r)
 		}
 	}
-	packets, records, errors := coll.Stats()
-	if packets == 0 || records != len(sent) || errors != 0 {
-		t.Fatalf("collector stats: %d packets, %d records, %d errors", packets, records, errors)
+	if len(got) != len(sent) {
+		t.Fatalf("received %d records, sent %d", len(got), len(sent))
 	}
 	// Chunking: 110 records cannot fit one datagram.
 	if packets < 2 {
@@ -309,7 +317,7 @@ func BenchmarkDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dec.Decode(data); err != nil {
+		if _, err := decodePacket(dec, data); err != nil {
 			b.Fatal(err)
 		}
 	}

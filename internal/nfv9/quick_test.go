@@ -19,7 +19,7 @@ func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.Decode(prime); err != nil {
+	if _, err := decodePacket(dec, prime); err != nil {
 		t.Fatal(err)
 	}
 
@@ -43,7 +43,7 @@ func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pkt, err := dec.Decode(data)
+		pkt, err := decodePacket(dec, data)
 		if err != nil || len(pkt.Records) != 1 {
 			return false
 		}

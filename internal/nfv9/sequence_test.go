@@ -29,7 +29,7 @@ func TestSequenceGapDetection(t *testing.T) {
 	pkts := encodeSeq(t, 3)
 	dec := NewDecoder("")
 
-	if _, err := dec.Decode(pkts[0]); err != nil {
+	if _, err := decodePacket(dec, pkts[0]); err != nil {
 		t.Fatal(err)
 	}
 	if gaps, lost, _ := dec.SequenceStats(); gaps != 0 || lost != 0 {
@@ -37,7 +37,7 @@ func TestSequenceGapDetection(t *testing.T) {
 	}
 
 	// Packet 1 goes missing: one gap, one lost export packet.
-	if _, err := dec.Decode(pkts[2]); err != nil {
+	if _, err := decodePacket(dec, pkts[2]); err != nil {
 		t.Fatal(err)
 	}
 	gaps, lost, reordered := dec.SequenceStats()
@@ -53,12 +53,12 @@ func TestSequenceReorderNotCountedAsLoss(t *testing.T) {
 	pkts := encodeSeq(t, 3)
 	dec := NewDecoder("")
 	for _, i := range []int{0, 1, 2} {
-		if _, err := dec.Decode(pkts[i]); err != nil {
+		if _, err := decodePacket(dec, pkts[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A duplicate/late copy of packet 1 arrives after packet 2.
-	if _, err := dec.Decode(pkts[1]); err != nil {
+	if _, err := decodePacket(dec, pkts[1]); err != nil {
 		t.Fatal(err)
 	}
 	gaps, lost, reordered := dec.SequenceStats()
@@ -76,7 +76,7 @@ func TestSequenceReorderNotCountedAsLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.Decode(next); err != nil {
+	if _, err := decodePacket(dec, next); err != nil {
 		t.Fatal(err)
 	}
 	if newGaps, _, _ := dec.SequenceStats(); newGaps != gaps {
@@ -91,7 +91,7 @@ func TestSequenceTrueReorderCreditsLoss(t *testing.T) {
 	pkts := encodeSeq(t, 3)
 	dec := NewDecoder("")
 	for _, i := range []int{0, 2, 1} {
-		if _, err := dec.Decode(pkts[i]); err != nil {
+		if _, err := decodePacket(dec, pkts[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,11 +106,11 @@ func TestSequenceTrueReorderCreditsLoss(t *testing.T) {
 func TestSequenceGapAcrossManyPackets(t *testing.T) {
 	pkts := encodeSeq(t, 10)
 	dec := NewDecoder("")
-	if _, err := dec.Decode(pkts[0]); err != nil {
+	if _, err := decodePacket(dec, pkts[0]); err != nil {
 		t.Fatal(err)
 	}
 	// Packets 1..8 (8 packets x 1 record) vanish.
-	if _, err := dec.Decode(pkts[9]); err != nil {
+	if _, err := decodePacket(dec, pkts[9]); err != nil {
 		t.Fatal(err)
 	}
 	gaps, lost, _ := dec.SequenceStats()

@@ -3,7 +3,6 @@ package nfv9
 import (
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"cwatrace/internal/netflow"
@@ -62,128 +61,3 @@ func (e *Exporter) Export(records []netflow.Record, now time.Time) error {
 
 // Close releases the socket.
 func (e *Exporter) Close() error { return e.conn.Close() }
-
-// Collector listens for export packets on UDP and hands decoded records to
-// a sink. One decoder per (source address, observation-domain SourceID)
-// keeps template and sequence state per exporter, as RFC 3954 scopes them.
-//
-// This is the minimal transport-level pair for the Exporter, used by the
-// examples and tests; the production ingest path is internal/ingest,
-// which adds bounded multi-worker fan-out, drop accounting and streaming
-// analytics on top of the same per-source Decoder discipline.
-type Collector struct {
-	pc   net.PacketConn
-	sink func([]netflow.Record)
-
-	mu       sync.Mutex
-	decoders map[collectorKey]*Decoder
-	packets  int
-	records  int
-	errors   int
-
-	done chan struct{}
-	wg   sync.WaitGroup
-}
-
-// collectorKey scopes decoder state per RFC 3954 observation domain.
-type collectorKey struct {
-	from   string
-	domain uint32
-}
-
-// NewCollector starts a collector on addr ("127.0.0.1:0" for an ephemeral
-// test port). sink receives each packet's records; it is called from the
-// receive goroutine and must not block for long.
-func NewCollector(addr string, sink func([]netflow.Record)) (*Collector, error) {
-	pc, err := net.ListenPacket("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("nfv9: listening: %w", err)
-	}
-	c := &Collector{
-		pc:       pc,
-		sink:     sink,
-		decoders: make(map[collectorKey]*Decoder),
-		done:     make(chan struct{}),
-	}
-	c.wg.Add(1)
-	go c.loop()
-	return c, nil
-}
-
-// Addr returns the bound listen address.
-func (c *Collector) Addr() string { return c.pc.LocalAddr().String() }
-
-func (c *Collector) loop() {
-	defer c.wg.Done()
-	buf := make([]byte, 65536)
-	for {
-		select {
-		case <-c.done:
-			return
-		default:
-		}
-		_ = c.pc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-		n, from, err := c.pc.ReadFrom(buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return
-		}
-		c.handle(from.String(), buf[:n])
-	}
-}
-
-func (c *Collector) handle(from string, data []byte) {
-	sourceID, ok := PeekSourceID(data)
-	if !ok {
-		c.mu.Lock()
-		c.errors++
-		c.mu.Unlock()
-		return
-	}
-	key := collectorKey{from: from, domain: sourceID}
-	c.mu.Lock()
-	dec, known := c.decoders[key]
-	if !known {
-		dec = NewDecoder(from)
-	}
-	c.mu.Unlock()
-
-	pkt, err := dec.Decode(data)
-	if err != nil {
-		c.mu.Lock()
-		c.errors++
-		c.mu.Unlock()
-		return
-	}
-	if !known {
-		// Retain per-source state only once a packet decoded, so
-		// garbage senders cannot grow the map without bound.
-		c.mu.Lock()
-		c.decoders[key] = dec
-		c.mu.Unlock()
-	}
-	c.mu.Lock()
-	c.packets++
-	c.records += len(pkt.Records)
-	c.mu.Unlock()
-	if len(pkt.Records) > 0 && c.sink != nil {
-		c.sink(pkt.Records)
-	}
-}
-
-// Stats reports received packets, decoded records and decode errors.
-func (c *Collector) Stats() (packets, records, errors int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.packets, c.records, c.errors
-}
-
-// Close stops the receive loop and releases the socket.
-func (c *Collector) Close() error {
-	close(c.done)
-	err := c.pc.Close()
-	c.wg.Wait()
-	return err
-}

@@ -53,11 +53,11 @@ func TestExporterTemplateRefreshRecovery(t *testing.T) {
 	dec := NewDecoder("")
 	// Packet 0 (with templates) was lost in transit: packet 1 is
 	// undecodable.
-	if _, err := dec.Decode(pkts[1]); err == nil {
+	if _, err := decodePacket(dec, pkts[1]); err == nil {
 		t.Fatal("data before any template must fail")
 	}
 	// Packet 2 carries the refresh: decoding recovers...
-	p2, err := dec.Decode(pkts[2])
+	p2, err := decodePacket(dec, pkts[2])
 	if err != nil {
 		t.Fatalf("decoder did not recover on template refresh: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestExporterTemplateRefreshRecovery(t *testing.T) {
 		t.Fatalf("refresh packet decoded as %d templates / %d records", p2.Templates, len(p2.Records))
 	}
 	// ...and stays recovered for template-free packets.
-	p3, err := dec.Decode(pkts[3])
+	p3, err := decodePacket(dec, pkts[3])
 	if err != nil || len(p3.Records) != 1 {
 		t.Fatalf("post-recovery packet: %v (%d records)", err, len(p3.Records))
 	}
@@ -126,7 +126,7 @@ func TestExporterChunksLargeBatches(t *testing.T) {
 		if len(data) > maxDatagram {
 			t.Fatalf("datagram of %d bytes exceeds the %d-byte MTU budget", len(data), maxDatagram)
 		}
-		pkt, err := dec.Decode(data)
+		pkt, err := decodePacket(dec, data)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@
 //   - Disabled is free. Every instrument method is nil-safe, and a nil
 //     *Registry (obs.Disabled) hands out nil instruments, so an
 //     uninstrumented daemon pays one predictable nil check per event —
-//     the overhead budget BENCH_obs.json audits.
+//     the overhead budget cmd/obsgate (make obs-gate) audits.
 //   - The exposition is the contract. Registration enforces the naming
 //     rules the strict parser (lint.go) checks — valid names, counters
 //     ending in _total, no histogram-suffix collisions, no duplicate

@@ -1,39 +1,29 @@
 package sketch
 
-// The sketch wire/disk codec. Every marshaled sketch is one versioned,
-// CRC-framed record, mirroring the store's record framing so a reader
-// can always tell a cleanly written sketch from bit rot:
-//
-//	+---------+------+-------------+-----------+
-//	| version | kind | payload len | CRC-32    | payload ...
-//	| 1 byte  | 1 B  | 4 bytes     | 4 (IEEE)  |
-//	+---------+------+-------------+-----------+
-//
-// The CRC covers version, kind and payload. A corrupted sketch is
-// rejected with ErrCorrupt — it must never be merged into a healthy
-// estimate (registers full of garbage would silently inflate a
-// cardinality forever, since HLL merge is max). Decoding arbitrary
-// bytes never panics; the fuzz target pins that.
+// The sketch wire/disk codec. Every marshaled sketch is one record in the
+// serving stack's one envelope (internal/wire: version, kind, length,
+// CRC-32), so a reader can always tell a cleanly written sketch from bit
+// rot. A corrupted sketch is rejected with ErrCorrupt — it must never be
+// merged into a healthy estimate (registers full of garbage would
+// silently inflate a cardinality forever, since HLL merge is max). The
+// envelope's version also versions the layouts below: a register count or
+// bucket layout change bumps it, and old bytes become unreadable rather
+// than misread. Decoding arbitrary bytes never panics; the fuzz target
+// pins that.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-)
 
-// codecVersion is the sketch framing version. Bumping it (a register
-// count change, a bucket layout change) makes old bytes unreadable
-// rather than misread.
-const codecVersion = 1
+	"cwatrace/internal/wire"
+)
 
 // Sketch kinds.
 const (
 	kindHLL      byte = 1
 	kindQuantile byte = 2
 )
-
-const headerLen = 1 + 1 + 4 + 4
 
 // maxPayload bounds a sketch payload; anything larger is corruption,
 // not an allocation request.
@@ -42,49 +32,26 @@ const maxPayload = 1 << 20
 // ErrCorrupt marks framing or checksum damage in a marshaled sketch.
 var ErrCorrupt = errors.New("sketch: corrupt")
 
-// appendFrame wraps payload in the sketch framing.
-func appendFrame(buf []byte, kind byte, payload []byte) []byte {
-	buf = append(buf, codecVersion, kind)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{codecVersion, kind})
-	crc.Write(payload)
-	buf = binary.BigEndian.AppendUint32(buf, crc.Sum32())
-	return append(buf, payload...)
-}
-
-// readFrame parses one framed sketch at the head of data, returning the
-// kind, the payload (aliasing data) and the bytes consumed.
-func readFrame(data []byte) (kind byte, payload []byte, n int, err error) {
-	if len(data) < headerLen {
-		return 0, nil, 0, fmt.Errorf("%w: %d header bytes", ErrCorrupt, len(data))
+// readFrame parses one framed sketch of the wanted kind at the head of
+// data, returning the payload (aliasing data) and the bytes consumed. A
+// sketch cut short is as corrupt as a damaged one: nothing appends to a
+// sketch, so there is no torn tail to tell apart.
+func readFrame(data []byte, want byte) (payload []byte, n int, err error) {
+	kind, payload, n, err := wire.ReadFrame(data, maxPayload)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if data[0] != codecVersion {
-		return 0, nil, 0, fmt.Errorf("%w: sketch version %d", ErrCorrupt, data[0])
+	if kind != want {
+		return nil, 0, fmt.Errorf("%w: kind %d, want %d", ErrCorrupt, kind, want)
 	}
-	kind = data[1]
-	plen := int(binary.BigEndian.Uint32(data[2:6]))
-	if plen > maxPayload {
-		return 0, nil, 0, fmt.Errorf("%w: payload length %d", ErrCorrupt, plen)
-	}
-	if len(data) < headerLen+plen {
-		return 0, nil, 0, fmt.Errorf("%w: payload %d of %d bytes", ErrCorrupt, len(data)-headerLen, plen)
-	}
-	payload = data[headerLen : headerLen+plen]
-	crc := crc32.NewIEEE()
-	crc.Write(data[0:2])
-	crc.Write(payload)
-	if crc.Sum32() != binary.BigEndian.Uint32(data[6:10]) {
-		return 0, nil, 0, fmt.Errorf("%w: CRC mismatch on %d-byte sketch", ErrCorrupt, plen)
-	}
-	return kind, payload, headerLen + plen, nil
+	return payload, n, nil
 }
 
 // AppendBinary appends the framed encoding of h to buf. The encoding is
 // deterministic: equal sketches encode to equal bytes, which is what
 // lets the associativity tests compare merges bitwise.
 func (h *HLL) AppendBinary(buf []byte) []byte {
-	return appendFrame(buf, kindHLL, h.reg[:])
+	return wire.AppendFrame(buf, kindHLL, h.reg[:])
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -93,12 +60,9 @@ func (h *HLL) MarshalBinary() ([]byte, error) { return h.AppendBinary(nil), nil 
 // DecodeHLL parses one framed HLL at the head of data, returning the
 // bytes consumed. Arbitrary input yields an error, never a panic.
 func DecodeHLL(data []byte) (*HLL, int, error) {
-	kind, payload, n, err := readFrame(data)
+	payload, n, err := readFrame(data, kindHLL)
 	if err != nil {
 		return nil, 0, err
-	}
-	if kind != kindHLL {
-		return nil, 0, fmt.Errorf("%w: kind %d, want HLL", ErrCorrupt, kind)
 	}
 	if len(payload) != hllM {
 		return nil, 0, fmt.Errorf("%w: %d HLL registers, want %d", ErrCorrupt, len(payload), hllM)
@@ -119,14 +83,14 @@ func DecodeHLL(data []byte) (*HLL, int, error) {
 }
 
 // AppendBinary appends the framed encoding of q to buf (bucket count,
-// then the counts; the layout itself is pinned by codecVersion).
+// then the counts; the layout itself is pinned by the envelope version).
 func (q *Quantile) AppendBinary(buf []byte) []byte {
 	payload := make([]byte, 0, 4+8*len(q.counts))
 	payload = binary.BigEndian.AppendUint32(payload, uint32(len(q.counts)))
 	for _, c := range q.counts {
 		payload = binary.BigEndian.AppendUint64(payload, c)
 	}
-	return appendFrame(buf, kindQuantile, payload)
+	return wire.AppendFrame(buf, kindQuantile, payload)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -137,12 +101,9 @@ func (q *Quantile) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil),
 // version's layout exactly — counts under a different layout have a
 // different meaning, and merging them would corrupt quantiles silently.
 func DecodeQuantile(data []byte) (*Quantile, int, error) {
-	kind, payload, n, err := readFrame(data)
+	payload, n, err := readFrame(data, kindQuantile)
 	if err != nil {
 		return nil, 0, err
-	}
-	if kind != kindQuantile {
-		return nil, 0, fmt.Errorf("%w: kind %d, want quantile", ErrCorrupt, kind)
 	}
 	if len(payload) < 4 {
 		return nil, 0, fmt.Errorf("%w: quantile payload of %d bytes", ErrCorrupt, len(payload))

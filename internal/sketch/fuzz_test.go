@@ -3,6 +3,8 @@ package sketch
 import (
 	"bytes"
 	"testing"
+
+	"cwatrace/internal/wire"
 )
 
 // FuzzSketchDecode pins the codec contract on arbitrary bytes: decoding
@@ -18,7 +20,7 @@ func FuzzSketchDecode(f *testing.F) {
 	q.Add(500, 2)
 	f.Add(q.AppendBinary(nil))
 	f.Add([]byte{})
-	f.Add([]byte{codecVersion, kindHLL, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{wire.Version, kindHLL, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -177,8 +177,8 @@ func TestQuantileBoundsCoverMaxWindow(t *testing.T) {
 	}
 }
 
-// TestSketchRoundTrip pins encode→decode for both kinds, and that a
-// flipped payload byte is rejected rather than decoded.
+// TestSketchRoundTrip pins encode→decode for both kinds (damage is the
+// table in internal/wire's tests).
 func TestSketchRoundTrip(t *testing.T) {
 	h := NewHLL()
 	for i := 0; i < 1000; i++ {
@@ -206,16 +206,6 @@ func TestSketchRoundTrip(t *testing.T) {
 		t.Fatal("quantile round trip changed bytes")
 	}
 
-	// Corrupt one payload byte: the CRC must reject it.
-	for _, b := range [][]byte{hb, qb} {
-		bad := append([]byte(nil), b...)
-		bad[len(bad)-1] ^= 0x40
-		if _, _, err := DecodeHLL(bad); err == nil {
-			if _, _, err := DecodeQuantile(bad); err == nil {
-				t.Fatal("corrupted sketch decoded cleanly")
-			}
-		}
-	}
 }
 
 // TestHLLEstimateMonotoneSmall pins the linear-counting small range: a

@@ -1,45 +1,31 @@
 package store
 
 // The store's on-disk record codec: every WAL and checkpoint file is a
-// sequence of length-prefixed, CRC-protected, versioned records, so a
-// reader can always tell a cleanly written record from a torn tail or bit
-// rot. The flow-record payload encoding is compact and deterministic —
-// the same record always encodes to the same bytes — which the crash
-// tests exploit to compare WAL contents as canonical byte strings.
-//
-// Record framing (everything big-endian):
-//
-//	+---------+------+-------------+-----------+
-//	| version | type | payload len | CRC-32    | payload ...
-//	| 1 byte  | 1 B  | 4 bytes     | 4 (IEEE)  |
-//	+---------+------+-------------+-----------+
-//
-// The CRC covers version, type and payload. Record types: recTypeBatch
-// (one appended batch of flow records) and recTypeFrame (one checkpoint
-// frame: metadata + marshaled streaming.Analytics state).
+// sequence of records in the serving stack's one envelope (internal/wire:
+// version, type, length, CRC-32), so a reader can always tell a cleanly
+// written record from a torn tail or bit rot. The flow-record payload
+// encoding is compact and deterministic — the same record always encodes
+// to the same bytes — which the crash tests exploit to compare WAL
+// contents as canonical byte strings. Record types: recTypeBatch (one
+// appended batch of flow records) and recTypeFrame (one checkpoint frame:
+// metadata + marshaled streaming.Analytics state).
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net/netip"
 	"time"
 
 	"cwatrace/internal/netflow"
+	"cwatrace/internal/wire"
 )
-
-// codecVersion is the record-framing version byte.
-const codecVersion = 1
 
 // Record types.
 const (
 	recTypeBatch byte = 1
 	recTypeFrame byte = 2
 )
-
-// recHeaderLen is the fixed framing header size.
-const recHeaderLen = 1 + 1 + 4 + 4
 
 // maxPayload bounds a single record payload; anything larger is treated
 // as corruption rather than an allocation request.
@@ -53,44 +39,21 @@ var (
 	ErrCorrupt = errors.New("store: corrupt record")
 )
 
-// appendRecordFrame wraps payload in the record framing.
-func appendRecordFrame(buf []byte, typ byte, payload []byte) []byte {
-	buf = append(buf, codecVersion, typ)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{codecVersion, typ})
-	crc.Write(payload)
-	buf = binary.BigEndian.AppendUint32(buf, crc.Sum32())
-	return append(buf, payload...)
-}
-
-// readRecordFrame parses one framed record at the head of data and
-// returns the record type, its payload (aliasing data) and the total
-// bytes consumed. A header that runs past the end of data is ErrTorn; a
-// bad version, oversized length or CRC mismatch is ErrCorrupt.
-func readRecordFrame(data []byte) (typ byte, payload []byte, n int, err error) {
-	if len(data) < recHeaderLen {
-		return 0, nil, 0, fmt.Errorf("%w: %d header bytes", ErrTorn, len(data))
+// readRecord parses one record of the wanted type at the head of data,
+// returning its payload (aliasing data) and the total bytes consumed. A
+// record that runs past the end of data is ErrTorn; a bad version,
+// oversized length, CRC mismatch or foreign type is ErrCorrupt.
+func readRecord(data []byte, want byte) (payload []byte, n int, err error) {
+	typ, payload, n, err := wire.ReadFrame(data, maxPayload)
+	switch {
+	case errors.Is(err, wire.ErrShort):
+		return nil, 0, fmt.Errorf("%w: %v", ErrTorn, err)
+	case err != nil:
+		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	case typ != want:
+		return nil, 0, fmt.Errorf("%w: record type %d, want %d", ErrCorrupt, typ, want)
 	}
-	if data[0] != codecVersion {
-		return 0, nil, 0, fmt.Errorf("%w: record version %d", ErrCorrupt, data[0])
-	}
-	typ = data[1]
-	plen := int(binary.BigEndian.Uint32(data[2:6]))
-	if plen > maxPayload {
-		return 0, nil, 0, fmt.Errorf("%w: payload length %d", ErrCorrupt, plen)
-	}
-	if len(data) < recHeaderLen+plen {
-		return 0, nil, 0, fmt.Errorf("%w: payload %d of %d bytes", ErrTorn, len(data)-recHeaderLen, plen)
-	}
-	payload = data[recHeaderLen : recHeaderLen+plen]
-	crc := crc32.NewIEEE()
-	crc.Write(data[0:2])
-	crc.Write(payload)
-	if crc.Sum32() != binary.BigEndian.Uint32(data[6:10]) {
-		return 0, nil, 0, fmt.Errorf("%w: CRC mismatch on %d-byte record", ErrCorrupt, plen)
-	}
-	return typ, payload, recHeaderLen + plen, nil
+	return payload, n, nil
 }
 
 // EncodeRecord renders one flow record in the canonical payload encoding.
@@ -222,6 +185,20 @@ func decodeBatchPayload(payload []byte, fn func(netflow.Record) error) error {
 		return fmt.Errorf("%w: %d trailing batch bytes", ErrCorrupt, len(payload))
 	}
 	return nil
+}
+
+// readBatch parses the WAL record at the head of data into its batch,
+// returning the bytes consumed.
+func readBatch(data []byte) (batch []netflow.Record, n int, err error) {
+	payload, n, err := readRecord(data, recTypeBatch)
+	if err != nil {
+		return nil, 0, err
+	}
+	err = decodeBatchPayload(payload, func(r netflow.Record) error {
+		batch = append(batch, r)
+		return nil
+	})
+	return batch, n, err
 }
 
 // frameInfo is the metadata head of a checkpoint-frame payload; the

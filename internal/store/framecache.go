@@ -118,12 +118,9 @@ func loadFrame(fm frameMeta, cfg streaming.Config) (frameInfo, *streaming.Stored
 	if err != nil {
 		return frameInfo{}, nil, err
 	}
-	typ, payload, n, err := readRecordFrame(data)
+	payload, n, err := readRecord(data, recTypeFrame)
 	if err != nil {
 		return frameInfo{}, nil, err
-	}
-	if typ != recTypeFrame {
-		return frameInfo{}, nil, fmt.Errorf("%w: record type %d in checkpoint", ErrCorrupt, typ)
 	}
 	if n != len(data) {
 		return frameInfo{}, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-n)

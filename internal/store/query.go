@@ -1,6 +1,7 @@
 package store
 
-// The historical time-range query engine. A query merges the checkpoint
+// The historical time-range query engine, one path for every resolution
+// (hour is the finest tier, see tryQuery). A query merges the checkpoint
 // frames whose hour coverage overlaps the requested range (plus the live
 // tail shard) into one snapshot, then trims the hourly series exactly to
 // the range. The hourly Figure-2 series is therefore hour-exact at any
@@ -70,11 +71,21 @@ type QueryResult struct {
 	Version uint64 `json:"-"`
 }
 
-// Query merges the frames overlapping [from, to) with the live tail and
-// renders the range. Zero bounds are open ends: Query(zero, zero) covers
-// the store's whole history. Frames holding only dropped-record
-// accounting (no kept hours) ride along with every query so the census
-// stays complete.
+// Query is QueryResolution at hour resolution, the exact answer: the
+// frames overlapping [from, to) merged with the live tail, trimmed to the
+// range. Zero bounds are open ends: Query(zero, zero) covers the store's
+// whole history.
+func (s *Store) Query(from, to time.Time) (*QueryResult, error) {
+	return s.QueryResolution(from, to, tier.ResolutionHour)
+}
+
+// QueryResolution answers a range query at the requested resolution.
+// Hour (and the empty string) is the finest tier: no tier frames, every
+// overlapping raw frame. Day and week take the coarsest tier frames
+// covering the range and stitch the raw residual beyond tier coverage
+// exactly on top; the tiered part is carried in the LongHorizon block
+// (the Snapshot field then holds only the exact residual tail). Auto
+// resolves from the span against the store's history bounds.
 //
 // Frames are read outside the store mutex — a historical query must
 // never stall the hot Append path (a blocked worker means dropped
@@ -83,49 +94,150 @@ type QueryResult struct {
 // hazard is a concurrent checkpoint's compaction removing one
 // mid-query; that retries against the fresh (equivalent, merged)
 // frame set.
-func (s *Store) Query(from, to time.Time) (*QueryResult, error) {
+func (s *Store) QueryResolution(from, to time.Time, res tier.Resolution) (*QueryResult, error) {
+	if res == tier.ResolutionAuto {
+		start, end := s.historyBounds()
+		res = tier.AutoSpan(from, to, start, end)
+	}
 	for attempt := 0; ; attempt++ {
-		res, err := s.tryQuery(from, to)
+		r, err := s.tryQuery(from, to, res)
 		if err == nil || attempt >= 2 || !errors.Is(err, os.ErrNotExist) {
-			return res, err
+			return r, err
 		}
 	}
 }
 
-func (s *Store) tryQuery(from, to time.Time) (*QueryResult, error) {
+func (s *Store) tryQuery(from, to time.Time, res tier.Resolution) (*QueryResult, error) {
+	// Under mu, which ingest appends wait on, only what has to be one
+	// consistent cut: the live state and the three frame lists — their
+	// headers suffice, the lists are appended to or replaced whole, never
+	// written in place. Planning and selection run on the cut, unlocked.
 	s.mu.Lock()
-	var frames []frameMeta
-	for _, fr := range s.frames {
-		if s.hoursOverlap(fr.MinHour, fr.MaxHour, from, to) {
-			frames = append(frames, fr)
-		}
-	}
+	weeks, days, frames := s.tierWeek, s.tierDay, s.frames
 	live := s.detachLive(from, to)
 	version := s.versionLocked(from, to)
 	s.mu.Unlock()
 
-	// A historical range can span more hours than the live sliding
-	// window (that is the point of the store), so the fold target is not
-	// a ring at that window but a streaming.Range: sized by the hours the
-	// range shares with the selected frames, evicting nothing, and
-	// reporting the window a ring widened to hold them all would have.
-	// The frame loads run lock-free, and the detached live state folds
-	// last, in chronological order (frames, then live), like Snapshot.
-	res := &QueryResult{From: from, To: to, TailIncluded: live != nil, Version: version}
+	// At hour resolution the plan is empty — no tier frames, a raw floor
+	// of zero — and the answer is the raw fold alone.
+	plan := tier.BuildPlan(res, s.cfg.Origin, from, to, weeks, days)
+	tiered := plan.Resolution != tier.ResolutionHour
+	result := &QueryResult{From: from, To: to, TailIncluded: live != nil, Version: version}
+	var (
+		b   *tier.Builder
+		acc *tier.SketchAccum
+	)
+	if tiered {
+		result.Resolution = plan.Resolution
+		b, acc = tier.NewBuilder(plan.Resolution, s.cfg.Origin, s.districts), tier.NewSketchAccum()
+		for _, tm := range appendPlanned(appendPlanned(nil, weeks, plan.Week), days, plan.Day) {
+			f, err := s.loadTierFrame(tm)
+			if err != nil {
+				return nil, err
+			}
+			b.AddFrame(f)
+		}
+	}
+
+	// The raw part: the frames beyond every selected tier's coverage that
+	// overlap the range (frames holding only dropped-record accounting
+	// ride along with every query so the census stays complete), then the
+	// detached live state, in chronological order like Snapshot. A
+	// historical range can span more hours than the live sliding window
+	// (that is the point of the store), so the fold target is not a ring
+	// at that window but a streaming.Range: sized by the hours the range
+	// shares with the selected frames, evicting nothing, and reporting the
+	// window a ring widened to hold them all would have.
 	m := streaming.NewRange(s.cfg, from, to)
 	for _, fr := range frames {
+		if fr.BaseSeg < plan.RawFloor || !tier.HoursOverlap(s.cfg.Origin, fr.MinHour, fr.MaxHour, from, to) {
+			continue
+		}
 		st, err := s.frameState(fr)
 		if err != nil {
 			return nil, err
 		}
 		m.MergeStored(st)
-		res.Frames++
+		if tiered {
+			acc.AddShard(st.EachPrefix)
+		}
+		result.Frames++
 	}
 	for _, st := range live {
 		m.MergeStored(st)
 	}
-	res.Snapshot = m.Snapshot()
-	return res, nil
+	if !tiered {
+		result.Snapshot = m.Snapshot()
+		return result, nil
+	}
+	if live != nil {
+		// To the presence sketch, which counts the shards a prefix appears
+		// in, the live tails are one shard: a prefix both hold counts once.
+		shard := streaming.NewRange(s.cfg, from, to)
+		for _, st := range live {
+			shard.MergeStored(st)
+		}
+		acc.AddShard(shard.EachPrefix)
+	}
+	// The residual series starts at its own first populated hour: the
+	// hours before it are what the selected tier frames cover, and
+	// rendering them would report zero traffic where the buckets report
+	// some (and dominate a year-span answer with empty rows).
+	result.Snapshot = m.SnapshotPopulated()
+	b.AddResidual(result.Snapshot, acc, result.Frames)
+	result.LongHorizon = b.Answer()
+	result.LongHorizon.Label(s.cfg.Model)
+	return result, nil
+}
+
+// appendPlanned appends the frames of list a plan selected. BuildPlan
+// emits seqs as a subsequence of the list it was given, in order, so one
+// walk of both finds them all.
+func appendPlanned(dst, list []tier.FrameMeta, seqs []uint64) []tier.FrameMeta {
+	for _, m := range list {
+		if len(seqs) == 0 {
+			break
+		}
+		if m.Seq == seqs[0] {
+			dst = append(dst, m)
+			seqs = seqs[1:]
+		}
+	}
+	return dst
+}
+
+// historyBounds reports the wall-clock extent of everything the store
+// holds (frames plus live tail), for auto-resolution.
+func (s *Store) historyBounds() (start, end time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	lo, hi := int64(-1), int64(-1)
+	cover := func(mn, mx int64) {
+		if mn < 0 {
+			return
+		}
+		if lo < 0 || mn < lo {
+			lo = mn
+		}
+		if mx > hi {
+			hi = mx
+		}
+	}
+	for _, fr := range s.frames {
+		cover(fr.MinHour, fr.MaxHour)
+	}
+	for _, t := range []*streaming.Analytics{s.foldingTail, s.tail} {
+		if t != nil {
+			if mn, mx, ok := t.Bounds(); ok {
+				cover(int64(mn), int64(mx))
+			}
+		}
+	}
+	if lo < 0 {
+		return time.Time{}, time.Time{}
+	}
+	return s.cfg.Origin.Add(time.Duration(lo) * time.Hour),
+		s.cfg.Origin.Add(time.Duration(hi+1) * time.Hour)
 }
 
 // detachLive copies the live, un-checkpointed state for a query over
@@ -164,7 +276,7 @@ func (s *Store) liveIncluded(from, to time.Time) bool {
 		if lo, hi, ok := t.Bounds(); ok {
 			minH, maxH = int64(lo), int64(hi)
 		}
-		if s.hoursOverlap(minH, maxH, from, to) {
+		if tier.HoursOverlap(s.cfg.Origin, minH, maxH, from, to) {
 			return true
 		}
 	}
@@ -211,23 +323,4 @@ func (s *Store) versionLocked(from, to time.Time) uint64 {
 		h.Write(buf[:])
 	}
 	return h.Sum64()
-}
-
-// hoursOverlap reports whether the inclusive hour-index interval
-// [minHour, maxHour] intersects [from, to). Absent bounds (-1: the frame
-// aggregated no kept records) always overlap — the accounting must reach
-// every query.
-func (s *Store) hoursOverlap(minHour, maxHour int64, from, to time.Time) bool {
-	if minHour < 0 {
-		return true
-	}
-	start := s.cfg.Origin.Add(time.Duration(minHour) * time.Hour)
-	end := s.cfg.Origin.Add(time.Duration(maxHour+1) * time.Hour)
-	if !to.IsZero() && !start.Before(to) {
-		return false
-	}
-	if !from.IsZero() && !end.After(from) {
-		return false
-	}
-	return true
 }

@@ -47,6 +47,7 @@ import (
 	"cwatrace/internal/obs"
 	"cwatrace/internal/streaming"
 	"cwatrace/internal/tier"
+	"cwatrace/internal/wire"
 )
 
 // segMagic heads every WAL segment file, followed by the segment
@@ -270,8 +271,8 @@ type Store struct {
 	// is keyed by Seq, which is unique across levels). Frames enter it
 	// through cacheTierFrame, resolved against districts, so a query
 	// folds their district rows by index.
-	tierDay       []tierFrameMeta
-	tierWeek      []tierFrameMeta
+	tierDay       []tier.FrameMeta
+	tierWeek      []tier.FrameMeta
 	tierCache     sync.Map
 	districts     *tier.DistrictTable
 	tierFoldsDay  uint64
@@ -477,14 +478,14 @@ func (s *Store) writeMeta() error {
 // scanDir inventories segment, checkpoint and tier files (sorted by
 // sequence) and, on a writable open, sweeps stale temp files from
 // crashed writes.
-func (s *Store) scanDir() ([]segInfo, []frameMeta, []tierFrameMeta, error) {
+func (s *Store) scanDir() ([]segInfo, []frameMeta, []tier.FrameMeta, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("store: %w", err)
 	}
 	var segs []segInfo
 	var ckpts []frameMeta
-	var tiers []tierFrameMeta
+	var tiers []tier.FrameMeta
 	for _, e := range entries {
 		name := e.Name()
 		switch {
@@ -510,17 +511,13 @@ func (s *Store) scanDir() ([]segInfo, []frameMeta, []tierFrameMeta, error) {
 			}
 		case matchSeq(name, "tier-d-", ".tf") != nil:
 			seq := *matchSeq(name, "tier-d-", ".tf")
-			tiers = append(tiers, tierFrameMeta{
-				FrameMeta: tier.FrameMeta{Level: tier.LevelDay, Seq: seq},
-				path:      filepath.Join(s.dir, name)})
+			tiers = append(tiers, tier.FrameMeta{Level: tier.LevelDay, Seq: seq})
 			if seq >= s.nextFrameSeq {
 				s.nextFrameSeq = seq + 1
 			}
 		case matchSeq(name, "tier-w-", ".tf") != nil:
 			seq := *matchSeq(name, "tier-w-", ".tf")
-			tiers = append(tiers, tierFrameMeta{
-				FrameMeta: tier.FrameMeta{Level: tier.LevelWeek, Seq: seq},
-				path:      filepath.Join(s.dir, name)})
+			tiers = append(tiers, tier.FrameMeta{Level: tier.LevelWeek, Seq: seq})
 			if seq >= s.nextFrameSeq {
 				s.nextFrameSeq = seq + 1
 			}
@@ -669,17 +666,7 @@ func (s *Store) replaySegment(seg segInfo, last bool) error {
 	}
 	off := segHeaderLen
 	for off < len(data) {
-		typ, payload, n, err := readRecordFrame(data[off:])
-		if err == nil && typ != recTypeBatch {
-			err = fmt.Errorf("%w: record type %d in WAL", ErrCorrupt, typ)
-		}
-		var batch []netflow.Record
-		if err == nil {
-			err = decodeBatchPayload(payload, func(r netflow.Record) error {
-				batch = append(batch, r)
-				return nil
-			})
-		}
+		batch, n, err := readBatch(data[off:])
 		if err != nil {
 			return torn(off)
 		}
@@ -861,7 +848,7 @@ func (s *Store) writeWALLocked(batches [][]netflow.Record) error {
 			continue
 		}
 		s.payloadBuf = appendBatchPayload(s.payloadBuf[:0], b)
-		s.recordBuf = appendRecordFrame(s.recordBuf, recTypeBatch, s.payloadBuf)
+		s.recordBuf = wire.AppendFrame(s.recordBuf, recTypeBatch, s.payloadBuf)
 	}
 	if _, err := s.active.Write(s.recordBuf); err != nil {
 		// Roll back the partial group. Truncate trims the file but does
@@ -1017,7 +1004,7 @@ func (s *Store) checkpointLocked(ctx context.Context, sp *obs.Span) error {
 		info.MinHour, info.MaxHour = int64(minH), int64(maxH)
 	}
 	path := ckptPath(s.dir, info.Seq)
-	rec := appendRecordFrame(nil, recTypeFrame, appendFramePayload(nil, info, state))
+	rec := wire.AppendFrame(nil, recTypeFrame, appendFramePayload(nil, info, state))
 	if err := atomicWrite(path, rec); err != nil {
 		return restore(err)
 	}
@@ -1148,7 +1135,7 @@ func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
 		return false, err
 	}
 	path := ckptPath(s.dir, info.Seq)
-	rec := appendRecordFrame(nil, recTypeFrame, appendFramePayload(nil, info, state))
+	rec := wire.AppendFrame(nil, recTypeFrame, appendFramePayload(nil, info, state))
 	if err := atomicWrite(path, rec); err != nil {
 		return false, err
 	}
@@ -1349,17 +1336,7 @@ func WalkWAL(dir string, fn func(batch []netflow.Record) error) error {
 		}
 		off := segHeaderLen
 		for off < len(data) {
-			typ, payload, n, err := readRecordFrame(data[off:])
-			if err == nil && typ != recTypeBatch {
-				err = fmt.Errorf("%w: record type %d in WAL", ErrCorrupt, typ)
-			}
-			var batch []netflow.Record
-			if err == nil {
-				err = decodeBatchPayload(payload, func(r netflow.Record) error {
-					batch = append(batch, r)
-					return nil
-				})
-			}
+			batch, n, err := readBatch(data[off:])
 			if err != nil {
 				if last {
 					return nil

@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -430,6 +431,59 @@ func TestTierRangeQueryBuckets(t *testing.T) {
 	for _, b := range r.LongHorizon.Buckets {
 		if b.Flows != 15 {
 			t.Fatalf("bucket %d flows %v, want 15", b.StartHour, b.Flows)
+		}
+	}
+}
+
+// TestHourAnswerIgnoresTierFrames pins the one way the unified query
+// path could go wrong at hour resolution: applying the raw floor, which
+// would drop every raw frame a day or week frame covers. On a store with
+// folded day and week frames the hour answer equals, field for field,
+// that of a store that never folded, over open, closed, frames-only and
+// tail-only ranges.
+func TestHourAnswerIgnoresTierFrames(t *testing.T) {
+	tiered := mustOpen(t, t.TempDir(), Options{Tier: true})
+	defer tiered.Close()
+	plain := mustOpen(t, t.TempDir(), Options{})
+	defer plain.Close()
+	const days = 10
+	for _, s := range []*Store{tiered, plain} {
+		for d := 0; d < days; d++ {
+			fillDay(t, s, d)
+		}
+		if err := s.Append([]netflow.Record{keptRecord(days*24+2, 7, 300), droppedRecord(days*24+2, 8)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := tiered.Metrics(); m.TierFramesDay == 0 || m.TierFramesWeek == 0 {
+		t.Fatalf("fixture folded %d day and %d week frames, want some of each", m.TierFramesDay, m.TierFramesWeek)
+	}
+	if m := plain.Metrics(); m.TierFramesDay+m.TierFramesWeek != 0 {
+		t.Fatal("the reference store folded")
+	}
+	day := func(d int) time.Time { return entime.StudyStart.Add(time.Duration(d) * 24 * time.Hour) }
+	for name, r := range map[string][2]time.Time{
+		"open":        {},
+		"closed":      {day(2), day(4)},
+		"frames-only": {{}, day(days)},
+		"tail-only":   {day(days), {}},
+	} {
+		for _, res := range []tier.Resolution{"", tier.ResolutionHour} {
+			got, err := tiered.QueryResolution(r[0], r[1], res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain.QueryResolution(r[0], r[1], res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Version, want.Version = 0, 0 // boot nonces differ
+			if want.Frames == 0 && !want.TailIncluded {
+				t.Fatalf("%s: the reference answer is empty", name)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s at resolution %q: hour answer differs on the store with tier frames:\n got %+v\nwant %+v", name, res, got, want)
+			}
 		}
 	}
 }

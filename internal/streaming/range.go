@@ -12,8 +12,8 @@ import (
 // render — [from, to) clipped to what the folded states hold — and the
 // rest of the state is the counters a live shard has. Nothing a Range
 // allocates, fills or scans is proportional to Config.WindowHours; the
-// sliding ring stays what live ingestion, Collect, compaction and
-// recovery use.
+// sliding ring stays what live ingestion, the live snapshot, compaction
+// and recovery use.
 //
 // Where the ring of a historical query had to be widened by hand to hold
 // every selected hour (merging archived hours at a narrower window evicts

@@ -17,6 +17,8 @@ import (
 	"slices"
 	"sort"
 	"time"
+
+	"cwatrace/internal/wire"
 )
 
 // stateVersion is the Analytics binary state codec version.
@@ -188,13 +190,13 @@ func DecodeStored(cfg Config, data []byte) (*Stored, error) {
 }
 
 func decodeStored(cfg Config, data []byte, adoptWindow bool) (*Stored, error) {
-	d := stateDecoder{buf: data}
-	if v := d.u8(); v != stateVersion {
+	d := wire.Cursor{Buf: data}
+	if v := d.U8(); v != stateVersion {
 		return nil, fmt.Errorf("streaming: state version %d, want %d", v, stateVersion)
 	}
-	origin := time.Unix(0, int64(d.u64())).UTC()
-	st := &Stored{window: int(d.u32())}
-	if d.err == nil {
+	origin := time.Unix(0, int64(d.U64())).UTC()
+	st := &Stored{window: int(d.U32())}
+	if d.Err == nil {
 		cfg = cfg.withDefaults()
 		if !origin.Equal(cfg.Origin) || (!adoptWindow && st.window != cfg.WindowHours) {
 			return nil, fmt.Errorf("streaming: state window [%s +%dh] does not match config [%s +%dh]",
@@ -204,27 +206,27 @@ func decodeStored(cfg Config, data []byte, adoptWindow bool) (*Stored, error) {
 			return nil, fmt.Errorf("streaming: implausible state window length %d", st.window)
 		}
 	}
-	st.maxHour = int(int64(d.u64()))
-	st.late = d.u64()
-	st.located = d.u64()
+	st.maxHour = int(int64(d.U64()))
+	st.late = d.U64()
+	st.located = d.U64()
 
-	if n := int(d.u32()); d.err == nil && n != nReasons {
+	if n := int(d.U32()); d.Err == nil && n != nReasons {
 		return nil, fmt.Errorf("streaming: state has %d drop reasons, want %d", n, nReasons)
 	}
 	for i := range st.dropped {
-		st.dropped[i] = d.u64()
+		st.dropped[i] = d.U64()
 	}
 
 	// Declared counts are not trusted for sizing: every table is capped by
 	// what the remaining bytes could hold at the smallest row size.
-	nBins := int(d.u32())
-	st.bins = make([]hourBin, 0, min(nBins, len(d.buf)/binRowLen))
+	nBins := int(d.U32())
+	st.bins = make([]hourBin, 0, min(nBins, len(d.Buf)/binRowLen))
 	ordered := true
-	for i := 0; i < nBins && d.err == nil; i++ {
-		h := int(int64(d.u64()))
-		flows := math.Float64frombits(d.u64())
-		bytes := math.Float64frombits(d.u64())
-		if d.err != nil {
+	for i := 0; i < nBins && d.Err == nil; i++ {
+		h := int(int64(d.U64()))
+		flows := math.Float64frombits(d.U64())
+		bytes := math.Float64frombits(d.U64())
+		if d.Err != nil {
 			break
 		}
 		// The ring keeps hours in an int32 column; an hour that does not
@@ -250,28 +252,28 @@ func decodeStored(cfg Config, data []byte, adoptWindow bool) (*Stored, error) {
 		st.bins = kept
 	}
 
-	nPrefixes := int(d.u32())
-	prefixes := newStoredTable(min(nPrefixes, len(d.buf)/minPrefixRowLen), lessPrefix)
-	for i := 0; i < nPrefixes && d.err == nil; i++ {
-		fam := d.u8()
+	nPrefixes := int(d.U32())
+	prefixes := newStoredTable(min(nPrefixes, len(d.Buf)/minPrefixRowLen), lessPrefix)
+	for i := 0; i < nPrefixes && d.Err == nil; i++ {
+		fam := d.U8()
 		var addr netip.Addr
 		switch fam {
 		case 4:
 			var b [4]byte
-			d.bytes(b[:])
+			d.Bytes(b[:])
 			addr = netip.AddrFrom4(b)
 		case 16:
 			var b [16]byte
-			d.bytes(b[:])
+			d.Bytes(b[:])
 			addr = netip.AddrFrom16(b)
 		default:
-			if d.err == nil {
+			if d.Err == nil {
 				return nil, fmt.Errorf("streaming: state prefix family %d", fam)
 			}
 		}
-		bits := int(d.u8())
-		count := d.u64()
-		if d.err != nil {
+		bits := int(d.U8())
+		count := d.U64()
+		if d.Err != nil {
 			break
 		}
 		p, err := addr.Prefix(bits)
@@ -282,26 +284,26 @@ func decodeStored(cfg Config, data []byte, adoptWindow bool) (*Stored, error) {
 	}
 	st.prefixes, st.prefixCount = prefixes.keys, prefixes.counts
 
-	if d.u8() == 1 {
+	if d.U8() == 1 {
 		st.hasDistricts = true
-		nDistricts := int(d.u32())
-		districts := newStoredTable(min(nDistricts, len(d.buf)/minDistrictRowLen), cmp.Less[string])
-		for i := 0; i < nDistricts && d.err == nil; i++ {
-			idLen := int(d.u8())<<8 | int(d.u8())
-			id := d.take(idLen)
-			count := d.u64()
-			if d.err != nil {
+		nDistricts := int(d.U32())
+		districts := newStoredTable(min(nDistricts, len(d.Buf)/minDistrictRowLen), cmp.Less[string])
+		for i := 0; i < nDistricts && d.Err == nil; i++ {
+			idLen := int(d.U8())<<8 | int(d.U8())
+			id := d.Take(idLen)
+			count := d.U64()
+			if d.Err != nil {
 				break
 			}
 			districts.set(string(id), count)
 		}
 		st.districtIDs, st.districtCount = districts.keys, districts.counts
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("streaming: truncated state: %v", d.err)
+	if d.Err != nil {
+		return nil, fmt.Errorf("streaming: truncated state: %v", d.Err)
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("streaming: %d trailing state bytes", len(d.buf))
+	if len(d.Buf) != 0 {
+		return nil, fmt.Errorf("streaming: %d trailing state bytes", len(d.Buf))
 	}
 	return st, nil
 }
@@ -348,55 +350,4 @@ func (t *storedTable[K]) set(k K, count uint64) {
 	}
 	t.keys = append(t.keys, k)
 	t.counts = append(t.counts, count)
-}
-
-// stateDecoder cursors over a state blob, latching the first error so the
-// parse above stays linear instead of error-checking every read.
-type stateDecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *stateDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.buf) < n {
-		d.err = fmt.Errorf("want %d bytes, have %d", n, len(d.buf))
-		return nil
-	}
-	out := d.buf[:n]
-	d.buf = d.buf[n:]
-	return out
-}
-
-func (d *stateDecoder) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *stateDecoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *stateDecoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *stateDecoder) bytes(dst []byte) {
-	b := d.take(len(dst))
-	if b != nil {
-		copy(dst, b)
-	}
 }

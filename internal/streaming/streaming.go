@@ -432,8 +432,9 @@ func Collect(cfg Config, shards []*Analytics) *Snapshot {
 	return m.snapshot()
 }
 
-// Snapshot reports this shard's aggregates alone; the pipeline uses
-// Collect across all shards instead.
+// Snapshot reports this shard's aggregates alone. A view across shards is
+// a merge first: the pipeline folds its lanes into a fresh shard, one lane
+// lock at a time, and snapshots that (ingest.Pipeline.Snapshot).
 func (a *Analytics) Snapshot() *Snapshot { return a.snapshot() }
 
 // Bounds reports the populated hour coverage of the sliding window as

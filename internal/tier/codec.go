@@ -1,32 +1,22 @@
 package tier
 
-// The tier frame disk codec: one versioned, CRC-framed record per tier
-// file, the same framing discipline as the store's WAL records and the
-// sketch codec. Encoding is canonical — districts sorted by ID, buckets
-// by StartHour, fixed-width integers big-endian — so byte-identical
-// frames mean identical content, which the determinism tests compare
-// directly. Decoding arbitrary bytes returns ErrCorrupt, never panics;
+// The tier frame disk codec: one record per tier file in the serving
+// stack's one envelope (internal/wire), the frame's level as the record
+// kind. Encoding is canonical — districts sorted by ID, buckets by
+// StartHour, fixed-width integers big-endian — so byte-identical frames
+// mean identical content, which the determinism tests compare directly.
+// Decoding arbitrary bytes returns ErrCorrupt, never panics;
 // FuzzTierDecode pins that.
-//
-//	+---------+-------+-------------+-----------+
-//	| version | level | payload len | CRC-32    | payload ...
-//	| 1 byte  | 1 B   | 4 bytes     | 4 (IEEE)  |
-//	+---------+-------+-------------+-----------+
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"cwatrace/internal/sketch"
+	"cwatrace/internal/wire"
 )
-
-// codecVersion is the tier frame framing version.
-const codecVersion = 1
-
-const headerLen = 1 + 1 + 4 + 4
 
 // maxPayload bounds one tier frame payload; larger lengths are treated
 // as corruption, not allocation requests. A year of hourly buckets plus
@@ -81,67 +71,22 @@ func EncodeFrame(f *Frame) []byte {
 	payload = f.Prefixes.AppendBinary(payload)
 	payload = f.Presence.AppendBinary(payload)
 
-	buf := make([]byte, 0, headerLen+len(payload))
-	buf = append(buf, codecVersion, byte(f.Level))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{codecVersion, byte(f.Level)})
-	crc.Write(payload)
-	buf = binary.BigEndian.AppendUint32(buf, crc.Sum32())
-	return append(buf, payload...)
+	return wire.AppendFrame(make([]byte, 0, wire.HeaderLen+len(payload)), byte(f.Level), payload)
 }
 
-// decoder is a bounds-checked big-endian reader over a payload.
-type decoder struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+// fail latches a plausibility failure on the cursor, so the loops below
+// stop on it exactly as they stop on a short read.
+func fail(d *wire.Cursor, format string, args ...any) {
+	if d.Err == nil {
+		d.Err = fmt.Errorf(format, args...)
 	}
 }
 
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.data) {
-		d.fail("truncated at byte %d of %d", d.off, len(d.data))
-		return nil
-	}
-	b := d.data[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *decoder) u64() uint64 {
-	if b := d.take(8); b != nil {
-		return binary.BigEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (d *decoder) u32() uint32 {
-	if b := d.take(4); b != nil {
-		return binary.BigEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (d *decoder) u8() byte {
-	if b := d.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (d *decoder) f64() float64 {
-	v := math.Float64frombits(d.u64())
-	if d.err == nil && (math.IsNaN(v) || math.IsInf(v, 0) || v < 0) {
-		d.fail("implausible float %v", v)
+// f64 reads a flow or byte count: finite and non-negative, or corrupt.
+func f64(d *wire.Cursor) float64 {
+	v := math.Float64frombits(d.U64())
+	if d.Err == nil && (math.IsNaN(v) || math.IsInf(v, 0) || v < 0) {
+		fail(d, "implausible float %v", v)
 	}
 	return v
 }
@@ -150,100 +95,86 @@ func (d *decoder) f64() float64 {
 // ErrCorrupt, never a panic; a successful decode consumed the payload
 // exactly and re-encodes to the same bytes (canonical form).
 func DecodeFrame(data []byte) (*Frame, error) {
-	if len(data) < headerLen {
-		return nil, fmt.Errorf("%w: %d header bytes", ErrCorrupt, len(data))
+	kind, payload, n, err := wire.ReadFrame(data, maxPayload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if data[0] != codecVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrCorrupt, data[0])
+	// A tier file holds exactly one frame: bytes after it are damage.
+	if n != len(data) {
+		return nil, fmt.Errorf("%w: %d bytes after the frame", ErrCorrupt, len(data)-n)
 	}
-	level := Level(data[1])
+	level := Level(kind)
 	if level != LevelDay && level != LevelWeek {
-		return nil, fmt.Errorf("%w: level %d", ErrCorrupt, data[1])
-	}
-	plen := int(binary.BigEndian.Uint32(data[2:6]))
-	if plen > maxPayload {
-		return nil, fmt.Errorf("%w: payload length %d", ErrCorrupt, plen)
-	}
-	if len(data) != headerLen+plen {
-		return nil, fmt.Errorf("%w: payload %d of %d bytes", ErrCorrupt, len(data)-headerLen, plen)
-	}
-	payload := data[headerLen:]
-	crc := crc32.NewIEEE()
-	crc.Write(data[0:2])
-	crc.Write(payload)
-	if crc.Sum32() != binary.BigEndian.Uint32(data[6:10]) {
-		return nil, fmt.Errorf("%w: CRC mismatch on %d-byte frame", ErrCorrupt, plen)
+		return nil, fmt.Errorf("%w: level %d", ErrCorrupt, kind)
 	}
 
 	f := &Frame{Level: level}
-	d := &decoder{data: payload}
-	f.Seq = d.u64()
-	f.BaseSeg = d.u64()
-	f.CoveredSeg = d.u64()
-	f.MinHour = int64(d.u64())
-	f.MaxHour = int64(d.u64())
-	f.Inputs = d.u32()
-	f.Total = d.u64()
-	f.Kept = d.u64()
-	if nr := int(d.u8()); d.err == nil && nr != nReasons {
+	d := &wire.Cursor{Buf: payload}
+	f.Seq = d.U64()
+	f.BaseSeg = d.U64()
+	f.CoveredSeg = d.U64()
+	f.MinHour = int64(d.U64())
+	f.MaxHour = int64(d.U64())
+	f.Inputs = d.U32()
+	f.Total = d.U64()
+	f.Kept = d.U64()
+	if nr := int(d.U8()); d.Err == nil && nr != nReasons {
 		// The reason set is part of the version; counts under a
 		// different set mean something else and must not be summed.
-		d.fail("%d drop reasons, want %d", nr, nReasons)
+		fail(d, "%d drop reasons, want %d", nr, nReasons)
 	}
 	f.Dropped = make([]uint64, nReasons)
-	for r := 0; r < nReasons && d.err == nil; r++ {
-		f.Dropped[r] = d.u64()
+	for r := 0; r < nReasons && d.Err == nil; r++ {
+		f.Dropped[r] = d.U64()
 	}
-	f.Late = d.u64()
-	f.Located = d.u64()
+	f.Late = d.U64()
+	f.Located = d.U64()
 
-	nd := int(d.u32())
-	if d.err == nil && nd > maxDistricts {
-		d.fail("%d districts", nd)
+	nd := int(d.U32())
+	if d.Err == nil && nd > maxDistricts {
+		fail(d, "%d districts", nd)
 	}
 	var prevID string
-	for i := 0; i < nd && d.err == nil; i++ {
-		idLen := int(d.u8())
-		id := string(d.take(idLen))
-		if d.err == nil && i > 0 && id <= prevID {
-			d.fail("district order %q after %q", id, prevID)
+	for i := 0; i < nd && d.Err == nil; i++ {
+		idLen := int(d.U8())
+		id := string(d.Take(idLen))
+		if d.Err == nil && i > 0 && id <= prevID {
+			fail(d, "district order %q after %q", id, prevID)
 		}
 		prevID = id
-		f.Districts = append(f.Districts, District{ID: id, Flows: d.u64()})
+		f.Districts = append(f.Districts, District{ID: id, Flows: d.U64()})
 	}
 
-	nb := int(d.u32())
-	if d.err == nil && nb > maxBuckets {
-		d.fail("%d buckets", nb)
+	nb := int(d.U32())
+	if d.Err == nil && nb > maxBuckets {
+		fail(d, "%d buckets", nb)
 	}
 	width := int64(level.BucketHours())
 	prevStart := int64(-1)
-	for i := 0; i < nb && d.err == nil; i++ {
-		b := Bucket{StartHour: int64(d.u64())}
-		if d.err == nil && (b.StartHour < 0 || b.StartHour%width != 0 || b.StartHour <= prevStart) {
-			d.fail("bucket start %d after %d at width %d", b.StartHour, prevStart, width)
+	for i := 0; i < nb && d.Err == nil; i++ {
+		b := Bucket{StartHour: int64(d.U64())}
+		if d.Err == nil && (b.StartHour < 0 || b.StartHour%width != 0 || b.StartHour <= prevStart) {
+			fail(d, "bucket start %d after %d at width %d", b.StartHour, prevStart, width)
 		}
 		prevStart = b.StartHour
-		b.Flows = d.f64()
-		b.Bytes = d.f64()
+		b.Flows = f64(d)
+		b.Bytes = f64(d)
 		f.Buckets = append(f.Buckets, b)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, d.Err)
 	}
 
-	hll, n, err := sketch.DecodeHLL(payload[d.off:])
+	hll, n, err := sketch.DecodeHLL(d.Buf)
 	if err != nil {
 		return nil, fmt.Errorf("%w: prefix sketch: %v", ErrCorrupt, err)
 	}
-	d.off += n
-	quant, n, err := sketch.DecodeQuantile(payload[d.off:])
+	quant, m, err := sketch.DecodeQuantile(d.Buf[n:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: presence sketch: %v", ErrCorrupt, err)
 	}
-	d.off += n
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(payload)-d.off)
+	if rest := len(d.Buf) - n - m; rest != 0 {
+		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, rest)
 	}
 	f.Prefixes, f.Presence = hll, quant
 

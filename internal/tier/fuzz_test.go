@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"cwatrace/internal/wire"
 )
 
 // FuzzTierDecode hammers the tier frame codec (which transitively
@@ -24,7 +26,7 @@ func FuzzTierDecode(f *testing.F) {
 		f.Add(EncodeFrame(week))
 	}
 	f.Add([]byte{})
-	f.Add([]byte{codecVersion, byte(LevelDay), 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{wire.Version, byte(LevelDay), 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0x41}, 128))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
