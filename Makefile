@@ -1,7 +1,7 @@
 # Tier-1 verify is `make verify` (build + test); see ROADMAP.md.
 GO ?= go
 
-.PHONY: build test test-bench vet vet-bench fmt loc race bench bench-ingest obs-gate bench-store bench-api bench-api-quick fuzz-smoke crash-smoke api-smoke cluster-smoke verify ci all ingest-demo ingest-demo-quick
+.PHONY: build test test-bench vet vet-bench fmt loc race bench bench-ingest obs-gate bench-store bench-api fuzz-smoke crash-smoke api-smoke cluster-smoke verify ci all ingest-demo ingest-demo-quick
 
 all: verify vet
 
@@ -75,19 +75,13 @@ obs-gate:
 bench-store:
 	$(GO) test -run XXX -bench 'BenchmarkStoreAppend|BenchmarkQueryRange' -benchmem ./internal/store/
 
-# The API throughput benchmark (the EXPERIMENTS.md snapshot): a durable
-# store + versioned API under live ingest, measuring per-hit marshaling
-# vs the single-flight response cache vs conditional (ETag) 304s. Then
-# the two halves of a miss in isolation: value to body (marshalBody: 1-day,
-# 30-day and year-span hour answers, B/op beside the body size) and body
-# to wire (writeBody: gzip with the block cache warm, gzip-cold with it
-# empty, identity; wire_B/op beside ns/op).
+# The two halves of an API miss in isolation: value to body (marshalBody:
+# 1-day, 30-day and year-span hour answers, B/op beside the body size)
+# and body to wire (writeBody: gzip with the block cache warm, gzip-cold
+# with it empty, identity; wire_B/op beside ns/op). Cached, uncached and
+# conditional reads under live ingest are the harness's mixed_steady.
 bench-api:
-	$(GO) run ./cmd/apiload -self -duration 5s -c 8
 	$(GO) test -run XXX -bench 'BenchmarkMarshalBody|BenchmarkWriteBody' -benchmem ./internal/api/
-
-bench-api-quick:
-	$(GO) run ./cmd/apiload -self -quick -duration 2s -c 4
 
 # API smoke drill: collectord -demo -quick -serve, then an
 # /api/v1/snapshot If-None-Match round trip asserting the 304. CI runs

@@ -11,40 +11,23 @@
 //	        [-resolution hour|day|week|auto] [-fields hourly,prefixes,...]
 //	        [-top N] [-c workers] [-duration D] [-conditional]
 //
-//	apiload -self [-quick] [-c workers] [-duration D]
-//
 // -from/-to take RFC 3339 timestamps (2020-06-16T00:00:00Z) or unix
 // seconds (1592265600), like every other store consumer.
-//
-// -self is the self-contained benchmark behind `make bench-api`: it
-// simulates a trace, opens a durable store, checkpoints the first half,
-// keeps appending the rest as live ingest, serves the API over
-// loopback, and measures three configurations — uncached full-snapshot
-// reads, uncached historical queries, and conditional (ETag) historical
-// queries — so the cached-vs-uncached ratio lands in one table.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"cwatrace/internal/api"
 	v1 "cwatrace/internal/api/v1"
-	"cwatrace/internal/entime"
-	"cwatrace/internal/experiments"
-	"cwatrace/internal/netflow"
-	"cwatrace/internal/sim"
 	"cwatrace/internal/store"
-	"cwatrace/internal/streaming"
 	"cwatrace/internal/tier"
 )
 
@@ -58,21 +41,13 @@ func main() {
 		fields      = flag.String("fields", "", "comma-separated field selection ("+v1.FieldList()+"; empty = all)")
 		top         = flag.Int("top", 0, "top-K truncation of ranked lists (0 = all)")
 		workers     = flag.Int("c", 8, "concurrent workers")
-		duration    = flag.Duration("duration", 5*time.Second, "measurement duration per configuration")
+		duration    = flag.Duration("duration", 5*time.Second, "measurement duration")
 		conditional = flag.Bool("conditional", false, "revalidate with If-None-Match after the first response")
-		self        = flag.Bool("self", false, "self-contained benchmark: spin up a store-backed server with live ingest")
-		quick       = flag.Bool("quick", false, "smaller -self workload (CI smoke mode)")
 	)
 	flag.Parse()
 
-	if *self {
-		if err := runSelf(*workers, *duration, *quick); err != nil {
-			fatal("%v", err)
-		}
-		return
-	}
 	if *addr == "" {
-		fatal("need -addr (or -self); see -h")
+		fatal("need -addr; see -h")
 	}
 
 	path, err := buildPath(*endpoint, *fromArg, *toArg, *resolution, *fields, *top)
@@ -83,7 +58,7 @@ func main() {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	res := run(base+path, *workers, *duration, *conditional, false)
+	res := run(base+path, *workers, *duration, *conditional)
 	fmt.Print(res.render(fmt.Sprintf("%s c=%d conditional=%v", path, *workers, *conditional)))
 }
 
@@ -152,11 +127,8 @@ func (r result) render(label string) string {
 	return b.String()
 }
 
-// run drives workers against url until the duration elapses. bust
-// appends a unique (harmless) top= parameter per request, defeating the
-// server's single-flight response cache — the pre-API baseline where
-// every hit re-merges and re-serializes the full snapshot.
-func run(url string, workers int, duration time.Duration, conditional, bust bool) result {
+// run drives workers against url until the duration elapses.
+func run(url string, workers int, duration time.Duration, conditional bool) result {
 	tr := &http.Transport{
 		MaxIdleConns:        workers * 2,
 		MaxIdleConnsPerHost: workers * 2,
@@ -172,12 +144,7 @@ func run(url string, workers int, duration time.Duration, conditional, bust bool
 		nm       atomic.Uint64
 		failures atomic.Uint64
 		bytes    atomic.Uint64
-		buster   atomic.Uint64
 	)
-	sep := "?"
-	if strings.Contains(url, "?") {
-		sep = "&"
-	}
 	start := time.Now()
 	deadline := start.Add(duration)
 	var wg sync.WaitGroup
@@ -187,13 +154,7 @@ func run(url string, workers int, duration time.Duration, conditional, bust bool
 			defer wg.Done()
 			etag := ""
 			for time.Now().Before(deadline) {
-				target := url
-				if bust {
-					// Unique huge top= values never truncate anything, so
-					// the body stays identical while the cache key changes.
-					target += sep + fmt.Sprintf("top=%d", 1<<30+buster.Add(1))
-				}
-				req, err := http.NewRequest(http.MethodGet, target, nil)
+				req, err := http.NewRequest(http.MethodGet, url, nil)
 				if err != nil {
 					failures.Add(1)
 					return
@@ -232,155 +193,6 @@ func run(url string, workers int, duration time.Duration, conditional, bust bool
 	res.failures = failures.Load()
 	res.bytes = bytes.Load()
 	return res
-}
-
-// runSelf is the self-contained cached-vs-uncached benchmark.
-func runSelf(workers int, duration time.Duration, quick bool) error {
-	cfg := experiments.QuickConfig()
-	if quick {
-		cfg.Scale *= 3
-	}
-	fmt.Printf("bench-api: simulating the study window (scale 1:%d)\n", cfg.Scale)
-	simres, err := sim.Run(cfg)
-	if err != nil {
-		return err
-	}
-
-	// Split at the median hour: everything before it is checkpointed
-	// history (the stable, cacheable range), everything after feeds the
-	// live-ingest loop that runs through the measurements.
-	records := simres.Records
-	if len(records) < 2 {
-		return fmt.Errorf("sim produced %d records", len(records))
-	}
-	mid := records[len(records)/2].First.Truncate(time.Hour)
-	var hist, live []netflow.Record
-	for _, r := range records {
-		if r.First.Before(mid) {
-			hist = append(hist, r)
-		} else {
-			live = append(live, r)
-		}
-	}
-	if len(hist) == 0 {
-		// Degenerate timestamp distribution: split by index so the bench
-		// still has a stable historical range.
-		hist, live = records[:len(records)/2], records[len(records)/2:]
-	}
-
-	dir, err := os.MkdirTemp("", "apiload-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	acfg := streaming.Config{WindowHours: entime.StudyHours() + 24, TopK: 10, DB: simres.GeoDB, Model: simres.Model}
-	st, err := store.Open(dir, store.Options{Analytics: acfg})
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-
-	for off := 0; off < len(hist); off += 512 {
-		end := off + 512
-		if end > len(hist) {
-			end = len(hist)
-		}
-		if err := st.Append(hist[off:end]); err != nil {
-			return err
-		}
-	}
-	if err := st.Checkpoint(); err != nil {
-		return err
-	}
-	fmt.Printf("bench-api: checkpointed %d historical records; %d live records keep ingesting\n",
-		len(hist), len(live))
-
-	// Live ingest in the background: paced appends cycling the remaining
-	// records, so snapshot generations keep advancing mid-measurement.
-	stop := make(chan struct{})
-	var ingested atomic.Uint64
-	var ingestWG sync.WaitGroup
-	if len(live) > 0 {
-		ingestWG.Add(1)
-		go func() {
-			defer ingestWG.Done()
-			t := time.NewTicker(5 * time.Millisecond)
-			defer t.Stop()
-			off := 0
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					end := off + 128
-					if end > len(live) {
-						end = len(live)
-					}
-					if err := st.Append(live[off:end]); err != nil {
-						fmt.Fprintf(os.Stderr, "apiload: live append: %v\n", err)
-						return
-					}
-					ingested.Add(uint64(end - off))
-					off = end
-					if off >= len(live) {
-						off = 0 // cycle: the bench needs ingest, not uniqueness
-					}
-				}
-			}
-		}()
-	}
-
-	srv, err := api.New(api.Config{History: st})
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	go http.Serve(ln, srv)
-	base := "http://" + ln.Addr().String()
-
-	// The historical range ends where live ingest begins, so its ETag
-	// stays valid between checkpoints no matter how hard the tail churns.
-	queryPath := fmt.Sprintf("/api/v1/query?to=%d", mid.Unix())
-
-	type phase struct {
-		name        string
-		url         string
-		conditional bool
-		bust        bool
-	}
-	phases := []phase{
-		// The pre-API baseline: every hit re-merges and re-serializes the
-		// full snapshot (the response cache never matches).
-		{"uncached full snapshot (marshal per hit)", base + "/api/v1/snapshot", false, true},
-		// The single-flight cache alone: full bodies, one marshal per
-		// generation change.
-		{"cached full snapshot (single-flight)    ", base + "/api/v1/snapshot", false, false},
-		// The conditional fast path: 304s for a stable historical range.
-		{"conditional (ETag) historical query     ", base + queryPath, true, false},
-	}
-	results := make([]result, len(phases))
-	for i, ph := range phases {
-		results[i] = run(ph.url, workers, duration, ph.conditional, ph.bust)
-		fmt.Print(results[i].render(ph.name))
-	}
-	close(stop)
-	ingestWG.Wait()
-
-	rates := make([]float64, len(results))
-	for i, r := range results {
-		rates[i] = float64(r.requests) / r.elapsed.Seconds()
-	}
-	fmt.Printf("bench-api: live ingest sustained %d records during measurement\n", ingested.Load())
-	fmt.Printf("bench-api: conditional reads %.1fx the throughput of uncached full-snapshot reads (%.0f vs %.0f req/s)\n",
-		rates[2]/rates[0], rates[2], rates[0])
-	if sort.Float64sAreSorted(rates) {
-		fmt.Println("bench-api: each configuration is faster than the last, as designed")
-	}
-	return nil
 }
 
 func fatal(format string, args ...any) {

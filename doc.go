@@ -117,6 +117,5 @@
 // stateless cluster query router: scatter-gather over sharded
 // collectors, byte-identical merged responses, composite ETags,
 // partial-failure envelopes), and cmd/apiload (the concurrent API load
-// generator; -self benchmarks cached vs uncached reads under live
-// ingest).
+// generator for a running daemon).
 package cwatrace

@@ -40,10 +40,12 @@ type cacheEntry struct {
 	lastUse uint64
 }
 
+// respCacheEntries bounds a server's response cache. It is a constant
+// rather than an option: no daemon, harness or test ever set a second
+// value.
+const respCacheEntries = 128
+
 func newRespCache(max int) *respCache {
-	if max <= 0 {
-		max = 128
-	}
 	return &respCache{max: max, entries: make(map[string]*cacheEntry)}
 }
 

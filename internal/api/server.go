@@ -70,17 +70,11 @@ type Config struct {
 	// local source (see Fanout in fanout.go). Live and History are
 	// ignored by the v1 data endpoints when set.
 	Fanout Fanout
-	// BootNonce overrides the ETag boot nonce (0 = time-based, or the
-	// Fanout's fleet nonce in fan-out mode). Tests use it to pin
-	// validators.
-	BootNonce uint64
 	// Log receives one access-log line per request (nil disables access
 	// logging; write/encode errors still reach the standard logger).
 	Log *log.Logger
 	// Timeout bounds request handling (default 30s).
 	Timeout time.Duration
-	// CacheEntries bounds the single-flight response cache (default 128).
-	CacheEntries int
 	// Metrics, when set, registers the API telemetry on the registry
 	// (see metrics.go for the catalogue). Nil runs uninstrumented.
 	Metrics *obs.Registry
@@ -125,14 +119,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Fanout != nil {
 		boot = cfg.Fanout.Nonce()
 	}
-	if cfg.BootNonce != 0 {
-		boot = cfg.BootNonce
-	}
 	s := &Server{
 		cfg:   cfg,
 		boot:  boot,
 		mux:   http.NewServeMux(),
-		cache: newRespCache(cfg.CacheEntries),
+		cache: newRespCache(respCacheEntries),
 	}
 	s.m.register(cfg.Metrics)
 	s.cache.hits, s.cache.misses = s.m.cacheHits, s.m.cacheMisses

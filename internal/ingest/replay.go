@@ -23,8 +23,6 @@ type ReplayConfig struct {
 	// RecordsPerSecond paces the replay (0 = as fast as possible). The
 	// end-to-end tests pace gently so loopback UDP keeps up.
 	RecordsPerSecond int
-	// TemplateRefresh is forwarded to each exporter (0 = its default).
-	TemplateRefresh int
 }
 
 func (c ReplayConfig) withDefaults() ReplayConfig {
@@ -62,9 +60,6 @@ func Replay(addrs []string, records []netflow.Record, cfg ReplayConfig) (ReplayS
 		if err != nil {
 			closeAll(exporters[:i])
 			return stats, err
-		}
-		if cfg.TemplateRefresh > 0 {
-			exp.TemplateRefresh = cfg.TemplateRefresh
 		}
 		exporters[i] = exp
 	}

@@ -341,23 +341,6 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
-// SetMax raises the gauge to v if v is greater (freshness watermarks:
-// concurrent reporters never move a watermark backwards).
-func (g *Gauge) SetMax(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value reads the gauge (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -153,7 +153,6 @@ func TestDisabledRegistryIsNoOp(t *testing.T) {
 	c.Inc()
 	g.Set(1)
 	g.Add(1)
-	g.SetMax(1)
 	h.Observe(1)
 	h.ObserveSince(time.Now())
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
@@ -176,25 +175,11 @@ func TestInstrumentsZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		c.Add(3)
 		g.Set(1.5)
-		g.SetMax(2.5)
 		h.Observe(0.004)
 		nilC.Add(1)
 		nilH.Observe(1)
 	}); n != 0 {
 		t.Errorf("hot-path instruments allocate %v allocs/op, want 0", n)
-	}
-}
-
-func TestGaugeSetMax(t *testing.T) {
-	var g Gauge
-	g.Set(5)
-	g.SetMax(3)
-	if g.Value() != 5 {
-		t.Errorf("SetMax lowered gauge to %v", g.Value())
-	}
-	g.SetMax(9)
-	if g.Value() != 9 {
-		t.Errorf("SetMax did not raise gauge: %v", g.Value())
 	}
 }
 

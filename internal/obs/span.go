@@ -104,15 +104,14 @@ func newTraceID() string {
 	return FormatSpanID(nextSpanID())
 }
 
-// Attr is one typed span or event attribute. Build them with Str, Int,
-// F64 and Bool; they serialize into a JSON object keyed by name.
+// Attr is one typed span or event attribute. Build them with Str, Int
+// and Bool; they serialize into a JSON object keyed by name.
 type Attr struct {
 	Key string
 
-	kind byte // 's', 'i', 'f', 'b'
+	kind byte // 's', 'i', 'b'
 	s    string
 	i    int64
-	f    float64
 	b    bool
 }
 
@@ -121,9 +120,6 @@ func Str(key, v string) Attr { return Attr{Key: key, kind: 's', s: v} }
 
 // Int builds an integer attribute.
 func Int(key string, v int64) Attr { return Attr{Key: key, kind: 'i', i: v} }
-
-// F64 builds a float attribute.
-func F64(key string, v float64) Attr { return Attr{Key: key, kind: 'f', f: v} }
 
 // Bool builds a boolean attribute.
 func Bool(key string, v bool) Attr { return Attr{Key: key, kind: 'b', b: v} }
@@ -135,8 +131,6 @@ func (a Attr) value() any {
 		return a.s
 	case 'i':
 		return a.i
-	case 'f':
-		return a.f
 	case 'b':
 		return a.b
 	}

@@ -128,13 +128,3 @@ func (h *HLL) Estimate() uint64 {
 	}
 	return uint64(raw + 0.5)
 }
-
-// Empty reports whether the sketch has seen no items.
-func (h *HLL) Empty() bool {
-	for _, r := range h.reg {
-		if r != 0 {
-			return false
-		}
-	}
-	return true
-}

@@ -57,12 +57,7 @@ func registerStoreFuncs(reg *obs.Registry, s *Store) {
 	if reg == nil {
 		return
 	}
-	gauge := func(name, help string, pick func() float64) {
-		reg.GaugeFunc(name, help, pick)
-	}
-	counter := func(name, help string, pick func() float64) {
-		reg.CounterFunc(name, help, pick)
-	}
+	gauge, counter := reg.GaugeFunc, reg.CounterFunc
 	locked := func(pick func() float64) func() float64 {
 		return func() float64 {
 			s.mu.Lock()
@@ -71,15 +66,9 @@ func registerStoreFuncs(reg *obs.Registry, s *Store) {
 		}
 	}
 	gauge("store_segments", "Live WAL segment files (sealed plus active).",
-		locked(func() float64 {
-			n := len(s.sealed)
-			if s.active != nil {
-				n++
-			}
-			return float64(n)
-		}))
+		locked(func() float64 { n, _, _ := s.wal.stats(); return float64(n) }))
 	gauge("store_wal_bytes", "Total WAL bytes on disk.",
-		locked(func() float64 { return float64(s.walBytes) }))
+		locked(func() float64 { _, b, _ := s.wal.stats(); return float64(b) }))
 	gauge("store_frames", "Checkpoint frames on disk.",
 		locked(func() float64 { return float64(len(s.frames)) }))
 	gauge("store_tail_records", "Records appended since the last checkpoint (crash replay cost).",

@@ -26,8 +26,8 @@ import (
 )
 
 // ParseTime parses a query bound the way every store consumer does
-// (collectord's /query params, cwanalyze's -from/-to flags): RFC 3339
-// or unix seconds, with the empty string meaning an open bound. Answers
+// (collectord's /api/v1/query params, cwanalyze's -from/-to flags): RFC
+// 3339 or unix seconds, with the empty string meaning an open bound. Answers
 // echo their bounds as RFC 3339, so unix seconds outside its years 0-9999
 // are refused here, not at marshal time.
 func ParseTime(s string) (time.Time, error) {

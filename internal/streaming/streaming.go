@@ -658,8 +658,9 @@ type DistrictCount struct {
 	Flows     uint64 `json:"flows"`
 }
 
-// Snapshot is a consistent view of the merged aggregates, shaped for the
-// collectord /snapshot endpoint and for comparison against internal/core.
+// Snapshot is a consistent view of the merged aggregates, shaped for
+// collectord's /api/v1/snapshot endpoint and for comparison against
+// internal/core.
 type Snapshot struct {
 	Origin      time.Time `json:"origin"`
 	WindowHours int       `json:"window_hours"`
@@ -679,20 +680,6 @@ type Snapshot struct {
 	// generation token of the cut this snapshot renders (see
 	// store.Version). Zero everywhere else; never on the wire.
 	Version uint64 `json:"-"`
-}
-
-// Series renders the snapshot's window as flow/byte time series of
-// WindowHours hourly bins. The series origin is Origin when the window has
-// not slid, or the oldest covered hour otherwise.
-func (s *Snapshot) Series() (flows, bytes *stats.TimeSeries) {
-	start := s.Origin.Add(time.Duration(s.SeriesStart) * time.Hour)
-	flows = stats.NewTimeSeries(start, time.Hour, s.WindowHours)
-	bytes = stats.NewTimeSeries(start, time.Hour, s.WindowHours)
-	for _, p := range s.Hours {
-		flows.Add(p.Time, p.Flows)
-		bytes.Add(p.Time, p.Bytes)
-	}
-	return flows, bytes
 }
 
 // Figure2 derives the paper's Figure-2 result from the snapshot series via
