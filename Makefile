@@ -1,7 +1,7 @@
 # Tier-1 verify is `make verify` (build + test); see ROADMAP.md.
 GO ?= go
 
-.PHONY: build test test-bench vet vet-bench fmt loc race bench bench-ingest obs-gate bench-store bench-api fuzz-smoke crash-smoke api-smoke cluster-smoke verify ci all ingest-demo ingest-demo-quick
+.PHONY: build test test-bench vet vet-bench fmt loc docs-check race bench bench-ingest obs-gate bench-store bench-api fuzz-smoke crash-smoke api-smoke cluster-smoke verify ci all ingest-demo ingest-demo-quick
 
 all: verify vet
 
@@ -36,15 +36,22 @@ fmt:
 
 # The serving stack's size, measured the roadmap's way (non-test Go lines
 # of the nine serving packages, internal/wire and the two daemons), as a
-# ratchet: SERVING_LOC_MAX is the last PR's result rounded up to the next
-# 50 and is only ever lowered. A PR that grows the stack past it fails
-# here and either finds the lines to delete or argues the new bar in
-# review.
-SERVING_LOC_MAX = 14050
+# ratchet: SERVING_LOC_MAX is what the last PR that lowered it read, and
+# is only ever lowered. A PR that grows the stack past it fails here and
+# either finds the lines to delete or argues the new bar in review.
+SERVING_LOC_MAX = 14019
 loc:
 	@n=$$(find internal/api internal/cluster internal/ingest internal/nfv9 internal/obs internal/sketch internal/store internal/streaming internal/tier internal/wire cmd/collectord cmd/queryrouterd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	echo "serving stack: $$n non-test lines (bar $(SERVING_LOC_MAX))"; \
 	if [ $$n -gt $(SERVING_LOC_MAX) ]; then echo "serving stack grew past SERVING_LOC_MAX" >&2; exit 1; fi
+
+# The prose is held to the tree: every backticked token in README.md and
+# DESIGN.md that has the shape of a make target, a -flag, a metric family
+# or a pkg.Identifier must still resolve in the Makefile, the flag sets,
+# the Go sources (cmd/docscheck says how each shape is looked up). A
+# document that names something a PR deleted fails here, in that PR.
+docs-check:
+	$(GO) run ./cmd/docscheck README.md DESIGN.md
 
 # The concurrency surface of the sharded engine and the live collector:
 # the simulator, the flow collector, the backend, the CDN, the scenario
@@ -143,9 +150,8 @@ ingest-demo-quick:
 verify: build test
 
 # Mirrors .github/workflows/ci.yml: the formatting gate, the serving-stack
-# size ratchet, static checks (the bench module included), the full test
-# suite and the harness's own,
-# the race pass, the ingest smoke run, the crash drill, the API
-# conditional-GET smoke, the cluster kill/recovery drill and the fuzz
-# smoke.
-ci: fmt loc vet vet-bench build test test-bench race ingest-demo-quick crash-smoke api-smoke cluster-smoke fuzz-smoke
+# size ratchet, the docs check, static checks (the bench module
+# included), the full test suite and the harness's own, the race pass,
+# the ingest smoke run, the crash drill, the API conditional-GET smoke,
+# the cluster kill/recovery drill and the fuzz smoke.
+ci: fmt loc docs-check vet vet-bench build test test-bench race ingest-demo-quick crash-smoke api-smoke cluster-smoke fuzz-smoke

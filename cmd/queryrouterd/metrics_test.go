@@ -50,7 +50,7 @@ func shardServer(t *testing.T, wm int64) *httptest.Server {
 		Exporter: "ISP/BE-000",
 	}})
 	srv, err := api.New(api.Config{Live: &fixedLive{
-		snap:  streaming.Collect(acfg, []*streaming.Analytics{an}),
+		snap:  an.Snapshot(),
 		stats: ingest.Stats{Records: 1, Processed: 1, WatermarkUnixNano: wm},
 	}})
 	if err != nil {

@@ -7,14 +7,17 @@ import (
 	"cwatrace/internal/obs"
 )
 
-// respCache is the concurrent single-flight response cache: marshaled
-// response bodies keyed by ETag (which already encodes endpoint,
-// request parameters and data generation, so a key can never go stale —
-// it can only fall out of use). N identical dashboard hits between data
-// changes cost one serialization: the first request marshals, everyone
-// else — concurrent or later — gets the cached bytes. A body is filed
-// under its own tag, which the fill reports; while it is built it is
-// found under the tag of the lookup that started it.
+// respCache is the concurrent single-flight response cache: one rendered
+// body per question — the endpoint and canonical request parameters,
+// the strings etagFor hashes — with the strong ETag of that body kept
+// inside the entry, the way client.Client keeps one validated body per
+// URL on the other side of the shard hop. N identical dashboard hits
+// between data changes cost one serialization: the first request
+// marshals, everyone else — concurrent or later — gets the cached bytes.
+// A question asked under a tag its entry does not answer replaces the
+// entry: under ingest a superseded answer is never asked for again, so
+// the cache holds at most one body per question and max bounds
+// questions.
 type respCache struct {
 	mu      sync.Mutex
 	max     int
@@ -33,8 +36,11 @@ type respCache struct {
 type cacheEntry struct {
 	ready chan struct{}
 	built
-	// tag is the strong ETag of the body; empty when it has none to go
-	// out under (and is then not kept).
+	// asked is the tag of the lookup that started the fill.
+	asked string
+	// tag is the strong ETag of the body, set under the cache's mu when
+	// the fill ends; empty when the body has none to go out under (and
+	// the entry is then not kept).
 	tag     string
 	err     error
 	lastUse uint64
@@ -49,57 +55,58 @@ func newRespCache(max int) *respCache {
 	return &respCache{max: max, entries: make(map[string]*cacheEntry)}
 }
 
-// get returns the cached entry for key, running fill exactly once per
-// key across concurrent callers. fill reports the tag of the body it
-// built, under which the entry stays filed; failed and untagged fills
-// are not cached — the next request builds again.
-func (c *respCache) get(key string, fill func() (built, string, error)) (*cacheEntry, error) {
+// get returns the entry answering question under tag, running fill
+// exactly once per (question, tag) across concurrent callers. An entry
+// answers when it was started for tag or holds a body under it; any
+// other entry of the question is replaced, and whoever still waits on
+// the replaced one gets its body. fill reports the tag of the body it
+// built, which may be newer than the one asked for; failed and untagged
+// fills are not kept — the next request builds again.
+func (c *respCache) get(question, tag string, fill func() (built, string, error)) (*cacheEntry, error) {
 	c.mu.Lock()
 	c.clock++
-	if e, ok := c.entries[key]; ok {
+	if e, ok := c.entries[question]; ok && (e.asked == tag || e.tag == tag) {
 		e.lastUse = c.clock
 		c.mu.Unlock()
 		c.hits.Inc()
 		<-e.ready
 		return e, e.err
 	}
-	e := &cacheEntry{ready: make(chan struct{}), lastUse: c.clock}
-	c.entries[key] = e
+	e := &cacheEntry{ready: make(chan struct{}), asked: tag, lastUse: c.clock}
+	c.entries[question] = e
 	c.evictLocked()
 	c.mu.Unlock()
 	c.misses.Inc()
 
-	func() {
-		// A panicking fill must still release the waiters.
-		defer func() {
-			if r := recover(); r != nil {
-				e.err = fmt.Errorf("api: building response: panic: %v", r)
-			}
-			close(e.ready)
-		}()
-		e.built, e.tag, e.err = fill()
-		if e.err != nil {
-			e.tag = ""
+	var own string
+	e.built, own, e.err = runFill(fill)
+	if cap(e.body) != len(e.body) {
+		// The entry outlives the request by up to max-1 other
+		// questions: hold the body, not the buffer it grew in.
+		e.body = append(make([]byte, 0, len(e.body)), e.body...)
+	}
+	c.mu.Lock()
+	e.tag = own
+	if own == "" && c.entries[question] == e {
+		delete(c.entries, question)
+	}
+	c.mu.Unlock()
+	close(e.ready)
+	return e, e.err
+}
+
+// runFill runs fill. A panicking fill is a failed one, so that it still
+// releases its waiters, and a failed one has no tag.
+func runFill(fill func() (built, string, error)) (b built, tag string, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			b, err = built{}, fmt.Errorf("api: building response: panic: %v", r)
 		}
-		if cap(e.body) != len(e.body) {
-			// The entry outlives the request by up to max-1 other keys:
-			// hold the body, not the buffer it grew in.
-			e.body = append(make([]byte, 0, len(e.body)), e.body...)
+		if err != nil {
+			tag = ""
 		}
 	}()
-
-	if e.tag != key {
-		c.mu.Lock()
-		if c.entries[key] == e {
-			delete(c.entries, key)
-		}
-		if e.tag != "" {
-			c.entries[e.tag] = e
-			c.evictLocked()
-		}
-		c.mu.Unlock()
-	}
-	return e, e.err
+	return fill()
 }
 
 // evictLocked drops least-recently-used entries until the cache fits.

@@ -13,7 +13,7 @@ import (
 	v1 "cwatrace/internal/api/v1"
 )
 
-// under adapts a body builder to a fill whose body is filed under tag.
+// under adapts a body builder to a fill whose body goes out under tag.
 func under(tag string, fill func() ([]byte, error)) func() (built, string, error) {
 	return func() (built, string, error) {
 		body, err := fill()
@@ -33,7 +33,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-gate
-			e, err := c.get("k", under("k", func() ([]byte, error) {
+			e, err := c.get("q", "k", under("k", func() ([]byte, error) {
 				fills.Add(1)
 				return []byte("body"), nil
 			}))
@@ -59,10 +59,10 @@ func TestCacheErrorNotCached(t *testing.T) {
 		}
 		return []byte("ok"), nil
 	})
-	if _, err := c.get("k", fill); err == nil {
+	if _, err := c.get("q", "k", fill); err == nil {
 		t.Fatal("first fill error swallowed")
 	}
-	e, err := c.get("k", fill)
+	e, err := c.get("q", "k", fill)
 	if err != nil || string(e.body) != "ok" {
 		t.Fatalf("retry after error: %q %v", e.body, err)
 	}
@@ -73,72 +73,100 @@ func TestCacheErrorNotCached(t *testing.T) {
 
 func TestCachePanicReleasesWaiters(t *testing.T) {
 	c := newRespCache(8)
-	if _, err := c.get("k", under("k", func() ([]byte, error) { panic("boom") })); err == nil {
+	if _, err := c.get("q", "k", under("k", func() ([]byte, error) { panic("boom") })); err == nil {
 		t.Fatal("panicking fill returned no error")
 	}
-	// The key is free again.
-	e, err := c.get("k", under("k", func() ([]byte, error) { return []byte("ok"), nil }))
+	// The question is free again.
+	e, err := c.get("q", "k", under("k", func() ([]byte, error) { return []byte("ok"), nil }))
 	if err != nil || string(e.body) != "ok" {
 		t.Fatalf("after panic: %q %v", e.body, err)
 	}
 }
 
-// TestCacheFilesUnderTheBodysTag pins the re-filing: a body built for a
-// lookup under one tag and stamped with another is found under its own
-// afterwards, everyone who waited at the lookup's tag is handed the
-// body's, and a body without a tag is not kept at all.
+// TestCacheFilesUnderTheBodysTag pins what a question's one entry
+// answers: everyone who waited at the tag a fill was started for shares
+// that fill and is handed the body under the body's own tag; the
+// question asked under the body's tag afterwards is a hit; asked under a
+// newer tag it is a miss that replaces the entry, while a waiter still
+// holding the replaced one reads the body it waited for; and a body
+// without a tag, or a failed fill, leaves no entry at all.
 func TestCacheFilesUnderTheBodysTag(t *testing.T) {
 	c := newRespCache(8)
-	started, release := make(chan struct{}), make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e, err := c.get("asked", func() (built, string, error) {
-				close(started) // a second fill would panic here
-				<-release
-				return built{body: []byte("newer")}, "stamped", nil
-			})
-			if err != nil || e.tag != "stamped" || string(e.body) != "newer" {
-				t.Errorf("waiter got %q under %q, %v", e.body, e.tag, err)
-			}
-		}()
-	}
-	<-started
-	for lookups := uint64(0); lookups < 4; runtime.Gosched() { // until all four are at the entry
+	entries := func() int {
 		c.mu.Lock()
-		lookups = c.clock
-		c.mu.Unlock()
+		defer c.mu.Unlock()
+		return len(c.entries)
 	}
-	close(release)
-	wg.Wait()
+	// waiters starts n lookups of ("q", asked), blocks their one fill
+	// until the returned release is called, and returns once all n are at
+	// the entry.
+	waiters := func(n int, asked, stamped, body string) (release func()) {
+		started, gate := make(chan struct{}), make(chan struct{})
+		var wg sync.WaitGroup
+		c.mu.Lock()
+		arrived := c.clock + uint64(n)
+		c.mu.Unlock()
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e, err := c.get("q", asked, func() (built, string, error) {
+					close(started) // a second fill would panic here
+					<-gate
+					return built{body: []byte(body)}, stamped, nil
+				})
+				if err != nil || e.tag != stamped || string(e.body) != body {
+					t.Errorf("waiter at %q got %q under %q, %v", asked, e.body, e.tag, err)
+				}
+			}()
+		}
+		<-started
+		for lookups := uint64(0); lookups < arrived; runtime.Gosched() {
+			c.mu.Lock()
+			lookups = c.clock
+			c.mu.Unlock()
+		}
+		return func() { close(gate); wg.Wait() }
+	}
 	refill := func() (built, string, error) {
-		t.Error("a filed body was built again")
+		t.Error("a kept body was built again")
 		return built{}, "", nil
 	}
-	if e, _ := c.get("stamped", refill); string(e.body) != "newer" {
-		t.Fatalf("under its own tag: %q", e.body)
+
+	waiters(4, "asked", "stamped", "first")()
+	for _, tag := range []string{"stamped", "asked"} {
+		if e, _ := c.get("q", tag, refill); string(e.body) != "first" || e.tag != "stamped" {
+			t.Fatalf("asked under %q: %q under %q", tag, e.body, e.tag)
+		}
 	}
-	c.mu.Lock()
-	_, stale := c.entries["asked"]
-	c.mu.Unlock()
-	if stale {
-		t.Fatal("the entry is still filed under the lookup's tag")
+
+	// A newer tag replaces the entry, finished or in flight, and the
+	// replaced fill does not put itself back when it ends.
+	release := waiters(2, "newer", "newer", "second")
+	e, err := c.get("q", "newest", under("newest", func() ([]byte, error) { return []byte("third"), nil }))
+	if err != nil || string(e.body) != "third" || entries() != 1 {
+		t.Fatalf("replacing: %q, %v, %d entries", e.body, err, entries())
+	}
+	release()
+	if e, _ := c.get("q", "newest", refill); string(e.body) != "third" || entries() != 1 {
+		t.Fatalf("after the replaced fill ended: %q, %d entries", e.body, entries())
 	}
 
 	fills := 0
-	for i := 0; i < 2; i++ {
-		e, err := c.get("untagged", func() (built, string, error) {
+	for i := 0; i < 4; i++ {
+		e, err := c.get("untagged", "asked", func() (built, string, error) {
 			fills++
+			if i%2 == 1 {
+				return built{}, "asked", errors.New("failed")
+			}
 			return built{body: []byte("live")}, "", nil
 		})
-		if err != nil || e.tag != "" || string(e.body) != "live" {
-			t.Fatalf("untagged body: %q under %q, %v", e.body, e.tag, err)
+		if e.tag != "" || (err == nil) != (i%2 == 0) || (err == nil && string(e.body) != "live") {
+			t.Fatalf("fill %d: %q under %q, %v", i, e.body, e.tag, err)
 		}
 	}
-	if fills != 2 || len(c.entries) != 1 {
-		t.Fatalf("untagged body: %d fills and %d entries, want 2 and 1", fills, len(c.entries))
+	if fills != 4 || entries() != 1 {
+		t.Fatalf("untagged and failed bodies: %d fills and %d entries, want 4 and 1", fills, entries())
 	}
 }
 
@@ -146,7 +174,7 @@ func TestCacheEviction(t *testing.T) {
 	c := newRespCache(4)
 	for i := 0; i < 10; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if _, err := c.get(key, under(key, func() ([]byte, error) { return []byte(key), nil })); err != nil {
+		if _, err := c.get(key, "t", under("t", func() ([]byte, error) { return []byte(key), nil })); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +186,7 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// The most recent key is still served without a refill.
 	refilled := false
-	if _, err := c.get("k9", under("k9", func() ([]byte, error) { refilled = true; return nil, nil })); err != nil {
+	if _, err := c.get("k9", "t", under("t", func() ([]byte, error) { refilled = true; return nil, nil })); err != nil {
 		t.Fatal(err)
 	}
 	if refilled {

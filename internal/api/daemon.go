@@ -38,6 +38,13 @@ func (s *Server) MountTelemetry(metrics, traces, events http.Handler, pprofOn bo
 // daemon's own drain is done.
 const shutdownGrace = 5 * time.Second
 
+// readHeaderTimeout is how long a peer has, from the first byte of a
+// request, to finish its request line and headers before it is hung up
+// on. Without it a connection that stops mid-line holds a goroutine and
+// a descriptor until the process exits: Config.Timeout only starts once
+// the headers are in. A connection idle between requests is not timed.
+const readHeaderTimeout = 5 * time.Second
+
 // ServeUntilSignal serves on ln until SIGINT or SIGTERM. Then health
 // flips to 503 draining, so load balancers stop routing while the daemon
 // works its way down; drain runs (the daemon's own work: stop the
@@ -52,7 +59,7 @@ func (s *Server) ServeUntilSignal(ln net.Listener, drain func()) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sig)
-	hs := &http.Server{Handler: s}
+	hs := &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout}
 	failed := make(chan error, 1)
 	go func() { failed <- hs.Serve(ln) }()
 	select {

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -91,6 +92,62 @@ func TestResponseInFlightAtSIGTERMCompletes(t *testing.T) {
 	close(release)
 	if r := <-got; r.err != nil || r.body != "the whole answer" {
 		t.Fatalf("the in-flight response: %q, %v", r.body, r.err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("ServeUntilSignal: %v", err)
+	}
+}
+
+// TestPeerStuckInItsRequestLineIsHungUpOn connects to a serving daemon,
+// sends half a request line and nothing more. The daemon answers whole
+// requests on other connections meanwhile, closes the stuck one once
+// readHeaderTimeout has passed, and shuts down on SIGTERM as if the peer
+// had never been there.
+func TestPeerStuckInItsRequestLineIsHungUpOn(t *testing.T) {
+	srv, err := New(Config{Live: &fakeLive{snap: sampleSnapshot(t, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.ServeUntilSignal(ln, func() {}) }()
+
+	stuck, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stuck.Close()
+	start := time.Now()
+	if _, err := io.WriteString(stuck, "GET /api/v1/hea"); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/api/v1/health")
+	if err != nil {
+		t.Fatalf("a whole request beside the stuck one: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("a whole request beside the stuck one: %d", resp.StatusCode)
+	}
+
+	stuck.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	// ReadAll returning without error is the hang-up; net/http may say
+	// 400 on the way out, never anything else.
+	reply, err := io.ReadAll(stuck)
+	if err != nil || (len(reply) != 0 && !strings.HasPrefix(string(reply), "HTTP/1.1 400 ")) {
+		t.Fatalf("the stuck peer read %q, %v; want a hang-up", reply, err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("hung up on after %v, before the %v deadline", waited, readHeaderTimeout)
+	}
+
+	// A request was answered, so the server's signal handler is installed.
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
 	}
 	if err := <-served; err != nil {
 		t.Fatalf("ServeUntilSignal: %v", err)

@@ -64,10 +64,10 @@ type FanResult struct {
 	// per-shard strong ETags in shard order. Validated reports whether
 	// it may be served as a strong validator — every shard answered and
 	// every answer carried an ETag. The token and the merged body derive
-	// from the same gather, so unlike the single-node path no
-	// re-validation read is needed: each per-shard strong ETag pins the
-	// exact upstream bytes, and the merged body is a pure function of
-	// them.
+	// from the same gather — each per-shard strong ETag pins the exact
+	// upstream bytes, and the merged body is a pure function of them —
+	// so it is both the version serveCached looks up with and the stamp
+	// of the body built from this result.
 	Version   uint64
 	Validated bool
 	// Missing lists the shards that did not answer, ascending by index.
@@ -165,10 +165,10 @@ func (s *Server) handleFanSnapshot(w http.ResponseWriter, r *http.Request, p req
 			"no shard reachable", shardDetail(res.Missing))
 		return
 	}
-	build := func() (any, error) {
+	build := func() any {
 		snap := v1.NewSnapshot(res.Snapshot, p.fields, p.top)
 		snap.Degraded = degradedOf(res.Missing, obs.RequestID(r.Context()))
-		return snap, nil
+		return snap
 	}
 	s.serveFanned(w, r, "v1/snapshot", p.key(), res, build, p.pretty)
 }
@@ -187,7 +187,7 @@ func (s *Server) handleFanQuery(w http.ResponseWriter, r *http.Request, p reqPar
 		return
 	}
 	key := fmt.Sprintf("from=%s&to=%s&resolution=%s&%s", stamp(from), stamp(to), resolution, p.key())
-	build := func() (any, error) {
+	build := func() any {
 		return &v1.QueryResponse{
 			From:         from,
 			To:           to,
@@ -197,59 +197,38 @@ func (s *Server) handleFanQuery(w http.ResponseWriter, r *http.Request, p reqPar
 			Resolution:   res.Resolution,
 			LongHorizon:  res.LongHorizon,
 			Degraded:     degradedOf(res.Missing, obs.RequestID(r.Context())),
-		}, nil
+		}
 	}
 	s.serveFanned(w, r, "v1/query", key, res, build, p.pretty)
 }
 
-// serveFanned finishes a data fan-out: the complete path mirrors
-// serveCached (strong composite ETag, If-None-Match -> bodyless 304,
-// single-flight body cache), the degraded path serves 206 Partial
-// Content with Cache-Control: no-store and no validator — a partial
-// body must never 304-revalidate, be cached, or be replayed as a
-// complete one.
-func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, params string, res *FanResult, build func() (any, error), pretty bool) {
+// serveFanned finishes a data fan-out. A complete, validated gather is
+// serveCached's: the composite token is the version, constant for this
+// gather, and the body is stamped with it. The degraded path serves 206
+// Partial Content with Cache-Control: no-store and no validator — a
+// partial body must never 304-revalidate, be cached, or be replayed as
+// a complete one.
+func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, params string, res *FanResult, build func() any, pretty bool) {
 	h := w.Header()
 	setServerTiming(h, res.Timings)
+	if len(res.Missing) == 0 && res.Validated {
+		s.serveCached(w, r, endpoint, params, func() uint64 { return res.Version }, jsonMediaType, func() (built, error) {
+			b, err := renderBody(build(), pretty)
+			b.version = res.Version
+			return b, err
+		})
+		return
+	}
 	// Every data response says how it may be reused, the complete one
 	// without a validator too (a shard that sent no ETag: a memory-only
 	// collector under ingest, an older build): revalidate, like the rest.
 	h.Set("Cache-Control", "no-cache")
-	if len(res.Missing) > 0 || !res.Validated {
-		status := http.StatusOK
-		if len(res.Missing) > 0 {
-			h.Set("Cache-Control", "no-store")
-			status = http.StatusPartialContent
-		}
-		v, err := build()
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "building response failed", err.Error())
-			return
-		}
-		s.writeJSON(w, r, status, v, pretty)
-		return
+	status := http.StatusOK
+	if len(res.Missing) > 0 {
+		h.Set("Cache-Control", "no-store")
+		status = http.StatusPartialContent
 	}
-	h.Set("Vary", "Accept-Encoding")
-	etag := etagFor(s.boot, endpoint, params, res.Version)
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		h.Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	e, err := s.cache.get(etag, func() (built, string, error) {
-		v, err := build()
-		if err != nil {
-			return built{}, "", err
-		}
-		b, err := renderBody(v, pretty)
-		return b, etag, err
-	})
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "building response failed", err.Error())
-		return
-	}
-	h.Set("ETag", etag)
-	s.writeBody(w, r, http.StatusOK, jsonMediaType, e.built)
+	s.writeJSON(w, r, status, build(), pretty)
 }
 
 // handleFanStats is /api/v1/stats in fan-out mode: the field-wise sum

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	v1 "cwatrace/internal/api/v1"
+	"cwatrace/internal/obs"
 	"cwatrace/internal/streaming"
 	"cwatrace/internal/tier"
 )
@@ -19,17 +21,24 @@ type fakeFanout struct {
 	res     FanResult
 	stats   FanStats
 	missing []ShardError
+	// moving gives every gather a Version of its own, as a fleet under
+	// ingest does.
+	moving  bool
+	gathers atomic.Uint64
 }
 
 func (f *fakeFanout) NumShards() int { return f.shards }
 func (f *fakeFanout) Nonce() uint64  { return 42 }
-func (f *fakeFanout) Snapshot(context.Context) (*FanResult, error) {
+func (f *fakeFanout) gather() (*FanResult, error) {
 	r := f.res
+	if f.moving {
+		r.Version = f.gathers.Add(1)
+	}
 	return &r, nil
 }
+func (f *fakeFanout) Snapshot(context.Context) (*FanResult, error) { return f.gather() }
 func (f *fakeFanout) Query(context.Context, time.Time, time.Time, tier.Resolution) (*FanResult, error) {
-	r := f.res
-	return &r, nil
+	return f.gather()
 }
 func (f *fakeFanout) Stats(context.Context) (*FanStats, error) {
 	s := f.stats
@@ -144,6 +153,55 @@ func TestFanoutValidatedRoundTrip(t *testing.T) {
 	w = fanGet(t, s, "/api/v1/snapshot", map[string]string{"If-None-Match": etag})
 	if w.Code != 200 || w.Header().Get("ETag") == etag {
 		t.Fatalf("post-bump revalidation: %d %q", w.Code, w.Header().Get("ETag"))
+	}
+}
+
+// TestFanoutOneBuildPerPollUnderIngest is TestOneBuildPerPollUnderIngest
+// through a router: every gather of a fleet under ingest carries a
+// composite version no earlier one had, so every poll is one miss and
+// one build, leaves under the tag of its own gather, and replaces the
+// body the poll before left for its question — the cache holds one body
+// per question however many answers went by.
+func TestFanoutOneBuildPerPollUnderIngest(t *testing.T) {
+	f := &fakeFanout{shards: 2, moving: true, res: FanResult{Snapshot: emptySnap(), Validated: true}}
+	s, err := New(Config{Fanout: f, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := []string{
+		"/api/v1/snapshot",
+		"/api/v1/snapshot?fields=hourly",
+		"/api/v1/query",
+		"/api/v1/query?resolution=day",
+		"/api/v1/query?from=1592265600&pretty=1",
+	}
+	const polls = 100
+	tags := map[string]bool{}
+	last := make([]string, len(urls))
+	for i := 0; i < polls; i++ {
+		w := fanGet(t, s, urls[i%len(urls)], map[string]string{"If-None-Match": last[i%len(urls)]})
+		tag := w.Header().Get("ETag")
+		if w.Code != 200 || tag == "" || tags[tag] {
+			t.Fatalf("poll %d: status %d, ETag %q (seen before: %t)", i, w.Code, tag, tags[tag])
+		}
+		tags[tag], last[i%len(urls)] = true, tag
+	}
+	if built := s.m.cacheMisses.Value(); built != polls || s.m.cacheHits.Value() != 0 {
+		t.Fatalf("%d polls cost %d builds and %d hits, want one build each", polls, built, s.m.cacheHits.Value())
+	}
+	if kept := cachedQuestions(s); kept != len(urls) {
+		t.Fatalf("%d polls of %d questions left %d cached bodies", polls, len(urls), kept)
+	}
+
+	// At rest the one kept body is the answer: a hit, and its tag a 304.
+	f.moving = false
+	f.res.Version = f.gathers.Load()
+	w := fanGet(t, s, urls[(polls-1)%len(urls)], nil)
+	if w.Code != 200 || w.Header().Get("ETag") != last[(polls-1)%len(urls)] || s.m.cacheHits.Value() != 1 {
+		t.Fatalf("at rest: status %d, ETag %q, %d hits", w.Code, w.Header().Get("ETag"), s.m.cacheHits.Value())
+	}
+	if w := fanGet(t, s, urls[(polls-1)%len(urls)], map[string]string{"If-None-Match": w.Header().Get("ETag")}); w.Code != 304 {
+		t.Fatalf("at rest: revalidation answered %d", w.Code)
 	}
 }
 

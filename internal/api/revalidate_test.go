@@ -101,6 +101,11 @@ func TestOneBuildPerPollUnderIngest(t *testing.T) {
 	if built := s.m.cacheMisses.Value() - misses; built != polls {
 		t.Fatalf("%d polls cost %d builds, want one each", polls, built)
 	}
+	// Every poll's answer superseded the one before it, which nobody can
+	// name again: the cache holds one body per question, not per answer.
+	if kept := cachedQuestions(s); kept > len(urls) {
+		t.Fatalf("%d polls of %d questions left %d cached bodies", polls, len(urls), kept)
+	}
 	quiesce()
 
 	for i, url := range urls {
@@ -123,6 +128,13 @@ func TestOneBuildPerPollUnderIngest(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cachedQuestions is how many bodies the server's response cache holds.
+func cachedQuestions(s *Server) int {
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	return len(s.cache.entries)
 }
 
 // movingLive is a memory-only source whose counters move with every
@@ -164,10 +176,7 @@ func TestUnstampedBodyIsBuiltOnce(t *testing.T) {
 			t.Fatalf("moving: %d requests took %d snapshots", i, n)
 		}
 	}
-	s.cache.mu.Lock()
-	kept := len(s.cache.entries)
-	s.cache.mu.Unlock()
-	if kept != 0 {
+	if kept := cachedQuestions(s); kept != 0 {
 		t.Fatalf("%d unvalidated bodies were kept", kept)
 	}
 

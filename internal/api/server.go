@@ -547,12 +547,12 @@ type built struct {
 	version uint64
 }
 
-// serveCached is the conditional-GET core shared by every cacheable
-// endpoint: derive the strong ETag from (endpoint, params, data
-// generation), answer If-None-Match hits with a bodyless 304, and
-// otherwise serve the marshaled body out of the single-flight cache —
-// the ETag is the cache key, so N identical hits between data changes
-// cost one serialization.
+// serveCached is the one conditional-GET core, of a collector's
+// endpoints and of a router's complete fan-outs alike: derive the strong
+// ETag from (endpoint, params, data generation), answer If-None-Match
+// hits with a bodyless 304, and otherwise serve the marshaled body out
+// of the single-flight cache, which holds one body per question — N
+// identical hits between data changes cost one serialization.
 //
 // A strong ETag promises byte-identical bodies, so a body goes out under
 // the tag of the version stamped on it, not of the version() read for
@@ -572,7 +572,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, p
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	e, err := s.cache.get(etag, func() (built, string, error) {
+	e, err := s.cache.get(endpoint+"?"+params, etag, func() (built, string, error) {
 		b, err := build()
 		switch {
 		case err != nil:

@@ -122,7 +122,11 @@ func sampleSnapshot(t *testing.T, shards int) *streaming.Snapshot {
 		dropped.SrcPort = 80
 		lanes[i%shards].Ingest([]netflow.Record{dropped})
 	}
-	return streaming.Collect(cfg, lanes)
+	merged := streaming.New(cfg)
+	for _, lane := range lanes {
+		merged.Merge(lane)
+	}
+	return merged.Snapshot()
 }
 
 // get runs one GET with optional extra headers and returns the response

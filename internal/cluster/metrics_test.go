@@ -32,7 +32,7 @@ func liveNode(t *testing.T, acfg streaming.Config, wm int64) *httptest.Server {
 	an := streaming.New(acfg)
 	an.Ingest([]netflow.Record{keptRecord(entime.StudyStart, netip.AddrFrom4([4]byte{10, 1, 2, 3}), 100)})
 	srv, err := api.New(api.Config{Live: &stubLive{
-		snap:  streaming.Collect(acfg, []*streaming.Analytics{an}),
+		snap:  an.Snapshot(),
 		stats: ingest.Stats{Records: 1, Processed: 1, WatermarkUnixNano: wm},
 	}})
 	if err != nil {

@@ -31,6 +31,24 @@ func ckptPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("ckpt-%016d.ck", seq))
 }
 
+// walSpan is what recovery reads of a frame, checkpoint or tier, to tell
+// whether a crash left it behind: its file identity and the WAL interval
+// (BaseSeg, CoveredSeg] it folded.
+type walSpan struct{ Seq, BaseSeg, CoveredSeg uint64 }
+
+// obsoleteAmong is the crash-recovery containment rule. A compaction or
+// a tier refold writes the merged frame before removing its inputs; a
+// crash in between leaves frames whose interval is contained in the
+// merged one. Containment with a higher Seq wins.
+func (o walSpan) obsoleteAmong(frames []walSpan) bool {
+	for _, n := range frames {
+		if n.BaseSeg <= o.BaseSeg && o.CoveredSeg <= n.CoveredSeg && n.Seq > o.Seq {
+			return true
+		}
+	}
+	return false
+}
+
 // loadFrames reads every checkpoint frame, drops frames whose WAL
 // interval is contained in another's (the half-done-compaction case),
 // merges the survivors into the base state in WAL order, and returns the
@@ -49,27 +67,17 @@ func (s *Store) loadFrames(ckpts []frameMeta) (uint64, error) {
 		decoded[i] = st
 	}
 
-	// A compaction writes the merged frame before removing its inputs; a
-	// crash in between leaves frames whose (BaseSeg, CoveredSeg] interval
-	// is contained in the merged one. Containment with a higher Seq wins.
 	type liveFrame struct {
 		meta  frameMeta
 		state *streaming.Stored
 	}
+	spans := make([]walSpan, len(ckpts))
+	for i, c := range ckpts {
+		spans[i] = walSpan{c.Seq, c.BaseSeg, c.CoveredSeg}
+	}
 	var live []liveFrame
 	for i := range ckpts {
-		obsolete := false
-		for j := range ckpts {
-			if i == j {
-				continue
-			}
-			o, n := ckpts[i].frameInfo, ckpts[j].frameInfo
-			if n.BaseSeg <= o.BaseSeg && o.CoveredSeg <= n.CoveredSeg && n.Seq > o.Seq {
-				obsolete = true
-				break
-			}
-		}
-		if obsolete {
+		if spans[i].obsoleteAmong(spans) {
 			if !s.opts.ReadOnly {
 				_ = os.Remove(ckpts[i].path)
 			}

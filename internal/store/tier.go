@@ -78,16 +78,15 @@ func (s *Store) loadTierFrames(found []tier.FrameMeta) error {
 		}
 		found[i], frames[i] = f.Meta(), f
 	}
+	// Only a frame of the same level supersedes: a week frame contains
+	// its day frames' intervals by construction.
+	byLevel := map[tier.Level][]walSpan{}
+	for _, m := range found {
+		byLevel[m.Level] = append(byLevel[m.Level], walSpan{m.Seq, m.BaseSeg, m.CoveredSeg})
+	}
 	live := make([]tier.FrameMeta, 0, len(found))
 	for i, o := range found {
-		obsolete := false
-		for j, n := range found {
-			if i != j && o.Level == n.Level && n.BaseSeg <= o.BaseSeg && o.CoveredSeg <= n.CoveredSeg && n.Seq > o.Seq {
-				obsolete = true
-				break
-			}
-		}
-		if obsolete {
+		if (walSpan{o.Seq, o.BaseSeg, o.CoveredSeg}).obsoleteAmong(byLevel[o.Level]) {
 			if !s.opts.ReadOnly {
 				_ = os.Remove(tierPath(s.dir, o.Level, o.Seq))
 			}

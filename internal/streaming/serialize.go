@@ -123,32 +123,22 @@ func ascending[K any](keys []K, less func(a, b K) bool) []int {
 	return order
 }
 
-// UnmarshalAnalytics reconstructs a shard from MarshalBinary output. The
-// configuration must resolve to the same Origin and WindowHours the state
-// was captured under (the store's meta file enforces this across
-// restarts); DB and Model may differ — a restored shard keeps district
-// counts even when the reader has no geolocation sidecar.
-func UnmarshalAnalytics(cfg Config, data []byte) (*Analytics, error) {
-	return unmarshalAnalytics(cfg, data, false)
-}
-
-// UnmarshalAnalyticsStored reconstructs a shard adopting the window
-// length embedded in the state instead of requiring it to match cfg
-// (Origin must still match): a compacted checkpoint frame is an archive
-// persisted at a window wide enough to hold its whole hour span, which
-// can exceed the live sliding window. Readers that only fold the state
-// into another shard use DecodeStored + MergeStored instead and never
-// build the ring.
+// UnmarshalAnalyticsStored reconstructs a shard from MarshalBinary
+// output, adopting the window length embedded in the state instead of
+// requiring it to match cfg (Origin must match): a compacted checkpoint
+// frame is an archive persisted at a window wide enough to hold its
+// whole hour span, which can exceed the live sliding window. DB and
+// Model may differ — a restored shard keeps district counts even when
+// the reader has no geolocation sidecar. Readers that only fold the
+// state into another shard use DecodeStored + MergeStored instead and
+// never build the ring.
+//
+// The decoded state is placed into a fresh ring at its own window. The
+// header's maxHour is restored as written (a fold would recompute it
+// from the bins), so MarshalBinary of the result reproduces canonical
+// input byte for byte.
 func UnmarshalAnalyticsStored(cfg Config, data []byte) (*Analytics, error) {
-	return unmarshalAnalytics(cfg, data, true)
-}
-
-// unmarshalAnalytics places a decoded state into a fresh ring at the
-// state's own window. The header's maxHour is restored as written (a
-// fold would recompute it from the bins), so MarshalBinary of the result
-// reproduces canonical input byte for byte.
-func unmarshalAnalytics(cfg Config, data []byte, adoptWindow bool) (*Analytics, error) {
-	st, err := decodeStored(cfg, data, adoptWindow)
+	st, err := DecodeStored(cfg, data)
 	if err != nil {
 		return nil, err
 	}
@@ -180,16 +170,11 @@ func unmarshalAnalytics(cfg Config, data []byte, adoptWindow bool) (*Analytics, 
 }
 
 // DecodeStored parses MarshalBinary output into its compact form,
-// adopting the window length embedded in the state exactly like
-// UnmarshalAnalyticsStored (cfg supplies the Origin the state must have
-// been captured under). It is the one walk over the state format:
-// UnmarshalAnalytics and UnmarshalAnalyticsStored are built on it, so
+// adopting the window length embedded in the state (cfg supplies the
+// Origin the state must have been captured under). It is the one walk
+// over the state format: UnmarshalAnalyticsStored is built on it, so
 // every bound and error is shared.
 func DecodeStored(cfg Config, data []byte) (*Stored, error) {
-	return decodeStored(cfg, data, true)
-}
-
-func decodeStored(cfg Config, data []byte, adoptWindow bool) (*Stored, error) {
 	d := wire.Cursor{Buf: data}
 	if v := d.U8(); v != stateVersion {
 		return nil, fmt.Errorf("streaming: state version %d, want %d", v, stateVersion)
@@ -198,11 +183,10 @@ func decodeStored(cfg Config, data []byte, adoptWindow bool) (*Stored, error) {
 	st := &Stored{window: int(d.U32())}
 	if d.Err == nil {
 		cfg = cfg.withDefaults()
-		if !origin.Equal(cfg.Origin) || (!adoptWindow && st.window != cfg.WindowHours) {
-			return nil, fmt.Errorf("streaming: state window [%s +%dh] does not match config [%s +%dh]",
-				origin, st.window, cfg.Origin, cfg.WindowHours)
+		if !origin.Equal(cfg.Origin) {
+			return nil, fmt.Errorf("streaming: state origin %s does not match config origin %s", origin, cfg.Origin)
 		}
-		if st.window <= 0 || (adoptWindow && st.window > MaxWindowHours) {
+		if st.window <= 0 || st.window > MaxWindowHours {
 			return nil, fmt.Errorf("streaming: implausible state window length %d", st.window)
 		}
 	}

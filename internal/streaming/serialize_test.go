@@ -32,16 +32,26 @@ func populatedShard(t *testing.T) (*Analytics, Config) {
 	return a, cfg
 }
 
+// restore rebuilds a shard from its state the way the store's recovery
+// does: decode once, fold into a fresh shard.
+func restore(t *testing.T, cfg Config, blob []byte) *Analytics {
+	t.Helper()
+	st, err := DecodeStored(cfg, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(cfg)
+	a.MergeStored(st)
+	return a
+}
+
 func TestMarshalRoundTripRestoresState(t *testing.T) {
 	a, cfg := populatedShard(t)
 	blob, err := a.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := UnmarshalAnalytics(cfg, blob)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := restore(t, cfg, blob)
 	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
 		t.Fatal("restored snapshot differs")
 	}
@@ -81,20 +91,20 @@ func TestUnmarshalRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnmarshalAnalytics(cfg, blob[:len(blob)-3]); err == nil {
+	if _, err := DecodeStored(cfg, blob[:len(blob)-3]); err == nil {
 		t.Fatal("truncated state must fail")
 	}
-	if _, err := UnmarshalAnalytics(cfg, append(append([]byte(nil), blob...), 0)); err == nil {
+	if _, err := DecodeStored(cfg, append(append([]byte(nil), blob...), 0)); err == nil {
 		t.Fatal("trailing bytes must fail")
 	}
 	bad := append([]byte(nil), blob...)
 	bad[0] = 99
-	if _, err := UnmarshalAnalytics(cfg, bad); err == nil {
+	if _, err := DecodeStored(cfg, bad); err == nil {
 		t.Fatal("unknown version must fail")
 	}
-	// A config with a different window cannot adopt the state.
-	if _, err := UnmarshalAnalytics(Config{WindowHours: 24}, blob); err == nil {
-		t.Fatal("window mismatch must fail")
+	// A config with a different origin cannot adopt the state.
+	if _, err := DecodeStored(Config{Origin: entime.StudyStart.Add(time.Hour)}, blob); err == nil {
+		t.Fatal("origin mismatch must fail")
 	}
 }
 
@@ -297,10 +307,9 @@ func TestSnapshotPopulatedRangeStartsAtFirstBin(t *testing.T) {
 }
 
 // TestUnmarshalStoredAdoptsWiderWindow pins the archive-frame contract:
-// the strict unmarshal rejects a state window that differs from the
-// configuration, while UnmarshalAnalyticsStored adopts the embedded
-// window — the store's compacted frames span more hours than the live
-// sliding window and must restore without losing a bin.
+// UnmarshalAnalyticsStored adopts the window embedded in the state, not
+// the configuration's — the store's compacted frames span more hours
+// than the live sliding window and must restore without losing a bin.
 func TestUnmarshalStoredAdoptsWiderWindow(t *testing.T) {
 	wide := New(Config{WindowHours: 10})
 	for h := 0; h < 10; h++ {
@@ -312,9 +321,6 @@ func TestUnmarshalStoredAdoptsWiderWindow(t *testing.T) {
 	}
 
 	narrow := Config{WindowHours: 4}
-	if _, err := UnmarshalAnalytics(narrow, blob); err == nil {
-		t.Fatal("strict unmarshal must reject a mismatched window")
-	}
 	got, err := UnmarshalAnalyticsStored(narrow, blob)
 	if err != nil {
 		t.Fatal(err)

@@ -421,17 +421,6 @@ func (a *Analytics) sortedBins() []hourBin {
 	return bins
 }
 
-// Collect merges the shards (in slice order, so results are reproducible)
-// and renders one Snapshot. The shards are not modified; callers must stop
-// or lock them for the duration.
-func Collect(cfg Config, shards []*Analytics) *Snapshot {
-	m := New(cfg)
-	for _, s := range shards {
-		m.Merge(s)
-	}
-	return m.snapshot()
-}
-
 // Snapshot reports this shard's aggregates alone. A view across shards is
 // a merge first: the pipeline folds its lanes into a fresh shard, one lane
 // lock at a time, and snapshots that (ingest.Pipeline.Snapshot).

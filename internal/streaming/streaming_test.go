@@ -208,7 +208,11 @@ func TestMergeEqualsSerial(t *testing.T) {
 		shards[i%3].Ingest([]netflow.Record{r})
 	}
 
-	if !reflect.DeepEqual(Collect(cfg, shards), serial.Snapshot()) {
+	merged := New(cfg)
+	for _, s := range shards {
+		merged.Merge(s)
+	}
+	if !reflect.DeepEqual(merged.Snapshot(), serial.Snapshot()) {
 		t.Fatal("merged shards differ from the serial shard")
 	}
 }
@@ -281,10 +285,7 @@ func TestSnapshotAfterEvictionNeverResurrectsBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := UnmarshalAnalytics(cfg, blob)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := restore(t, cfg, blob)
 	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
 		t.Fatal("restored post-eviction state differs")
 	}
