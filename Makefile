@@ -39,7 +39,7 @@ fmt:
 # ratchet: SERVING_LOC_MAX is what the last PR that lowered it read, and
 # is only ever lowered. A PR that grows the stack past it fails here and
 # either finds the lines to delete or argues the new bar in review.
-SERVING_LOC_MAX = 14019
+SERVING_LOC_MAX = 14017
 loc:
 	@n=$$(find internal/api internal/cluster internal/ingest internal/nfv9 internal/obs internal/sketch internal/store internal/streaming internal/tier internal/wire cmd/collectord cmd/queryrouterd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	echo "serving stack: $$n non-test lines (bar $(SERVING_LOC_MAX))"; \
@@ -101,12 +101,15 @@ api-smoke:
 # sketches off the disk, shard state at the router, the analytics
 # state inside checkpoint frames and shard state (one parser, fuzzed
 # through both of its consumers), and the query strings of
-# /api/v1/query and /api/v1/snapshot at the client edge — plus the two
+# /api/v1/query and /api/v1/snapshot at the client edge — plus the three
 # targets that read nothing from outside: FuzzAppendJSON holds the v1
-# append encoder to encoding/json's bytes, which is that encoder's
-# contract, and FuzzStitchedGzip holds the gzip member the edge stitches
-# from separately deflated chunks to compress/gzip's reader. One target
-# per invocation (go test -fuzz takes one). Minimizing a multi-kilobyte
+# append encoder, rendering rows or splicing kept blocks, to
+# encoding/json's bytes, which is that encoder's contract,
+# FuzzStitchedGzip holds the gzip member the edge stitches from
+# separately deflated chunks to compress/gzip's reader, and
+# FuzzStateFromFold holds the state a shard encodes from a fold to the
+# bytes its rendering encodes to. One target per invocation (go test
+# -fuzz takes one). Minimizing a multi-kilobyte
 # input with the default 60 s budget would eat the whole pass, so it is
 # capped. CI runs the same smoke.
 FUZZ = $(GO) test -run XXX -fuzztime=10s -fuzzminimizetime=1s
@@ -120,6 +123,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzSnapshotParams ./internal/api/
 	$(FUZZ) -fuzz=FuzzStitchedGzip ./internal/api/
 	$(FUZZ) -fuzz=FuzzStoredState ./internal/streaming/
+	$(FUZZ) -fuzz=FuzzStateFromFold ./internal/streaming/
 	$(FUZZ) -fuzz=FuzzAppendJSON ./internal/api/v1/
 
 # SIGKILL drill: start a durable collector, stream half a trace over

@@ -187,7 +187,7 @@ func analyzeStore(dir, geoPath, fromArg, toArg string, resolution tier.Resolutio
 		renderLongHorizon(res.LongHorizon, scale)
 		return nil
 	}
-	renderRange(res.Snapshot, scale)
+	renderRange(res.Snapshot(), scale)
 	return nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"cwatrace/internal/core"
 	"cwatrace/internal/entime"
 	"cwatrace/internal/streaming"
+	"cwatrace/internal/tier"
 )
 
 // wireCounter is a ResponseWriter that counts body bytes and keeps
@@ -30,12 +31,12 @@ func (w *wireCounter) Write(p []byte) (int, error) { w.n += len(p); return len(p
 // BenchmarkWriteBody is the client edge in isolation: one rendered
 // hour-resolution answer (a 1-day panel, a year-span one) through
 // writeBody, with gzip accepted and refused. The bodies come out of
-// renderBody, so the year's carries its cuts: gzip is the steady state, a
-// poll whose closed blocks the block cache holds, and gzip-cold the first
-// sight of every block (an empty cache per operation; the one-day body
-// has no closed block and no such case). wire_B/op next to ns/op is the
-// trade the compression level and the stitching make; the harness
-// measures the same path end to end.
+// renderBody: gzip is the steady state, a body whose closed blocks the
+// block cache holds and whose deflate is therefore copied, and gzip-cold
+// one that met every block for the first time and is compressed as one
+// run (the one-day body has no closed block and no such case).
+// wire_B/op next to ns/op is the trade the compression level and the
+// stitching make; the harness measures the same path end to end.
 func BenchmarkWriteBody(b *testing.B) {
 	const days = 364
 	st, ts := tierServer(b, days)
@@ -48,42 +49,39 @@ func BenchmarkWriteBody(b *testing.B) {
 		{"364d", time.Time{}, time.Time{}},
 	}
 	for _, span := range spans {
-		res, err := st.Query(span.from, span.to)
+		res, err := st.QueryResolution(span.from, span.to, tier.ResolutionHour)
 		if err != nil {
 			b.Fatal(err)
 		}
-		body, err := renderBody(&v1.QueryResponse{From: res.From, To: res.To, Frames: res.Frames,
-			Snapshot: v1.NewSnapshot(res.Snapshot, v1.AllFields, 0)}, false)
+		resp := &v1.QueryResponse{From: res.From, To: res.To, Frames: res.Frames,
+			Snapshot: v1.NewSnapshot(res.Snapshot(), v1.AllFields, 0)}
+		cold, err := renderBody(resp, false, 0, newBlockCache(blockBytes))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(body.body) < gzipMinBytes {
-			b.Fatalf("%s body is %d B, too small to compress", span.name, len(body.body))
+		if len(cold.body) < gzipMinBytes {
+			b.Fatalf("%s body is %d B, too small to compress", span.name, len(cold.body))
+		}
+		warm := cold
+		for i := 0; i < 2; i++ { // a block is kept from its second sighting on
+			if warm, err = renderBody(resp, false, 0, s.blocks); err != nil {
+				b.Fatal(err)
+			}
 		}
 		for _, enc := range []string{"gzip", "gzip-cold", "identity"} {
-			cold := enc == "gzip-cold"
-			if cold && len(body.cuts) < 2 {
-				continue
+			body := warm
+			if enc == "gzip-cold" {
+				if body = cold; len(warm.cuts) == 0 {
+					continue
+				}
 			}
 			b.Run(span.name+"/"+enc, func(b *testing.B) {
 				r := httptest.NewRequest(http.MethodGet, "/api/v1/query", nil)
 				r.Header.Set("Accept-Encoding", strings.TrimSuffix(enc, "-cold"))
 				w := &wireCounter{h: http.Header{}}
-				shared := blocks
-				defer func() { blocks = shared }()
-				blocks = newBlockCache(blockBytes)
-				for i := 0; i < 2; i++ { // a block is kept from its second sighting on
-					s.writeBody(w, r, http.StatusOK, jsonMediaType, body)
-				}
-				w.n = 0
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if cold {
-						b.StopTimer()
-						blocks = newBlockCache(blockBytes)
-						b.StartTimer()
-					}
 					s.writeBody(w, r, http.StatusOK, jsonMediaType, body)
 				}
 				b.ReportMetric(float64(w.n)/float64(b.N), "wire_B/op")
@@ -94,9 +92,12 @@ func BenchmarkWriteBody(b *testing.B) {
 
 // BenchmarkMarshalBody is the render stage in isolation: an
 // hour-resolution answer of one day, one month and one year (the
-// harness's panels) from value to cached bytes. B/op beside the body size
-// is the memory fix — one exact-size allocation per body — and allocs/op
-// is what the append encoder leaves of encoding/json.
+// harness's panels) from value to cached bytes — in the steady state of
+// a polled panel, its closed blocks kept and spliced and the body
+// rendered in room sized by the last one, and cold, every row rendered.
+// B/op beside the body size is the memory fix — one allocation per body,
+// of its size — and allocs/op is what the append encoder leaves of
+// encoding/json.
 func BenchmarkMarshalBody(b *testing.B) {
 	for _, hours := range []int{24, 720, 8736} {
 		src := &streaming.Snapshot{
@@ -116,20 +117,32 @@ func BenchmarkMarshalBody(b *testing.B) {
 			src.Districts = append(src.Districts, streaming.DistrictCount{ID: fmt.Sprintf("%05d", 1001+i), Name: fmt.Sprintf("Landkreis %d", i), StateCode: "NW", Flows: uint64(i)})
 		}
 		resp := &v1.QueryResponse{From: entime.StudyStart, Frames: hours / 24, TailIncluded: true, Snapshot: v1.NewSnapshot(src, v1.AllFields, 0)}
-		b.Run(fmt.Sprintf("%dh", hours), func(b *testing.B) {
-			body, err := marshalBody(resp, false)
-			if err != nil {
-				b.Fatal(err)
+		for _, cold := range []bool{false, true} {
+			name, size := fmt.Sprintf("%dh", hours), 0
+			var blocks v1.Blocks
+			if cold {
+				name += "-cold"
+			} else {
+				blocks = newBlockCache(blockBytes)
 			}
-			b.SetBytes(int64(len(body)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if body, err = marshalBody(resp, false); err != nil {
-					b.Fatal(err)
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < 3; i++ { // a block is kept from its second sighting on
+					body, err := renderBody(resp, false, size, blocks)
+					if err != nil {
+						b.Fatal(err)
+					}
+					size = len(body.body)
 				}
-			}
-			b.ReportMetric(float64(len(body)), "body_B")
-		})
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := renderBody(resp, false, size, blocks); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(size), "body_B")
+			})
+		}
 	}
 }

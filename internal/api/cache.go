@@ -2,8 +2,10 @@ package api
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
+	v1 "cwatrace/internal/api/v1"
 	"cwatrace/internal/obs"
 )
 
@@ -44,6 +46,14 @@ type cacheEntry struct {
 	tag     string
 	err     error
 	lastUse uint64
+	again   bool // the second build under one tag (see unkept)
+}
+
+// unkept reports a finished body that met closed blocks for the first
+// time: they are kept from their second sighting on, so the next request
+// builds it once more instead of every one deflating it whole.
+func (e *cacheEntry) unkept() bool {
+	return e.tag != "" && !e.again && slices.ContainsFunc(e.cuts, func(c v1.Cut) bool { return c.Block == nil })
 }
 
 // respCacheEntries bounds a server's response cache. It is a constant
@@ -61,25 +71,32 @@ func newRespCache(max int) *respCache {
 // other entry of the question is replaced, and whoever still waits on
 // the replaced one gets its body. fill reports the tag of the body it
 // built, which may be newer than the one asked for; failed and untagged
-// fills are not kept — the next request builds again.
-func (c *respCache) get(question, tag string, fill func() (built, string, error)) (*cacheEntry, error) {
+// fills are not kept — the next request builds again. fill is told the
+// size of the body it replaces (0: none to go by).
+func (c *respCache) get(question, tag string, fill func(size int) (built, string, error)) (*cacheEntry, error) {
 	c.mu.Lock()
 	c.clock++
-	if e, ok := c.entries[question]; ok && (e.asked == tag || e.tag == tag) {
-		e.lastUse = c.clock
+	was, ok := c.entries[question]
+	same := ok && (was.asked == tag || was.tag == tag)
+	if same && !was.unkept() {
+		was.lastUse = c.clock
 		c.mu.Unlock()
 		c.hits.Inc()
-		<-e.ready
-		return e, e.err
+		<-was.ready
+		return was, was.err
 	}
-	e := &cacheEntry{ready: make(chan struct{}), asked: tag, lastUse: c.clock}
+	size := 0
+	if ok && was.tag != "" { // built: the tag is set, under mu, behind the body
+		size = len(was.body)
+	}
+	e := &cacheEntry{ready: make(chan struct{}), asked: tag, lastUse: c.clock, again: same}
 	c.entries[question] = e
 	c.evictLocked()
 	c.mu.Unlock()
 	c.misses.Inc()
 
 	var own string
-	e.built, own, e.err = runFill(fill)
+	e.built, own, e.err = runFill(fill, size)
 	if cap(e.body) != len(e.body) {
 		// The entry outlives the request by up to max-1 other
 		// questions: hold the body, not the buffer it grew in.
@@ -97,7 +114,7 @@ func (c *respCache) get(question, tag string, fill func() (built, string, error)
 
 // runFill runs fill. A panicking fill is a failed one, so that it still
 // releases its waiters, and a failed one has no tag.
-func runFill(fill func() (built, string, error)) (b built, tag string, err error) {
+func runFill(fill func(size int) (built, string, error), size int) (b built, tag string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			b, err = built{}, fmt.Errorf("api: building response: panic: %v", r)
@@ -106,7 +123,7 @@ func runFill(fill func() (built, string, error)) (b built, tag string, err error
 			tag = ""
 		}
 	}()
-	return fill()
+	return fill(size)
 }
 
 // evictLocked drops least-recently-used entries until the cache fits.

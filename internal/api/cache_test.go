@@ -14,8 +14,8 @@ import (
 )
 
 // under adapts a body builder to a fill whose body goes out under tag.
-func under(tag string, fill func() ([]byte, error)) func() (built, string, error) {
-	return func() (built, string, error) {
+func under(tag string, fill func() ([]byte, error)) func(int) (built, string, error) {
+	return func(int) (built, string, error) {
 		body, err := fill()
 		return built{body: body}, tag, err
 	}
@@ -110,7 +110,7 @@ func TestCacheFilesUnderTheBodysTag(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				e, err := c.get("q", asked, func() (built, string, error) {
+				e, err := c.get("q", asked, func(int) (built, string, error) {
 					close(started) // a second fill would panic here
 					<-gate
 					return built{body: []byte(body)}, stamped, nil
@@ -128,7 +128,7 @@ func TestCacheFilesUnderTheBodysTag(t *testing.T) {
 		}
 		return func() { close(gate); wg.Wait() }
 	}
-	refill := func() (built, string, error) {
+	refill := func(int) (built, string, error) {
 		t.Error("a kept body was built again")
 		return built{}, "", nil
 	}
@@ -154,7 +154,7 @@ func TestCacheFilesUnderTheBodysTag(t *testing.T) {
 
 	fills := 0
 	for i := 0; i < 4; i++ {
-		e, err := c.get("untagged", "asked", func() (built, string, error) {
+		e, err := c.get("untagged", "asked", func(int) (built, string, error) {
 			fills++
 			if i%2 == 1 {
 				return built{}, "asked", errors.New("failed")
@@ -197,7 +197,7 @@ func TestCacheEviction(t *testing.T) {
 // TestBodiesAreExactlySized pins the memory fix: a cached body lives as
 // long as its ETag is in use, so it must not carry the spare capacity of
 // the buffer it was rendered in. Every kind of body — both data bodies,
-// an envelope, compact and indented — comes out of marshalBody with
+// an envelope, compact and indented — comes out of renderBody with
 // cap == len and the bytes a json.Encoder writes, and that is what the
 // response cache ends up holding.
 func TestBodiesAreExactlySized(t *testing.T) {
@@ -210,10 +210,11 @@ func TestBodiesAreExactlySized(t *testing.T) {
 	}
 	for _, v := range values {
 		for _, pretty := range []bool{false, true} {
-			body, err := marshalBody(v, pretty)
+			b, err := renderBody(v, pretty, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			body := b.body
 			if cap(body) != len(body) {
 				t.Errorf("%T pretty=%t: body of %d bytes holds %d", v, pretty, len(body), cap(body))
 			}

@@ -361,7 +361,9 @@ func (c *Client) try(ctx context.Context, url string, cacheable, state bool) ([]
 	etag := resp.Header.Get("ETag")
 	if cacheable && resp.StatusCode == http.StatusOK && etag != "" {
 		c.mu.Lock()
-		if len(c.cache) >= cacheLimit {
+		// A newer answer replaces the URL's own entry; only a new URL
+		// makes a full cache give one (any one) up.
+		if _, have := c.cache[url]; !have && len(c.cache) >= cacheLimit {
 			for k := range c.cache {
 				delete(c.cache, k)
 				break

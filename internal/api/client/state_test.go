@@ -235,3 +235,48 @@ func TestContentLengthIsHeldTo(t *testing.T) {
 		t.Fatalf("short body from a real server: %d bytes, err %v", len(body), err)
 	}
 }
+
+// TestFullCacheReplacesInPlace pins the eviction rule under ingest, where
+// every poll of a panel is a 200 under a newer tag: filing it replaces
+// the URL's own validator and costs no other URL its own. The parent of
+// this test evicted a random entry whenever the cache was full, so a
+// router's polled panels lost their validators to the probe's
+// one-URL-per-hour traffic, one per poll.
+func TestFullCacheReplacesInPlace(t *testing.T) {
+	var version, conditional atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("If-None-Match") != "" {
+			conditional.Add(1)
+		}
+		w.Header().Set("Content-Type", api.StateMediaType)
+		w.Header().Set("ETag", `"v`+strconv.FormatInt(version.Add(1), 10)+`"`) // never the one asked about
+		io.WriteString(w, "state of "+r.URL.RawQuery)
+	}))
+	defer ts.Close()
+	c, err := New(ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	hour := func(i int) time.Time { return entime.StudyStart.Add(time.Duration(i) * time.Hour) }
+	for i := 0; i < cacheLimit; i++ {
+		if _, _, err := c.QueryState(ctx, hour(i), hour(i+1), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for poll := 0; poll < 3*cacheLimit; poll++ {
+		if _, _, err := c.QueryState(ctx, hour(0), hour(1), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conditional.Store(0)
+	for i := 0; i < cacheLimit; i++ {
+		if _, _, err := c.QueryState(ctx, hour(i), hour(i+1), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := conditional.Load(); got != cacheLimit || len(c.cache) != cacheLimit {
+		t.Fatalf("after %d polls of one cached URL, %d of the %d cached URLs still revalidate (%d entries)",
+			3*cacheLimit, got, cacheLimit, len(c.cache))
+	}
+}

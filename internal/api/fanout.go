@@ -212,8 +212,8 @@ func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, p
 	h := w.Header()
 	setServerTiming(h, res.Timings)
 	if len(res.Missing) == 0 && res.Validated {
-		s.serveCached(w, r, endpoint, params, func() uint64 { return res.Version }, jsonMediaType, func() (built, error) {
-			b, err := renderBody(build(), pretty)
+		s.serveCached(w, r, endpoint, params, func() uint64 { return res.Version }, jsonMediaType, func(size int) (built, error) {
+			b, err := renderBody(build(), pretty, size, s.blocks)
 			b.version = res.Version
 			return b, err
 		})

@@ -51,8 +51,7 @@ func useState(t *testing.T, st *ShardState) {
 	if (st.LongHorizon == nil) != (st.Resolution == "") {
 		t.Fatalf("resolution %q with long-horizon frame present=%v", st.Resolution, st.LongHorizon != nil)
 	}
-	m := streaming.NewRange(streaming.Config{Origin: st.Origin, WindowHours: st.State.Window()}, time.Time{}, time.Time{})
-	m.MergeStored(st.State)
+	m := streaming.Fold(streaming.Config{Origin: st.Origin, WindowHours: st.State.Window()}, time.Time{}, time.Time{}, st.State)
 	got := m.Snapshot()
 	if got.WindowHours < st.State.Window() || got.WindowHours > streaming.MaxWindowHours {
 		t.Fatalf("a %d-hour state rendered at a %d-hour window", st.State.Window(), got.WindowHours)
@@ -62,12 +61,12 @@ func useState(t *testing.T, st *ShardState) {
 	if want := ring.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("the range fold renders\n%+v\nthe ring\n%+v", got, want)
 	}
-	gotBytes, err := got.Stored().AppendBinary(nil, got.Origin)
+	gotBytes, err := m.Stored().AppendBinary(nil, m.Origin())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wantBytes, _ := streaming.FromSnapshot(got).MarshalBinary(); !bytes.Equal(gotBytes, wantBytes) {
-		t.Fatalf("the flat encoder and the ring's disagree on %+v", got)
+		t.Fatalf("the fold's encoder and the ring's disagree on %+v", got)
 	}
 	if st.LongHorizon != nil {
 		b := tier.NewBuilder(st.Resolution, st.Origin, nil)

@@ -1,19 +1,22 @@
 package api
 
 // The gzip edge. A dashboard polls year-span bodies whose hours rows are,
-// but for the last few, the bytes of the previous poll, so a gzip
-// response is stitched: one standard member whose deflate chunks are the
-// stretches between the body's cuts (v1.AppendJSON), each compressed on
-// its own and kept for the next body that holds the same text
-// (DESIGN.md, "A closed block is kept, not deflated per poll").
+// but for the last few, the rows of the previous poll, so a closed block
+// of them (v1.AppendJSON) is kept by its rows — text and deflate — and a
+// gzip response is stitched: one standard member whose deflate chunks are
+// the kept blocks' and, compressed per response, the stretches between
+// them (DESIGN.md, "A closed block is kept, not rendered or deflated per
+// poll").
 
 import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"hash/crc32"
-	"hash/maphash"
 	"sync"
+
+	v1 "cwatrace/internal/api/v1"
+	"cwatrace/internal/obs"
 )
 
 var (
@@ -49,32 +52,22 @@ func chunk(fw *flate.Writer, out *bytes.Buffer, p []byte) {
 
 // member renders body as one gzip member: header, chunks, final block,
 // CRC-32 and length of the whole body. The bytes are d's, valid until
-// its next use. A closed block (the text between two cuts) the cache
-// holds is copied from it; one the cache has met once before becomes a
-// chunk of its own, which the cache compresses and keeps; everything
-// else — the head, the tail, blocks met for the first time, which under
-// ingest are the live ones that never recur — is compressed in runs of
-// whatever adjoins. A lone cut closes no block and is ignored.
-func (d *deflater) member(body []byte, cuts []int, cache *blockCache) []byte {
+// its next use. A kept block (cuts, in order) is the copy of its deflate;
+// everything else — head, tail, blocks not kept, which under ingest are
+// the live ones that never recur — is compressed in runs of what adjoins.
+func (d *deflater) member(body []byte, cuts []v1.Cut) []byte {
 	d.out.Reset()
 	d.out.Write(gzipHeader[:])
 	fresh := 0 // body[fresh:] is not compressed yet
-	for i := 1; i < len(cuts); i++ {
-		text := body[cuts[i-1]:cuts[i]]
-		if len(text) == 0 {
+	for _, c := range cuts {
+		if c.Block == nil {
 			continue
 		}
-		key, deflated, met := cache.get(text)
-		if !met {
-			continue
+		if c.Off > fresh {
+			chunk(d.fw, &d.out, body[fresh:c.Off])
 		}
-		if cuts[i-1] > fresh {
-			chunk(d.fw, &d.out, body[fresh:cuts[i-1]])
-		}
-		if fresh = cuts[i]; deflated == nil {
-			deflated = cache.keep(key, text)
-		}
-		d.out.Write(deflated)
+		d.out.Write(c.Block.Deflated)
+		fresh = c.Off + len(c.Block.Text)
 	}
 	if len(body) > fresh {
 		chunk(d.fw, &d.out, body[fresh:])
@@ -87,17 +80,13 @@ func (d *deflater) member(body []byte, cuts []int, cache *blockCache) []byte {
 	return d.out.Bytes()
 }
 
-// blockBytes bounds the block cache, text and deflate together. A year
-// of hours is 69 blocks of about 10 kB, shared by all bodies over them.
+// blockBytes bounds a block cache: keys, text and deflate together. A
+// year of hours is 69 blocks of about 13 kB, shared by all bodies on it.
 const blockBytes = 4 << 20
 
-// blocks is the process-wide block cache behind every writeBody.
-var blocks = newBlockCache(blockBytes)
-
-// blockCache maps the text of a closed block to its deflate, keyed by a
-// seeded hash of the text. A hit is served only after comparing the
-// stored text with the one asked for: a collision costs a deflate, never
-// a wrong byte. A text is kept from its second sighting on — the first
+// blockCache keeps closed blocks by their rows (v1.Blocks): the map hashes
+// a key and compares all of it, so nothing but those rows is ever served
+// for them. A block is kept from its second sighting on — the first
 // leaves only its key — so blocks that never recur cost neither a chunk
 // of their own nor room. What is kept is compressed once and sent many
 // times, so at the default level, not at BestSpeed: that more than pays
@@ -106,51 +95,56 @@ var blocks = newBlockCache(blockBytes)
 // becomes the old one (whose predecessor is dropped), and a hit in the
 // old one moves the block back to the young.
 type blockCache struct {
-	seed maphash.Seed
 	half int // bound of one generation
 
+	// hits/misses count Find by whether it found the block; set once at
+	// server construction (nil = uninstrumented).
+	hits, misses *obs.Counter
+
 	mu         sync.Mutex
-	young, old map[uint64]block
+	young, old map[string]*v1.Block // nil: a key met once
 	youngBytes int
 
 	keeper struct {
 		sync.Mutex
-		fw  *flate.Writer // made at the first keep: an ingest-only daemon has none
+		fw  *flate.Writer // made at the first Keep: an ingest-only daemon has none
 		out bytes.Buffer
 	}
 }
 
-// block is a kept text and its deflate, or, both nil, a key met once.
-type block struct{ text, deflated []byte }
-
-// size is what a block counts for against the bound; the constant stands
-// for its map entry, so keys met once are bounded too.
-func (b block) size() int { return len(b.text) + len(b.deflated) + 64 }
+// blockSize is what an entry counts for against the bound; the constant
+// stands for its place in the map.
+func blockSize(key string, b *v1.Block) int {
+	if b == nil {
+		return len(key) + 64
+	}
+	return len(key) + len(b.Text) + len(b.Deflated) + 64
+}
 
 func newBlockCache(bound int) *blockCache {
-	return &blockCache{seed: maphash.MakeSeed(), half: bound / 2, young: make(map[uint64]block)}
+	return &blockCache{half: bound / 2, young: make(map[string]*v1.Block)}
 }
 
-// get returns text's key, its deflate if the cache holds it, and whether
-// the key was met before; a key not met before is noted.
-func (c *blockCache) get(text []byte) (key uint64, deflated []byte, met bool) {
-	key = maphash.Bytes(c.seed, text)
+// Find implements v1.Blocks; a key not met before is noted.
+func (c *blockCache) Find(key []byte) (*v1.Block, bool) {
 	c.mu.Lock()
-	b, met := c.young[key]
+	b, met := c.young[string(key)]
 	if !met {
-		b, met = c.old[key]
-		c.insertLocked(key, b) // note the key, or move the block back
+		b, met = c.old[string(key)]
+		c.insertLocked(string(key), b) // note the key, or move the block back
 	}
 	c.mu.Unlock()
-	if !bytes.Equal(b.text, text) {
-		return key, nil, met
+	if b == nil {
+		c.misses.Inc()
+	} else {
+		c.hits.Inc()
 	}
-	return key, b.deflated, true
+	return b, met
 }
 
-// keep compresses text, files copies of both under key and returns the
-// deflate.
-func (c *blockCache) keep(key uint64, text []byte) []byte {
+// Keep implements v1.Blocks: it compresses text and files copies of key,
+// text and deflate.
+func (c *blockCache) Keep(key, text []byte) *v1.Block {
 	k := &c.keeper
 	k.Lock()
 	if k.fw == nil {
@@ -158,24 +152,25 @@ func (c *blockCache) keep(key uint64, text []byte) []byte {
 	}
 	k.out.Reset()
 	chunk(k.fw, &k.out, text)
-	b := block{bytes.Clone(text), bytes.Clone(k.out.Bytes())}
+	b := &v1.Block{Text: bytes.Clone(text), Deflated: bytes.Clone(k.out.Bytes())}
 	k.Unlock()
 	c.mu.Lock()
-	c.insertLocked(key, b)
+	c.insertLocked(string(key), b)
 	c.mu.Unlock()
-	return b.deflated
+	return b
 }
 
-func (c *blockCache) insertLocked(key uint64, b block) {
-	if b.size() > c.half {
+func (c *blockCache) insertLocked(key string, b *v1.Block) {
+	size := blockSize(key, b)
+	if size > c.half {
 		return
 	}
 	if was, ok := c.young[key]; ok {
-		c.youngBytes -= was.size()
+		c.youngBytes -= blockSize(key, was)
 	}
-	if c.youngBytes+b.size() > c.half {
-		c.old, c.young, c.youngBytes = c.young, make(map[uint64]block), 0
+	if c.youngBytes+size > c.half {
+		c.old, c.young, c.youngBytes = c.young, make(map[string]*v1.Block), 0
 	}
 	c.young[key] = b
-	c.youngBytes += b.size()
+	c.youngBytes += size
 }

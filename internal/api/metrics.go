@@ -2,7 +2,7 @@
 // distributions (labeled by a fixed endpoint vocabulary, never by raw
 // request paths — an attacker probing random URLs must not mint metric
 // series), the in-flight gauge, and the conditional-GET effectiveness
-// counters (304s served, single-flight cache hits vs misses).
+// counters (304s served, cache hits vs misses, closed blocks kept vs not).
 package api
 
 import (
@@ -52,6 +52,8 @@ type apiMetrics struct {
 	notModified *obs.Counter
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
+	blockHits   *obs.Counter
+	blockMisses *obs.Counter
 	endpoints   map[string]endpointInstruments
 }
 
@@ -66,6 +68,8 @@ func (m *apiMetrics) register(reg *obs.Registry) {
 		"Single-flight response cache hits (body served without re-marshaling).")
 	m.cacheMisses = reg.Counter("api_cache_misses_total",
 		"Single-flight response cache misses (one marshal per miss).")
+	m.blockHits = reg.Counter("api_block_hits_total", "Closed hour blocks found kept by their rows (text spliced, deflate copied).")
+	m.blockMisses = reg.Counter("api_block_misses_total", "Closed hour blocks not found kept (rendered; kept from the second sighting on).")
 	m.endpoints = make(map[string]endpointInstruments, len(endpointLabels))
 	for _, label := range endpointLabels {
 		l := obs.L("endpoint", label)

@@ -23,7 +23,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,6 +50,8 @@ type Live interface {
 // ETag is derived from.
 type History interface {
 	Snapshot() *streaming.Snapshot
+	// SnapshotResult is Snapshot unrendered: what ?format=state ships.
+	SnapshotResult() *store.QueryResult
 	// QueryResolution answers a range query: hour is the exact answer,
 	// day/week come from the downsampled tier frames plus the exact raw
 	// residual, auto picks by span (see store.QueryResolution).
@@ -99,6 +100,7 @@ type Server struct {
 	mux      *http.ServeMux
 	handler  http.Handler
 	cache    *respCache
+	blocks   *blockCache
 	m        apiMetrics
 	draining atomic.Bool
 }
@@ -120,13 +122,15 @@ func New(cfg Config) (*Server, error) {
 		boot = cfg.Fanout.Nonce()
 	}
 	s := &Server{
-		cfg:   cfg,
-		boot:  boot,
-		mux:   http.NewServeMux(),
-		cache: newRespCache(respCacheEntries),
+		cfg:    cfg,
+		boot:   boot,
+		mux:    http.NewServeMux(),
+		cache:  newRespCache(respCacheEntries),
+		blocks: newBlockCache(blockBytes),
 	}
 	s.m.register(cfg.Metrics)
 	s.cache.hits, s.cache.misses = s.m.cacheHits, s.m.cacheMisses
+	s.blocks.hits, s.blocks.misses = s.m.blockHits, s.m.blockMisses
 
 	s.mux.Handle("/api/v1/snapshot", s.get(s.handleSnapshot))
 	s.mux.Handle("/api/v1/query", s.get(s.handleQuery))
@@ -412,18 +416,29 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.handleFanSnapshot(w, r, p)
 		return
 	}
-	s.serveCached(w, r, "v1/snapshot", p.key(), s.snapshotVersion, p.mediaType(), func() (built, error) {
-		snap := s.snapshotSource()()
-		var (
-			b   built
-			err error
-		)
-		if p.state {
-			b.body, err = encodeState(&store.QueryResult{Snapshot: snap})
-		} else {
-			b, err = renderBody(v1.NewSnapshot(snap, p.fields, p.top), p.pretty)
+	s.serveCached(w, r, "v1/snapshot", p.key(), s.snapshotVersion, p.mediaType(), func(size int) (b built, err error) {
+		// The durable store owns the state when present, else the pipeline.
+		switch durable := s.cfg.History != nil; {
+		case p.state && durable:
+			res := s.cfg.History.SnapshotResult()
+			st, origin := res.State()
+			b.body, err = encodeState(st, origin, res)
+			b.version = res.Version
+		case p.state:
+			// The pipeline hands out renderings alone.
+			snap := s.cfg.Live.Snapshot()
+			st := streaming.FromSnapshot(snap).Detach(time.Time{}, time.Time{})
+			b.body, err = encodeState(st, snap.Origin, new(store.QueryResult))
+		default:
+			var snap *streaming.Snapshot
+			if durable {
+				snap = s.cfg.History.Snapshot()
+			} else {
+				snap = s.cfg.Live.Snapshot()
+			}
+			b, err = renderBody(v1.NewSnapshot(snap, p.fields, p.top), p.pretty, size, s.blocks)
+			b.version = snap.Version
 		}
-		b.version = snap.Version
 		return b, err
 	})
 }
@@ -460,24 +475,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	key := fmt.Sprintf("from=%s&to=%s&resolution=%s&%s", stamp(from), stamp(to), resolution, p.key())
 	version := func() uint64 { return s.cfg.History.Version(from, to) }
-	s.serveCached(w, r, "v1/query", key, version, p.mediaType(), func() (built, error) {
+	s.serveCached(w, r, "v1/query", key, version, p.mediaType(), func(size int) (built, error) {
 		res, err := s.cfg.History.QueryResolution(from, to, resolution)
 		if err != nil {
 			return built{}, err
 		}
 		var b built
 		if p.state {
-			b.body, err = encodeState(res)
+			st, origin := res.State()
+			b.body, err = encodeState(st, origin, res)
 		} else {
 			b, err = renderBody(&v1.QueryResponse{
 				From:         res.From,
 				To:           res.To,
 				Frames:       res.Frames,
 				TailIncluded: res.TailIncluded,
-				Snapshot:     v1.NewSnapshot(res.Snapshot, p.fields, p.top),
+				Snapshot:     v1.NewSnapshot(res.Snapshot(), p.fields, p.top),
 				Resolution:   string(res.Resolution),
 				LongHorizon:  res.LongHorizon,
-			}, p.pretty)
+			}, p.pretty, size, s.blocks)
 		}
 		b.version = res.Version
 		return b, err
@@ -490,16 +506,6 @@ func (s *Server) handleUnknown(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---- data-source plumbing ----
-
-// snapshotSource picks the state owner: the durable store when present
-// (SinkOnly collectors keep nothing in the lanes), the pipeline
-// otherwise.
-func (s *Server) snapshotSource() func() *streaming.Snapshot {
-	if s.cfg.History != nil {
-		return s.cfg.History.Snapshot
-	}
-	return s.cfg.Live.Snapshot
-}
 
 // snapshotVersion is the generation token behind /api/v1/snapshot: the
 // store's full-history Version when durable, a hash of the pipeline
@@ -539,8 +545,8 @@ const gzipMinBytes = 1 << 10
 // built is one rendered response body.
 type built struct {
 	body []byte
-	// cuts bound the body's closed blocks (v1.AppendJSON, deflater.member).
-	cuts []int
+	// cuts are the body's closed blocks (v1.AppendJSON, deflater.member).
+	cuts []v1.Cut
 	// version is the generation token of the cut the body shows, as the
 	// source stamped it (store.QueryResult.Version, Snapshot.Version);
 	// zero when it stamps none: a memory-only collector.
@@ -561,7 +567,10 @@ type built struct {
 // always a validator. Only an unstamped body falls back to reading
 // version() again after the build: unchanged, the lookup's tag is the
 // body's; changed, it goes out without a validator and is not cached.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, params string, version func() uint64, mediaType string, build func() (built, error)) {
+//
+// build is told the size of the body the question had last (0: none):
+// room to render the next one in.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, params string, version func() uint64, mediaType string, build func(size int) (built, error)) {
 	h := w.Header()
 	h.Set("Cache-Control", "no-cache") // cacheable, but revalidate: ETags are the invalidation channel
 	h.Set("Vary", "Accept-Encoding")   // a 304 carries the Vary its 200 would (RFC 9110 §15.4.5)
@@ -572,8 +581,8 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, p
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	e, err := s.cache.get(endpoint+"?"+params, etag, func() (built, string, error) {
-		b, err := build()
+	e, err := s.cache.get(endpoint+"?"+params, etag, func(size int) (built, string, error) {
+		b, err := build(size)
 		switch {
 		case err != nil:
 			return b, "", err
@@ -596,7 +605,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, p
 
 // writeJSON marshals and sends an uncached response.
 func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any, pretty bool) {
-	b, err := renderBody(v, pretty)
+	b, err := renderBody(v, pretty, 0, s.blocks)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "encoding response failed", err.Error())
 		return
@@ -634,7 +643,7 @@ func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, status int, m
 		h.Set("Content-Encoding", "gzip")
 		w.WriteHeader(status)
 		d := deflaters.Get().(*deflater)
-		_, err := w.Write(d.member(body, b.cuts, blocks))
+		_, err := w.Write(d.member(body, b.cuts))
 		deflaters.Put(d)
 		if err != nil {
 			s.errorf("gzip response for %s: %v", r.URL.Path, err)
@@ -651,7 +660,8 @@ func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, status int, m
 // writeError sends the structured error envelope every v1 failure path
 // uses.
 func (s *Server) writeError(w http.ResponseWriter, status int, code, message, detail string) {
-	body, err := marshalBody(v1.ErrorResponse{Error: &v1.Error{Code: code, Message: message, Detail: detail}}, false)
+	b, err := renderBody(v1.ErrorResponse{Error: &v1.Error{Code: code, Message: message, Detail: detail}}, false, 0, nil)
+	body := b.body
 	if err != nil { // cannot happen: the envelope always marshals
 		body = []byte(`{"error":{"code":"internal","message":"encoding error envelope failed"}}` + "\n")
 	}
@@ -675,23 +685,16 @@ func (p reqParams) mediaType() string {
 	return jsonMediaType
 }
 
-// marshalBody is renderBody for a body that has no cuts to keep.
-func marshalBody(v any, pretty bool) ([]byte, error) {
-	b, err := renderBody(v, pretty)
-	return b.body, err
-}
-
 // renderBody renders compact JSON (the default) or two-space
 // indentation under ?pretty=1, newline-terminated — the bytes a
 // json.Encoder writes — with the cuts of the compact form (an indented
-// body has none). It renders into pooled scratch and returns an
-// exact-size copy: the response cache keeps a body for as long as its
-// ETag is in use, and a grown buffer would pin up to twice the body.
-func renderBody(v any, pretty bool) (built, error) {
-	scratch := bodyScratch.Get().(*[]byte)
-	defer bodyScratch.Put(scratch)
-	b, cuts, err := appendJSON((*scratch)[:0], v)
-	*scratch = b // keep what the rendering grew
+// body has none), the closed blocks of a data body through blocks. The
+// response cache keeps a body while its ETag is in use, so it comes back
+// holding at most a 32nd more than its length: rendered in place when
+// room for size bytes (the question's last body) and a 64th turns out
+// that close, copied to its exact size when not.
+func renderBody(v any, pretty bool, size int, blocks v1.Blocks) (built, error) {
+	b, cuts, err := appendJSON(make([]byte, 0, size+size/64), v, blocks)
 	if err != nil {
 		return built{}, err
 	}
@@ -702,20 +705,21 @@ func renderBody(v any, pretty bool) (built, error) {
 		}
 		b, cuts = buf.Bytes(), nil
 	}
-	body := make([]byte, len(b))
-	copy(body, b)
-	return built{body: body, cuts: cuts}, nil
+	if cap(b)-len(b) > len(b)/32 {
+		b = bytes.Clone(b)
+	}
+	return built{body: b[:len(b):len(b)], cuts: cuts}, nil
 }
 
 // appendJSON appends v's compact encoding and the newline: the two data
 // bodies through the v1 package's append encoder, which reports their
 // cuts, the error, health and stats envelopes through encoding/json.
-func appendJSON(b []byte, v any) (out []byte, cuts []int, err error) {
+func appendJSON(b []byte, v any, blocks v1.Blocks) (out []byte, cuts []v1.Cut, err error) {
 	switch v := v.(type) {
 	case *v1.QueryResponse:
-		b, cuts, err = v.AppendJSON(b)
+		b, cuts, err = v.AppendJSON(b, blocks)
 	case *v1.Snapshot:
-		b, cuts, err = v.AppendJSON(b)
+		b, cuts, err = v.AppendJSON(b, blocks)
 	default:
 		var j []byte
 		j, err = json.Marshal(v)
@@ -723,10 +727,6 @@ func appendJSON(b []byte, v any) (out []byte, cuts []int, err error) {
 	}
 	return append(b, '\n'), cuts, err
 }
-
-// bodyScratch holds the buffers bodies are rendered in before their
-// exact-size copy is taken.
-var bodyScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // acceptsGzip reports whether the client advertises gzip support. A
 // qvalue of 0 is an explicit refusal (RFC 9110 §12.4.2), not support.

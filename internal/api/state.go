@@ -2,9 +2,12 @@
 // query router does not want a shard's rendering — it merges shard
 // state and renders once itself — so ?format=state answers
 // /api/v1/snapshot and /api/v1/query with the state behind the JSON
-// body: the exact part as a streaming state blob (Stored.AppendBinary), the
-// long-horizon part of a day/week answer as a tier frame, both in the
-// codecs the durable store writes to disk, behind one small header.
+// body, and a durable shard ships the fold itself, not a rendering of
+// it: the exact part as a streaming state blob straight from the fold
+// target (streaming.Range.Stored — no hour point, district name or spike
+// is built for a router), the long-horizon part of a day/week answer as
+// a tier frame, both in the codecs the durable store writes to disk,
+// behind one small header.
 // It rides the same ETag, response-cache, timeout and tracing plumbing
 // as the JSON representation; `format` is part of the request
 // parameters, so validators and cache keys keep the two apart.
@@ -60,7 +63,7 @@ var ErrBadState = errors.New("api: bad shard state")
 
 // ShardState is one shard's decoded contribution to a data fan-out.
 type ShardState struct {
-	// State is the exact part, ready to fold (streaming.Range.MergeStored):
+	// State is the exact part, ready to fold (streaming.Fold):
 	// the full history for a snapshot, the range (or, under a day/week
 	// resolution, the raw residual) for a query. Its Window is the one the
 	// shard rendered at; Origin is the shard's, in the shard's zone.
@@ -78,12 +81,13 @@ type ShardState struct {
 	RawFrames   int
 }
 
-// encodeState renders a query result (or, with only Snapshot set, a
-// snapshot) as shard state. The exact part is the state the rendered
-// snapshot carries, so the router merges precisely what it would have
-// reconstructed from the JSON body.
-func encodeState(res *store.QueryResult) ([]byte, error) {
-	buf, err := res.Snapshot.Stored().AppendBinary(make([]byte, stateHeaderLen), res.Snapshot.Origin)
+// encodeState renders state — the fold behind a store answer
+// (QueryResult.State), or a memory-only collector's rendering made
+// mergeable again — and the answer's query metadata as shard state: what
+// the state the rendered snapshot carries encodes to, so the router
+// merges precisely what it would have reconstructed from the JSON body.
+func encodeState(st *streaming.Stored, origin time.Time, res *store.QueryResult) ([]byte, error) {
+	buf, err := st.AppendBinary(make([]byte, stateHeaderLen), origin)
 	if err != nil {
 		return nil, err
 	}
@@ -103,8 +107,8 @@ func encodeState(res *store.QueryResult) ([]byte, error) {
 		binary.BigEndian.PutUint32(buf[24:], uint32(lh.TierFrames))
 		binary.BigEndian.PutUint32(buf[28:], uint32(lh.RawFrames))
 	}
-	_, zone := res.Snapshot.Origin.Zone()
-	binary.BigEndian.PutUint64(buf[8:], uint64(res.Snapshot.Origin.UnixNano()))
+	_, zone := origin.Zone()
+	binary.BigEndian.PutUint64(buf[8:], uint64(origin.UnixNano()))
 	binary.BigEndian.PutUint32(buf[16:], uint32(int32(zone)))
 	binary.BigEndian.PutUint32(buf[20:], uint32(res.Frames))
 	binary.BigEndian.PutUint32(buf[32:], uint32(stateLen))

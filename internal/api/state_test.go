@@ -106,8 +106,7 @@ func TestStateRepresentationContract(t *testing.T) {
 		cfg := streaming.Config{WindowHours: snap.WindowHours, TopK: testCfg().TopK}
 		want := streaming.New(cfg)
 		want.Merge(streaming.FromSnapshot(snap.Streaming()))
-		got := streaming.NewRange(cfg, time.Time{}, time.Time{})
-		got.MergeStored(st.State)
+		got := streaming.Fold(cfg, time.Time{}, time.Time{}, st.State)
 		if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
 			t.Fatalf("%s: state merges to\n%+v\nthe JSON body to\n%+v", path, got.Snapshot(), want.Snapshot())
 		}
@@ -181,7 +180,8 @@ func TestStateOriginKeepsZone(t *testing.T) {
 		r := keptRecord(3, 7, 100)
 		r.First = origin.Add(3 * time.Hour)
 		a.Ingest([]netflow.Record{r})
-		body, err := encodeState(&store.QueryResult{Snapshot: a.Snapshot()})
+		snap := a.Snapshot()
+		body, err := encodeState(streaming.FromSnapshot(snap).Detach(time.Time{}, time.Time{}), snap.Origin, new(store.QueryResult))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,8 +189,7 @@ func TestStateOriginKeepsZone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := streaming.NewRange(streaming.Config{Origin: st.Origin, WindowHours: st.State.Window()}, time.Time{}, time.Time{})
-		m.MergeStored(st.State)
+		m := streaming.Fold(streaming.Config{Origin: st.Origin, WindowHours: st.State.Window()}, time.Time{}, time.Time{}, st.State)
 		got, _ := json.Marshal(m.Snapshot())
 		want, _ := json.Marshal(streaming.FromSnapshot(a.Snapshot()).Snapshot())
 		if !bytes.Equal(got, want) {

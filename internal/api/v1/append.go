@@ -11,13 +11,17 @@ package v1
 // every error are encoding/json's own. The struct tags stay the schema of
 // record; FuzzAppendJSON holds this file to json.Encoder's output.
 //
-// Beside the bytes it reports cuts: the offset of the opening brace of
-// every hours row whose hour index is a multiple of cutHours. The text
-// between two neighbouring cuts is cutHours rows and their commas, the
-// same in every body that spans them wherever its range or array starts,
-// so the edge compresses such a block once (api.writeBody).
+// A dashboard polls year-span bodies whose hours rows are, but for the
+// last few, the rows of the previous poll. A closed block is cutHours
+// rows that start on a multiple of cutHours, run hour by hour in one zone
+// and have a row behind them; its text — the rows, each with its comma —
+// is the same in every body that spans it. Given somewhere to keep them
+// (Blocks), the encoder asks for a closed block by its rows before
+// rendering it and splices the kept text, and reports where the blocks
+// lie (Cut) for the edge to send the deflate it holds of the kept ones.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -28,18 +32,41 @@ import (
 // cutHours is the row count of one closed block of the hours array.
 const cutHours = 128
 
+// Block is the kept text of one closed block and, for the edge, its
+// deflate as one chunk of a gzip member.
+type Block struct{ Text, Deflated []byte }
+
+// Blocks keeps closed blocks between bodies (api's block cache). A key is
+// all a block's text depends on — first hour index, first instant and its
+// zone offset, instant and offset of a zone change inside the block (zero
+// without), every row's flows and bytes — and valid only during the call.
+type Blocks interface {
+	// Find returns the block kept under key, if any, and whether the key
+	// was asked for before.
+	Find(key []byte) (b *Block, met bool)
+	// Keep files copies of key and text and returns the block, or nil.
+	Keep(key, text []byte) *Block
+}
+
+// Cut places one closed block in a body: Block.Text is the body from Off
+// on; a nil Block is one met for the first time, rendered and not kept.
+type Cut struct {
+	Off   int
+	Block *Block
+}
+
 // AppendJSON appends the compact JSON encoding of q — what json.Marshal
-// returns, byte for byte — to b; cuts are offsets into the result.
-func (q *QueryResponse) AppendJSON(b []byte) (out []byte, cuts []int, err error) {
-	e := encoder{b: b}
+// returns, byte for byte — to b, its closed blocks through blocks (nil:
+// every row is rendered); cuts are the result's closed blocks, in order.
+func (q *QueryResponse) AppendJSON(b []byte, blocks Blocks) (out []byte, cuts []Cut, err error) {
+	e := encoder{b: b, blocks: blocks}
 	e.query(q)
 	return e.b, e.cuts, e.err
 }
 
-// AppendJSON appends the compact JSON encoding of s — what json.Marshal
-// returns, byte for byte — to b; cuts are offsets into the result.
-func (s *Snapshot) AppendJSON(b []byte) (out []byte, cuts []int, err error) {
-	e := encoder{b: b}
+// AppendJSON is QueryResponse.AppendJSON for a snapshot body.
+func (s *Snapshot) AppendJSON(b []byte, blocks Blocks) (out []byte, cuts []Cut, err error) {
+	e := encoder{b: b, blocks: blocks}
 	e.snapshot(s)
 	return e.b, e.cuts, e.err
 }
@@ -48,10 +75,11 @@ func (s *Snapshot) AppendJSON(b []byte) (out []byte, cuts []int, err error) {
 // encoding/json reports for the same value: fields are visited in
 // declaration order and none is marshaled after a failure.
 type encoder struct {
-	b    []byte
-	cuts []int
-	err  error
-	day  dayStamp
+	b      []byte
+	blocks Blocks
+	cuts   []Cut
+	err    error
+	key    []byte
 }
 
 func (e *encoder) raw(s string) { e.b = append(e.b, s...) }
@@ -101,13 +129,15 @@ func (e *encoder) float(key string, f float64) {
 	e.marshaled(key, f)
 }
 
+// time appends t as time.Time.MarshalJSON does; what that refuses (year,
+// zone hour) is encoding/json's error.
 func (e *encoder) time(key string, t time.Time) {
-	if !e.day.covers(t) && !e.day.format(t) {
-		e.marshaled(key, t) // not RFC 3339 (year, zone hour): encoding/json's error
+	b, err := t.AppendText(append(append(e.b, key...), '"'))
+	if err != nil {
+		e.marshaled(key, t)
 		return
 	}
-	e.raw(key)
-	e.b = e.day.append(e.b, t)
+	e.b = append(b, '"')
 }
 
 func (e *encoder) query(q *QueryResponse) {
@@ -175,22 +205,24 @@ func (e *encoder) snapshot(s *Snapshot) {
 	e.time(`{"origin":`, s.Origin)
 	e.int(`,"window_hours":`, int64(s.WindowHours))
 	e.int(`,"series_start":`, int64(s.SeriesStart))
-	if n := len(s.Hours); n >= cutHours {
-		e.cuts = make([]int, 0, n/cutHours+1)
+	if n := len(s.Hours); n > cutHours && e.blocks != nil {
+		e.cuts = make([]Cut, 0, n/cutHours)
 	}
-	for i := range s.Hours {
-		p := &s.Hours[i]
-		// The cut sits behind the comma (or the bracket), in front of the
-		// brace: a block then reads the same first in its array or not.
-		e.raw(rowKey(i, `,"hours":[`, `,`))
-		if p.Hour%cutHours == 0 {
-			e.cuts = append(e.cuts, len(e.b))
+	for i := 0; i < len(s.Hours); i++ {
+		// A block starts behind the comma (or the bracket), in front of
+		// the brace, and ends behind its last row's comma: it then reads
+		// the same first in its array or not.
+		if i == 0 {
+			e.raw(`,"hours":[`)
 		}
-		e.int(`{"hour":`, int64(p.Hour))
-		e.time(`,"time":`, p.Time)
-		e.float(`,"flows":`, p.Flows)
-		e.float(`,"bytes":`, p.Bytes)
-		e.raw("}")
+		if s.Hours[i].Hour%cutHours == 0 && i+cutHours < len(s.Hours) && e.blocks != nil && e.block(s.Hours[i:i+cutHours]) {
+			i += cutHours - 1
+			continue
+		}
+		e.hour(&s.Hours[i])
+		if i+1 < len(s.Hours) {
+			e.raw(",")
+		}
 	}
 	e.endRows(len(s.Hours))
 	if s.Census != nil {
@@ -229,6 +261,62 @@ func (e *encoder) snapshot(s *Snapshot) {
 	e.raw("}")
 }
 
+func (e *encoder) hour(p *HourPoint) {
+	e.int(`{"hour":`, int64(p.Hour))
+	e.time(`,"time":`, p.Time)
+	e.float(`,"flows":`, p.Flows)
+	e.float(`,"bytes":`, p.Bytes)
+	e.raw("}")
+}
+
+// block appends rows as one closed block: the kept text, or rendered, and
+// kept if the key was met before — a block that never recurs (under
+// ingest, the live ones) costs no room. It reports false, with nothing
+// appended, for rows that do not run hour by hour.
+func (e *encoder) block(rows []HourPoint) bool {
+	first := rows[0].Time
+	sec, loc := first.Unix(), first.Location()
+	_, offset := first.Zone()
+	// The text holds each row's zone offset: the block may cross one
+	// change of it, and with two (in 128 hours) it is no block.
+	var change, after int64
+	if _, end := first.ZoneBounds(); !end.IsZero() && end.Unix() <= sec+3600*(cutHours-1) {
+		if _, next := end.ZoneBounds(); !next.IsZero() && next.Unix() <= sec+3600*(cutHours-1) {
+			return false
+		}
+		_, o := end.Zone()
+		change, after = end.Unix(), int64(o)
+	}
+	key := e.key[:0]
+	for _, v := range [...]int64{int64(rows[0].Hour), sec, int64(offset), change, after} {
+		key = binary.LittleEndian.AppendUint64(key, uint64(v))
+	}
+	for i := range rows {
+		p := &rows[i]
+		if p.Hour != rows[0].Hour+i || p.Time.Unix() != sec+3600*int64(i) || p.Time.Nanosecond() != 0 || p.Time.Location() != loc {
+			return false
+		}
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(p.Flows))
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(p.Bytes))
+	}
+	e.key = key
+	at := len(e.b)
+	b, met := e.blocks.Find(key)
+	if b != nil {
+		e.b = append(e.b, b.Text...)
+	} else {
+		for i := range rows {
+			e.hour(&rows[i])
+			e.raw(",")
+		}
+		if met && e.err == nil { // text cut short by an error is not the block's
+			b = e.blocks.Keep(key, e.b[at:])
+		}
+	}
+	e.cuts = append(e.cuts, Cut{at, b})
+	return true
+}
+
 func (e *encoder) districts(rows []DistrictCount) {
 	for i := range rows {
 		p := &rows[i]
@@ -254,58 +342,4 @@ func (e *encoder) endRows(n int) {
 	if n > 0 {
 		e.raw("]")
 	}
-}
-
-// dayStamp formats timestamps as time.Time.MarshalJSON does, once per
-// day: within one local day of one zone period only the clock digits of
-// a whole-second time differ, so the rows that follow a formatted one
-// copy its text and patch HH:MM:SS; the first row of the next day, or
-// past a zone-offset change, is formatted afresh.
-type dayStamp struct {
-	loc      *time.Location
-	from, to int64 // unix seconds [from, to) the text covers
-	midnight int64 // unix second of the text's local 00:00:00
-	text     []byte
-}
-
-func (d *dayStamp) covers(t time.Time) bool {
-	sec := t.Unix()
-	return d.from <= sec && sec < d.to && t.Nanosecond() == 0 && t.Location() == d.loc
-}
-
-// format makes t the text, covering the rest of its local day, or
-// reports false when MarshalJSON would fail.
-func (d *dayStamp) format(t time.Time) bool {
-	text, err := t.AppendText(append(d.text[:0], '"'))
-	if err != nil {
-		return false
-	}
-	d.loc, d.text = t.Location(), append(text, '"')
-	_, offset := t.Zone()
-	local := t.Unix() + int64(offset)
-	d.midnight = local - ((local%86400)+86400)%86400 - int64(offset)
-	d.from, d.to = d.midnight, d.midnight+86400
-	start, end := t.ZoneBounds()
-	if !start.IsZero() && start.Unix() > d.from {
-		d.from = start.Unix()
-	}
-	if !end.IsZero() && end.Unix() < d.to {
-		d.to = end.Unix()
-	}
-	if t.Nanosecond() != 0 {
-		d.to = d.from // a fraction changes the text's length: this one time only
-	}
-	return true
-}
-
-// append writes the text with t's clock. The clock starts behind
-// `"2006-01-02T`: a year that formats is exactly four digits wide.
-func (d *dayStamp) append(b []byte, t time.Time) []byte {
-	b = append(b, d.text...)
-	c := b[len(b)-len(d.text)+len(`"2006-01-02T`):]
-	s := int(t.Unix() - d.midnight)
-	c[0], c[1] = byte('0'+s/36000), byte('0'+s/3600%10)
-	c[3], c[4] = byte('0'+s/600%6), byte('0'+s/60%10)
-	c[6], c[7] = byte('0'+s/10%6), byte('0'+s%10)
-	return b
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"slices"
 	"testing"
 	"time"
 	_ "time/tzdata" // Europe/Berlin wherever the test runs
@@ -19,18 +18,70 @@ import (
 
 // appender is the two bodies the append encoder renders.
 type appender interface {
-	AppendJSON([]byte) ([]byte, []int, error)
+	AppendJSON([]byte, Blocks) ([]byte, []Cut, error)
+}
+
+// keeper is a Blocks over a map of whole keys: exact, unbounded, keeping
+// a block from its second sighting on like the edge's own. With collide
+// set it files every key under one bucket and answers from whatever sits
+// there without looking — a cache that skipped the key comparison.
+type keeper struct {
+	kept        map[string]*Block
+	met         map[string]bool
+	finds, hits int
+}
+
+func newKeeper() *keeper { return &keeper{kept: map[string]*Block{}, met: map[string]bool{}} }
+
+func (k *keeper) Find(key []byte) (*Block, bool) {
+	k.finds++
+	b, met := k.kept[string(key)], k.met[string(key)]
+	k.met[string(key)] = true
+	if b != nil {
+		k.hits++
+	}
+	return b, met
+}
+
+func (k *keeper) Keep(key, text []byte) *Block {
+	b := &Block{Text: bytes.Clone(text)}
+	k.kept[string(key)] = b
+	return b
 }
 
 // checkAgainstEncoder is the contract of append.go: for any value,
 // AppendJSON writes what a json.Encoder writes (less the newline), its
 // json.Indent is what an indenting Encoder writes, and a value
-// encoding/json refuses is refused with the same words.
+// encoding/json refuses is refused with the same words — rendering every
+// row, and with somewhere to keep closed blocks: noting them, keeping
+// them, and then splicing every one it kept.
 func checkAgainstEncoder(t *testing.T, v appender) {
 	t.Helper()
 	var want bytes.Buffer
 	wantErr := json.NewEncoder(&want).Encode(v)
-	got, cuts, gotErr := v.AppendJSON(nil)
+	got, cuts, gotErr := v.AppendJSON(nil, nil)
+	if len(cuts) != 0 {
+		t.Fatalf("%d cuts with nowhere to keep a block", len(cuts))
+	}
+	blocks := newKeeper()
+	for sighting := 1; sighting <= 3; sighting++ {
+		hits := blocks.hits
+		again, cuts, err := v.AppendJSON([]byte("prefix"), blocks)
+		if (err == nil) != (gotErr == nil) || err != nil && err.Error() != gotErr.Error() {
+			t.Fatalf("sighting %d: error %v, without blocks %v", sighting, err, gotErr)
+		}
+		if err != nil {
+			continue
+		}
+		// Appending extends the caller's bytes and leaves them alone.
+		if !bytes.Equal(again, append([]byte("prefix"), got...)) {
+			t.Fatalf("sighting %d: body differs from the one rendered row by row:\n%s\n%s", sighting, again, got)
+		}
+		kept := checkCuts(t, again, cuts)
+		if spliced := blocks.hits - hits; sighting == 1 && len(kept)+spliced != 0 || sighting > 1 && len(kept) != len(cuts) || sighting == 3 && spliced != len(cuts) {
+			t.Fatalf("sighting %d: %d cuts, %d kept, %d spliced", sighting, len(cuts), len(kept), spliced)
+		}
+	}
 	if wantErr != nil || gotErr != nil {
 		if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
 			t.Fatalf("errors differ:\n json: %v\n ours: %v", wantErr, gotErr)
@@ -53,50 +104,37 @@ func checkAgainstEncoder(t *testing.T, v appender) {
 	if !bytes.Equal(gotPretty.Bytes(), wantPretty.Bytes()) {
 		t.Fatalf("indented bodies differ:\n json: %s\n ours: %s", wantPretty.Bytes(), gotPretty.Bytes())
 	}
-
-	// Appending extends the caller's bytes and leaves them alone; the
-	// cuts move with the text.
-	prefix := []byte("prefix")
-	again, shifted, _ := v.AppendJSON(prefix)
-	if !bytes.Equal(again[:len(prefix)], prefix) || !bytes.Equal(append(again[len(prefix):], '\n'), got) {
-		t.Fatalf("append onto a prefix changed the rendering: %s", again)
-	}
-	if len(shifted) != len(cuts) {
-		t.Fatalf("%d cuts onto a prefix, %d without", len(shifted), len(cuts))
-	}
-	for i, c := range cuts {
-		if shifted[i] != c+len(prefix) {
-			t.Fatalf("cut %d: %d onto a %d-byte prefix, %d without", i, shifted[i], len(prefix), c)
-		}
-	}
-	checkCuts(t, got, cuts)
 }
 
-// checkCuts is the contract of the cuts: ascending, one in front of the
-// brace of every row that opens a block of cutHours hours, none anywhere
-// else — so the text between two neighbours is those rows alone.
-func checkCuts(t *testing.T, body []byte, cuts []int) {
+// checkCuts is the contract of the cuts: in order and apart, each kept
+// one the text of its block where the body has it — cutHours rows that
+// open on a multiple of cutHours, every one with its comma. It returns
+// the kept ones.
+func checkCuts(t *testing.T, body []byte, cuts []Cut) (kept []Cut) {
 	t.Helper()
-	var want []int
-	if at := bytes.Index(body, []byte(`"hours":[`)); at >= 0 {
-		// Rows hold no nested braces: a row runs to the next '}'.
-		for at += len(`"hours":[`); body[at] == '{'; {
-			var hour int
-			if _, err := fmt.Sscanf(string(body[at:]), `{"hour":%d,`, &hour); err != nil {
-				t.Fatalf("row at %d: %v", at, err)
-			}
-			if hour%cutHours == 0 {
-				want = append(want, at)
-			}
-			at += bytes.IndexByte(body[at:], '}') + 1
-			if body[at] == ',' {
-				at++
-			}
+	end := 0
+	for i, c := range cuts {
+		if c.Off < end {
+			t.Fatalf("cut %d at %d, the last one at or behind it", i, c.Off)
+		}
+		if end = c.Off + 1; c.Block == nil {
+			continue
+		}
+		kept = append(kept, c)
+		text := c.Block.Text
+		if c.Off+len(text) > len(body) || !bytes.Equal(body[c.Off:c.Off+len(text)], text) {
+			t.Fatalf("cut %d at %d: %d bytes that are not the body's (last cut ended at %d)", i, c.Off, len(text), end)
+		}
+		end = c.Off + len(text)
+		var hour int
+		if _, err := fmt.Sscanf(string(text), `{"hour":%d,`, &hour); err != nil || hour%cutHours != 0 {
+			t.Fatalf("cut %d opens on %.30s (%v)", i, text, err)
+		}
+		if rows := bytes.Count(text, []byte("},")); rows != cutHours || !bytes.HasSuffix(text, []byte("},")) {
+			t.Fatalf("cut %d holds %d rows and ends %q", i, rows, text[len(text)-10:])
 		}
 	}
-	if !slices.Equal(cuts, want) {
-		t.Fatalf("cuts %v, want %v", cuts, want)
-	}
+	return kept
 }
 
 func berlin(t testing.TB) *time.Location {
@@ -117,34 +155,43 @@ func hourly(origin time.Time, n int) []HourPoint {
 	return hours
 }
 
-// TestBlocksReadTheSameEverywhere is what the cuts are for: the text
-// between the cuts of hours 128 and 256 is the same bytes whether the
-// array starts before the block, on it, or in another body type.
+// TestBlocksReadTheSameEverywhere is what the blocks are for: the rows
+// of hours 128-255 are one block, kept once, whether the array starts
+// before the block, on it, or in another body type — and a block with no
+// row behind it, whose array may end there, is none.
 func TestBlocksReadTheSameEverywhere(t *testing.T) {
 	hours := hourly(time.Date(2020, 6, 15, 0, 0, 0, 0, berlin(t)), 400)
-	var want []byte
-	for start, v := range map[int]appender{
-		0:   &Snapshot{Hours: hours, Late: 7},
-		100: &QueryResponse{Frames: 3, Snapshot: &Snapshot{SeriesStart: 100, Hours: hours[100:]}},
-		128: &Snapshot{SeriesStart: 128, Hours: hours[128:300]},
-	} {
-		body, cuts, err := v.AppendJSON([]byte("some prefix"))
-		if err != nil {
-			t.Fatal(err)
+	blocks := newKeeper()
+	var want *Block
+	for pass := 1; pass <= 3; pass++ { // noted, kept, spliced
+		for start, v := range map[int]appender{
+			0:   &Snapshot{Hours: hours, Late: 7},
+			100: &QueryResponse{Frames: 3, Snapshot: &Snapshot{SeriesStart: 100, Hours: hours[100:]}},
+			128: &Snapshot{SeriesStart: 128, Hours: hours[128:384]},
+		} {
+			body, cuts, err := v.AppendJSON([]byte("some prefix"), blocks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var opens []string
+			for _, c := range checkCuts(t, body, cuts) {
+				opens = append(opens, string(c.Block.Text[:bytes.IndexByte(c.Block.Text, ',')]))
+				if bytes.HasPrefix(c.Block.Text, []byte(`{"hour":128,`)) {
+					if want == nil {
+						want = c.Block
+					} else if c.Block != want {
+						t.Fatalf("start %d: the block of hours 128-255 was kept twice", start)
+					}
+				}
+			}
+			wantOpens := map[int]string{0: `[{"hour":0 {"hour":128 {"hour":256]`, 100: `[{"hour":128 {"hour":256]`, 128: `[{"hour":128]`}[start]
+			if got := fmt.Sprint(opens); pass == 3 && got != wantOpens {
+				t.Fatalf("pass %d, start %d: blocks %s, want %s", pass, start, got, wantOpens)
+			}
 		}
-		first := 0
-		if start == 0 {
-			first = 1 // hour 0 opens a block too
-		}
-		block := body[cuts[first]:cuts[first+1]]
-		if !bytes.HasPrefix(block, []byte(`{"hour":128,`)) || !bytes.HasSuffix(block, []byte(`},`)) {
-			t.Fatalf("start %d: block reads %.40s … %s", start, block, block[len(block)-20:])
-		}
-		if want == nil {
-			want = block
-		} else if !bytes.Equal(block, want) {
-			t.Fatalf("start %d: the block of hours 128-255 reads differently", start)
-		}
+	}
+	if blocks.hits == 0 || len(blocks.kept) != 3 {
+		t.Fatalf("%d blocks kept, %d spliced", len(blocks.kept), blocks.hits)
 	}
 }
 
@@ -322,6 +369,25 @@ func (f *feed) series() []HourPoint {
 		}
 		hours = append(hours, p)
 	}
+	if !run || !f.flag() {
+		return hours
+	}
+	// The shape every store answer has, long enough to close blocks: the
+	// run goes on hour by hour from somewhere short of a block's start,
+	// but for the odd row that breaks it.
+	first := f.small() - f.small()%cutHours - f.n(3)
+	odd, flat := f.n(255), f.flag()
+	for i, n := 0, cutHours+f.n(2*cutHours); i < n; i++ {
+		p := HourPoint{Hour: first + i, Time: origin.Add(time.Duration(len(hours)) * time.Hour), Flows: float64(i % 7), Bytes: float64(i)}
+		if !flat {
+			p.Flows, p.Bytes = f.float(), f.float()
+		}
+		if i == odd {
+			p.Hour += f.n(1)
+			p.Time = p.Time.Add(time.Duration(f.n(1)) * time.Nanosecond).In(f.locs[f.n(len(f.locs)-1)])
+		}
+		hours = append(hours, p)
+	}
 	return hours
 }
 
@@ -370,13 +436,16 @@ func (f *feed) query() *QueryResponse {
 // FuzzAppendJSON holds the append encoder to encoding/json over
 // responses built from the fuzz input: arbitrary float bits, strings of
 // arbitrary bytes, zero and out-of-range times, hourly runs in
-// Europe/Berlin and in odd fixed zones, empty and absent sections.
+// Europe/Berlin and in odd fixed zones — some long enough to close
+// blocks, which are then also spliced from kept text — empty and absent
+// sections.
 func FuzzAppendJSON(f *testing.F) {
 	locs := []*time.Location{time.UTC, berlin(f), time.FixedZone("", 5*3600+1800), time.FixedZone("", -(53*60 + 28)), time.FixedZone("", 24*3600)}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{1}, 600))
 	f.Add(bytes.Repeat([]byte{0xff, 0x3c, 0xe2, 0x80, 0xa8, 2, 3}, 200))
 	f.Add(bytes.Repeat([]byte{2, 1, 0x7f, 0xf0, 3, 1, 0x26}, 300))
+	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0, 1, 4, 1, 0, 1, 0, 1, 0, 0, 2, 255, 1, 200, 0, 0, 1}) // 328 rows from hour 254 on: two closed blocks
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &feed{data: data, locs: locs}
 		if in.flag() {

@@ -3,8 +3,10 @@ package cluster
 import (
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"net/url"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"testing"
 	"time"
@@ -72,7 +74,7 @@ func TestShortQueryCostsItsSpanNotTheWindow(t *testing.T) {
 		}
 		ask := func(_ int, from, to time.Time) {
 			res, err := nd.st.QueryResolution(from, to, tier.ResolutionHour)
-			if err != nil || res.Frames == 0 || len(res.Snapshot.Hours) == 0 {
+			if err != nil || res.Frames == 0 || len(res.Snapshot().Hours) == 0 {
 				t.Fatalf("window %d: one-day query: %v, %+v", window, err, res)
 			}
 		}
@@ -112,5 +114,64 @@ func TestShortQueryCostsItsSpanNotTheWindow(t *testing.T) {
 	}
 	if query[1]*10 > ringEraBytes {
 		t.Errorf("a one-day query allocates %d bytes at a 12 000-hour window, want under a tenth of the %d it took with ring targets", query[1], ringEraBytes)
+	}
+}
+
+// TestRoutedSnapshotPollAllocates pins what a dashboard's snapshot panel
+// costs in memory under ingest, through both daemons in one process: an
+// append lands between any two polls, so every poll is a miss on shard
+// and router — one cut and fold of the year in the store, the state hop,
+// DecodeState, Fleet.merge, the render and the stitched gzip. At the
+// parent of this test that was 3 797 kB a poll, measured with this loop:
+// a fresh -window-hours ring folded under the append lock, 8 800
+// HourPoints rendered and un-rendered on the shard and its state copied
+// to size, the body rendered to scratch and copied on the router. Three
+// quarters of it are left (2 855 kB), and what is left is what a poll
+// ships: the body, the state (encoded, buffered by the timeout handler,
+// read, decoded), two folds, the router's hour points, the client's copy
+// of the gzip. The bar sits just above that — the 60 % first asked of
+// this change would take the hour points off the router too.
+func TestRoutedSnapshotPollAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte counts under -race measure the detector")
+	}
+	const (
+		days        = 364
+		polls       = 16
+		parentBytes = 3_797_000
+	)
+	nd := newTierNode(t, days, tierCapture(days), func(*netflow.Record) bool { return true })
+	router := tierRouter(t, []*node{nd})
+	newest := entime.StudyStart.Add((days*24 - 1) * time.Hour)
+	client := netip.AddrFrom4([4]byte{10, 200, 0, 1})
+	poll := func() {
+		if err := nd.st.Append([]netflow.Record{keptRecord(newest, client, 300)}); err != nil {
+			t.Fatal(err)
+		}
+		status, hdr, body := get(t, router.URL+"/api/v1/snapshot", map[string]string{"Accept-Encoding": "gzip"})
+		if status != http.StatusOK || hdr.Get("ETag") == "" || len(body) < 50_000 {
+			t.Fatalf("routed snapshot: %d, ETag %q, %d bytes", status, hdr.Get("ETag"), len(body))
+		}
+	}
+	for i := 0; i < 3; i++ { // a closed block is kept from its second sighting on
+		poll()
+	}
+	// A collection empties the pools the edge compresses (and, at the
+	// parent, renders) out of, and how many fall into sixteen polls is
+	// chance: without one the count is the polls' own.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	least := ^uint64(0)
+	for pass := 0; pass < 3; pass++ { // strays only ever add: see TestShortQueryCostsItsSpanNotTheWindow
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < polls; i++ {
+			poll()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/polls)
+	}
+	t.Logf("a routed snapshot poll of %d days allocates %d bytes (parent: %d)", days, least, parentBytes)
+	if least*100 > parentBytes*78 {
+		t.Errorf("a routed snapshot poll allocates %d bytes, want at most 78%% of the parent's %d", least, parentBytes)
 	}
 }

@@ -246,7 +246,7 @@ func (f *Fleet) Query(ctx context.Context, from, to time.Time, res tier.Resoluti
 func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.ShardTiming, from, to time.Time) (*api.FanResult, error) {
 	res := &api.FanResult{Missing: missing, Timings: timings}
 	var (
-		m      *streaming.Range
+		states []*streaming.Stored
 		first  *part
 		lh     *tier.Builder
 		etags  = make([]string, len(parts))
@@ -265,12 +265,6 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 		}
 		if first == nil {
 			first = p
-			m = streaming.NewRange(streaming.Config{
-				Origin:      p.Origin,
-				WindowHours: p.State.Window(),
-				TopK:        f.topK,
-				Model:       f.model,
-			}, from, to)
 			if p.Resolution != "" {
 				lh = tier.NewBuilder(p.Resolution, p.Origin, nil)
 			}
@@ -282,23 +276,29 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 		}
 		res.Frames += p.Frames
 		res.TailIncluded = res.TailIncluded || p.TailIncluded
-		m.MergeStored(p.State)
+		states = append(states, p.State)
 		if lh != nil {
 			lh.AddFrame(p.LongHorizon)
 			tierFrames += p.TierFrames
 			rawFrames += p.RawFrames
 		}
 	}
-	if m == nil {
+	if first == nil {
 		return res, nil // every shard missing; the handler turns this into 503
 	}
+	m := streaming.Fold(streaming.Config{
+		Origin:      first.Origin,
+		WindowHours: first.State.Window(),
+		TopK:        f.topK,
+		Model:       f.model,
+	}, from, to, states...)
 	if lh == nil {
 		res.Snapshot = m.Snapshot()
 	} else {
 		// The merged exact part is the raw residual: render it under the
 		// store's own rule for one (see store.QueryResolution), so routed
 		// and single-node answers stay the same bytes.
-		res.Snapshot = m.SnapshotPopulated()
+		res.Snapshot = m.Populated().Snapshot()
 		res.Resolution = string(first.Resolution)
 		res.LongHorizon = lh.Answer()
 		res.LongHorizon.TierFrames, res.LongHorizon.RawFrames = tierFrames, rawFrames

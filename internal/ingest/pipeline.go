@@ -326,15 +326,6 @@ func (p *Pipeline) Addrs() []string {
 	return out
 }
 
-// newLoopReader registers a reader with no socket. Benchmarks and the
-// backpressure tests feed it through handleDatagram, measuring the decode
-// and dispatch path without UDP in the way. Call before any traffic flows.
-func (p *Pipeline) newLoopReader() *reader {
-	r := &reader{sources: make(map[sourceKey]*nfv9.Decoder)}
-	p.readers = append(p.readers, r)
-	return r
-}
-
 // read is one socket's receive loop; the actual loop body is
 // platform-selected (recvmmsg batching on linux, the portable
 // one-datagram ReadFrom loop elsewhere — see sockread_linux.go and

@@ -12,6 +12,15 @@ import (
 
 // encodePackets renders n export packets of recordsPer records each, all
 // from one synthetic source, with valid templates and sequence numbers.
+// newLoopReader registers a reader with no socket. Benchmarks and the
+// backpressure tests feed it through handleDatagram, measuring the decode
+// and dispatch path without UDP in the way. Call before any traffic flows.
+func (p *Pipeline) newLoopReader() *reader {
+	r := &reader{sources: make(map[sourceKey]*nfv9.Decoder)}
+	p.readers = append(p.readers, r)
+	return r
+}
+
 func encodePackets(t testing.TB, n, recordsPer int) [][]byte {
 	t.Helper()
 	enc := nfv9.NewEncoder(1)

@@ -14,6 +14,7 @@ import (
 	"cwatrace/internal/nfv9"
 	"cwatrace/internal/store"
 	"cwatrace/internal/streaming"
+	"cwatrace/internal/tier"
 )
 
 // recoveryAnalytics is the analytics configuration shared by the durable
@@ -77,15 +78,15 @@ func runDurable(t *testing.T, st *store.Store, workers int, recs []netflow.Recor
 	}
 }
 
-// walMultiset reads the canonical-encoding multiset of every record
-// surviving in dir's WAL.
+// walMultiset reads the multiset of every record surviving in dir's WAL,
+// keyed by the record as the WAL codec decodes it.
 func walMultiset(t *testing.T, dir string) (map[string]int, map[string]netflow.Record) {
 	t.Helper()
 	counts := make(map[string]int)
 	samples := make(map[string]netflow.Record)
 	err := store.WalkWAL(dir, func(batch []netflow.Record) error {
 		for _, r := range batch {
-			k := string(store.EncodeRecord(r))
+			k := fmt.Sprintf("%+v", r)
 			counts[k]++
 			samples[k] = r
 		}
@@ -146,11 +147,11 @@ func lastSegment(t *testing.T, dir string) (string, int64) {
 // queryJSON renders a full-range query canonically.
 func queryJSON(t *testing.T, st *store.Store) string {
 	t.Helper()
-	res, err := st.Query(time.Time{}, time.Time{})
+	res, err := st.QueryResolution(time.Time{}, time.Time{}, tier.ResolutionHour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(res.Snapshot)
+	b, err := json.Marshal(res.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}

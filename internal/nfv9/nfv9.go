@@ -82,9 +82,6 @@ func NewEncoder(sourceID uint32) *Encoder {
 // periodic template refresh of RFC 3954).
 func (e *Encoder) Reset() { e.templatesSent = false }
 
-// Sequence returns the current sequence counter.
-func (e *Encoder) Sequence() uint32 { return e.seq }
-
 // Encode renders records into one export packet. The first packet (and any
 // packet after Reset) carries the template FlowSet. Records are split by
 // address family into the two data FlowSets. exportTime stamps the header.

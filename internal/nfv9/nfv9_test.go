@@ -11,6 +11,9 @@ import (
 
 var exportTime = time.Date(2020, time.June, 16, 9, 0, 0, 0, time.UTC)
 
+// Sequence returns the current sequence counter.
+func (e *Encoder) Sequence() uint32 { return e.seq }
+
 func v4Record(i int) netflow.Record {
 	return netflow.Record{
 		Key: netflow.Key{

@@ -26,6 +26,7 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 )
@@ -95,15 +96,20 @@ func (h *HLL) AddHash(v uint64) {
 func (h *HLL) Add(s string) { h.AddHash(HashString(s)) }
 
 // Merge folds other into h (register-wise max). Merging is associative,
-// commutative and idempotent, so fold order never changes the result.
+// commutative and idempotent, so fold order never changes the result. The
+// max is taken eight registers per uint64: with y's top bits masked off,
+// (x|H)-y borrows from no neighbouring byte and keeps H where the low
+// seven bits of x reach y's; where the top bits differ, x's own decides.
 func (h *HLL) Merge(other *HLL) {
 	if other == nil {
 		return
 	}
-	for i, r := range other.reg {
-		if r > h.reg[i] {
-			h.reg[i] = r
-		}
+	const H = 0x8080808080808080
+	for i := 0; i < hllM; i += 8 {
+		x, y := binary.LittleEndian.Uint64(h.reg[i:]), binary.LittleEndian.Uint64(other.reg[i:])
+		ge := (x&^y | ^(x^y)&((x|H)-(y&^H))) & H // H in every byte where x >= y
+		keep := (ge >> 7) * 0xff
+		binary.LittleEndian.PutUint64(h.reg[i:], x&keep|y&^keep)
 	}
 }
 

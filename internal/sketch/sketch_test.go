@@ -262,3 +262,54 @@ func TestHashValuesAreFrozen(t *testing.T) {
 		t.Fatalf("register file checksum %#x estimate %d, want 0xea0dec2d and 5242", crc, h.Estimate())
 	}
 }
+
+// TestHLLMergeIsTheByteWiseMax holds the eight-registers-a-word Merge to
+// the loop it replaced, over every shape of register file a decoder can
+// hand it: random bytes (a frame off the disk is not held to ranks a
+// hash can produce), all-saturated, all-empty, and real sketches.
+func TestHLLMergeIsTheByteWiseMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	files := []func(i int) uint8{
+		func(int) uint8 { return uint8(rng.Intn(256)) },
+		func(int) uint8 { return uint8(rng.Intn(54)) },
+		func(i int) uint8 { return []uint8{0, 0x7f, 0x80, 0xff}[rng.Intn(4)] },
+		func(int) uint8 { return 0xff },
+		func(int) uint8 { return 0 },
+	}
+	for round := 0; round < 200; round++ {
+		var a, b HLL
+		fa, fb := files[rng.Intn(len(files))], files[rng.Intn(len(files))]
+		for i := range a.reg {
+			a.reg[i], b.reg[i] = fa(i), fb(i)
+		}
+		want := a
+		for i, r := range b.reg {
+			if r > want.reg[i] {
+				want.reg[i] = r
+			}
+		}
+		a.Merge(&b)
+		if a != want {
+			for i := range a.reg {
+				if a.reg[i] != want.reg[i] {
+					t.Fatalf("round %d, register %d: merged to %#x, max is %#x", round, i, a.reg[i], want.reg[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkHLLMerge is what a tier fold does per frame: two sketches of
+// a few thousand prefixes each into an empty one (per merge).
+func BenchmarkHLLMerge(b *testing.B) {
+	x, y := NewHLL(), NewHLL()
+	for i := 0; i < 3000; i++ {
+		x.Add(fmt.Sprint("x", i))
+		y.Add(fmt.Sprint("y", i))
+	}
+	for i := 0; i < b.N; i += 2 {
+		var h HLL
+		h.Merge(x)
+		h.Merge(y)
+	}
+}

@@ -175,8 +175,8 @@ func TestWarmYearQueryDecodesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Frames != frames || len(res.Snapshot.Hours) != days*24 {
-			t.Fatalf("year query merged %d frames into %d hours, want %d and %d", res.Frames, len(res.Snapshot.Hours), frames, days*24)
+		if res.Frames != frames || len(res.Snapshot().Hours) != days*24 {
+			t.Fatalf("year query merged %d frames into %d hours, want %d and %d", res.Frames, len(res.Snapshot().Hours), frames, days*24)
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}

@@ -216,6 +216,7 @@ func (s *Store) checkpointLocked(ctx context.Context, sp *obs.Span) error {
 	s.frames = append(s.frames, frameMeta{frameInfo: info, path: path})
 	s.frameRecords += info.Records
 	s.base.Merge(oldTail)
+	s.baseState = s.base.Detach(time.Time{}, time.Time{})
 	s.foldingTail, s.foldingRecords = nil, 0
 	s.wal.drop(folded)
 	s.checkpoints++

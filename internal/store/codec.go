@@ -56,13 +56,6 @@ func readRecord(data []byte, want byte) (payload []byte, n int, err error) {
 	return payload, n, nil
 }
 
-// EncodeRecord renders one flow record in the canonical payload encoding.
-// Exported for tooling and tests that need a canonical byte key for
-// record multisets; AppendBatch uses the same encoding internally.
-func EncodeRecord(r netflow.Record) []byte {
-	return appendFlowRecord(nil, &r)
-}
-
 // appendFlowRecord encodes one flow record:
 // fam(1) addr fam(1) addr srcPort(2) dstPort(2) proto(1)
 // packets(8) bytes(8) firstUnixNano(8) lastUnixNano(8) expLen(1) exporter.

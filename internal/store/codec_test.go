@@ -51,6 +51,10 @@ func TestFlowRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// EncodeRecord renders one flow record in the canonical payload encoding:
+// a byte key for record multisets.
+func EncodeRecord(r netflow.Record) []byte { return appendFlowRecord(nil, &r) }
+
 func TestEncodeRecordCanonical(t *testing.T) {
 	r := keptRecord(1, 2, 500)
 	if string(EncodeRecord(r)) != string(EncodeRecord(r)) {

@@ -144,7 +144,7 @@ func TestFrameCacheCoherentUnderChurn(t *testing.T) {
 		case r.LongHorizon != nil:
 			return snapJSON(t, r.LongHorizon.Buckets)
 		}
-		return snapJSON(t, r.Snapshot.Hours)
+		return snapJSON(t, r.Snapshot().Hours)
 	}
 	quiesced := func(day int) (frozen []query, want []string) {
 		if err := s.Checkpoint(); err != nil {

@@ -55,11 +55,6 @@ type QueryResult struct {
 	// reports whether the live (un-checkpointed) tail contributed.
 	Frames       int  `json:"frames"`
 	TailIncluded bool `json:"tail_included"`
-	// Snapshot is the merged, hour-trimmed view of the range. At hour
-	// resolution it covers every selected frame; at day/week resolution
-	// it holds only the exact raw residual (tiered history lives in
-	// LongHorizon), so Frames then counts residual frames only.
-	Snapshot *streaming.Snapshot `json:"snapshot"`
 	// Resolution and LongHorizon are set by QueryResolution for day- and
 	// week-resolution answers (see internal/tier); both are empty on the
 	// exact hourly path, keeping the v1 wire schema unchanged.
@@ -69,14 +64,22 @@ type QueryResult struct {
 	// hold of the store mutex that took the frame list and the live state,
 	// so it names these bytes however many appends land meanwhile.
 	Version uint64 `json:"-"`
+
+	// fold is the merged exact part, unrendered: at hour resolution every
+	// selected frame, at day/week resolution only the exact raw residual
+	// (tiered history lives in LongHorizon; Frames then counts residual
+	// frames only). A JSON body renders it, a shard answering a router
+	// ships it as it is.
+	fold *streaming.Range
 }
 
-// Query is QueryResolution at hour resolution, the exact answer: the
-// frames overlapping [from, to) merged with the live tail, trimmed to the
-// range. Zero bounds are open ends: Query(zero, zero) covers the store's
-// whole history.
-func (s *Store) Query(from, to time.Time) (*QueryResult, error) {
-	return s.QueryResolution(from, to, tier.ResolutionHour)
+// Snapshot renders the merged, hour-trimmed view of the range.
+func (r *QueryResult) Snapshot() *streaming.Snapshot { return r.fold.Snapshot() }
+
+// State is the state behind Snapshot, unrendered (streaming.Range.Stored),
+// and the origin it is anchored at.
+func (r *QueryResult) State() (*streaming.Stored, time.Time) {
+	return r.fold.Stored(), r.fold.Origin()
 }
 
 // QueryResolution answers a range query at the requested resolution.
@@ -148,7 +151,7 @@ func (s *Store) tryQuery(from, to time.Time, res tier.Resolution) (*QueryResult,
 	// at that window but a streaming.Range: sized by the hours the range
 	// shares with the selected frames, evicting nothing, and reporting the
 	// window a ring widened to hold them all would have.
-	m := streaming.NewRange(s.cfg, from, to)
+	states := make([]*streaming.Stored, 0, len(frames)+len(live))
 	for _, fr := range frames {
 		if fr.BaseSeg < plan.RawFloor || !tier.HoursOverlap(s.cfg.Origin, fr.MinHour, fr.MaxHour, from, to) {
 			continue
@@ -157,34 +160,27 @@ func (s *Store) tryQuery(from, to time.Time, res tier.Resolution) (*QueryResult,
 		if err != nil {
 			return nil, err
 		}
-		m.MergeStored(st)
+		states = append(states, st)
 		if tiered {
 			acc.AddShard(st.EachPrefix)
 		}
 		result.Frames++
 	}
-	for _, st := range live {
-		m.MergeStored(st)
-	}
+	result.fold = streaming.Fold(s.cfg, from, to, append(states, live...)...)
 	if !tiered {
-		result.Snapshot = m.Snapshot()
 		return result, nil
 	}
 	if live != nil {
 		// To the presence sketch, which counts the shards a prefix appears
 		// in, the live tails are one shard: a prefix both hold counts once.
-		shard := streaming.NewRange(s.cfg, from, to)
-		for _, st := range live {
-			shard.MergeStored(st)
-		}
-		acc.AddShard(shard.EachPrefix)
+		acc.AddShard(streaming.Fold(s.cfg, from, to, live...).EachPrefix)
 	}
 	// The residual series starts at its own first populated hour: the
 	// hours before it are what the selected tier frames cover, and
 	// rendering them would report zero traffic where the buckets report
-	// some (and dominate a year-span answer with empty rows).
-	result.Snapshot = m.SnapshotPopulated()
-	b.AddResidual(result.Snapshot, acc, result.Frames)
+	// some (and dominate a year-span answer with empty rows). The builder
+	// reads a rendering of it, a few rows, whatever the caller will ask for.
+	b.AddResidual(result.fold.Populated().Snapshot(), acc, result.Frames)
 	result.LongHorizon = b.Answer()
 	result.LongHorizon.Label(s.cfg.Model)
 	return result, nil

@@ -1,18 +1,30 @@
 package store
 
 import (
+	"bytes"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"cwatrace/internal/entime"
 	"cwatrace/internal/netflow"
 	"cwatrace/internal/streaming"
+	"cwatrace/internal/tier"
 )
 
 // buildQueryStore checkpoints three disjoint hour ranges and leaves a
 // tail, mirroring a collector that ran for "weeks" with periodic
 // checkpoints: frame 1 hours 0-3, frame 2 hours 10-13, frame 3 hours
 // 20-23, tail hours 30-31.
+// Query is QueryResolution at hour resolution, the exact answer: the
+// frames overlapping [from, to) merged with the live tail, trimmed to the
+// range. Zero bounds are open ends: Query(zero, zero) covers the store's
+// whole history.
+func (s *Store) Query(from, to time.Time) (*QueryResult, error) {
+	return s.QueryResolution(from, to, tier.ResolutionHour)
+}
+
 func buildQueryStore(t *testing.T, dir string) (*Store, *streaming.Analytics) {
 	t.Helper()
 	s := mustOpen(t, dir, Options{})
@@ -164,7 +176,7 @@ func TestQueryFullRangeMatchesSnapshot(t *testing.T) {
 	if res.Frames != 3 || !res.TailIncluded {
 		t.Fatalf("full range merged %d frames, tail %v", res.Frames, res.TailIncluded)
 	}
-	if got, want := snapJSON(t, res.Snapshot), snapJSON(t, ref.Snapshot()); got != want {
+	if got, want := snapJSON(t, res.Snapshot()), snapJSON(t, ref.Snapshot()); got != want {
 		t.Fatalf("full-range query:\n got %s\nwant %s", got, want)
 	}
 	if got, want := snapJSON(t, s.Snapshot()), snapJSON(t, ref.Snapshot()); got != want {
@@ -184,17 +196,17 @@ func TestQuerySelectsOverlappingFrames(t *testing.T) {
 	if res.Frames != 1 || res.TailIncluded {
 		t.Fatalf("range [10,14) merged %d frames, tail %v", res.Frames, res.TailIncluded)
 	}
-	if len(res.Snapshot.Hours) != 4 {
-		t.Fatalf("hours in range: %d, want 4", len(res.Snapshot.Hours))
+	if len(res.Snapshot().Hours) != 4 {
+		t.Fatalf("hours in range: %d, want 4", len(res.Snapshot().Hours))
 	}
-	for i, p := range res.Snapshot.Hours {
+	for i, p := range res.Snapshot().Hours {
 		if p.Hour != 10+i || p.Flows != 1 {
 			t.Fatalf("hour %d: %+v", i, p)
 		}
 	}
 	// The hour series is range-exact even though the frame covers more.
-	if res.Snapshot.SeriesStart != 10 {
-		t.Fatalf("series start %d, want 10", res.Snapshot.SeriesStart)
+	if res.Snapshot().SeriesStart != 10 {
+		t.Fatalf("series start %d, want 10", res.Snapshot().SeriesStart)
 	}
 
 	// Hours [12, 22): two frames overlap.
@@ -206,8 +218,8 @@ func TestQuerySelectsOverlappingFrames(t *testing.T) {
 		t.Fatalf("range [12,22) merged %d frames, want 2", res.Frames)
 	}
 	wantHours := []int{12, 13, 20, 21}
-	gotHours := make([]int, 0, len(res.Snapshot.Hours))
-	for _, p := range res.Snapshot.Hours {
+	gotHours := make([]int, 0, len(res.Snapshot().Hours))
+	for _, p := range res.Snapshot().Hours {
 		if p.Flows > 0 {
 			gotHours = append(gotHours, p.Hour)
 		}
@@ -226,8 +238,8 @@ func TestQuerySelectsOverlappingFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Frames != 1 || len(res.Snapshot.Hours) != 4 || res.TailIncluded {
-		t.Fatalf("range [origin,4): frames=%d hours=%d tail=%v", res.Frames, len(res.Snapshot.Hours), res.TailIncluded)
+	if res.Frames != 1 || len(res.Snapshot().Hours) != 4 || res.TailIncluded {
+		t.Fatalf("range [origin,4): frames=%d hours=%d tail=%v", res.Frames, len(res.Snapshot().Hours), res.TailIncluded)
 	}
 
 	// The tail is served like a frame for fresh hours.
@@ -235,8 +247,8 @@ func TestQuerySelectsOverlappingFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Frames != 0 || !res.TailIncluded || len(res.Snapshot.Hours) != 2 {
-		t.Fatalf("tail range: frames=%d tail=%v hours=%d", res.Frames, res.TailIncluded, len(res.Snapshot.Hours))
+	if res.Frames != 0 || !res.TailIncluded || len(res.Snapshot().Hours) != 2 {
+		t.Fatalf("tail range: frames=%d tail=%v hours=%d", res.Frames, res.TailIncluded, len(res.Snapshot().Hours))
 	}
 
 	// A range with no coverage at all is empty, not an error.
@@ -244,7 +256,7 @@ func TestQuerySelectsOverlappingFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Snapshot.Hours) != 0 || res.Frames != 0 || res.TailIncluded {
+	if len(res.Snapshot().Hours) != 0 || res.Frames != 0 || res.TailIncluded {
 		t.Fatalf("empty range: %+v", res)
 	}
 }
@@ -274,23 +286,23 @@ func TestQueryWiderThanLiveWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	populated := 0
-	for _, p := range res.Snapshot.Hours {
+	for _, p := range res.Snapshot().Hours {
 		if p.Flows > 0 {
 			populated++
 		}
 	}
-	if res.Snapshot.SeriesStart != 0 || populated != 21 {
+	if res.Snapshot().SeriesStart != 0 || populated != 21 {
 		t.Fatalf("full-range query over a slid window: start=%d populated=%d, want 0/21",
-			res.Snapshot.SeriesStart, populated)
+			res.Snapshot().SeriesStart, populated)
 	}
 	// A mid-history sub-range that the live window has long evicted.
 	sub, err := s.Query(at(4), at(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sub.Snapshot.Hours) != 6 || sub.Snapshot.SeriesStart != 4 {
+	if len(sub.Snapshot().Hours) != 6 || sub.Snapshot().SeriesStart != 4 {
 		t.Fatalf("evicted-range query: start=%d hours=%d, want 4/6",
-			sub.Snapshot.SeriesStart, len(sub.Snapshot.Hours))
+			sub.Snapshot().SeriesStart, len(sub.Snapshot().Hours))
 	}
 	// The live snapshot, by contrast, only holds the trailing window.
 	if live := s.Snapshot(); len(live.Hours) > 6 {
@@ -327,7 +339,7 @@ func TestQueryIndependentOfCheckpointPlacement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return snapJSON(t, res.Snapshot)
+		return snapJSON(t, res.Snapshot())
 	}
 
 	none := build(nil)
@@ -369,7 +381,7 @@ func TestQueryDuringFoldKeepsNonOverlappingTail(t *testing.T) {
 	if !res.TailIncluded {
 		t.Fatal("live state not included")
 	}
-	snap := res.Snapshot
+	snap := res.Snapshot()
 	if len(snap.Hours) != 4 || snap.SeriesStart != 0 {
 		t.Fatalf("range window [%d +%d], want [0 +4]", snap.SeriesStart, len(snap.Hours))
 	}
@@ -386,4 +398,140 @@ func TestQueryDuringFoldKeepsNonOverlappingTail(t *testing.T) {
 	s.mu.Lock()
 	s.foldingTail, s.foldingRecords = nil, 0
 	s.mu.Unlock()
+}
+
+// TestSnapshotBeyondWindow holds the snapshot's fold — the compact base
+// and the detached tails, into a flat window, outside the append lock —
+// to the ring it replaced once history outgrows -window-hours: ten days
+// of checkpoints at a 48-hour window, a live tail that reaches past them,
+// and records that come late into frames and tail alike. The rendering
+// and the state a router is shipped are the bytes of a ring at the window
+// that merged base and tail under the lock, the late count included, and
+// again after a reopen.
+func TestSnapshotBeyondWindow(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	for day := 0; day < 10; day++ {
+		batch := []netflow.Record{keptRecord(day*24+3, day, 500), keptRecord(day*24+20, 7, 900)}
+		if day > 3 {
+			batch = append(batch, keptRecord((day-3)*24, 9, 100)) // late by the time its frame folds into base
+		}
+		if err := s.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail := []netflow.Record{keptRecord(10*24+5, 1, 300), keptRecord(10*24+30, 2, 300), keptRecord(9*24, 3, 100), keptRecord(2*24, 4, 100)}
+	if err := s.Append(tail); err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *Store) {
+		t.Helper()
+		ring := streaming.New(s.cfg)
+		ring.Merge(s.base)
+		ring.Merge(s.tail)
+		want := ring.Snapshot()
+		got := s.Snapshot()
+		if got.Late < 7 || got.SeriesStart != 10*24+30-47 || len(got.Hours) != 48 {
+			t.Fatalf("late %d, series [%d +%d): the window did not slide over the history", got.Late, got.SeriesStart, len(got.Hours))
+		}
+		if got.Version == 0 {
+			t.Fatal("snapshot carries no Version")
+		}
+		got.Version = 0
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("snapshot\n%+v\nthe ring\n%+v", got, want)
+		}
+		st, origin := s.SnapshotResult().State()
+		state, err := st.AppendBinary(nil, origin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ringState, _ := streaming.FromSnapshot(want).MarshalBinary(); !bytes.Equal(state, ringState) {
+			t.Fatalf("state of %d bytes, the ring's rendering encodes to other %d", len(state), len(ringState))
+		}
+	}
+	check(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = mustOpen(t, dir, Options{})
+	defer s.Close()
+	check(s)
+}
+
+// TestSnapshotHoldsLockForItsCutOnly pins who waits for a snapshot. The
+// append lock is held for the cut — the compact base's pointer, the
+// detached tails, the Version — and not for the fold: with a cut taken
+// and its fold still to come, an Append goes through, and the fold then
+// renders the cut, not the append. And what the cut costs does not grow
+// with the history: the bytes it allocates are the same over a month and
+// over a year of frames, while the whole snapshot's grow with the window
+// they fill (at the parent of this test all of them were allocated, and
+// the ring folded, under the lock).
+func TestSnapshotHoldsLockForItsCutOnly(t *testing.T) {
+	build := func(days int) *Store {
+		s := mustOpen(t, t.TempDir(), Options{Analytics: streaming.Config{WindowHours: 366 * 24, TopK: 5}})
+		t.Cleanup(func() { s.Close() })
+		for day := 0; day < days; day++ {
+			if err := s.Append([]netflow.Record{keptRecord(day*24+3, day, 500), keptRecord(day*24+20, 7, 900)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Append([]netflow.Record{keptRecord(days*24, 1, 300)}); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := build(30)
+	before := snapJSON(t, s.Snapshot())
+	states, version := s.snapshotCut()
+	done := make(chan error, 1)
+	go func() { done <- s.Append([]netflow.Record{keptRecord(30*24+1, 2, 300)}) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an Append waits for a snapshot that has taken its cut")
+	}
+	if got := snapJSON(t, streaming.FoldWindow(s.cfg, states...).Snapshot()); got != before {
+		t.Fatalf("the fold of a cut renders\n%s\nwant the state as of the cut\n%s", got, before)
+	}
+	if after := s.Snapshot(); after.Version == version || snapJSON(t, after) == before {
+		t.Fatal("the append is not in the next snapshot, or under the cut's Version")
+	}
+
+	bytesPer := func(fn func()) uint64 {
+		least := ^uint64(0)
+		for pass := 0; pass < 3; pass++ { // strays only ever add
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < 16; i++ {
+				fn()
+			}
+			runtime.ReadMemStats(&m1)
+			least = min(least, (m1.TotalAlloc-m0.TotalAlloc)/16)
+		}
+		return least
+	}
+	var cut, whole []uint64
+	for _, days := range []int{30, 120, 360} {
+		s := build(days)
+		cut = append(cut, bytesPer(func() { s.snapshotCut() }))
+		whole = append(whole, bytesPer(func() { s.Snapshot() }))
+	}
+	t.Logf("bytes per snapshot over 30 / 120 / 360 days of frames: under the lock %v, in all %v", cut, whole)
+	if lo, hi := min(cut[0], cut[1], cut[2]), max(cut[0], cut[1], cut[2]); (hi-lo)*20 > lo {
+		t.Errorf("the cut allocates %v bytes at the three history lengths: want within 5%% of each other", cut)
+	}
+	if whole[2] < 4*whole[0] || cut[2]*10 > whole[2] {
+		t.Errorf("a snapshot allocates %v bytes in all and %v under the lock: want the first to grow with the history and the second under a tenth of it", whole, cut)
+	}
 }

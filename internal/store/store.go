@@ -186,6 +186,7 @@ type Store struct {
 
 	frames       []frameMeta // sorted by BaseSeg
 	base         *streaming.Analytics
+	baseState    *streaming.Stored // base, compact and immutable: replaced at Open and every commit
 	tail         *streaming.Analytics
 	tailRecords  uint64
 	frameRecords uint64
@@ -335,6 +336,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 
+	s.baseState = s.base.Detach(time.Time{}, time.Time{})
 	if s.nextFrameSeq == 0 {
 		s.nextFrameSeq = 1
 	}
@@ -564,17 +566,26 @@ func (s *Store) Flush() error {
 // in-memory view, and identical to it when both saw the same records —
 // stamped with the Version(zero, zero) of the instant it was taken.
 func (s *Store) Snapshot() *streaming.Snapshot {
+	res := s.SnapshotResult()
+	snap := res.Snapshot()
+	snap.Version = res.Version
+	return snap
+}
+
+// SnapshotResult is Snapshot unrendered (a shard answering a router ships
+// the state): the cut, folded into what a ring at -window-hours comes to.
+func (s *Store) SnapshotResult() *QueryResult {
+	states, version := s.snapshotCut()
+	return &QueryResult{Version: version, fold: streaming.FoldWindow(s.cfg, states...)}
+}
+
+// snapshotCut is all of a snapshot that holds mu, which ingest appends
+// wait on: the compact base, the detached tails, the Version.
+func (s *Store) snapshotCut() ([]*streaming.Stored, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := streaming.New(s.cfg)
-	m.Merge(s.base)
-	if s.foldingTail != nil {
-		m.Merge(s.foldingTail)
-	}
-	m.Merge(s.tail)
-	snap := m.Snapshot()
-	snap.Version = s.versionLocked(time.Time{}, time.Time{})
-	return snap
+	states := append([]*streaming.Stored{s.baseState}, s.detachLive(time.Time{}, time.Time{})...)
+	return states, s.versionLocked(time.Time{}, time.Time{})
 }
 
 // Config reports the resolved analytics configuration (meta-file values

@@ -366,7 +366,7 @@ func TestFrameCompactionBoundsFrameCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := snapJSON(t, res.Snapshot), snapJSON(t, ref.Snapshot()); got != want {
+	if got, want := snapJSON(t, res.Snapshot()), snapJSON(t, ref.Snapshot()); got != want {
 		t.Fatalf("compacted query diverges:\n got %s\nwant %s", got, want)
 	}
 	if err := s.Close(); err != nil {
@@ -460,8 +460,8 @@ func TestReadOnlyOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Snapshot.Census.Kept != 5 {
-		t.Fatalf("read-only query kept %d, want 5", res.Snapshot.Census.Kept)
+	if res.Snapshot().Census.Kept != 5 {
+		t.Fatalf("read-only query kept %d, want 5", res.Snapshot().Census.Kept)
 	}
 	// No new active segment was created.
 	if after := walFiles(t, dir); !reflect.DeepEqual(after, before) {
@@ -563,8 +563,8 @@ func TestConcurrentAppendCheckpointQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Snapshot.Census.Kept != totalKept {
-		t.Fatalf("kept %d records, want %d", res.Snapshot.Census.Kept, totalKept)
+	if res.Snapshot().Census.Kept != totalKept {
+		t.Fatalf("kept %d records, want %d", res.Snapshot().Census.Kept, totalKept)
 	}
 	if snap := s.Snapshot(); snap.Census.Kept != totalKept {
 		t.Fatalf("snapshot kept %d records, want %d", snap.Census.Kept, totalKept)
@@ -712,7 +712,7 @@ func TestCompactionPreservesHoursBeyondWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := res.Snapshot
+		snap := res.Snapshot()
 		if snap.SeriesStart != 0 || len(snap.Hours) != hours {
 			t.Fatalf("query window [%d +%d], want [0 +%d]", snap.SeriesStart, len(snap.Hours), hours)
 		}
@@ -771,7 +771,7 @@ func TestCheckpointPreservesBurstBeyondWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := res.Snapshot
+		snap := res.Snapshot()
 		if snap.SeriesStart != 0 || len(snap.Hours) != hours {
 			t.Fatalf("query window [%d +%d], want [0 +%d]", snap.SeriesStart, len(snap.Hours), hours)
 		}
@@ -822,7 +822,7 @@ func TestForgedTimestampDoesNotBrickStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := res.Snapshot
+	snap := res.Snapshot()
 	if snap.Late != 1 {
 		t.Fatalf("late = %d, want 1 (the forged record)", snap.Late)
 	}

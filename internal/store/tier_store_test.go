@@ -53,7 +53,7 @@ func exactBuckets(t *testing.T, s *Store, width int64) map[int64][2]float64 {
 		t.Fatal(err)
 	}
 	out := map[int64][2]float64{}
-	for _, p := range raw.Snapshot.Hours {
+	for _, p := range raw.Snapshot().Hours {
 		if p.Flows == 0 && p.Bytes == 0 {
 			continue
 		}
@@ -77,10 +77,10 @@ func checkAnswerExact(t *testing.T, s *Store, r *QueryResult, res tier.Resolutio
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ans.Census.Total != raw.Snapshot.Census.Total || ans.Census.Kept != raw.Snapshot.Census.Kept {
-		t.Fatalf("census diverges from exact: got %+v want %+v", ans.Census, raw.Snapshot.Census)
+	if ans.Census.Total != raw.Snapshot().Census.Total || ans.Census.Kept != raw.Snapshot().Census.Kept {
+		t.Fatalf("census diverges from exact: got %+v want %+v", ans.Census, raw.Snapshot().Census)
 	}
-	for reason, n := range raw.Snapshot.Census.Dropped {
+	for reason, n := range raw.Snapshot().Census.Dropped {
 		if ans.Census.Dropped[reason] != n {
 			t.Fatalf("dropped[%v] = %d, want %d", reason, ans.Census.Dropped[reason], n)
 		}
@@ -97,7 +97,7 @@ func checkAnswerExact(t *testing.T, s *Store, r *QueryResult, res tier.Resolutio
 	}
 	// District rollups are exact sums too.
 	wantD := map[string]uint64{}
-	for _, d := range raw.Snapshot.Districts {
+	for _, d := range raw.Snapshot().Districts {
 		wantD[d.ID] = d.Flows
 	}
 	if len(ans.Districts) != len(wantD) {

@@ -107,15 +107,17 @@ func (c *counters) EachPrefix(fn func(p netip.Prefix, flows uint64)) {
 }
 
 // mergeCounters folds everything of st but its hourly bins. The first
-// table folded into an empty target sizes its index: a query's target
-// starts empty on every poll, the frames of one store hold much the same
-// prefixes and districts, and growing to them was a rehash per doubling.
+// table folded into an empty target sizes its index, with an eighth to
+// spare: a query's target starts empty on every poll, the frames of one
+// store hold much the same prefixes and districts, and growing to them
+// is a rehash per doubling (one more prefix, which a live tail brings).
 func (c *counters) mergeCounters(st *Stored) {
 	for i, n := range st.dropped {
 		c.dropped[i] += n
 	}
 	c.late += st.late
 	if n := len(st.prefixes); len(c.prefixList) == 0 && n > 0 {
+		n += n / 8
 		c.prefix4Idx = make(map[uint32]uint32, n)
 		c.prefixList = make([]netip.Prefix, 0, n)
 		c.prefixCount = make([]uint64, 0, n)

@@ -1,133 +1,155 @@
 package streaming
 
 import (
-	"sort"
+	"math"
+	"net/netip"
 	"time"
 )
 
-// Range is the fold target of one time-range query: what New + MergeStored
-// + SnapshotRange compute, without the ring. A query folds states it will
-// never ingest into, so it needs no slots to slide and nothing evicted:
-// the hourly series is two flat arrays over the hours the answer can
-// render — [from, to) clipped to what the folded states hold — and the
-// rest of the state is the counters a live shard has. Nothing a Range
-// allocates, fills or scans is proportional to Config.WindowHours; the
-// sliding ring stays what live ingestion, the live snapshot, compaction
-// and recovery use.
+// Range is the fold target of one read: what New + MergeStored + Snapshot
+// compute, without the ring. A read folds states it will never ingest
+// into, so nothing slides and nothing is evicted: the hourly series is
+// two flat arrays over the hours the answer can render, allocated once
+// from what the states hold, beside the counters a live shard has, and
+// nothing in it is proportional to Config.WindowHours.
 //
-// Where the ring of a historical query had to be widened by hand to hold
-// every selected hour (merging archived hours at a narrower window evicts
-// them), a Range reports the window that widening would have produced:
-// cfg.WindowHours, or the span of the folded bins when that is longer.
+// Fold is the target of a time-range query. Its ring had to be widened by
+// hand to hold every selected hour; the Range reports the window that
+// widening would have produced: cfg.WindowHours, or the span of the
+// folded bins when that is longer. FoldWindow is the live view and keeps
+// the ring's window instead: a bin cfg.WindowHours or more behind the
+// newest folded so far counts late, and one the window has since slid
+// past is left out, as the ring would have evicted it.
 type Range struct {
-	cfg Config
+	cfg Config // WindowHours: the window a rendering reports
 	counters
+	slide     int // how far behind the newest bin so far one counts late
+	populated bool
 
-	// clipLo..clipHi are the hours [from, to) admits. flows[i]/bytes[i]
-	// accumulate hour lo+i; the arrays cover only clipped hours some
-	// folded state had a bin for.
-	clipLo, clipHi int
+	// first is the oldest bin of any folded state and maxHour the newest
+	// folded so far (-1 before any); flows[i]/bytes[i] accumulate hour
+	// lo+i, over the hours a rendering shows.
+	first, maxHour int
 	lo             int
 	flows, bytes   []float64
-
-	// minHour/maxHour are the extremes over every plausible bin folded,
-	// inside [from, to) or not (-1 before any): where a ring's window
-	// would have come to rest.
-	minHour, maxHour int
 }
 
-// NewRange creates an empty fold target for [from, to); zero bounds are
-// open. Of cfg it reads Origin, WindowHours (the live window the answer
-// reports unless the folded span is longer), TopK, PrefixBits, the spike
-// parameters and Model.
-func NewRange(cfg Config, from, to time.Time) *Range {
+// Fold folds states, oldest first, into the answer to a query over
+// [from, to); zero bounds are open. Of cfg it reads Origin, WindowHours
+// (the live window the answer reports unless the folded span is longer),
+// TopK, PrefixBits, the spike parameters and Model. The states are not
+// modified.
+func Fold(cfg Config, from, to time.Time, states ...*Stored) *Range {
+	lo, hi := clipHours(cfg.withDefaults().Origin, from, to)
+	return fold(cfg, false, lo, hi, states)
+}
+
+// FoldWindow folds states, oldest first, into the live view: what a
+// shard at cfg.WindowHours that merged them in this order snapshots.
+func FoldWindow(cfg Config, states ...*Stored) *Range {
+	return fold(cfg, true, 0, math.MaxInt, states)
+}
+
+func fold(cfg Config, window bool, clipLo, clipHi int, states []*Stored) *Range {
 	cfg = cfg.withDefaults()
-	r := &Range{cfg: cfg, counters: newCounters(cfg.PrefixBits), minHour: -1, maxHour: -1}
-	r.clipLo, r.clipHi = clipHours(cfg.Origin, from, to)
+	r := &Range{counters: newCounters(cfg.PrefixBits), slide: math.MaxInt, first: math.MaxInt, maxHour: -1}
+	last := -1
+	for _, st := range states {
+		for _, bin := range st.bins {
+			if bin.hour < MaxWindowHours {
+				r.first, last = min(r.first, bin.hour), max(last, bin.hour)
+			}
+		}
+	}
+	if window {
+		r.slide = cfg.WindowHours
+	} else if last >= 0 {
+		cfg.WindowHours = max(cfg.WindowHours, last-r.first+1)
+	}
+	if lo, hi := max(clipLo, last-cfg.WindowHours+1), min(clipHi, last); lo <= hi {
+		r.lo, r.flows, r.bytes = lo, make([]float64, hi-lo+1), make([]float64, hi-lo+1)
+	}
+	r.cfg = cfg
+	for _, st := range states {
+		for _, bin := range st.bins {
+			// Implausible (see binFor), or behind the live window: late,
+			// as against a ring.
+			if bin.hour >= MaxWindowHours || r.maxHour-bin.hour >= r.slide {
+				r.late += uint64(bin.flows)
+				continue
+			}
+			r.maxHour = max(r.maxHour, bin.hour)
+			if i := bin.hour - r.lo; i >= 0 && i < len(r.flows) {
+				r.flows[i] += bin.flows
+				r.bytes[i] += bin.bytes
+			}
+		}
+		r.mergeCounters(st)
+	}
 	return r
 }
 
-// cover grows the series to hold the clipped part of hours first..last.
-func (r *Range) cover(first, last int) {
-	first, last = max(first, r.clipLo), min(last, r.clipHi)
-	if first > last {
-		return
-	}
-	if r.flows == nil {
-		r.lo = first
-	}
-	lo, hi := min(first, r.lo), max(last, r.lo+len(r.flows)-1)
-	n := hi - lo + 1
-	if lo == r.lo && n <= cap(r.flows) {
-		r.flows, r.bytes = r.flows[:n], r.bytes[:n]
-		return
-	}
-	// States fold oldest first, so the series grows at its newest end:
-	// leave as much room there again (never past the range), and a fold
-	// of many frames reallocates O(log hours) times, not once per frame.
-	room := n + min(n, r.clipHi-hi)
-	flows, bytes := make([]float64, n, room), make([]float64, n, room)
-	copy(flows[r.lo-lo:], r.flows)
-	copy(bytes[r.lo-lo:], r.bytes)
-	r.lo, r.flows, r.bytes = lo, flows, bytes
+// Origin is the instant hour 0 is anchored at, in its rendering's zone.
+func (r *Range) Origin() time.Time { return r.cfg.Origin }
+
+// Populated makes the rendered series start no earlier than the first
+// folded bin, and returns r: the hours before a long-horizon answer's raw
+// residual are covered by tier buckets, not empty.
+func (r *Range) Populated() *Range {
+	r.populated = true
+	return r
 }
 
-// MergeStored folds a decoded state into r, as Analytics.MergeStored
-// folds it into a ring wide enough to evict nothing. st is not modified.
-func (r *Range) MergeStored(st *Stored) {
-	// Bins ascend, so the implausible ones (see binFor) are a suffix;
-	// they count late here exactly as they do against a ring.
-	n := len(st.bins)
-	for ; n > 0 && st.bins[n-1].hour >= MaxWindowHours; n-- {
-		r.late += uint64(st.bins[n-1].flows)
+// series is the rendered hours: flows[i] and bytes[i] are hour lo+i's.
+func (r *Range) series() (lo int, flows, bytes []float64) {
+	skip := 0
+	if r.populated {
+		skip = min(max(r.first-r.lo, 0), len(r.flows))
 	}
-	if bins := st.bins[:n]; n > 0 {
-		first, last := bins[0].hour, bins[n-1].hour
-		if r.minHour < 0 || first < r.minHour {
-			r.minHour = first
-		}
-		r.maxHour = max(r.maxHour, last)
-		r.cover(first, last)
-		for _, bin := range bins[sort.Search(n, func(i int) bool { return bins[i].hour >= r.clipLo }):] {
-			if bin.hour > r.clipHi {
-				break
-			}
-			r.flows[bin.hour-r.lo] += bin.flows
-			r.bytes[bin.hour-r.lo] += bin.bytes
-		}
-	}
-	r.mergeCounters(st)
+	return r.lo + skip, r.flows[skip:], r.bytes[skip:]
 }
 
-// Snapshot renders the range: what SnapshotRange(from, to) renders of a
-// ring that folded the same states.
-func (r *Range) Snapshot() *Snapshot { return r.render(false) }
-
-// SnapshotPopulated is Snapshot with the series starting no earlier than
-// the first folded bin, like SnapshotPopulatedRange.
-func (r *Range) SnapshotPopulated() *Snapshot { return r.render(true) }
-
-func (r *Range) render(populated bool) *Snapshot {
-	cfg := r.cfg
-	if r.minHour >= 0 {
-		cfg.WindowHours = max(cfg.WindowHours, r.maxHour-r.minHour+1)
-	}
-	lo, hi := max(r.clipLo, r.maxHour-cfg.WindowHours+1), min(r.clipHi, r.maxHour)
-	if populated {
-		lo = max(lo, r.minHour)
-	}
-	s := r.counters.snapshot(cfg)
-	if r.maxHour >= 0 && lo <= hi {
+// Snapshot renders the fold: what Snapshot renders of a ring that folded
+// the same states, trimmed to the query's range.
+func (r *Range) Snapshot() *Snapshot {
+	s := r.counters.snapshot(r.cfg)
+	if lo, flows, bytes := r.series(); len(flows) > 0 {
 		s.SeriesStart = lo
-		s.Hours = make([]HourPoint, 0, hi-lo+1)
-		for h := lo; h <= hi; h++ {
-			p := HourPoint{Hour: h, Time: cfg.Origin.Add(time.Duration(h) * time.Hour)}
-			if i := h - r.lo; i >= 0 && i < len(r.flows) {
-				p.Flows, p.Bytes = r.flows[i], r.bytes[i]
-			}
-			s.Hours = append(s.Hours, p)
+		s.Hours = make([]HourPoint, len(flows))
+		for i := range flows {
+			s.Hours[i] = HourPoint{Hour: lo + i, Time: r.cfg.Origin.Add(time.Duration(lo+i) * time.Hour), Flows: flows[i], Bytes: bytes[i]}
 		}
 	}
-	s.Spikes = detectSpikes(s.Hours, cfg)
+	s.Spikes = detectSpikes(s.Hours, r.cfg)
 	return s
+}
+
+// Stored is the state a rendering carries, in compact form and straight
+// from the fold: the shard's top-K, every district, every hour of the
+// rendered span as a bin — the live shard cannot tell a zero-flow gap
+// hour from an empty one either — and no HourPoint, name or spike in
+// between. It encodes to FromSnapshot(r.Snapshot()).MarshalBinary(). A
+// shard answering the query router ships it, the router folds one per
+// shard, and the re-rendered union is byte-identical to what a single
+// node holding every record would have served.
+func (r *Range) Stored() *Stored {
+	lo, flows, bytes := r.series()
+	top := r.topPrefixes(r.cfg.TopK)
+	st := &Stored{window: r.cfg.WindowHours, maxHour: lo + len(flows) - 1, late: r.late, located: r.located, dropped: r.dropped,
+		bins: make([]hourBin, len(flows)), prefixes: make([]netip.Prefix, len(top)), prefixCount: make([]uint64, len(top))}
+	if len(flows) == 0 {
+		st.maxHour = -1
+	}
+	for i := range flows {
+		st.bins[i] = hourBin{hour: lo + i, flows: flows[i], bytes: bytes[i]}
+	}
+	for i, pc := range top {
+		st.prefixes[i], st.prefixCount[i] = pc.Prefix, pc.Flows
+	}
+	// A rendering cannot tell a rollup without rows and records from none.
+	if r.hasDistricts {
+		st.districtIDs, st.districtCount = r.districtIDs, r.districtCount
+	}
+	st.hasDistricts = len(st.districtIDs) > 0 || r.located > 0
+	return st
 }

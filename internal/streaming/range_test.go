@@ -14,6 +14,31 @@ import (
 	"cwatrace/internal/entime"
 )
 
+// SnapshotRange renders a snapshot restricted to hours with
+// from <= Time < to (zero bounds are open), SnapshotPopulatedRange one
+// whose series additionally starts no earlier than the first populated
+// hour: what a query rendered of its hand-widened ring before Range, and
+// the reference Fold's renderings are held to.
+func (a *Analytics) SnapshotRange(from, to time.Time) *Snapshot {
+	lo, hi := a.hourRange(from, to)
+	return a.render(lo, hi)
+}
+
+func (a *Analytics) SnapshotPopulatedRange(from, to time.Time) *Snapshot {
+	lo, hi := a.hourRange(from, to)
+	if first, _, ok := a.Bounds(); ok && first > lo {
+		lo = first
+	}
+	return a.render(lo, hi)
+}
+
+// hourRange intersects the covered window with [from, to) and returns
+// the inclusive hour-index range to render (lo > hi when it is empty).
+func (a *Analytics) hourRange(from, to time.Time) (lo, hi int) {
+	lo, hi = clipHours(a.cfg.Origin, from, to)
+	return max(lo, a.maxHour-a.cfg.WindowHours+1), min(hi, a.maxHour)
+}
+
 // randomState draws one shard state: hourly bins scattered over a span
 // starting near base (none at all for an accounting-only state), prefix
 // counts over a small pool so that states share keys, and a district
@@ -133,6 +158,7 @@ func scrambled(st *Stored, origin time.Time) []byte {
 // before, inside and past the data, and off the hour.
 func TestRangeFoldsLikeWidenedRing(t *testing.T) {
 	origin := entime.StudyStart
+	slid, cameLate := 0, 0 // seeds whose live view lost hours to the window, and bins
 	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := Config{Origin: origin, WindowHours: 24 + rng.Intn(400), TopK: 1 + rng.Intn(6)}
@@ -196,30 +222,171 @@ func TestRangeFoldsLikeWidenedRing(t *testing.T) {
 		if minHour >= 0 {
 			widened.WindowHours = max(cfg.WindowHours, maxHour-minHour+1)
 		}
-		ring, flat := New(widened), NewRange(cfg, from, to)
-		for i := range states {
-			ring.MergeStored(whole[i])
-			flat.MergeStored(states[i])
+		// The live view folds them whole too, at the window as it is: with
+		// states that reach further back than it, some hours slide out and
+		// some bins come late.
+		ring, live := New(widened), New(cfg)
+		for _, st := range whole {
+			ring.MergeStored(st)
+			live.MergeStored(st)
 		}
-		for name, pair := range map[string][2]*Snapshot{
-			"Snapshot":          {flat.Snapshot(), ring.SnapshotRange(from, to)},
-			"SnapshotPopulated": {flat.SnapshotPopulated(), ring.SnapshotPopulatedRange(from, to)},
+		flat, window := Fold(cfg, from, to, states...), FoldWindow(cfg, whole...)
+		residual := Fold(cfg, from, to, states...).Populated()
+		if minHour >= 0 && window.Snapshot().SeriesStart > minHour {
+			slid++
+		}
+		if window.Snapshot().Late > Fold(cfg, time.Time{}, time.Time{}, whole...).Snapshot().Late {
+			cameLate++
+		}
+		for name, c := range map[string]struct {
+			fold *Range
+			want *Snapshot
+		}{
+			"Fold":       {flat, ring.SnapshotRange(from, to)},
+			"Populated":  {residual, ring.SnapshotPopulatedRange(from, to)},
+			"FoldWindow": {window, live.Snapshot()},
 		} {
-			got, want := pair[0], pair[1]
+			got, want := c.fold.Snapshot(), c.want
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d, [%s, %s): %s renders\n%+v\nthe widened ring\n%+v", seed, from, to, name, got, want)
-			}
-			gotBytes, err := got.Stored().AppendBinary(nil, got.Origin)
-			if err != nil {
-				t.Fatal(err)
 			}
 			wantBytes, err := FromSnapshot(want).MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(gotBytes, wantBytes) {
-				t.Fatalf("seed %d: %s: Snapshot.Stored encodes to %d bytes, FromSnapshot + MarshalBinary to other %d", seed, name, len(gotBytes), len(wantBytes))
+			// The fold encodes itself to the bytes the ring encoder makes of
+			// the rendering: unrendered, behind whatever the caller's buffer
+			// holds, in exactly the room.
+			direct, err := c.fold.Stored().AppendBinary([]byte("head"), origin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(direct[4:], wantBytes) || cap(direct) != len(direct) {
+				t.Fatalf("seed %d: %s: AppendState writes %d bytes in room for %d, the rendering encodes to %d", seed, name, len(direct)-4, cap(direct)-4, len(wantBytes))
 			}
 		}
 	}
+	if slid < 40 || cameLate < 40 {
+		t.Fatalf("the live view slid in %d seeds of 400 and counted bins late in %d: the window rule went unexercised", slid, cameLate)
+	}
+}
+
+// stateFeed deals a fuzz input out as the scalars of shard states; an
+// exhausted input deals zeros.
+type stateFeed struct{ data []byte }
+
+func (f *stateFeed) byte() byte {
+	if len(f.data) == 0 {
+		return 0
+	}
+	b := f.data[0]
+	f.data = f.data[1:]
+	return b
+}
+
+func (f *stateFeed) n(max int) int { return int(f.byte()) % (max + 1) }
+
+// float deals a small count, or arbitrary bits: fractions, -0, NaN, ±Inf.
+func (f *stateFeed) float() float64 {
+	if f.byte()&1 == 0 {
+		return float64(f.n(200))
+	}
+	var bits uint64
+	for i := 0; i < 8; i++ {
+		bits = bits<<8 | uint64(f.byte())
+	}
+	return math.Float64frombits(bits)
+}
+
+// state deals one state a fold can meet: a frame (bins with gaps from a
+// base hour on, counters, a few prefixes, a rollup or none), or the same
+// detached from a live archive tail for the range asked.
+func (f *stateFeed) state(cfg Config, from, to time.Time) *Stored {
+	st := &Stored{window: 24 + f.n(400), maxHour: -1, late: uint64(f.n(9)), located: uint64(f.n(3))}
+	for i := range st.dropped {
+		st.dropped[i] = uint64(f.n(50))
+	}
+	hour := f.n(255) * (1 + f.n(3))
+	for i := f.n(40); i > 0; i-- {
+		st.bins = append(st.bins, hourBin{hour: hour, flows: f.float(), bytes: f.float()})
+		st.maxHour = hour
+		hour += 1 + f.n(2)*f.n(30) // mostly the next hour, sometimes a gap
+	}
+	for i := f.n(6); i > 0; i-- {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 64, byte(f.n(2)), 0}), 24)
+		if f.n(9) == 0 {
+			p = netip.MustParsePrefix("2001:db8::/48")
+		}
+		if !containsKey(st.prefixes, p) {
+			st.prefixes, st.prefixCount = append(st.prefixes, p), append(st.prefixCount, uint64(f.n(255)))
+		}
+	}
+	if st.hasDistricts = f.n(1) == 1; st.hasDistricts {
+		for i := f.n(3); i > 0; i-- {
+			if id := fmt.Sprintf("0%d", f.n(4)); !containsKey(st.districtIDs, id) {
+				st.districtIDs, st.districtCount = append(st.districtIDs, id), append(st.districtCount, uint64(f.n(99)))
+			}
+		}
+	}
+	if f.n(2) == 0 {
+		cfg.Archive = true
+		tail := New(cfg)
+		tail.MergeStored(st)
+		return tail.Detach(from, to)
+	}
+	return st
+}
+
+// FuzzStateFromFold holds the state a shard ships a router — encoded
+// straight from the fold (Range.Stored) — to the bytes the ring encoder
+// makes of the fold's rendering, which is what the shard shipped before
+// and what the router's merge is held to: for any sequence of frames and
+// live tails, gap hours, -0 and NaN among their bins, folded as an hour
+// query over any range, as the raw residual of a tiered one, and as the
+// live window. Whatever the fold ships also decodes.
+func FuzzStateFromFold(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233}, 40))
+	f.Add(bytes.Repeat([]byte{0xff, 0x80, 0, 0, 0, 0, 0, 0, 0, 7}, 60)) // -0 in every other bin
+	f.Add(bytes.Repeat([]byte{2, 0, 9, 1, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 4}, 50))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := &stateFeed{data}
+		cfg := Config{Origin: entime.StudyStart, WindowHours: 24 + in.n(255), TopK: 1 + in.n(5)}
+		var from, to time.Time
+		if in.n(2) > 0 {
+			from = cfg.Origin.Add(time.Duration(in.n(255))*4*time.Hour + time.Duration(in.n(1))*time.Minute)
+		}
+		if in.n(2) > 0 {
+			to = cfg.Origin.Add(time.Duration(in.n(255)) * 6 * time.Hour)
+		}
+		mode := in.n(2)
+		states := make([]*Stored, 1+in.n(4))
+		for i := range states {
+			states[i] = in.state(cfg, from, to)
+		}
+		var fold *Range
+		switch mode {
+		case 0:
+			fold = Fold(cfg, from, to, states...)
+		case 1:
+			fold = Fold(cfg, from, to, states...).Populated()
+		case 2:
+			fold = FoldWindow(cfg, states...)
+		}
+		got, err := fold.Stored().AppendBinary(nil, cfg.Origin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := fold.Snapshot()
+		want, err := FromSnapshot(snap).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("mode %d, [%s, %s): the fold ships %d bytes, its rendering %+v encodes to other %d", mode, from, to, len(got), snap, len(want))
+		}
+		if _, err := DecodeStored(cfg, got); err != nil {
+			t.Fatalf("the shipped state does not decode: %v", err)
+		}
+	})
 }

@@ -3,11 +3,13 @@ package streaming
 import "cwatrace/internal/core"
 
 // FromSnapshot rebuilds an Analytics shard from a rendered Snapshot, the
-// inverse of snapshot() for everything Merge consumes. The serving path
-// no longer builds this ring — a shard answering the cluster query router
-// encodes Snapshot.Stored directly — but FromSnapshot(s).MarshalBinary()
-// stays the reference those bytes are tested against, and the end-to-end
-// harness times it.
+// inverse of snapshot() for everything Merge consumes: how a rendered
+// answer becomes mergeable again. A durable shard answering the cluster
+// query router does not build this ring — it encodes the fold behind the
+// rendering (Range.Stored) — but a memory-only collector, whose pipeline
+// hands out renderings alone, ships what FromSnapshot(s).MarshalBinary()
+// encodes, which is also the reference the fold's bytes are tested
+// against, and the end-to-end harness times it.
 //
 // The snapshot must be a full rendering (no field selection, no top-K
 // truncation): omitted sections come back zero, and a truncated

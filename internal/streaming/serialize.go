@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"slices"
 	"sort"
 	"time"
 
@@ -47,17 +46,29 @@ func (a *Analytics) MarshalBinary() ([]byte, error) {
 // format decodeStored reads. origin is the instant hour 0 is anchored at
 // (a Stored does not carry it; its readers check it against their own).
 // The counter tables are emitted in key order whatever order st holds
-// them in, so equal states encode to equal bytes.
+// them in, so equal states encode to equal bytes. Unless buf brings the
+// room, the result holds exactly its length: the API keeps encoded states
+// for as long as their ETag is in use.
 func (st *Stored) AppendBinary(buf []byte, origin time.Time) ([]byte, error) {
-	// Sized for IPv4 prefixes, the only kind a kept record has.
-	size := 64 + 8*nReasons + binRowLen*len(st.bins) + minPrefixRowLen*len(st.prefixes)
-	for _, id := range st.districtIDs {
-		if len(id) > math.MaxUint16 {
-			return nil, fmt.Errorf("streaming: district id %q too long", id)
+	size := 1 + 8 + 4 + 8 + 8 + 8 + 4 + 8*nReasons + 4 + binRowLen*len(st.bins) + 4 + 1
+	for _, p := range st.prefixes {
+		size += minPrefixRowLen
+		if !p.Addr().Is4() {
+			size += 12
 		}
-		size += minDistrictRowLen + len(id)
 	}
-	buf = slices.Grow(buf, size)
+	if st.hasDistricts {
+		size += 4
+		for _, id := range st.districtIDs {
+			if len(id) > math.MaxUint16 {
+				return nil, fmt.Errorf("streaming: district id %q too long", id)
+			}
+			size += minDistrictRowLen + len(id)
+		}
+	}
+	if cap(buf)-len(buf) < size {
+		buf = append(make([]byte, 0, len(buf)+size), buf...)
+	}
 	buf = append(buf, stateVersion)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(origin.UnixNano()))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(st.window))

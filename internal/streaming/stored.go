@@ -4,8 +4,6 @@ import (
 	"net/netip"
 	"slices"
 	"time"
-
-	"cwatrace/internal/core"
 )
 
 // Stored is one decoded Analytics state in compact form: the header
@@ -18,9 +16,9 @@ import (
 //
 // A Stored is immutable once built, so one value may be folded by any
 // number of goroutines at once; the durable store keeps them cached per
-// checkpoint frame. Besides DecodeStored there are two more sources:
-// Analytics.Detach (a live shard, copied) and Snapshot.Stored (a rendered
-// answer made mergeable again); AppendBinary is the one encoder.
+// checkpoint frame. Besides DecodeStored there is one more source,
+// Analytics.Detach (a live shard, copied); AppendBinary encodes one, and
+// Range.Stored is what a fold of them renders to.
 type Stored struct {
 	window  int
 	maxHour int
@@ -60,60 +58,6 @@ func (st *Stored) EachPrefix(fn func(p netip.Prefix, flows uint64)) {
 
 // Window is the window length the state was captured at.
 func (st *Stored) Window() int { return st.window }
-
-// Stored returns the state a full rendering carries, in compact form: how
-// a rendered answer becomes mergeable again. A collectord shard answering
-// the cluster query router ships it (AppendBinary), the router folds one
-// per shard, and the re-rendered union is byte-identical to what a single
-// node holding every record would have served. It encodes to the bytes
-// FromSnapshot(s).MarshalBinary() produces, without the ring in between.
-//
-// The snapshot must be a full rendering (no field selection, no top-K
-// truncation beyond the shard's own): omitted sections come back zero.
-// Spikes and Census.Total are render-time derivations and not state.
-// Every rendered hour becomes a bin, populated or not — the live shard
-// cannot tell a zero-flow gap hour from an empty one either.
-func (s *Snapshot) Stored() *Stored {
-	st := &Stored{
-		window:  s.WindowHours,
-		maxHour: -1,
-		late:    s.Late,
-		located: s.Located,
-		bins:    make([]hourBin, 0, len(s.Hours)),
-	}
-	for i := range s.Hours {
-		p := &s.Hours[i]
-		if p.Hour >= MaxWindowHours {
-			// Cannot happen for a self-consistent snapshot; a hand-built
-			// one degrades like ingestion of an implausible record.
-			st.late += uint64(p.Flows)
-			continue
-		}
-		st.bins = append(st.bins, hourBin{hour: p.Hour, flows: p.Flows, bytes: p.Bytes})
-		st.maxHour = p.Hour
-	}
-	for reason, n := range s.Census.Dropped {
-		if r := int(reason); r >= 0 && r < len(st.dropped) {
-			st.dropped[r] = uint64(n)
-		}
-	}
-	st.dropped[core.Kept] = uint64(s.Census.Kept)
-
-	st.prefixes = make([]netip.Prefix, len(s.TopPrefixes))
-	st.prefixCount = make([]uint64, len(s.TopPrefixes))
-	for i, pc := range s.TopPrefixes {
-		st.prefixes[i], st.prefixCount[i] = pc.Prefix, pc.Flows
-	}
-	if len(s.Districts) > 0 || s.Located > 0 {
-		st.hasDistricts = true
-		st.districtIDs = make([]string, len(s.Districts))
-		st.districtCount = make([]uint64, len(s.Districts))
-		for i, dc := range s.Districts {
-			st.districtIDs[i], st.districtCount[i] = dc.ID, dc.Flows
-		}
-	}
-	return st
-}
 
 // Detach copies the live shard into compact form, sharing nothing with
 // it, for a fold that renders no hour outside [from, to) (zero bounds are

@@ -460,39 +460,6 @@ func (a *Analytics) Bounds() (minHour, maxHour int, ok bool) {
 	return minHour, a.maxHour, true
 }
 
-// SnapshotRange renders a snapshot restricted to hours with
-// from <= Time < to. Zero bounds are open: a zero from means "since
-// Origin", a zero to means "until now". Spikes are detected on the
-// trimmed series (so head hours of the range lack trailing baseline,
-// exactly like the head of a live window); the census, prefix and
-// district aggregates are not time-resolved and keep shard granularity.
-// Only the requested hours are rendered: a one-day range of a year-long
-// window costs one day of points, not the year.
-func (a *Analytics) SnapshotRange(from, to time.Time) *Snapshot {
-	lo, hi := a.hourRange(from, to)
-	return a.render(lo, hi)
-}
-
-// SnapshotPopulatedRange is SnapshotRange with the series additionally
-// starting no earlier than the first populated hour (Bounds). The
-// long-horizon query path renders its exact raw residual with it: the
-// hours before the residual's first bin are covered by tier buckets, and
-// rendering them here would report zero traffic for hours that had some.
-func (a *Analytics) SnapshotPopulatedRange(from, to time.Time) *Snapshot {
-	lo, hi := a.hourRange(from, to)
-	if first, _, ok := a.Bounds(); ok && first > lo {
-		lo = first
-	}
-	return a.render(lo, hi)
-}
-
-// hourRange intersects the covered window with [from, to) and returns
-// the inclusive hour-index range to render (lo > hi when it is empty).
-func (a *Analytics) hourRange(from, to time.Time) (lo, hi int) {
-	lo, hi = clipHours(a.cfg.Origin, from, to)
-	return max(lo, a.maxHour-a.cfg.WindowHours+1), min(hi, a.maxHour)
-}
-
 // clipHours returns the inclusive range of hour indexes h with
 // from <= origin+h·hour < to, i.e. ceil(from-origin) <= h < ceil(to-origin)
 // in whole hours; a zero bound is open.
@@ -518,8 +485,7 @@ func ceilHours(d time.Duration) int {
 }
 
 func (a *Analytics) snapshot() *Snapshot {
-	lo, hi := a.hourRange(time.Time{}, time.Time{})
-	return a.render(lo, hi)
+	return a.render(max(0, a.maxHour-a.cfg.WindowHours+1), a.maxHour)
 }
 
 // render builds the snapshot with the hourly series over the inclusive
