@@ -35,15 +35,20 @@ fmt:
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
 # The serving stack's size, measured the roadmap's way (non-test Go lines
-# of the nine serving packages, internal/wire and the two daemons), as a
-# ratchet: SERVING_LOC_MAX is what the last PR that lowered it read, and
-# is only ever lowered. A PR that grows the stack past it fails here and
-# either finds the lines to delete or argues the new bar in review.
-SERVING_LOC_MAX = 14017
+# of the nine serving packages, internal/wire and the two daemons, each
+# printed above the total so a PR's "which package shrank" is read off
+# CI), as a ratchet: SERVING_LOC_MAX is what the last PR that lowered it
+# read, and is only ever lowered. A PR that grows the stack past it fails
+# here and either finds the lines to delete or argues the new bar in
+# review.
+SERVING_LOC_MAX = 13894
+SERVING_DIRS = internal/api internal/cluster internal/ingest internal/nfv9 internal/obs internal/sketch internal/store internal/streaming internal/tier internal/wire cmd/collectord cmd/queryrouterd
 loc:
-	@n=$$(find internal/api internal/cluster internal/ingest internal/nfv9 internal/obs internal/sketch internal/store internal/streaming internal/tier internal/wire cmd/collectord cmd/queryrouterd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
-	echo "serving stack: $$n non-test lines (bar $(SERVING_LOC_MAX))"; \
-	if [ $$n -gt $(SERVING_LOC_MAX) ]; then echo "serving stack grew past SERVING_LOC_MAX" >&2; exit 1; fi
+	@total=0; for d in $(SERVING_DIRS); do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+		printf '%7d  %s\n' $$n $$d; total=$$((total + n)); done; \
+	echo "serving stack: $$total non-test lines (bar $(SERVING_LOC_MAX))"; \
+	if [ $$total -gt $(SERVING_LOC_MAX) ]; then echo "serving stack grew past SERVING_LOC_MAX" >&2; exit 1; fi
 
 # The prose is held to the tree: every backticked token in README.md and
 # DESIGN.md that has the shape of a make target, a -flag, a metric family

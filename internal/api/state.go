@@ -98,7 +98,7 @@ func encodeState(st *streaming.Stored, origin time.Time, res *store.QueryResult)
 		buf[5] = flagTail
 	}
 	if lh := res.LongHorizon; lh != nil {
-		f, err := lh.Frame()
+		f, err := res.Frame()
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +174,7 @@ func DecodeState(data []byte) (*ShardState, error) {
 		if st.LongHorizon.Level != level {
 			return nil, fmt.Errorf("%w: level %d frame under a level %d header", ErrBadState, st.LongHorizon.Level, level)
 		}
-		st.Resolution = tier.Resolution(level.String())
+		st.Resolution = level.Resolution()
 	}
 	return st, nil
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/url"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -195,5 +196,47 @@ func TestStateOriginKeepsZone(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("origin %s re-rendered as\n%s\nwant\n%s", origin.Format(time.RFC3339), got, want)
 		}
+	}
+}
+
+// TestStateDayAnswerDecodesNoSketch pins what the one accumulator took off
+// the hop: a shard's day answer reaches encodeState with the frame its
+// builder summed, sketches and all, so encoding it is the frame's bytes and
+// the state's. When the frame was rebuilt from the rendered answer, every
+// routed day/week request parsed the HLL and the quantile sketch back out
+// of the bytes Answer had just marshaled them to — 4 096 registers and a
+// bucket table allocated per answer, to be marshaled again; measured with
+// this loop at the parent of this test, an encoding of this answer
+// allocated 33 670 bytes.
+func TestStateDayAnswerDecodesNoSketch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte counts under -race measure the detector")
+	}
+	const (
+		days        = 12
+		runs        = 64
+		parentBytes = 33_670
+	)
+	st, _ := tierServer(t, days)
+	res, err := st.QueryResolution(time.Time{}, time.Time{}, tier.ResolutionDay)
+	if err != nil || res.LongHorizon == nil || res.LongHorizon.TierFrames != days-1 {
+		t.Fatalf("day answer: %v, %+v", err, res)
+	}
+	state, origin := res.State()
+	least := ^uint64(0)
+	for pass := 0; pass < 3; pass++ { // strays only ever add
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := encodeState(state, origin, res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	t.Logf("encoding a %d-day answer as shard state allocates %d bytes (parent: %d)", days, least, parentBytes)
+	if least+4096 > parentBytes {
+		t.Errorf("encoding a day answer as shard state allocates %d bytes: within an HLL's registers of the %d it took to decode both sketches first", least, parentBytes)
 	}
 }

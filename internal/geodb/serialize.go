@@ -41,6 +41,11 @@ func (db *DB) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxDistrictIDLen bounds a district id read from a sidecar: ids are keys
+// of the serving stack's durable formats, the narrowest of which (a tier
+// frame) stores one under a single length byte.
+const maxDistrictIDLen = 255
+
 // Read parses a JSONL sidecar back into a database.
 func Read(r io.Reader) (*DB, error) {
 	db := &DB{byPrefix: make(map[netip.Prefix]Entry)}
@@ -55,6 +60,9 @@ func Read(r io.Reader) (*DB, error) {
 		p, err := netip.ParsePrefix(fe.Prefix)
 		if err != nil {
 			return nil, fmt.Errorf("geodb: sidecar line %d: %w", i, err)
+		}
+		if len(fe.District) > maxDistrictIDLen {
+			return nil, fmt.Errorf("geodb: sidecar line %d: district id of %d bytes (at most %d)", i, len(fe.District), maxDistrictIDLen)
 		}
 		src := SourceUnknown
 		switch fe.Source {

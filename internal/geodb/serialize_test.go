@@ -56,6 +56,18 @@ func TestSidecarReadErrors(t *testing.T) {
 	if _, err := Read(strings.NewReader(`{"prefix":"nonsense","district":"X","source":"geoip"}`)); err == nil {
 		t.Fatal("bad prefix must fail")
 	}
+	// A district id is a key of the durable formats downstream, the
+	// narrowest of which keeps its length in a byte: 255 bytes pass, one
+	// more is refused with its line.
+	line := func(id string) string {
+		return `{"prefix":"20.0.0.0/24","district":"` + id + `","source":"geoip"}` + "\n"
+	}
+	if _, err := Read(strings.NewReader(line("BE-000") + line(strings.Repeat("x", 255)))); err != nil {
+		t.Fatalf("a 255-byte district id: %v", err)
+	}
+	if _, err := Read(strings.NewReader(line("BE-000") + line(strings.Repeat("x", 256)))); err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Fatalf("a 256-byte district id on line 1: %v", err)
+	}
 }
 
 func TestSidecarUnknownSource(t *testing.T) {

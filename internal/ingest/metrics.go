@@ -23,10 +23,6 @@ type pipelineMetrics struct {
 	// 1-in-64 commits.
 	decodeSeconds *obs.Histogram
 	batchSeconds  *obs.Histogram
-	// droppedBatchRecords is the backpressure loss distribution: the
-	// record count of batches dropped on a full shard channel, sampled
-	// 1-in-64 drops (under overload the drop branch is the hot path).
-	droppedBatchRecords *obs.Histogram
 }
 
 func (m *pipelineMetrics) register(reg *obs.Registry) {
@@ -38,8 +34,6 @@ func (m *pipelineMetrics) register(reg *obs.Registry) {
 	m.batchSeconds = reg.Histogram("ingest_batch_seconds",
 		"Worker commit latency: filter, one sink commit, analytics for every batch queued on the lane, at most 64 (sampled 1-in-64 commits).",
 		obs.DurationBuckets)
-	m.droppedBatchRecords = reg.Histogram("ingest_dropped_batch_records",
-		"Records lost per batch dropped under backpressure (sampled 1-in-64).", obs.SizeBuckets)
 }
 
 // registerPipelineFuncs wires the render-time samples: the ported

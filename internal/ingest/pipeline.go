@@ -422,19 +422,14 @@ func (p *Pipeline) handleDatagram(r *reader, from string, data []byte) {
 	case lane.ch <- slab:
 	default:
 		// Backpressure: never block the socket. Drop the batch, count
-		// it, recycle the storage. The loss-size histogram is sampled
-		// 1-in-64 off the drop counter itself: under sustained
-		// overload drops ARE the hot path, and an unsampled Observe
-		// here is a measurable throughput tax exactly when the
-		// collector can least afford one.
+		// it, recycle the storage. Under sustained overload drops ARE
+		// the hot path, and anything unsampled here is a measurable
+		// throughput tax exactly when the collector can least afford
+		// one: the flight-recorder event is gated 1-in-64 off the drop
+		// counter itself (plus its own 10s rate limit inside), so the
+		// storm's onset is recorded without taxing every drop.
 		n := lane.droppedBatches.Add(1)
 		lane.droppedRecords.Add(uint64(len(slab.Recs)))
-		if p.m.droppedBatchRecords != nil && n&0x3f == 1 {
-			p.m.droppedBatchRecords.Observe(float64(len(slab.Recs)))
-		}
-		// The flight-recorder event rides the same 1-in-64 sample gate
-		// (plus its own 10s rate limit inside), so the storm's onset is
-		// recorded without taxing every drop.
 		if p.cfg.Events != nil && n&0x3f == 1 {
 			p.noteDropStorm()
 		}

@@ -422,7 +422,3 @@ var DurationBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
-
-// SizeBuckets is the default count/size bucket ladder for batch and
-// queue depth distributions: 1 to ~65k in power-of-4 steps.
-var SizeBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536}

@@ -194,14 +194,12 @@ type Trace struct {
 // Policy is the tail-sampling policy: which completed traces the ring
 // retains.
 type Policy struct {
-	// Slow is the default keep threshold on root-span duration
-	// (default 500ms; <0 disables the slow rule).
+	// Slow is the keep threshold on root-span duration (zero is the
+	// default, 500ms; negative disables the slow rule).
 	Slow time.Duration
-	// SlowByName overrides Slow per root-span name (the api layer's
-	// endpoint vocabulary: "v1_snapshot", "v1_query", ...).
-	SlowByName map[string]time.Duration
 	// KeepOneIn retains every Nth otherwise-boring trace as a healthy
-	// baseline (default 64; 0 or negative disables).
+	// baseline (zero is the default, 64; negative disables — StackFlags
+	// maps -trace-sample 0 there).
 	KeepOneIn int
 	// MaxSpans bounds one trace's span count; past it spans are counted
 	// in SpansDropped instead of recorded (default 512).
@@ -219,13 +217,6 @@ func (p Policy) withDefaults() Policy {
 		p.MaxSpans = 512
 	}
 	return p
-}
-
-func (p Policy) slowFor(name string) time.Duration {
-	if d, ok := p.SlowByName[name]; ok {
-		return d
-	}
-	return p.Slow
 }
 
 // TracerConfig parameterizes NewTracer.
@@ -442,7 +433,7 @@ func (at *activeTrace) finalize(root SpanData, status int, dur time.Duration) {
 	errored := root.Error != "" || status >= 500
 	degraded := status == http.StatusPartialContent || status == http.StatusServiceUnavailable
 	var keep []string
-	if slow := t.policy.slowFor(root.Name); slow >= 0 && dur >= slow {
+	if slow := t.policy.Slow; slow >= 0 && dur >= slow {
 		keep = append(keep, "slow")
 	}
 	if errored {

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -100,16 +101,11 @@ func TestTailSamplingPolicy(t *testing.T) {
 			t.Errorf("error flags: 503=%t 206=%t", got[0].Error, got[1].Error)
 		}
 	})
-	t.Run("slow kept per endpoint", func(t *testing.T) {
-		tr := NewTracer(TracerConfig{Policy: Policy{
-			Slow:       time.Hour,
-			SlowByName: map[string]time.Duration{"v1_query": 0}, // 0 = everything is slow
-			KeepOneIn:  -1,
-		}})
-		run(tr, "v1_snapshot", 200, nil)
+	t.Run("slow kept", func(t *testing.T) {
+		tr := NewTracer(TracerConfig{Policy: Policy{Slow: time.Nanosecond, KeepOneIn: -1}})
 		run(tr, "v1_query", 200, nil)
 		got := tr.Traces()
-		if len(got) != 1 || got[0].Name != "v1_query" || strings.Join(got[0].Keep, ",") != "slow" {
+		if len(got) != 1 || strings.Join(got[0].Keep, ",") != "slow" {
 			t.Fatalf("traces = %+v", got)
 		}
 	})
@@ -130,6 +126,24 @@ func TestTailSamplingPolicy(t *testing.T) {
 			t.Fatalf("baseline retained %d of 40, want 4", n)
 		}
 	})
+	// The daemons' flags: -trace-sample N keeps 1-in-N, and 0 switches the
+	// baseline off as its usage line says (it kept 1-in-64).
+	for sample, want := range map[string]int{"10": 20, "0": 0} {
+		t.Run("flag -trace-sample "+sample, func(t *testing.T) {
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			stack := StackFlags(fs)
+			if err := fs.Parse([]string{"-trace-sample", sample, "-trace-slow", "1h"}); err != nil {
+				t.Fatal(err)
+			}
+			tr := stack().Tracer
+			for i := 0; i < 200; i++ {
+				run(tr, "v1_health", 200, nil)
+			}
+			if n := len(tr.Traces()); n != want {
+				t.Fatalf("retained %d of 200 healthy traces, want %d", n, want)
+			}
+		})
+	}
 }
 
 func TestSpanCapAndLateChildren(t *testing.T) {

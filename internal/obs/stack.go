@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"flag"
 	"time"
 )
@@ -32,7 +33,8 @@ func StackFlags(fs *flag.FlagSet) func() Stack {
 		if *traceRing > 0 {
 			o.Tracer = NewTracer(TracerConfig{
 				RingSize: *traceRing,
-				Policy:   Policy{Slow: *traceSlow, KeepOneIn: *traceSample},
+				// A zero Policy field asks for its default; the flag's 0 disables.
+				Policy: Policy{Slow: *traceSlow, KeepOneIn: cmp.Or(*traceSample, -1)},
 			})
 			o.Tracer.RegisterMetrics(o.Reg)
 		}

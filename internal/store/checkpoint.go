@@ -295,10 +295,6 @@ func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
 		sp.Fail(err)
 		sp.End()
 	}()
-	// Compaction is rare, heavy I/O; the unconditional clock read is
-	// noise even uninstrumented.
-	foldStart := time.Now()
-
 	a0, err := s.frameState(f0)
 	if err != nil {
 		return false, fmt.Errorf("store: compacting %s: %w", filepath.Base(f0.path), err)
@@ -351,7 +347,6 @@ func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
 	s.frameCache.retain(func(seq uint64) bool { return seq != f0.Seq && seq != f1.Seq })
 	_ = os.Remove(f0.path)
 	_ = os.Remove(f1.path)
-	s.om.compactionSeconds.ObserveSince(foldStart)
 	return false, nil
 }
 

@@ -1,11 +1,12 @@
 // The store metric catalogue: the scalar names predate the registry
 // (cmd/collectord rendered them from Metrics() by hand) and are frozen
 // by the daemons' exposition tests; the duration histograms cover the
-// four I/O stages an operator tunes against — append (one commit: WAL
+// I/O stages an operator tunes against — append (one commit: WAL
 // write-through and tail folds under the hot mutex, then the policy
 // fsync outside it), fsync (the policy-driven durability cost),
-// checkpoint (tail fold + frame write) and compaction (frame-pair
-// folds). Everything scalar reads the store's existing counters under
+// checkpoint (tail fold + frame write) and tier fold (one observation
+// per day or week frame written; the refused-fold test holds it to
+// that). Everything scalar reads the store's existing counters under
 // mu at render time, so the append path carries only the histogram
 // clocks. The three store_frame_cache_* samples read the decoded-frame
 // cache (framecache.go); their consumers are the warm-query test, the
@@ -25,7 +26,6 @@ type storeObsMetrics struct {
 	appendSeconds     *obs.Histogram
 	fsyncSeconds      *obs.Histogram
 	checkpointSeconds *obs.Histogram
-	compactionSeconds *obs.Histogram
 	tierFoldSeconds   *obs.Histogram
 }
 
@@ -41,9 +41,6 @@ func (m *storeObsMetrics) register(reg *obs.Registry) {
 		obs.DurationBuckets)
 	m.checkpointSeconds = reg.Histogram("store_checkpoint_seconds",
 		"Checkpoint latency: seal, tail marshal, frame write, WAL fold.",
-		obs.DurationBuckets)
-	m.compactionSeconds = reg.Histogram("store_compaction_seconds",
-		"Frame-pair compaction latency (per fold).",
 		obs.DurationBuckets)
 	m.tierFoldSeconds = reg.Histogram("store_tier_fold_seconds",
 		"Long-horizon tier fold latency (per day or week frame).",
@@ -118,10 +115,6 @@ func registerStoreFuncs(reg *obs.Registry, s *Store) {
 		cached(func() float64 { return float64(cache.misses) }))
 	gauge("store_frame_cache_bytes", "Decoded checkpoint frame state held in the cache (bounded by a 64 MiB constant).",
 		cached(func() float64 { return float64(cache.bytes) }))
-	gauge("store_tier_frames_day", "Day tier frames on disk.",
-		locked(func() float64 { return float64(len(s.tierDay)) }))
-	gauge("store_tier_frames_week", "Week tier frames on disk.",
-		locked(func() float64 { return float64(len(s.tierWeek)) }))
 	counter("store_tier_folds_day_total", "Day tier folds this process.",
 		locked(func() float64 { return float64(s.tierFoldsDay) }))
 	counter("store_tier_folds_week_total", "Week tier folds this process.",

@@ -71,6 +71,8 @@ type QueryResult struct {
 	// frames only). A JSON body renders it, a shard answering a router
 	// ships it as it is.
 	fold *streaming.Range
+	// tiered is the accumulator LongHorizon was rendered from.
+	tiered *tier.Builder
 }
 
 // Snapshot renders the merged, hour-trimmed view of the range.
@@ -80,6 +82,13 @@ func (r *QueryResult) Snapshot() *streaming.Snapshot { return r.fold.Snapshot() 
 // and the origin it is anchored at.
 func (r *QueryResult) State() (*streaming.Stored, time.Time) {
 	return r.fold.Stored(), r.fold.Origin()
+}
+
+// Frame is LongHorizon unrendered: the sums behind it as a tier frame, the
+// form a shard ships them to a router in — no file identity, no hours, the
+// answer's source counts beside it. Only a day or week answer has one.
+func (r *QueryResult) Frame() (*tier.Frame, error) {
+	return r.tiered.Frame(tier.Meta{MinHour: -1, MaxHour: -1}, 0)
 }
 
 // QueryResolution answers a range query at the requested resolution.
@@ -126,19 +135,16 @@ func (s *Store) tryQuery(from, to time.Time, res tier.Resolution) (*QueryResult,
 	plan := tier.BuildPlan(res, s.cfg.Origin, from, to, weeks, days)
 	tiered := plan.Resolution != tier.ResolutionHour
 	result := &QueryResult{From: from, To: to, TailIncluded: live != nil, Version: version}
-	var (
-		b   *tier.Builder
-		acc *tier.SketchAccum
-	)
+	var acc *tier.SketchAccum
 	if tiered {
 		result.Resolution = plan.Resolution
-		b, acc = tier.NewBuilder(plan.Resolution, s.cfg.Origin, s.districts), tier.NewSketchAccum()
+		result.tiered, acc = tier.NewBuilder(plan.Resolution, s.cfg.Origin, s.districts), tier.NewSketchAccum()
 		for _, tm := range appendPlanned(appendPlanned(nil, weeks, plan.Week), days, plan.Day) {
 			f, err := s.loadTierFrame(tm)
 			if err != nil {
 				return nil, err
 			}
-			b.AddFrame(f)
+			result.tiered.AddFrame(f)
 		}
 	}
 
@@ -180,8 +186,8 @@ func (s *Store) tryQuery(from, to time.Time, res tier.Resolution) (*QueryResult,
 	// rendering them would report zero traffic where the buckets report
 	// some (and dominate a year-span answer with empty rows). The builder
 	// reads a rendering of it, a few rows, whatever the caller will ask for.
-	b.AddResidual(result.fold.Populated().Snapshot(), acc, result.Frames)
-	result.LongHorizon = b.Answer()
+	result.tiered.AddResidual(result.fold.Populated().Snapshot(), acc, result.Frames)
+	result.LongHorizon = result.tiered.Answer()
 	result.LongHorizon.Label(s.cfg.Model)
 	return result, nil
 }

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"cwatrace/internal/obs"
+	"cwatrace/internal/streaming"
 	"cwatrace/internal/tier"
 )
 
@@ -139,160 +140,117 @@ func (s *Store) tierFold(ctx context.Context) error {
 	if !s.opts.Tier {
 		return nil
 	}
-	for {
-		did, err := s.tierFoldDayOnce(ctx)
-		if err != nil {
-			return err
-		}
-		if !did {
-			break
-		}
-	}
-	for {
-		did, err := s.tierFoldWeekOnce(ctx)
-		if err != nil {
-			return err
-		}
-		if !did {
-			break
+	for _, level := range []tier.Level{tier.LevelDay, tier.LevelWeek} {
+		for {
+			did, err := s.tierFoldOnce(ctx, level)
+			if err != nil {
+				return err
+			}
+			if !did {
+				break
+			}
 		}
 	}
 	return nil
 }
 
-// tierFoldCandidates snapshots, under mu, the raw frames beyond the day
-// coverage horizon. A nil return stalls the fold safely: if a
-// compaction from before tiering was enabled left a frame straddling
-// the horizon, folding would double-count its WAL slice, so nothing
-// folds until the (guarded) compactor can no longer produce one.
-func (s *Store) tierFoldCandidates() ([]frameMeta, uint64) {
+// tierFoldCandidates snapshots, under mu, the frames beyond the level's
+// coverage horizon that could fold into it: day frames for a week, raw
+// checkpoint frames (returned beside their metadata, for their states) for
+// a day. No raw candidates stall the day fold safely: if a compaction from
+// before tiering was enabled left a frame straddling the horizon, folding
+// would double-count its WAL slice, so nothing folds until the (guarded)
+// compactor can no longer produce one.
+func (s *Store) tierFoldCandidates(level tier.Level) (cand []tier.Meta, raw []frameMeta) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if level == tier.LevelWeek {
+		covered := tierCovered(s.tierWeek)
+		for _, m := range s.tierDay {
+			if m.BaseSeg >= covered {
+				cand = append(cand, m)
+			}
+		}
+		return cand, nil
+	}
 	covered := tierCovered(s.tierDay)
-	var cand []frameMeta
 	for _, fr := range s.frames {
 		if fr.BaseSeg >= covered {
-			cand = append(cand, fr)
+			raw = append(raw, fr)
+			cand = append(cand, tier.Meta{Seq: fr.Seq, BaseSeg: fr.BaseSeg, CoveredSeg: fr.CoveredSeg, MinHour: fr.MinHour, MaxHour: fr.MaxHour})
 		} else if fr.CoveredSeg > covered {
-			return nil, covered // straddler: stall
+			return nil, nil // straddler: stall
 		}
 	}
-	return cand, covered
+	return cand, raw
 }
 
-// tierFoldDayOnce folds the oldest closed day run of raw checkpoint
-// frames, reporting whether it folded anything.
-func (s *Store) tierFoldDayOnce(ctx context.Context) (bool, error) {
-	cand, _ := s.tierFoldCandidates()
-	metas := make([]tier.Meta, len(cand))
-	for i, fr := range cand {
-		metas[i] = tier.Meta{Seq: fr.Seq, BaseSeg: fr.BaseSeg, CoveredSeg: fr.CoveredSeg, MinHour: fr.MinHour, MaxHour: fr.MaxHour}
-	}
-	runs := tier.CloseRuns(tier.LevelDay, metas)
+// tierFoldOnce folds the level's oldest closed run — raw checkpoint
+// frames, straight from the decoded-frame cache, into a day frame; day
+// frames into a week frame — under its own tracing span and timing, writes
+// the frame durably and registers it, reporting whether it folded
+// anything. The in-memory registration (and the ckptGen bump that
+// invalidates ETags) happens only after atomicWrite returns — the
+// durability-before-visibility ordering the crash drill pins.
+func (s *Store) tierFoldOnce(ctx context.Context, level tier.Level) (did bool, err error) {
+	cand, raw := s.tierFoldCandidates(level)
+	runs := tier.CloseRuns(level, cand)
 	if len(runs) == 0 {
 		return false, nil
 	}
-	run := cand[runs[0][0]:runs[0][1]]
+	lo, hi := runs[0][0], runs[0][1]
 
 	s.mu.Lock()
 	seq := s.nextFrameSeq
 	s.nextFrameSeq++
 	s.mu.Unlock()
 
-	err := s.tierFoldSpan(ctx, tier.LevelDay, seq, len(run), func() (*tier.Frame, error) {
-		inputs := make([]tier.Input, 0, len(run))
-		for _, fm := range run {
-			st, err := s.frameState(fm)
-			if err != nil {
-				return nil, fmt.Errorf("store: tier fold input %s: %w", filepath.Base(fm.path), err)
-			}
-			// FoldRaw takes shards; an archive one holds whatever window
-			// the frame was persisted at.
-			a := s.newTail()
-			a.MergeStored(st)
-			inputs = append(inputs, tier.Input{
-				Meta:  tier.Meta{Seq: fm.Seq, BaseSeg: fm.BaseSeg, CoveredSeg: fm.CoveredSeg, MinHour: fm.MinHour, MaxHour: fm.MaxHour},
-				State: a,
-			})
-		}
-		return tier.FoldRaw(tier.LevelDay, seq, s.cfg, inputs)
-	})
-	return err == nil, err
-}
-
-// tierFoldWeekOnce folds the oldest closed week run of day frames.
-func (s *Store) tierFoldWeekOnce(ctx context.Context) (bool, error) {
-	s.mu.Lock()
-	covered := tierCovered(s.tierWeek)
-	var cand []tier.FrameMeta
-	for _, m := range s.tierDay {
-		if m.BaseSeg >= covered {
-			cand = append(cand, m)
-		}
-	}
-	s.mu.Unlock()
-	metas := make([]tier.Meta, len(cand))
-	for i, m := range cand {
-		metas[i] = tier.Meta{Seq: m.Seq, BaseSeg: m.BaseSeg, CoveredSeg: m.CoveredSeg, MinHour: m.MinHour, MaxHour: m.MaxHour}
-	}
-	runs := tier.CloseRuns(tier.LevelWeek, metas)
-	if len(runs) == 0 {
-		return false, nil
-	}
-	run := cand[runs[0][0]:runs[0][1]]
-
-	s.mu.Lock()
-	seq := s.nextFrameSeq
-	s.nextFrameSeq++
-	s.mu.Unlock()
-
-	err := s.tierFoldSpan(ctx, tier.LevelWeek, seq, len(run), func() (*tier.Frame, error) {
-		days := make([]*tier.Frame, 0, len(run))
-		for _, m := range run {
-			f, err := s.loadTierFrame(m)
-			if err != nil {
-				return nil, err
-			}
-			days = append(days, f)
-		}
-		return tier.FoldFrames(tier.LevelWeek, seq, days)
-	})
-	return err == nil, err
-}
-
-// tierFoldSpan wraps one fold in its tracing span and timing, writes
-// the frame durably, and registers it. The in-memory registration (and
-// the ckptGen bump that invalidates ETags) happens only after
-// atomicWrite returns — the durability-before-visibility ordering the
-// crash drill pins.
-func (s *Store) tierFoldSpan(ctx context.Context, level tier.Level, seq uint64, inputs int, fold func() (*tier.Frame, error)) (err error) {
 	_, sp := obs.StartSpan(ctx, "store.tier_fold")
 	sp.Set(obs.Str("level", level.String()),
 		obs.Int("frame_seq", int64(seq)),
-		obs.Int("inputs", int64(inputs)))
+		obs.Int("inputs", int64(hi-lo)))
 	defer func() {
 		sp.Fail(err)
 		sp.End()
 	}()
 	t0 := time.Now()
 
-	f, err := fold()
+	var f *tier.Frame
+	if level == tier.LevelWeek {
+		days := make([]*tier.Frame, 0, hi-lo)
+		for _, m := range cand[lo:hi] {
+			day, err := s.loadTierFrame(m)
+			if err != nil {
+				return false, err
+			}
+			days = append(days, day)
+		}
+		f, err = tier.FoldFrames(level, seq, days)
+	} else {
+		states := make([]*streaming.Stored, 0, hi-lo)
+		for _, fm := range raw[lo:hi] {
+			st, err := s.frameState(fm)
+			if err != nil {
+				return false, fmt.Errorf("store: tier fold input %s: %w", filepath.Base(fm.path), err)
+			}
+			states = append(states, st)
+		}
+		f, err = tier.FoldStates(level, seq, s.cfg, cand[lo:hi], states)
+	}
 	if err != nil {
-		return err
+		return false, err
 	}
 	if err := atomicWrite(tierPath(s.dir, level, seq), tier.EncodeFrame(f)); err != nil {
-		return err
+		return false, err
 	}
 
 	s.mu.Lock()
-	m := f.Meta()
-	switch level {
-	case tier.LevelDay:
-		s.tierDay = append(s.tierDay, m)
-		s.tierFoldsDay++
-	case tier.LevelWeek:
-		s.tierWeek = append(s.tierWeek, m)
+	if level == tier.LevelWeek {
+		s.tierWeek = append(s.tierWeek, f.Meta())
 		s.tierFoldsWeek++
+	} else {
+		s.tierDay = append(s.tierDay, f.Meta())
+		s.tierFoldsDay++
 	}
 	s.ckptGen++
 	s.mu.Unlock()
@@ -301,6 +259,6 @@ func (s *Store) tierFoldSpan(ctx context.Context, level tier.Level, seq uint64, 
 	s.opts.Events.Record("tier_fold", "lower-level frames folded into a durable tier frame",
 		obs.Str("level", level.String()),
 		obs.Int("frame_seq", int64(seq)),
-		obs.Int("inputs", int64(inputs)))
-	return nil
+		obs.Int("inputs", int64(hi-lo)))
+	return true, nil
 }

@@ -1,10 +1,15 @@
 package tier
 
-// The answer side of the subsystem: a Builder accumulates the planner's
-// selected tier frames plus the exact raw residual and renders one
-// Answer — the long-horizon block of a query response. The same bucket
-// and sketch accumulation the folds use lives here, so fold-time and
-// query-time aggregation cannot drift apart.
+// The accumulator of the subsystem. A Builder sums tier aggregates —
+// census, late and located, districts, level-aligned buckets, the two
+// sketches — from tier frames (AddFrame) and from an exact raw part
+// (AddResidual), and renders the sums as an Answer, the long-horizon block
+// of a query response, or as a Frame, the form they are written to disk
+// and shipped between daemons in. It is the only place either is summed:
+// a day fold is the run's merged states as one residual, a week fold the
+// run's day frames, a query the planner's frames plus the raw tail, a
+// shard's answer to a router the same builder's frame, and the router's
+// merge those frames added again.
 
 import (
 	"fmt"
@@ -53,7 +58,7 @@ type Answer struct {
 	// PrefixSketch/PresenceSketch carry the marshaled sketch state:
 	// estimates cannot be summed (prefix sets overlap between shards),
 	// sketches can, so a consumer that wants to combine answers merges
-	// these (see Frame for how the cluster router does).
+	// these (a cluster router is sent Builder.Frame, which holds them).
 	PrefixSketch   []byte `json:"prefix_sketch,omitempty"`
 	PresenceSketch []byte `json:"presence_sketch,omitempty"`
 }
@@ -113,20 +118,6 @@ func (bs *buckets) render(origin *time.Time) []Bucket {
 	return out
 }
 
-// sortDistricts renders a district accumulation map sorted by ID — the
-// canonical order every district list in the system uses.
-func sortDistricts(m map[string]uint64) []District {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]District, 0, len(m))
-	for id, flows := range m {
-		out = append(out, District{ID: id, Flows: flows})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // SketchAccum feeds the two sketches from per-shard prefix tables:
 // the HLL sees every distinct prefix, the presence map counts how many
 // shards (raw checkpoint frames) each prefix appeared in. Folds use it
@@ -152,15 +143,6 @@ func (sa *SketchAccum) AddShard(eachPrefix func(fn func(p netip.Prefix, flows ui
 		sa.hll.AddHash(sketch.HashBytes(p.AppendTo(text[:0])))
 		sa.presence[p]++
 	})
-}
-
-// fill writes the accumulated sketches into a frame. Map iteration
-// order is irrelevant: HLL adds and quantile adds are order-invariant.
-func (sa *SketchAccum) fill(f *Frame) {
-	f.Prefixes.Merge(sa.hll)
-	for _, hours := range sa.presence {
-		f.Presence.Add(hours, 1)
-	}
 }
 
 // DistrictTable interns district ids as dense indexes, so a fold over
@@ -223,9 +205,12 @@ type Builder struct {
 	located uint64
 	// Per-district flows by dense index; seen marks the districts a source
 	// named — one listed with zero flows is still listed in the answer.
-	table      *DistrictTable
-	districts  []uint64
-	seen       []bool
+	table     *DistrictTable
+	districts []uint64
+	seen      []bool
+	// rows is the rendered district list, kept between the two renderings a
+	// shard makes of one builder (Answer, then Frame); an add drops it.
+	rows       []District
 	tierFrames int
 	rawFrames  int
 }
@@ -258,6 +243,7 @@ func (b *Builder) addDistrict(i uint32, flows uint64) {
 	}
 	b.districts[i] += flows
 	b.seen[i] = true
+	b.rows = nil
 }
 
 // AddFrame folds one selected tier frame in. Day buckets re-bucket into
@@ -266,6 +252,9 @@ func (b *Builder) AddFrame(f *Frame) {
 	b.tierFrames++
 	b.census.Total += int(f.Total)
 	b.census.Kept += int(f.Kept)
+	// Slot 0 (core.Kept) is not a drop reason: Kept carries that count. No
+	// fold fills the slot, so one that arrives set (a decoded frame nothing
+	// here wrote) is not summed.
 	for r, n := range f.Dropped {
 		if n > 0 && core.DropReason(r) != core.Kept {
 			b.census.Dropped[core.DropReason(r)] += int(n)
@@ -317,6 +306,22 @@ func (b *Builder) AddResidual(snap *streaming.Snapshot, acc *SketchAccum, rawFra
 	}
 }
 
+// districtRows lists the districts a source named, sorted by ID — the
+// canonical order every district list in the system uses.
+func (b *Builder) districtRows() []District {
+	if b.rows == nil && len(b.seen) > 0 { // seen only grows for a district seen
+		b.rows = make([]District, 0, len(b.seen))
+		ids := b.table.snapshot()
+		for i, seen := range b.seen {
+			if seen {
+				b.rows = append(b.rows, District{ID: ids[i], Flows: b.districts[i]})
+			}
+		}
+		slices.SortFunc(b.rows, func(x, y District) int { return strings.Compare(x.ID, y.ID) })
+	}
+	return b.rows
+}
+
 // Answer renders the accumulated state.
 func (b *Builder) Answer() *Answer {
 	ans := &Answer{
@@ -334,59 +339,58 @@ func (b *Builder) Answer() *Answer {
 		PrefixSketch:     b.hll.AppendBinary(nil),
 		PresenceSketch:   b.quant.AppendBinary(nil),
 	}
-	ids := b.table.snapshot()
-	for i, seen := range b.seen {
-		if seen {
-			ans.Districts = append(ans.Districts, streaming.DistrictCount{ID: ids[i], Flows: b.districts[i]})
+	if rows := b.districtRows(); rows != nil {
+		ans.Districts = make([]streaming.DistrictCount, len(rows))
+		for i, d := range rows {
+			ans.Districts[i] = streaming.DistrictCount{ID: d.ID, Flows: d.Flows}
 		}
 	}
-	slices.SortFunc(ans.Districts, func(x, y streaming.DistrictCount) int { return strings.Compare(x.ID, y.ID) })
 	return ans
 }
 
-// Frame renders the answer as a tier frame at the answer's level, the
-// form a shard ships its long-horizon state to the cluster router in:
-// the router folds shard frames with AddFrame exactly as a store folds
-// the frames on its disk, and EncodeFrame/DecodeFrame are the (fuzzed)
-// wire codec. The frame carries the aggregates and both sketches; it has
-// no file identity or WAL interval, and the answer's source counts
-// (TierFrames, RawFrames) and rendered labels travel beside it, not in it.
-func (a *Answer) Frame() (*Frame, error) {
-	level := a.Resolution.Level()
+// Frame renders the accumulated state as a tier frame at the builder's
+// level, under the identity and coverage the caller gives it: a fold's are
+// those of its run, and the frame a shard ships its long-horizon state to
+// the cluster router in has none (zero, hours -1) — the router folds shard
+// frames with AddFrame exactly as a store folds the frames on its disk, and
+// the answer's source counts and rendered labels travel beside the frame,
+// not in it. The frame holds the builder's sketches, not copies: it is the
+// last thing asked of a builder that is added to no more. What the codec
+// cannot carry is refused here, so no frame is written or sent that
+// DecodeFrame will not take back.
+func (b *Builder) Frame(m Meta, inputs int) (*Frame, error) {
+	level := b.res.Level()
 	if level == 0 {
-		return nil, fmt.Errorf("tier: no frame level for resolution %q", a.Resolution)
+		return nil, fmt.Errorf("tier: no frame level for resolution %q", b.res)
 	}
 	f := &Frame{
-		Level:   level,
-		MinHour: -1,
-		MaxHour: -1,
-		Total:   uint64(a.Census.Total),
-		Kept:    uint64(a.Census.Kept),
-		Dropped: make([]uint64, nReasons),
-		Late:    a.Late,
-		Located: a.Located,
+		Level:      level,
+		Seq:        m.Seq,
+		BaseSeg:    m.BaseSeg,
+		CoveredSeg: m.CoveredSeg,
+		MinHour:    m.MinHour,
+		MaxHour:    m.MaxHour,
+		Inputs:     uint32(inputs),
+		Total:      uint64(b.census.Total),
+		Kept:       uint64(b.census.Kept),
+		Dropped:    make([]uint64, nReasons),
+		Late:       b.late,
+		Located:    b.located,
+		Districts:  b.districtRows(),
+		Buckets:    b.buckets.render(nil),
+		Prefixes:   b.hll,
+		Presence:   b.quant,
 	}
-	for r, n := range a.Census.Dropped {
+	for r, n := range b.census.Dropped {
 		if r < 0 || int(r) >= nReasons || n < 0 {
 			return nil, fmt.Errorf("tier: census drop reason %d with count %d", r, n)
 		}
 		f.Dropped[r] = uint64(n)
 	}
-	for _, d := range a.Districts {
-		if len(d.ID) > math.MaxUint8 {
+	for _, d := range f.Districts {
+		if len(d.ID) > math.MaxUint8 { // the codec's length byte
 			return nil, fmt.Errorf("tier: district id %q too long for a frame", d.ID)
 		}
-		f.Districts = append(f.Districts, District{ID: d.ID, Flows: d.Flows})
-	}
-	for _, b := range a.Buckets {
-		f.Buckets = append(f.Buckets, Bucket{StartHour: b.StartHour, Flows: b.Flows, Bytes: b.Bytes})
-	}
-	var err error
-	if f.Prefixes, _, err = sketch.DecodeHLL(a.PrefixSketch); err != nil {
-		return nil, fmt.Errorf("tier: answer prefix sketch: %w", err)
-	}
-	if f.Presence, _, err = sketch.DecodeQuantile(a.PresenceSketch); err != nil {
-		return nil, fmt.Errorf("tier: answer presence sketch: %w", err)
 	}
 	return f, nil
 }

@@ -2,28 +2,20 @@ package tier
 
 // Fold: turning a closed run of lower-level frames into one tier frame.
 // CloseRuns decides which runs are complete (deterministically, from
-// metadata alone); FoldRaw and FoldFrames build the frame. Both fold
-// oldest-first in WAL order and touch only commutative aggregates and
-// order-invariant sketches, so the output bytes are independent of how
-// many ingest workers produced the inputs.
+// metadata alone); FoldStates (raw checkpoint states into a day frame) and
+// FoldFrames (day frames into a week frame) check the run, hand every
+// input to a Builder — the accumulator a query sums the same aggregates
+// with — and take the frame it renders. Inputs fold oldest-first in WAL
+// order and touch only commutative aggregates and order-invariant
+// sketches, so the output bytes are independent of how many ingest workers
+// produced the inputs.
 
 import (
 	"fmt"
+	"time"
 
-	"cwatrace/internal/sketch"
 	"cwatrace/internal/streaming"
 )
-
-// Meta describes one candidate input frame for run grouping: the raw
-// checkpoint frame's identity and coverage (a mirror of the store's
-// frame metadata), or a day frame's FrameMeta when grouping for the
-// week level.
-type Meta struct {
-	Seq              uint64
-	BaseSeg          uint64
-	CoveredSeg       uint64
-	MinHour, MaxHour int64
-}
 
 // CloseRuns partitions metas — ordered by their WAL chain, i.e.
 // metas[i+1].BaseSeg == metas[i].CoveredSeg — into closed level-runs,
@@ -60,6 +52,53 @@ func CloseRuns(level Level, metas []Meta) [][2]int {
 	return runs
 }
 
+// runMeta checks that the inputs' WAL intervals chain exactly and returns
+// the identity and coverage of the frame that folds them: the union of
+// their intervals and of their hour bounds (accounting-only inputs have
+// none).
+func runMeta(level Level, seq uint64, inputs []Meta) (Meta, error) {
+	if len(inputs) == 0 {
+		return Meta{}, fmt.Errorf("tier: fold of zero inputs")
+	}
+	run := Meta{Level: level, Seq: seq, BaseSeg: inputs[0].BaseSeg, CoveredSeg: inputs[len(inputs)-1].CoveredSeg, MinHour: -1, MaxHour: -1}
+	for i, in := range inputs {
+		if i > 0 && in.BaseSeg != inputs[i-1].CoveredSeg {
+			return Meta{}, fmt.Errorf("tier: input frame %d breaks the WAL chain: base segment %d after covered %d", i, in.BaseSeg, inputs[i-1].CoveredSeg)
+		}
+		if in.MinHour >= 0 {
+			if run.MinHour < 0 || in.MinHour < run.MinHour {
+				run.MinHour = in.MinHour
+			}
+			run.MaxHour = max(run.MaxHour, in.MaxHour)
+		}
+	}
+	return run, nil
+}
+
+// FoldStates folds a closed run of raw checkpoint frames — their metadata
+// and their decoded states, oldest first — into one frame at the given
+// level (normally LevelDay). cfg is the store's analytics configuration.
+// The run's exact part is one streaming.Fold, which evicts no hour of it,
+// mirroring the store's own no-eviction invariant; presence is the number
+// of input frames a prefix appears in, which the merged state no longer
+// knows, so the sketches are fed per input.
+func FoldStates(level Level, seq uint64, cfg streaming.Config, inputs []Meta, states []*streaming.Stored) (*Frame, error) {
+	run, err := runMeta(level, seq, inputs)
+	if err != nil {
+		return nil, err
+	}
+	acc := NewSketchAccum()
+	for _, st := range states {
+		acc.AddShard(st.EachPrefix)
+	}
+	// The live window means nothing to a fold and would size its rendering:
+	// at one hour the target spans the run's own bins and no more.
+	cfg.WindowHours = 1
+	b := NewBuilder(level.Resolution(), cfg.Origin, nil)
+	b.AddResidual(streaming.Fold(cfg, time.Time{}, time.Time{}, states...).Snapshot(), acc, 0)
+	return b.Frame(run, len(inputs))
+}
+
 // Input is one raw checkpoint frame presented to FoldRaw: its metadata
 // plus the restored analytics state.
 type Input struct {
@@ -67,79 +106,15 @@ type Input struct {
 	State *streaming.Analytics
 }
 
-// chainErr validates that consecutive WAL intervals chain exactly.
-func chainErr(what string, prevCovered, base uint64, i int) error {
-	if base != prevCovered {
-		return fmt.Errorf("tier: %s %d breaks the WAL chain: base segment %d after covered %d", what, i, base, prevCovered)
-	}
-	return nil
-}
-
-// FoldRaw folds a closed run of raw checkpoint frames into one frame at
-// the given level (normally LevelDay). cfg is the store's analytics
-// configuration; the merge target runs in archive mode so no hour of
-// the run can be evicted, mirroring the store's own no-eviction
-// invariant.
+// FoldRaw is FoldStates for callers that hold live shards and not decoded
+// states: it detaches each and folds the copies.
 func FoldRaw(level Level, seq uint64, cfg streaming.Config, inputs []Input) (*Frame, error) {
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("tier: fold of zero inputs")
-	}
-	f := &Frame{
-		Level:      level,
-		Seq:        seq,
-		BaseSeg:    inputs[0].Meta.BaseSeg,
-		CoveredSeg: inputs[len(inputs)-1].Meta.CoveredSeg,
-		MinHour:    -1,
-		MaxHour:    -1,
-		Inputs:     uint32(len(inputs)),
-		Dropped:    make([]uint64, nReasons),
-		Prefixes:   sketch.NewHLL(),
-		Presence:   sketch.NewQuantile(),
-	}
-
-	// Merge the run oldest-first at an archive window, and feed the
-	// presence accumulator per input frame — presence is the number of
-	// input frames a prefix appears in, which the merged state no
-	// longer knows.
-	cfg.Archive = true
-	m := streaming.New(cfg)
-	acc := NewSketchAccum()
+	metas := make([]Meta, len(inputs))
+	states := make([]*streaming.Stored, len(inputs))
 	for i, in := range inputs {
-		if i > 0 {
-			if err := chainErr("input frame", inputs[i-1].Meta.CoveredSeg, in.Meta.BaseSeg, i); err != nil {
-				return nil, err
-			}
-		}
-		if in.Meta.MinHour >= 0 {
-			if f.MinHour < 0 || in.Meta.MinHour < f.MinHour {
-				f.MinHour = in.Meta.MinHour
-			}
-			if in.Meta.MaxHour > f.MaxHour {
-				f.MaxHour = in.Meta.MaxHour
-			}
-		}
-		m.Merge(in.State)
-		acc.AddShard(in.State.EachPrefix)
+		metas[i], states[i] = in.Meta, in.State.Detach(time.Time{}, time.Time{})
 	}
-	acc.fill(f)
-
-	snap := m.Snapshot()
-	f.Total = uint64(snap.Census.Total)
-	f.Kept = uint64(snap.Census.Kept)
-	for reason, n := range snap.Census.Dropped {
-		if int(reason) >= 0 && int(reason) < nReasons {
-			f.Dropped[reason] = uint64(n)
-		}
-	}
-	f.Late = snap.Late
-	f.Located = snap.Located
-	for _, d := range snap.Districts { // already sorted by ID
-		f.Districts = append(f.Districts, District{ID: d.ID, Flows: d.Flows})
-	}
-	buckets := newBuckets(level)
-	buckets.addHours(snap.Hours)
-	f.Buckets = buckets.render(nil)
-	return f, nil
+	return FoldStates(level, seq, cfg, metas, states)
 }
 
 // FoldFrames folds a closed run of same-level frames into one frame at
@@ -147,59 +122,20 @@ func FoldRaw(level Level, seq uint64, cfg streaming.Config, inputs []Input) (*Fr
 // commutative sum or an order-invariant sketch merge, so no analytics
 // state is needed.
 func FoldFrames(level Level, seq uint64, inputs []*Frame) (*Frame, error) {
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("tier: fold of zero inputs")
-	}
-	f := &Frame{
-		Level:      level,
-		Seq:        seq,
-		BaseSeg:    inputs[0].BaseSeg,
-		CoveredSeg: inputs[len(inputs)-1].CoveredSeg,
-		MinHour:    -1,
-		MaxHour:    -1,
-		Inputs:     uint32(len(inputs)),
-		Dropped:    make([]uint64, nReasons),
-		Prefixes:   sketch.NewHLL(),
-		Presence:   sketch.NewQuantile(),
-	}
-	districts := map[string]uint64{}
-	buckets := newBuckets(level)
+	metas := make([]Meta, len(inputs))
 	for i, in := range inputs {
-		if i > 0 {
-			if err := chainErr("input frame", inputs[i-1].CoveredSeg, in.BaseSeg, i); err != nil {
-				return nil, err
-			}
-		}
 		if in.Level+1 != level {
 			return nil, fmt.Errorf("tier: folding level %s input into level %s frame", in.Level, level)
 		}
-		if in.MinHour >= 0 {
-			if f.MinHour < 0 || in.MinHour < f.MinHour {
-				f.MinHour = in.MinHour
-			}
-			if in.MaxHour > f.MaxHour {
-				f.MaxHour = in.MaxHour
-			}
-		}
-		f.Total += in.Total
-		f.Kept += in.Kept
-		for r, n := range in.Dropped {
-			if r < nReasons {
-				f.Dropped[r] += n
-			}
-		}
-		f.Late += in.Late
-		f.Located += in.Located
-		for _, d := range in.Districts {
-			districts[d.ID] += d.Flows
-		}
-		f.Prefixes.Merge(in.Prefixes)
-		f.Presence.Merge(in.Presence)
-		for _, b := range in.Buckets {
-			buckets.add(b.StartHour, b.Flows, b.Bytes)
-		}
+		metas[i] = in.Meta()
 	}
-	f.Districts = sortDistricts(districts)
-	f.Buckets = buckets.render(nil)
-	return f, nil
+	run, err := runMeta(level, seq, metas)
+	if err != nil {
+		return nil, err
+	}
+	b := NewBuilder(level.Resolution(), time.Time{}, nil)
+	for _, in := range inputs {
+		b.AddFrame(in)
+	}
+	return b.Frame(run, len(inputs))
 }

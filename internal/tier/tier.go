@@ -83,6 +83,9 @@ func (l Level) String() string {
 	return fmt.Sprintf("level-%d", uint8(l))
 }
 
+// Resolution is the answer granularity that reads from the level.
+func (l Level) Resolution() Resolution { return Resolution(l.String()) }
+
 // Resolution selects the answer granularity of a range query.
 type Resolution string
 
@@ -193,9 +196,10 @@ type Frame struct {
 	districtIdx   []uint32
 }
 
-// FrameMeta is the planner's view of a tier frame: identity and
-// coverage without the decoded payload.
-type FrameMeta struct {
+// Meta is a frame's identity and coverage without its payload: what run
+// grouping (CloseRuns), the folds and the planner read. Level is zero for a
+// raw checkpoint frame (a mirror of the store's frame metadata).
+type Meta struct {
 	Level            Level
 	Seq              uint64
 	BaseSeg          uint64
@@ -203,9 +207,12 @@ type FrameMeta struct {
 	MinHour, MaxHour int64
 }
 
-// Meta returns the frame's planner metadata.
-func (f *Frame) Meta() FrameMeta {
-	return FrameMeta{Level: f.Level, Seq: f.Seq, BaseSeg: f.BaseSeg,
+// FrameMeta is Meta under the name the planner knows a tier frame's by.
+type FrameMeta = Meta
+
+// Meta returns the frame's metadata.
+func (f *Frame) Meta() Meta {
+	return Meta{Level: f.Level, Seq: f.Seq, BaseSeg: f.BaseSeg,
 		CoveredSeg: f.CoveredSeg, MinHour: f.MinHour, MaxHour: f.MaxHour}
 }
 

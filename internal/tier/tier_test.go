@@ -3,8 +3,13 @@ package tier
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"net/netip"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -283,7 +288,7 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 // TestAnswerFrameMergesLikeTheWhole pins the cluster path: two shard
-// answers shipped as frames (Answer.Frame through the wire codec) and
+// answers shipped as frames (Builder.Frame through the wire codec) and
 // folded with AddFrame equal one answer built from everything —
 // including the estimates, because sketches merge where estimates
 // cannot. Only the source count differs: the router sums the shards'
@@ -311,7 +316,7 @@ func TestAnswerFrameMergesLikeTheWhole(t *testing.T) {
 	for _, f := range []*Frame{f1, f2} {
 		b := NewBuilder(ResolutionDay, origin, nil)
 		b.AddFrame(f)
-		shipped, err := b.Answer().Frame()
+		shipped, err := b.Frame(Meta{MinHour: -1, MaxHour: -1}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,13 +339,20 @@ func TestAnswerFrameMergesLikeTheWhole(t *testing.T) {
 		t.Fatalf("scatter-gather drift:\n got %+v\nwant %+v", got, want)
 	}
 
-	// An answer that cannot be a frame is an error, not a silent merge.
-	bad := whole.Answer()
-	bad.PrefixSketch[len(bad.PrefixSketch)-1] ^= 0x10
-	if _, err := bad.Frame(); err == nil {
-		t.Fatal("corrupt sketch state rendered a frame")
+	// Sums that cannot be a frame are an error, not bytes DecodeFrame will
+	// refuse: a district id the codec's length byte cannot carry (the
+	// answer, which has no such bound, still lists it), and a resolution
+	// without a level.
+	long := strings.Repeat("x", 300)
+	whole.AddFrame(districtFrame(3, 50, District{long, 1}))
+	if f, err := whole.Frame(Meta{MinHour: -1, MaxHour: -1}, 0); err == nil {
+		_, err = DecodeFrame(EncodeFrame(f))
+		t.Fatalf("a 300-byte district id rendered a frame (which decodes to: %v)", err)
 	}
-	if _, err := (&Answer{Resolution: ResolutionHour}).Frame(); err == nil {
+	if ans := whole.Answer(); ans.Districts[len(ans.Districts)-1].ID != long {
+		t.Fatalf("the answer lost the long district id: %+v", ans.Districts)
+	}
+	if _, err := NewBuilder(ResolutionHour, origin, nil).Frame(Meta{}, 0); err == nil {
 		t.Fatal("hour resolution rendered a frame")
 	}
 }
@@ -497,4 +509,76 @@ func TestBucketsStaySortedInAnyOrder(t *testing.T) {
 	if got := newBuckets(LevelWeek); got.render(nil) == nil {
 		t.Fatal("no buckets rendered as nil, frames carry an empty list")
 	}
+}
+
+// TestOneAccumulator holds the seam by reading the source: outside the
+// codec, the package builds a Frame in one function, Builder.Frame, so
+// every fold and every answer is summed by the builder; it folds decoded
+// states, so it builds no ring (streaming.New) and parses no sketch back
+// out of bytes it rendered; and the store's fold scheduler hands it those
+// states from its frame cache, with no shard (newTail) per input.
+func TestOneAccumulator(t *testing.T) {
+	fset := token.NewFileSet()
+	calls := func(file *ast.File, fn func(name, in string)) {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			in := fd.Name.Name
+			if fd.Recv != nil {
+				if star, ok := fd.Recv.List[0].Type.(*ast.StarExpr); ok {
+					in = star.X.(*ast.Ident).Name + "." + in
+				}
+			}
+			ast.Inspect(fd, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if id, ok := n.Type.(*ast.Ident); ok {
+						fn(id.Name+"{}", in)
+					}
+				case *ast.CallExpr:
+					switch f := n.Fun.(type) {
+					case *ast.Ident:
+						fn(f.Name, in)
+					case *ast.SelectorExpr: // pkg.Func, or a method by its bare name
+						if x, ok := f.X.(*ast.Ident); ok {
+							fn(x.Name+"."+f.Sel.Name, in)
+						}
+						fn(f.Sel.Name, in)
+					}
+				}
+				return true
+			})
+		}
+	}
+	pkg, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return fi.Name() != "codec.go" && !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var builds []string
+	for _, file := range pkg["tier"].Files {
+		calls(file, func(name, in string) {
+			switch name {
+			case "Frame{}":
+				builds = append(builds, in)
+			case "streaming.New", "sketch.DecodeHLL", "sketch.DecodeQuantile":
+				t.Errorf("%s calls %s", in, name)
+			}
+		})
+	}
+	if !reflect.DeepEqual(builds, []string{"Builder.Frame"}) {
+		t.Errorf("a Frame is built in %v, want in Builder.Frame alone", builds)
+	}
+	sched, err := parser.ParseFile(fset, "../store/tier.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls(sched, func(name, in string) {
+		if name == "newTail" {
+			t.Errorf("store/tier.go: %s calls newTail", in)
+		}
+	})
 }

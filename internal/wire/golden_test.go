@@ -8,6 +8,14 @@ package wire_test
 // whole small store — two checkpoint frames, the day tier frame folded
 // from the first, a WAL segment holding one live batch — so opening it is
 // the "a store written by the previous version still opens" check.
+//
+// A second store (testdata/golden/weeks, written by the commit before
+// tier.Builder became the one place tier aggregates are summed) outlives
+// two closed weeks, so that every shape a fold meets is held to its bytes:
+// day frames of one and of two inputs, one with an accounting-only input,
+// week frames of seven day frames, raw frames compacted past MaxFrames,
+// a district a checkpoint lists with no flows, and the week-resolution
+// state body a router would be sent.
 
 import (
 	"bytes"
@@ -19,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,16 +41,41 @@ import (
 	"cwatrace/internal/store"
 	"cwatrace/internal/streaming"
 	"cwatrace/internal/tier"
+	"cwatrace/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current encoders")
 
 const (
 	goldenDir   = "testdata/golden"
-	stateURL    = "/api/v1/query?resolution=day&format=state"
 	lockName    = "LOCK" // the writable open's flock file, not store data
 	fixtureDays = 2      // checkpointed days; one more stays in the WAL
+	// weeksDays days are checkpointed, one more stays in the WAL: the days
+	// before the last fold, and with day 14 folded so do weeks 0 and 1.
+	weeksDays      = 16
+	weeksMaxFrames = 8
 )
+
+// A fixture is one golden store under goldenDir and the state body it
+// serves.
+type fixture struct {
+	dir   string // "" for the first, which the damage table reads too
+	url   string
+	build func(t *testing.T, dir string) *store.Store
+	// What a read-only open of the golden files recovers, and the batch
+	// its WAL holds.
+	frames, dayFrames, weekFrames int
+	tailDay                       int
+}
+
+var fixtures = []fixture{
+	{dir: "", url: "/api/v1/query?resolution=day&format=state", build: buildFixture,
+		frames: fixtureDays, dayFrames: 1, tailDay: fixtureDays},
+	{dir: "weeks", url: "/api/v1/query?resolution=week&format=state", build: buildWeeksFixture,
+		frames: weeksMaxFrames, dayFrames: weeksDays - 1, weekFrames: 2, tailDay: weeksDays},
+}
+
+func (fx fixture) path(name string) string { return filepath.Join(fx.dir, name) }
 
 // fixtureConfig is the analytics configuration of the golden store: a
 // four-district geolocation database, so frames and state carry district
@@ -98,38 +132,119 @@ func fixtureBatch(day int) []netflow.Record {
 	return append(batch, dropped)
 }
 
-// buildFixture writes the golden store into dir with the current code and
-// returns the state body it serves.
-func buildFixture(t *testing.T, dir string) []byte {
+func mustOpen(t *testing.T, dir string, opts store.Options) *store.Store {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{Analytics: fixtureConfig(t), Tier: true})
+	st, err := store.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	for day := 0; day <= fixtureDays; day++ {
-		if err := st.Append(fixtureBatch(day)); err != nil {
-			t.Fatal(err)
-		}
-		if day < fixtureDays {
-			if err := st.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return stateBody(t, st)
+	return st
 }
 
-func stateBody(t *testing.T, st *store.Store) []byte {
+// checkpoint appends one batch and folds it into a checkpoint frame.
+func checkpoint(t *testing.T, st *store.Store, batch []netflow.Record) {
+	t.Helper()
+	if err := st.Append(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// buildFixture writes the first golden store into dir with the current
+// code and returns it open.
+func buildFixture(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st := mustOpen(t, dir, store.Options{Analytics: fixtureConfig(t), Tier: true})
+	for day := 0; day < fixtureDays; day++ {
+		checkpoint(t, st, fixtureBatch(day))
+	}
+	if err := st.Append(fixtureBatch(fixtureDays)); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// buildWeeksFixture writes the second golden store. Every third day is
+// checkpointed twice (a day frame of two inputs), day 5 keeps its dropped
+// record for a checkpoint of its own (an accounting-only input), the frame
+// bound is low enough that raw frames compact, and the store is closed
+// after day 0 to plant what no ingest produces: a district listed with no
+// flows, which every fold above it has to keep listing.
+func buildWeeksFixture(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	cfg := fixtureConfig(t)
+	opts := store.Options{Analytics: cfg, Tier: true, MaxFrames: weeksMaxFrames}
+	st := mustOpen(t, dir, opts)
+	checkpoint(t, st, fixtureBatch(0))
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	plantZeroFlowDistrict(t, filepath.Join(dir, "ckpt-0000000000000001.ck"), cfg)
+
+	st = mustOpen(t, dir, opts)
+	for day := 1; day < weeksDays; day++ {
+		batch, cut := fixtureBatch(day), 0
+		switch {
+		case day == 5:
+			cut = len(batch) - 1
+		case day%3 == 1:
+			cut = 2
+		}
+		if cut > 0 {
+			checkpoint(t, st, batch[:cut])
+		}
+		checkpoint(t, st, batch[cut:])
+	}
+	if err := st.Append(fixtureBatch(weeksDays)); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// plantZeroFlowDistrict rewrites the checkpoint frame at path, which holds
+// day 0's batch, with the state of a shard that ingested the same batch
+// and was then told of a fifth district without a flow in it.
+func plantZeroFlowDistrict(t *testing.T, path string, cfg streaming.Config) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind, payload, _, err := wire.ReadFrame(data, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frameInfoLen = 7 * 8 // internal/store/codec.go: the frame's metadata, then its state
+	cfg.Archive = true
+	shard := streaming.New(cfg)
+	shard.Ingest(fixtureBatch(0))
+	shard.Merge(streaming.FromSnapshot(&streaming.Snapshot{
+		Origin:      shard.Config().Origin,
+		WindowHours: cfg.WindowHours,
+		Districts:   []streaming.DistrictCount{{ID: cfg.Model.Districts()[4].ID}},
+	}))
+	state, err := shard.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := wire.AppendFrame(nil, kind, append(payload[:frameInfoLen:frameInfoLen], state...))
+	if err := os.WriteFile(path, planted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func stateBody(t *testing.T, st *store.Store, url string) []byte {
 	t.Helper()
 	srv, err := api.New(api.Config{History: st})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := httptest.NewRecorder()
-	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, stateURL, nil))
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, url, nil))
 	if w.Code != http.StatusOK {
-		t.Fatalf("%s: %d %s", stateURL, w.Code, w.Body)
+		t.Fatalf("%s: %d %s", url, w.Code, w.Body)
 	}
 	return w.Body.Bytes()
 }
@@ -181,51 +296,59 @@ func golden(t *testing.T, name string) []byte {
 }
 
 func TestEncodersReproduceGoldens(t *testing.T) {
-	dir := t.TempDir()
-	state := buildFixture(t, dir)
-	built := storeFiles(t, dir)
-	sketches := map[string][]byte{
+	built := map[string][]byte{
 		"hll.bin":      fixtureHLL().AppendBinary(nil),
 		"quantile.bin": fixtureQuantile().AppendBinary(nil),
-		"state.bin":    state,
+	}
+	for _, fx := range fixtures {
+		dir := t.TempDir()
+		st := fx.build(t, dir)
+		built[fx.path("state.bin")] = stateBody(t, st, fx.url)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range storeFiles(t, dir) {
+			built[fx.path(filepath.Join("datadir", name))] = data
+		}
 	}
 	if *update {
 		if err := os.RemoveAll(goldenDir); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Join(goldenDir, "datadir"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for name, data := range sketches {
-			if err := os.WriteFile(filepath.Join(goldenDir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
 		for name, data := range built {
-			if err := os.WriteFile(filepath.Join(goldenDir, "datadir", name), data, 0o644); err != nil {
+			path := filepath.Join(goldenDir, name)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	for name, data := range sketches {
-		if !bytes.Equal(data, golden(t, name)) {
-			t.Errorf("%s: the encoder no longer writes the golden bytes", name)
+	for name, data := range built {
+		if want := golden(t, name); !bytes.Equal(data, want) {
+			t.Errorf("%s: the current code no longer writes the golden bytes (%d bytes, golden %d)", name, len(data), len(want))
 		}
 	}
-	want := storeFiles(t, filepath.Join(goldenDir, "datadir"))
-	kinds := map[string]bool{}
-	for name, data := range want {
-		kinds[name[:4]] = true
-		if !bytes.Equal(built[name], data) {
-			t.Errorf("datadir/%s: the store no longer writes the golden bytes (%d bytes, golden %d)", name, len(built[name]), len(data))
+	for _, fx := range fixtures {
+		want := storeFiles(t, filepath.Join(goldenDir, fx.path("datadir")))
+		for name := range want {
+			if _, ok := built[fx.path(filepath.Join("datadir", name))]; !ok {
+				t.Errorf("%s: the store no longer writes this golden file", fx.path(filepath.Join("datadir", name)))
+			}
 		}
-	}
-	if len(built) != len(want) {
-		t.Errorf("the store wrote %d files, the golden data dir holds %d", len(built), len(want))
-	}
-	for _, kind := range []string{"meta", "ckpt", "tier", "wal-"} {
-		if !kinds[kind] {
-			t.Errorf("the golden data dir holds no %s file", kind)
+		kinds := []string{"meta.json", "ckpt-", "tier-d-", "wal-"}
+		if fx.weekFrames > 0 {
+			kinds = append(kinds, "tier-w-")
+		}
+		for _, kind := range kinds {
+			held := false
+			for name := range want {
+				held = held || strings.HasPrefix(name, kind)
+			}
+			if !held {
+				t.Errorf("the golden data dir %q holds no %s file", fx.dir, kind)
+			}
 		}
 	}
 }
@@ -241,35 +364,40 @@ func TestGoldensDecodeAndReencode(t *testing.T) {
 	if err != nil || n != len(raw) || !bytes.Equal(q.AppendBinary(nil), raw) {
 		t.Errorf("quantile.bin: consumed %d of %d, err %v, or re-encoded differently", n, len(raw), err)
 	}
+	for _, fx := range fixtures {
+		goldenStoreDecodesAndReencodes(t, fx)
+	}
+}
 
+func goldenStoreDecodesAndReencodes(t *testing.T, fx fixture) {
 	// The state body: its exact part and its long-horizon frame, each
 	// through its own codec and back.
-	raw = golden(t, "state.bin")
+	raw := golden(t, fx.path("state.bin"))
 	const stateHeaderLen = 44 // internal/api/state.go
 	ss, err := api.DecodeState(raw)
 	if err != nil {
-		t.Fatalf("state.bin: %v", err)
+		t.Fatalf("%s: %v", fx.path("state.bin"), err)
 	}
-	if ss.LongHorizon == nil || ss.Resolution != tier.ResolutionDay || !ss.TailIncluded {
-		t.Fatalf("state.bin decoded to %+v: want a day answer with the tail", ss)
+	if ss.LongHorizon == nil || !strings.Contains(fx.url, "resolution="+string(ss.Resolution)) || !ss.TailIncluded {
+		t.Fatalf("%s decoded to %+v: want the tiered answer to %s with the tail", fx.path("state.bin"), ss, fx.url)
 	}
 	exact, err := ss.State.AppendBinary(nil, ss.Origin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again := append(exact, tier.EncodeFrame(ss.LongHorizon)...); !bytes.Equal(again, raw[stateHeaderLen:]) {
-		t.Error("state.bin: state and frame re-encode differently")
+		t.Errorf("%s: state and frame re-encode differently", fx.path("state.bin"))
 	}
 
 	// The data dir: every tier frame through its codec and back; then the
 	// whole store, opened from a copy of the golden files, serves the
 	// golden state body and replays the golden WAL into the fixture batch.
 	dir := t.TempDir()
-	for name, data := range storeFiles(t, filepath.Join(goldenDir, "datadir")) {
+	for name, data := range storeFiles(t, filepath.Join(goldenDir, fx.path("datadir"))) {
 		if name[:4] == "tier" {
 			f, err := tier.DecodeFrame(data)
 			if err != nil || !bytes.Equal(tier.EncodeFrame(f), data) {
-				t.Errorf("datadir/%s: err %v, or re-encoded differently", name, err)
+				t.Errorf("%s: err %v, or re-encoded differently", fx.path(filepath.Join("datadir", name)), err)
 			}
 		}
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
@@ -278,14 +406,15 @@ func TestGoldensDecodeAndReencode(t *testing.T) {
 	}
 	st, err := store.Open(dir, store.Options{Analytics: fixtureConfig(t), ReadOnly: true})
 	if err != nil {
-		t.Fatalf("opening the golden data dir: %v", err)
+		t.Fatalf("opening the golden data dir %q: %v", fx.dir, err)
 	}
 	defer st.Close()
-	if m := st.Metrics(); m.RecoveredFrames != fixtureDays || m.TierFramesDay != 1 || m.RecoveredWALRecords != uint64(len(fixtureBatch(0))) {
-		t.Errorf("recovered %d frames, %d day frames, %d WAL records", m.RecoveredFrames, m.TierFramesDay, m.RecoveredWALRecords)
+	tail := fixtureBatch(fx.tailDay)
+	if m := st.Metrics(); m.RecoveredFrames != fx.frames || m.TierFramesDay != fx.dayFrames || m.TierFramesWeek != fx.weekFrames || m.RecoveredWALRecords != uint64(len(tail)) {
+		t.Errorf("%q: recovered %d frames, %d day and %d week frames, %d WAL records", fx.dir, m.RecoveredFrames, m.TierFramesDay, m.TierFramesWeek, m.RecoveredWALRecords)
 	}
-	if !bytes.Equal(stateBody(t, st), raw) {
-		t.Error("the golden data dir no longer serves the golden state body")
+	if !bytes.Equal(stateBody(t, st, fx.url), raw) {
+		t.Errorf("the golden data dir %q no longer serves the golden state body", fx.dir)
 	}
 	var walked [][]netflow.Record
 	if err := store.WalkWAL(dir, func(b []netflow.Record) error {
@@ -294,7 +423,7 @@ func TestGoldensDecodeAndReencode(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if want := [][]netflow.Record{fixtureBatch(fixtureDays)}; !reflect.DeepEqual(walked, want) {
-		t.Errorf("the golden WAL replays to %v, want %v", walked, want)
+	if want := [][]netflow.Record{tail}; !reflect.DeepEqual(walked, want) {
+		t.Errorf("the golden WAL of %q replays to %v, want %v", fx.dir, walked, want)
 	}
 }
