@@ -40,8 +40,13 @@ type Options struct {
 	Backoff time.Duration
 }
 
-// cacheLimit bounds the per-URL ETag cache.
-const cacheLimit = 256
+// cacheLimit bounds the per-URL ETag cache in entries and cacheBytes in
+// body bytes (256 state bodies could be 4 GiB); no body over a sixteenth
+// of cacheBytes is filed. The harness's query mix keeps about 8 MB.
+const (
+	cacheLimit = 256
+	cacheBytes = 32 << 20
+)
 
 // Client talks to one collectord API server. It is safe for concurrent
 // use.
@@ -51,8 +56,9 @@ type Client struct {
 	retries int
 	backoff time.Duration
 
-	mu    sync.Mutex
-	cache map[string]*cachedResp
+	mu     sync.Mutex
+	cache  map[string]*cachedResp
+	cached int // bytes of the cached bodies
 }
 
 // cachedResp is one validated response body.
@@ -359,17 +365,23 @@ func (c *Client) try(ctx context.Context, url string, cacheable, state bool) ([]
 		}
 	}
 	etag := resp.Header.Get("ETag")
-	if cacheable && resp.StatusCode == http.StatusOK && etag != "" {
+	if cacheable && resp.StatusCode == http.StatusOK && etag != "" && len(body) <= cacheBytes/16 {
 		c.mu.Lock()
-		// A newer answer replaces the URL's own entry; only a new URL
-		// makes a full cache give one (any one) up.
-		if _, have := c.cache[url]; !have && len(c.cache) >= cacheLimit {
-			for k := range c.cache {
-				delete(c.cache, k)
+		// A newer answer replaces the URL's own entry; a cache that is
+		// full gives others (any ones) up until the new body fits.
+		if old, have := c.cache[url]; have {
+			c.cached -= len(old.body)
+			delete(c.cache, url)
+		}
+		for k, e := range c.cache {
+			if len(c.cache) < cacheLimit && c.cached+len(body) <= cacheBytes {
 				break
 			}
+			c.cached -= len(e.body)
+			delete(c.cache, k)
 		}
 		c.cache[url] = &cachedResp{etag: etag, body: body}
+		c.cached += len(body)
 		c.mu.Unlock()
 	}
 	return body, etag, nil

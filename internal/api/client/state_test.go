@@ -280,3 +280,60 @@ func TestFullCacheReplacesInPlace(t *testing.T) {
 			3*cacheLimit, got, cacheLimit, len(c.cache))
 	}
 }
+
+// TestCacheIsBoundedInBytes pins the cache's second bound: a fake shard
+// serves 300 URLs of 1 MiB state bodies, and the bodies the client keeps
+// never add up to more than cacheBytes, however many entries would fit;
+// the parent of this test kept all 256 it had room for, 256 MiB. A body
+// over a sixteenth of the bound is never filed, and revalidates nothing.
+func TestCacheIsBoundedInBytes(t *testing.T) {
+	var conditional atomic.Int64
+	size := atomic.Int64{}
+	size.Store(1 << 20)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("If-None-Match") != "" {
+			conditional.Add(1)
+		}
+		w.Header().Set("Content-Type", api.StateMediaType)
+		w.Header().Set("ETag", `"`+r.URL.RawQuery+`"`)
+		w.Write(bytes.Repeat([]byte{'s'}, int(size.Load())))
+	}))
+	defer ts.Close()
+	c, err := New(ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	hour := func(i int) time.Time { return entime.StudyStart.Add(time.Duration(i) * time.Hour) }
+	retained := func() (n int) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for _, e := range c.cache {
+			n += len(e.body)
+		}
+		if n != c.cached {
+			t.Fatalf("cache accounts %d bytes for bodies of %d", c.cached, n)
+		}
+		return n
+	}
+	for i := 0; i < 300; i++ {
+		if _, _, err := c.QueryState(ctx, hour(i), hour(i+1), ""); err != nil {
+			t.Fatal(err)
+		}
+		if n := retained(); n > cacheBytes {
+			t.Fatalf("after %d bodies of 1 MiB the cache holds %d bytes, over its bound of %d", i+1, n, cacheBytes)
+		}
+	}
+	if n := len(c.cache); n != cacheBytes/(1<<20) {
+		t.Fatalf("%d entries of 1 MiB under a bound of %d bytes", n, cacheBytes)
+	}
+	size.Store(cacheBytes/16 + 1)
+	for i := 0; i < 2; i++ {
+		if _, _, err := c.QueryState(ctx, hour(-2), hour(-1), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := conditional.Load(); got != 0 {
+		t.Fatalf("a body over a sixteenth of the bound was filed: %d conditional requests", got)
+	}
+}

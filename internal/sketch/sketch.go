@@ -113,6 +113,15 @@ func (h *HLL) Merge(other *HLL) {
 	}
 }
 
+// pow2neg is 2^-r for every rank a register can hold (AddHash ranks at
+// most 64-hllP+1, DecodeHLL refuses more): Estimate's addends, looked up.
+var pow2neg = func() (t [65]float64) {
+	for r := range t {
+		t[r] = math.Ldexp(1, -r)
+	}
+	return t
+}()
+
 // Estimate returns the estimated distinct count: the standard HLL
 // harmonic-mean estimator with the linear-counting correction for the
 // small range, where the raw estimator is biased.
@@ -122,7 +131,7 @@ func (h *HLL) Estimate() uint64 {
 		zeros int
 	)
 	for _, r := range h.reg {
-		sum += math.Ldexp(1, -int(r))
+		sum += pow2neg[r]
 		if r == 0 {
 			zeros++
 		}

@@ -299,6 +299,55 @@ func TestHLLMergeIsTheByteWiseMax(t *testing.T) {
 	}
 }
 
+// TestHLLEstimateIsTheLdexpSum holds Estimate's table lookup to the
+// Ldexp loop it replaced, over random register files of every rank the
+// table holds, empty ones, saturated ones and real sketches: the addends
+// and their order are the same, so the result is bit for bit the same.
+func TestHLLEstimateIsTheLdexpSum(t *testing.T) {
+	ldexp := func(h *HLL) uint64 {
+		var sum float64
+		zeros := 0
+		for _, r := range h.reg {
+			sum += math.Ldexp(1, -int(r))
+			if r == 0 {
+				zeros++
+			}
+		}
+		raw := 0.7213 / (1 + 1.079/float64(hllM)) * hllM * hllM / sum
+		if raw <= 2.5*hllM && zeros > 0 {
+			raw = hllM * math.Log(float64(hllM)/float64(zeros))
+		}
+		return uint64(raw + 0.5)
+	}
+	rng := rand.New(rand.NewSource(25))
+	files := []func() uint8{
+		func() uint8 { return uint8(rng.Intn(len(pow2neg))) },
+		func() uint8 { return uint8(rng.Intn(4)) }, // the linear-counting range
+		func() uint8 { return 64 - hllP + 1 },
+		func() uint8 { return uint8(len(pow2neg) - 1) },
+		func() uint8 { return 0 },
+	}
+	for round := 0; round < 300; round++ {
+		var h HLL
+		fill := files[round%len(files)]
+		for i := range h.reg {
+			h.reg[i] = fill()
+		}
+		if got, want := h.Estimate(), ldexp(&h); got != want {
+			t.Fatalf("round %d: estimate %d, the Ldexp sum gives %d", round, got, want)
+		}
+	}
+	for n := 1; n <= 1<<18; n *= 4 {
+		h := NewHLL()
+		for i := 0; i < n; i++ {
+			h.Add(fmt.Sprint(i))
+		}
+		if got, want := h.Estimate(), ldexp(h); got != want {
+			t.Fatalf("%d items: estimate %d, the Ldexp sum gives %d", n, got, want)
+		}
+	}
+}
+
 // BenchmarkHLLMerge is what a tier fold does per frame: two sketches of
 // a few thousand prefixes each into an empty one (per merge).
 func BenchmarkHLLMerge(b *testing.B) {

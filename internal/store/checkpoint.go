@@ -90,7 +90,7 @@ func (s *Store) loadFrames(ckpts []frameMeta) (uint64, error) {
 	var covered uint64
 	for _, fr := range live {
 		s.base.MergeStored(fr.state)
-		s.frameCache.put(fr.meta.Seq, fr.state)
+		s.frameCache.put(frameKey(fr.meta.Seq), fr.state)
 		s.frames = append(s.frames, fr.meta)
 		s.frameRecords += fr.meta.Records
 		if fr.meta.CoveredSeg > covered {
@@ -295,13 +295,13 @@ func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
 		sp.Fail(err)
 		sp.End()
 	}()
-	a0, err := s.frameState(f0)
+	st, err := s.mergeFrames([]frameMeta{f0, f1})
 	if err != nil {
-		return false, fmt.Errorf("store: compacting %s: %w", filepath.Base(f0.path), err)
+		return false, err
 	}
-	a1, err := s.frameState(f1)
+	state, err := st.AppendBinary(nil, s.cfg.Origin)
 	if err != nil {
-		return false, fmt.Errorf("store: compacting %s: %w", filepath.Base(f1.path), err)
+		return false, err
 	}
 	info := frameInfo{
 		Seq:        seq,
@@ -311,23 +311,6 @@ func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
 		MinHour:    mergeBound(f0.MinHour, f1.MinHour, false),
 		MaxHour:    mergeBound(f0.MaxHour, f1.MaxHour, true),
 		Records:    f0.Records + f1.Records,
-	}
-	// Merge at a window wide enough to hold the pair's combined hour
-	// span. WindowHours is a *live* streaming bound; a compacted frame
-	// is an archive, and folding at the live window would evict — and,
-	// with the input files deleted below, permanently lose — the
-	// oldest hourly bins of any pair spanning more than the window
-	// (inevitable once a capture outlives WindowHours). The merged
-	// state persists its own window; DecodeStored adopts it on load,
-	// and queries fold into a target that evicts nothing
-	// (streaming.Range), so /api/v1/query serves every hour ever
-	// checkpointed.
-	m := streaming.New(widenWindow(s.cfg, info.MinHour, info.MaxHour))
-	m.MergeStored(a0)
-	m.MergeStored(a1)
-	state, err := m.MarshalBinary()
-	if err != nil {
-		return false, err
 	}
 	path := ckptPath(s.dir, info.Seq)
 	rec := wire.AppendFrame(nil, recTypeFrame, appendFramePayload(nil, info, state))
@@ -344,23 +327,12 @@ func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
 	s.compacted++
 	s.ckptGen++
 	s.mu.Unlock()
-	s.frameCache.retain(func(seq uint64) bool { return seq != f0.Seq && seq != f1.Seq })
+	// The pair's entries and the runs holding it go with the sweep that
+	// ends every Checkpoint.
+	s.frameCache.put(frameKey(seq), st)
 	_ = os.Remove(f0.path)
 	_ = os.Remove(f1.path)
 	return false, nil
-}
-
-// widenWindow returns cfg with WindowHours widened to hold the
-// inclusive hour span [minHour, maxHour] (-1 bounds: no span, cfg
-// unchanged): merging archived hours into a ring narrower than their
-// span evicts bins, which for compaction means permanent loss. The
-// bounds are frame metadata loadFrame validated, so the result never
-// exceeds streaming.MaxWindowHours.
-func widenWindow(cfg streaming.Config, minHour, maxHour int64) streaming.Config {
-	if need := int(maxHour - minHour + 1); minHour >= 0 && need > cfg.WindowHours {
-		cfg.WindowHours = need
-	}
-	return cfg
 }
 
 // mergeBound combines two possibly-absent (-1) hour bounds.

@@ -39,25 +39,27 @@ func storedOf(t *testing.T, n int) *streaming.Stored {
 func TestFrameCacheEvictsLeastRecentlyUsedWithinBudget(t *testing.T) {
 	small, big := storedOf(t, 4), storedOf(t, 400)
 	c := newFrameCache(3*int64(small.Size()) + 1)
+	put := func(seq uint64, st *streaming.Stored) { c.put(frameKey(seq), st) }
+	get := func(seq uint64) any { return c.get(frameKey(seq)) }
 	for seq := uint64(1); seq <= 3; seq++ {
-		c.put(seq, small)
+		put(seq, small)
 	}
-	if c.get(1) == nil { // 2 is now the least recently used
+	if get(1) == nil { // 2 is now the least recently used
 		t.Fatal("entry 1 missing before the budget was reached")
 	}
-	c.put(4, small)
-	if c.get(2) != nil || c.get(1) == nil || c.get(3) == nil || c.get(4) == nil {
+	put(4, small)
+	if get(2) != nil || get(1) == nil || get(3) == nil || get(4) == nil {
 		t.Fatalf("after one eviction the cache holds %v, want 1, 3 and 4", keys(c))
 	}
 	if c.bytes != 3*int64(small.Size()) || c.bytes > c.budget {
 		t.Fatalf("accounted %d bytes for three entries of %d under a budget of %d", c.bytes, small.Size(), c.budget)
 	}
-	c.put(9, big)
-	if c.get(9) != nil || len(c.entries) != 3 {
+	put(9, big)
+	if get(9) != nil || len(c.entries) != 3 {
 		t.Fatalf("a %d-byte state entered a %d-byte cache: %v", big.Size(), c.budget, keys(c))
 	}
-	c.put(4, small) // replacing must not double-count
-	c.retain(func(seq uint64) bool { return seq == 4 })
+	put(4, small) // replacing must not double-count
+	c.retain(func(k runKey) bool { return k == frameKey(4) })
 	if len(c.entries) != 1 || c.bytes != int64(small.Size()) {
 		t.Fatalf("after retain(4): %v, %d bytes, want one entry of %d", keys(c), c.bytes, small.Size())
 	}
@@ -66,32 +68,40 @@ func TestFrameCacheEvictsLeastRecentlyUsedWithinBudget(t *testing.T) {
 	}
 }
 
-func keys(c *frameCache) []uint64 {
-	var out []uint64
-	for seq := range c.entries {
-		out = append(out, seq)
+func keys(c *frameCache) []runKey {
+	var out []runKey
+	for k := range c.entries {
+		out = append(out, k)
 	}
 	return out
 }
 
 // checkFrameCache requires the cache to hold nothing but registered
-// frames, with its byte accounting exact and within the budget. Valid
-// only after a Checkpoint with no query in flight.
+// frames and runs from a registered frame to a later one of the same
+// list, with its byte accounting exact and within the budget. Valid only
+// after a Checkpoint with no query in flight.
 func checkFrameCache(t *testing.T, s *Store) {
 	t.Helper()
 	s.mu.Lock()
-	registered := map[uint64]bool{}
-	for _, fr := range s.frames {
-		registered[fr.Seq] = true
+	at := map[uint64][2]int{} // seq: list, position
+	for i, fm := range s.frames {
+		at[fm.Seq] = [2]int{0, i}
+	}
+	for l, list := range [][]tier.Meta{s.tierDay, s.tierWeek} {
+		for i, m := range list {
+			at[m.Seq] = [2]int{l + 1, i}
+		}
 	}
 	s.mu.Unlock()
 	c := s.frameCache
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var sum int64
-	for seq, e := range c.entries {
-		if !registered[seq] {
-			t.Errorf("cache holds frame %d, which is not registered", seq)
+	for k, e := range c.entries {
+		first, ok1 := at[k.first]
+		last, ok2 := at[k.last]
+		if !ok1 || !ok2 || first[0] != last[0] || last[1] < first[1] {
+			t.Errorf("cache holds %+v, which names no frame or run of registered frames", k)
 		}
 		sum += e.size
 	}
@@ -253,9 +263,10 @@ func TestFrameCacheCoherentUnderChurn(t *testing.T) {
 	if was, now := snapJSON(t, before), snapJSON(t, ask(s2, full)); was != now {
 		t.Fatalf("reopen answers differently:\n%s\n%s", was, now)
 	}
-	if c := s2.frameCache; c.misses != 0 || int(c.hits) != before.Frames || len(c.entries) != m.Frames {
+	frames := m.Frames + m.TierFramesDay + m.TierFramesWeek
+	if c := s2.frameCache; c.misses != 0 || int(c.hits) != before.Frames || len(c.entries) != frames {
 		t.Fatalf("reopened cache: %d entries for %d frames, %d hits and %d misses on a %d-frame query: Open did not seed it",
-			len(c.entries), m.Frames, c.hits, c.misses, before.Frames)
+			len(c.entries), frames, c.hits, c.misses, before.Frames)
 	}
 	checkFrameCache(t, s2)
 }
@@ -294,7 +305,7 @@ func TestDamagedFrameNeverEntersTheCache(t *testing.T) {
 		t.Fatalf("cached frames: err %v, answer changed %t", err, !reflect.DeepEqual(got, want))
 	}
 	// Once the file has to be read again, every read fails.
-	s.frameCache.retain(func(uint64) bool { return false })
+	s.frameCache.retain(func(runKey) bool { return false })
 	for i := 0; i < 2; i++ {
 		if _, err := s.Query(time.Time{}, time.Time{}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("read %d of a damaged frame: err %v, want ErrCorrupt", i, err)

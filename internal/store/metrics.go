@@ -8,8 +8,8 @@
 // per day or week frame written; the refused-fold test holds it to
 // that). Everything scalar reads the store's existing counters under
 // mu at render time, so the append path carries only the histogram
-// clocks. The three store_frame_cache_* samples read the decoded-frame
-// cache (framecache.go); their consumers are the warm-query test, the
+// clocks. The three store_frame_cache_* samples read the frame cache
+// (framecache.go); their consumers are the warm-query test, the
 // hit-share line of EXPERIMENTS.md and the DESIGN.md runbook row for a
 // year-span query that got slow again.
 package store
@@ -109,11 +109,11 @@ func registerStoreFuncs(reg *obs.Registry, s *Store) {
 			return pick()
 		}
 	}
-	counter("store_frame_cache_hits_total", "Checkpoint frame reads served from the decoded-frame cache.",
+	counter("store_frame_cache_hits_total", "Checkpoint and tier frame reads, and runs of frames a query adds as one, served from the frame cache.",
 		cached(func() float64 { return float64(cache.hits) }))
-	counter("store_frame_cache_misses_total", "Checkpoint frame reads that read and decoded the frame file (a miss rate near the query rate means the working set exceeds the cache budget).",
+	counter("store_frame_cache_misses_total", "Frame reads that read and decoded the frame file, and runs that were merged anew (a miss rate near the query rate means the working set exceeds the cache budget).",
 		cached(func() float64 { return float64(cache.misses) }))
-	gauge("store_frame_cache_bytes", "Decoded checkpoint frame state held in the cache (bounded by a 64 MiB constant).",
+	gauge("store_frame_cache_bytes", "Decoded frames and merged runs held in the frame cache (bounded by a 64 MiB constant).",
 		cached(func() float64 { return float64(cache.bytes) }))
 	counter("store_tier_folds_day_total", "Day tier folds this process.",
 		locked(func() float64 { return float64(s.tierFoldsDay) }))

@@ -135,16 +135,18 @@ func (s *Store) tryQuery(from, to time.Time, res tier.Resolution) (*QueryResult,
 	plan := tier.BuildPlan(res, s.cfg.Origin, from, to, weeks, days)
 	tiered := plan.Resolution != tier.ResolutionHour
 	result := &QueryResult{From: from, To: to, TailIncluded: live != nil, Version: version}
+	// Each selected stretch of a frame list is tiled with aligned blocks
+	// (cover), and a block of minRun frames or more is added as one run.
 	var acc *tier.SketchAccum
 	if tiered {
 		result.Resolution = plan.Resolution
 		result.tiered, acc = tier.NewBuilder(plan.Resolution, s.cfg.Origin, s.districts), tier.NewSketchAccum()
-		for _, tm := range appendPlanned(appendPlanned(nil, weeks, plan.Week), days, plan.Day) {
-			f, err := s.loadTierFrame(tm)
-			if err != nil {
-				return nil, err
-			}
-			result.tiered.AddFrame(f)
+		err := s.addPlanned(weeks, plan.Week, result.tiered.AddFrame)
+		if err == nil {
+			err = s.addPlanned(days, plan.Day, result.tiered.AddFrame)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 
@@ -156,31 +158,30 @@ func (s *Store) tryQuery(from, to time.Time, res tier.Resolution) (*QueryResult,
 	// (that is the point of the store), so the fold target is not a ring
 	// at that window but a streaming.Range: sized by the hours the range
 	// shares with the selected frames, evicting nothing, and reporting the
-	// window a ring widened to hold them all would have.
+	// window a ring widened to hold them all would have. A day or week
+	// answer's residual goes frame by frame: presence counts frames.
 	states := make([]*streaming.Stored, 0, len(frames)+len(live))
-	for _, fr := range frames {
-		if fr.BaseSeg < plan.RawFloor || !tier.HoursOverlap(s.cfg.Origin, fr.MinHour, fr.MaxHour, from, to) {
-			continue
-		}
-		st, err := s.frameState(fr)
-		if err != nil {
-			return nil, err
-		}
-		states = append(states, st)
-		if tiered {
-			acc.AddShard(st.EachPrefix)
-		}
-		result.Frames++
+	err := cover(len(frames), func(i int) uint64 { return frames[i].BaseSeg }, func(i int) bool {
+		return frames[i].BaseSeg >= plan.RawFloor && tier.HoursOverlap(s.cfg.Origin, frames[i].MinHour, frames[i].MaxHour, from, to)
+	}, func(lo, hi int) error {
+		result.Frames += hi - lo
+		return s.rawSources(frames, lo, hi, !tiered, func(st *streaming.Stored) {
+			states = append(states, st)
+			if tiered {
+				acc.AddShard(st)
+			}
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	result.fold = streaming.Fold(s.cfg, from, to, append(states, live...)...)
 	if !tiered {
 		return result, nil
 	}
-	if live != nil {
-		// To the presence sketch, which counts the shards a prefix appears
-		// in, the live tails are one shard: a prefix both hold counts once.
-		acc.AddShard(streaming.Fold(s.cfg, from, to, live...).EachPrefix)
-	}
+	// To the presence sketch, which counts the shards a prefix appears in,
+	// the live tails are one shard: a prefix both hold counts once.
+	acc.AddShard(live...)
 	// The residual series starts at its own first populated hour: the
 	// hours before it are what the selected tier frames cover, and
 	// rendering them would report zero traffic where the buckets report
@@ -192,20 +193,18 @@ func (s *Store) tryQuery(from, to time.Time, res tier.Resolution) (*QueryResult,
 	return result, nil
 }
 
-// appendPlanned appends the frames of list a plan selected. BuildPlan
-// emits seqs as a subsequence of the list it was given, in order, so one
-// walk of both finds them all.
-func appendPlanned(dst, list []tier.FrameMeta, seqs []uint64) []tier.FrameMeta {
-	for _, m := range list {
-		if len(seqs) == 0 {
-			break
-		}
-		if m.Seq == seqs[0] {
-			dst = append(dst, m)
-			seqs = seqs[1:]
+// addPlanned hands add the frames of list a plan selected, as the runs
+// and frames that cover them. BuildPlan emits seqs as a subsequence of
+// the list it was given, in order, so one walk of both marks them all.
+func (s *Store) addPlanned(list []tier.Meta, seqs []uint64, add func(*tier.Frame)) error {
+	sel := make([]bool, len(list))
+	for i, m := range list {
+		if len(seqs) > 0 && m.Seq == seqs[0] {
+			sel[i], seqs = true, seqs[1:]
 		}
 	}
-	return dst
+	return cover(len(list), func(i int) uint64 { return list[i].BaseSeg }, func(i int) bool { return sel[i] },
+		func(lo, hi int) error { return s.tierSources(list, lo, hi, true, add) })
 }
 
 // historyBounds reports the wall-clock extent of everything the store

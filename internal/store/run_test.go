@@ -1,0 +1,310 @@
+package store
+
+import (
+	"math/bits"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"cwatrace/internal/streaming"
+	"cwatrace/internal/tier"
+)
+
+// foldPerFrame is tryQuery without runs — every selected frame added
+// alone, the lists read as one cut — and the reference the run cover is
+// held to.
+func foldPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.Resolution) *QueryResult {
+	t.Helper()
+	if res == tier.ResolutionAuto {
+		start, end := s.historyBounds()
+		res = tier.AutoSpan(from, to, start, end)
+	}
+	s.mu.Lock()
+	weeks, days, frames := s.tierWeek, s.tierDay, s.frames
+	live := s.detachLive(from, to)
+	s.mu.Unlock()
+	plan := tier.BuildPlan(res, s.cfg.Origin, from, to, weeks, days)
+	r := &QueryResult{From: from, To: to, TailIncluded: live != nil}
+	tiered := plan.Resolution != tier.ResolutionHour
+	acc := tier.NewSketchAccum()
+	if tiered {
+		r.Resolution, r.tiered = plan.Resolution, tier.NewBuilder(plan.Resolution, s.cfg.Origin, nil)
+		for _, l := range []struct {
+			list []tier.Meta
+			seqs []uint64
+		}{{weeks, plan.Week}, {days, plan.Day}} {
+			for _, m := range l.list {
+				if slices.Contains(l.seqs, m.Seq) {
+					f, err := s.loadTierFrame(m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r.tiered.AddFrame(f)
+				}
+			}
+		}
+	}
+	var states []*streaming.Stored
+	for _, fm := range frames {
+		if fm.BaseSeg >= plan.RawFloor && tier.HoursOverlap(s.cfg.Origin, fm.MinHour, fm.MaxHour, from, to) {
+			st, err := s.frameState(fm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			states = append(states, st)
+			acc.AddShard(st)
+			r.Frames++
+		}
+	}
+	r.fold = streaming.Fold(s.cfg, from, to, append(states, live...)...)
+	if tiered {
+		acc.AddShard(live...)
+		r.tiered.AddResidual(r.fold.Populated().Snapshot(), acc, r.Frames)
+		r.LongHorizon = r.tiered.Answer()
+		r.LongHorizon.Label(s.cfg.Model)
+	}
+	return r
+}
+
+// answerOf is everything a body is rendered from: the result and its
+// rendering as JSON, and the state a shard ships for it.
+func answerOf(t *testing.T, r *QueryResult) string {
+	t.Helper()
+	st, origin := r.State()
+	state, err := st.AppendBinary(nil, origin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.LongHorizon != nil {
+		f, err := r.Frame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		state = append(state, tier.EncodeFrame(f)...)
+	}
+	return snapJSON(t, r) + snapJSON(t, r.Snapshot()) + string(state)
+}
+
+// checkAgainstPerFrame asks s and the per-frame reference the same
+// question and requires the same answer, byte for byte.
+func checkAgainstPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.Resolution) *QueryResult {
+	t.Helper()
+	got, err := s.QueryResolution(from, to, res)
+	if err != nil {
+		t.Fatalf("[%s, %s) at %q: %v", from, to, res, err)
+	}
+	if a, b := answerOf(t, got), answerOf(t, foldPerFrame(t, s, from, to, res)); a != b {
+		t.Fatalf("[%s, %s) at %q: runs answer\n%q\nthe per-frame fold\n%q", from, to, res, a, b)
+	}
+	return got
+}
+
+// TestCoverTilesEachStretchOnce holds cover to its contract over random
+// frame lists shaped like a store's — BaseSegs mostly consecutive, now
+// and then a compacted frame's wide gap — and random selections below a
+// raw floor and with holes: every selected frame lies in exactly one
+// block and no unselected one in any, so no block crosses a stretch
+// boundary or the floor; every block is aligned, the list's frames whose
+// BaseSeg agrees above some bit and nothing else; and a stretch takes at
+// most two blocks per bit of the BaseSegs it spans.
+func TestCoverTilesEachStretchOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for round := 0; round < 1000; round++ {
+		n := 1 + rng.Intn(400)
+		bases := make([]uint64, n)
+		next := uint64(rng.Intn(1000))
+		for i := range bases {
+			bases[i] = next
+			next++
+			if rng.Intn(10) == 0 {
+				next += uint64(rng.Intn(300))
+			}
+		}
+		floor := bases[rng.Intn(n)]
+		if rng.Intn(3) == 0 {
+			floor = 0
+		}
+		selected := make([]bool, n)
+		lo, hi := rng.Intn(n), rng.Intn(n+1)
+		for i := range selected {
+			selected[i] = bases[i] >= floor && i >= lo && i < hi && rng.Intn(20) != 0
+		}
+		base := func(i int) uint64 { return bases[i] }
+		covered := make([]int, n)
+		blocks := map[int]int{} // stretch start: blocks
+		stretch := -1
+		err := cover(n, base, func(i int) bool { return selected[i] }, func(lo, hi int) error {
+			if lo == 0 || !selected[lo-1] {
+				stretch = lo
+			}
+			blocks[stretch]++
+			for i := lo; i < hi; i++ {
+				covered[i]++
+			}
+			aligned := false
+			for k := 0; k < 64 && !aligned; k++ {
+				aligned = true
+				for i, b := range bases {
+					aligned = aligned && (b>>k == bases[lo]>>k) == (i >= lo && i < hi)
+				}
+			}
+			if !aligned {
+				t.Fatalf("round %d: block [%d, %d) of bases %v is not aligned", round, lo, hi, bases[lo:hi])
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range covered {
+			if want := map[bool]int{true: 1, false: 0}[selected[i]]; c != want {
+				t.Fatalf("round %d: frame %d (selected %t) covered %d times", round, i, selected[i], c)
+			}
+		}
+		for start, nb := range blocks {
+			end := start
+			for end < n && selected[end] {
+				end++
+			}
+			if limit := 2 * bits.Len64(bases[end-1]-bases[start]+1); nb > limit {
+				t.Fatalf("round %d: stretch [%d, %d) over bases %d..%d took %d blocks, want at most %d",
+					round, start, end, bases[start], bases[end-1], nb, limit)
+			}
+		}
+	}
+}
+
+// TestYearSpanFoldsLogFrames pins the cost of a year-span answer where
+// it cannot rot, in the manner of TestShortQueryCostsItsSpanNotTheWindow:
+// on a store holding 400 days — a checkpoint a day, compacted at 64
+// frames, day and week frames folded — a warm 364-day day or hour answer
+// adds at most 2·log2(n) + 2·minRun sources for the n frames behind it,
+// where it added n, and answers byte for byte what the per-frame fold
+// does. Every source is one frame-cache hit, so the hits of a repeat
+// count them.
+func TestYearSpanFoldsLogFrames(t *testing.T) {
+	const days = 400
+	s := mustOpen(t, t.TempDir(), Options{Tier: true, Sync: SyncNever})
+	defer s.Close()
+	for day := 0; day < days; day++ {
+		fillDay(t, s, day)
+	}
+	c := s.frameCache
+	for _, start := range []int{0, 17, 36} {
+		from, to := at(24*start), at(24*(start+364))
+		for _, res := range []tier.Resolution{tier.ResolutionHour, tier.ResolutionDay} {
+			checkAgainstPerFrame(t, s, from, to, res) // cold: builds the runs
+			hits, misses := c.hits, c.misses
+			r := checkAgainstPerFrame(t, s, from, to, res)
+			n := r.Frames
+			if r.LongHorizon != nil {
+				n += r.LongHorizon.TierFrames
+			}
+			// The per-frame reference reads every frame through the cache:
+			// its hits are n, the repeat's own are what is left.
+			sources := int(c.hits-hits) - n
+			t.Logf("364 days from day %d at %s: %d sources for %d frames", start, res, sources, n)
+			if c.misses != misses {
+				t.Fatalf("day %d at %s: the repeat missed %d times", start, res, c.misses-misses)
+			}
+			if limit := 2*bits.Len(uint(n)) + 2*minRun; sources > limit || n < 2*minRun {
+				t.Fatalf("day %d at %s: %d sources for %d frames, want at most %d", start, res, sources, n, limit)
+			}
+		}
+	}
+}
+
+// TestRunsSurviveCheckpointAndCompaction pins what a checkpoint costs the
+// runs: on 64 frames whose queries built runs, one more day's checkpoint
+// pushes the store past MaxFrames, and compaction merges the oldest pair.
+// The sweep that ends the checkpoint drops exactly the runs holding that
+// pair; the same queries again rebuild only runs holding the merged frame
+// or the new one — their misses are those runs and the new frame's
+// decode — and answer byte for byte what the per-frame fold and a fresh
+// read-only open do.
+func TestRunsSurviveCheckpointAndCompaction(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{Sync: SyncNever})
+	defer s.Close()
+	for day := 0; day < 64; day++ {
+		fillDay(t, s, day)
+	}
+	spans := [][2]int{{0, 65}, {8, 40}, {16, 48}, {32, 65}, {1, 60}}
+	ask := func() (answers []string) {
+		for _, d := range spans {
+			r := checkAgainstPerFrame(t, s, at(24*d[0]), at(24*d[1]), tier.ResolutionHour)
+			answers = append(answers, answerOf(t, r))
+		}
+		return answers
+	}
+	runs := func() map[runKey]bool {
+		c := s.frameCache
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		out := map[runKey]bool{}
+		for k := range c.entries {
+			if k.first != k.last {
+				out[k] = true
+			}
+		}
+		return out
+	}
+	ask()
+	before := runs()
+	s.mu.Lock()
+	oldest := s.frames[0].Seq
+	s.mu.Unlock()
+
+	fillDay(t, s, 64)
+	s.mu.Lock()
+	frames := append([]frameMeta(nil), s.frames...)
+	s.mu.Unlock()
+	if len(frames) != 64 || frames[0].BaseSeg != 0 || frames[0].Records != 2*frames[2].Records {
+		t.Fatalf("%d frames after the checkpoint, the oldest %+v: the oldest pair did not compact", len(frames), frames[0].frameInfo)
+	}
+	kept := runs()
+	survivors := 0
+	for k := range before {
+		// A run holding the second frame of the pair holds the first.
+		if holdsPair := k.first == oldest; kept[k] == holdsPair {
+			t.Errorf("run %+v (holds the compacted pair: %t) kept %t by the sweep", k, holdsPair, kept[k])
+		}
+		if kept[k] {
+			survivors++
+		}
+	}
+	pos := map[uint64]int{}
+	for i, fm := range frames {
+		pos[fm.Seq] = i
+	}
+	misses := s.frameCache.misses
+	got := ask()
+	rebuilt := 0
+	for k := range runs() {
+		if !kept[k] {
+			rebuilt++
+			if pos[k.first] != 0 && pos[k.last] != len(frames)-1 {
+				t.Errorf("run %+v was rebuilt, but holds neither the merged frame nor the new one", k)
+			}
+		}
+	}
+	t.Logf("%d runs built, %d survived the checkpoint, %d rebuilt", len(before), survivors, rebuilt)
+	// The reference's reads all hit: the merged frame was cached by its
+	// compaction, the new one by the queries' own decode.
+	if m := s.frameCache.misses - misses; survivors == 0 || rebuilt == 0 || m != uint64(rebuilt)+1 {
+		t.Fatalf("the queries after the checkpoint missed %d times: %d runs survived, %d were rebuilt, want the rebuilt runs and one decode",
+			m, survivors, rebuilt)
+	}
+	ro := mustOpen(t, dir, Options{ReadOnly: true})
+	defer ro.Close()
+	for i, d := range spans {
+		r, err := ro.QueryResolution(at(24*d[0]), at(24*d[1]), tier.ResolutionHour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh := answerOf(t, r); fresh != got[i] {
+			t.Fatalf("days [%d, %d): a read-only open answers differently:\n%q\n%q", d[0], d[1], fresh, got[i])
+		}
+	}
+}

@@ -222,21 +222,18 @@ type Store struct {
 	ckptGen uint64
 	tailGen uint64
 
-	// Long-horizon tier frames per level (sorted by BaseSeg, under mu)
-	// and the decoded-frame cache (tier files are immutable; the cache
-	// is keyed by Seq, which is unique across levels). Frames enter it
-	// through cacheTierFrame, resolved against districts, so a query
-	// folds their district rows by index.
+	// Long-horizon tier frames per level (sorted by BaseSeg, under mu).
+	// They enter the frame cache through cacheTierFrame, resolved against
+	// districts, so a query folds their district rows by index.
 	tierDay       []tier.FrameMeta
 	tierWeek      []tier.FrameMeta
-	tierCache     sync.Map
 	districts     *tier.DistrictTable
 	tierFoldsDay  uint64
 	tierFoldsWeek uint64
 
-	// Decoded checkpoint frames by frame seq (see framecache.go): seeded
-	// by Open, dropped when compaction retires a frame, pruned to the
-	// registered set at every checkpoint.
+	// Decoded checkpoint and tier frames by seq, and the runs merged over
+	// them (see framecache.go): seeded by Open, pruned to what is
+	// registered at every checkpoint.
 	frameCache *frameCache
 
 	om storeObsMetrics

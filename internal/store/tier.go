@@ -109,11 +109,11 @@ func (s *Store) loadTierFrames(found []tier.FrameMeta) error {
 }
 
 // loadTierFrame returns the decoded frame for a registered meta, from
-// the cache or disk. Tier files are never removed while registered, so
-// no retry loop is needed.
+// the frame cache or disk. Tier files are never removed while registered,
+// so no retry loop is needed.
 func (s *Store) loadTierFrame(m tier.FrameMeta) (*tier.Frame, error) {
-	if v, ok := s.tierCache.Load(m.Seq); ok {
-		return v.(*tier.Frame), nil
+	if f, ok := s.frameCache.get(frameKey(m.Seq)).(*tier.Frame); ok {
+		return f, nil
 	}
 	f, err := s.readTierFrame(m.Level, m.Seq)
 	if err != nil {
@@ -124,11 +124,11 @@ func (s *Store) loadTierFrame(m tier.FrameMeta) (*tier.Frame, error) {
 }
 
 // cacheTierFrame publishes a decoded or freshly folded frame to the
-// query cache. Nothing else holds f yet, which is what lets its district
+// frame cache. Nothing else holds f yet, which is what lets its district
 // rows be resolved to dense indexes here, once, without a lock on f.
 func (s *Store) cacheTierFrame(f *tier.Frame) {
 	s.districts.Resolve(f)
-	s.tierCache.Store(f.Seq, f)
+	s.frameCache.put(frameKey(f.Seq), f)
 }
 
 // tierFold runs the fold scheduler after a checkpoint (caller holds
@@ -217,25 +217,15 @@ func (s *Store) tierFoldOnce(ctx context.Context, level tier.Level) (did bool, e
 
 	var f *tier.Frame
 	if level == tier.LevelWeek {
-		days := make([]*tier.Frame, 0, hi-lo)
-		for _, m := range cand[lo:hi] {
-			day, err := s.loadTierFrame(m)
-			if err != nil {
-				return false, err
-			}
-			days = append(days, day)
+		b := tier.NewBuilder(level.Resolution(), s.cfg.Origin, s.districts)
+		if err = s.tierSources(cand, lo, hi, false, b.AddFrame); err == nil {
+			f, err = b.Fold(seq, cand[lo:hi])
 		}
-		f, err = tier.FoldFrames(level, seq, days)
 	} else {
-		states := make([]*streaming.Stored, 0, hi-lo)
-		for _, fm := range raw[lo:hi] {
-			st, err := s.frameState(fm)
-			if err != nil {
-				return false, fmt.Errorf("store: tier fold input %s: %w", filepath.Base(fm.path), err)
-			}
-			states = append(states, st)
+		var states []*streaming.Stored
+		if err = s.rawSources(raw, lo, hi, false, func(st *streaming.Stored) { states = append(states, st) }); err == nil {
+			f, err = tier.FoldStates(level, seq, s.cfg, cand[lo:hi], states)
 		}
-		f, err = tier.FoldStates(level, seq, s.cfg, cand[lo:hi], states)
 	}
 	if err != nil {
 		return false, err

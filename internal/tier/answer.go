@@ -124,25 +124,35 @@ func (bs *buckets) render(origin *time.Time) []Bucket {
 // per run; queries use it over the raw residual.
 type SketchAccum struct {
 	hll      *sketch.HLL
-	presence map[netip.Prefix]uint64
+	presence map[netip.Prefix]presence
+	shard    uint64 // counts AddShard calls: the shard being added
 }
+
+// presence is how many shards a prefix appeared in, and the last of them.
+type presence struct{ shards, last uint64 }
 
 // NewSketchAccum builds an empty accumulator.
 func NewSketchAccum() *SketchAccum {
-	return &SketchAccum{hll: sketch.NewHLL(), presence: map[netip.Prefix]uint64{}}
+	return &SketchAccum{hll: sketch.NewHLL(), presence: map[netip.Prefix]presence{}}
 }
 
-// AddShard folds one shard's full prefix table in, given its prefix
-// enumeration: the EachPrefix method of a live streaming.Analytics or of
-// a decoded streaming.Stored. The HLL item is the prefix's text, as it
-// has been since the first tier frame was written; it is formatted into
-// a buffer on the stack, not into a string per row.
-func (sa *SketchAccum) AddShard(eachPrefix func(fn func(p netip.Prefix, flows uint64))) {
+// AddShard folds one shard's full prefix tables in: a prefix several of the
+// states hold counts once (the store's live tails are one shard). The HLL
+// item is the prefix's text, as since the first tier frame was written,
+// formatted on the stack once per prefix: adding one twice changes nothing.
+func (sa *SketchAccum) AddShard(states ...*streaming.Stored) {
+	sa.shard++
 	var text [len("ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255/128")]byte
-	eachPrefix(func(p netip.Prefix, flows uint64) {
-		sa.hll.AddHash(sketch.HashBytes(p.AppendTo(text[:0])))
-		sa.presence[p]++
-	})
+	for _, st := range states {
+		st.EachPrefix(func(p netip.Prefix, _ uint64) {
+			if e := sa.presence[p]; e.last != sa.shard {
+				if e.shards == 0 {
+					sa.hll.AddHash(sketch.HashBytes(p.AppendTo(text[:0])))
+				}
+				sa.presence[p] = presence{e.shards + 1, sa.shard}
+			}
+		})
+	}
 }
 
 // DistrictTable interns district ids as dense indexes, so a fold over
@@ -246,10 +256,11 @@ func (b *Builder) addDistrict(i uint32, flows uint64) {
 	b.rows = nil
 }
 
-// AddFrame folds one selected tier frame in. Day buckets re-bucket into
-// week buckets when the answer is coarser than the frame.
+// AddFrame folds one selected tier frame in, counting it as the frames it
+// stands for. Day buckets re-bucket into week buckets when the answer is
+// coarser than the frame.
 func (b *Builder) AddFrame(f *Frame) {
-	b.tierFrames++
+	b.tierFrames += max(f.sources, 1)
 	b.census.Total += int(f.Total)
 	b.census.Kept += int(f.Kept)
 	// Slot 0 (core.Kept) is not a drop reason: Kept carries that count. No
@@ -300,8 +311,8 @@ func (b *Builder) AddResidual(snap *streaming.Snapshot, acc *SketchAccum, rawFra
 	}
 	if acc != nil {
 		b.hll.Merge(acc.hll)
-		for _, hours := range acc.presence {
-			b.quant.Add(hours, 1)
+		for _, e := range acc.presence {
+			b.quant.Add(e.shards, 1)
 		}
 	}
 }
@@ -393,6 +404,17 @@ func (b *Builder) Frame(m Meta, inputs int) (*Frame, error) {
 		}
 	}
 	return f, nil
+}
+
+// Run renders the sums as a frame without identity, coverage or hours that
+// stands for every tier frame added: a store merges a run of its frames
+// once, and a query adds it in their place, still counting each of them.
+func (b *Builder) Run() (*Frame, error) {
+	f, err := b.Frame(Meta{MinHour: -1, MaxHour: -1}, b.tierFrames)
+	if err == nil {
+		f.sources = b.tierFrames
+	}
+	return f, err
 }
 
 // Label fills the district names and state codes in from the geo model.

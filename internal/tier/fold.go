@@ -2,13 +2,13 @@ package tier
 
 // Fold: turning a closed run of lower-level frames into one tier frame.
 // CloseRuns decides which runs are complete (deterministically, from
-// metadata alone); FoldStates (raw checkpoint states into a day frame) and
-// FoldFrames (day frames into a week frame) check the run, hand every
-// input to a Builder — the accumulator a query sums the same aggregates
-// with — and take the frame it renders. Inputs fold oldest-first in WAL
-// order and touch only commutative aggregates and order-invariant
-// sketches, so the output bytes are independent of how many ingest workers
-// produced the inputs.
+// metadata alone); every input goes to a Builder — the accumulator a
+// query sums the same aggregates with — whose Fold checks the run and
+// renders its frame: FoldStates hands it raw checkpoint states for a day
+// frame, the store hands a week builder a closed week's day frames. Inputs
+// fold oldest-first in WAL order and touch only commutative aggregates and
+// order-invariant sketches, so the output bytes are independent of how
+// many ingest workers produced the inputs.
 
 import (
 	"fmt"
@@ -52,18 +52,23 @@ func CloseRuns(level Level, metas []Meta) [][2]int {
 	return runs
 }
 
-// runMeta checks that the inputs' WAL intervals chain exactly and returns
-// the identity and coverage of the frame that folds them: the union of
-// their intervals and of their hour bounds (accounting-only inputs have
-// none).
-func runMeta(level Level, seq uint64, inputs []Meta) (Meta, error) {
+// Fold renders the sums as the frame seq that folds inputs, a closed run
+// of frames one level below the builder's (raw checkpoint frames, level
+// zero, for a day frame), once it has checked that they are that level and
+// their WAL intervals chain exactly. The frame covers the union of their
+// intervals and of their hour bounds (accounting-only inputs have none).
+func (b *Builder) Fold(seq uint64, inputs []Meta) (*Frame, error) {
+	level := b.res.Level()
 	if len(inputs) == 0 {
-		return Meta{}, fmt.Errorf("tier: fold of zero inputs")
+		return nil, fmt.Errorf("tier: fold of zero inputs")
 	}
 	run := Meta{Level: level, Seq: seq, BaseSeg: inputs[0].BaseSeg, CoveredSeg: inputs[len(inputs)-1].CoveredSeg, MinHour: -1, MaxHour: -1}
 	for i, in := range inputs {
+		if in.Level+1 != level {
+			return nil, fmt.Errorf("tier: folding level %s input into level %s frame", in.Level, level)
+		}
 		if i > 0 && in.BaseSeg != inputs[i-1].CoveredSeg {
-			return Meta{}, fmt.Errorf("tier: input frame %d breaks the WAL chain: base segment %d after covered %d", i, in.BaseSeg, inputs[i-1].CoveredSeg)
+			return nil, fmt.Errorf("tier: input frame %d breaks the WAL chain: base segment %d after covered %d", i, in.BaseSeg, inputs[i-1].CoveredSeg)
 		}
 		if in.MinHour >= 0 {
 			if run.MinHour < 0 || in.MinHour < run.MinHour {
@@ -72,7 +77,7 @@ func runMeta(level Level, seq uint64, inputs []Meta) (Meta, error) {
 			run.MaxHour = max(run.MaxHour, in.MaxHour)
 		}
 	}
-	return run, nil
+	return b.Frame(run, len(inputs))
 }
 
 // FoldStates folds a closed run of raw checkpoint frames — their metadata
@@ -83,20 +88,16 @@ func runMeta(level Level, seq uint64, inputs []Meta) (Meta, error) {
 // of input frames a prefix appears in, which the merged state no longer
 // knows, so the sketches are fed per input.
 func FoldStates(level Level, seq uint64, cfg streaming.Config, inputs []Meta, states []*streaming.Stored) (*Frame, error) {
-	run, err := runMeta(level, seq, inputs)
-	if err != nil {
-		return nil, err
-	}
 	acc := NewSketchAccum()
 	for _, st := range states {
-		acc.AddShard(st.EachPrefix)
+		acc.AddShard(st)
 	}
 	// The live window means nothing to a fold and would size its rendering:
 	// at one hour the target spans the run's own bins and no more.
 	cfg.WindowHours = 1
 	b := NewBuilder(level.Resolution(), cfg.Origin, nil)
 	b.AddResidual(streaming.Fold(cfg, time.Time{}, time.Time{}, states...).Snapshot(), acc, 0)
-	return b.Frame(run, len(inputs))
+	return b.Fold(seq, inputs)
 }
 
 // Input is one raw checkpoint frame presented to FoldRaw: its metadata
@@ -115,27 +116,4 @@ func FoldRaw(level Level, seq uint64, cfg streaming.Config, inputs []Input) (*Fr
 		metas[i], states[i] = in.Meta, in.State.Detach(time.Time{}, time.Time{})
 	}
 	return FoldStates(level, seq, cfg, metas, states)
-}
-
-// FoldFrames folds a closed run of same-level frames into one frame at
-// the next level up (day frames into a week frame). Everything is a
-// commutative sum or an order-invariant sketch merge, so no analytics
-// state is needed.
-func FoldFrames(level Level, seq uint64, inputs []*Frame) (*Frame, error) {
-	metas := make([]Meta, len(inputs))
-	for i, in := range inputs {
-		if in.Level+1 != level {
-			return nil, fmt.Errorf("tier: folding level %s input into level %s frame", in.Level, level)
-		}
-		metas[i] = in.Meta()
-	}
-	run, err := runMeta(level, seq, metas)
-	if err != nil {
-		return nil, err
-	}
-	b := NewBuilder(level.Resolution(), time.Time{}, nil)
-	for _, in := range inputs {
-		b.AddFrame(in)
-	}
-	return b.Frame(run, len(inputs))
 }

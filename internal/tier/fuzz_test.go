@@ -22,7 +22,7 @@ func FuzzTierDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(EncodeFrame(day))
-	if week, err := FoldFrames(LevelWeek, 4, []*Frame{day}); err == nil {
+	if week, err := foldWeek(4, day); err == nil {
 		f.Add(EncodeFrame(week))
 	}
 	f.Add([]byte{})

@@ -194,7 +194,14 @@ type Frame struct {
 	// districtTable, set once by DistrictTable.Resolve.
 	districtTable *DistrictTable
 	districtIdx   []uint32
+	// sources is how many tier frames the frame stands for when it is a
+	// run of them merged once (Builder.Run); zero, as decoded, is one.
+	sources int
 }
+
+// Size is the heap footprint of the frame in bytes, for callers that
+// budget how many they keep: 6 KiB of sketches, at most 64 bytes a row.
+func (f *Frame) Size() int { return 6<<10 + 64*(len(f.Dropped)+len(f.Buckets)+len(f.Districts)) }
 
 // Meta is a frame's identity and coverage without its payload: what run
 // grouping (CloseRuns), the folds and the planner read. Level is zero for a

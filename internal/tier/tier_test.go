@@ -163,6 +163,42 @@ func TestFoldDeterministic(t *testing.T) {
 	}
 }
 
+// TestAddShardCountsAGroupOnce pins the presence rule for states handed
+// over in one call: they are one shard, as the store's two live tails
+// are, so a prefix both hold is one observation of presence one; handed
+// over apart, it is one observation of presence two.
+func TestAddShardCountsAGroupOnce(t *testing.T) {
+	a := shard(keptRecord(1, 1, 10), keptRecord(1, 2, 10)).Detach(time.Time{}, time.Time{})
+	b := shard(keptRecord(2, 1, 10), keptRecord(2, 3, 10)).Detach(time.Time{}, time.Time{})
+	answer := func(add func(acc *SketchAccum)) *Answer {
+		acc := NewSketchAccum()
+		add(acc)
+		bl := NewBuilder(ResolutionDay, entime.StudyStart, nil)
+		bl.AddResidual(nil, acc, 0)
+		return bl.Answer()
+	}
+	grouped := answer(func(acc *SketchAccum) { acc.AddShard(a, b) })
+	apart := answer(func(acc *SketchAccum) { acc.AddShard(a); acc.AddShard(b) })
+	if grouped.Presence.Count != 3 || grouped.Presence.Max != 1 || grouped.DistinctPrefixes != 3 {
+		t.Fatalf("one shard of two tables: presence %+v, %d distinct", grouped.Presence, grouped.DistinctPrefixes)
+	}
+	if apart.Presence.Count != 3 || apart.Presence.Max != 2 || apart.DistinctPrefixes != 3 {
+		t.Fatalf("two shards: presence %+v, %d distinct", apart.Presence, apart.DistinctPrefixes)
+	}
+}
+
+// foldWeek folds day frames into a week frame as the store does: a week
+// builder adds each, and its Fold checks and renders the run.
+func foldWeek(seq uint64, days ...*Frame) (*Frame, error) {
+	b := NewBuilder(ResolutionWeek, time.Time{}, nil)
+	metas := make([]Meta, len(days))
+	for i, d := range days {
+		b.AddFrame(d)
+		metas[i] = d.Meta()
+	}
+	return b.Fold(seq, metas)
+}
+
 func TestFoldFramesWeek(t *testing.T) {
 	mkDay := func(seq, base uint64, minHour int64) *Frame {
 		f, err := FoldRaw(LevelDay, seq, testCfg(), []Input{
@@ -175,7 +211,7 @@ func TestFoldFramesWeek(t *testing.T) {
 	}
 	d1 := mkDay(10, 0, 2)
 	d2 := mkDay(11, 1, 26)
-	w, err := FoldFrames(LevelWeek, 20, []*Frame{d1, d2})
+	w, err := foldWeek(20, d1, d2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +231,11 @@ func TestFoldFramesWeek(t *testing.T) {
 
 	// A broken WAL chain must refuse to fold.
 	d3 := mkDay(12, 5, 50)
-	if _, err := FoldFrames(LevelWeek, 21, []*Frame{d1, d3}); err == nil {
+	if _, err := foldWeek(21, d1, d3); err == nil {
 		t.Fatal("fold across a WAL gap succeeded")
 	}
 	// Level mismatch must refuse too.
-	if _, err := FoldFrames(LevelWeek, 22, []*Frame{w}); err == nil {
+	if _, err := foldWeek(22, w); err == nil {
 		t.Fatal("fold of week frame into week frame succeeded")
 	}
 }
@@ -370,7 +406,7 @@ func TestBuilderResidual(t *testing.T) {
 	}
 	resid := shard(keptRecord(30, 1, 10), keptRecord(30, 9, 20))
 	acc := NewSketchAccum()
-	acc.AddShard(resid.EachPrefix)
+	acc.AddShard(resid.Detach(time.Time{}, time.Time{}))
 
 	b := NewBuilder(ResolutionDay, origin, nil)
 	b.AddFrame(f)
