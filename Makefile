@@ -41,7 +41,7 @@ fmt:
 # read, and is only ever lowered. A PR that grows the stack past it fails
 # here and either finds the lines to delete or argues the new bar in
 # review.
-SERVING_LOC_MAX = 14014
+SERVING_LOC_MAX = 13933
 SERVING_DIRS = internal/api internal/cluster internal/ingest internal/nfv9 internal/obs internal/sketch internal/store internal/streaming internal/tier internal/wire cmd/collectord cmd/queryrouterd
 loc:
 	@total=0; for d in $(SERVING_DIRS); do \

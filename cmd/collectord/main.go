@@ -5,13 +5,16 @@
 // analyses — hourly Figure-2 series, spike detection, top-K prefixes,
 // district rollups — continuously up to date.
 //
-// With -data-dir the daemon is durable: every ingested batch is appended
-// to a write-ahead log, the analytics state is checkpointed periodically
-// (and on SIGTERM after the drain), a restart recovers the pre-crash
-// state by replaying the WAL tail onto the latest checkpoints, and
-// /api/v1/query serves historical time-range views merged from the
-// checkpoint frames — the longitudinal analyses a purely in-memory
-// collector forgets on every restart.
+// Every collector keeps its aggregates in one store (internal/store):
+// every ingested batch is appended to a write-ahead log, the analytics
+// state is checkpointed periodically (and on SIGTERM after the drain),
+// and /api/v1/query serves historical time-range views merged from the
+// checkpoint frames. With -data-dir the store is durable: a restart
+// recovers the pre-crash state by replaying the WAL tail onto the latest
+// checkpoints. Without it the store lives in a private temp dir
+// (collectord-*) that nothing outlives the process in: it never fsyncs,
+// grows with the history ingested like any store, and is removed after
+// the drain (a SIGKILL leaves it behind).
 //
 // With -shard i/N the daemon runs as one node of an N-way cluster: the
 // ingest pipeline keeps only the records this shard owns under the
@@ -32,8 +35,8 @@
 //	    ?fields=hourly,filters,spikes,prefixes,districts  section selection
 //	    ?top=N                   truncate ranked lists    ?pretty=1  indent
 //	GET /api/v1/query?from=&to=  historical range (RFC 3339 or unix
-//	                             seconds; both bounds optional); requires
-//	                             -data-dir; same fields/top/pretty params
+//	                             seconds; both bounds optional); same
+//	                             fields/top/pretty params
 //	GET /metrics                 Prometheus text format
 //	GET /debug/traces[?id=ID]    flight recorder: tail-sampled span traces
 //	GET /debug/events            flight recorder: one-shot event ring
@@ -44,7 +47,7 @@
 //
 // On SIGINT/SIGTERM the daemon flips the health endpoint to 503
 // draining, stops the sockets, drains every queued batch, checkpoints
-// the store (when durable), lets the responses still in flight finish
+// the store, lets the responses still in flight finish
 // and prints the final snapshot summary.
 //
 // Usage:
@@ -61,10 +64,11 @@
 //
 // Demo mode is the self-contained loopback smoke run behind
 // `make ingest-demo`: it runs the simulator, replays the trace through an
-// exporter pool into its own pipeline over loopback UDP, and checks the
-// streaming aggregates against the batch internal/core analysis. With
-// -serve the daemon then keeps serving the demo state over HTTP until
-// SIGTERM — the self-contained target the api-smoke CI step curls.
+// exporter pool into its own pipeline and temp-dir store over loopback
+// UDP, and checks the store's aggregates against the batch internal/core
+// analysis. With -serve the daemon then keeps serving that store over
+// HTTP until SIGTERM — the self-contained target the api-smoke CI step
+// curls.
 package main
 
 import (
@@ -97,10 +101,10 @@ func main() {
 	var (
 		listen      = flag.String("listen", "127.0.0.1:2055", "comma-separated UDP listen addresses")
 		httpAddr    = flag.String("http", "127.0.0.1:8055", "HTTP snapshot/metrics address (empty disables)")
-		workers     = flag.Int("workers", 0, "pipeline workers / analytics shards (0 = all CPUs)")
-		shardBuffer = flag.Int("shard-buffer", 0, "per-shard channel capacity in batches (0 = default)")
+		workers     = flag.Int("workers", 0, "pipeline workers, one lane each (0 = all CPUs)")
+		shardBuffer = flag.Int("shard-buffer", 0, "per-lane channel capacity in batches (0 = default)")
 		geoPath     = flag.String("geodb", "", "geolocation sidecar enabling per-district rollups")
-		windowHours = flag.Int("window-hours", entime.StudyHours()+24, "live sliding window length in hours (bounds the snapshot view and ingest eviction, not what a range query costs)")
+		windowHours = flag.Int("window-hours", entime.StudyHours()+24, "live sliding window length in hours (bounds what /api/v1/snapshot renders, not what the store keeps or a range query costs)")
 		topK        = flag.Int("topk", 10, "active-prefix leaderboard size")
 		shard       = flag.String("shard", "", "cluster shard assignment i/N (e.g. 0/3): keep only this node's records")
 		demo        = flag.Bool("demo", false, "self-contained sim -> exporter -> pipeline loopback run")
@@ -112,7 +116,7 @@ func main() {
 
 		newObsStack = obs.StackFlags(flag.CommandLine)
 
-		dataDir      = flag.String("data-dir", "", "durable store directory (enables WAL, checkpoints and /api/v1/query)")
+		dataDir      = flag.String("data-dir", "", "durable store directory (empty: a private temp dir, never fsynced, removed at exit)")
 		fsyncPolicy  = flag.String("fsync", "interval", "WAL fsync policy: always (a record counted as processed is on stable storage; one fsync per commit group, not per datagram), interval (fsync every -fsync-interval) or never (only on seal, checkpoint and shutdown)")
 		fsyncEvery   = flag.Duration("fsync-interval", time.Second, "fsync cadence under -fsync=interval")
 		ckptEvery    = flag.Duration("checkpoint-interval", 5*time.Minute, "checkpoint/compaction cadence (0 disables the ticker)")
@@ -144,22 +148,23 @@ func main() {
 	}
 
 	if *demo {
-		p, err := runDemo(acfg, *workers, *quick)
+		p, st, err := runDemo(acfg, *workers, *quick)
 		if err != nil {
 			fatal("%v", err)
 		}
 		if *serve {
-			// The drained pipeline's state is frozen, which makes it the
+			// The drained pipeline's store is frozen, which makes it the
 			// perfect conditional-GET demo: every ETag stays valid until
 			// shutdown. Serve it until SIGTERM, then shut down gracefully:
 			// health flips to 503 draining while in-flight responses
 			// finish.
 			p.RegisterMetrics(o.Reg) // safe: the demo pipeline is drained
-			srv := newAPIServer(p, nil, o, *httpLog, *slowQuery, *pprofOn)
+			srv := newAPIServer(p, st, o, *httpLog, *slowQuery, *pprofOn)
 			if err := srv.ServeUntilSignal(listenHTTP(*httpAddr), func() { fmt.Println("collectord: draining") }); err != nil {
 				fatal("http: %v", err)
 			}
 		}
+		cleanup()
 		return
 	}
 
@@ -170,7 +175,6 @@ func main() {
 		Listen:      strings.Split(*listen, ","),
 		Workers:     *workers,
 		ShardBuffer: *shardBuffer,
-		Analytics:   acfg,
 		Logf:        log.Printf,
 		Metrics:     o.Reg,
 		Tracer:      o.Tracer,
@@ -187,37 +191,35 @@ func main() {
 		}
 	}
 
-	var st *store.Store
-	if *dataDir != "" {
-		pol, err := store.ParseSyncPolicy(*fsyncPolicy)
-		if err != nil {
-			fatal("%v", err)
-		}
-		st, err = store.Open(*dataDir, store.Options{
-			Analytics:    acfg,
-			SegmentBytes: *segmentBytes,
-			Sync:         pol,
-			Tier:         *tierOn,
-			Metrics:      o.Reg,
-			Tracer:       o.Tracer,
-			Events:       o.Events,
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		m := st.Metrics()
-		fmt.Printf("collectord: store %s recovered %d checkpoint frames (%d records) and replayed %d WAL records\n",
-			*dataDir, m.RecoveredFrames, m.FrameRecords, m.RecoveredWALRecords)
-		if m.TruncatedBytes > 0 {
-			fmt.Printf("collectord: store truncated %d torn WAL bytes from the previous crash\n", m.TruncatedBytes)
-		}
-		// The store owns all aggregate state; a second in-memory copy in
-		// the lanes would grow without bound over a long capture.
-		icfg.Sink = st
-		icfg.SinkOnly = true
-		if pol == store.SyncInterval {
-			icfg.FlushInterval = *fsyncEvery
-		}
+	pol, err := store.ParseSyncPolicy(*fsyncPolicy)
+	if err != nil {
+		fatal("%v", err)
+	}
+	if *dataDir == "" {
+		pol = store.SyncNever // nothing in a temp dir outlives the process
+	}
+	st, dir, err := openStore(*dataDir, store.Options{
+		Analytics:    acfg,
+		SegmentBytes: *segmentBytes,
+		Sync:         pol,
+		Tier:         *tierOn,
+		Metrics:      o.Reg,
+		Tracer:       o.Tracer,
+		Events:       o.Events,
+	})
+	if err != nil {
+		fatal("%v", err)
+	}
+	m := st.Metrics()
+	fmt.Printf("collectord: store %s recovered %d checkpoint frames (%d records) and replayed %d WAL records\n",
+		dir, m.RecoveredFrames, m.FrameRecords, m.RecoveredWALRecords)
+	if m.TruncatedBytes > 0 {
+		fmt.Printf("collectord: store truncated %d torn WAL bytes from the previous crash\n", m.TruncatedBytes)
+	}
+	// The store owns all aggregate state; the pipeline only counts.
+	icfg.Sink = st
+	if pol == store.SyncInterval {
+		icfg.FlushInterval = *fsyncEvery
 	}
 
 	p, err := ingest.New(icfg)
@@ -226,17 +228,12 @@ func main() {
 	}
 	fmt.Printf("collectord: ingesting NFv9 on %s\n", strings.Join(p.Addrs(), ", "))
 
-	snapshot := p.Snapshot
-	if st != nil {
-		snapshot = st.Snapshot
-	}
-
 	var ln net.Listener
 	if *httpAddr != "" {
 		ln = listenHTTP(*httpAddr)
 	}
 
-	if st != nil && *ckptEvery > 0 {
+	if *ckptEvery > 0 {
 		go func() {
 			t := time.NewTicker(*ckptEvery)
 			defer t.Stop()
@@ -253,16 +250,15 @@ func main() {
 		if err := p.Close(); err != nil {
 			fatal("drain: %v", err)
 		}
-		if st != nil {
-			// Checkpoint-on-drain: fold everything the drain flushed into a
-			// frame so the next start replays no WAL at all.
-			if err := st.Checkpoint(); err != nil {
-				fatal("final checkpoint: %v", err)
-			}
-			if err := st.Close(); err != nil {
-				fatal("closing store: %v", err)
-			}
+		// Checkpoint-on-drain: fold everything the drain flushed into a
+		// frame so the next start replays no WAL at all.
+		if err := st.Checkpoint(); err != nil {
+			fatal("final checkpoint: %v", err)
 		}
+		if err := st.Close(); err != nil {
+			fatal("closing store: %v", err)
+		}
+		cleanup()
 	}
 	if ln != nil {
 		srv := newAPIServer(p, st, o, *httpLog, *slowQuery, *pprofOn)
@@ -275,7 +271,35 @@ func main() {
 		<-sig
 		drain()
 	}
-	printSummary(p.Stats(), snapshot())
+	printSummary(p.Stats(), st.Snapshot())
+}
+
+// cleanup undoes a private temp store on the way out — closes it and
+// removes its dir. fatal runs it, and so does every clean exit.
+var cleanup = func() {}
+
+// openStore opens the collector's store in dir, or — dir empty — in a
+// fresh private temp dir, which cleanup then removes. It returns the dir
+// it opened.
+func openStore(dir string, opts store.Options) (*store.Store, string, error) {
+	if dir != "" {
+		st, err := store.Open(dir, opts)
+		return st, dir, err
+	}
+	dir, err := os.MkdirTemp("", "collectord-")
+	if err != nil {
+		return nil, "", err
+	}
+	st, err := store.Open(dir, opts)
+	cleanup = func() {
+		if st != nil {
+			st.Close()
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			fmt.Fprintf(os.Stderr, "collectord: removing %s: %v\n", dir, err)
+		}
+	}
+	return st, dir, err
 }
 
 // listenHTTP binds the API listener and announces it. The first line is a
@@ -293,17 +317,12 @@ func listenHTTP(addr string) net.Listener {
 	return ln
 }
 
-// newAPIServer builds the versioned analytics API over the pipeline
-// and (when durable) the store, and mounts the registry-backed
-// Prometheus /metrics endpoint and the flight-recorder debug endpoints
-// (plus, opted in, /debug/pprof) behind the same middleware. st is nil
-// without -data-dir; /api/v1/snapshot then serves the pipeline's
-// in-memory state and /api/v1/query explains what is missing.
+// newAPIServer builds the versioned analytics API over the store (data)
+// and the pipeline (counters), and mounts the registry-backed Prometheus
+// /metrics endpoint and the flight-recorder debug endpoints (plus, opted
+// in, /debug/pprof) behind the same middleware.
 func newAPIServer(p *ingest.Pipeline, st *store.Store, o obs.Stack, accessLog bool, slowQuery time.Duration, pprofOn bool) *api.Server {
-	cfg := api.Config{Live: p, Metrics: o.Reg, SlowQuery: slowQuery, Tracer: o.Tracer}
-	if st != nil {
-		cfg.History = st
-	}
+	cfg := api.Config{Live: p, History: st, Metrics: o.Reg, SlowQuery: slowQuery, Tracer: o.Tracer}
 	if accessLog {
 		cfg.Log = log.New(os.Stderr, "collectord: http: ", log.LstdFlags)
 	}
@@ -316,9 +335,9 @@ func newAPIServer(p *ingest.Pipeline, st *store.Store, o obs.Stack, accessLog bo
 }
 
 // runDemo is the loopback smoke run: simulate, export, ingest, verify.
-// It returns the drained pipeline so -serve can keep exposing its
-// state.
-func runDemo(acfg streaming.Config, workers int, quick bool) (*ingest.Pipeline, error) {
+// It returns the drained pipeline and its store, a private temp store
+// cleanup removes, so -serve can keep exposing the state.
+func runDemo(acfg streaming.Config, workers int, quick bool) (*ingest.Pipeline, *store.Store, error) {
 	cfg := experiments.QuickConfig()
 	if quick {
 		cfg.Scale *= 3 // fewer devices, smaller trace
@@ -326,7 +345,7 @@ func runDemo(acfg streaming.Config, workers int, quick bool) (*ingest.Pipeline, 
 	fmt.Printf("demo: simulating the study window (scale 1:%d)\n", cfg.Scale)
 	res, err := sim.Run(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+		return nil, nil, fmt.Errorf("sim: %w", err)
 	}
 
 	acfg.DB = res.GeoDB
@@ -336,24 +355,26 @@ func runDemo(acfg streaming.Config, workers int, quick bool) (*ingest.Pipeline, 
 	}
 
 	// UDP makes no delivery promises even on loopback: retry a lossy
-	// replay on a fresh pipeline rather than skipping verification — the
-	// demo's whole point (and its CI role) is the exact-match check.
+	// replay on a fresh pipeline and store rather than skipping
+	// verification — the demo's whole point (and its CI role) is the
+	// exact-match check.
 	var (
-		p       *ingest.Pipeline
-		stats   ingest.Stats
-		snap    *streaming.Snapshot
-		sources int
+		p    *ingest.Pipeline
+		st   *store.Store
+		snap *streaming.Snapshot
 	)
 	for attempt := 1; ; attempt++ {
-		var err error
+		if st, _, err = openStore("", store.Options{Analytics: acfg, Sync: store.SyncNever}); err != nil {
+			return nil, nil, err
+		}
 		p, err = ingest.New(ingest.Config{
 			Listen:      []string{"127.0.0.1:0"},
 			Workers:     workers,
 			ShardBuffer: 4096,
-			Analytics:   acfg,
+			Sink:        st,
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		fmt.Printf("demo: replaying %d records over NFv9/UDP loopback to %s\n", len(res.Records), p.Addrs()[0])
 		start := time.Now()
@@ -363,7 +384,7 @@ func runDemo(acfg streaming.Config, workers int, quick bool) (*ingest.Pipeline, 
 		})
 		if err != nil {
 			p.Close()
-			return nil, fmt.Errorf("replay: %w", err)
+			return nil, nil, fmt.Errorf("replay: %w", err)
 		}
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
@@ -373,46 +394,46 @@ func runDemo(acfg streaming.Config, workers int, quick bool) (*ingest.Pipeline, 
 			time.Sleep(10 * time.Millisecond)
 		}
 		if err := p.Close(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		elapsed := time.Since(start)
 
-		stats = p.Stats()
-		snap = p.Snapshot()
-		sources = rs.Sources
+		stats := p.Stats()
+		snap = st.Snapshot()
 		if stats.Records == uint64(rs.Records) && stats.DroppedRecords == 0 {
 			printSummary(stats, snap)
 			fmt.Printf("demo: streamed %d records in %.2fs (%.0f records/s, %d exporter sources)\n",
-				stats.Processed, elapsed.Seconds(), float64(stats.Processed)/elapsed.Seconds(), sources)
+				stats.Processed, elapsed.Seconds(), float64(stats.Processed)/elapsed.Seconds(), rs.Sources)
 			break
 		}
 		if attempt >= 3 {
-			return nil, fmt.Errorf("demo: loopback replay stayed lossy after %d attempts (sent %d, stats %+v)",
+			return nil, nil, fmt.Errorf("demo: loopback replay stayed lossy after %d attempts (sent %d, stats %+v)",
 				attempt, rs.Records, stats)
 		}
 		fmt.Printf("demo: attempt %d lost records (sent %d, received %d, dropped %d); retrying\n",
 			attempt, rs.Records, stats.Records, stats.DroppedRecords)
+		cleanup()
 	}
 
 	// Verification against the batch pipeline.
 	kept, census := core.ApplyFilter(res.Records, core.DefaultFilter())
 	if !reflect.DeepEqual(snap.Census, census) {
-		return nil, fmt.Errorf("demo: streaming census %+v != batch %+v", snap.Census, census)
+		return nil, nil, fmt.Errorf("demo: streaming census %+v != batch %+v", snap.Census, census)
 	}
 	batchFig2, err := core.Figure2(kept, res.Curve)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	streamFig2, err := snap.Figure2(res.Curve)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !reflect.DeepEqual(streamFig2, batchFig2) {
-		return nil, fmt.Errorf("demo: streaming figure-2 series differs from batch")
+		return nil, nil, fmt.Errorf("demo: streaming figure-2 series differs from batch")
 	}
 	fmt.Printf("demo: OK — streaming census and figure-2 series match batch exactly (release-day ratio %.2fx)\n",
 		streamFig2.ReleaseDayFlowRatio)
-	return p, nil
+	return p, st, nil
 }
 
 // printSummary renders the drained pipeline's headline state.
@@ -445,5 +466,6 @@ func printSummary(s ingest.Stats, snap *streaming.Snapshot) {
 // fatal prints and exits non-zero.
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "collectord: "+format+"\n", args...)
+	cleanup()
 	os.Exit(1)
 }

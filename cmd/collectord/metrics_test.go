@@ -49,31 +49,27 @@ func scrape(t *testing.T, ts *httptest.Server) *obs.Exposition {
 }
 
 // daemonServer assembles the collectord composition under test: a real
-// loopback pipeline, optionally a durable store, one shared registry,
-// and the API server exactly as main() wires it.
-func daemonServer(t *testing.T, durable bool) (*httptest.Server, *store.Store) {
+// loopback pipeline feeding a store, one shared registry, and the API
+// server exactly as main() wires it.
+func daemonServer(t *testing.T) (*httptest.Server, *store.Store) {
 	t.Helper()
 	o := obs.StackFlags(flag.NewFlagSet("test", flag.ContinueOnError))() // the flag defaults
 	reg := o.Reg
-	acfg := streaming.Config{WindowHours: 48, TopK: 5}
-	icfg := ingest.Config{
-		Listen:    []string{"127.0.0.1:0"},
-		Workers:   2,
-		Analytics: acfg,
+	st, err := store.Open(t.TempDir(), store.Options{
+		Analytics: streaming.Config{WindowHours: 48, TopK: 5},
+		Sync:      store.SyncNever,
 		Metrics:   reg,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var st *store.Store
-	if durable {
-		var err error
-		st, err = store.Open(t.TempDir(), store.Options{Analytics: acfg, Sync: store.SyncNever, Metrics: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		icfg.Sink = st
-		icfg.SinkOnly = true
-	}
-	p, err := ingest.New(icfg)
+	t.Cleanup(func() { st.Close() })
+	p, err := ingest.New(ingest.Config{
+		Listen:  []string{"127.0.0.1:0"},
+		Workers: 2,
+		Metrics: reg,
+		Sink:    st,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +80,12 @@ func daemonServer(t *testing.T, durable bool) (*httptest.Server, *store.Store) {
 	return ts, st
 }
 
-// TestMetricsExpositionFormat scrapes the durable daemon's /metrics and
-// enforces the format contract plus the frozen metric names: the
-// registry port kept every pre-registry name byte-identical, so
-// dashboards and the crash drill's waitForMetric keep working.
+// TestMetricsExpositionFormat scrapes the daemon's /metrics and enforces
+// the format contract plus the frozen metric names: the registry port
+// kept every pre-registry name byte-identical, so dashboards and the
+// crash drill's waitForMetric keep working.
 func TestMetricsExpositionFormat(t *testing.T) {
-	ts, st := daemonServer(t, true)
+	ts, st := daemonServer(t)
 	f := core.DefaultFilter()
 	if err := st.Append([]netflow.Record{{
 		Key: netflow.Key{
@@ -156,27 +152,12 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	}
 }
 
-// TestMetricsWithoutStoreOmitsStoreGauges pins the non-durable daemon's
-// exposition: ingest and API metrics only, still well-formed.
-func TestMetricsWithoutStoreOmitsStoreGauges(t *testing.T) {
-	ts, _ := daemonServer(t, false)
-	exp := scrape(t, ts)
-	for name := range exp.Types {
-		if strings.HasPrefix(name, "store_") {
-			t.Fatalf("store metric %q emitted without a store", name)
-		}
-	}
-	if _, ok := exp.Value("ingest_packets_total", ""); !ok {
-		t.Fatal("ingest_packets_total missing")
-	}
-}
-
 // TestMetricsNamesStableAcrossRestart rebuilds the daemon composition
 // and requires the same series set in the same order — the byte-stable
 // name contract a restart must not break.
 func TestMetricsNamesStableAcrossRestart(t *testing.T) {
 	names := func() []string {
-		ts, _ := daemonServer(t, true)
+		ts, _ := daemonServer(t)
 		exp := scrape(t, ts)
 		out := make([]string, 0, len(exp.Samples))
 		for _, s := range exp.Samples {

@@ -17,27 +17,29 @@ import (
 	"cwatrace/internal/ingest"
 	"cwatrace/internal/netflow"
 	"cwatrace/internal/obs"
+	"cwatrace/internal/store"
 	"cwatrace/internal/streaming"
 )
 
-// fixedLive is a frozen api.Live shard source for the router under
+// fixedLive is a frozen api.Live shard pipeline for the router under
 // test.
 type fixedLive struct {
-	snap  *streaming.Snapshot
 	stats ingest.Stats
 }
 
-func (f *fixedLive) Snapshot() *streaming.Snapshot { return f.snap }
-func (f *fixedLive) Stats() ingest.Stats           { return f.stats }
+func (f *fixedLive) Stats() ingest.Stats { return f.stats }
 
-// shardServer serves one shard holding a single kept record, reporting
-// ingest watermark wm.
+// shardServer serves one shard whose store holds a single kept record,
+// reporting ingest watermark wm.
 func shardServer(t *testing.T, wm int64) *httptest.Server {
 	t.Helper()
-	acfg := streaming.Config{WindowHours: 48, TopK: 5}
+	st, err := store.Open(t.TempDir(), store.Options{Analytics: streaming.Config{WindowHours: 48, TopK: 5}, Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
 	fl := core.DefaultFilter()
-	an := streaming.New(acfg)
-	an.Ingest([]netflow.Record{{
+	if err := st.Append([]netflow.Record{{
 		Key: netflow.Key{
 			Src:     fl.ServerPrefixes[0].Addr(),
 			Dst:     netip.AddrFrom4([4]byte{100, 64, 0, 9}),
@@ -48,11 +50,13 @@ func shardServer(t *testing.T, wm int64) *httptest.Server {
 		Packets: 1, Bytes: 100,
 		First: entime.StudyStart, Last: entime.StudyStart,
 		Exporter: "ISP/BE-000",
-	}})
-	srv, err := api.New(api.Config{Live: &fixedLive{
-		snap:  an.Snapshot(),
-		stats: ingest.Stats{Records: 1, Processed: 1, WatermarkUnixNano: wm},
-	}})
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := api.New(api.Config{
+		Live:    &fixedLive{stats: ingest.Stats{Records: 1, Processed: 1, WatermarkUnixNano: wm}},
+		History: st,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,10 +43,9 @@ func main() {
 	// collectord runs, with the records themselves as its only state. ---
 	received := &collected{}
 	collector, err := ingest.New(ingest.Config{
-		Listen:   []string{"127.0.0.1:0"},
-		Workers:  1,
-		Sink:     received,
-		SinkOnly: true,
+		Listen:  []string{"127.0.0.1:0"},
+		Workers: 1,
+		Sink:    received,
 	})
 	if err != nil {
 		log.Fatal(err)

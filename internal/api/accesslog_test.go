@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"cwatrace/internal/ingest"
 	"cwatrace/internal/obs"
 )
 
@@ -22,13 +21,13 @@ import (
 // breaking change and must update this test deliberately.
 var accessLine = regexp.MustCompile(`^(GET|HEAD) \S+ \d{3} \d+B \d+us id=([0-9A-Za-z_.-]{1,64})$`)
 
-// logServer builds an instrumented live server whose access log lands
+// logServer builds an instrumented store server whose access log lands
 // in the returned buffer.
 func logServer(t *testing.T, reg *obs.Registry, slow time.Duration) (*httptest.Server, *bytes.Buffer) {
 	t.Helper()
 	var buf bytes.Buffer
 	s, err := New(Config{
-		Live:      &fakeLive{snap: sampleSnapshot(t, 1), stats: ingest.Stats{Records: 1}},
+		History:   sampleStore(t, 1),
 		Log:       log.New(&buf, "", 0),
 		Metrics:   reg,
 		SlowQuery: slow,
@@ -138,7 +137,7 @@ func TestSlowQueryLog(t *testing.T) {
 func TestSlowQueryLogShardBreakdown(t *testing.T) {
 	var buf bytes.Buffer
 	s, err := New(Config{
-		Live:      &fakeLive{snap: sampleSnapshot(t, 1), stats: ingest.Stats{Records: 1}},
+		History:   sampleStore(t, 1),
 		Log:       log.New(&buf, "", 0),
 		SlowQuery: time.Nanosecond,
 	})

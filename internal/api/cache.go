@@ -41,8 +41,7 @@ type cacheEntry struct {
 	// asked is the tag of the lookup that started the fill.
 	asked string
 	// tag is the strong ETag of the body, set under the cache's mu when
-	// the fill ends; empty when the body has none to go out under (and
-	// the entry is then not kept).
+	// the fill ends; empty while it runs and after it failed.
 	tag     string
 	err     error
 	lastUse uint64
@@ -70,9 +69,9 @@ func newRespCache(max int) *respCache {
 // answers when it was started for tag or holds a body under it; any
 // other entry of the question is replaced, and whoever still waits on
 // the replaced one gets its body. fill reports the tag of the body it
-// built, which may be newer than the one asked for; failed and untagged
-// fills are not kept — the next request builds again. fill is told the
-// size of the body it replaces (0: none to go by).
+// built, which may be newer than the one asked for; a failed fill is not
+// kept — the next request builds again. fill is told the size of the
+// body it replaces (0: none to go by).
 func (c *respCache) get(question, tag string, fill func(size int) (built, string, error)) (*cacheEntry, error) {
 	c.mu.Lock()
 	c.clock++
@@ -104,7 +103,7 @@ func (c *respCache) get(question, tag string, fill func(size int) (built, string
 	}
 	c.mu.Lock()
 	e.tag = own
-	if own == "" && c.entries[question] == e {
+	if e.err != nil && c.entries[question] == e {
 		delete(c.entries, question)
 	}
 	c.mu.Unlock()

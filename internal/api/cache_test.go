@@ -88,8 +88,8 @@ func TestCachePanicReleasesWaiters(t *testing.T) {
 // that fill and is handed the body under the body's own tag; the
 // question asked under the body's tag afterwards is a hit; asked under a
 // newer tag it is a miss that replaces the entry, while a waiter still
-// holding the replaced one reads the body it waited for; and a body
-// without a tag, or a failed fill, leaves no entry at all.
+// holding the replaced one reads the body it waited for; and a failed
+// fill leaves no entry at all.
 func TestCacheFilesUnderTheBodysTag(t *testing.T) {
 	c := newRespCache(8)
 	entries := func() int {
@@ -153,20 +153,17 @@ func TestCacheFilesUnderTheBodysTag(t *testing.T) {
 	}
 
 	fills := 0
-	for i := 0; i < 4; i++ {
-		e, err := c.get("untagged", "asked", func(int) (built, string, error) {
+	for i := 0; i < 2; i++ {
+		e, err := c.get("failing", "asked", func(int) (built, string, error) {
 			fills++
-			if i%2 == 1 {
-				return built{}, "asked", errors.New("failed")
-			}
-			return built{body: []byte("live")}, "", nil
+			return built{}, "asked", errors.New("failed")
 		})
-		if e.tag != "" || (err == nil) != (i%2 == 0) || (err == nil && string(e.body) != "live") {
-			t.Fatalf("fill %d: %q under %q, %v", i, e.body, e.tag, err)
+		if e.tag != "" || err == nil {
+			t.Fatalf("fill %d: tag %q, %v", i, e.tag, err)
 		}
 	}
-	if fills != 4 || entries() != 1 {
-		t.Fatalf("untagged and failed bodies: %d fills and %d entries, want 4 and 1", fills, entries())
+	if fills != 2 || entries() != 1 {
+		t.Fatalf("failed fills: %d fills and %d entries, want 2 and 1", fills, entries())
 	}
 }
 
@@ -201,7 +198,7 @@ func TestCacheEviction(t *testing.T) {
 // cap == len and the bytes a json.Encoder writes, and that is what the
 // response cache ends up holding.
 func TestBodiesAreExactlySized(t *testing.T) {
-	snap := v1.NewSnapshot(sampleSnapshot(t, 2), v1.AllFields, 0)
+	snap := v1.NewSnapshot(sampleStore(t, 2).Snapshot(), v1.AllFields, 0)
 	values := []any{
 		snap,
 		&v1.QueryResponse{Frames: 2, Snapshot: snap, Resolution: "hour"},

@@ -16,19 +16,10 @@ import (
 	v1 "cwatrace/internal/api/v1"
 	"cwatrace/internal/core"
 	"cwatrace/internal/entime"
-	"cwatrace/internal/ingest"
 	"cwatrace/internal/netflow"
 	"cwatrace/internal/store"
 	"cwatrace/internal/streaming"
 )
-
-type fakeLive struct {
-	snap  *streaming.Snapshot
-	stats ingest.Stats
-}
-
-func (f *fakeLive) Snapshot() *streaming.Snapshot { return f.snap }
-func (f *fakeLive) Stats() ingest.Stats           { return f.stats }
 
 func keptRecord(h, client int, bytes uint64) netflow.Record {
 	f := core.DefaultFilter()
@@ -224,24 +215,18 @@ func TestRetriesTransientFailures(t *testing.T) {
 }
 
 func TestStructuredErrorsSurface(t *testing.T) {
-	// A live-only server has no /api/v1/query.
-	live := &fakeLive{snap: streaming.New(streaming.Config{}).Snapshot()}
-	srv, err := api.New(api.Config{Live: live})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	// The server refuses a resolution it does not know.
+	_, ts, _ := testServer(t)
 	c, err := New(ts.URL, &Options{Retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Query(context.Background(), time.Time{}, time.Time{}, nil)
+	_, err = c.Query(context.Background(), time.Time{}, time.Time{}, &ReqOpts{Resolution: "fortnight"})
 	var apiErr *v1.Error
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("want *v1.Error, got %T: %v", err, err)
 	}
-	if apiErr.Code != v1.CodeNotFound || apiErr.Status != http.StatusNotFound {
+	if apiErr.Code != v1.CodeBadRequest || apiErr.Status != http.StatusBadRequest {
 		t.Fatalf("error: %+v", apiErr)
 	}
 

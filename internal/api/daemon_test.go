@@ -19,7 +19,7 @@ import (
 // did not keep while it served with a bare http.Serve and exited under
 // its in-flight responses.
 func TestResponseInFlightAtSIGTERMCompletes(t *testing.T) {
-	srv, err := New(Config{Live: &fakeLive{snap: sampleSnapshot(t, 1)}})
+	srv, err := New(Config{History: sampleStore(t, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestResponseInFlightAtSIGTERMCompletes(t *testing.T) {
 // readHeaderTimeout has passed, and shuts down on SIGTERM as if the peer
 // had never been there.
 func TestPeerStuckInItsRequestLineIsHungUpOn(t *testing.T) {
-	srv, err := New(Config{Live: &fakeLive{snap: sampleSnapshot(t, 1)}})
+	srv, err := New(Config{History: sampleStore(t, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 // etagFor derives the strong ETag of one response: a hash over the
 // server boot nonce, the endpoint, the canonicalized request parameters
 // (field selection, top, pretty, query bounds — anything that changes
-// the bytes) and the data-generation token (store.Version or the
-// pipeline stats hash). Equal ETags therefore certify byte-identical
+// the bytes) and the data-generation token (store.Version, or a router's
+// composite FanResult.Version). Equal ETags therefore certify byte-identical
 // bodies within one server process; the boot nonce keeps a validator
 // from one process ever matching another's.
 func etagFor(boot uint64, endpoint, params string, version uint64) string {

@@ -1,7 +1,7 @@
 // The clustered side of the API surface: a Server built with
-// Config.Fanout fronts N shard collectors instead of a local pipeline or
-// store. The Fanout implementation (internal/cluster.Fleet) gathers every
-// shard's state (state.go), merges the aggregates deterministically, and
+// Config.Fanout fronts N shard collectors instead of a local store. The
+// Fanout implementation (internal/cluster.Fleet) gathers every shard's
+// state (state.go), merges the aggregates deterministically, and
 // composes the per-shard strong ETags into one cluster-wide validator;
 // the handlers here translate its results into the v1 wire contract —
 // including the partial-failure envelope, which is the part that keeps a
@@ -61,15 +61,13 @@ type FanResult struct {
 	Resolution  string
 	LongHorizon *tier.Answer
 	// Version is the composite validator token: a hash over the
-	// per-shard strong ETags in shard order. Validated reports whether
-	// it may be served as a strong validator — every shard answered and
-	// every answer carried an ETag. The token and the merged body derive
-	// from the same gather — each per-shard strong ETag pins the exact
-	// upstream bytes, and the merged body is a pure function of them —
-	// so it is both the version serveCached looks up with and the stamp
-	// of the body built from this result.
-	Version   uint64
-	Validated bool
+	// per-shard strong ETags in shard order (a shard answer without one
+	// is a missing shard). The token and the merged body derive from the
+	// same gather — each per-shard strong ETag pins the exact upstream
+	// bytes, and the merged body is a pure function of them — so it is
+	// both the version serveCached looks up with and the stamp of the
+	// body built from this result.
+	Version uint64
 	// Missing lists the shards that did not answer, ascending by index.
 	Missing []ShardError
 	// Timings reports every shard's request duration, ascending by
@@ -202,33 +200,24 @@ func (s *Server) handleFanQuery(w http.ResponseWriter, r *http.Request, p reqPar
 	s.serveFanned(w, r, "v1/query", key, res, build, p.pretty)
 }
 
-// serveFanned finishes a data fan-out. A complete, validated gather is
+// serveFanned finishes a data fan-out. A complete gather is
 // serveCached's: the composite token is the version, constant for this
 // gather, and the body is stamped with it. The degraded path serves 206
 // Partial Content with Cache-Control: no-store and no validator — a
 // partial body must never 304-revalidate, be cached, or be replayed as
 // a complete one.
 func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, params string, res *FanResult, build func() any, pretty bool) {
-	h := w.Header()
-	setServerTiming(h, res.Timings)
-	if len(res.Missing) == 0 && res.Validated {
-		s.serveCached(w, r, endpoint, params, func() uint64 { return res.Version }, jsonMediaType, func(size int) (built, error) {
-			b, err := renderBody(build(), pretty, size, s.blocks)
-			b.version = res.Version
-			return b, err
-		})
+	setServerTiming(w.Header(), res.Timings)
+	if len(res.Missing) > 0 {
+		w.Header().Set("Cache-Control", "no-store")
+		s.writeJSON(w, r, http.StatusPartialContent, build(), pretty)
 		return
 	}
-	// Every data response says how it may be reused, the complete one
-	// without a validator too (a shard that sent no ETag: a memory-only
-	// collector under ingest, an older build): revalidate, like the rest.
-	h.Set("Cache-Control", "no-cache")
-	status := http.StatusOK
-	if len(res.Missing) > 0 {
-		h.Set("Cache-Control", "no-store")
-		status = http.StatusPartialContent
-	}
-	s.writeJSON(w, r, status, build(), pretty)
+	s.serveCached(w, r, endpoint, params, func() uint64 { return res.Version }, jsonMediaType, func(size int) (built, error) {
+		b, err := renderBody(build(), pretty, size, s.blocks)
+		b.version = res.Version
+		return b, err
+	})
 }
 
 // handleFanStats is /api/v1/stats in fan-out mode: the field-wise sum

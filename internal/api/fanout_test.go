@@ -70,29 +70,6 @@ func emptySnap() *streaming.Snapshot {
 	return streaming.New(streaming.Config{WindowHours: 8}).Snapshot()
 }
 
-// TestFanoutUnvalidatedServesWithoutETag pins the honesty rule for a
-// complete-but-unvalidatable gather (a shard answered without an ETag):
-// the body is served as 200, but with no validator — a composite over
-// missing shard tags could collide across states. It still says how it
-// may be reused, like every other data response: no-cache — without the
-// header a shared cache would apply its own heuristic freshness.
-func TestFanoutUnvalidatedServesWithoutETag(t *testing.T) {
-	f := &fakeFanout{shards: 2, res: FanResult{Snapshot: emptySnap(), Version: 7, Validated: false}}
-	s := fanServer(t, f)
-	for _, url := range []string{"/api/v1/snapshot", "/api/v1/query?resolution=hour"} {
-		w := fanGet(t, s, url, nil)
-		if w.Code != 200 {
-			t.Fatalf("%s: status %d", url, w.Code)
-		}
-		if etag := w.Header().Get("ETag"); etag != "" {
-			t.Fatalf("%s: unvalidated fan-out carries ETag %q", url, etag)
-		}
-		if cc := w.Header().Get("Cache-Control"); cc != "no-cache" {
-			t.Fatalf("%s: unvalidated fan-out says Cache-Control %q, want no-cache", url, cc)
-		}
-	}
-}
-
 // TestFanoutDegradedEnvelope pins the wire shape of a partial response:
 // 206, no-store, no ETag, degraded marker naming shard and node.
 func TestFanoutDegradedEnvelope(t *testing.T) {
@@ -134,10 +111,10 @@ func TestFanoutAllDownIsUnavailable(t *testing.T) {
 }
 
 // TestFanoutValidatedRoundTrip pins the composite-validator path: a
-// validated gather serves a strong ETag and a bodyless 304 on
+// complete gather serves a strong ETag and a bodyless 304 on
 // If-None-Match.
 func TestFanoutValidatedRoundTrip(t *testing.T) {
-	f := &fakeFanout{shards: 2, res: FanResult{Snapshot: emptySnap(), Version: 99, Validated: true}}
+	f := &fakeFanout{shards: 2, res: FanResult{Snapshot: emptySnap(), Version: 99}}
 	s := fanServer(t, f)
 	w := fanGet(t, s, "/api/v1/snapshot", nil)
 	etag := w.Header().Get("ETag")
@@ -163,7 +140,7 @@ func TestFanoutValidatedRoundTrip(t *testing.T) {
 // body the poll before left for its question — the cache holds one body
 // per question however many answers went by.
 func TestFanoutOneBuildPerPollUnderIngest(t *testing.T) {
-	f := &fakeFanout{shards: 2, moving: true, res: FanResult{Snapshot: emptySnap(), Validated: true}}
+	f := &fakeFanout{shards: 2, moving: true, res: FanResult{Snapshot: emptySnap()}}
 	s, err := New(Config{Fanout: f, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)

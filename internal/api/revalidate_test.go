@@ -12,11 +12,9 @@ import (
 	"time"
 
 	"cwatrace/internal/entime"
-	"cwatrace/internal/ingest"
 	"cwatrace/internal/netflow"
 	"cwatrace/internal/obs"
 	"cwatrace/internal/store"
-	"cwatrace/internal/streaming"
 )
 
 // TestOneBuildPerPollUnderIngest pins the cut-stamp rule where it
@@ -135,58 +133,4 @@ func cachedQuestions(s *Server) int {
 	s.cache.mu.Lock()
 	defer s.cache.mu.Unlock()
 	return len(s.cache.entries)
-}
-
-// movingLive is a memory-only source whose counters move with every
-// read, as a pipeline's do under ingest, and that stamps nothing.
-type movingLive struct {
-	snap      *streaming.Snapshot
-	reads     atomic.Uint64
-	snapshots atomic.Int64
-	still     atomic.Bool
-}
-
-func (l *movingLive) Snapshot() *streaming.Snapshot { l.snapshots.Add(1); return l.snap }
-func (l *movingLive) Stats() ingest.Stats {
-	if l.still.Load() {
-		return ingest.Stats{Records: 1}
-	}
-	return ingest.Stats{Records: l.reads.Add(1)}
-}
-
-// TestUnstampedBodyIsBuiltOnce pins the one case that goes out without
-// a validator: a body whose source stamps no version, built while the
-// generation moved. It is served — built once, not retried —
-// without an ETag and is not kept; with the generation at rest the same
-// request gets the lookup's tag and revalidates.
-func TestUnstampedBodyIsBuiltOnce(t *testing.T) {
-	live := &movingLive{snap: sampleSnapshot(t, 1)}
-	s, err := New(Config{Live: live})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	for i := 1; i <= 3; i++ {
-		resp, _ := get(t, ts.URL+"/api/v1/snapshot", nil)
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != "" || resp.Header.Get("Cache-Control") != "no-cache" {
-			t.Fatalf("moving: status %d, ETag %q, Cache-Control %q", resp.StatusCode, resp.Header.Get("ETag"), resp.Header.Get("Cache-Control"))
-		}
-		if n := live.snapshots.Load(); n != int64(i) {
-			t.Fatalf("moving: %d requests took %d snapshots", i, n)
-		}
-	}
-	if kept := cachedQuestions(s); kept != 0 {
-		t.Fatalf("%d unvalidated bodies were kept", kept)
-	}
-
-	live.still.Store(true)
-	resp, _ := get(t, ts.URL+"/api/v1/snapshot", nil)
-	tag := resp.Header.Get("ETag")
-	if tag == "" {
-		t.Fatal("at rest: no ETag")
-	}
-	if resp, _ := get(t, ts.URL+"/api/v1/snapshot", map[string]string{"If-None-Match": tag}); resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("at rest: revalidation answered %d", resp.StatusCode)
-	}
 }

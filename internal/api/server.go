@@ -5,9 +5,8 @@
 // timeouts, gzip, access logging, and the performance headline,
 // conditional-GET caching. Every cacheable
 // response carries a strong ETag derived from the data-generation token
-// (store.Version, or a pipeline-stats hash on a memory-only collector)
-// plus the request parameters; repeated reads and CDN front-ends
-// revalidate with If-None-Match and get 304 Not Modified instead of a
+// (store.Version) plus the request parameters; repeated reads and CDN
+// front-ends revalidate with If-None-Match and get 304 Not Modified instead of a
 // full re-marshal, a single-flight response cache collapses N identical
 // concurrent hits into one serialization, and a gzip response is
 // stitched from blocks that were deflated once (gzip.go).
@@ -18,7 +17,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"log"
 	"net/http"
 	"strconv"
@@ -34,17 +32,15 @@ import (
 	"cwatrace/internal/tier"
 )
 
-// Live is the in-memory data source: the ingest pipeline (or anything
-// shaped like it). Stats feeds /api/v1/stats; Snapshot serves the
-// analytics on a collector without a durable store.
+// Live is the ingest pipeline's side of a collector (or anything shaped
+// like it): its counters feed /api/v1/stats.
 type Live interface {
-	Snapshot() *streaming.Snapshot
 	Stats() ingest.Stats
 }
 
-// History is the durable data source: the store of a -data-dir
-// collector. When present it owns the snapshot state (SinkOnly mode)
-// and answers historical range queries; Version feeds the ETag
+// History is the data source: the store every collector runs, durable
+// with -data-dir and in a private temp dir without. It owns the snapshot
+// state and answers historical range queries; Version feeds the ETag
 // derivation (see store.Version for the exact invalidation contract),
 // and every answer carries the Version of its own cut, which a 200's
 // ETag is derived from.
@@ -60,10 +56,11 @@ type History interface {
 	Metrics() store.Metrics
 }
 
-// Config parameterizes a Server. At least one of Live, History and
-// Fanout must be set; a durable collector sets Live and History, a
-// clustered query router sets Fanout alone.
+// Config parameterizes a Server. History or Fanout must be set; a
+// collector sets Live and History, a clustered query router sets Fanout
+// alone.
 type Config struct {
+	// Live, when set, adds the pipeline counters to /api/v1/stats.
 	Live    Live
 	History History
 	// Fanout turns the server into a clustered query router: the data
@@ -107,8 +104,8 @@ type Server struct {
 
 // New builds the server and mounts the v1 surface.
 func New(cfg Config) (*Server, error) {
-	if cfg.Live == nil && cfg.History == nil && cfg.Fanout == nil {
-		return nil, fmt.Errorf("api: need a Live, History or Fanout source")
+	if cfg.History == nil && cfg.Fanout == nil {
+		return nil, fmt.Errorf("api: need a History or Fanout source")
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
@@ -396,13 +393,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.handleFanStats(w, r)
 		return
 	}
-	var resp v1.StatsResponse
+	m := s.cfg.History.Metrics()
+	resp := v1.StatsResponse{Store: &m}
 	if s.cfg.Live != nil {
 		resp.Ingest = s.cfg.Live.Stats()
-	}
-	if s.cfg.History != nil {
-		m := s.cfg.History.Metrics()
-		resp.Store = &m
 	}
 	s.writeJSON(w, r, http.StatusOK, resp, prettyRequested(r.URL.Query().Get("pretty")))
 }
@@ -416,39 +410,23 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.handleFanSnapshot(w, r, p)
 		return
 	}
-	s.serveCached(w, r, "v1/snapshot", p.key(), s.snapshotVersion, p.mediaType(), func(size int) (b built, err error) {
-		// The durable store owns the state when present, else the pipeline.
-		switch durable := s.cfg.History != nil; {
-		case p.state && durable:
+	version := func() uint64 { return s.cfg.History.Version(time.Time{}, time.Time{}) }
+	s.serveCached(w, r, "v1/snapshot", p.key(), version, p.mediaType(), func(size int) (b built, err error) {
+		if p.state {
 			res := s.cfg.History.SnapshotResult()
 			st, origin := res.State()
 			b.body, err = encodeState(st, origin, res)
 			b.version = res.Version
-		case p.state:
-			// The pipeline hands out renderings alone.
-			snap := s.cfg.Live.Snapshot()
-			st := streaming.FromSnapshot(snap).Detach(time.Time{}, time.Time{})
-			b.body, err = encodeState(st, snap.Origin, new(store.QueryResult))
-		default:
-			var snap *streaming.Snapshot
-			if durable {
-				snap = s.cfg.History.Snapshot()
-			} else {
-				snap = s.cfg.Live.Snapshot()
-			}
-			b, err = renderBody(v1.NewSnapshot(snap, p.fields, p.top), p.pretty, size, s.blocks)
-			b.version = snap.Version
+			return b, err
 		}
+		snap := s.cfg.History.Snapshot()
+		b, err = renderBody(v1.NewSnapshot(snap, p.fields, p.top), p.pretty, size, s.blocks)
+		b.version = snap.Version
 		return b, err
 	})
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.History == nil && s.cfg.Fanout == nil {
-		s.writeError(w, http.StatusNotFound, v1.CodeNotFound,
-			"historical queries need a durable store", "start collectord with -data-dir")
-		return
-	}
 	p, ok := s.parseParams(w, r)
 	if !ok {
 		return
@@ -507,24 +485,6 @@ func (s *Server) handleUnknown(w http.ResponseWriter, r *http.Request) {
 
 // ---- data-source plumbing ----
 
-// snapshotVersion is the generation token behind /api/v1/snapshot: the
-// store's full-history Version when durable, a hash of the pipeline
-// counters otherwise (any processed record changes them, so the token
-// over-invalidates but never serves stale 304s).
-func (s *Server) snapshotVersion() uint64 {
-	if s.cfg.History != nil {
-		return s.cfg.History.Version(time.Time{}, time.Time{})
-	}
-	return statsHash(s.cfg.Live.Stats())
-}
-
-// statsHash folds the pipeline counters into a version token.
-func statsHash(st ingest.Stats) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", st)
-	return h.Sum64()
-}
-
 // stamp renders a query bound for cache keys. The open bound gets a
 // non-numeric sentinel: a unix-epoch bound (ParseTime("0")) also has
 // UnixNano 0, and the two select very different data — they must never
@@ -548,8 +508,8 @@ type built struct {
 	// cuts are the body's closed blocks (v1.AppendJSON, deflater.member).
 	cuts []v1.Cut
 	// version is the generation token of the cut the body shows, as the
-	// source stamped it (store.QueryResult.Version, Snapshot.Version);
-	// zero when it stamps none: a memory-only collector.
+	// source stamped it (store.QueryResult.Version, Snapshot.Version,
+	// FanResult.Version).
 	version uint64
 }
 
@@ -564,9 +524,7 @@ type built struct {
 // the tag of the version stamped on it, not of the version() read for
 // If-None-Match and the lookup: under ingest an append lands between any
 // two reads, and the stamp is read with the cut. One read, one build,
-// always a validator. Only an unstamped body falls back to reading
-// version() again after the build: unchanged, the lookup's tag is the
-// body's; changed, it goes out without a validator and is not cached.
+// always a validator.
 //
 // build is told the size of the body the question had last (0: none):
 // room to render the next one in.
@@ -574,8 +532,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, p
 	h := w.Header()
 	h.Set("Cache-Control", "no-cache") // cacheable, but revalidate: ETags are the invalidation channel
 	h.Set("Vary", "Accept-Encoding")   // a 304 carries the Vary its 200 would (RFC 9110 §15.4.5)
-	before := version()
-	etag := etagFor(s.boot, endpoint, params, before)
+	etag := etagFor(s.boot, endpoint, params, version())
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
 		h.Set("ETag", etag)
 		w.WriteHeader(http.StatusNotModified)
@@ -583,23 +540,13 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, p
 	}
 	e, err := s.cache.get(endpoint+"?"+params, etag, func(size int) (built, string, error) {
 		b, err := build(size)
-		switch {
-		case err != nil:
-			return b, "", err
-		case b.version != 0:
-			return b, etagFor(s.boot, endpoint, params, b.version), nil
-		case version() == before:
-			return b, etag, nil
-		}
-		return b, "", nil
+		return b, etagFor(s.boot, endpoint, params, b.version), err
 	})
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "building response failed", err.Error())
 		return
 	}
-	if e.tag != "" {
-		h.Set("ETag", e.tag)
-	}
+	h.Set("ETag", e.tag)
 	s.writeBody(w, r, http.StatusOK, mediaType, e.built)
 }
 

@@ -15,7 +15,6 @@ import (
 	v1 "cwatrace/internal/api/v1"
 	"cwatrace/internal/core"
 	"cwatrace/internal/entime"
-	"cwatrace/internal/ingest"
 	"cwatrace/internal/netflow"
 	"cwatrace/internal/store"
 	"cwatrace/internal/streaming"
@@ -46,26 +45,22 @@ func keptRecord(h, client int, bytes uint64) netflow.Record {
 	}
 }
 
-// fakeLive is a Live source with fixed state; delay simulates a slow
-// snapshot merge for the timeout tests.
-type fakeLive struct {
-	snap  *streaming.Snapshot
-	stats ingest.Stats
+// slowHistory is a store whose snapshot takes delay, for the timeout
+// tests.
+type slowHistory struct {
+	*store.Store
 	delay time.Duration
 }
 
-func (f *fakeLive) Snapshot() *streaming.Snapshot {
-	if f.delay > 0 {
-		time.Sleep(f.delay)
-	}
-	return f.snap
+func (h slowHistory) Snapshot() *streaming.Snapshot {
+	time.Sleep(h.delay)
+	return h.Store.Snapshot()
 }
-func (f *fakeLive) Stats() ingest.Stats { return f.stats }
 
-// liveServer builds a server over a fixed snapshot.
-func liveServer(t *testing.T, snap *streaming.Snapshot) *httptest.Server {
+// sampleServer builds a server over sampleStore(t, shards).
+func sampleServer(t *testing.T, shards int) *httptest.Server {
 	t.Helper()
-	s, err := New(Config{Live: &fakeLive{snap: snap, stats: ingest.Stats{Records: 42, Processed: 42}}})
+	s, err := New(Config{History: sampleStore(t, shards)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,28 +100,37 @@ func storeServer(t testing.TB) (*store.Store, *httptest.Server) {
 	return st, ts
 }
 
-// sampleSnapshot merges n shards fed round-robin, so worker-count
-// invariance is testable at the HTTP layer.
-func sampleSnapshot(t *testing.T, shards int) *streaming.Snapshot {
+// sampleStore appends a sample of kept and dropped records to a fresh
+// store, dealt round-robin into shards parts: every part but the last
+// becomes a checkpoint frame, the last stays the live tail. Any shard
+// count holds the same records, folded along different paths, so
+// worker-count invariance is testable at the HTTP layer.
+func sampleStore(t testing.TB, shards int) *store.Store {
 	t.Helper()
-	cfg := testCfg()
-	lanes := make([]*streaming.Analytics, shards)
-	for i := range lanes {
-		lanes[i] = streaming.New(cfg)
+	st, err := store.Open(t.TempDir(), store.Options{Analytics: testCfg(), Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
+	parts := make([][]netflow.Record, shards)
 	for i := 0; i < 400; i++ {
 		// client spreads over 7 distinct /24s so the leaderboard has rows.
 		r := keptRecord(i%40, (i%7)*256+i, uint64(400+i))
-		lanes[i%shards].Ingest([]netflow.Record{r})
 		dropped := r
 		dropped.SrcPort = 80
-		lanes[i%shards].Ingest([]netflow.Record{dropped})
+		parts[i%shards] = append(parts[i%shards], r, dropped)
 	}
-	merged := streaming.New(cfg)
-	for _, lane := range lanes {
-		merged.Merge(lane)
+	for i, part := range parts {
+		if err := st.Append(part); err != nil {
+			t.Fatal(err)
+		}
+		if i < shards-1 {
+			if err := st.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	return merged.Snapshot()
+	return st
 }
 
 // get runs one GET with optional extra headers and returns the response
@@ -171,7 +175,7 @@ func decodeError(t *testing.T, body []byte) *v1.Error {
 // TestErrorEnvelopeEveryFailurePath walks each v1 failure mode and
 // requires the {code, message, detail} envelope shape.
 func TestErrorEnvelopeEveryFailurePath(t *testing.T) {
-	ts := liveServer(t, sampleSnapshot(t, 1))
+	ts := sampleServer(t, 1)
 	cases := []struct {
 		name   string
 		method string
@@ -182,7 +186,6 @@ func TestErrorEnvelopeEveryFailurePath(t *testing.T) {
 		{"bad fields", http.MethodGet, "/api/v1/snapshot?fields=bogus", http.StatusBadRequest, v1.CodeBadRequest},
 		{"bad top", http.MethodGet, "/api/v1/snapshot?top=banana", http.StatusBadRequest, v1.CodeBadRequest},
 		{"negative top", http.MethodGet, "/api/v1/snapshot?top=-1", http.StatusBadRequest, v1.CodeBadRequest},
-		{"query without store", http.MethodGet, "/api/v1/query", http.StatusNotFound, v1.CodeNotFound},
 		{"unknown endpoint", http.MethodGet, "/api/v1/nope", http.StatusNotFound, v1.CodeNotFound},
 		{"post", http.MethodPost, "/api/v1/snapshot", http.StatusMethodNotAllowed, v1.CodeMethodNotAllowed},
 		{"delete health", http.MethodDelete, "/api/v1/health", http.StatusMethodNotAllowed, v1.CodeMethodNotAllowed},
@@ -212,7 +215,7 @@ func TestErrorEnvelopeEveryFailurePath(t *testing.T) {
 
 	// The pre-v1 paths are gone, on a collector and on a router: the mux's
 	// plain 404, like any path that never existed.
-	router := fanServer(t, &fakeFanout{shards: 1, res: FanResult{Snapshot: emptySnap(), Validated: true}})
+	router := fanServer(t, &fakeFanout{shards: 1, res: FanResult{Snapshot: emptySnap()}})
 	_, sts := storeServer(t)
 	for _, path := range []string{"/snapshot", "/query", "/healthz", "/never-existed"} {
 		if resp, _ := get(t, sts.URL+path, nil); resp.StatusCode != http.StatusNotFound {
@@ -311,7 +314,7 @@ func TestETagRoundTrip(t *testing.T) {
 // TestFieldSelectionSubsets requires each ?fields= subset to equal the
 // matching slice of the full snapshot response.
 func TestFieldSelectionSubsets(t *testing.T) {
-	ts := liveServer(t, sampleSnapshot(t, 2))
+	ts := sampleServer(t, 2)
 	_, fullBody := get(t, ts.URL+"/api/v1/snapshot", nil)
 	var full map[string]json.RawMessage
 	if err := json.Unmarshal(fullBody, &full); err != nil {
@@ -373,11 +376,12 @@ func TestFieldSelectionSubsets(t *testing.T) {
 	}
 }
 
-// TestWorkerCountInvariance requires byte-identical API responses from
-// 1-shard and 4-shard analytics over the same records.
+// TestWorkerCountInvariance requires byte-identical API responses from a
+// store holding the records in one tail and one holding them in three
+// frames and a tail.
 func TestWorkerCountInvariance(t *testing.T) {
-	one := liveServer(t, sampleSnapshot(t, 1))
-	four := liveServer(t, sampleSnapshot(t, 4))
+	one := sampleServer(t, 1)
+	four := sampleServer(t, 4)
 	for _, path := range []string{
 		"/api/v1/snapshot",
 		"/api/v1/snapshot?fields=hourly,prefixes&top=3",
@@ -395,7 +399,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 // default, indentation only under ?pretty=1, and the pretty body is
 // strictly larger.
 func TestCompactDefaultPrettyOptIn(t *testing.T) {
-	ts := liveServer(t, sampleSnapshot(t, 2))
+	ts := sampleServer(t, 2)
 	_, compact := get(t, ts.URL+"/api/v1/snapshot", nil)
 	if strings.Contains(string(compact), "\n  \"") {
 		t.Fatal("default response is indented")
@@ -452,7 +456,7 @@ func TestEpochBoundIsNotOpenBound(t *testing.T) {
 }
 
 func TestGzipNegotiation(t *testing.T) {
-	ts := liveServer(t, sampleSnapshot(t, 2))
+	ts := sampleServer(t, 2)
 	_, plain := get(t, ts.URL+"/api/v1/snapshot", nil)
 	if len(plain) < gzipMinBytes {
 		t.Fatalf("sample body too small (%dB) to exercise gzip", len(plain))
@@ -495,7 +499,7 @@ func TestGzipNegotiation(t *testing.T) {
 // writes the body itself, so the type must be pre-declared).
 func TestTimeoutEnvelope(t *testing.T) {
 	s, err := New(Config{
-		Live:    &fakeLive{snap: sampleSnapshot(t, 1), delay: 2 * time.Second},
+		History: slowHistory{sampleStore(t, 1), 2 * time.Second},
 		Timeout: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -516,8 +520,7 @@ func TestTimeoutEnvelope(t *testing.T) {
 }
 
 func TestHealthDraining(t *testing.T) {
-	live := &fakeLive{snap: sampleSnapshot(t, 1)}
-	s, err := New(Config{Live: live})
+	s, err := New(Config{History: sampleStore(t, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +565,7 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestHeadRequests(t *testing.T) {
-	ts := liveServer(t, sampleSnapshot(t, 1))
+	ts := sampleServer(t, 1)
 	req, _ := http.NewRequest(http.MethodHead, ts.URL+"/api/v1/snapshot", nil)
 	tr := &http.Transport{DisableCompression: true}
 	resp, err := tr.RoundTrip(req)

@@ -82,8 +82,7 @@ type ShardState struct {
 }
 
 // encodeState renders state — the fold behind a store answer
-// (QueryResult.State), or a memory-only collector's rendering made
-// mergeable again — and the answer's query metadata as shard state: what
+// (QueryResult.State) — and the answer's query metadata as shard state: what
 // the state the rendered snapshot carries encodes to, so the router
 // merges precisely what it would have reconstructed from the JSON body.
 func encodeState(st *streaming.Stored, origin time.Time, res *store.QueryResult) ([]byte, error) {

@@ -18,7 +18,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
 	"net/netip"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -640,6 +642,51 @@ func TestClusterUndecodableShardIsMissing(t *testing.T) {
 		}
 		router.Close()
 		hostile.Close()
+	}
+}
+
+// TestClusterShardWithoutETagIsMissing: every collector stamps its
+// answers, so a shard answer without an ETag has crossed something that
+// strips headers, and a composite validator over it could name two
+// different bodies. The router counts that shard as missing — 206,
+// no-store, no validator, the shard in missing_shards — on every data
+// path.
+func TestClusterShardWithoutETagIsMissing(t *testing.T) {
+	model := geo.Germany()
+	db, prefixes := testGeoDB(t, model)
+	recs := buildCapture(prefixes)
+	acfg := streaming.Config{WindowHours: 96, TopK: 10, DB: db, Model: model}
+	parts := partition(recs, db, 2)
+	nodes := []*node{newNode(t, acfg, parts[0]), newNode(t, acfg, parts[1])}
+
+	upstream, err := url.Parse(nodes[1].ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(upstream)
+	proxy.ModifyResponse = func(resp *http.Response) error {
+		resp.Header.Del("ETag")
+		return nil
+	}
+	stripping := httptest.NewServer(proxy)
+	t.Cleanup(stripping.Close)
+	router := newRouter(t, []*node{nodes[0], {ts: stripping}}, acfg.TopK)
+
+	for _, path := range []string{"/api/v1/snapshot", "/api/v1/query", "/api/v1/query?resolution=day"} {
+		status, hdr, body := get(t, router.URL+path, nil)
+		if status != http.StatusPartialContent || hdr.Get("Cache-Control") != "no-store" || hdr.Get("ETag") != "" {
+			t.Fatalf("%s: status %d, Cache-Control %q, ETag %q; want 206, no-store, no validator",
+				path, status, hdr.Get("Cache-Control"), hdr.Get("ETag"))
+		}
+		var env struct {
+			Degraded *v1.Degraded `json:"degraded"`
+		}
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatal(err)
+		}
+		if d := env.Degraded; d == nil || !reflect.DeepEqual(d.MissingShards, []int{1}) || !strings.Contains(d.Detail, "no validator") {
+			t.Fatalf("%s: degraded marker %+v, want missing_shards [1] for a shard that sent no validator", path, d)
+		}
 	}
 }
 

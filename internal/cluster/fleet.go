@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -190,13 +191,19 @@ type part struct {
 
 // gather fetches and decodes every shard's state. A shard whose bytes
 // do not decode is as missing as one that did not answer: what it sent
-// cannot be merged, and the fan-out says so instead of guessing.
+// cannot be merged, and the fan-out says so instead of guessing. So is
+// one that sent no ETag — every collector stamps its answers, so only a
+// proxy stripping headers gets here — since a composite validator over
+// an untagged part could name two different bodies.
 func (f *Fleet) gather(ctx context.Context, fetch func(ctx context.Context, c *client.Client) ([]byte, string, error)) ([]*part, []api.ShardError, []api.ShardTiming) {
 	parts := make([]*part, len(f.clients))
 	missing, timings := f.eachShard(ctx, func(ctx context.Context, i int, c *client.Client) error {
 		body, etag, err := fetch(ctx, c)
 		if err != nil {
 			return err
+		}
+		if etag == "" {
+			return errors.New("shard sent no validator")
 		}
 		st, err := api.DecodeState(body)
 		if err != nil {
@@ -250,7 +257,6 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 		first  *part
 		lh     *tier.Builder
 		etags  = make([]string, len(parts))
-		tagged int
 		// The long-horizon sources: a shard's frame stands for all the
 		// tier and raw frames behind its answer.
 		tierFrames, rawFrames int
@@ -260,9 +266,6 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 			continue
 		}
 		etags[i] = p.etag
-		if p.etag != "" {
-			tagged++
-		}
 		if first == nil {
 			first = p
 			if p.Resolution != "" {
@@ -305,7 +308,6 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 		res.LongHorizon.Label(f.model)
 	}
 	res.Version = composeVersion(etags)
-	res.Validated = len(missing) == 0 && tagged == len(parts)
 	return res, nil
 }
 

@@ -16,25 +16,23 @@ import (
 	"net/netip"
 )
 
-// stubLive is a fixed-state api.Live source whose stats carry a chosen
-// ingest watermark.
+// stubLive is a fixed api.Live source whose stats carry a chosen ingest
+// watermark.
 type stubLive struct {
-	snap  *streaming.Snapshot
 	stats ingest.Stats
 }
 
-func (s *stubLive) Snapshot() *streaming.Snapshot { return s.snap }
-func (s *stubLive) Stats() ingest.Stats           { return s.stats }
+func (s *stubLive) Stats() ingest.Stats { return s.stats }
 
-// liveNode serves one shard over a stub pipeline reporting watermark wm.
+// liveNode serves one shard: a store holding one record, beside a stub
+// pipeline reporting watermark wm.
 func liveNode(t *testing.T, acfg streaming.Config, wm int64) *httptest.Server {
 	t.Helper()
-	an := streaming.New(acfg)
-	an.Ingest([]netflow.Record{keptRecord(entime.StudyStart, netip.AddrFrom4([4]byte{10, 1, 2, 3}), 100)})
-	srv, err := api.New(api.Config{Live: &stubLive{
-		snap:  an.Snapshot(),
-		stats: ingest.Stats{Records: 1, Processed: 1, WatermarkUnixNano: wm},
-	}})
+	nd := newNode(t, acfg, []netflow.Record{keptRecord(entime.StudyStart, netip.AddrFrom4([4]byte{10, 1, 2, 3}), 100)})
+	srv, err := api.New(api.Config{
+		Live:    &stubLive{stats: ingest.Stats{Records: 1, Processed: 1, WatermarkUnixNano: wm}},
+		History: nd.st,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

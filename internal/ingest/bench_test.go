@@ -8,11 +8,11 @@ import (
 	"cwatrace/internal/obs"
 )
 
-// BenchmarkIngestPipeline measures the collector's decode→dispatch→ingest
-// path — records/sec through the pipeline, without UDP in the loop — at
-// one worker (serial) versus the full worker pool, with one feeding
-// goroutine per simulated socket. The EXPERIMENTS.md "ingest throughput"
-// snapshot comes from this benchmark.
+// BenchmarkIngestPipeline measures the collector's decode→dispatch→commit
+// path — records/sec through the pipeline with no sink, without UDP in
+// the loop — at one worker (serial) versus the full worker pool, with
+// one feeding goroutine per simulated socket. What the store adds per
+// record is the store package's own benchmark.
 func BenchmarkIngestPipeline(b *testing.B) {
 	const (
 		feeders    = 4
@@ -50,8 +50,8 @@ func BenchmarkIngestPipeline(b *testing.B) {
 			// instrumented, the registry with its ~40 family registrations)
 			// is start-up cost, not per-record cost, so it stays outside
 			// the measured loop. Each iteration replays every stream once;
-			// per-source decoder state and the analytics bins reach steady
-			// state after the first pass.
+			// per-source decoder state reaches steady state after the first
+			// pass.
 			var (
 				reg    *obs.Registry
 				tracer *obs.Tracer

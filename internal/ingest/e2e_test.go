@@ -26,25 +26,27 @@ func runQuickSim(t testing.TB) *sim.Result {
 	return res
 }
 
-// streamTrace replays records through a fresh pipeline at the given worker
-// count and returns its drained snapshot and stats. It retries once if
-// loopback UDP dropped datagrams (rare, but UDP makes no promises even on
-// localhost); the analytics comparison needs a loss-free run.
+// streamTrace replays records through a fresh pipeline and store at the
+// given worker count and returns the store's snapshot and the drained
+// pipeline's stats. It retries once if loopback UDP dropped datagrams
+// (rare, but UDP makes no promises even on localhost); the analytics
+// comparison needs a loss-free run.
 func streamTrace(t *testing.T, res *sim.Result, workers int) (*streaming.Snapshot, Stats) {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
+		st := storeSink(t, streaming.Config{
+			// One spill day beyond the study window: flows opened just
+			// before the capture end have First stamps past it.
+			WindowHours: entime.StudyHours() + 24,
+			DB:          res.GeoDB,
+			Model:       res.Model,
+			TopK:        10,
+		})
 		p, err := New(Config{
 			Listen:      []string{"127.0.0.1:0"},
 			Workers:     workers,
 			ShardBuffer: 4096,
-			Analytics: streaming.Config{
-				// One spill day beyond the study window: flows opened
-				// just before the capture end have First stamps past it.
-				WindowHours: entime.StudyHours() + 24,
-				DB:          res.GeoDB,
-				Model:       res.Model,
-				TopK:        10,
-			},
+			Sink:        st,
 		})
 		if err != nil {
 			t.Fatalf("pipeline: %v", err)
@@ -78,7 +80,9 @@ func streamTrace(t *testing.T, res *sim.Result, workers int) (*streaming.Snapsho
 			if s.SeqGaps != 0 {
 				t.Fatalf("no datagram was lost but sequence audit reports %d gaps", s.SeqGaps)
 			}
-			return p.Snapshot(), s
+			snap := st.Snapshot()
+			snap.Version = 0 // names one store's cut, not the data
+			return snap, s
 		}
 		if attempt >= 2 {
 			t.Fatalf("lossy loopback replay after %d attempts: stats=%+v sent=%d", attempt+1, s, rs.Records)

@@ -86,7 +86,6 @@ func TestGroupCommitAccounting(t *testing.T) {
 			Workers:     2,
 			ShardBuffer: 8,
 			ShardFilter: dropEveryFourthPacket(recsPerPkt),
-			SinkOnly:    true,
 			workerDelay: 100 * time.Microsecond,
 		}
 		if grouped {
@@ -156,7 +155,6 @@ func TestGroupCommitIntoStore(t *testing.T) {
 		ShardBuffer: 8,
 		ShardFilter: dropEveryFourthPacket(recsPerPkt),
 		Sink:        st,
-		SinkOnly:    true,
 		workerDelay: 100 * time.Microsecond,
 	})
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 type pipelineMetrics struct {
 	// decodeSeconds times PeekSourceID+DecodeInto+dispatch, sampled
 	// 1-in-64 datagrams; batchSeconds times one worker commit — the
-	// group of batches it found queued (filter+sink+analytics) — sampled
+	// group of batches it found queued (filter+sink) — sampled
 	// 1-in-64 commits.
 	decodeSeconds *obs.Histogram
 	batchSeconds  *obs.Histogram
@@ -32,7 +32,7 @@ func (m *pipelineMetrics) register(reg *obs.Registry) {
 	m.decodeSeconds = reg.Histogram("ingest_decode_seconds",
 		"Datagram decode+dispatch latency (sampled 1-in-64).", obs.DurationBuckets)
 	m.batchSeconds = reg.Histogram("ingest_batch_seconds",
-		"Worker commit latency: filter, one sink commit, analytics for every batch queued on the lane, at most 64 (sampled 1-in-64 commits).",
+		"Worker commit latency: filter and one sink commit for every batch queued on the lane, at most 64 (sampled 1-in-64 commits).",
 		obs.DurationBuckets)
 }
 
@@ -71,7 +71,7 @@ func registerPipelineFuncs(reg *obs.Registry, p *Pipeline) {
 		sumReaders(func(r *reader) uint64 { return r.decodeErrors.Load() }))
 	reg.CounterFunc("ingest_socket_errors_total", "Transient socket receive errors (retried).",
 		sumReaders(func(r *reader) uint64 { return r.socketErrors.Load() }))
-	reg.CounterFunc("ingest_records_processed_total", "Records ingested into analytics shards.",
+	reg.CounterFunc("ingest_records_processed_total", "Records workers consumed and handed to the sink.",
 		sumLanes(func(l *shardLane) uint64 { return l.processed.Load() }))
 	reg.CounterFunc("ingest_records_dropped_total", "Records dropped under backpressure.",
 		sumLanes(func(l *shardLane) uint64 { return l.droppedRecords.Load() }))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cwatrace/internal/obs"
+	"cwatrace/internal/store"
 )
 
 // TestPipelineMetricsExposition runs real traffic through an
@@ -92,10 +93,17 @@ func TestPipelineMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestStreamingWatermark pins the analytics-level watermark: it tracks
-// the newest binned record and survives Merge.
+// TestStreamingWatermark pins the analytics-level watermark of the store
+// the pipeline feeds: it tracks the newest binned record, in the live
+// tail and after a checkpoint has merged the tail into the frames.
 func TestStreamingWatermark(t *testing.T) {
-	p, err := New(Config{Workers: 1})
+	reg := obs.NewRegistry()
+	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	p, err := New(Config{Workers: 1, Sink: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +114,20 @@ func TestStreamingWatermark(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	lane := p.lanes[0]
-	want := testRecord(10*5 - 1).First
-	if got := lane.an.Watermark(); !got.Equal(want) {
-		t.Errorf("analytics watermark = %v, want %v", got, want)
+	want := float64(testRecord(10*5-1).First.UnixNano()) / 1e9
+	check := func(when string) {
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		exp, _ := obs.Lint(sb.String())
+		if got, ok := exp.Value("store_watermark_timestamp_seconds", ""); !ok || got != want {
+			t.Errorf("%s: store watermark = %v (present=%v), want %v", when, got, ok, want)
+		}
 	}
+	check("in the tail")
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("after a checkpoint")
 }

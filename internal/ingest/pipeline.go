@@ -1,17 +1,19 @@
 // Package ingest is the live collector subsystem: it receives NFv9 export
 // datagrams over UDP, decodes them with per-exporter-source template and
 // sequence state, and pushes the records through a bounded, batched,
-// multi-worker pipeline into internal/streaming shards.
+// multi-worker pipeline into a Sink — in collectord always the store
+// (internal/store), which owns every aggregate. The pipeline itself keeps
+// counters only.
 //
 // The shape mirrors the paper's vantage point — border routers exporting
 // sampled Netflow to a collector that analyzes in near-real time — and the
 // ROADMAP's scaling posture: per-socket reader goroutines own the decoder
 // state (no locks on the datagram path beyond one uncontended mutex),
-// records fan out round-robin over bounded per-shard channels, and under
+// records fan out round-robin over bounded per-lane channels, and under
 // backpressure the dispatcher drops batches and counts them instead of
 // blocking the socket, exactly like a real collector protecting its
 // receive buffer. Aggregation is commutative (see internal/streaming), so
-// snapshots are identical at any worker count.
+// what the sink holds is identical at any worker count.
 package ingest
 
 import (
@@ -62,29 +64,26 @@ type Config struct {
 	// and reader goroutine ("127.0.0.1:0" picks an ephemeral test port).
 	// Empty means no sockets: records enter only via inject (benchmarks).
 	Listen []string
-	// Workers is the number of analytics shards and worker goroutines
-	// (0 = runtime.NumCPU(), 1 = serial).
+	// Workers is the number of lanes and worker goroutines, each of which
+	// commits to the sink on its own (0 = runtime.NumCPU(), 1 = serial).
 	Workers int
-	// ShardBuffer is the per-shard channel capacity in batches (default
+	// ShardBuffer is the per-lane channel capacity in batches (default
 	// 256). Together with the ≤MTU batch size and the one commit group
 	// (≤ maxCommitGroup batches) each worker holds, it bounds pipeline
 	// memory.
 	ShardBuffer int
-	// Analytics configures the streaming shards.
+	// Deprecated: ignored; deleted with ROADMAP item 1.
 	Analytics streaming.Config
-	// Sink, when set, receives every processed batch (before the lane's
-	// own analytics), through AppendGroup when it is a GroupSink. Errors
-	// are counted as SinkErrors, never fatal: a full disk degrades
-	// durability, it must not stop the collector.
+	// Sink, when set, receives every processed batch, through AppendGroup
+	// when it is a GroupSink: it owns every aggregate. Errors are counted
+	// as SinkErrors, never fatal: a full disk degrades durability, it
+	// must not stop the collector. Nil only counts.
 	Sink Sink
-	// SinkOnly skips the per-lane analytics shards entirely: the sink
-	// owns all aggregate state. The persistent collector runs this way —
-	// keeping a second, unbounded in-memory copy of state the store
-	// already maintains would defeat the point of checkpointing.
+	// Deprecated: ignored; deleted with ROADMAP item 1.
 	SinkOnly bool
 	// ShardFilter, when set, drops every record this node does not own
 	// under a cluster partition (internal/cluster.Assignment.Filter)
-	// before it reaches the sink or the analytics. Discards are counted
+	// before it reaches the sink. Discards are counted
 	// as ShardFiltered — they are part of the cluster contract, not a
 	// loss. Nil keeps everything (the unsharded default).
 	ShardFilter func(r *netflow.Record) bool
@@ -151,10 +150,10 @@ type Stats struct {
 	Packets      uint64 `json:"packets"`
 	Records      uint64 `json:"records"`
 	DecodeErrors uint64 `json:"decode_errors"`
-	// Processed counts records ingested into analytics shards;
-	// DroppedRecords/DroppedBatches count backpressure losses between the
-	// socket and the shards. Records == Processed + DroppedRecords +
-	// records still queued.
+	// Processed counts records a worker consumed and handed to the sink
+	// (shard-filtered ones included); DroppedRecords/DroppedBatches count
+	// backpressure losses between the socket and the lanes. Records ==
+	// Processed + DroppedRecords + records still queued.
 	Processed      uint64 `json:"processed"`
 	DroppedRecords uint64 `json:"dropped_records"`
 	DroppedBatches uint64 `json:"dropped_batches"`
@@ -165,9 +164,8 @@ type Stats struct {
 	// SocketErrors counts transient receive errors the readers retried.
 	SocketErrors uint64 `json:"socket_errors"`
 	// SinkErrors counts failed sink flushes and the batches of failed
-	// sink appends (batches that reached the analytics but may not have
-	// reached durable storage; a failed group commit counts every batch
-	// it carried).
+	// sink appends (batches the store counts but may not have made
+	// durable; a failed group commit counts every batch it carried).
 	SinkErrors uint64 `json:"sink_errors"`
 	// Sources is the number of distinct exporter sources seen. SeqGaps,
 	// SeqLost and SeqReordered aggregate the per-source sequence audits
@@ -184,16 +182,12 @@ type Stats struct {
 	WatermarkUnixNano int64 `json:"watermark_unix_nano,omitempty"`
 }
 
-// shardLane is one bounded channel plus the analytics shard draining it.
-// Lanes carry slabs, not bare slices: the slab travels from decode through
-// the worker and back into the shared pool with its storage attached, so
-// the steady-state round trip allocates nothing.
+// shardLane is one bounded channel plus the counters of the worker
+// draining it. Lanes carry slabs, not bare slices: the slab travels from
+// decode through the worker and back into the shared pool with its
+// storage attached, so the steady-state round trip allocates nothing.
 type shardLane struct {
 	ch chan *netflow.Slab
-
-	// mu guards an: the worker ingests under it, Snapshot reads under it.
-	mu sync.Mutex
-	an *streaming.Analytics
 
 	processed      atomic.Uint64
 	droppedRecords atomic.Uint64
@@ -239,8 +233,8 @@ type reader struct {
 	tick uint64 // decode-timing sample counter; reader goroutine only
 }
 
-// Pipeline is the running collector: sockets → decoders → shard channels →
-// workers → streaming shards.
+// Pipeline is the running collector: sockets → decoders → lane channels →
+// workers → sink.
 type Pipeline struct {
 	cfg     Config
 	readers []*reader
@@ -268,20 +262,11 @@ type Pipeline struct {
 // reader and worker goroutines. Callers must Close it.
 func New(cfg Config) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
-	if cfg.SinkOnly && cfg.Sink == nil {
-		// Workers would skip the sink AND the per-lane analytics: every
-		// batch counted as processed, then discarded with no state kept
-		// anywhere.
-		return nil, errors.New("ingest: SinkOnly requires a Sink")
-	}
 	p := &Pipeline{cfg: cfg}
 	p.m.register(cfg.Metrics)
 
 	for i := 0; i < cfg.Workers; i++ {
-		lane := &shardLane{
-			ch: make(chan *netflow.Slab, cfg.ShardBuffer),
-			an: streaming.New(cfg.Analytics),
-		}
+		lane := &shardLane{ch: make(chan *netflow.Slab, cfg.ShardBuffer)}
 		p.lanes = append(p.lanes, lane)
 		p.workerWG.Add(1)
 		go p.work(lane)
@@ -467,8 +452,7 @@ func (p *Pipeline) noteDropStorm() {
 // amortized away anyway.
 const maxCommitGroup = 64
 
-// work drains one lane into the sink and its analytics shard. It
-// commits what is queued, not one datagram: the first slab is awaited,
+// work drains one lane into the sink. It commits what is queued, not one datagram: the first slab is awaited,
 // whatever else the lane holds (up to maxCommitGroup) is taken without
 // blocking, and the group goes through commit as one unit. An idle lane
 // therefore yields groups of one and a backed-up lane amortizes the
@@ -498,8 +482,8 @@ func (p *Pipeline) work(lane *shardLane) {
 }
 
 // commit processes one group of slabs: watermark and shard filter per
-// batch, one sink commit, the lane analytics, and only then the
-// processed counter and the slab recycling — so "processed" still
+// batch, one sink commit, and only then the processed counter and the
+// slab recycling — so "processed" still
 // implies "handed to the sink and returned" (written, and under the
 // store's always policy fsynced). batches is the worker's scratch
 // slice for the non-empty filtered batches.
@@ -548,9 +532,8 @@ func (p *Pipeline) commit(lane *shardLane, group GroupSink, slabs []*netflow.Sla
 	if wm > lane.watermark.Load() {
 		lane.watermark.Store(wm)
 	}
-	// Durability first: anything the analytics (or the sink's own
-	// state) count is already written through. Errors degrade
-	// durability, never availability; they are counted in batches.
+	// Errors degrade durability, never availability; they are counted in
+	// batches.
 	switch {
 	case p.cfg.Sink == nil || len(batches) == 0:
 	case group != nil:
@@ -563,13 +546,6 @@ func (p *Pipeline) commit(lane *shardLane, group GroupSink, slabs []*netflow.Sla
 				lane.sinkErrors.Add(1)
 			}
 		}
-	}
-	if !p.cfg.SinkOnly {
-		lane.mu.Lock()
-		for _, batch := range batches {
-			lane.an.Ingest(batch)
-		}
-		lane.mu.Unlock()
 	}
 	// Processed counts everything the worker consumed, shard-filtered
 	// records included, so Drained's invariant survives sharding.
@@ -621,20 +597,6 @@ func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 	registerPipelineFuncs(reg, p)
 }
 
-// Snapshot merges every shard into one analytics snapshot, holding one
-// lane lock at a time so ingestion keeps flowing on the other lanes while
-// a lane is being merged. On a live pipeline the result is a slightly
-// time-skewed (but internally consistent) view; after Close it is exact.
-func (p *Pipeline) Snapshot() *streaming.Snapshot {
-	m := streaming.New(p.cfg.Analytics)
-	for _, lane := range p.lanes {
-		lane.mu.Lock()
-		m.Merge(lane.an)
-		lane.mu.Unlock()
-	}
-	return m.Snapshot()
-}
-
 // Stats sums the live counters.
 func (p *Pipeline) Stats() Stats {
 	var s Stats
@@ -675,8 +637,8 @@ func (p *Pipeline) Drained() bool {
 }
 
 // Close performs a graceful drain: it stops the sockets, lets the workers
-// finish every queued batch, and only then returns. Snapshot and Stats
-// remain valid (and final) afterwards.
+// finish every queued batch, and only then returns. Stats remains valid
+// (and final) afterwards.
 func (p *Pipeline) Close() error {
 	p.closeOnce.Do(p.shutdown)
 	return p.closeErr

@@ -2,12 +2,19 @@ package ingest
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net/netip"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"cwatrace/internal/netflow"
 	"cwatrace/internal/nfv9"
+	"cwatrace/internal/store"
+	"cwatrace/internal/streaming"
 )
 
 // encodePackets renders n export packets of recordsPer records each, all
@@ -59,74 +66,104 @@ func testRecord(i int) netflow.Record {
 	}
 }
 
+// storeSink opens a store in a temp dir for a pipeline to feed: the one
+// owner of the aggregates, as in collectord.
+func storeSink(t testing.TB, acfg streaming.Config) *store.Store {
+	t.Helper()
+	st, err := store.Open(t.TempDir(), store.Options{Analytics: acfg, Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 // TestBackpressureBoundedAndAccounted overloads a tiny pipeline with slow
-// consumers and asserts the two properties the ISSUE demands: queued
+// consumers and asserts the two properties overload must not break: queued
 // memory stays bounded by the shard buffers (the dispatcher drops instead
-// of queueing), and every record is accounted for as processed or dropped
-// once the pipeline drains. Runs under -race via `make race`.
+// of queueing), and every record is accounted for once the pipeline
+// drains — received = processed + dropped, and what the store holds =
+// processed - shard-filtered — with and without a shard filter, at 1, 2
+// and 4 workers. Runs under -race via `make race`.
 func TestBackpressureBoundedAndAccounted(t *testing.T) {
 	const (
-		workers    = 2
 		shardBuf   = 2
 		packets    = 600
 		recsPerPkt = 10
 	)
-	p, err := New(Config{
-		Workers:     workers,
-		ShardBuffer: shardBuf,
-		workerDelay: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := p.newLoopReader()
+	pkts := encodePackets(t, packets, recsPerPkt)
+	for _, c := range []struct {
+		workers int
+		filter  func(*netflow.Record) bool
+	}{
+		{2, nil},
+		{1, dropEveryFourthPacket(recsPerPkt)},
+		{4, dropEveryFourthPacket(recsPerPkt)},
+	} {
+		st := storeSink(t, streaming.Config{})
+		p, err := New(Config{
+			Workers:     c.workers,
+			ShardBuffer: shardBuf,
+			Sink:        st,
+			ShardFilter: c.filter,
+			workerDelay: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := p.newLoopReader()
 
-	// Queued records can never exceed the channels plus one in-flight
-	// commit group per worker. A group is usually the batch the worker
-	// waited for plus what its lane held, but the dispatcher may refill
-	// the lane while the worker drains it, so only maxCommitGroup is a
-	// hard limit — still a fraction of the packets*recsPerPkt on offer.
-	bound := uint64(workers * (shardBuf + maxCommitGroup) * recsPerPkt)
+		// Queued records can never exceed the channels plus one in-flight
+		// commit group per worker. A group is usually the batch the worker
+		// waited for plus what its lane held, but the dispatcher may refill
+		// the lane while the worker drains it, so only maxCommitGroup is a
+		// hard limit — still a fraction of the packets*recsPerPkt on offer.
+		bound := uint64(c.workers * (shardBuf + maxCommitGroup) * recsPerPkt)
 
-	for i, pkt := range encodePackets(t, packets, recsPerPkt) {
-		p.handleDatagram(r, "203.0.113.7:2055", pkt)
-		if i%25 == 0 {
-			s := p.Stats()
-			if queued := s.Records - s.Processed - s.DroppedRecords; queued > bound {
-				t.Fatalf("queued %d records exceeds bound %d", queued, bound)
+		for i, pkt := range pkts {
+			p.handleDatagram(r, "203.0.113.7:2055", pkt)
+			if i%25 == 0 {
+				s := p.Stats()
+				if queued := s.Records - s.Processed - s.DroppedRecords; queued > bound {
+					t.Fatalf("workers=%d: queued %d records exceeds bound %d", c.workers, queued, bound)
+				}
 			}
 		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	s := p.Stats()
-	if s.Records != packets*recsPerPkt {
-		t.Fatalf("decoded %d records, want %d", s.Records, packets*recsPerPkt)
-	}
-	if s.DroppedRecords == 0 {
-		t.Fatal("overloaded pipeline dropped nothing; backpressure path untested")
-	}
-	if s.Processed+s.DroppedRecords != s.Records {
-		t.Fatalf("accounting leak: processed %d + dropped %d != received %d",
-			s.Processed, s.DroppedRecords, s.Records)
-	}
-	if s.DroppedBatches*recsPerPkt != s.DroppedRecords {
-		t.Fatalf("dropped %d batches but %d records (want %d per batch)",
-			s.DroppedBatches, s.DroppedRecords, recsPerPkt)
-	}
-	// The analytics saw exactly the processed records.
-	snap := p.Snapshot()
-	if got := uint64(snap.Census.Total); got != s.Processed {
-		t.Fatalf("analytics ingested %d records, processed counter says %d", got, s.Processed)
+		s := p.Stats()
+		if s.Records != packets*recsPerPkt {
+			t.Fatalf("workers=%d: decoded %d records, want %d", c.workers, s.Records, packets*recsPerPkt)
+		}
+		if s.DroppedRecords == 0 {
+			t.Fatalf("workers=%d: overloaded pipeline dropped nothing; backpressure path untested", c.workers)
+		}
+		if s.Processed+s.DroppedRecords != s.Records {
+			t.Fatalf("workers=%d: accounting leak: processed %d + dropped %d != received %d",
+				c.workers, s.Processed, s.DroppedRecords, s.Records)
+		}
+		if s.DroppedBatches*recsPerPkt != s.DroppedRecords {
+			t.Fatalf("workers=%d: dropped %d batches but %d records (want %d per batch)",
+				c.workers, s.DroppedBatches, s.DroppedRecords, recsPerPkt)
+		}
+		if (c.filter == nil) != (s.ShardFiltered == 0) {
+			t.Fatalf("workers=%d: %d records shard-filtered", c.workers, s.ShardFiltered)
+		}
+		// The store holds exactly the processed records this node owns.
+		if got := uint64(st.Snapshot().Census.Total); got != s.Processed-s.ShardFiltered {
+			t.Fatalf("workers=%d: store holds %d records, processed %d - filtered %d",
+				c.workers, got, s.Processed, s.ShardFiltered)
+		}
 	}
 }
 
 // TestUDPRoundTripCounters exercises the socket path directly: packets in
-// over loopback UDP, decoded records visible in stats and snapshot.
+// over loopback UDP, decoded records visible in stats and in the store.
 func TestUDPRoundTripCounters(t *testing.T) {
-	p, err := New(Config{Listen: []string{"127.0.0.1:0"}, Workers: 2})
+	st := storeSink(t, streaming.Config{})
+	p, err := New(Config{Listen: []string{"127.0.0.1:0"}, Workers: 2, Sink: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +195,7 @@ func TestUDPRoundTripCounters(t *testing.T) {
 	}
 	// The fabricated records come from a non-CWA prefix, so they land in
 	// the census as drops — proof the filter ran over the socket path.
-	snap := p.Snapshot()
+	snap := st.Snapshot()
 	if snap.Census.Total != len(recs) {
 		t.Fatalf("census total %d, want %d", snap.Census.Total, len(recs))
 	}
@@ -249,11 +286,36 @@ func TestReplayNoAddr(t *testing.T) {
 	}
 }
 
-// TestSinkOnlyRequiresSink pins the config validation: SinkOnly with no
-// Sink would make workers discard every batch with no state kept
-// anywhere, so New must reject it.
-func TestSinkOnlyRequiresSink(t *testing.T) {
-	if _, err := New(Config{SinkOnly: true}); err == nil {
-		t.Fatal("SinkOnly without a Sink must be rejected")
+// TestPipelineKeepsNoAnalytics holds the pipeline to counting: the store
+// it feeds owns every aggregate, so no non-test file of the package
+// builds an analytics ring or reads the two Config fields kept only
+// until the benchmark stops setting them.
+func TestPipelineKeepsNoAnalytics(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "streaming" && sel.Sel.Name == "New" {
+				t.Errorf("%s: calls streaming.New", fset.Position(sel.Pos()))
+			}
+			if sel.Sel.Name == "SinkOnly" || sel.Sel.Name == "Analytics" {
+				t.Errorf("%s: reads %s", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
 	}
 }

@@ -54,16 +54,14 @@ func feedRecords(t *testing.T, p *Pipeline, recs []netflow.Record) {
 	}
 }
 
-// runDurable pushes records through a SinkOnly pipeline into st and
-// waits for a loss-free drain.
+// runDurable pushes records through a pipeline into st and waits for a
+// loss-free drain.
 func runDurable(t *testing.T, st *store.Store, workers int, recs []netflow.Record) {
 	t.Helper()
 	p, err := New(Config{
 		Workers:     workers,
 		ShardBuffer: 8192,
-		Analytics:   recoveryAnalytics(),
 		Sink:        st,
-		SinkOnly:    true,
 	})
 	if err != nil {
 		t.Fatal(err)

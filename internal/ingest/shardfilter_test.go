@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cwatrace/internal/netflow"
+	"cwatrace/internal/store"
 	"cwatrace/internal/streaming"
 )
 
@@ -14,8 +15,8 @@ import (
 // then checks the cluster contract at the ingest layer: the filters
 // split the stream disjointly and exhaustively (every record counted
 // once as kept-or-ShardFiltered), the drain invariant is untouched, and
-// merging the two shard snapshots reproduces the unfiltered snapshot
-// byte for byte.
+// merging the two shard stores' snapshots reproduces the unfiltered
+// store's snapshot byte for byte.
 func TestShardFilterPartitionsExactly(t *testing.T) {
 	const (
 		packets    = 40
@@ -25,11 +26,14 @@ func TestShardFilterPartitionsExactly(t *testing.T) {
 		b := r.Key.Dst.As4()
 		return int(b[3]) % 2
 	}
+	stores := make(map[*Pipeline]*store.Store)
 	newPipe := func(filter func(*netflow.Record) bool) *Pipeline {
-		p, err := New(Config{Workers: 2, ShardBuffer: 1024, ShardFilter: filter})
+		st := storeSink(t, streaming.Config{})
+		p, err := New(Config{Workers: 2, ShardBuffer: 1024, ShardFilter: filter, Sink: st})
 		if err != nil {
 			t.Fatal(err)
 		}
+		stores[p] = st
 		return p
 	}
 	full := newPipe(nil)
@@ -67,7 +71,7 @@ func TestShardFilterPartitionsExactly(t *testing.T) {
 		t.Fatal("one shard filtered nothing; partition untested")
 	}
 
-	snapFull, snap0, snap1 := full.Snapshot(), shard0.Snapshot(), shard1.Snapshot()
+	snapFull, snap0, snap1 := stores[full].Snapshot(), stores[shard0].Snapshot(), stores[shard1].Snapshot()
 	if got := s0.ShardFiltered + uint64(snap0.Census.Total); got != fs.Records {
 		t.Fatalf("shard 0 accounting: filtered %d + analyzed %d != %d",
 			s0.ShardFiltered, snap0.Census.Total, fs.Records)
