@@ -79,7 +79,7 @@ type Options struct {
 	// Zero fields are adopted from the store's meta file when one exists
 	// (so readers need not repeat the collector's flags); explicitly set
 	// values conflicting with the meta file are an error for the
-	// state-affecting fields (Origin, WindowHours, PrefixBits).
+	// state-affecting fields (Origin, WindowHours).
 	Analytics streaming.Config
 	// SegmentBytes rotates the active WAL segment once it grows past
 	// this size (default 4 MiB).
@@ -376,9 +376,6 @@ func resolveConfig(cfg streaming.Config, m *metaFile) (streaming.Config, error) 
 		if cfg.WindowHours <= 0 {
 			cfg.WindowHours = m.WindowHours
 		}
-		if cfg.PrefixBits <= 0 {
-			cfg.PrefixBits = m.PrefixBits
-		}
 		if cfg.TopK <= 0 {
 			cfg.TopK = m.TopK
 		}
@@ -393,9 +390,9 @@ func resolveConfig(cfg streaming.Config, m *metaFile) (streaming.Config, error) 
 		}
 	}
 	cfg = cfg.WithDefaults()
-	if m != nil && (!cfg.Origin.Equal(m.Origin) || cfg.WindowHours != m.WindowHours || cfg.PrefixBits != m.PrefixBits) {
+	if m != nil && (!cfg.Origin.Equal(m.Origin) || cfg.WindowHours != m.WindowHours || m.PrefixBits != streaming.ClientPrefixBits) {
 		return cfg, fmt.Errorf("store: configured window [%s +%dh /%d] conflicts with stored [%s +%dh /%d]",
-			cfg.Origin, cfg.WindowHours, cfg.PrefixBits, m.Origin, m.WindowHours, m.PrefixBits)
+			cfg.Origin, cfg.WindowHours, streaming.ClientPrefixBits, m.Origin, m.WindowHours, m.PrefixBits)
 	}
 	return cfg, nil
 }
@@ -405,7 +402,7 @@ func (s *Store) writeMeta() error {
 		Version:       1,
 		Origin:        s.cfg.Origin,
 		WindowHours:   s.cfg.WindowHours,
-		PrefixBits:    s.cfg.PrefixBits,
+		PrefixBits:    streaming.ClientPrefixBits,
 		TopK:          s.cfg.TopK,
 		SpikeFactor:   s.cfg.SpikeFactor,
 		SpikeHistory:  s.cfg.SpikeHistory,

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -16,6 +17,8 @@ import (
 
 	"cwatrace/internal/core"
 	"cwatrace/internal/entime"
+	"cwatrace/internal/geo"
+	"cwatrace/internal/geodb"
 	"cwatrace/internal/netflow"
 	"cwatrace/internal/obs"
 	"cwatrace/internal/streaming"
@@ -141,6 +144,65 @@ func TestRecoveryAfterCheckpointAndTail(t *testing.T) {
 	// The recovered store keeps accepting appends.
 	if err := r.Append([]netflow.Record{keptRecord(3, 99, 100)}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplayedTailLocatesLikeTheDB holds a store's district counts to the
+// geolocation database across a checkpoint and a reopen: the reopened
+// store's tail interns its prefix rows by replaying the WAL, and the
+// records appended after that land in those rows. Located and every
+// district count must equal asking DB.Locate for each kept record.
+func TestReplayedTailLocatesLikeTheDB(t *testing.T) {
+	model := geo.Germany()
+	var infos []geodb.PrefixInfo
+	for k, d := range model.Districts()[:20] { // 100.64.k.0/24; k in [20, 40) unplaced
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 64, byte(k), 0}), 24)
+		infos = append(infos, geodb.PrefixInfo{Prefix: p, RouterID: fmt.Sprintf("R%03d", k), DistrictID: d.ID, ISPName: "Blau"})
+	}
+	db, err := geodb.Build(model, infos, geodb.Config{PartnerISP: "Blau", Seed: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Analytics: streaming.Config{WindowHours: 48, TopK: 5, DB: db, Model: model}, Sync: SyncNever}
+	wantLocated, want := uint64(0), map[string]uint64{}
+	batch := func(round int) []netflow.Record {
+		var recs []netflow.Record
+		for i := 0; i < 200; i++ {
+			r := keptRecord(i%24, ((i*7+round)%40)<<8|i%256, 400)
+			if i%13 == 0 {
+				r.SrcPort = 80
+			} else if e, ok := db.Locate(r.Dst); ok {
+				wantLocated++
+				want[e.DistrictID]++
+			}
+			recs = append(recs, r)
+		}
+		return recs
+	}
+
+	dir := t.TempDir()
+	s := mustOpen(t, dir, opts)
+	// Close without a checkpoint: the second batch is in the WAL only.
+	for _, err := range []error{s.Append(batch(0)), s.Checkpoint(), s.Append(batch(1)), s.Close()} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := mustOpen(t, dir, opts)
+	defer r.Close()
+	if m := r.Metrics(); m.RecoveredWALRecords == 0 {
+		t.Fatal("the reopen replayed nothing")
+	}
+	if err := r.Append(batch(2)); err != nil {
+		t.Fatal(err)
+	}
+	snap := r.Snapshot()
+	got := map[string]uint64{}
+	for _, d := range snap.Districts {
+		got[d.ID] = d.Flows
+	}
+	if snap.Located != wantLocated || !reflect.DeepEqual(got, want) {
+		t.Fatalf("located %d in %v\nwant %d in %v", snap.Located, got, wantLocated, want)
 	}
 }
 
@@ -404,8 +466,23 @@ func TestMetaAdoptionAndConflict(t *testing.T) {
 	if _, err := Open(dir, Options{Analytics: streaming.Config{WindowHours: 24}}); err == nil {
 		t.Fatal("conflicting WindowHours must fail the open")
 	}
-	if _, err := Open(dir, Options{Analytics: streaming.Config{PrefixBits: 16}}); err == nil {
-		t.Fatal("conflicting PrefixBits must fail the open")
+
+	// So is a store that counted clients by another prefix length: every
+	// build counts by /24.
+	meta := filepath.Join(dir, metaName)
+	data, err := os.ReadFile(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := strings.Replace(string(data), `"prefix_bits": 24`, `"prefix_bits": 16`, 1)
+	if planted == string(data) {
+		t.Fatalf("meta.json carries no /24 prefix length:\n%s", data)
+	}
+	if err := os.WriteFile(meta, []byte(planted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "/16") {
+		t.Fatalf("a stored /16 must fail the open naming it, got %v", err)
 	}
 }
 

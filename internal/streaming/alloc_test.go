@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cwatrace/internal/entime"
+	"cwatrace/internal/geo"
 	"cwatrace/internal/netflow"
 )
 
@@ -14,25 +15,40 @@ import (
 // prefix interned. This is the regression guard for the columnar-ring
 // design — a map growing, an interface boxing, or a time.Duration round
 // trip reappearing in ingest() fails here, not in a profile weeks later.
+// With districts on, the /24s alternate between placed and unplaced, so
+// both kinds of resolved row are read from the row in the loop.
 func TestIngestZeroAllocSteadyState(t *testing.T) {
-	a := New(Config{})
-	base := entime.StudyStart.Add(time.Hour)
-	recs := make([]netflow.Record, 64)
-	for i := range recs {
-		// Spread clients across several /24s so the run exercises both
-		// the last-prefix memo and the interned-index map lookups.
-		recs[i] = keptRecord(base.Add(time.Duration(i)*time.Second), client(i*16), uint64(500+i))
-	}
-	// Two dropped shapes keep the filter-classification path in the loop.
-	recs[10].SrcPort = 80
-	recs[20].Src, recs[20].Dst = recs[20].Dst, recs[20].Src
+	model := geo.Germany()
+	for name, cfg := range map[string]Config{
+		"no-districts": {},
+		"districts":    {DB: clientGeoDB(t, model, 0, 2), Model: model},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a := New(cfg)
+			base := entime.StudyStart.Add(time.Hour)
+			recs := make([]netflow.Record, 64)
+			for i := range recs {
+				// Spread clients across several /24s so the run exercises
+				// both the last-prefix memo and the interned-index map
+				// lookups.
+				recs[i] = keptRecord(base.Add(time.Duration(i)*time.Second), client(i*16), uint64(500+i))
+			}
+			// Two dropped shapes keep the filter-classification path in the loop.
+			recs[10].SrcPort = 80
+			recs[20].Src, recs[20].Dst = recs[20].Dst, recs[20].Src
 
-	// Warm: claim the bin, intern every prefix the run will touch.
-	a.Ingest(recs)
+			// Warm: claim the bin, intern (and locate) every prefix the run
+			// will touch.
+			a.Ingest(recs)
+			if cfg.DB != nil && a.Snapshot().Located == 0 {
+				t.Fatal("warm-up located nothing")
+			}
 
-	allocs := testing.AllocsPerRun(100, func() { a.Ingest(recs) })
-	if allocs != 0 {
-		t.Fatalf("steady-state Ingest of %d records allocated %.1f times per run, want 0", len(recs), allocs)
+			allocs := testing.AllocsPerRun(100, func() { a.Ingest(recs) })
+			if allocs != 0 {
+				t.Fatalf("steady-state Ingest of %d records allocated %.1f times per run, want 0", len(recs), allocs)
+			}
+		})
 	}
 }
 

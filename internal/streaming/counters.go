@@ -20,10 +20,9 @@ type counters struct {
 	located uint64
 
 	// Interned prefix counters. prefix4Idx indexes the IPv4 prefixes at
-	// exactly prefixBits (every kept record's prefix — the filter only
-	// keeps IPv4) by the masked big-endian address word: no hashing of a
-	// 32-byte netip.Prefix on the hot path. prefixIdx indexes the rest.
-	prefixBits  int
+	// exactly ClientPrefixBits (every kept record's prefix — the filter
+	// only keeps IPv4) by the masked big-endian address word: no hashing
+	// of a 32-byte netip.Prefix on the hot path. prefixIdx indexes the rest.
 	prefixIdx   map[netip.Prefix]uint32
 	prefix4Idx  map[uint32]uint32
 	prefixList  []netip.Prefix
@@ -37,9 +36,8 @@ type counters struct {
 	districtCount []uint64
 }
 
-func newCounters(prefixBits int) counters {
+func newCounters() counters {
 	return counters{
-		prefixBits: prefixBits,
 		prefixIdx:  make(map[netip.Prefix]uint32),
 		prefix4Idx: make(map[uint32]uint32),
 	}
@@ -60,7 +58,7 @@ func (c *counters) enableDistricts() {
 func (c *counters) internPrefix(p netip.Prefix) uint32 {
 	// A fold interns every row of every table it merges, and nearly all
 	// of them have the hot-path shape.
-	hot := p.Bits() == c.prefixBits && p.Addr().Is4()
+	hot := p.Bits() == ClientPrefixBits && p.Addr().Is4()
 	var key uint32
 	if hot {
 		b := p.Addr().As4()

@@ -37,7 +37,7 @@ type Range struct {
 // Fold folds states, oldest first, into the answer to a query over
 // [from, to); zero bounds are open. Of cfg it reads Origin, WindowHours
 // (the live window the answer reports unless the folded span is longer),
-// TopK, PrefixBits, the spike parameters and Model. The states are not
+// TopK, the spike parameters and Model. The states are not
 // modified.
 func Fold(cfg Config, from, to time.Time, states ...*Stored) *Range {
 	lo, hi := clipHours(cfg.withDefaults().Origin, from, to)
@@ -52,7 +52,7 @@ func FoldWindow(cfg Config, states ...*Stored) *Range {
 
 func fold(cfg Config, window bool, clipLo, clipHi int, states []*Stored) *Range {
 	cfg = cfg.withDefaults()
-	r := &Range{counters: newCounters(cfg.PrefixBits), slide: math.MaxInt, first: math.MaxInt, maxHour: -1}
+	r := &Range{counters: newCounters(), slide: math.MaxInt, first: math.MaxInt, maxHour: -1}
 	last := -1
 	for _, st := range states {
 		for _, bin := range st.bins {

@@ -35,6 +35,11 @@ import (
 // nReasons sizes the per-shard drop census array.
 const nReasons = int(core.DropUpstream) + 1
 
+// ClientPrefixBits is the client aggregation prefix length: the /24 the
+// geolocation database keys its districts by (geodb.DB.Locate), so a
+// prefix row locates once, for every record it counts.
+const ClientPrefixBits = 24
+
 // Config parameterizes one analytics shard. The zero value is usable:
 // defaults reproduce the paper's study window and filters.
 type Config struct {
@@ -47,8 +52,6 @@ type Config struct {
 	WindowHours int
 	// TopK bounds the active-prefix leaderboard in snapshots (default 10).
 	TopK int
-	// PrefixBits is the client aggregation prefix length (default 24).
-	PrefixBits int
 	// SpikeFactor is the flows-over-baseline ratio that flags an hour as
 	// a spike (default 3). SpikeHistory is the trailing-mean length in
 	// hours (default 24); SpikeMinFlows suppresses noise spikes on tiny
@@ -89,9 +92,6 @@ func (c Config) withDefaults() Config {
 	if c.TopK <= 0 {
 		c.TopK = 10
 	}
-	if c.PrefixBits <= 0 || c.PrefixBits > 32 {
-		c.PrefixBits = 24
-	}
 	if c.SpikeFactor <= 0 {
 		c.SpikeFactor = 3
 	}
@@ -127,7 +127,9 @@ type hourBin struct {
 // the maps reduced to string/prefix → index lookups. A per-record update
 // is then a handful of array writes; the only map the steady state touches
 // is the int-keyed prefix fast index, whose lookups need no hashing of
-// 40-byte netip.Prefix values and whose hits never call mapassign.
+// 32-byte netip.Prefix values and whose hits never call mapassign. The
+// district rollup adds no map: a record's district is a function of its
+// /24, so the prefix row carries it (the DB is asked once per row).
 type Analytics struct {
 	cfg     Config
 	filter  core.Filter
@@ -169,7 +171,6 @@ type Analytics struct {
 
 	// The drop census and the interned prefix and district counters.
 	counters
-	prefix4Mask uint32
 	// lastPrefKey/lastPrefIdx memoize the most recent fast-index hit:
 	// client records cluster by network, so runs of records share a
 	// prefix and skip even the int-keyed map probe. Indexes are
@@ -177,6 +178,10 @@ type Analytics struct {
 	lastPrefKey uint32
 	lastPrefIdx uint32
 	lastPrefOK  bool
+	// rowDistrict is each prefix row's district: 0 unresolved (rows a merge
+	// interned, or past its end), -1 not placed by the DB, else 1 + its
+	// district counter index. A row's first record resolves it.
+	rowDistrict []int32
 }
 
 // New creates an empty shard.
@@ -192,12 +197,11 @@ func New(cfg Config) *Analytics {
 		maxHour:    -1,
 		archiveMin: -1,
 		curHour:    -1,
-		counters:   newCounters(cfg.PrefixBits),
+		counters:   newCounters(),
 	}
 	for i := range a.binHour {
 		a.binHour[i] = -1
 	}
-	a.prefix4Mask = ^uint32(0) << (32 - cfg.PrefixBits)
 	if cfg.Origin.Nanosecond() == 0 {
 		a.originSec = cfg.Origin.Unix()
 		a.originWhole = true
@@ -269,29 +273,35 @@ func (a *Analytics) ingest(r *netflow.Record) {
 	// client is the destination — and always IPv4 (the filter drops the
 	// rest), so the masked-word fast index covers the whole kept stream.
 	b := r.Dst.As4()
-	key := binary.BigEndian.Uint32(b[:]) & a.prefix4Mask
-	if a.lastPrefOK && key == a.lastPrefKey {
-		a.prefixCount[a.lastPrefIdx]++
-	} else {
-		idx, ok := a.prefix4Idx[key]
-		if !ok {
-			if p, err := r.Dst.Prefix(a.cfg.PrefixBits); err == nil {
-				idx, ok = a.internPrefix(p), true
-			}
+	key := binary.BigEndian.Uint32(b[:]) &^ (1<<(32-ClientPrefixBits) - 1)
+	row := a.lastPrefIdx
+	if !a.lastPrefOK || key != a.lastPrefKey {
+		var ok bool
+		if row, ok = a.prefix4Idx[key]; !ok {
+			row = a.internPrefix(netip.PrefixFrom(r.Dst, ClientPrefixBits).Masked())
 		}
-		if ok {
-			a.prefixCount[idx]++
-			a.lastPrefKey, a.lastPrefIdx, a.lastPrefOK = key, idx, true
-		}
+		a.lastPrefKey, a.lastPrefIdx, a.lastPrefOK = key, row, true
 	}
+	a.prefixCount[row]++
 
-	// Per-district rollup. A shard can hold district counts without a DB
-	// (restored checkpoint state merged into a sidecar-less reader); it
-	// keeps the counts but cannot locate new records.
+	// Per-district rollup, off the row. A shard can hold district counts
+	// without a DB (restored checkpoint state merged into a sidecar-less
+	// reader); it keeps the counts but cannot locate new records.
 	if a.hasDistricts && a.cfg.DB != nil {
-		if entry, ok := a.cfg.DB.Locate(r.Dst); ok {
+		if n := int(row) + 1; n > len(a.rowDistrict) {
+			a.rowDistrict = append(a.rowDistrict, make([]int32, n-len(a.rowDistrict))...)
+		}
+		d := a.rowDistrict[row]
+		if d == 0 {
+			d = -1
+			if entry, ok := a.cfg.DB.Locate(r.Dst); ok {
+				d = int32(a.internDistrict(entry.DistrictID)) + 1
+			}
+			a.rowDistrict[row] = d
+		}
+		if d > 0 {
 			a.located++
-			a.districtCount[a.internDistrict(entry.DistrictID)]++
+			a.districtCount[d-1]++
 		}
 	}
 }

@@ -157,7 +157,7 @@ func TestTopPrefixesDeterministicOrder(t *testing.T) {
 func TestTopPrefixesSelectsTheFullSortsPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for _, n := range []int{0, 1, 2, 9, 10, 11, 500} {
-		c := newCounters(24)
+		c := newCounters()
 		for len(c.prefixList) < n {
 			var p netip.Prefix
 			if rng.Intn(4) == 0 {
