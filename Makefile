@@ -92,9 +92,11 @@ bench-store:
 	$(GO) test -run XXX -bench BenchmarkTailIngest -benchmem ./internal/streaming/
 
 # The two halves of an API miss in isolation: value to body (marshalBody:
-# 1-day, 30-day and year-span hour answers, B/op beside the body size)
-# and body to wire (writeBody: gzip with the block cache warm, gzip-cold
-# with it empty, identity; wire_B/op beside ns/op). Cached, uncached and
+# 1-day, 30-day and year-span hour answers naming geo.Germany()'s 401
+# districts, umlauts included; B/op beside body_B is the one copy a
+# render keeps, allocs/op what is left of encoding/json) and body to
+# wire (writeBody: gzip with the block cache warm, gzip-cold with it
+# empty, identity; wire_B/op beside ns/op). Cached, uncached and
 # conditional reads under live ingest are the harness's mixed_steady.
 bench-api:
 	$(GO) test -run XXX -bench 'BenchmarkMarshalBody|BenchmarkWriteBody' -benchmem ./internal/api/

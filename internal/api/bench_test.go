@@ -12,6 +12,7 @@ import (
 	v1 "cwatrace/internal/api/v1"
 	"cwatrace/internal/core"
 	"cwatrace/internal/entime"
+	"cwatrace/internal/geo"
 	"cwatrace/internal/streaming"
 	"cwatrace/internal/tier"
 )
@@ -55,7 +56,7 @@ func BenchmarkWriteBody(b *testing.B) {
 		}
 		resp := &v1.QueryResponse{From: res.From, To: res.To, Frames: res.Frames,
 			Snapshot: v1.NewSnapshot(res.Snapshot(), v1.AllFields, 0)}
-		cold, err := renderBody(resp, false, 0, newBlockCache(blockBytes))
+		cold, err := renderBody(resp, false, newBlockCache(blockBytes))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func BenchmarkWriteBody(b *testing.B) {
 		}
 		warm := cold
 		for i := 0; i < 2; i++ { // a block is kept from its second sighting on
-			if warm, err = renderBody(resp, false, 0, s.blocks); err != nil {
+			if warm, err = renderBody(resp, false, s.blocks); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -90,35 +91,41 @@ func BenchmarkWriteBody(b *testing.B) {
 	}
 }
 
+// hourAnswer is an hour-resolution answer of the given span in the
+// shape the harness's panels ask for: hours from the study start, ten
+// top prefixes and the 401 districts of geo.Germany(), umlauts and all.
+func hourAnswer(hours int) *v1.QueryResponse {
+	src := &streaming.Snapshot{
+		Origin:      entime.StudyStart,
+		WindowHours: hours,
+		Census:      core.Census{Total: 3 * hours, Kept: 2 * hours, Dropped: map[core.DropReason]int{core.DropNotTCP: hours}},
+		Located:     uint64(hours),
+	}
+	for h := 0; h < hours; h++ {
+		src.Hours = append(src.Hours, streaming.HourPoint{Hour: h, Time: entime.StudyStart.Add(time.Duration(h) * time.Hour),
+			Flows: float64(1000 + h%97), Bytes: float64(1_500_000 + 1009*h)})
+	}
+	for i := 0; i < 10; i++ {
+		src.TopPrefixes = append(src.TopPrefixes, streaming.PrefixCount{Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 64, byte(i), 0}), 24), Flows: uint64(900 - i)})
+	}
+	for i, d := range geo.Germany().Districts() {
+		src.Districts = append(src.Districts, streaming.DistrictCount{ID: d.ID, Name: d.Name, StateCode: d.StateCode, Flows: uint64(i)})
+	}
+	return &v1.QueryResponse{From: entime.StudyStart, Frames: hours / 24, TailIncluded: true, Snapshot: v1.NewSnapshot(src, v1.AllFields, 0)}
+}
+
 // BenchmarkMarshalBody is the render stage in isolation: an
-// hour-resolution answer of one day, one month and one year (the
-// harness's panels) from value to cached bytes — in the steady state of
-// a polled panel, its closed blocks kept and spliced and the body
-// rendered in room sized by the last one, and cold, every row rendered.
-// B/op beside the body size is the memory fix — one allocation per body,
-// of its size — and allocs/op is what the append encoder leaves of
-// encoding/json.
+// hour-resolution answer of one day, one month and one year (hourAnswer)
+// from value to cached bytes — in the steady state of a polled panel,
+// its closed blocks kept and spliced, and cold, every row rendered.
+// Either way the body is rendered in scratch and copied out once: B/op
+// beside body_B is that one allocation of the body's size, and
+// allocs/op is what the append encoder leaves of encoding/json.
 func BenchmarkMarshalBody(b *testing.B) {
 	for _, hours := range []int{24, 720, 8736} {
-		src := &streaming.Snapshot{
-			Origin:      entime.StudyStart,
-			WindowHours: hours,
-			Census:      core.Census{Total: 3 * hours, Kept: 2 * hours, Dropped: map[core.DropReason]int{core.DropNotTCP: hours}},
-			Located:     uint64(hours),
-		}
-		for h := 0; h < hours; h++ {
-			src.Hours = append(src.Hours, streaming.HourPoint{Hour: h, Time: entime.StudyStart.Add(time.Duration(h) * time.Hour),
-				Flows: float64(1000 + h%97), Bytes: float64(1_500_000 + 1009*h)})
-		}
-		for i := 0; i < 10; i++ {
-			src.TopPrefixes = append(src.TopPrefixes, streaming.PrefixCount{Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 64, byte(i), 0}), 24), Flows: uint64(900 - i)})
-		}
-		for i := 0; i < 401; i++ {
-			src.Districts = append(src.Districts, streaming.DistrictCount{ID: fmt.Sprintf("%05d", 1001+i), Name: fmt.Sprintf("Landkreis %d", i), StateCode: "NW", Flows: uint64(i)})
-		}
-		resp := &v1.QueryResponse{From: entime.StudyStart, Frames: hours / 24, TailIncluded: true, Snapshot: v1.NewSnapshot(src, v1.AllFields, 0)}
+		resp := hourAnswer(hours)
 		for _, cold := range []bool{false, true} {
-			name, size := fmt.Sprintf("%dh", hours), 0
+			name := fmt.Sprintf("%dh", hours)
 			var blocks v1.Blocks
 			if cold {
 				name += "-cold"
@@ -126,22 +133,22 @@ func BenchmarkMarshalBody(b *testing.B) {
 				blocks = newBlockCache(blockBytes)
 			}
 			b.Run(name, func(b *testing.B) {
+				var body built
 				for i := 0; i < 3; i++ { // a block is kept from its second sighting on
-					body, err := renderBody(resp, false, size, blocks)
-					if err != nil {
+					var err error
+					if body, err = renderBody(resp, false, blocks); err != nil {
 						b.Fatal(err)
 					}
-					size = len(body.body)
 				}
-				b.SetBytes(int64(size))
+				b.SetBytes(int64(len(body.body)))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := renderBody(resp, false, size, blocks); err != nil {
+					if _, err := renderBody(resp, false, blocks); err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(size), "body_B")
+				b.ReportMetric(float64(len(body.body)), "body_B")
 			})
 		}
 	}

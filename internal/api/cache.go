@@ -70,9 +70,10 @@ func newRespCache(max int) *respCache {
 // other entry of the question is replaced, and whoever still waits on
 // the replaced one gets its body. fill reports the tag of the body it
 // built, which may be newer than the one asked for; a failed fill is not
-// kept — the next request builds again. fill is told the size of the
-// body it replaces (0: none to go by).
-func (c *respCache) get(question, tag string, fill func(size int) (built, string, error)) (*cacheEntry, error) {
+// kept — the next request builds again. The entry outlives the request
+// by up to max-1 other questions: fill hands over a body copied out of
+// the room it was rendered in (rendered).
+func (c *respCache) get(question, tag string, fill func() (built, string, error)) (*cacheEntry, error) {
 	c.mu.Lock()
 	c.clock++
 	was, ok := c.entries[question]
@@ -84,10 +85,6 @@ func (c *respCache) get(question, tag string, fill func(size int) (built, string
 		<-was.ready
 		return was, was.err
 	}
-	size := 0
-	if ok && was.tag != "" { // built: the tag is set, under mu, behind the body
-		size = len(was.body)
-	}
 	e := &cacheEntry{ready: make(chan struct{}), asked: tag, lastUse: c.clock, again: same}
 	c.entries[question] = e
 	c.evictLocked()
@@ -95,12 +92,7 @@ func (c *respCache) get(question, tag string, fill func(size int) (built, string
 	c.misses.Inc()
 
 	var own string
-	e.built, own, e.err = runFill(fill, size)
-	if cap(e.body) != len(e.body) {
-		// The entry outlives the request by up to max-1 other
-		// questions: hold the body, not the buffer it grew in.
-		e.body = append(make([]byte, 0, len(e.body)), e.body...)
-	}
+	e.built, own, e.err = runFill(fill)
 	c.mu.Lock()
 	e.tag = own
 	if e.err != nil && c.entries[question] == e {
@@ -113,7 +105,7 @@ func (c *respCache) get(question, tag string, fill func(size int) (built, string
 
 // runFill runs fill. A panicking fill is a failed one, so that it still
 // releases its waiters, and a failed one has no tag.
-func runFill(fill func(size int) (built, string, error), size int) (b built, tag string, err error) {
+func runFill(fill func() (built, string, error)) (b built, tag string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			b, err = built{}, fmt.Errorf("api: building response: panic: %v", r)
@@ -122,7 +114,7 @@ func runFill(fill func(size int) (built, string, error), size int) (b built, tag
 			tag = ""
 		}
 	}()
-	return fill(size)
+	return fill()
 }
 
 // evictLocked drops least-recently-used entries until the cache fits.

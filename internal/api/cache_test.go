@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,8 +15,8 @@ import (
 )
 
 // under adapts a body builder to a fill whose body goes out under tag.
-func under(tag string, fill func() ([]byte, error)) func(int) (built, string, error) {
-	return func(int) (built, string, error) {
+func under(tag string, fill func() ([]byte, error)) func() (built, string, error) {
+	return func() (built, string, error) {
 		body, err := fill()
 		return built{body: body}, tag, err
 	}
@@ -110,7 +111,7 @@ func TestCacheFilesUnderTheBodysTag(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				e, err := c.get("q", asked, func(int) (built, string, error) {
+				e, err := c.get("q", asked, func() (built, string, error) {
 					close(started) // a second fill would panic here
 					<-gate
 					return built{body: []byte(body)}, stamped, nil
@@ -128,7 +129,7 @@ func TestCacheFilesUnderTheBodysTag(t *testing.T) {
 		}
 		return func() { close(gate); wg.Wait() }
 	}
-	refill := func(int) (built, string, error) {
+	refill := func() (built, string, error) {
 		t.Error("a kept body was built again")
 		return built{}, "", nil
 	}
@@ -154,7 +155,7 @@ func TestCacheFilesUnderTheBodysTag(t *testing.T) {
 
 	fills := 0
 	for i := 0; i < 2; i++ {
-		e, err := c.get("failing", "asked", func(int) (built, string, error) {
+		e, err := c.get("failing", "asked", func() (built, string, error) {
 			fills++
 			return built{}, "asked", errors.New("failed")
 		})
@@ -207,7 +208,7 @@ func TestBodiesAreExactlySized(t *testing.T) {
 	}
 	for _, v := range values {
 		for _, pretty := range []bool{false, true} {
-			b, err := renderBody(v, pretty, 0, nil)
+			b, err := renderBody(v, pretty, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,5 +244,41 @@ func TestBodiesAreExactlySized(t *testing.T) {
 		if cap(e.body) != len(e.body) {
 			t.Errorf("cache entry %s: body of %d bytes holds %d", key, len(e.body), cap(e.body))
 		}
+	}
+}
+
+// TestNewQuestionRendersOnce pins what a question the edge has not
+// answered before costs to render: the body is rendered in scratch room
+// an earlier render left, and the one allocation is its exact copy. At
+// the parent of this test the year body below allocated 6.8 times its
+// length: grown from nothing by doubling, copied to size, and every
+// name with an umlaut marshaled by encoding/json.
+func TestNewQuestionRendersOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte counts under -race measure the detector")
+	}
+	if _, err := renderBody(hourAnswer(8760), false, nil); err != nil { // another question leaves the room
+		t.Fatal(err)
+	}
+	year := hourAnswer(8736)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection may empty the scratch
+	least := ^uint64(0)
+	var body built
+	for pass := 0; pass < 3; pass++ { // strays only ever add
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b, err := renderBody(year, false, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, least = b, min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if cap(body.body) != len(body.body) {
+		t.Fatalf("body of %d bytes holds %d", len(body.body), cap(body.body))
+	}
+	t.Logf("a year-span body of %d bytes allocates %d rendering", len(body.body), least)
+	if least*100 > uint64(len(body.body))*115 {
+		t.Errorf("rendering a %d-byte body allocates %d bytes, want at most 1.15 times the body", len(body.body), least)
 	}
 }

@@ -154,38 +154,18 @@ func shardDetail(missing []ShardError) string {
 // handleFanSnapshot is /api/v1/snapshot in fan-out mode.
 func (s *Server) handleFanSnapshot(w http.ResponseWriter, r *http.Request, p reqParams) {
 	res, err := s.cfg.Fanout.Snapshot(r.Context())
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "fan-out failed", err.Error())
-		return
-	}
-	if res.Snapshot == nil {
-		s.writeError(w, http.StatusServiceUnavailable, v1.CodeUnavailable,
-			"no shard reachable", shardDetail(res.Missing))
-		return
-	}
-	build := func() any {
+	s.serveFanned(w, r, "v1/snapshot", p.key(), res, err, p.pretty, func() any {
 		snap := v1.NewSnapshot(res.Snapshot, p.fields, p.top)
 		snap.Degraded = degradedOf(res.Missing, obs.RequestID(r.Context()))
 		return snap
-	}
-	s.serveFanned(w, r, "v1/snapshot", p.key(), res, build, p.pretty)
+	})
 }
 
 // handleFanQuery is /api/v1/query in fan-out mode. from/to/resolution
-// are already parsed by the caller.
-func (s *Server) handleFanQuery(w http.ResponseWriter, r *http.Request, p reqParams, from, to time.Time, resolution tier.Resolution) {
+// are already parsed by the caller, and key is the question they ask.
+func (s *Server) handleFanQuery(w http.ResponseWriter, r *http.Request, p reqParams, key string, from, to time.Time, resolution tier.Resolution) {
 	res, err := s.cfg.Fanout.Query(r.Context(), from, to, resolution)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "fan-out failed", err.Error())
-		return
-	}
-	if res.Snapshot == nil {
-		s.writeError(w, http.StatusServiceUnavailable, v1.CodeUnavailable,
-			"no shard reachable", shardDetail(res.Missing))
-		return
-	}
-	key := fmt.Sprintf("from=%s&to=%s&resolution=%s&%s", stamp(from), stamp(to), resolution, p.key())
-	build := func() any {
+	s.serveFanned(w, r, "v1/query", key, res, err, p.pretty, func() any {
 		return &v1.QueryResponse{
 			From:         from,
 			To:           to,
@@ -196,25 +176,32 @@ func (s *Server) handleFanQuery(w http.ResponseWriter, r *http.Request, p reqPar
 			LongHorizon:  res.LongHorizon,
 			Degraded:     degradedOf(res.Missing, obs.RequestID(r.Context())),
 		}
-	}
-	s.serveFanned(w, r, "v1/query", key, res, build, p.pretty)
+	})
 }
 
-// serveFanned finishes a data fan-out. A complete gather is
-// serveCached's: the composite token is the version, constant for this
-// gather, and the body is stamped with it. The degraded path serves 206
-// Partial Content with Cache-Control: no-store and no validator — a
-// partial body must never 304-revalidate, be cached, or be replayed as
-// a complete one.
-func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, params string, res *FanResult, build func() any, pretty bool) {
+// serveFanned finishes a data fan-out: a failed one or one no shard
+// answered is an error envelope. A complete gather is serveCached's: the
+// composite token is the version, constant for this gather, and the
+// body is stamped with it. The degraded path serves 206 Partial Content
+// with Cache-Control: no-store and no validator — a partial body must
+// never 304-revalidate, be cached, or be replayed as a complete one.
+func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, params string, res *FanResult, err error, pretty bool, build func() any) {
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "fan-out failed", err.Error())
+		return
+	}
+	if res.Snapshot == nil {
+		s.writeError(w, http.StatusServiceUnavailable, v1.CodeUnavailable, "no shard reachable", shardDetail(res.Missing))
+		return
+	}
 	setServerTiming(w.Header(), res.Timings)
 	if len(res.Missing) > 0 {
 		w.Header().Set("Cache-Control", "no-store")
 		s.writeJSON(w, r, http.StatusPartialContent, build(), pretty)
 		return
 	}
-	s.serveCached(w, r, endpoint, params, func() uint64 { return res.Version }, jsonMediaType, func(size int) (built, error) {
-		b, err := renderBody(build(), pretty, size, s.blocks)
+	s.serveCached(w, r, endpoint, params, func() uint64 { return res.Version }, jsonMediaType, func() (built, error) {
+		b, err := renderBody(build(), pretty, s.blocks)
 		b.version = res.Version
 		return b, err
 	})

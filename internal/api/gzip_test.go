@@ -182,7 +182,7 @@ func FuzzStitchedGzip(f *testing.F) {
 		})
 		render := func(when string) {
 			t.Helper()
-			b, err := renderBody(snap, false, len(want), cache)
+			b, err := renderBody(snap, false, cache)
 			if err != nil || !bytes.Equal(b.body, want) {
 				t.Fatalf("%s: rendered (%v)\n%s\nwant\n%s", when, err, b.body, want)
 			}
@@ -214,16 +214,16 @@ func TestStitchedBlocksAreReused(t *testing.T) {
 	cache := newBlockCache(blockBytes)
 	flows := func(h int) float64 { return float64(1000 + h%97) }
 	snap, want := yearBody(t, 100, 600, time.UTC, flows) // blocks 128, 256, 384, 512 closed
-	first, err := renderBody(snap, false, 0, cache)
+	first, err := renderBody(snap, false, cache)
 	if err != nil || !bytes.Equal(first.body, want) || len(first.cuts) != 4 || first.cuts[0].Block != nil || first.cuts[3].Block != nil {
 		t.Fatalf("first sighting: %v, cuts %v, want four blocks met and none kept", err, first.cuts)
 	}
 	if whole := stitch(t, want, nil); !bytes.Equal(stitch(t, first.body, first.cuts), whole) {
 		t.Fatal("blocks met for the first time were not compressed as one run with the rest")
 	}
-	again, _ := renderBody(snap, false, 0, cache)
+	again, _ := renderBody(snap, false, cache)
 	wider, wantWider := yearBody(t, 3, 698, time.UTC, flows)
-	other, err := renderBody(wider, false, 0, cache)
+	other, err := renderBody(wider, false, cache)
 	if err != nil || !bytes.Equal(again.body, want) || !bytes.Equal(other.body, wantWider) {
 		t.Fatalf("kept or spliced blocks changed a body (%v)", err)
 	}

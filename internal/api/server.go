@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -411,7 +412,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	version := func() uint64 { return s.cfg.History.Version(time.Time{}, time.Time{}) }
-	s.serveCached(w, r, "v1/snapshot", p.key(), version, p.mediaType(), func(size int) (b built, err error) {
+	s.serveCached(w, r, "v1/snapshot", p.key(), version, p.mediaType(), func() (b built, err error) {
 		if p.state {
 			res := s.cfg.History.SnapshotResult()
 			st, origin := res.State()
@@ -420,7 +421,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			return b, err
 		}
 		snap := s.cfg.History.Snapshot()
-		b, err = renderBody(v1.NewSnapshot(snap, p.fields, p.top), p.pretty, size, s.blocks)
+		b, err = renderBody(v1.NewSnapshot(snap, p.fields, p.top), p.pretty, s.blocks)
 		b.version = snap.Version
 		return b, err
 	})
@@ -447,13 +448,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, v1.CodeBadRequest, "bad resolution parameter", err.Error())
 		return
 	}
+	key := fmt.Sprintf("from=%s&to=%s&resolution=%s&%s", stamp(from), stamp(to), resolution, p.key())
 	if s.cfg.Fanout != nil {
-		s.handleFanQuery(w, r, p, from, to, resolution)
+		s.handleFanQuery(w, r, p, key, from, to, resolution)
 		return
 	}
-	key := fmt.Sprintf("from=%s&to=%s&resolution=%s&%s", stamp(from), stamp(to), resolution, p.key())
 	version := func() uint64 { return s.cfg.History.Version(from, to) }
-	s.serveCached(w, r, "v1/query", key, version, p.mediaType(), func(size int) (built, error) {
+	s.serveCached(w, r, "v1/query", key, version, p.mediaType(), func() (built, error) {
 		res, err := s.cfg.History.QueryResolution(from, to, resolution)
 		if err != nil {
 			return built{}, err
@@ -471,7 +472,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				Snapshot:     v1.NewSnapshot(res.Snapshot(), p.fields, p.top),
 				Resolution:   string(res.Resolution),
 				LongHorizon:  res.LongHorizon,
-			}, p.pretty, size, s.blocks)
+			}, p.pretty, s.blocks)
 		}
 		b.version = res.Version
 		return b, err
@@ -524,11 +525,9 @@ type built struct {
 // the tag of the version stamped on it, not of the version() read for
 // If-None-Match and the lookup: under ingest an append lands between any
 // two reads, and the stamp is read with the cut. One read, one build,
-// always a validator.
-//
-// build is told the size of the body the question had last (0: none):
-// room to render the next one in.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, params string, version func() uint64, mediaType string, build func(size int) (built, error)) {
+// always a validator. build's body is the one allocation a miss makes
+// for it: rendered in scratch and copied out (rendered).
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, params string, version func() uint64, mediaType string, build func() (built, error)) {
 	h := w.Header()
 	h.Set("Cache-Control", "no-cache") // cacheable, but revalidate: ETags are the invalidation channel
 	h.Set("Vary", "Accept-Encoding")   // a 304 carries the Vary its 200 would (RFC 9110 §15.4.5)
@@ -538,8 +537,8 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, p
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	e, err := s.cache.get(endpoint+"?"+params, etag, func(size int) (built, string, error) {
-		b, err := build(size)
+	e, err := s.cache.get(endpoint+"?"+params, etag, func() (built, string, error) {
+		b, err := build()
 		return b, etagFor(s.boot, endpoint, params, b.version), err
 	})
 	if err != nil {
@@ -552,7 +551,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, p
 
 // writeJSON marshals and sends an uncached response.
 func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any, pretty bool) {
-	b, err := renderBody(v, pretty, 0, s.blocks)
+	b, err := renderBody(v, pretty, s.blocks)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "encoding response failed", err.Error())
 		return
@@ -607,7 +606,7 @@ func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, status int, m
 // writeError sends the structured error envelope every v1 failure path
 // uses.
 func (s *Server) writeError(w http.ResponseWriter, status int, code, message, detail string) {
-	b, err := renderBody(v1.ErrorResponse{Error: &v1.Error{Code: code, Message: message, Detail: detail}}, false, 0, nil)
+	b, err := renderBody(v1.ErrorResponse{Error: &v1.Error{Code: code, Message: message, Detail: detail}}, false, nil)
 	body := b.body
 	if err != nil { // cannot happen: the envelope always marshals
 		body = []byte(`{"error":{"code":"internal","message":"encoding error envelope failed"}}` + "\n")
@@ -632,55 +631,60 @@ func (p reqParams) mediaType() string {
 	return jsonMediaType
 }
 
-// renderBody renders compact JSON (the default) or two-space
-// indentation under ?pretty=1, newline-terminated — the bytes a
-// json.Encoder writes — with the cuts of the compact form (an indented
-// body has none), the closed blocks of a data body through blocks. The
-// response cache keeps a body while its ETag is in use, so it comes back
-// holding at most a 32nd more than its length: rendered in place when
-// room for size bytes (the question's last body) and a 64th turns out
-// that close, copied to its exact size when not.
-func renderBody(v any, pretty bool, size int, blocks v1.Blocks) (built, error) {
-	b, cuts, err := appendJSON(make([]byte, 0, size+size/64), v, blocks)
+// scratch is the room bodies are rendered in, kept between renders so
+// that a question asked the first time grows no buffer from nothing.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// rendered runs render in room from scratch and returns a copy of what
+// it appended (bytes.Clone: no zeroing first; its rounding clipped off).
+// Room grown past 4 MiB (a pretty-printed year) is let go.
+func rendered(render func(room []byte) ([]byte, error)) ([]byte, error) {
+	room := scratch.Get().(*[]byte)
+	defer scratch.Put(room)
+	b, err := render((*room)[:0])
 	if err != nil {
-		return built{}, err
+		return nil, err
 	}
-	if pretty {
-		var buf bytes.Buffer
-		if err := json.Indent(&buf, b, "", "  "); err != nil {
-			return built{}, err
-		}
-		b, cuts = buf.Bytes(), nil
+	if cap(b) <= 4<<20 {
+		*room = b
 	}
-	if cap(b)-len(b) > len(b)/32 {
-		b = bytes.Clone(b)
-	}
-	return built{body: b[:len(b):len(b)], cuts: cuts}, nil
+	return bytes.Clone(b)[:len(b):len(b)], nil
 }
 
-// appendJSON appends v's compact encoding and the newline: the two data
-// bodies through the v1 package's append encoder, which reports their
-// cuts, the error, health and stats envelopes through encoding/json.
-func appendJSON(b []byte, v any, blocks v1.Blocks) (out []byte, cuts []v1.Cut, err error) {
-	switch v := v.(type) {
-	case *v1.QueryResponse:
-		b, cuts, err = v.AppendJSON(b, blocks)
-	case *v1.Snapshot:
-		b, cuts, err = v.AppendJSON(b, blocks)
-	default:
-		var j []byte
-		j, err = json.Marshal(v)
-		b = append(b, j...)
-	}
-	return append(b, '\n'), cuts, err
+// renderBody renders compact JSON (the default) or two-space indentation
+// under ?pretty=1, newline-terminated — a json.Encoder's bytes: the data
+// bodies through the v1 append encoder with their cuts (closed blocks
+// through blocks; an indented body has none), the envelopes through
+// encoding/json. The body is the one copy a render keeps (rendered).
+func renderBody(v any, pretty bool, blocks v1.Blocks) (b built, err error) {
+	b.body, err = rendered(func(body []byte) (_ []byte, err error) {
+		switch v := v.(type) {
+		case *v1.QueryResponse:
+			body, b.cuts, err = v.AppendJSON(body, blocks)
+		case *v1.Snapshot:
+			body, b.cuts, err = v.AppendJSON(body, blocks)
+		default:
+			var j []byte
+			j, err = json.Marshal(v)
+			body = append(body, j...)
+		}
+		if body = append(body, '\n'); err != nil || !pretty {
+			return body, err
+		}
+		var buf bytes.Buffer
+		b.cuts, err = nil, json.Indent(&buf, body, "", "  ")
+		return buf.Bytes(), err
+	})
+	return b, err
 }
 
 // acceptsGzip reports whether the client advertises gzip support. A
-// qvalue of 0 is an explicit refusal (RFC 9110 §12.4.2), not support.
+// coding name matches in any case, and x-gzip is gzip (RFC 9110
+// §8.4.1); a qvalue of 0 is an explicit refusal (§12.4.2), not support.
 func acceptsGzip(r *http.Request) bool {
 	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
 		coding, params, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if strings.TrimSpace(coding) != "gzip" {
+		if coding = strings.TrimSpace(coding); !strings.EqualFold(coding, "gzip") && !strings.EqualFold(coding, "x-gzip") {
 			continue
 		}
 		for _, p := range strings.Split(params, ";") {

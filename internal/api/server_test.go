@@ -484,12 +484,29 @@ func TestGzipNegotiation(t *testing.T) {
 	}
 
 	// An explicit q=0 refuses gzip (RFC 9110); identity bytes come back.
-	resp, refused := get(t, ts.URL+"/api/v1/snapshot", map[string]string{"Accept-Encoding": "gzip;q=0, identity"})
-	if resp.Header.Get("Content-Encoding") == "gzip" {
-		t.Fatal("gzip;q=0 still got a gzip body")
+	for _, refusal := range []string{"gzip;q=0, identity", "Gzip;q=0"} {
+		resp, refused := get(t, ts.URL+"/api/v1/snapshot", map[string]string{"Accept-Encoding": refusal})
+		if resp.Header.Get("Content-Encoding") == "gzip" {
+			t.Fatalf("%s still got a gzip body", refusal)
+		}
+		if string(refused) != string(plain) {
+			t.Fatalf("identity fallback under %s differs from the plain body", refusal)
+		}
 	}
-	if string(refused) != string(plain) {
-		t.Fatal("identity fallback differs from the plain body")
+	// Content codings are case-insensitive and x-gzip is gzip (RFC 9110
+	// §8.4.1).
+	for _, accept := range []string{"GZIP", "x-gzip", "identity;q=0.5, Gzip"} {
+		resp, body := get(t, ts.URL+"/api/v1/snapshot", map[string]string{"Accept-Encoding": accept})
+		if resp.Header.Get("Content-Encoding") != "gzip" {
+			t.Fatalf("%s: Content-Encoding %q, want gzip", accept, resp.Header.Get("Content-Encoding"))
+		}
+		gr, err := gzip.NewReader(strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inflated, err := io.ReadAll(gr); err != nil || string(inflated) != string(plain) {
+			t.Fatalf("%s: gzip body differs from identity body (%v)", accept, err)
+		}
 	}
 }
 

@@ -85,35 +85,38 @@ type ShardState struct {
 // (QueryResult.State) — and the answer's query metadata as shard state: what
 // the state the rendered snapshot carries encodes to, so the router
 // merges precisely what it would have reconstructed from the JSON body.
+// Like renderBody it encodes in scratch and returns a copy (rendered).
 func encodeState(st *streaming.Stored, origin time.Time, res *store.QueryResult) ([]byte, error) {
-	buf, err := st.AppendBinary(make([]byte, stateHeaderLen), origin)
-	if err != nil {
-		return nil, err
-	}
-	stateLen := len(buf) - stateHeaderLen
-	copy(buf, stateMagic)
-	buf[4] = stateVersion
-	if res.TailIncluded {
-		buf[5] = flagTail
-	}
-	if lh := res.LongHorizon; lh != nil {
-		f, err := res.Frame()
+	return rendered(func(room []byte) ([]byte, error) {
+		buf, err := st.AppendBinary(append(room, make([]byte, stateHeaderLen)...), origin)
 		if err != nil {
 			return nil, err
 		}
-		buf = append(buf, tier.EncodeFrame(f)...)
-		buf[6] = byte(f.Level)
-		binary.BigEndian.PutUint32(buf[24:], uint32(lh.TierFrames))
-		binary.BigEndian.PutUint32(buf[28:], uint32(lh.RawFrames))
-	}
-	_, zone := origin.Zone()
-	binary.BigEndian.PutUint64(buf[8:], uint64(origin.UnixNano()))
-	binary.BigEndian.PutUint32(buf[16:], uint32(int32(zone)))
-	binary.BigEndian.PutUint32(buf[20:], uint32(res.Frames))
-	binary.BigEndian.PutUint32(buf[32:], uint32(stateLen))
-	binary.BigEndian.PutUint32(buf[36:], uint32(len(buf)-stateHeaderLen-stateLen))
-	binary.BigEndian.PutUint32(buf[stateCRCOff:], stateCRC(buf))
-	return buf, nil
+		stateLen := len(buf) - stateHeaderLen
+		copy(buf, stateMagic)
+		buf[4] = stateVersion
+		if res.TailIncluded {
+			buf[5] = flagTail
+		}
+		if lh := res.LongHorizon; lh != nil {
+			f, err := res.Frame()
+			if err != nil {
+				return nil, err
+			}
+			buf = append(buf, tier.EncodeFrame(f)...)
+			buf[6] = byte(f.Level)
+			binary.BigEndian.PutUint32(buf[24:], uint32(lh.TierFrames))
+			binary.BigEndian.PutUint32(buf[28:], uint32(lh.RawFrames))
+		}
+		_, zone := origin.Zone()
+		binary.BigEndian.PutUint64(buf[8:], uint64(origin.UnixNano()))
+		binary.BigEndian.PutUint32(buf[16:], uint32(int32(zone)))
+		binary.BigEndian.PutUint32(buf[20:], uint32(res.Frames))
+		binary.BigEndian.PutUint32(buf[32:], uint32(stateLen))
+		binary.BigEndian.PutUint32(buf[36:], uint32(len(buf)-stateHeaderLen-stateLen))
+		binary.BigEndian.PutUint32(buf[stateCRCOff:], stateCRC(buf))
+		return buf, nil
+	})
 }
 
 // stateCRC checksums everything but the CRC field itself.

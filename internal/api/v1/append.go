@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 	"unicode/utf8"
@@ -105,14 +106,27 @@ func (e *encoder) marshaled(key string, v any) {
 	e.b = append(e.b, j...)
 }
 
-// string appends s in quotes when nothing in it is escaped under
-// json.Encoder's defaults (HTML characters included) — ids, state codes,
-// most names.
+// plain holds the bytes encoding/json copies into a string as they are:
+// ASCII but controls, '"', '\\' and (HTML escaping) '<', '>' and '&'.
+var plain = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
+// string appends s in quotes when encoding/json would copy it as it is —
+// ids, state codes, names with umlauts: plain bytes and valid UTF-8 but
+// U+2028 and U+2029.
 func (e *encoder) string(key, s string) {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			e.marshaled(key, s)
-			return
+		if c := s[i]; !plain[c] {
+			r, n := utf8.DecodeRuneInString(s[i:])
+			if c < utf8.RuneSelf || r == utf8.RuneError && n == 1 || r == '\u2028' || r == '\u2029' {
+				e.marshaled(key, s)
+				return
+			}
+			i += n - 1
 		}
 	}
 	e.raw(key)
@@ -287,7 +301,7 @@ func (e *encoder) block(rows []HourPoint) bool {
 		_, o := end.Zone()
 		change, after = end.Unix(), int64(o)
 	}
-	key := e.key[:0]
+	key := slices.Grow(e.key[:0], 8*(5+2*cutHours))
 	for _, v := range [...]int64{int64(rows[0].Hour), sec, int64(offset), change, after} {
 		key = binary.LittleEndian.AppendUint64(key, uint64(v))
 	}

@@ -12,6 +12,7 @@ import (
 	_ "time/tzdata" // Europe/Berlin wherever the test runs
 
 	"cwatrace/internal/core"
+	"cwatrace/internal/geo"
 	"cwatrace/internal/sketch"
 	"cwatrace/internal/tier"
 )
@@ -252,6 +253,8 @@ func TestAppendJSONMatchesEncoder(t *testing.T) {
 			{ID: "<script>&\"\\", Name: "a\u2028b\u2029c", StateCode: "\xff\xfe tail \xc3"},
 			{ID: "\x00\x01\b\f\n\r\t\x1f\x7f", Name: "Łódź 東京 🚀"},
 		}},
+		"model districts":   &QueryResponse{Snapshot: &Snapshot{Districts: modelDistricts()}, LongHorizon: &LongHorizon{Districts: modelDistricts()}},
+		"one escape a name": &Snapshot{Districts: oneEscapeANames()},
 		"prefixes": &Snapshot{TopPrefixes: []PrefixCount{
 			{}, {Prefix: netip.MustParsePrefix("100.64.3.0/24"), Flows: math.MaxUint64},
 			{Prefix: netip.MustParsePrefix("2001:db8::/32")}, {Prefix: netip.MustParsePrefix("::ffff:10.1.2.0/120")},
@@ -260,6 +263,44 @@ func TestAppendJSONMatchesEncoder(t *testing.T) {
 	}
 	for name, v := range cases {
 		t.Run(name, func(t *testing.T) { checkAgainstEncoder(t, v) })
+	}
+}
+
+// modelDistricts is a rollup of every district geo.Germany() places, 68
+// of its 401 names with an umlaut or ß in them.
+func modelDistricts() []DistrictCount {
+	var rows []DistrictCount
+	for i, d := range geo.Germany().Districts() {
+		rows = append(rows, DistrictCount{ID: d.ID, Name: d.Name, StateCode: d.StateCode, Flows: uint64(i)})
+	}
+	return rows
+}
+
+// oneEscapeANames are names that encoding/json escapes, each for one
+// reason beside an umlaut, and names it copies although they are close.
+func oneEscapeANames() []DistrictCount {
+	var rows []DistrictCount
+	for _, name := range []string{
+		"Köln\u2028", "\u2029Düren", "Bad Tölz \xff", "Lörrach \xc3", "\xed\xa0\x80 Hürth", "Jülich \xef\xbf",
+		"Mülheim <a>", "Grün & Weiß", "Straße \"1\"", "Görlitz \\", "Fürth\t", "Zürich\x7f",
+		"Öhringen \uFFFD", "Ærø ✓ 🚀", "Łódź",
+	} {
+		rows = append(rows, DistrictCount{ID: name, Name: name, StateCode: name})
+	}
+	return rows
+}
+
+// TestModelNamesAppendWithoutAllocating is the point of the UTF-8 path:
+// a day or week answer lists every district twice, and a name with an
+// umlaut costs no trip through encoding/json.
+func TestModelNamesAppendWithoutAllocating(t *testing.T) {
+	rows := modelDistricts()
+	e := encoder{b: make([]byte, 0, 64<<10)}
+	if n := testing.AllocsPerRun(20, func() {
+		e.b = e.b[:0]
+		e.districts(rows)
+	}); n != 0 || e.err != nil {
+		t.Fatalf("appending %d model districts allocates %v times (%v), want 0", len(rows), n, e.err)
 	}
 }
 
