@@ -9,8 +9,6 @@ import (
 	"net/netip"
 	"sort"
 	"testing"
-
-	"cwatrace/internal/streaming"
 )
 
 // enc marshals any sketch for bitwise comparison.
@@ -164,16 +162,6 @@ func TestQuantileErrorBounds(t *testing.T) {
 	}
 	if q.Count() != uint64(len(exact)) {
 		t.Errorf("count %d, want %d", q.Count(), len(exact))
-	}
-}
-
-// TestQuantileBoundsCoverMaxWindow pins the bucket layout's reach to
-// the real streaming plausibility cap, which the layout mirrors as a
-// literal to avoid the import the other way.
-func TestQuantileBoundsCoverMaxWindow(t *testing.T) {
-	top := quantBounds[len(quantBounds)-1]
-	if top < uint64(streaming.MaxWindowHours) {
-		t.Fatalf("quantile top bound %d does not cover MaxWindowHours %d", top, streaming.MaxWindowHours)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"cwatrace/internal/netflow"
 	"cwatrace/internal/streaming"
+	"cwatrace/internal/tier"
 )
 
 // benchBatch builds one export-sized batch landing in hour h.
@@ -128,6 +129,58 @@ func BenchmarkQueryRange(b *testing.B) {
 				})
 			}
 		}
+	}
+
+	// A day answer reads the tier and the sketches: a store with tiers on,
+	// four days of three-hour frames over 2 000 client /24s that recur
+	// from frame to frame, asked for all four days. The three closed days
+	// come as day frames; the open day's eight frames are folded and each
+	// is one shard of the distinct-prefix and presence sketches.
+	const (
+		days    = 4
+		clients = 2000
+	)
+	s, err := Open(b.TempDir(), Options{Analytics: streaming.Config{WindowHours: 12000}, Sync: SyncNever, Tier: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	for f := 0; f < days*24/hoursPer; f++ {
+		batch := make([]netflow.Record, 0, clients)
+		for i := 0; i < clients; i++ {
+			c := (i + f*50) % clients // a few new networks a frame
+			r := keptRecord(f*hoursPer+i%hoursPer, 0, uint64(400+i%50))
+			r.Dst = netip.AddrFrom4([4]byte{100, byte(64 + c>>8), byte(c), 1})
+			batch = append(batch, r)
+		}
+		if err := s.Append(batch); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	origin := s.Config().Origin
+	for _, cold := range []bool{true, false} {
+		name := "day/span=96h/warm"
+		if cold {
+			name = "day/span=96h/cold"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					s.frameCache.retain(func(runKey) bool { return false })
+				}
+				res, err := s.QueryResolution(origin, origin.Add(days*24*time.Hour), tier.ResolutionDay)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.LongHorizon == nil || res.LongHorizon.TierFrames != days-1 || res.Frames != 24/hoursPer {
+					b.Fatalf("day answer from %d tier and %d raw frames", res.LongHorizon.TierFrames, res.Frames)
+				}
+			}
+		})
 	}
 }
 

@@ -89,8 +89,8 @@ func (s *Store) loadFrames(ckpts []frameMeta) (uint64, error) {
 
 	var covered uint64
 	for _, fr := range live {
+		s.cacheState(frameKey(fr.meta.Seq), fr.state)
 		s.base.MergeStored(fr.state)
-		s.frameCache.put(frameKey(fr.meta.Seq), fr.state)
 		s.frames = append(s.frames, fr.meta)
 		s.frameRecords += fr.meta.Records
 		if fr.meta.CoveredSeg > covered {
@@ -329,7 +329,7 @@ func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
 	s.mu.Unlock()
 	// The pair's entries and the runs holding it go with the sweep that
 	// ends every Checkpoint.
-	s.frameCache.put(frameKey(seq), st)
+	s.cacheState(frameKey(seq), st)
 	_ = os.Remove(f0.path)
 	_ = os.Remove(f1.path)
 	return false, nil

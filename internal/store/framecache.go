@@ -26,6 +26,12 @@ import (
 // second value, and a store that outgrows it degrades to the uncached cost.
 const frameCacheBudget = 64 << 20
 
+// prefixTableCap bounds the store's prefix table (see pruneFrameCache): a
+// million prefixes are about 100 MB of table and 4 MB of a fold's dense
+// row array. A constant for the reason frameCacheBudget is one; tests lower
+// a store's copy (Store.prefixCap).
+const prefixTableCap = 1 << 20
+
 // runKey names the frames of one list from seq first to seq last; a frame
 // alone runs from itself to itself. Compaction is exact, so the frames
 // between two registered ones sum to the same run however it regroups
@@ -173,8 +179,17 @@ func (s *Store) frameState(fm frameMeta) (*streaming.Stored, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: frame %s: %w", filepath.Base(fm.path), err)
 	}
-	s.frameCache.put(frameKey(fm.Seq), st)
+	s.cacheState(frameKey(fm.Seq), st)
 	return st, nil
+}
+
+// cacheState publishes a decoded or merged state to the frame cache.
+// Nothing else holds st yet, which is what lets it be resolved against the
+// store's prefix table here, once: every state a fold reads from the cache
+// is added by id.
+func (s *Store) cacheState(k runKey, st *streaming.Stored) {
+	s.prefixes.Load().Resolve(st)
+	s.frameCache.put(k, st)
 }
 
 // minRun is the fewest frames a run merges: a shorter aligned block is
@@ -235,7 +250,7 @@ func (s *Store) rawSources(frames []frameMeta, lo, hi int, runs bool, add func(*
 		if st, err = s.mergeFrames(frames[lo:hi]); err != nil {
 			return err
 		}
-		s.frameCache.put(key, st)
+		s.cacheState(key, st)
 	}
 	add(st)
 	return nil
@@ -300,8 +315,23 @@ func (s *Store) tierSources(list []tier.Meta, lo, hi int, runs bool, add func(*t
 // what compaction has just retired, and seqs are not reused. Every
 // Checkpoint ends with this sweep; its caller holds ckptMu, so the
 // registered lists cannot change between the snapshot and the sweep.
+//
+// It also bounds the prefix table, which only grows: past s.prefixCap ids
+// the store starts a fresh one, gives the base and the tail their ids in
+// it and drops the whole cache, so what is read next is decoded and
+// resolved again. (A state a query resolved against the old table just
+// before may still be cached after; a fold interns its rows, see
+// streaming.PrefixTable.IDs.)
 func (s *Store) pruneFrameCache() {
 	s.mu.Lock()
+	fresh := s.prefixes.Load().Len() > s.prefixCap
+	if fresh {
+		t := streaming.NewPrefixTable()
+		s.prefixes.Store(t)
+		s.base.Intern(t)
+		s.tail.Intern(t)
+		s.baseState = s.base.Detach(time.Time{}, time.Time{})
+	}
 	registered := make(map[uint64]bool, len(s.frames)+len(s.tierDay)+len(s.tierWeek))
 	for _, fm := range s.frames {
 		registered[fm.Seq] = true
@@ -312,5 +342,5 @@ func (s *Store) pruneFrameCache() {
 		}
 	}
 	s.mu.Unlock()
-	s.frameCache.retain(func(k runKey) bool { return registered[k.first] && registered[k.last] })
+	s.frameCache.retain(func(k runKey) bool { return !fresh && registered[k.first] && registered[k.last] })
 }

@@ -66,6 +66,16 @@ func TestFrameCacheEvictsLeastRecentlyUsedWithinBudget(t *testing.T) {
 	if c.hits != 4 || c.misses != 2 {
 		t.Fatalf("%d hits, %d misses, want 4 and 2", c.hits, c.misses)
 	}
+	// What the store caches is resolved: a prefix id per row, counted.
+	resolved := storedOf(t, 4)
+	streaming.NewPrefixTable().Resolve(resolved)
+	if resolved.Size() != small.Size()+4*4 {
+		t.Fatalf("resolved state of 4 prefixes sized %d, unresolved %d", resolved.Size(), small.Size())
+	}
+	put(5, resolved)
+	if c.bytes != int64(small.Size()+resolved.Size()) {
+		t.Fatalf("accounted %d bytes for entries of %d and %d", c.bytes, small.Size(), resolved.Size())
+	}
 }
 
 func keys(c *frameCache) []runKey {

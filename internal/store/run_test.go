@@ -1,20 +1,28 @@
 package store
 
 import (
+	"bytes"
+	"cmp"
 	"math/bits"
 	"math/rand"
+	"net/netip"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"cwatrace/internal/sketch"
 	"cwatrace/internal/streaming"
 	"cwatrace/internal/tier"
 )
 
-// foldPerFrame is tryQuery without runs — every selected frame added
-// alone, the lists read as one cut — and the reference the run cover is
-// held to.
-func foldPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.Resolution) *QueryResult {
+// foldPerFrame is tryQuery without runs and without the frame cache —
+// every selected frame read from its file (loadFrame resolves nothing
+// against the store's prefix table) and added alone, the lists read as one
+// cut — and the reference the run cover is held to. Its prefix rows still
+// go through the fold and the sketch accumulator under test, so beside
+// the result it keeps them the plain way, in a prefixModel.
+func foldPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.Resolution) (*QueryResult, *prefixModel) {
 	t.Helper()
 	if res == tier.ResolutionAuto {
 		start, end := s.historyBounds()
@@ -26,6 +34,7 @@ func foldPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.Resolutio
 	s.mu.Unlock()
 	plan := tier.BuildPlan(res, s.cfg.Origin, from, to, weeks, days)
 	r := &QueryResult{From: from, To: to, TailIncluded: live != nil}
+	model := newPrefixModel()
 	tiered := plan.Resolution != tier.ResolutionHour
 	acc := tier.NewSketchAccum()
 	if tiered {
@@ -36,11 +45,13 @@ func foldPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.Resolutio
 		}{{weeks, plan.Week}, {days, plan.Day}} {
 			for _, m := range l.list {
 				if slices.Contains(l.seqs, m.Seq) {
-					f, err := s.loadTierFrame(m)
+					f, err := s.readTierFrame(m.Level, m.Seq)
 					if err != nil {
 						t.Fatal(err)
 					}
 					r.tiered.AddFrame(f)
+					model.hll.Merge(f.Prefixes)
+					model.quant.Merge(f.Presence)
 				}
 			}
 		}
@@ -48,23 +59,96 @@ func foldPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.Resolutio
 	var states []*streaming.Stored
 	for _, fm := range frames {
 		if fm.BaseSeg >= plan.RawFloor && tier.HoursOverlap(s.cfg.Origin, fm.MinHour, fm.MaxHour, from, to) {
-			st, err := s.frameState(fm)
+			_, st, err := loadFrame(fm, s.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			states = append(states, st)
 			acc.AddShard(st)
+			model.addShard(st)
 			r.Frames++
 		}
 	}
 	r.fold = streaming.Fold(s.cfg, from, to, append(states, live...)...)
+	model.addShard(live...)
 	if tiered {
 		acc.AddShard(live...)
 		r.tiered.AddResidual(r.fold.Populated().Snapshot(), acc, r.Frames)
 		r.LongHorizon = r.tiered.Answer()
 		r.LongHorizon.Label(s.cfg.Model)
 	}
-	return r
+	return r, model
+}
+
+// prefixModel is the prefix half of an answer in maps: the flows of every
+// prefix row folded, and in how many shards each appeared — a raw frame is
+// one, the live tails together another — beside the sketches of the tier
+// frames selected.
+type prefixModel struct {
+	flows, shards map[netip.Prefix]uint64
+	hll           *sketch.HLL
+	quant         *sketch.Quantile
+}
+
+func newPrefixModel() *prefixModel {
+	return &prefixModel{flows: map[netip.Prefix]uint64{}, shards: map[netip.Prefix]uint64{},
+		hll: sketch.NewHLL(), quant: sketch.NewQuantile()}
+}
+
+// addShard counts states as one shard.
+func (m *prefixModel) addShard(states ...*streaming.Stored) {
+	seen := map[netip.Prefix]bool{}
+	for _, st := range states {
+		st.EachPrefix(func(p netip.Prefix, flows uint64) {
+			m.flows[p] += flows
+			if !seen[p] {
+				seen[p] = true
+				m.shards[p]++
+			}
+		})
+	}
+}
+
+// check holds r's prefix half to the model: the leaderboard and the state a
+// shard ships are the model's busiest rows, and a day or week answer's
+// sketches are the tier frames' with every residual prefix added by its text.
+func (m *prefixModel) check(t *testing.T, r *QueryResult, topK int) {
+	t.Helper()
+	rows := make([]streaming.PrefixCount, 0, len(m.flows))
+	for p, n := range m.flows {
+		rows = append(rows, streaming.PrefixCount{Prefix: p, Flows: n})
+	}
+	byRank := func(a, b streaming.PrefixCount) int {
+		if a.Flows != b.Flows {
+			return cmp.Compare(b.Flows, a.Flows)
+		}
+		if c := a.Prefix.Addr().Compare(b.Prefix.Addr()); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Prefix.Bits(), b.Prefix.Bits())
+	}
+	slices.SortFunc(rows, byRank)
+	want := rows[:min(topK, len(rows))]
+	if got := r.Snapshot().TopPrefixes; !slices.Equal(got, want) {
+		t.Fatalf("leaderboard %v, the model's %v", got, want)
+	}
+	st, _ := r.State()
+	var shipped []streaming.PrefixCount
+	st.EachPrefix(func(p netip.Prefix, n uint64) { shipped = append(shipped, streaming.PrefixCount{Prefix: p, Flows: n}) })
+	if slices.SortFunc(shipped, byRank); !slices.Equal(shipped, want) {
+		t.Fatalf("shipped state holds %v, the model's leaderboard %v", shipped, want)
+	}
+	if r.LongHorizon == nil {
+		return
+	}
+	for p, n := range m.shards {
+		m.hll.Add(p.String())
+		m.quant.Add(n, 1)
+	}
+	if !bytes.Equal(r.LongHorizon.PrefixSketch, m.hll.AppendBinary(nil)) || !bytes.Equal(r.LongHorizon.PresenceSketch, m.quant.AppendBinary(nil)) {
+		t.Fatalf("sketches differ from the model's: %d distinct, presence %+v; the model's %d, %+v",
+			r.LongHorizon.DistinctPrefixes, r.LongHorizon.Presence, m.hll.Estimate(), m.quant.Summarize())
+	}
 }
 
 // answerOf is everything a body is rendered from: the result and its
@@ -87,16 +171,19 @@ func answerOf(t *testing.T, r *QueryResult) string {
 }
 
 // checkAgainstPerFrame asks s and the per-frame reference the same
-// question and requires the same answer, byte for byte.
+// question and requires the same answer, byte for byte, with a prefix half
+// that is the model's.
 func checkAgainstPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.Resolution) *QueryResult {
 	t.Helper()
 	got, err := s.QueryResolution(from, to, res)
 	if err != nil {
 		t.Fatalf("[%s, %s) at %q: %v", from, to, res, err)
 	}
-	if a, b := answerOf(t, got), answerOf(t, foldPerFrame(t, s, from, to, res)); a != b {
+	ref, model := foldPerFrame(t, s, from, to, res)
+	if a, b := answerOf(t, got), answerOf(t, ref); a != b {
 		t.Fatalf("[%s, %s) at %q: runs answer\n%q\nthe per-frame fold\n%q", from, to, res, a, b)
 	}
+	model.check(t, got, s.cfg.TopK)
 	return got
 }
 
@@ -201,9 +288,9 @@ func TestYearSpanFoldsLogFrames(t *testing.T) {
 			if r.LongHorizon != nil {
 				n += r.LongHorizon.TierFrames
 			}
-			// The per-frame reference reads every frame through the cache:
-			// its hits are n, the repeat's own are what is left.
-			sources := int(c.hits-hits) - n
+			// The per-frame reference reads no frame through the cache: the
+			// hits are the repeat's own.
+			sources := int(c.hits - hits)
 			t.Logf("364 days from day %d at %s: %d sources for %d frames", start, res, sources, n)
 			if c.misses != misses {
 				t.Fatalf("day %d at %s: the repeat missed %d times", start, res, c.misses-misses)
@@ -290,8 +377,8 @@ func TestRunsSurviveCheckpointAndCompaction(t *testing.T) {
 		}
 	}
 	t.Logf("%d runs built, %d survived the checkpoint, %d rebuilt", len(before), survivors, rebuilt)
-	// The reference's reads all hit: the merged frame was cached by its
-	// compaction, the new one by the queries' own decode.
+	// The reference reads past the cache; the merged frame was cached by
+	// its compaction, the new one by the queries' own decode.
 	if m := s.frameCache.misses - misses; survivors == 0 || rebuilt == 0 || m != uint64(rebuilt)+1 {
 		t.Fatalf("the queries after the checkpoint missed %d times: %d runs survived, %d were rebuilt, want the rebuilt runs and one decode",
 			m, survivors, rebuilt)
@@ -306,5 +393,79 @@ func TestRunsSurviveCheckpointAndCompaction(t *testing.T) {
 		if fresh := answerOf(t, r); fresh != got[i] {
 			t.Fatalf("days [%d, %d): a read-only open answers differently:\n%q\n%q", d[0], d[1], fresh, got[i])
 		}
+	}
+}
+
+// TestPrefixTableStartsAfreshPastItsCap drives a store's prefix table past
+// a lowered cap while a reader keeps asking: three new /24s a day, a
+// checkpoint a day, compaction at eight frames, tiers on. Past the cap a
+// checkpoint starts a fresh table and empties the frame cache, and the
+// store answers every hour, day and auto question byte for byte as a store
+// at the default cap fed the same does, and as its per-frame reference
+// does. The table never holds more ids than the cap or the rows of the
+// store's own state, whichever is more: every id a replaced table gave out
+// for a read is gone with it.
+func TestPrefixTableStartsAfreshPastItsCap(t *testing.T) {
+	const capIDs = 16
+	opts := Options{Tier: true, Sync: SyncNever, MaxFrames: 8}
+	capped, free := mustOpen(t, t.TempDir(), opts), mustOpen(t, t.TempDir(), opts)
+	defer capped.Close()
+	defer free.Close()
+	capped.prefixCap = capIDs
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for h := 0; ; h = (h + 7) % 600 {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := capped.QueryResolution(at(h), at(h+200), tier.ResolutionDay); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	tables := map[*streaming.PrefixTable]bool{}
+	for day := 0; day < 24; day++ {
+		fillDay(t, capped, day)
+		fillDay(t, free, day)
+		tab := capped.prefixes.Load()
+		tables[tab] = true
+		capped.mu.Lock()
+		rows := 0
+		capped.baseState.EachPrefix(func(netip.Prefix, uint64) { rows++ })
+		capped.mu.Unlock()
+		if n := tab.Len(); n > max(capIDs, rows) {
+			t.Fatalf("day %d: %d ids in the table, the state holds %d rows", day, n, rows)
+		}
+		for _, q := range [][2]int{{0, 24 * (day + 1)}, {24 * day, 24 * (day + 1)}, {24 * max(day-5, 0), 24*day + 12}} {
+			for _, res := range []tier.Resolution{tier.ResolutionHour, tier.ResolutionDay, tier.ResolutionAuto} {
+				got := checkAgainstPerFrame(t, capped, at(q[0]), at(q[1]), res)
+				want, err := free.QueryResolution(at(q[0]), at(q[1]), res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a, b := answerOf(t, got), answerOf(t, want); a != b {
+					t.Fatalf("day %d, hours [%d, %d) at %s: the capped store answers\n%q\nthe other\n%q", day, q[0], q[1], res, a, b)
+				}
+			}
+		}
+		if a, b := snapJSON(t, capped.Snapshot()), snapJSON(t, free.Snapshot()); a != b {
+			t.Fatalf("day %d: snapshots differ:\n%s\n%s", day, a, b)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if len(tables) < 3 {
+		t.Fatalf("%d prefix tables over 24 days of 3 new /24s under a cap of %d", len(tables), capIDs)
+	}
+	if free.prefixes.Load().Len() != 3*24+2 {
+		t.Fatalf("the uncapped table holds %d ids, want every /24 once", free.prefixes.Load().Len())
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cwatrace/internal/netflow"
@@ -235,6 +236,10 @@ type Store struct {
 	// them (see framecache.go): seeded by Open, pruned to what is
 	// registered at every checkpoint.
 	frameCache *frameCache
+	// prefixes gives every prefix row of the cached states, the base and
+	// the tails an id; replaced (under mu and ckptMu) past prefixCap ids.
+	prefixes  atomic.Pointer[streaming.PrefixTable]
+	prefixCap int
 
 	om storeObsMetrics
 
@@ -251,7 +256,9 @@ type Store struct {
 func (s *Store) newTail() *streaming.Analytics {
 	cfg := s.cfg
 	cfg.Archive = true
-	return streaming.New(cfg)
+	t := streaming.New(cfg)
+	t.Intern(s.prefixes.Load())
+	return t
 }
 
 // Open opens (or creates) the store in dir and runs crash recovery:
@@ -301,7 +308,9 @@ func Open(dir string, opts Options) (*Store, error) {
 
 		frameCache: newFrameCache(frameCacheBudget),
 		districts:  tier.NewDistrictTable(),
+		prefixCap:  prefixTableCap,
 	}
+	s.prefixes.Store(streaming.NewPrefixTable())
 	s.tail = s.newTail()
 	if meta == nil {
 		if opts.ReadOnly {
@@ -320,6 +329,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.base.Intern(s.prefixes.Load())
 	if err := s.loadTierFrames(tiers); err != nil {
 		return nil, err
 	}

@@ -11,22 +11,27 @@ import (
 // counters is the half of a shard's state that is not time-resolved: the
 // drop census, the late and located totals and the interned per-prefix
 // and per-district flow counts. A live shard (Analytics) and a query's
-// fold target (Range) differ only in how they keep the hourly series, so
-// both embed this and share one fold (mergeCounters) and one rendering
-// (snapshot) of everything else.
+// fold target (Range) differ in how they keep the hourly series and how
+// they find a prefix's row, so both embed this and share one fold of the
+// rest (mergeCounters) and one rendering (snapshot).
 type counters struct {
 	dropped [nReasons]uint64
 	late    uint64
 	located uint64
 
-	// Interned prefix counters. prefix4Idx indexes the IPv4 prefixes at
-	// exactly ClientPrefixBits (every kept record's prefix — the filter
-	// only keeps IPv4) by the masked big-endian address word: no hashing
-	// of a 32-byte netip.Prefix on the hot path. prefixIdx indexes the rest.
+	// Prefix counters, one row per prefix in first-seen order. A live
+	// shard finds a row by interning: prefix4Idx indexes the IPv4 prefixes
+	// at exactly ClientPrefixBits (every kept record's prefix — the filter
+	// only keeps IPv4) by the masked big-endian address word, no hashing
+	// of a 32-byte netip.Prefix on the hot path; prefixIdx indexes the
+	// rest. A fold finds a row by prefix id (Range.addPrefixes) and keeps
+	// the row's id, not its prefix: rowIDs over byID, its table's prefixes.
 	prefixIdx   map[netip.Prefix]uint32
 	prefix4Idx  map[uint32]uint32
 	prefixList  []netip.Prefix
 	prefixCount []uint64
+	rowIDs      []uint32
+	byID        []netip.Prefix
 
 	// Interned district counters; hasDistricts plays the role the nil-ness
 	// of the old district map played (rollup enabled).
@@ -93,36 +98,14 @@ func (c *counters) internDistrict(id string) uint32 {
 	return idx
 }
 
-// EachPrefix calls fn for every interned client prefix with its kept
-// flow count, in interning order. Snapshots truncate the prefix table at
-// TopK for transport; the tier folds need the full set to feed the
-// cardinality and persistence sketches, which this enumerates without
-// materializing a sorted copy.
-func (c *counters) EachPrefix(fn func(p netip.Prefix, flows uint64)) {
-	for i, p := range c.prefixList {
-		fn(p, c.prefixCount[i])
-	}
-}
-
-// mergeCounters folds everything of st but its hourly bins. The first
-// table folded into an empty target sizes its index, with an eighth to
-// spare: a query's target starts empty on every poll, the frames of one
-// store hold much the same prefixes and districts, and growing to them
-// is a rehash per doubling (one more prefix, which a live tail brings).
+// mergeCounters folds everything of st but its hourly bins and its prefix
+// rows: a live shard interns those (Analytics.MergeStored), a fold adds them
+// by id (Range.addPrefixes).
 func (c *counters) mergeCounters(st *Stored) {
 	for i, n := range st.dropped {
 		c.dropped[i] += n
 	}
 	c.late += st.late
-	if n := len(st.prefixes); len(c.prefixList) == 0 && n > 0 {
-		n += n / 8
-		c.prefix4Idx = make(map[uint32]uint32, n)
-		c.prefixList = make([]netip.Prefix, 0, n)
-		c.prefixCount = make([]uint64, 0, n)
-	}
-	for i, p := range st.prefixes {
-		c.prefixCount[c.internPrefix(p)] += st.prefixCount[i]
-	}
 	if st.hasDistricts {
 		// Adopt the rollup even if this shard has no geolocation sidecar:
 		// checkpoint frames carry district counts that must survive a
@@ -167,6 +150,9 @@ func (c *counters) snapshot(cfg Config) *Snapshot {
 	if c.hasDistricts {
 		ids := append([]string(nil), c.districtIDs...)
 		sort.Strings(ids)
+		if len(ids) > 0 {
+			s.Districts = make([]DistrictCount, 0, len(ids))
+		}
 		for _, id := range ids {
 			dc := DistrictCount{ID: id, Flows: c.districtCount[c.districtIdx[id]]}
 			if cfg.Model != nil {
@@ -180,6 +166,14 @@ func (c *counters) snapshot(cfg Config) *Snapshot {
 	return s
 }
 
+// prefix is the prefix of row i.
+func (c *counters) prefix(i uint32) netip.Prefix {
+	if c.byID != nil {
+		return c.byID[c.rowIDs[i]]
+	}
+	return c.prefixList[i]
+}
+
 // outranks reports whether interned prefix i ranks before j on the
 // leaderboard: more flows first, ties in prefix order. Interned prefixes
 // are distinct, so the order is total.
@@ -187,7 +181,7 @@ func (c *counters) outranks(i, j uint32) bool {
 	if c.prefixCount[i] != c.prefixCount[j] {
 		return c.prefixCount[i] > c.prefixCount[j]
 	}
-	return lessPrefix(c.prefixList[i], c.prefixList[j])
+	return lessPrefix(c.prefix(i), c.prefix(j))
 }
 
 // topPrefixes returns the k busiest prefixes in leaderboard order. Every
@@ -197,7 +191,7 @@ func (c *counters) outranks(i, j uint32) bool {
 // to the root on its flow count alone — and only those k are sorted, by
 // popping them.
 func (c *counters) topPrefixes(k int) []PrefixCount {
-	k = max(0, min(k, len(c.prefixList)))
+	k = max(0, min(k, len(c.prefixCount)))
 	heap := make([]uint32, k)
 	down := func(at int) {
 		for {
@@ -221,7 +215,7 @@ func (c *counters) topPrefixes(k int) []PrefixCount {
 	for at := k/2 - 1; at >= 0; at-- {
 		down(at)
 	}
-	for row := uint32(k); k > 0 && int(row) < len(c.prefixList); row++ {
+	for row := uint32(k); k > 0 && int(row) < len(c.prefixCount); row++ {
 		if c.outranks(row, heap[0]) {
 			heap[0] = row
 			down(0)
@@ -229,7 +223,7 @@ func (c *counters) topPrefixes(k int) []PrefixCount {
 	}
 	top := make([]PrefixCount, k)
 	for n := k - 1; n >= 0; n-- { // the worst of what is left is the last of it
-		top[n] = PrefixCount{Prefix: c.prefixList[heap[0]], Flows: c.prefixCount[heap[0]]}
+		top[n] = PrefixCount{Prefix: c.prefix(heap[0]), Flows: c.prefixCount[heap[0]]}
 		heap[0], heap = heap[n], heap[:n]
 		down(0)
 	}

@@ -52,7 +52,7 @@ func FoldWindow(cfg Config, states ...*Stored) *Range {
 
 func fold(cfg Config, window bool, clipLo, clipHi int, states []*Stored) *Range {
 	cfg = cfg.withDefaults()
-	r := &Range{counters: newCounters(), slide: math.MaxInt, first: math.MaxInt, maxHour: -1}
+	r := &Range{slide: math.MaxInt, first: math.MaxInt, maxHour: -1}
 	last := -1
 	for _, st := range states {
 		for _, bin := range st.bins {
@@ -86,7 +86,45 @@ func fold(cfg Config, window bool, clipLo, clipHi int, states []*Stored) *Range 
 		}
 		r.mergeCounters(st)
 	}
+	r.addPrefixes(states)
 	return r
+}
+
+// addPrefixes adds the states' prefix rows by id: a pooled dense array
+// maps each id to its row, so a row is found by one indexed read, and the
+// rows come in first-seen order, which is all the rendering reads of them
+// (topPrefixes orders them totally). States resolved against another table
+// than the first one's, or none, are interned into it first.
+func (r *Range) addPrefixes(states []*Stored) {
+	t := tableOf(states)
+	ids := make([][]uint32, len(states))
+	most := 0
+	for i, st := range states {
+		ids[i] = t.IDs(st)
+		most = max(most, len(ids[i]))
+	}
+	r.byID = t.Prefixes()
+	slots := rowSlotPool.Get().(*[]uint32)
+	if len(*slots) < len(r.byID) {
+		*slots = make([]uint32, len(r.byID)+len(r.byID)/8)
+	}
+	row := *slots // 1 + an id's row; 0 but at rowIDs until the reset below
+	r.rowIDs = make([]uint32, 0, most+most/8)
+	r.prefixCount = make([]uint64, 0, most+most/8)
+	for i, st := range states {
+		for j, id := range ids[i] {
+			if row[id] == 0 {
+				r.rowIDs = append(r.rowIDs, id)
+				r.prefixCount = append(r.prefixCount, 0)
+				row[id] = uint32(len(r.rowIDs))
+			}
+			r.prefixCount[row[id]-1] += st.prefixCount[j]
+		}
+	}
+	for _, id := range r.rowIDs {
+		row[id] = 0
+	}
+	rowSlotPool.Put(slots)
 }
 
 // Origin is the instant hour 0 is anchored at, in its rendering's zone.

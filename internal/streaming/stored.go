@@ -29,8 +29,12 @@ type Stored struct {
 	bins []hourBin // ascending hour, one per hour
 
 	// The counter tables in encoded order, one entry per key.
-	prefixes      []netip.Prefix
-	prefixCount   []uint64
+	prefixes    []netip.Prefix
+	prefixCount []uint64
+	// ids[i] is prefixes[i]'s id in table, when the state was resolved
+	// against one (PrefixTable.Resolve); table is nil otherwise.
+	table         *PrefixTable
+	ids           []uint32
 	hasDistricts  bool
 	districtIDs   []string
 	districtCount []uint64
@@ -40,8 +44,8 @@ type Stored struct {
 // that budget how many they keep.
 func (st *Stored) Size() int {
 	// Row sizes on a 64-bit platform: a bin is three words, a netip.Prefix
-	// four, a string header two; every count is one.
-	n := 256 + len(st.bins)*24 + len(st.prefixes)*(32+8) + len(st.districtIDs)*(16+8)
+	// four, a string header two; every count is one, a prefix id half.
+	n := 256 + len(st.bins)*24 + len(st.prefixes)*(32+8) + len(st.ids)*4 + len(st.districtIDs)*(16+8)
 	for _, id := range st.districtIDs {
 		n += len(id)
 	}
@@ -49,23 +53,30 @@ func (st *Stored) Size() int {
 }
 
 // EachPrefix calls fn for every client prefix of the state with its kept
-// flow count (see Analytics.EachPrefix).
+// flow count.
 func (st *Stored) EachPrefix(fn func(p netip.Prefix, flows uint64)) {
 	for i, p := range st.prefixes {
 		fn(p, st.prefixCount[i])
 	}
 }
 
+// Table is the prefix table st was resolved against, or nil.
+func (st *Stored) Table() *PrefixTable { return st.table }
+
 // Window is the window length the state was captured at.
 func (st *Stored) Window() int { return st.window }
 
-// Detach copies the live shard into compact form, sharing nothing with
-// it, for a fold that renders no hour outside [from, to) (zero bounds are
-// open). Only the bins in that range are copied, plus the shard's oldest
-// and newest bin: a fold reads the bins outside its range for nothing but
-// how far they reach. The durable store detaches its live tails under the
-// mutex ingest appends wait on, so the copy walks the hours of the range,
-// not the ring (an archive tail knows its Bounds without a scan either).
+// Detach copies the live shard into compact form, for a fold that renders
+// no hour outside [from, to) (zero bounds are open). Only the bins in that
+// range are copied, plus the shard's oldest and newest bin: a fold reads
+// the bins outside its range for nothing but how far they reach. The
+// durable store detaches its live tails under the mutex ingest appends
+// wait on, so the copy walks the hours of the range, not the ring (an
+// archive tail knows its Bounds without a scan either), and the keys of
+// the counter tables — prefixes, their ids, district ids — are shared, not
+// copied: the shard only ever appends to those, so the rows the copy holds
+// never change (and an append to the copy's, capped, would reallocate).
+// Only the counts are copied.
 func (a *Analytics) Detach(from, to time.Time) *Stored {
 	var bins []hourBin
 	if first, last, ok := a.Bounds(); ok {
@@ -90,9 +101,8 @@ func (a *Analytics) Detach(from, to time.Time) *Stored {
 		}
 	}
 	st := a.storedWith(bins)
-	st.prefixes = slices.Clone(st.prefixes)
+	st.prefixes, st.ids, st.districtIDs = slices.Clip(st.prefixes), slices.Clip(st.ids), slices.Clip(st.districtIDs)
 	st.prefixCount = slices.Clone(st.prefixCount)
-	st.districtIDs = slices.Clone(st.districtIDs)
 	st.districtCount = slices.Clone(st.districtCount)
 	return &st
 }
@@ -112,6 +122,8 @@ func (a *Analytics) storedWith(bins []hourBin) Stored {
 		bins:          bins,
 		prefixes:      a.prefixList,
 		prefixCount:   a.prefixCount,
+		table:         a.table,
+		ids:           a.ids,
 		hasDistricts:  a.hasDistricts,
 		districtIDs:   a.districtIDs,
 		districtCount: a.districtCount,
@@ -157,4 +169,7 @@ func (a *Analytics) MergeStored(st *Stored) {
 		a.binBytes[slot] += bin.bytes
 	}
 	a.mergeCounters(st)
+	for i, p := range st.prefixes {
+		a.prefixCount[a.internPrefix(p)] += st.prefixCount[i]
+	}
 }

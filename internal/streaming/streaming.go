@@ -182,6 +182,10 @@ type Analytics struct {
 	// interned, or past its end), -1 not placed by the DB, else 1 + its
 	// district counter index. A row's first record resolves it.
 	rowDistrict []int32
+	// ids is each prefix row's id in table, given when the row is created;
+	// both are nil until Intern.
+	table *PrefixTable
+	ids   []uint32
 }
 
 // New creates an empty shard.
@@ -304,6 +308,22 @@ func (a *Analytics) ingest(r *netflow.Record) {
 			a.districtCount[d-1]++
 		}
 	}
+}
+
+// internPrefix is counters.internPrefix that gives a row it creates its id
+// in the shard's prefix table: once per row, never per record.
+func (a *Analytics) internPrefix(p netip.Prefix) uint32 {
+	row := a.counters.internPrefix(p)
+	if a.table != nil && int(row) == len(a.ids) {
+		a.ids = a.table.internAll(a.ids, p)
+	}
+	return row
+}
+
+// Intern gives every prefix row of the shard an id in t, now and as rows
+// are created, so its states (Detach) come resolved against t.
+func (a *Analytics) Intern(t *PrefixTable) {
+	a.table, a.ids = t, t.internAll(make([]uint32, 0, len(a.prefixList)), a.prefixList...)
 }
 
 // binFor resolves hour h to its ring slot, growing an archive window or

@@ -170,7 +170,9 @@ func TestTopPrefixesSelectsTheFullSortsPrefix(t *testing.T) {
 			c.prefixCount[c.internPrefix(p)] = uint64(rng.Intn(4)) // few distinct counts: ties everywhere
 		}
 		want := make([]PrefixCount, 0, n)
-		c.EachPrefix(func(p netip.Prefix, flows uint64) { want = append(want, PrefixCount{Prefix: p, Flows: flows}) })
+		for i, p := range c.prefixList {
+			want = append(want, PrefixCount{Prefix: p, Flows: c.prefixCount[i]})
+		}
 		sort.Slice(want, func(i, j int) bool {
 			if want[i].Flows != want[j].Flows {
 				return want[i].Flows > want[j].Flows

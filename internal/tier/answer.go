@@ -14,7 +14,6 @@ package tier
 import (
 	"fmt"
 	"math"
-	"net/netip"
 	"slices"
 	"sort"
 	"strings"
@@ -119,39 +118,53 @@ func (bs *buckets) render(origin *time.Time) []Bucket {
 }
 
 // SketchAccum feeds the two sketches from per-shard prefix tables:
-// the HLL sees every distinct prefix, the presence map counts how many
+// the HLL sees every distinct prefix, the presence counts how many
 // shards (raw checkpoint frames) each prefix appeared in. Folds use it
-// per run; queries use it over the raw residual.
+// per run; queries use it over the raw residual. It counts by prefix id,
+// in the table the first state added was resolved against (a table of
+// its own when that one was not), and reads each prefix's hash from it.
 type SketchAccum struct {
 	hll      *sketch.HLL
-	presence map[netip.Prefix]presence
-	shard    uint64 // counts AddShard calls: the shard being added
+	table    *streaming.PrefixTable
+	presence []presence // by prefix id
+	touched  []uint32   // the ids with a presence, first seen first
+	shard    uint32     // counts AddShard calls: the shard being added
 }
 
 // presence is how many shards a prefix appeared in, and the last of them.
-type presence struct{ shards, last uint64 }
+type presence struct{ shards, last uint32 }
 
 // NewSketchAccum builds an empty accumulator.
 func NewSketchAccum() *SketchAccum {
-	return &SketchAccum{hll: sketch.NewHLL(), presence: map[netip.Prefix]presence{}}
+	return &SketchAccum{hll: sketch.NewHLL()}
 }
 
 // AddShard folds one shard's full prefix tables in: a prefix several of the
 // states hold counts once (the store's live tails are one shard). The HLL
 // item is the prefix's text, as since the first tier frame was written,
-// formatted on the stack once per prefix: adding one twice changes nothing.
+// hashed once per table id: adding one twice changes nothing.
 func (sa *SketchAccum) AddShard(states ...*streaming.Stored) {
 	sa.shard++
-	var text [len("ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255/128")]byte
 	for _, st := range states {
-		st.EachPrefix(func(p netip.Prefix, _ uint64) {
-			if e := sa.presence[p]; e.last != sa.shard {
-				if e.shards == 0 {
-					sa.hll.AddHash(sketch.HashBytes(p.AppendTo(text[:0])))
-				}
-				sa.presence[p] = presence{e.shards + 1, sa.shard}
+		if sa.table == nil {
+			if sa.table = st.Table(); sa.table == nil {
+				sa.table = streaming.NewPrefixTable()
 			}
-		})
+		}
+		ids := sa.table.IDs(st)
+		hashes := sa.table.Hashes()
+		if len(sa.presence) < len(hashes) {
+			sa.presence = append(sa.presence, make([]presence, len(hashes)-len(sa.presence))...)
+		}
+		for _, id := range ids {
+			if e := &sa.presence[id]; e.last != sa.shard {
+				if e.shards == 0 {
+					sa.hll.AddHash(hashes[id])
+					sa.touched = append(sa.touched, id)
+				}
+				e.shards, e.last = e.shards+1, sa.shard
+			}
+		}
 	}
 }
 
@@ -311,8 +324,8 @@ func (b *Builder) AddResidual(snap *streaming.Snapshot, acc *SketchAccum, rawFra
 	}
 	if acc != nil {
 		b.hll.Merge(acc.hll)
-		for _, e := range acc.presence {
-			b.quant.Add(e.shards, 1)
+		for _, id := range acc.touched {
+			b.quant.Add(uint64(acc.presence[id].shards), 1)
 		}
 	}
 }
