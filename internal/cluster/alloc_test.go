@@ -90,7 +90,7 @@ func TestShortQueryCostsItsSpanNotTheWindow(t *testing.T) {
 			if err != nil {
 				t.Fatalf("window %d: %d %v", window, w.Code, err)
 			}
-			res, err := fleet.merge([]*part{{st, w.Header().Get("ETag")}}, nil, nil, from, to)
+			res, err := fleet.merge([]*part{{st, w.Header().Get("ETag")}}, nil, nil, false, from, to)
 			if err != nil || len(res.Snapshot.Hours) == 0 || res.Snapshot.WindowHours != window {
 				t.Fatalf("window %d: merged to %+v (%v)", window, res.Snapshot, err)
 			}

@@ -836,3 +836,43 @@ func TestFleetContextCancellation(t *testing.T) {
 		t.Fatalf("cancelled gather = %+v, want every shard missing", res)
 	}
 }
+
+// TestSkewedShardsSnapshotLikeOneNode pins the routed snapshot to the
+// live window when the shards' newest hours differ — one hour of skew is
+// routine at every hour boundary — and history is longer than the window:
+// the fleet renders the window ending at its newest hour, with the same
+// hours, counts and late census as one node holding every record.
+func TestSkewedShardsSnapshotLikeOneNode(t *testing.T) {
+	acfg := streaming.Config{WindowHours: 48, TopK: 10}
+	// One client network owned by each shard.
+	var clients [2]netip.Addr
+	for i, found := 0, 0; found < 2; i++ {
+		addr := netip.AddrFrom4([4]byte{172, 16, byte(i), 33})
+		r := keptRecord(entime.StudyStart, addr, 1)
+		if o := Owner(&r, nil, 2); !clients[o].IsValid() {
+			clients[o] = addr
+			found++
+		}
+	}
+	var recs []netflow.Record
+	for h := 0; h <= 100; h++ {
+		at := entime.StudyStart.Add(time.Duration(h) * time.Hour)
+		recs = append(recs, keptRecord(at, clients[0], uint64(100+h)))
+		if h < 100 {
+			recs = append(recs, keptRecord(at, clients[1], uint64(300+h)))
+		}
+	}
+	parts := partition(recs, nil, 2)
+	union := newNode(t, acfg, recs)
+	router := newRouter(t, []*node{newNode(t, acfg, parts[0]), newNode(t, acfg, parts[1])}, acfg.TopK)
+	for _, url := range []string{"/api/v1/snapshot", "/api/v1/snapshot?pretty=1"} {
+		wantStatus, _, want := get(t, union.ts.URL+url, nil)
+		gotStatus, _, got := get(t, router.URL+url, nil)
+		if wantStatus != http.StatusOK || gotStatus != http.StatusOK {
+			t.Fatalf("%s: status union=%d router=%d", url, wantStatus, gotStatus)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: router body differs from one node's\n got: %.600s\nwant: %.600s", url, got, want)
+		}
+	}
+}

@@ -9,10 +9,12 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -220,7 +222,7 @@ func (f *Fleet) Snapshot(ctx context.Context) (*api.FanResult, error) {
 	parts, missing, timings := f.gather(ctx, func(ctx context.Context, c *client.Client) ([]byte, string, error) {
 		return c.SnapshotState(ctx)
 	})
-	return f.merge(parts, missing, timings, time.Time{}, time.Time{})
+	return f.merge(parts, missing, timings, true, time.Time{}, time.Time{})
 }
 
 // Query implements api.Fanout. res is forwarded to every shard
@@ -235,7 +237,7 @@ func (f *Fleet) Query(ctx context.Context, from, to time.Time, res tier.Resoluti
 	parts, missing, timings := f.gather(ctx, func(ctx context.Context, c *client.Client) ([]byte, string, error) {
 		return c.QueryState(ctx, from, to, resolution)
 	})
-	return f.merge(parts, missing, timings, from, to)
+	return f.merge(parts, missing, timings, false, from, to)
 }
 
 // merge folds the gathered parts into one FanResult and renders it with
@@ -245,12 +247,20 @@ func (f *Fleet) Query(ctx context.Context, from, to time.Time, res tier.Resoluti
 // as populated-empty bins; the ones outside every shard's actual range
 // are dropped again here).
 //
+// A snapshot is the live window, so its parts fold at the window, as a
+// union collector's state does: each part holds only hours within the
+// window of its shard's newest, and the parts fold in ascending order of
+// that newest hour, so no bin arrives behind the window of a part folded
+// before it (none counts late), while the hours the fleet's newest has
+// slid past are left out. A query's fold widens to the span its parts
+// cover instead.
+//
 // The answering shards must agree on the effective resolution — with a
 // concrete day/week request they always do; an auto request against a
 // fleet whose shards hold very different history spans can disagree, and
 // a mixed-resolution merge would silently sum day buckets into week
 // buckets, so it is an error instead.
-func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.ShardTiming, from, to time.Time) (*api.FanResult, error) {
+func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.ShardTiming, snapshot bool, from, to time.Time) (*api.FanResult, error) {
 	res := &api.FanResult{Missing: missing, Timings: timings}
 	var (
 		states []*streaming.Stored
@@ -289,12 +299,19 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 	if first == nil {
 		return res, nil // every shard missing; the handler turns this into 503
 	}
-	m := streaming.Fold(streaming.Config{
+	cfg := streaming.Config{
 		Origin:      first.Origin,
 		WindowHours: first.State.Window(),
 		TopK:        f.topK,
 		Model:       f.model,
-	}, from, to, states...)
+	}
+	var m *streaming.Range
+	if snapshot {
+		slices.SortStableFunc(states, func(a, b *streaming.Stored) int { return cmp.Compare(a.MaxHour(), b.MaxHour()) })
+		m = streaming.FoldWindow(cfg, states...)
+	} else {
+		m = streaming.Fold(cfg, from, to, states...)
+	}
 	if lh == nil {
 		res.Snapshot = m.Snapshot()
 	} else {

@@ -153,7 +153,7 @@ func loadFrame(fm frameMeta, cfg streaming.Config) (frameInfo, *streaming.Stored
 	// Bound the metadata hour span before anything sizes a merge window
 	// from it (tryQuery, compact): the record-layer CRC does not bound
 	// allocations, so implausible bounds are corruption, not a request
-	// for a multi-GB ring. Valid frames are either both -1 (accounting
+	// for a multi-GB merge. Valid frames are either both -1 (accounting
 	// only) or 0 <= MinHour <= MaxHour < the plausibility cap ingest
 	// enforces.
 	if (info.MinHour == -1) != (info.MaxHour == -1) ||
@@ -257,9 +257,9 @@ func (s *Store) rawSources(frames []frameMeta, lo, hi int, runs bool, add func(*
 }
 
 // mergeFrames merges the frames' states into one, with every bin and the
-// full counter tables: what a compaction writes and a run keeps. Its ring
+// full counter tables: what a compaction writes and a run keeps. Its window
 // spans the frames' combined hours (validated metadata, so at most
-// streaming.MaxWindowHours): a ring at the live window would evict the
+// streaming.MaxWindowHours): a shard at the live window would evict the
 // oldest, for compaction for good. DecodeStored adopts the window it records.
 func (s *Store) mergeFrames(frames []frameMeta) (*streaming.Stored, error) {
 	cfg := s.cfg

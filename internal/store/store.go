@@ -247,12 +247,12 @@ type Store struct {
 }
 
 // newTail builds a tail shard. Tails run in archive mode: the hourly
-// ring grows instead of evicting, because a checkpoint frame must hold
-// *every* hour of the WAL interval whose deletion it authorizes — a
-// burst that ingests more data-hours than the live window between two
-// checkpoints must not lose its head. Memory stays bounded by the
-// checkpoint cadence; the live sliding-window view is re-imposed when
-// Snapshot merges at the live window.
+// series keeps every hour instead of evicting, because a checkpoint frame
+// must hold *every* hour of the WAL interval whose deletion it authorizes
+// — a burst that ingests more data-hours than the live window between two
+// checkpoints must not lose its head. A tail costs the hours it holds, so
+// memory stays bounded by the checkpoint cadence; the live sliding-window
+// view is re-imposed when Snapshot folds at the live window.
 func (s *Store) newTail() *streaming.Analytics {
 	cfg := s.cfg
 	cfg.Archive = true
@@ -577,7 +577,7 @@ func (s *Store) Snapshot() *streaming.Snapshot {
 }
 
 // SnapshotResult is Snapshot unrendered (a shard answering a router ships
-// the state): the cut, folded into what a ring at -window-hours comes to.
+// the state): the cut, folded into what a shard at -window-hours comes to.
 func (s *Store) SnapshotResult() *QueryResult {
 	states, version := s.snapshotCut()
 	return &QueryResult{Version: version, fold: streaming.FoldWindow(s.cfg, states...)}

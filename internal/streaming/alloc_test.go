@@ -12,7 +12,7 @@ import (
 
 // TestIngestZeroAllocSteadyState pins the per-record streaming update at
 // zero allocations once the shard is warm: the hour bin claimed, every
-// prefix interned. This is the regression guard for the columnar-ring
+// prefix interned. This is the regression guard for the flat-array
 // design — a map growing, an interface boxing, or a time.Duration round
 // trip reappearing in ingest() fails here, not in a profile weeks later.
 // With districts on, the /24s alternate between placed and unplaced, so
@@ -79,5 +79,64 @@ func TestSnapshotRangeAllocatesRequestedHoursOnly(t *testing.T) {
 	}
 	if day*10 > year {
 		t.Fatalf("one-day range allocated %d bytes, the full year %d: want under a tenth", day, year)
+	}
+}
+
+// allocBytes is the heap bytes one call of fn allocates, averaged.
+func allocBytes(fn func()) uint64 {
+	const runs = 20
+	fn() // warm: a lazily built table is not fn's cost
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestShardCostsItsSpanNotItsWindow pins what a shard holding one record
+// costs: the same at a day's window as at over a year's, live or archive
+// — the series holds the hours it has, not the window — and so does
+// restoring a one-bin state whatever window it declares.
+func TestShardCostsItsSpanNotItsWindow(t *testing.T) {
+	const slack = 512
+	near := func(a, b uint64) bool { return max(a, b)-min(a, b) <= slack }
+	rec := []netflow.Record{keptRecord(entime.StudyStart.Add(100*time.Hour), client(1), 500)}
+	for _, archive := range []bool{false, true} {
+		var first uint64
+		for _, window := range []int{24, 12000, 17568} {
+			cfg := Config{WindowHours: window, Archive: archive}
+			got := allocBytes(func() {
+				a := New(cfg)
+				a.Ingest(rec)
+				a.Detach(time.Time{}, time.Time{})
+				if _, err := a.MarshalBinary(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("archive=%v, window %d: %d bytes", archive, window, got)
+			if window == 24 {
+				first = got
+			} else if !near(got, first) {
+				t.Errorf("archive=%v: a one-record shard at window %d allocates %d bytes, at window 24 %d", archive, window, got, first)
+			}
+		}
+	}
+
+	restore := func(window int) uint64 {
+		st := Stored{window: window, maxHour: 100, bins: []hourBin{{hour: 100, flows: 1, bytes: 500}}}
+		blob, err := st.AppendBinary(nil, entime.StudyStart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return allocBytes(func() {
+			if _, err := UnmarshalAnalyticsStored(Config{}, blob); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if day, most := restore(24), restore(MaxWindowHours); !near(most, day) {
+		t.Errorf("restoring a one-bin state declaring window %d allocates %d bytes, declaring 24 %d", MaxWindowHours, most, day)
 	}
 }

@@ -72,7 +72,7 @@ func fold(cfg Config, window bool, clipLo, clipHi int, states []*Stored) *Range 
 	r.cfg = cfg
 	for _, st := range states {
 		for _, bin := range st.bins {
-			// Implausible (see binFor), or behind the live window: late,
+			// Implausible (see Analytics.bin), or behind the live window: late,
 			// as against a ring.
 			if bin.hour >= MaxWindowHours || r.maxHour-bin.hour >= r.slide {
 				r.late += uint64(bin.flows)

@@ -4,7 +4,7 @@ import "cwatrace/internal/core"
 
 // FromSnapshot rebuilds an Analytics shard from a rendered Snapshot, the
 // inverse of snapshot() for everything Merge consumes: how a rendered
-// answer becomes mergeable again. No serving path builds this ring — a
+// answer becomes mergeable again. No serving path builds this shard — a
 // shard answering the cluster query router encodes the fold behind the
 // rendering (Range.Stored) — but what FromSnapshot(s).MarshalBinary()
 // encodes is the reference the fold's bytes are tested against, and the
@@ -25,16 +25,15 @@ func FromSnapshot(s *Snapshot) *Analytics {
 	a := New(Config{Origin: s.Origin, WindowHours: s.WindowHours})
 	for i := range s.Hours {
 		p := &s.Hours[i]
-		slot := a.binFor(p.Hour)
-		if slot < 0 {
+		c := a.bin(p.Hour)
+		if c == nil {
 			// Cannot happen for a self-consistent snapshot (every rendered
 			// hour fits its own window); a hand-built one degrades exactly
 			// like live ingestion of an out-of-window record.
 			a.late += uint64(p.Flows)
 			continue
 		}
-		a.binFlows[slot] = p.Flows
-		a.binBytes[slot] = p.Bytes
+		c.flows, c.bytes = p.Flows, p.Bytes
 	}
 
 	for reason, n := range s.Census.Dropped {

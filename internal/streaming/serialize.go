@@ -24,15 +24,15 @@ import (
 const stateVersion = 1
 
 // MaxWindowHours is the plausibility bound on hour indices and window
-// lengths: 20 years of hourly bins past Origin (~4 MB of ring; evenly
-// divisible by archiveGrowQuantum, so grown archive windows never round
-// past it). It caps three things consistently: ingest/merge reject
-// records beyond it as Late (a forged timestamp or garbage exporter
-// clock must not grow an archive ring that later reads reject),
-// UnmarshalAnalyticsStored refuses to adopt a larger declared window
-// (the record-layer CRC does not bound allocations), and the durable
-// store validates frame metadata hour spans against it before sizing
-// merge windows.
+// lengths: 20 years of hourly bins past Origin (a multiple of 64, so an
+// archive's window never rounds past it). It caps three things
+// consistently: ingest/merge reject records beyond it as Late (a forged
+// timestamp or garbage exporter clock must not widen an archive to a
+// window that later reads reject), DecodeStored refuses a larger declared
+// window (a state's bins lie within its window, so this bounds the span a
+// decoded state restores to; the record-layer CRC bounds no allocation),
+// and the durable store validates frame metadata hour spans against it
+// before sizing merge windows.
 const MaxWindowHours = 20 * 366 * 24
 
 // MarshalBinary encodes the shard's complete aggregate state. The shard
@@ -142,12 +142,12 @@ func ascending[K any](keys []K, less func(a, b K) bool) []int {
 // Model may differ — a restored shard keeps district counts even when
 // the reader has no geolocation sidecar. Readers that only fold the
 // state into another shard use DecodeStored + MergeStored instead and
-// never build the ring.
+// never build a shard.
 //
-// The decoded state is placed into a fresh ring at its own window. The
-// header's maxHour is restored as written (a fold would recompute it
-// from the bins), so MarshalBinary of the result reproduces canonical
-// input byte for byte.
+// The restored shard keeps the state's window; its series spans the
+// state's bins. The header's maxHour is restored as written (a fold would
+// recompute it from the bins), so MarshalBinary of the result reproduces
+// canonical input byte for byte.
 func UnmarshalAnalyticsStored(cfg Config, data []byte) (*Analytics, error) {
 	st, err := DecodeStored(cfg, data)
 	if err != nil {
@@ -159,15 +159,7 @@ func UnmarshalAnalyticsStored(cfg Config, data []byte) (*Analytics, error) {
 	a.late = st.late
 	a.located = st.located
 	a.dropped = st.dropped
-	for _, bin := range st.bins {
-		slot := bin.hour % st.window
-		a.binHour[slot] = int32(bin.hour)
-		a.binFlows[slot] = bin.flows
-		a.binBytes[slot] = bin.bytes
-	}
-	if len(st.bins) > 0 {
-		a.archiveMin = st.bins[0].hour
-	}
+	a.hours.fill(st.bins)
 	for i, p := range st.prefixes {
 		a.prefixCount[a.internPrefix(p)] = st.prefixCount[i]
 	}
@@ -224,8 +216,10 @@ func DecodeStored(cfg Config, data []byte) (*Stored, error) {
 		if d.Err != nil {
 			break
 		}
-		// The ring keeps hours in an int32 column; an hour that does not
-		// fit it is as far outside any window as one past maxHour.
+		// No writer ever encoded an hour past int32 (hours were once kept
+		// in an int32 column), so one is as far outside any window as
+		// one past maxHour; refusing it keeps the accepted states the
+		// ones every earlier reader accepted.
 		if h < 0 || h > st.maxHour || h > math.MaxInt32 || (st.maxHour >= 0 && h <= st.maxHour-st.window) {
 			return nil, fmt.Errorf("streaming: state bin hour %d outside window ending at %d", h, st.maxHour)
 		}
@@ -236,7 +230,7 @@ func DecodeStored(cfg Config, data []byte) (*Stored, error) {
 	}
 	if !ordered {
 		// Not MarshalBinary's order: sort, and let the last entry for an
-		// hour win, which is what writing each bin to its ring slot did.
+		// hour win, which is what writing each bin to its hour's cell does.
 		sort.SliceStable(st.bins, func(i, j int) bool { return st.bins[i].hour < st.bins[j].hour })
 		kept := st.bins[:0]
 		for i, bin := range st.bins {

@@ -149,15 +149,12 @@ func TestBoundsArchive(t *testing.T) {
 	}
 	scanBounds := func(s *Analytics) (int, int, bool) {
 		lo, hi := -1, -1
-		for _, h := range s.binHour {
-			if h < 0 {
-				continue
+		for _, bin := range s.stored().bins {
+			if lo < 0 || bin.hour < lo {
+				lo = bin.hour
 			}
-			if lo < 0 || int(h) < lo {
-				lo = int(h)
-			}
-			if int(h) > hi {
-				hi = int(h)
+			if bin.hour > hi {
+				hi = bin.hour
 			}
 		}
 		return lo, hi, lo >= 0

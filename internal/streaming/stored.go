@@ -9,10 +9,10 @@ import (
 // Stored is one decoded Analytics state in compact form: the header
 // counters, the populated bins already in canonical (ascending hour)
 // order, and the prefix and district tables as flat parallel slices. It
-// has no ring and no maps — a reader that only folds a checkpoint frame
+// has no series and no maps — a reader that only folds a checkpoint frame
 // into a merge target (every historical query, compaction, recovery)
-// never needed either; building them per frame read and scanning an
-// all-but-empty ring back out was most of what a year-span query cost.
+// needs neither; building them per frame read and scanning them back out
+// was most of what a year-span query once cost.
 //
 // A Stored is immutable once built, so one value may be folded by any
 // number of goroutines at once; the durable store keeps them cached per
@@ -66,26 +66,29 @@ func (st *Stored) Table() *PrefixTable { return st.table }
 // Window is the window length the state was captured at.
 func (st *Stored) Window() int { return st.window }
 
+// MaxHour is the newest hour of the window the state was captured at, -1
+// before any.
+func (st *Stored) MaxHour() int { return st.maxHour }
+
 // Detach copies the live shard into compact form, for a fold that renders
 // no hour outside [from, to) (zero bounds are open). Only the bins in that
 // range are copied, plus the shard's oldest and newest bin: a fold reads
 // the bins outside its range for nothing but how far they reach. The
 // durable store detaches its live tails under the mutex ingest appends
-// wait on, so the copy walks the hours of the range, not the ring (an
-// archive tail knows its Bounds without a scan either), and the keys of
-// the counter tables — prefixes, their ids, district ids — are shared, not
-// copied: the shard only ever appends to those, so the rows the copy holds
-// never change (and an append to the copy's, capped, would reallocate).
+// wait on, so the copy walks the hours of the range, not the series (its
+// Bounds need no scan either), and the keys of the counter tables —
+// prefixes, their ids, district ids — are shared, not copied: the shard
+// only ever appends to those, so the rows the copy holds never change (and
+// an append to the copy's, capped, would reallocate).
 // Only the counts are copied.
 func (a *Analytics) Detach(from, to time.Time) *Stored {
 	var bins []hourBin
 	if first, last, ok := a.Bounds(); ok {
 		lo, hi := clipHours(a.cfg.Origin, from, to)
 		inRange := func(h int) bool { return h >= lo && h <= hi }
-		w := a.cfg.WindowHours
 		bin := func(h int) {
-			if s := h % w; a.binHour[s] == int32(h) {
-				bins = append(bins, hourBin{hour: h, flows: a.binFlows[s], bytes: a.binBytes[s]})
+			if c := a.hours.at(h); c != nil {
+				bins = append(bins, hourBin{hour: h, flows: c.flows, bytes: c.bytes})
 			}
 		}
 		lo, hi = max(lo, first), min(hi, last)
@@ -109,7 +112,7 @@ func (a *Analytics) Detach(from, to time.Time) *Stored {
 
 // stored views a live shard in the compact form, sharing its counter
 // tables; the view must not outlive the next write to a.
-func (a *Analytics) stored() Stored { return a.storedWith(a.sortedBins()) }
+func (a *Analytics) stored() Stored { return a.storedWith(a.hours.bins()) }
 
 // storedWith is stored with the caller's choice of bins.
 func (a *Analytics) storedWith(bins []hourBin) Stored {
@@ -131,12 +134,11 @@ func (a *Analytics) storedWith(bins []hourBin) Stored {
 }
 
 // Merge folds other into a without modifying other. Both shards must
-// share one Origin; other's window length may differ (a restored archive
-// frame can be wider than the live window — its overflow bins evict or
-// count late against a's window like any arrival). Aggregation is
-// commutative, so any merge order yields the same result; incremental
-// callers (the ingest pipeline's snapshot) merge one locked shard at a
-// time instead of quiescing them all.
+// share one Origin; other's window length may differ (an archive tail can
+// be wider than a's window — its overflow bins evict or count late
+// against a's window like any arrival). Aggregation is commutative, so
+// any merge order yields the same counters; the durable store merges
+// each tail it checkpoints into its base this way, under its own lock.
 func (a *Analytics) Merge(other *Analytics) {
 	st := other.stored()
 	a.MergeStored(&st)
@@ -155,18 +157,18 @@ func (a *Analytics) MergeStored(st *Stored) {
 	// miscounting it as late; chronological order keeps merging a state
 	// that spans more hours than this window (the store's compacted
 	// archive frames) deterministic, with the overflow evicted silently
-	// exactly as live ingestion evicts. binFor applies the same
+	// exactly as live ingestion evicts. bin applies the same
 	// MaxWindowHours plausibility bound as ingest: a state persisted
 	// before the bound (or hand-built) must not poison this shard.
 	for i := range st.bins {
 		bin := &st.bins[i]
-		slot := a.binFor(bin.hour)
-		if slot < 0 {
+		c := a.bin(bin.hour)
+		if c == nil {
 			a.late += uint64(bin.flows)
 			continue
 		}
-		a.binFlows[slot] += bin.flows
-		a.binBytes[slot] += bin.bytes
+		c.flows += bin.flows
+		c.bytes += bin.bytes
 	}
 	a.mergeCounters(st)
 	for i, p := range st.prefixes {

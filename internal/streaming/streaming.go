@@ -1,19 +1,19 @@
 // Package streaming computes the paper's analyses online, over a live
 // record stream, instead of in batch over a finished trace. It is the
 // analytics half of the live ingest subsystem (internal/ingest is the
-// transport half): a sliding ring of hourly buckets carries the Figure-2
+// transport half): a sliding window of hourly buckets carries the Figure-2
 // flow/byte series, a per-prefix counter tracks the most active client
 // networks, district rollups reproduce the Figure-3 geography, and a
 // trailing-baseline detector flags launch/attention spikes like the
 // June-16 release jump.
 //
-// An Analytics value is one single-goroutine shard. The ingest pipeline
-// runs one shard per worker and merges them at snapshot time; every
-// aggregate is a commutative sum (flow counts and byte totals are
-// integer-valued, so float64 accumulation is exact and order-free), which
-// makes the merged snapshot byte-identical at any worker count — the
-// property the end-to-end loopback test pins against the batch
-// internal/core results.
+// An Analytics value is one single-goroutine shard: the durable store
+// (internal/store) ingests into its live tails and folds its checkpoints
+// into a base shard. Every aggregate is a commutative sum (flow counts and
+// byte totals are integer-valued, so float64 accumulation is exact and
+// order-free), so states fold (Merge, Fold) to the same bytes in any
+// grouping — the property the end-to-end loopback test pins against the
+// batch internal/core results at any worker count.
 package streaming
 
 import (
@@ -60,14 +60,14 @@ type Config struct {
 	SpikeHistory  int
 	SpikeMinFlows float64
 	// Archive disables sliding-window eviction: instead of sliding past
-	// (and silently dropping) the oldest hourly bins, the ring grows to
-	// cover every hour the shard has binned, and WindowHours becomes the
-	// current ring size. The durable store's tail shards run this way —
-	// a checkpoint frame must hold *every* hour of the WAL interval it
-	// lets the store delete, no matter how many data-hours a burst
+	// (and silently dropping) the oldest hourly bins, the shard keeps
+	// every hour it has binned, and WindowHours widens to their span
+	// (rounded up to 64 hours). The durable store's tail shards run this
+	// way — a checkpoint frame must hold *every* hour of the WAL interval
+	// it lets the store delete, no matter how many data-hours a burst
 	// ingested between checkpoints. Records before Origin still count as
-	// Late; memory is bounded by the shard's lifetime (one checkpoint
-	// interval for the store's tail), not by WindowHours.
+	// Late; memory is bounded by the span the shard binned in its lifetime
+	// (one checkpoint interval for the store's tail), not by WindowHours.
 	Archive bool
 	// Filter is the paper's data-set restriction (nil = core.DefaultFilter()).
 	Filter *core.Filter
@@ -108,9 +108,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// hourBin is one populated hourly bucket in canonical (row) form. The live
-// ring stores bins column-wise (see Analytics); hourBin remains the unit
-// sortedBins, the fold (MergeStored) and the state codec exchange.
+// hourBin is one populated hourly bucket in canonical (row) form: the unit
+// a shard's series hands out (series.bins), the fold (MergeStored) and the
+// state codec exchange.
 type hourBin struct {
 	hour  int
 	flows float64
@@ -118,18 +118,17 @@ type hourBin struct {
 }
 
 // Analytics is one online-analytics shard. It is not safe for concurrent
-// use; the ingest pipeline drives each shard from a single worker and
-// guards snapshots with the pipeline's own locking.
+// use; the durable store guards each of its shards with its own locking.
 //
-// The hot-path state is laid out columnar (struct-of-arrays): the hourly
-// ring is three parallel slices instead of a []hourBin, and the prefix and
-// district counters are flat count arrays keyed by interned indexes, with
-// the maps reduced to string/prefix → index lookups. A per-record update
-// is then a handful of array writes; the only map the steady state touches
-// is the int-keyed prefix fast index, whose lookups need no hashing of
-// 32-byte netip.Prefix values and whose hits never call mapassign. The
-// district rollup adds no map: a record's district is a function of its
-// /24, so the prefix row carries it (the DB is asked once per row).
+// The hot-path state is flat arrays: the hourly series is one cell per
+// hour it spans (see series), and the prefix and district counters are
+// count arrays keyed by interned indexes, with the maps reduced to
+// string/prefix → index lookups. A per-record update is then a handful of
+// array writes; the only map the steady state touches is the int-keyed
+// prefix fast index, whose lookups need no hashing of 32-byte netip.Prefix
+// values and whose hits never call mapassign. The district rollup adds no
+// map: a record's district is a function of its /24, so the prefix row
+// carries it (the DB is asked once per row).
 type Analytics struct {
 	cfg     Config
 	filter  core.Filter
@@ -142,25 +141,9 @@ type Analytics struct {
 	originSec   int64
 	originWhole bool
 
-	// The hourly ring, column-wise. binHour[s] is the hour index occupying
-	// slot s (-1 empty); binFlows/binBytes are only meaningful where
-	// binHour agrees with the probed hour, exactly like hourBin.hour did.
-	binHour  []int32
-	binFlows []float64
-	binBytes []float64
-
-	maxHour int // highest hour index seen; -1 before any record
-	// archiveMin is the lowest binned hour of an Archive shard (-1 before
-	// any). Archive shards never evict, so it only ever decreases; the
-	// O(1) grow check in ensureArchiveWindow depends on it.
-	archiveMin int
-
-	// curHour/curSlot memoize the last binFor resolution: export streams
-	// are near-time-ordered, so consecutive records overwhelmingly share
-	// an hour and skip the slide/claim logic entirely. curHour is -1 when
-	// the memo is invalid (fresh shard, or the ring was reshaped).
-	curHour int
-	curSlot int
+	// The hourly series and its newest hour (-1 before any record).
+	hours   series
+	maxHour int
 
 	// newestNano is the freshness watermark: the newest First timestamp
 	// (UnixNano) of any record binned into this shard. In-memory only —
@@ -192,19 +175,11 @@ type Analytics struct {
 func New(cfg Config) *Analytics {
 	cfg = cfg.withDefaults()
 	a := &Analytics{
-		cfg:        cfg,
-		filter:     *cfg.Filter,
-		cfilter:    cfg.Filter.Compile(),
-		binHour:    make([]int32, cfg.WindowHours),
-		binFlows:   make([]float64, cfg.WindowHours),
-		binBytes:   make([]float64, cfg.WindowHours),
-		maxHour:    -1,
-		archiveMin: -1,
-		curHour:    -1,
-		counters:   newCounters(),
-	}
-	for i := range a.binHour {
-		a.binHour[i] = -1
+		cfg:      cfg,
+		filter:   *cfg.Filter,
+		cfilter:  cfg.Filter.Compile(),
+		maxHour:  -1,
+		counters: newCounters(),
 	}
 	if cfg.Origin.Nanosecond() == 0 {
 		a.originSec = cfg.Origin.Unix()
@@ -237,7 +212,7 @@ func (a *Analytics) ingest(r *netflow.Record) {
 	}
 
 	// Sliding hourly window. The bucket index is hours since Origin;
-	// advancing past the ring's head evicts the oldest buckets. The
+	// advancing past the newest hour slides the window (see bin). The
 	// explicit before-Origin check matters: negative sub-hour durations
 	// would truncate to bucket 0 otherwise. For whole-second Origins the
 	// binning runs on integer seconds — Unix() floors toward -inf, so
@@ -259,16 +234,18 @@ func (a *Analytics) ingest(r *netflow.Record) {
 		}
 		h = int(r.First.Sub(a.cfg.Origin) / time.Hour)
 	}
-	slot := a.curSlot
-	if h != a.curHour {
-		slot = a.binFor(h)
-		if slot < 0 {
+	// Most records land in an hour that is a bin already, so inside the
+	// window: at finds it inline, without bin's call. Only a restored
+	// state can hold a bin at or past MaxWindowHours; bin refuses it.
+	c := a.hours.at(h)
+	if c == nil || h >= MaxWindowHours {
+		if c = a.bin(h); c == nil {
 			a.late++
 			return
 		}
 	}
-	a.binFlows[slot]++
-	a.binBytes[slot] += float64(r.Bytes)
+	c.flows++
+	c.bytes += float64(r.Bytes)
 	if n := r.First.UnixNano(); n > a.newestNano {
 		a.newestNano = n
 	}
@@ -326,91 +303,47 @@ func (a *Analytics) Intern(t *PrefixTable) {
 	a.table, a.ids = t, t.internAll(make([]uint32, 0, len(a.prefixList)), a.prefixList...)
 }
 
-// binFor resolves hour h to its ring slot, growing an archive window or
-// sliding a live one as needed (resetting every slot slid over), and
-// claims the slot if its previous occupant was evicted. It returns -1 when
-// h is too late for the current window — including implausibly far-future
-// hours (>= MaxWindowHours: a forged timestamp or garbage exporter clock
-// must not grow an archive ring past the length reads accept back, nor
-// slide a live window over every real bin). The caller counts the record
-// (or merged bin) as Late. Shared by ingest and Merge so the two advance
-// the window byte-identically.
-func (a *Analytics) binFor(h int) int {
-	if h >= MaxWindowHours {
-		return -1
-	}
-	if a.cfg.Archive {
-		a.ensureArchiveWindow(h)
+// bin returns hour h's cell in the series, claimed, or nil when h counts
+// late: an hour before Origin's, one the window has left behind (h at
+// least WindowHours behind the newest hour of a windowed shard), or one
+// at or past MaxWindowHours — a forged timestamp or garbage exporter
+// clock must neither widen an archive past what reads accept back nor
+// slide a window over every real bin. An hour past the newest slides a
+// windowed shard's window, dropping the hours it leaves; an archive never
+// drops one and widens its window instead. Ingest, Merge and FromSnapshot
+// all bin through here, so they advance the window alike.
+func (a *Analytics) bin(h int) *cell {
+	if h < 0 || h >= MaxWindowHours {
+		return nil
 	}
 	w := a.cfg.WindowHours
-	switch {
-	case a.maxHour >= 0 && h <= a.maxHour-w:
-		return -1
-	case h > a.maxHour:
-		// Reset every slot the window slides over (at most w of them).
-		from := a.maxHour + 1
-		if from < h-w+1 {
-			from = h - w + 1
+	if a.cfg.Archive {
+		lo := h
+		if !a.hours.empty() {
+			lo = min(lo, a.hours.first)
 		}
-		for k := from; k <= h; k++ {
-			a.binHour[k%w] = -1
+		// The window an archive encodes: WindowHours while its span fits,
+		// else the span rounded up, a function of the span alone.
+		if span := max(a.maxHour, h) - lo + 1; span > w {
+			a.cfg.WindowHours = (span + archiveGrowQuantum - 1) / archiveGrowQuantum * archiveGrowQuantum
 		}
+	} else if a.maxHour >= 0 && h <= a.maxHour-w {
+		return nil
+	}
+	if h > a.maxHour {
 		a.maxHour = h
+		if !a.cfg.Archive {
+			a.hours.drop(h - w + 1)
+		}
 	}
-	slot := h % w
-	if a.binHour[slot] != int32(h) {
-		a.binHour[slot] = int32(h)
-		a.binFlows[slot] = 0
-		a.binBytes[slot] = 0
-	}
-	a.curHour, a.curSlot = h, slot
-	return slot
+	return a.hours.claim(h)
 }
 
-// archiveGrowQuantum rounds archive-window growth up so a long capture
-// reallocates the ring O(span/quantum) times instead of once per new
-// hour. The rounded size is a function of the final hour span alone, so
-// marshaled archive state stays deterministic across arrival orders.
+// archiveGrowQuantum rounds an archive's window up, so the window a state
+// encodes moves once per 64 hours of span, not with every new hour. It is
+// a function of the final span alone, so marshaled archive state stays
+// deterministic across arrival orders.
 const archiveGrowQuantum = 64
-
-// ensureArchiveWindow widens an Archive shard's ring so hour h fits
-// without evicting any populated bin. A no-op for live (sliding) shards.
-func (a *Analytics) ensureArchiveWindow(h int) {
-	if !a.cfg.Archive {
-		return
-	}
-	lo, hi := h, h
-	if a.archiveMin >= 0 && a.archiveMin < lo {
-		lo = a.archiveMin
-	}
-	if a.maxHour > hi {
-		hi = a.maxHour
-	}
-	if need := hi - lo + 1; need > a.cfg.WindowHours {
-		w := (need + archiveGrowQuantum - 1) / archiveGrowQuantum * archiveGrowQuantum
-		hour := make([]int32, w)
-		flows := make([]float64, w)
-		bytes := make([]float64, w)
-		for i := range hour {
-			hour[i] = -1
-		}
-		for s, bh := range a.binHour {
-			if bh >= 0 {
-				d := int(bh) % w
-				hour[d] = bh
-				flows[d] = a.binFlows[s]
-				bytes[d] = a.binBytes[s]
-			}
-		}
-		a.binHour, a.binFlows, a.binBytes = hour, flows, bytes
-		a.cfg.WindowHours = w
-		// The ring was reshaped: every memoized slot is stale.
-		a.curHour = -1
-	}
-	if a.archiveMin < 0 || h < a.archiveMin {
-		a.archiveMin = h
-	}
-}
 
 // Watermark returns the newest record start timestamp binned into this
 // shard (the freshness watermark), or the zero time before any.
@@ -421,73 +354,23 @@ func (a *Analytics) Watermark() time.Time {
 	return time.Unix(0, a.newestNano)
 }
 
-// sortedBins returns the populated window bins, oldest hour first — the
-// canonical bin order Merge folds in and MarshalBinary persists. Hour h
-// lives in slot h mod w and the window holds the w hours ending at
-// maxHour, so walking the ring from the slot after maxHour's meets the
-// hours in ascending order: no sort, and only the populated count is
-// allocated.
-func (a *Analytics) sortedBins() []hourBin {
-	n := 0
-	for _, h := range a.binHour {
-		if h >= 0 {
-			n++
-		}
-	}
-	bins := make([]hourBin, 0, n)
-	w := len(a.binHour)
-	s := 0
-	if a.maxHour >= 0 {
-		s = (a.maxHour + 1) % w
-	}
-	for range w {
-		if h := a.binHour[s]; h >= 0 {
-			bins = append(bins, hourBin{hour: int(h), flows: a.binFlows[s], bytes: a.binBytes[s]})
-		}
-		if s++; s == w {
-			s = 0
-		}
-	}
-	return bins
-}
-
 // Snapshot reports this shard's aggregates alone. A view across shards is
-// a merge first: the pipeline folds its lanes into a fresh shard, one lane
-// lock at a time, and snapshots that (ingest.Pipeline.Snapshot).
+// a fold of their states (FoldWindow), which is how the durable store
+// renders its base and tails.
 func (a *Analytics) Snapshot() *Snapshot { return a.snapshot() }
 
-// Bounds reports the populated hour coverage of the sliding window as
-// inclusive hour indices relative to Origin. ok is false when no kept
-// record has landed in the window yet. The durable store records the
-// bounds as checkpoint-frame metadata for time-range frame selection,
-// and consults the live tails' bounds on every ETag derivation
-// (store.Version) — which is why the Archive fast path below matters.
+// Bounds reports the populated hour coverage of the window as inclusive
+// hour indices relative to Origin: the oldest bin and the newest hour.
+// ok is false when no kept record has landed in the window yet. The
+// durable store records the bounds as checkpoint-frame metadata for
+// time-range frame selection, and consults the live tails' bounds on
+// every ETag derivation (store.Version), under its append mutex: both
+// ends are tracked, so it is O(1).
 func (a *Analytics) Bounds() (minHour, maxHour int, ok bool) {
-	if a.maxHour < 0 {
+	if a.hours.empty() {
 		return 0, 0, false
 	}
-	if a.cfg.Archive {
-		// Archive shards never evict, so the tracked extremes are exact:
-		// archiveMin is the lowest binned hour and the bin at maxHour is
-		// populated by construction. O(1) instead of a ring scan — the
-		// store calls this under its append mutex on every API request.
-		if a.archiveMin < 0 {
-			return 0, 0, false
-		}
-		return a.archiveMin, a.maxHour, true
-	}
-	minHour = -1
-	for _, h := range a.binHour {
-		if h >= 0 && (minHour < 0 || int(h) < minHour) {
-			minHour = int(h)
-		}
-	}
-	if minHour < 0 {
-		// Every ring slot is empty: records advanced maxHour but their
-		// own buckets were since evicted, or only Merge moved the window.
-		return 0, 0, false
-	}
-	return minHour, a.maxHour, true
+	return a.hours.first, a.maxHour, true
 }
 
 // clipHours returns the inclusive range of hour indexes h with
@@ -529,11 +412,9 @@ func (a *Analytics) render(lo, hi int) *Snapshot {
 		s.SeriesStart = lo
 		s.Hours = make([]HourPoint, 0, hi-lo+1)
 		for h := lo; h <= hi; h++ {
-			slot := h % cfg.WindowHours
 			p := HourPoint{Hour: h, Time: cfg.Origin.Add(time.Duration(h) * time.Hour)}
-			if a.binHour[slot] == int32(h) {
-				p.Flows = a.binFlows[slot]
-				p.Bytes = a.binBytes[slot]
+			if c := a.hours.at(h); c != nil {
+				p.Flows, p.Bytes = c.flows, c.bytes
 			}
 			s.Hours = append(s.Hours, p)
 		}

@@ -410,5 +410,22 @@ func TestImplausibleTimestampCountsLate(t *testing.T) {
 		if a.cfg.WindowHours > MaxWindowHours {
 			t.Fatalf("archive=%v: window grew past the cap: %d", archive, a.cfg.WindowHours)
 		}
+
+		// A restored state may hold a bin past the cap; a record for its
+		// hour still counts late.
+		past := MaxWindowHours + 1
+		st := Stored{window: 4, maxHour: past, bins: []hourBin{{hour: past, flows: 1, bytes: 1}}}
+		blob, err := st.AppendBinary(nil, entime.StudyStart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := UnmarshalAnalyticsStored(Config{Archive: archive}, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(time.Duration(past)*time.Hour), client(3), 100)})
+		if snap := r.Snapshot(); snap.Late != 1 || snap.Hours[len(snap.Hours)-1].Flows != 1 {
+			t.Fatalf("archive=%v: a record past the cap joined a restored bin: late %d, %+v", archive, snap.Late, snap.Hours[len(snap.Hours)-1])
+		}
 	}
 }
