@@ -41,7 +41,7 @@ fmt:
 # read, and is only ever lowered. A PR that grows the stack past it fails
 # here and either finds the lines to delete or argues the new bar in
 # review.
-SERVING_LOC_MAX = 14145
+SERVING_LOC_MAX = 14143
 SERVING_DIRS = internal/api internal/cluster internal/ingest internal/nfv9 internal/obs internal/sketch internal/store internal/streaming internal/tier internal/wire cmd/collectord cmd/queryrouterd
 loc:
 	@total=0; for d in $(SERVING_DIRS); do \
@@ -91,13 +91,16 @@ bench-store:
 	$(GO) test -run XXX -bench 'BenchmarkStoreAppend|BenchmarkQueryRange' -benchmem ./internal/store/
 	$(GO) test -run XXX -bench BenchmarkTailIngest -benchmem ./internal/streaming/
 
-# The two halves of an API miss in isolation: value to body (marshalBody:
+# The two halves of an API miss in isolation: value to body (renderBody:
 # 1-day, 30-day and year-span hour answers naming geo.Germany()'s 401
-# districts, umlauts included; B/op beside body_B is the one copy a
-# render keeps, allocs/op what is left of encoding/json) and body to
-# wire (writeBody: gzip with the block cache warm, gzip-cold with it
-# empty, identity; wire_B/op beside ns/op). Cached, uncached and
-# conditional reads under live ingest are the harness's mixed_steady.
+# districts, umlauts included; /first is a question's first sighting,
+# rendered in scratch and written from there, B/op near 0; /kept adds
+# the one copy the response cache makes of a body asked for twice, B/op
+# beside body_B; allocs/op is what is left of encoding/json) and body to
+# wire (writeBody: gzip of a kept body, its blocks' deflate copied,
+# gzip-first of a first sighting, compressed as one run, identity;
+# wire_B/op beside ns/op). Cached, uncached and conditional reads under
+# live ingest are the harness's mixed_steady.
 bench-api:
 	$(GO) test -run XXX -bench 'BenchmarkMarshalBody|BenchmarkWriteBody' -benchmem ./internal/api/
 

@@ -31,11 +31,12 @@ func (w *wireCounter) Write(p []byte) (int, error) { w.n += len(p); return len(p
 
 // BenchmarkWriteBody is the client edge in isolation: one rendered
 // hour-resolution answer (a 1-day panel, a year-span one) through
-// writeBody, with gzip accepted and refused. The bodies come out of
-// renderBody: gzip is the steady state, a body whose closed blocks the
-// block cache holds and whose deflate is therefore copied, and gzip-cold
-// one that met every block for the first time and is compressed as one
-// run (the one-day body has no closed block and no such case).
+// writeBody, with gzip accepted and refused. gzip and identity write a
+// kept body, the response cache's from a question's second sighting on:
+// its closed blocks are kept too, so their deflate is copied. gzip-first
+// writes a first sighting, from the room it was rendered in, with no
+// copy made: it met every block for the first time and is compressed as
+// one run (the one-day body has no closed block and no such case).
 // wire_B/op next to ns/op is the trade the compression level and the
 // stitching make; the harness measures the same path end to end.
 func BenchmarkWriteBody(b *testing.B) {
@@ -56,29 +57,29 @@ func BenchmarkWriteBody(b *testing.B) {
 		}
 		resp := &v1.QueryResponse{From: res.From, To: res.To, Frames: res.Frames,
 			Snapshot: v1.NewSnapshot(res.Snapshot(), v1.AllFields, 0)}
-		cold, err := renderBody(resp, false, newBlockCache(blockBytes))
+		first, err := renderBody(nil, resp, false, newBlockCache(blockBytes))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(cold.body) < gzipMinBytes {
-			b.Fatalf("%s body is %d B, too small to compress", span.name, len(cold.body))
+		if len(first.body) < gzipMinBytes {
+			b.Fatalf("%s body is %d B, too small to compress", span.name, len(first.body))
 		}
-		warm := cold
+		var again built
 		for i := 0; i < 2; i++ { // a block is kept from its second sighting on
-			if warm, err = renderBody(resp, false, s.blocks); err != nil {
+			if again, err = renderBody(nil, resp, false, s.blocks); err != nil {
 				b.Fatal(err)
 			}
 		}
-		for _, enc := range []string{"gzip", "gzip-cold", "identity"} {
-			body := warm
-			if enc == "gzip-cold" {
-				if body = cold; len(warm.cuts) == 0 {
+		for _, enc := range []string{"gzip", "gzip-first", "identity"} {
+			body := kept(again)
+			if enc == "gzip-first" {
+				if body = first; len(again.cuts) == 0 {
 					continue
 				}
 			}
 			b.Run(span.name+"/"+enc, func(b *testing.B) {
 				r := httptest.NewRequest(http.MethodGet, "/api/v1/query", nil)
-				r.Header.Set("Accept-Encoding", strings.TrimSuffix(enc, "-cold"))
+				r.Header.Set("Accept-Encoding", strings.TrimSuffix(enc, "-first"))
 				w := &wireCounter{h: http.Header{}}
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -116,12 +117,15 @@ func hourAnswer(hours int) *v1.QueryResponse {
 
 // BenchmarkMarshalBody is the render stage in isolation: an
 // hour-resolution answer of one day, one month and one year (hourAnswer)
-// from value to cached bytes — in the steady state of a polled panel,
-// its closed blocks kept and spliced, and cold, every row rendered.
-// Either way the body is rendered in scratch and copied out once: B/op
-// beside body_B is that one allocation of the body's size, and
-// allocs/op is what the append encoder leaves of encoding/json.
+// from value to bytes — in the steady state of a polled panel, its
+// closed blocks kept and spliced, and cold, every row rendered. The body
+// is rendered in room an earlier render left: first is a question's
+// first sighting, written from that room, and allocates nothing of the
+// body's size; kept adds the one copy the response cache makes of a
+// body whose question came back, so its B/op is body_B. allocs/op is
+// what the append encoder leaves of encoding/json.
 func BenchmarkMarshalBody(b *testing.B) {
+	defer func() { keptSink = built{} }()
 	for _, hours := range []int{24, 720, 8736} {
 		resp := hourAnswer(hours)
 		for _, cold := range []bool{false, true} {
@@ -132,24 +136,34 @@ func BenchmarkMarshalBody(b *testing.B) {
 			} else {
 				blocks = newBlockCache(blockBytes)
 			}
-			b.Run(name, func(b *testing.B) {
-				var body built
-				for i := 0; i < 3; i++ { // a block is kept from its second sighting on
-					var err error
-					if body, err = renderBody(resp, false, blocks); err != nil {
-						b.Fatal(err)
-					}
+			var room []byte
+			for i := 0; i < 3; i++ { // a block is kept from its second sighting on
+				body, err := renderBody(room[:0], resp, false, blocks)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.SetBytes(int64(len(body.body)))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := renderBody(resp, false, blocks); err != nil {
-						b.Fatal(err)
+				room = body.body
+			}
+			for _, keep := range []bool{false, true} {
+				b.Run(name+map[bool]string{false: "/first", true: "/kept"}[keep], func(b *testing.B) {
+					b.SetBytes(int64(len(room)))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						body, err := renderBody(room[:0], resp, false, blocks)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if keep {
+							keptSink = kept(body)
+						}
 					}
-				}
-				b.ReportMetric(float64(len(body.body)), "body_B")
-			})
+					b.ReportMetric(float64(len(room)), "body_B")
+				})
+			}
 		}
 	}
 }
+
+// keptSink holds BenchmarkMarshalBody's copies, so that none is optimized away.
+var keptSink built

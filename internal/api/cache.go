@@ -1,25 +1,27 @@
 package api
 
 import (
+	"bytes"
+	"context"
 	"fmt"
-	"slices"
 	"sync"
 
-	v1 "cwatrace/internal/api/v1"
 	"cwatrace/internal/obs"
 )
 
-// respCache is the concurrent single-flight response cache: one rendered
-// body per question — the endpoint and canonical request parameters,
-// the strings etagFor hashes — with the strong ETag of that body kept
-// inside the entry, the way client.Client keeps one validated body per
-// URL on the other side of the shard hop. N identical dashboard hits
-// between data changes cost one serialization: the first request
-// marshals, everyone else — concurrent or later — gets the cached bytes.
-// A question asked under a tag its entry does not answer replaces the
-// entry: under ingest a superseded answer is never asked for again, so
-// the cache holds at most one body per question and max bounds
-// questions.
+// respCache is the concurrent single-flight response cache: one entry
+// per question — the endpoint and canonical request parameters, the
+// strings etagFor hashes — with the strong ETag of its body inside, the
+// way client.Client keeps one validated body per URL on the other side
+// of the shard hop. A question asked under a tag its entry does not
+// answer replaces the entry, so max bounds questions and bodies alike.
+//
+// A body is kept from its second sighting under one tag, the block
+// cache's rule (gzip.go), and a request that waits on another's fill is
+// a second sighting too. The first answer is written from the room it
+// was rendered in and leaves only its tag: under ingest, and in a cold
+// working set, an answer is rarely asked for again, and then costs one
+// render, one write and no memory.
 type respCache struct {
 	mu      sync.Mutex
 	max     int
@@ -32,27 +34,22 @@ type respCache struct {
 	misses *obs.Counter
 }
 
-// cacheEntry is one body being (or done being) marshaled. ready is
-// closed once the body, its tag and err are set; waiters block on it,
-// which is the single-flight collapse.
+// cacheEntry is one question's last answer: being built, built once (its
+// tag noted, no body), or kept. ready is closed once the fill has ended
+// and a kept body is in place; waiters block on it, which is the
+// single-flight collapse.
 type cacheEntry struct {
 	ready chan struct{}
 	built
-	// asked is the tag of the lookup that started the fill.
-	asked string
-	// tag is the strong ETag of the body, set under the cache's mu when
-	// the fill ends; empty while it runs and after it failed.
-	tag     string
-	err     error
-	lastUse uint64
-	again   bool // the second build under one tag (see unkept)
-}
-
-// unkept reports a finished body that met closed blocks for the first
-// time: they are kept from their second sighting on, so the next request
-// builds it once more instead of every one deflating it whole.
-func (e *cacheEntry) unkept() bool {
-	return e.tag != "" && !e.again && slices.ContainsFunc(e.cuts, func(c v1.Cut) bool { return c.Block == nil })
+	// asked is the tag of the lookup that started the fill; tag is the
+	// body's, set under the cache's mu when the fill ends (empty while
+	// it runs and after it failed).
+	asked, tag string
+	err        error
+	lastUse    uint64
+	// seen marks a second sighting: the fill was started by one, or a
+	// waiter joined it. keep is set when a fill that was seen ends.
+	seen, keep bool
 }
 
 // respCacheEntries bounds a server's response cache. It is a constant
@@ -64,43 +61,57 @@ func newRespCache(max int) *respCache {
 	return &respCache{max: max, entries: make(map[string]*cacheEntry)}
 }
 
-// get returns the entry answering question under tag, running fill
-// exactly once per (question, tag) across concurrent callers. An entry
-// answers when it was started for tag or holds a body under it; any
-// other entry of the question is replaced, and whoever still waits on
-// the replaced one gets its body. fill reports the tag of the body it
-// built, which may be newer than the one asked for; a failed fill is not
-// kept — the next request builds again. The entry outlives the request
-// by up to max-1 other questions: fill hands over a body copied out of
-// the room it was rendered in (rendered).
-func (c *respCache) get(question, tag string, fill func() (built, string, error)) (*cacheEntry, error) {
+// get answers question under tag, running fill at most once per
+// (question, tag) across concurrent callers. An entry answers when it
+// was started for tag or holds a body under it: a lookup waits for its
+// fill — or for ctx to end, which returns ctx's error — or hits its kept
+// body. An entry built once under tag is built again and kept; any other
+// entry of the question is replaced, and whoever still waits on the
+// replaced one gets its body. fill reports the tag of the body it built,
+// which may be newer than the one asked for; a failed fill is not kept.
+// A body not kept is returned as fill built it, in fill's room.
+func (c *respCache) get(ctx context.Context, question, tag string, fill func() (built, string, error)) (built, string, error) {
 	c.mu.Lock()
 	c.clock++
 	was, ok := c.entries[question]
-	same := ok && (was.asked == tag || was.tag == tag)
-	if same && !was.unkept() {
-		was.lastUse = c.clock
+	again := ok && (was.asked == tag || was.tag == tag)
+	if again && (was.keep || was.tag == "") {
+		was.lastUse, was.seen = c.clock, true
 		c.mu.Unlock()
 		c.hits.Inc()
-		<-was.ready
-		return was, was.err
+		select {
+		case <-was.ready:
+			return was.built, was.tag, was.err
+		case <-ctx.Done():
+			return built{}, "", ctx.Err()
+		}
 	}
-	e := &cacheEntry{ready: make(chan struct{}), asked: tag, lastUse: c.clock, again: same}
+	e := &cacheEntry{ready: make(chan struct{}), asked: tag, lastUse: c.clock, seen: again}
 	c.entries[question] = e
 	c.evictLocked()
 	c.mu.Unlock()
 	c.misses.Inc()
 
-	var own string
-	e.built, own, e.err = runFill(fill)
+	b, own, err := runFill(fill)
 	c.mu.Lock()
-	e.tag = own
-	if e.err != nil && c.entries[question] == e {
+	e.tag, e.err = own, err
+	e.keep = err == nil && e.seen
+	if err != nil && c.entries[question] == e {
 		delete(c.entries, question)
 	}
 	c.mu.Unlock()
+	if e.keep { // lookups that come now wait on ready for the copy
+		e.built = kept(b)
+		b = e.built
+	}
 	close(e.ready)
-	return e, e.err
+	return b, own, err
+}
+
+// kept is b with its body copied out of its room, exactly sized.
+func kept(b built) built {
+	b.body = bytes.Clone(b.body)[:len(b.body):len(b.body)]
+	return b
 }
 
 // runFill runs fill. A panicking fill is a failed one, so that it still
@@ -122,14 +133,10 @@ func runFill(fill func() (built, string, error)) (b built, tag string, err error
 // still get the filled body; only future lookups miss.
 func (c *respCache) evictLocked() {
 	for len(c.entries) > c.max {
-		var (
-			oldestKey string
-			oldest    uint64
-			found     bool
-		)
+		oldestKey, oldest := "", ^uint64(0) // every lastUse is a tick of clock, from 1
 		for k, e := range c.entries {
-			if !found || e.lastUse < oldest {
-				oldestKey, oldest, found = k, e.lastUse, true
+			if e.lastUse < oldest {
+				oldestKey, oldest = k, e.lastUse
 			}
 		}
 		delete(c.entries, oldestKey)

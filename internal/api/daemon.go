@@ -19,18 +19,19 @@ import (
 // /debug/traces and /debug/events behind the shared middleware, plus,
 // when pprofOn, the runtime profiles under /debug/pprof — opt-in: they
 // reveal internals and cost CPU, so a production daemon keeps them off
-// unless a human is debugging. All of it shares the API's listener: bind
-// that to loopback or an internal interface, never publicly.
+// unless a human is debugging; they run as long as asked, so without the
+// request deadline. All of it shares the API's listener: bind that to
+// loopback or an internal interface, never publicly.
 func (s *Server) MountTelemetry(metrics, traces, events http.Handler, pprofOn bool) {
 	s.Handle("/metrics", metrics)
 	s.Handle("/debug/traces", traces)
 	s.Handle("/debug/events", events)
 	if pprofOn {
-		s.Handle("/debug/pprof/", http.HandlerFunc(pprof.Index))
-		s.Handle("/debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline))
-		s.Handle("/debug/pprof/profile", http.HandlerFunc(pprof.Profile))
-		s.Handle("/debug/pprof/symbol", http.HandlerFunc(pprof.Symbol))
-		s.Handle("/debug/pprof/trace", http.HandlerFunc(pprof.Trace))
+		s.mux.Handle("/debug/pprof/", s.readOnly(pprof.Index))
+		s.mux.Handle("/debug/pprof/cmdline", s.readOnly(pprof.Cmdline))
+		s.mux.Handle("/debug/pprof/profile", s.readOnly(pprof.Profile))
+		s.mux.Handle("/debug/pprof/symbol", s.readOnly(pprof.Symbol))
+		s.mux.Handle("/debug/pprof/trace", s.readOnly(pprof.Trace))
 	}
 }
 

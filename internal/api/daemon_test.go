@@ -1,9 +1,11 @@
 package api
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"syscall"
@@ -151,5 +153,28 @@ func TestPeerStuckInItsRequestLineIsHungUpOn(t *testing.T) {
 	}
 	if err := <-served; err != nil {
 		t.Fatalf("ServeUntilSignal: %v", err)
+	}
+}
+
+// TestProfileOutlivesTheRequestDeadline pins the one mount without the
+// request deadline: a CPU profile asked for longer than Config.Timeout
+// comes back whole. Behind the edge timeout that wrapped every mount, it
+// answered 503 timeout at the deadline (after 30 s for the default
+// profile).
+func TestProfileOutlivesTheRequestDeadline(t *testing.T) {
+	s, err := New(Config{History: sampleStore(t, 1), Timeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.MountTelemetry(http.NotFoundHandler(), http.NotFoundHandler(), http.NotFoundHandler(), true)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	start := time.Now()
+	resp, body := get(t, ts.URL+"/debug/pprof/profile?seconds=1", nil)
+	if took := time.Since(start); resp.StatusCode != http.StatusOK || took < time.Second {
+		t.Fatalf("profile: status %d after %v, want 200 after the second asked for", resp.StatusCode, took)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" || !bytes.HasPrefix(body, []byte{0x1f, 0x8b}) {
+		t.Fatalf("profile: %q, %d bytes, want a gzipped profile", ct, len(body))
 	}
 }

@@ -186,6 +186,9 @@ func (s *Server) handleFanQuery(w http.ResponseWriter, r *http.Request, p reqPar
 // with Cache-Control: no-store and no validator — a partial body must
 // never 304-revalidate, be cached, or be replayed as a complete one.
 func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, params string, res *FanResult, err error, pretty bool, build func() any) {
+	if s.late(w, r) {
+		return
+	}
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "fan-out failed", err.Error())
 		return
@@ -200,8 +203,8 @@ func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, p
 		s.writeJSON(w, r, http.StatusPartialContent, build(), pretty)
 		return
 	}
-	s.serveCached(w, r, endpoint, params, func() uint64 { return res.Version }, jsonMediaType, func() (built, error) {
-		b, err := renderBody(build(), pretty, s.blocks)
+	s.serveCached(w, r, endpoint, params, func() uint64 { return res.Version }, jsonMediaType, func(room []byte) (built, error) {
+		b, err := renderBody(room, build(), pretty, s.blocks)
 		b.version = res.Version
 		return b, err
 	})

@@ -137,8 +137,9 @@ func TestFanoutValidatedRoundTrip(t *testing.T) {
 // through a router: every gather of a fleet under ingest carries a
 // composite version no earlier one had, so every poll is one miss and
 // one build, leaves under the tag of its own gather, and replaces the
-// body the poll before left for its question — the cache holds one body
-// per question however many answers went by.
+// entry the poll before left for its question — the cache notes one tag
+// per question however many answers went by, and keeps no body, since
+// none was asked for twice.
 func TestFanoutOneBuildPerPollUnderIngest(t *testing.T) {
 	f := &fakeFanout{shards: 2, moving: true, res: FanResult{Snapshot: emptySnap()}}
 	s, err := New(Config{Fanout: f, Metrics: obs.NewRegistry()})
@@ -166,18 +167,26 @@ func TestFanoutOneBuildPerPollUnderIngest(t *testing.T) {
 	if built := s.m.cacheMisses.Value(); built != polls || s.m.cacheHits.Value() != 0 {
 		t.Fatalf("%d polls cost %d builds and %d hits, want one build each", polls, built, s.m.cacheHits.Value())
 	}
-	if kept := cachedQuestions(s); kept != len(urls) {
-		t.Fatalf("%d polls of %d questions left %d cached bodies", polls, len(urls), kept)
+	if noted, kept := cachedQuestions(s); noted != len(urls) || kept != 0 {
+		t.Fatalf("%d polls of %d questions left %d cache entries and %d kept bodies", polls, len(urls), noted, kept)
 	}
 
-	// At rest the one kept body is the answer: a hit, and its tag a 304.
+	// At rest the last answer is asked for again: its second sighting
+	// builds it once more under the same tag and keeps it, the next ask
+	// is a hit, and its tag a 304.
 	f.moving = false
 	f.res.Version = f.gathers.Load()
-	w := fanGet(t, s, urls[(polls-1)%len(urls)], nil)
-	if w.Code != 200 || w.Header().Get("ETag") != last[(polls-1)%len(urls)] || s.m.cacheHits.Value() != 1 {
-		t.Fatalf("at rest: status %d, ETag %q, %d hits", w.Code, w.Header().Get("ETag"), s.m.cacheHits.Value())
+	url, tag := urls[(polls-1)%len(urls)], last[(polls-1)%len(urls)]
+	for ask, hits := range []uint64{0, 1} {
+		w := fanGet(t, s, url, nil)
+		if w.Code != 200 || w.Header().Get("ETag") != tag || s.m.cacheHits.Value() != hits || s.m.cacheMisses.Value() != polls+1 {
+			t.Fatalf("at rest, ask %d: status %d, ETag %q, %v builds and %v hits", ask, w.Code, w.Header().Get("ETag"), s.m.cacheMisses.Value(), s.m.cacheHits.Value())
+		}
 	}
-	if w := fanGet(t, s, urls[(polls-1)%len(urls)], map[string]string{"If-None-Match": w.Header().Get("ETag")}); w.Code != 304 {
+	if _, kept := cachedQuestions(s); kept != 1 {
+		t.Fatalf("at rest: %d kept bodies, want 1", kept)
+	}
+	if w := fanGet(t, s, url, map[string]string{"If-None-Match": tag}); w.Code != 304 {
 		t.Fatalf("at rest: revalidation answered %d", w.Code)
 	}
 }

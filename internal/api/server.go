@@ -2,7 +2,7 @@
 // the typed /api/v1/{snapshot,query,health,stats} endpoints (wire
 // schema in internal/api/v1) — the only surface; any other path is the
 // mux's 404 — and the middleware they share: method enforcement, request
-// timeouts, gzip, access logging, and the performance headline,
+// deadlines, gzip, access logging, and the performance headline,
 // conditional-GET caching. Every cacheable
 // response carries a strong ETag derived from the data-generation token
 // (store.Version) plus the request parameters; repeated reads and CDN
@@ -72,7 +72,7 @@ type Config struct {
 	// Log receives one access-log line per request (nil disables access
 	// logging; write/encode errors still reach the standard logger).
 	Log *log.Logger
-	// Timeout bounds request handling (default 30s).
+	// Timeout is every request's deadline but a profile's (default 30s).
 	Timeout time.Duration
 	// Metrics, when set, registers the API telemetry on the registry
 	// (see metrics.go for the catalogue). Nil runs uninstrumented.
@@ -136,44 +136,8 @@ func New(cfg Config) (*Server, error) {
 	s.mux.Handle("/api/v1/stats", s.get(s.handleStats))
 	s.mux.Handle("/api/v1/", s.get(s.handleUnknown))
 
-	timeoutBody, _ := json.Marshal(v1.ErrorResponse{Error: &v1.Error{
-		Code:    v1.CodeTimeout,
-		Message: "request timed out",
-	}})
-	// The JSON default sits OUTSIDE the timeout handler: on a timeout,
-	// http.TimeoutHandler writes its body straight to the outer writer
-	// with no Content-Type, and content sniffing would label the error
-	// envelope text/plain. Every real handler sets its own type, which
-	// overrides this default on the normal path.
-	// The request-id middleware sits outermost so the id is in the
-	// context (and on the response) for everything below it, the access
-	// log included.
-	s.handler = s.requestID(s.accessLog(jsonDefault(http.TimeoutHandler(s.mux, cfg.Timeout, string(timeoutBody)))))
+	s.handler = s.accessLog(s.mux)
 	return s, nil
-}
-
-// requestID adopts a valid client-supplied X-Request-Id (a router
-// fanning out on behalf of a traced request) or mints one at this edge,
-// threads it through the context, and echoes it on the response so
-// callers learn the id their request traveled under.
-func (s *Server) requestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(obs.RequestIDHeader)
-		if !obs.ValidRequestID(id) {
-			id = obs.NewRequestID()
-		}
-		w.Header().Set(obs.RequestIDHeader, id)
-		next.ServeHTTP(w, r.WithContext(obs.WithRequestID(r.Context(), id)))
-	})
-}
-
-// jsonDefault pre-declares application/json so even the timeout
-// handler's synthesized envelope carries the right type.
-func jsonDefault(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		next.ServeHTTP(w, r)
-	})
 }
 
 // ServeHTTP implements http.Handler.
@@ -182,7 +146,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Handle mounts an extra GET endpoint behind the shared middleware
-// (method enforcement, timeout, access log).
+// (method enforcement, deadline, access log).
 func (s *Server) Handle(pattern string, h http.Handler) {
 	s.mux.Handle(pattern, s.get(h.ServeHTTP))
 }
@@ -223,8 +187,11 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// accessLog wraps the stack with per-request logging, the per-endpoint
-// metrics, and the slow-query log. The line format is part of the
+// accessLog wraps the stack with the request id, per-request logging,
+// the per-endpoint metrics, and the slow-query log. It adopts a valid
+// client-supplied X-Request-Id (a router fanning out on behalf of a
+// traced request) or mints one, threads it through the context and
+// echoes it on the response. The line format is part of the
 // operational contract (TestAccessLogFormat pins it):
 //
 //	METHOD REQUEST-URI STATUS BYTESB DURATIONus id=REQUEST-ID
@@ -236,19 +203,23 @@ func (s *Server) accessLog(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
-		// The root span shares the request id as its trace id (the
-		// requestID middleware outside us already threaded it), named by
+		id := r.Header.Get(obs.RequestIDHeader)
+		if !obs.ValidRequestID(id) {
+			id = obs.NewRequestID()
+		}
+		w.Header().Set(obs.RequestIDHeader, id)
+		ctx := obs.WithRequestID(r.Context(), id)
+		// The root span shares the request id as its trace id, named by
 		// the same endpoint vocabulary as the metrics, and parented under
 		// a fanning-out router's span when X-Trace-Parent arrived with
 		// the request.
 		var sp *obs.Span
 		if s.cfg.Tracer != nil {
 			parent, _ := obs.ParseSpanID(r.Header.Get(obs.TraceParentHeader))
-			var ctx context.Context
-			ctx, sp = s.cfg.Tracer.StartTrace(r.Context(), endpointLabel(r.URL.Path), parent)
+			ctx, sp = s.cfg.Tracer.StartTrace(ctx, endpointLabel(r.URL.Path), parent)
 			sp.Set(obs.Str("method", r.Method), obs.Str("uri", r.URL.RequestURI()))
-			r = r.WithContext(ctx)
 		}
+		r = r.WithContext(ctx)
 		s.m.inFlight.Add(1)
 		next.ServeHTTP(sw, r)
 		s.m.inFlight.Add(-1)
@@ -256,7 +227,6 @@ func (s *Server) accessLog(next http.Handler) http.Handler {
 			sw.status = http.StatusOK
 		}
 		dur := time.Since(start)
-		id := obs.RequestID(r.Context())
 		if sp != nil {
 			sp.SetStatus(sw.status)
 			sp.Set(obs.Int("bytes", int64(sw.bytes)))
@@ -285,9 +255,19 @@ func (s *Server) accessLog(next http.Handler) http.Handler {
 	})
 }
 
-// get enforces the read-only method contract: anything but GET/HEAD is
-// 405 with an Allow header and the structured error envelope.
+// get is readOnly under the request's deadline (Config.Timeout): the one
+// context every wait below selects on, checked before a body goes (late).
 func (s *Server) get(h http.HandlerFunc) http.Handler {
+	return s.readOnly(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+		defer cancel()
+		h(w, r.WithContext(ctx))
+	})
+}
+
+// readOnly enforces the read-only method contract: anything but GET/HEAD
+// is 405 with an Allow header and the structured error envelope.
+func (s *Server) readOnly(h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
 			w.Header().Set("Allow", "GET, HEAD")
@@ -297,6 +277,16 @@ func (s *Server) get(h http.HandlerFunc) http.Handler {
 		}
 		h(w, r)
 	})
+}
+
+// late answers the timeout envelope, not what was built, once r's
+// deadline has passed (by the clock: a timer may fire late) or its client left.
+func (s *Server) late(w http.ResponseWriter, r *http.Request) bool {
+	if dl, ok := r.Context().Deadline(); r.Context().Err() == nil && (!ok || time.Now().Before(dl)) {
+		return false
+	}
+	s.writeError(w, http.StatusServiceUnavailable, v1.CodeTimeout, "request timed out", "")
+	return true
 }
 
 // errorf reports server-side I/O problems. It prefers the configured
@@ -412,16 +402,16 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	version := func() uint64 { return s.cfg.History.Version(time.Time{}, time.Time{}) }
-	s.serveCached(w, r, "v1/snapshot", p.key(), version, p.mediaType(), func() (b built, err error) {
+	s.serveCached(w, r, "v1/snapshot", p.key(), version, p.mediaType(), func(room []byte) (b built, err error) {
 		if p.state {
 			res := s.cfg.History.SnapshotResult()
 			st, origin := res.State()
-			b.body, err = encodeState(st, origin, res)
+			b.body, err = encodeState(room, st, origin, res)
 			b.version = res.Version
 			return b, err
 		}
 		snap := s.cfg.History.Snapshot()
-		b, err = renderBody(v1.NewSnapshot(snap, p.fields, p.top), p.pretty, s.blocks)
+		b, err = renderBody(room, v1.NewSnapshot(snap, p.fields, p.top), p.pretty, s.blocks)
 		b.version = snap.Version
 		return b, err
 	})
@@ -454,7 +444,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	version := func() uint64 { return s.cfg.History.Version(from, to) }
-	s.serveCached(w, r, "v1/query", key, version, p.mediaType(), func() (built, error) {
+	s.serveCached(w, r, "v1/query", key, version, p.mediaType(), func(room []byte) (built, error) {
 		res, err := s.cfg.History.QueryResolution(from, to, resolution)
 		if err != nil {
 			return built{}, err
@@ -462,9 +452,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var b built
 		if p.state {
 			st, origin := res.State()
-			b.body, err = encodeState(st, origin, res)
+			b.body, err = encodeState(room, st, origin, res)
 		} else {
-			b, err = renderBody(&v1.QueryResponse{
+			b, err = renderBody(room, &v1.QueryResponse{
 				From:         res.From,
 				To:           res.To,
 				Frames:       res.Frames,
@@ -517,17 +507,18 @@ type built struct {
 // serveCached is the one conditional-GET core, of a collector's
 // endpoints and of a router's complete fan-outs alike: derive the strong
 // ETag from (endpoint, params, data generation), answer If-None-Match
-// hits with a bodyless 304, and otherwise serve the marshaled body out
-// of the single-flight cache, which holds one body per question — N
-// identical hits between data changes cost one serialization.
+// hits with a bodyless 304, and otherwise serve the body through the
+// single-flight cache, which keeps one body per question once it is
+// asked again: N identical hits between data changes cost at most two
+// builds.
 //
 // A strong ETag promises byte-identical bodies, so a body goes out under
 // the tag of the version stamped on it, not of the version() read for
 // If-None-Match and the lookup: under ingest an append lands between any
 // two reads, and the stamp is read with the cut. One read, one build,
-// always a validator. build's body is the one allocation a miss makes
-// for it: rendered in scratch and copied out (rendered).
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, params string, version func() uint64, mediaType string, build func() (built, error)) {
+// always a validator. build renders into room from scratch, which the
+// body is written from: only a body the cache keeps is copied.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, params string, version func() uint64, mediaType string, build func(room []byte) (built, error)) {
 	h := w.Header()
 	h.Set("Cache-Control", "no-cache") // cacheable, but revalidate: ETags are the invalidation channel
 	h.Set("Vary", "Accept-Encoding")   // a 304 carries the Vary its 200 would (RFC 9110 §15.4.5)
@@ -537,24 +528,39 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, p
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	e, err := s.cache.get(endpoint+"?"+params, etag, func() (built, string, error) {
-		b, err := build()
+	room := scratch.Get().(*[]byte)
+	defer scratch.Put(room)
+	b, tag, err := s.cache.get(r.Context(), endpoint+"?"+params, etag, func() (built, string, error) {
+		b, err := build((*room)[:0])
+		if err == nil && cap(b.body) <= maxRoom {
+			*room = b.body
+		}
 		return b, etagFor(s.boot, endpoint, params, b.version), err
 	})
-	if err != nil {
+	switch {
+	case s.late(w, r):
+	case err != nil:
 		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "building response failed", err.Error())
-		return
+	default:
+		h.Set("ETag", tag)
+		s.writeBody(w, r, http.StatusOK, mediaType, b)
 	}
-	h.Set("ETag", e.tag)
-	s.writeBody(w, r, http.StatusOK, mediaType, e.built)
 }
 
-// writeJSON marshals and sends an uncached response.
+// writeJSON renders and sends an uncached response.
 func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any, pretty bool) {
-	b, err := renderBody(v, pretty, s.blocks)
+	if s.late(w, r) {
+		return
+	}
+	room := scratch.Get().(*[]byte)
+	defer scratch.Put(room)
+	b, err := renderBody((*room)[:0], v, pretty, s.blocks)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "encoding response failed", err.Error())
 		return
+	}
+	if cap(b.body) <= maxRoom {
+		*room = b.body
 	}
 	s.writeBody(w, r, status, jsonMediaType, b)
 }
@@ -606,11 +612,8 @@ func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, status int, m
 // writeError sends the structured error envelope every v1 failure path
 // uses.
 func (s *Server) writeError(w http.ResponseWriter, status int, code, message, detail string) {
-	b, err := renderBody(v1.ErrorResponse{Error: &v1.Error{Code: code, Message: message, Detail: detail}}, false, nil)
-	body := b.body
-	if err != nil { // cannot happen: the envelope always marshals
-		body = []byte(`{"error":{"code":"internal","message":"encoding error envelope failed"}}` + "\n")
-	}
+	body, _ := json.Marshal(v1.ErrorResponse{Error: &v1.Error{Code: code, Message: message, Detail: detail}}) // strings always marshal
+	body = append(body, '\n')
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("X-Content-Type-Options", "nosniff")
@@ -631,50 +634,36 @@ func (p reqParams) mediaType() string {
 	return jsonMediaType
 }
 
-// scratch is the room bodies are rendered in, kept between renders so
-// that a question asked the first time grows no buffer from nothing.
+// scratch is the room bodies are rendered in and written from, kept
+// between responses so that no body grows a buffer from nothing; room
+// grown past maxRoom (a pretty-printed year) is let go.
 var scratch = sync.Pool{New: func() any { return new([]byte) }}
 
-// rendered runs render in room from scratch and returns a copy of what
-// it appended (bytes.Clone: no zeroing first; its rounding clipped off).
-// Room grown past 4 MiB (a pretty-printed year) is let go.
-func rendered(render func(room []byte) ([]byte, error)) ([]byte, error) {
-	room := scratch.Get().(*[]byte)
-	defer scratch.Put(room)
-	b, err := render((*room)[:0])
-	if err != nil {
-		return nil, err
-	}
-	if cap(b) <= 4<<20 {
-		*room = b
-	}
-	return bytes.Clone(b)[:len(b):len(b)], nil
-}
+const maxRoom = 4 << 20
 
-// renderBody renders compact JSON (the default) or two-space indentation
-// under ?pretty=1, newline-terminated — a json.Encoder's bytes: the data
-// bodies through the v1 append encoder with their cuts (closed blocks
-// through blocks; an indented body has none), the envelopes through
-// encoding/json. The body is the one copy a render keeps (rendered).
-func renderBody(v any, pretty bool, blocks v1.Blocks) (b built, err error) {
-	b.body, err = rendered(func(body []byte) (_ []byte, err error) {
-		switch v := v.(type) {
-		case *v1.QueryResponse:
-			body, b.cuts, err = v.AppendJSON(body, blocks)
-		case *v1.Snapshot:
-			body, b.cuts, err = v.AppendJSON(body, blocks)
-		default:
-			var j []byte
-			j, err = json.Marshal(v)
-			body = append(body, j...)
-		}
-		if body = append(body, '\n'); err != nil || !pretty {
-			return body, err
-		}
-		var buf bytes.Buffer
-		b.cuts, err = nil, json.Indent(&buf, body, "", "  ")
-		return buf.Bytes(), err
-	})
+// renderBody appends compact JSON (the default), or two-space
+// indentation under ?pretty=1, newline-terminated, to room — a
+// json.Encoder's bytes: the data bodies through the v1 append encoder
+// with their cuts (closed blocks through blocks; an indented body has
+// none), the envelopes through encoding/json.
+func renderBody(room []byte, v any, pretty bool, blocks v1.Blocks) (b built, err error) {
+	body := room
+	switch v := v.(type) {
+	case *v1.QueryResponse:
+		body, b.cuts, err = v.AppendJSON(body, blocks)
+	case *v1.Snapshot:
+		body, b.cuts, err = v.AppendJSON(body, blocks)
+	default:
+		var j []byte
+		j, err = json.Marshal(v)
+		body = append(body, j...)
+	}
+	if b.body = append(body, '\n'); err != nil || !pretty {
+		return b, err
+	}
+	var buf bytes.Buffer
+	b.cuts, err = nil, json.Indent(&buf, b.body, "", "  ")
+	b.body = buf.Bytes()
 	return b, err
 }
 

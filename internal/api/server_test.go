@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"net/netip"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"cwatrace/internal/core"
 	"cwatrace/internal/entime"
 	"cwatrace/internal/netflow"
+	"cwatrace/internal/obs"
 	"cwatrace/internal/store"
 	"cwatrace/internal/streaming"
 )
@@ -511,9 +514,9 @@ func TestGzipNegotiation(t *testing.T) {
 }
 
 // TestTimeoutEnvelope pins the middleware contract on the slowest
-// failure path: a timed-out request still carries the structured JSON
-// envelope with Content-Type application/json (http.TimeoutHandler
-// writes the body itself, so the type must be pre-declared).
+// failure path: a request whose build ends past its deadline still
+// carries the structured JSON envelope with Content-Type
+// application/json, not the body it built.
 func TestTimeoutEnvelope(t *testing.T) {
 	s, err := New(Config{
 		History: slowHistory{sampleStore(t, 1), 2 * time.Second},
@@ -533,6 +536,77 @@ func TestTimeoutEnvelope(t *testing.T) {
 	}
 	if e := decodeError(t, body); e.Code != v1.CodeTimeout {
 		t.Fatalf("timeout code %q, want %q", e.Code, v1.CodeTimeout)
+	}
+}
+
+// gatedHistory is a store whose snapshot waits for gate: started is
+// closed when the first one begins, and calls counts them.
+type gatedHistory struct {
+	*store.Store
+	once          sync.Once
+	started, gate chan struct{}
+	calls         atomic.Int32
+}
+
+func (h *gatedHistory) Snapshot() *streaming.Snapshot {
+	h.calls.Add(1)
+	h.once.Do(func() { close(h.started) })
+	<-h.gate
+	return h.Store.Snapshot()
+}
+
+// TestWaiterAnswersTimeoutAtItsOwnDeadline pins the deadline of a
+// request that joins another's fill: it answers the timeout envelope
+// when its own deadline passes, not when the fill ends, and starts no
+// fill of its own. The fill runs on to the end, past the deadline of
+// the request that started it too, which therefore also answers
+// timeout; but it was asked for twice, so its body is kept, and the next
+// asker is served it without a build.
+func TestWaiterAnswersTimeoutAtItsOwnDeadline(t *testing.T) {
+	h := &gatedHistory{Store: sampleStore(t, 1), started: make(chan struct{}), gate: make(chan struct{})}
+	s, err := New(Config{History: h, Timeout: 100 * time.Millisecond, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	var opened atomic.Bool
+	release := sync.OnceFunc(func() { opened.Store(true); close(h.gate) })
+	defer release()
+	time.AfterFunc(10*time.Second, release) // a waiter that missed its deadline still returns
+
+	first := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/api/v1/snapshot")
+		if err != nil {
+			t.Error(err)
+			first <- 0
+			return
+		}
+		resp.Body.Close()
+		first <- resp.StatusCode
+	}()
+	<-h.started
+	resp, body := get(t, ts.URL+"/api/v1/snapshot", nil)
+	if opened.Load() {
+		t.Fatal("the waiter answered only once the fill ended")
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("ETag") != "" {
+		t.Fatalf("waiter: status %d, ETag %q, want 503 and none", resp.StatusCode, resp.Header.Get("ETag"))
+	}
+	if e := decodeError(t, body); e.Code != v1.CodeTimeout {
+		t.Fatalf("waiter: code %q, want %q", e.Code, v1.CodeTimeout)
+	}
+	release()
+	if status := <-first; status != http.StatusServiceUnavailable {
+		t.Fatalf("the request whose fill ended past its deadline: %d, want 503", status)
+	}
+	resp, body = get(t, ts.URL+"/api/v1/snapshot", nil)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") == "" || len(body) == 0 {
+		t.Fatalf("next asker: status %d, ETag %q, %d bytes", resp.StatusCode, resp.Header.Get("ETag"), len(body))
+	}
+	if calls, builds, hits := h.calls.Load(), s.m.cacheMisses.Value(), s.m.cacheHits.Value(); calls != 1 || builds != 1 || hits != 2 {
+		t.Fatalf("three requests cost %d snapshots, %d builds and %d hits, want 1, 1 and 2", calls, builds, hits)
 	}
 }
 

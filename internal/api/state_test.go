@@ -182,7 +182,7 @@ func TestStateOriginKeepsZone(t *testing.T) {
 		r.First = origin.Add(3 * time.Hour)
 		a.Ingest([]netflow.Record{r})
 		snap := a.Snapshot()
-		body, err := encodeState(streaming.FromSnapshot(snap).Detach(time.Time{}, time.Time{}), snap.Origin, new(store.QueryResult))
+		body, err := encodeState(nil, streaming.FromSnapshot(snap).Detach(time.Time{}, time.Time{}), snap.Origin, new(store.QueryResult))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestStateDayAnswerDecodesNoSketch(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if _, err := encodeState(state, origin, res); err != nil {
+			if _, err := encodeState(nil, state, origin, res); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -376,8 +376,8 @@ func (sp *Span) SetStatus(code int) {
 
 // End completes the span. Ending the root finalizes the trace and runs
 // tail-sampling; ending a child appends it to the in-flight trace. A
-// child ending after its root (a handler racing the TimeoutHandler) is
-// dropped — the trace is already sealed.
+// child ending after its root (work its request left running when it
+// answered) is dropped — the trace is already sealed.
 func (sp *Span) End() {
 	if sp == nil {
 		return
