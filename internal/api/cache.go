@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
+	v1 "cwatrace/internal/api/v1"
 	"cwatrace/internal/obs"
 )
 
@@ -17,11 +19,12 @@ import (
 // answer replaces the entry, so max bounds questions and bodies alike.
 //
 // A body is kept from its second sighting under one tag, the block
-// cache's rule (gzip.go), and a request that waits on another's fill is
-// a second sighting too. The first answer is written from the room it
-// was rendered in and leaves only its tag: under ingest, and in a cold
-// working set, an answer is rarely asked for again, and then costs one
-// render, one write and no memory.
+// cache's rule (gzip.go): a lookup that waits on the fill, or comes while
+// the first answer is written from the room it was rendered in, is
+// answered by the copy kept. An answer not asked for again — under ingest
+// and in a cold working set, most — costs one render, one write and no
+// memory. A first answer that met closed blocks for the first time is not
+// kept: built again, it has them kept (TestBodyAtRestIsBuiltTwice).
 type respCache struct {
 	mu      sync.Mutex
 	max     int
@@ -34,10 +37,10 @@ type respCache struct {
 	misses *obs.Counter
 }
 
-// cacheEntry is one question's last answer: being built, built once (its
-// tag noted, no body), or kept. ready is closed once the fill has ended
-// and a kept body is in place; waiters block on it, which is the
-// single-flight collapse.
+// cacheEntry is one question's last answer: being built, lent, built
+// once (its tag noted, no body), or kept. ready is closed once the fill
+// has ended and the copy its waiters share is in place; they block on
+// it, which is the single-flight collapse.
 type cacheEntry struct {
 	ready chan struct{}
 	built
@@ -48,13 +51,13 @@ type cacheEntry struct {
 	err        error
 	lastUse    uint64
 	// seen marks a second sighting: the fill was started by one, or a
-	// waiter joined it. keep is set when a fill that was seen ends.
-	seen, keep bool
+	// lookup waited on it. lent is a first answer's body while its writer
+	// holds it, keep a body kept.
+	seen, lent, keep bool
 }
 
-// respCacheEntries bounds a server's response cache. It is a constant
-// rather than an option: no daemon, harness or test ever set a second
-// value.
+// respCacheEntries bounds a server's response cache: a constant, since
+// no daemon, harness or test ever set a second value.
 const respCacheEntries = 128
 
 func newRespCache(max int) *respCache {
@@ -65,25 +68,29 @@ func newRespCache(max int) *respCache {
 // (question, tag) across concurrent callers. An entry answers when it
 // was started for tag or holds a body under it: a lookup waits for its
 // fill — or for ctx to end, which returns ctx's error — or hits its kept
-// body. An entry built once under tag is built again and kept; any other
+// or lent body. An entry built once under tag is built again; any other
 // entry of the question is replaced, and whoever still waits on the
 // replaced one gets its body. fill reports the tag of the body it built,
 // which may be newer than the one asked for; a failed fill is not kept.
-// A body not kept is returned as fill built it, in fill's room.
-func (c *respCache) get(ctx context.Context, question, tag string, fill func() (built, string, error)) (built, string, error) {
+// A body not copied is returned in fill's room, lent until done is called.
+func (c *respCache) get(ctx context.Context, question, tag string, fill func() (built, string, error)) (b built, own string, done func(), err error) {
 	c.mu.Lock()
 	c.clock++
 	was, ok := c.entries[question]
 	again := ok && (was.asked == tag || was.tag == tag)
+	if again && was.lent { // a first answer still being written: keep a copy
+		was.built, was.lent, was.keep = kept(was.built), false, true
+	}
+	done = func() {}
 	if again && (was.keep || was.tag == "") {
 		was.lastUse, was.seen = c.clock, true
 		c.mu.Unlock()
 		c.hits.Inc()
 		select {
 		case <-was.ready:
-			return was.built, was.tag, was.err
+			return was.built, was.tag, done, was.err
 		case <-ctx.Done():
-			return built{}, "", ctx.Err()
+			return built{}, "", done, ctx.Err()
 		}
 	}
 	e := &cacheEntry{ready: make(chan struct{}), asked: tag, lastUse: c.clock, seen: again}
@@ -92,20 +99,32 @@ func (c *respCache) get(ctx context.Context, question, tag string, fill func() (
 	c.mu.Unlock()
 	c.misses.Inc()
 
-	b, own, err := runFill(fill)
+	b, own, err = runFill(fill)
+	whole := !slices.ContainsFunc(b.cuts, func(c v1.Cut) bool { return c.Block == nil })
 	c.mu.Lock()
 	e.tag, e.err = own, err
-	e.keep = err == nil && e.seen
+	shared := err == nil && e.seen
+	e.keep = shared && (again || whole)
+	if e.lent = err == nil && !shared && whole; e.lent {
+		e.built = b
+		done = func() {
+			c.mu.Lock()
+			if e.lent {
+				e.built, e.lent = built{}, false
+			}
+			c.mu.Unlock()
+		}
+	}
 	if err != nil && c.entries[question] == e {
 		delete(c.entries, question)
 	}
 	c.mu.Unlock()
-	if e.keep { // lookups that come now wait on ready for the copy
+	if shared { // no lookup reads it before ready
 		e.built = kept(b)
 		b = e.built
 	}
 	close(e.ready)
-	return b, own, err
+	return b, own, done, err
 }
 
 // kept is b with its body copied out of its room, exactly sized.

@@ -25,25 +25,19 @@ func under(tag string, fill func() ([]byte, error)) func() (built, string, error
 }
 
 // TestCacheSingleFlight requires N concurrent identical requests to
-// cost exactly one fill. The fill runs until every request has reached
-// the cache: one that came after it ended would be a second sighting of
-// a body nobody else asked for while it was built, and build it again.
+// cost exactly one fill.
 func TestCacheSingleFlight(t *testing.T) {
-	const n = 32
 	c := newRespCache(8)
 	var fills atomic.Int32
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			<-gate
-			b, _, err := c.get(context.Background(), "q", "k", under("k", func() ([]byte, error) {
+			b, _, _, err := c.get(context.Background(), "q", "k", under("k", func() ([]byte, error) {
 				fills.Add(1)
-				for lookups(c) < n {
-					runtime.Gosched()
-				}
 				return []byte("body"), nil
 			}))
 			if err != nil || string(b.body) != "body" {
@@ -75,10 +69,10 @@ func TestCacheErrorNotCached(t *testing.T) {
 		}
 		return []byte("ok"), nil
 	})
-	if _, _, err := c.get(context.Background(), "q", "k", fill); err == nil {
+	if _, _, _, err := c.get(context.Background(), "q", "k", fill); err == nil {
 		t.Fatal("first fill error swallowed")
 	}
-	b, _, err := c.get(context.Background(), "q", "k", fill)
+	b, _, _, err := c.get(context.Background(), "q", "k", fill)
 	if err != nil || string(b.body) != "ok" {
 		t.Fatalf("retry after error: %q %v", b.body, err)
 	}
@@ -89,11 +83,11 @@ func TestCacheErrorNotCached(t *testing.T) {
 
 func TestCachePanicReleasesWaiters(t *testing.T) {
 	c := newRespCache(8)
-	if _, _, err := c.get(context.Background(), "q", "k", under("k", func() ([]byte, error) { panic("boom") })); err == nil {
+	if _, _, _, err := c.get(context.Background(), "q", "k", under("k", func() ([]byte, error) { panic("boom") })); err == nil {
 		t.Fatal("panicking fill returned no error")
 	}
 	// The question is free again.
-	b, _, err := c.get(context.Background(), "q", "k", under("k", func() ([]byte, error) { return []byte("ok"), nil }))
+	b, _, _, err := c.get(context.Background(), "q", "k", under("k", func() ([]byte, error) { return []byte("ok"), nil }))
 	if err != nil || string(b.body) != "ok" {
 		t.Fatalf("after panic: %q %v", b.body, err)
 	}
@@ -131,7 +125,8 @@ func TestCacheKeepsFromTheSecondSighting(t *testing.T) {
 		{"b", 3, false, true},
 		{"b", 4, true, false},
 	} {
-		b, tag, err := c.get(context.Background(), "q", want.tag, fill(want.tag))
+		b, tag, done, err := c.get(context.Background(), "q", want.tag, fill(want.tag))
+		done() // written
 		if err != nil || tag != want.tag || string(b.body) != want.tag || fills != want.fills {
 			t.Fatalf("ask %d: %q under %q (%v) after %d fills, want %q after %d", ask, b.body, tag, err, fills, want.tag, want.fills)
 		}
@@ -144,6 +139,33 @@ func TestCacheKeepsFromTheSecondSighting(t *testing.T) {
 		if want.kept && cap(b.body) != len(b.body) {
 			t.Fatalf("ask %d: kept body of %d bytes holds %d", ask, len(b.body), cap(b.body))
 		}
+	}
+}
+
+// TestCacheLendsTheFirstAnswerWhileWritten pins the lend: while its
+// writer holds it, a first answer is the entry's, so a lookup then is a
+// hit, answered by a copy the entry keeps; the room is the writer's
+// again once it is done.
+func TestCacheLendsTheFirstAnswerWhileWritten(t *testing.T) {
+	c := newRespCache(8)
+	room := []byte("body")
+	b, _, done, err := c.get(context.Background(), "q", "k", func() (built, string, error) {
+		return built{body: room}, "k", nil
+	})
+	if err != nil || &b.body[0] != &room[0] {
+		t.Fatalf("first answer: %q in its room %t, %v", b.body, &b.body[0] == &room[0], err)
+	}
+	refill := under("k", func() ([]byte, error) {
+		t.Error("a lent body was built again")
+		return nil, nil
+	})
+	for ask := 0; ask < 2; ask++ {
+		hit, _, _, err := c.get(context.Background(), "q", "k", refill)
+		if err != nil || string(hit.body) != "body" || &hit.body[0] == &room[0] {
+			t.Fatalf("ask %d: %q in the room %t, %v", ask, hit.body, &hit.body[0] == &room[0], err)
+		}
+		done()
+		copy(room, "gone") // written: the room is used again
 	}
 }
 
@@ -173,7 +195,7 @@ func TestCacheFilesUnderTheBodysTag(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				b, tag, err := c.get(context.Background(), "q", asked, func() (built, string, error) {
+				b, tag, done, err := c.get(context.Background(), "q", asked, func() (built, string, error) {
 					close(started) // a second fill would panic here
 					<-gate
 					return built{body: []byte(body)}, stamped, nil
@@ -181,6 +203,7 @@ func TestCacheFilesUnderTheBodysTag(t *testing.T) {
 				if err != nil || tag != stamped || string(b.body) != body {
 					t.Errorf("waiter at %q got %q under %q, %v", asked, b.body, tag, err)
 				}
+				done()
 			}()
 		}
 		<-started
@@ -194,7 +217,8 @@ func TestCacheFilesUnderTheBodysTag(t *testing.T) {
 		return built{}, "", nil
 	}
 	ask := func(tag string, fill func() (built, string, error)) (string, string) {
-		b, got, _ := c.get(context.Background(), "q", tag, fill)
+		b, got, done, _ := c.get(context.Background(), "q", tag, fill)
+		done()
 		return string(b.body), got
 	}
 
@@ -223,7 +247,7 @@ func TestCacheFilesUnderTheBodysTag(t *testing.T) {
 
 	fills := 0
 	for i := 0; i < 2; i++ {
-		_, tag, err := c.get(context.Background(), "failing", "asked", func() (built, string, error) {
+		_, tag, _, err := c.get(context.Background(), "failing", "asked", func() (built, string, error) {
 			fills++
 			return built{}, "asked", errors.New("failed")
 		})
@@ -254,7 +278,7 @@ func TestCacheWaiterLeavesAtItsDeadline(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, _, err := c.get(ctx, "q", "k", under("k", func() ([]byte, error) {
+	if _, _, _, err := c.get(ctx, "q", "k", under("k", func() ([]byte, error) {
 		t.Error("a waiter started a fill of its own")
 		return nil, nil
 	})); !errors.Is(err, context.DeadlineExceeded) {
@@ -262,7 +286,7 @@ func TestCacheWaiterLeavesAtItsDeadline(t *testing.T) {
 	}
 	close(gate)
 	<-filled
-	b, _, err := c.get(context.Background(), "q", "k", under("k", func() ([]byte, error) {
+	b, _, _, err := c.get(context.Background(), "q", "k", under("k", func() ([]byte, error) {
 		t.Error("the waited-on body was not kept")
 		return nil, nil
 	}))
@@ -276,9 +300,11 @@ func TestCacheEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		key := fmt.Sprintf("k%d", i)
 		for ask := 0; ask < 2; ask++ { // kept from the second sighting
-			if _, _, err := c.get(context.Background(), key, "t", under("t", func() ([]byte, error) { return []byte(key), nil })); err != nil {
+			_, _, done, err := c.get(context.Background(), key, "t", under("t", func() ([]byte, error) { return []byte(key), nil }))
+			if err != nil {
 				t.Fatal(err)
 			}
+			done()
 		}
 	}
 	c.mu.Lock()
@@ -289,7 +315,7 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// The most recent key is still served without a refill.
 	refilled := false
-	if _, _, err := c.get(context.Background(), "k9", "t", under("t", func() ([]byte, error) { refilled = true; return nil, nil })); err != nil {
+	if _, _, _, err := c.get(context.Background(), "k9", "t", under("t", func() ([]byte, error) { refilled = true; return nil, nil })); err != nil {
 		t.Fatal(err)
 	}
 	if refilled {
@@ -364,16 +390,14 @@ func TestNewQuestionRendersOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte counts under -race measure the detector")
 	}
-	render := func(v any) built {
-		room := scratch.Get().(*[]byte)
-		defer scratch.Put(room)
-		b, err := renderBody((*room)[:0], v, false, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cap(b.body) <= maxRoom {
-			*room = b.body
-		}
+	render := func(v any) (b built) {
+		withRoom(func(room []byte) []byte {
+			var err error
+			if b, err = renderBody(room, v, false, nil); err != nil {
+				t.Fatal(err)
+			}
+			return b.body
+		})
 		return b
 	}
 	render(hourAnswer(8760)) // another question leaves the room

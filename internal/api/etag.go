@@ -33,13 +33,8 @@ func etagFor(boot uint64, endpoint, params string, version uint64) string {
 // prefix) compare by opaque tag — fine for our use, where a 304 is
 // always safe when the tag text matches.
 func etagMatch(header, etag string) bool {
-	if header == "" {
-		return false
-	}
 	for _, cand := range strings.Split(header, ",") {
-		cand = strings.TrimSpace(cand)
-		cand = strings.TrimPrefix(cand, "W/")
-		if cand == "*" || cand == etag {
+		if cand = strings.TrimPrefix(strings.TrimSpace(cand), "W/"); cand == "*" || cand == etag {
 			return true
 		}
 	}

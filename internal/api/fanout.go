@@ -231,23 +231,3 @@ func (s *Server) handleFanStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, r, status, resp, prettyRequested(r.URL.Query().Get("pretty")))
 }
-
-// handleFanHealth is /api/v1/health in fan-out mode. The router's own
-// drain trumps everything; otherwise the fleet's reachability decides:
-// all shards up is ok/200, some down is degraded/200 (the router still
-// serves partial envelopes), all down is degraded/503.
-func (s *Server) handleFanHealth(w http.ResponseWriter, r *http.Request) {
-	resp := v1.HealthResponse{Status: v1.StatusOK}
-	status := http.StatusOK
-	if s.draining.Load() {
-		resp.Status = v1.StatusDraining
-		status = http.StatusServiceUnavailable
-	} else if missing := s.cfg.Fanout.Health(r.Context()); len(missing) > 0 {
-		resp.Status = v1.StatusDegraded
-		resp.Degraded = degradedOf(missing, obs.RequestID(r.Context()))
-		if len(missing) >= s.cfg.Fanout.NumShards() {
-			status = http.StatusServiceUnavailable
-		}
-	}
-	s.writeJSON(w, r, status, resp, prettyRequested(r.URL.Query().Get("pretty")))
-}

@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -406,5 +407,54 @@ func TestBodyAtRestIsBuiltTwice(t *testing.T) {
 	}
 	if wire[0] == wire[2] || wire[1] != wire[2] || wire[2] != wire[4] {
 		t.Fatalf("wire bytes %v: want one stream first, then the stitched member every time", wire)
+	}
+}
+
+// TestBurstAtRestIsBuiltTwice is TestBodyAtRestIsBuiltTwice for a burst:
+// concurrent first asks share one build, and every one of them gets its
+// single stream; that body met its closed blocks for the first time, so
+// it is not kept, though it was asked for more than once. The next ask
+// builds it again, which keeps them, and from then on the cached body is
+// served stitched from their deflate.
+func TestBurstAtRestIsBuiltTwice(t *testing.T) {
+	const burst = 4
+	st, _ := tierServer(t, 12)
+	h := &gatedHistory{Store: st, started: make(chan struct{}), gate: make(chan struct{})}
+	s, err := New(Config{History: h, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ask := func() int {
+		r := httptest.NewRequest(http.MethodGet, "/api/v1/snapshot", nil)
+		r.Header.Set("Accept-Encoding", "gzip")
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, r)
+		if w.Code != http.StatusOK || w.Header().Get("ETag") == "" {
+			t.Errorf("%d, ETag %q", w.Code, w.Header().Get("ETag"))
+		}
+		return w.Body.Len()
+	}
+	wire := make([]int, burst+3)
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); wire[i] = ask() }()
+	}
+	<-h.started
+	for lookups(s.cache) < burst {
+		runtime.Gosched()
+	}
+	close(h.gate)
+	wg.Wait()
+	for i := burst; i < len(wire); i++ {
+		wire[i] = ask()
+	}
+	if calls, builds, hits := h.calls.Load(), s.m.cacheMisses.Value(), s.m.cacheHits.Value(); calls != 2 || builds != 2 || hits != burst+1 {
+		t.Fatalf("%d asks cost %d snapshots, %d builds and %d hits, want 2, 2 and %d", len(wire), calls, builds, hits, burst+1)
+	}
+	for i, n := range wire {
+		if stream := i < burst; (n == wire[0]) != stream || (n == wire[len(wire)-1]) == stream {
+			t.Fatalf("wire bytes %v: want the burst's stream %d times, then the stitched member", wire, burst)
+		}
 	}
 }

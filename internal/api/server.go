@@ -72,7 +72,9 @@ type Config struct {
 	// Log receives one access-log line per request (nil disables access
 	// logging; write/encode errors still reach the standard logger).
 	Log *log.Logger
-	// Timeout is every request's deadline but a profile's (default 30s).
+	// Timeout (default 30s; profiles run without it) ends a wait on another
+	// request's fill and a router's fan-out; a store build runs to its end,
+	// and a request that ran one past the deadline answers 503 timeout.
 	Timeout time.Duration
 	// Metrics, when set, registers the API telemetry on the registry
 	// (see metrics.go for the catalogue). Nil runs uninstrumented.
@@ -96,7 +98,6 @@ type Server struct {
 	cfg      Config
 	boot     uint64
 	mux      *http.ServeMux
-	handler  http.Handler
 	cache    *respCache
 	blocks   *blockCache
 	m        apiMetrics
@@ -135,14 +136,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.Handle("/api/v1/health", s.get(s.handleHealth))
 	s.mux.Handle("/api/v1/stats", s.get(s.handleStats))
 	s.mux.Handle("/api/v1/", s.get(s.handleUnknown))
-
-	s.handler = s.accessLog(s.mux)
 	return s, nil
-}
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.handler.ServeHTTP(w, r)
 }
 
 // Handle mounts an extra GET endpoint behind the shared middleware
@@ -187,7 +181,7 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// accessLog wraps the stack with the request id, per-request logging,
+// ServeHTTP serves the mux with the request id, per-request logging,
 // the per-endpoint metrics, and the slow-query log. It adopts a valid
 // client-supplied X-Request-Id (a router fanning out on behalf of a
 // traced request) or mints one, threads it through the context and
@@ -199,60 +193,56 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 // Body-write failures (a client that went away mid-response) are logged
 // even when access logging is off — a dropped response must never be
 // silent.
-func (s *Server) accessLog(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		id := r.Header.Get(obs.RequestIDHeader)
-		if !obs.ValidRequestID(id) {
-			id = obs.NewRequestID()
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	sw := &statusWriter{ResponseWriter: w}
+	start := time.Now()
+	id := r.Header.Get(obs.RequestIDHeader)
+	if !obs.ValidRequestID(id) {
+		id = obs.NewRequestID()
+	}
+	w.Header().Set(obs.RequestIDHeader, id)
+	ctx := obs.WithRequestID(r.Context(), id)
+	// The root span shares the request id as its trace id, named by
+	// the same endpoint vocabulary as the metrics, and parented under
+	// a fanning-out router's span when X-Trace-Parent arrived with
+	// the request.
+	var sp *obs.Span
+	if s.cfg.Tracer != nil {
+		parent, _ := obs.ParseSpanID(r.Header.Get(obs.TraceParentHeader))
+		ctx, sp = s.cfg.Tracer.StartTrace(ctx, endpointLabel(r.URL.Path), parent)
+		sp.Set(obs.Str("method", r.Method), obs.Str("uri", r.URL.RequestURI()))
+	}
+	r = r.WithContext(ctx)
+	s.m.inFlight.Add(1)
+	s.mux.ServeHTTP(sw, r)
+	s.m.inFlight.Add(-1)
+	if sw.status == 0 {
+		sw.status = http.StatusOK
+	}
+	dur := time.Since(start)
+	if sp != nil {
+		sp.SetStatus(sw.status)
+		sp.Set(obs.Int("bytes", int64(sw.bytes)))
+		sp.End()
+	}
+	if s.cfg.Log != nil {
+		s.cfg.Log.Printf("%s %s %d %dB %dus id=%s",
+			r.Method, r.URL.RequestURI(), sw.status, sw.bytes, dur.Microseconds(), id)
+	}
+	s.m.observe(r.URL.Path, sw.status, dur)
+	if s.cfg.SlowQuery > 0 && dur >= s.cfg.SlowQuery {
+		// A slow fan-out names its slow shard right in the log line:
+		// the per-shard breakdown is already on the response as
+		// Server-Timing, so quote it instead of recomputing.
+		shards := ""
+		if timing := sw.Header().Get("Server-Timing"); timing != "" {
+			shards = fmt.Sprintf(" shards=%q", timing)
 		}
-		w.Header().Set(obs.RequestIDHeader, id)
-		ctx := obs.WithRequestID(r.Context(), id)
-		// The root span shares the request id as its trace id, named by
-		// the same endpoint vocabulary as the metrics, and parented under
-		// a fanning-out router's span when X-Trace-Parent arrived with
-		// the request.
-		var sp *obs.Span
-		if s.cfg.Tracer != nil {
-			parent, _ := obs.ParseSpanID(r.Header.Get(obs.TraceParentHeader))
-			ctx, sp = s.cfg.Tracer.StartTrace(ctx, endpointLabel(r.URL.Path), parent)
-			sp.Set(obs.Str("method", r.Method), obs.Str("uri", r.URL.RequestURI()))
-		}
-		r = r.WithContext(ctx)
-		s.m.inFlight.Add(1)
-		next.ServeHTTP(sw, r)
-		s.m.inFlight.Add(-1)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		dur := time.Since(start)
-		if sp != nil {
-			sp.SetStatus(sw.status)
-			sp.Set(obs.Int("bytes", int64(sw.bytes)))
-			sp.End()
-		}
-		if s.cfg.Log != nil {
-			s.cfg.Log.Printf("%s %s %d %dB %dus id=%s",
-				r.Method, r.URL.RequestURI(), sw.status, sw.bytes, dur.Microseconds(), id)
-		}
-		s.m.observe(r.URL.Path, sw.status, dur)
-		if s.cfg.SlowQuery > 0 && dur >= s.cfg.SlowQuery {
-			// A slow fan-out names its slow shard right in the log line:
-			// the per-shard breakdown is already on the response as
-			// Server-Timing, so quote it instead of recomputing.
-			if shards := sw.Header().Get("Server-Timing"); shards != "" {
-				s.errorf("slow query: %s %s %d %dus id=%s shards=%q",
-					r.Method, r.URL.RequestURI(), sw.status, dur.Microseconds(), id, shards)
-			} else {
-				s.errorf("slow query: %s %s %d %dus id=%s",
-					r.Method, r.URL.RequestURI(), sw.status, dur.Microseconds(), id)
-			}
-		}
-		if sw.err != nil {
-			s.errorf("writing %s %s: %v", r.Method, r.URL.Path, sw.err)
-		}
-	})
+		s.errorf("slow query: %s %s %d %dus id=%s%s", r.Method, r.URL.RequestURI(), sw.status, dur.Microseconds(), id, shards)
+	}
+	if sw.err != nil {
+		s.errorf("writing %s %s: %v", r.Method, r.URL.Path, sw.err)
+	}
 }
 
 // get is readOnly under the request's deadline (Config.Timeout): the one
@@ -365,16 +355,24 @@ func prettyRequested(v string) bool { return v == "1" || v == "true" }
 
 // ---- handlers ----
 
+// handleHealth is /api/v1/health. The daemon's own drain trumps
+// everything; on a router the fleet's reachability decides next: all
+// shards up is ok/200, some down is degraded/200 (the router still
+// serves partial envelopes), all down is degraded/503.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Fanout != nil {
-		s.handleFanHealth(w, r)
-		return
-	}
 	resp := v1.HealthResponse{Status: v1.StatusOK}
 	status := http.StatusOK
 	if s.draining.Load() {
 		resp.Status = v1.StatusDraining
 		status = http.StatusServiceUnavailable
+	} else if s.cfg.Fanout != nil {
+		if missing := s.cfg.Fanout.Health(r.Context()); len(missing) > 0 {
+			resp.Status = v1.StatusDegraded
+			resp.Degraded = degradedOf(missing, obs.RequestID(r.Context()))
+			if len(missing) >= s.cfg.Fanout.NumShards() {
+				status = http.StatusServiceUnavailable
+			}
+		}
 	}
 	s.writeJSON(w, r, status, resp, prettyRequested(r.URL.Query().Get("pretty")))
 }
@@ -509,8 +507,8 @@ type built struct {
 // ETag from (endpoint, params, data generation), answer If-None-Match
 // hits with a bodyless 304, and otherwise serve the body through the
 // single-flight cache, which keeps one body per question once it is
-// asked again: N identical hits between data changes cost at most two
-// builds.
+// asked again: N identical requests in flight together cost one build,
+// or two when the first meets closed blocks for the first time.
 //
 // A strong ETag promises byte-identical bodies, so a body goes out under
 // the tag of the version stamped on it, not of the version() read for
@@ -528,23 +526,23 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, p
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	room := scratch.Get().(*[]byte)
-	defer scratch.Put(room)
-	b, tag, err := s.cache.get(r.Context(), endpoint+"?"+params, etag, func() (built, string, error) {
-		b, err := build((*room)[:0])
-		if err == nil && cap(b.body) <= maxRoom {
-			*room = b.body
+	withRoom(func(room []byte) (mine []byte) {
+		b, tag, done, err := s.cache.get(r.Context(), endpoint+"?"+params, etag, func() (built, string, error) {
+			b, err := build(room)
+			mine = b.body
+			return b, etagFor(s.boot, endpoint, params, b.version), err
+		})
+		defer done()
+		switch {
+		case s.late(w, r):
+		case err != nil:
+			s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "building response failed", err.Error())
+		default:
+			h.Set("ETag", tag)
+			s.writeBody(w, r, http.StatusOK, mediaType, b)
 		}
-		return b, etagFor(s.boot, endpoint, params, b.version), err
+		return mine
 	})
-	switch {
-	case s.late(w, r):
-	case err != nil:
-		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "building response failed", err.Error())
-	default:
-		h.Set("ETag", tag)
-		s.writeBody(w, r, http.StatusOK, mediaType, b)
-	}
 }
 
 // writeJSON renders and sends an uncached response.
@@ -552,17 +550,15 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v
 	if s.late(w, r) {
 		return
 	}
-	room := scratch.Get().(*[]byte)
-	defer scratch.Put(room)
-	b, err := renderBody((*room)[:0], v, pretty, s.blocks)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "encoding response failed", err.Error())
-		return
-	}
-	if cap(b.body) <= maxRoom {
-		*room = b.body
-	}
-	s.writeBody(w, r, status, jsonMediaType, b)
+	withRoom(func(room []byte) []byte {
+		b, err := renderBody(room, v, pretty, s.blocks)
+		if err != nil {
+			s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "encoding response failed", err.Error())
+			return nil
+		}
+		s.writeBody(w, r, status, jsonMediaType, b)
+		return b.body
+	})
 }
 
 // writeBody sends a rendered body, gzip-compressed when the client
@@ -640,6 +636,16 @@ func (p reqParams) mediaType() string {
 var scratch = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxRoom = 4 << 20
+
+// withRoom lends use room from scratch to render and write a body in,
+// and keeps the body use returns as the room unless it is past maxRoom.
+func withRoom(use func(room []byte) []byte) {
+	room := scratch.Get().(*[]byte)
+	if body := use((*room)[:0]); body != nil && cap(body) <= maxRoom {
+		*room = body
+	}
+	scratch.Put(room)
+}
 
 // renderBody appends compact JSON (the default), or two-space
 // indentation under ?pretty=1, newline-terminated, to room — a
