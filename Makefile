@@ -67,10 +67,10 @@ race:
 	$(GO) test -race ./internal/sim/ ./internal/netflow/ ./internal/cwaserver/ ./internal/cdn/ ./internal/workgroup/ ./internal/scenario/ ./internal/ingest/ ./internal/streaming/ ./internal/store/ ./internal/tier/ ./internal/sketch/ ./internal/api/ ./internal/api/client/ ./internal/cluster/ ./internal/obs/ ./internal/wire/
 
 # One pass over every figure/table/ablation benchmark (see DESIGN.md for
-# the experiment index) plus the ingest, tail, store and API-edge
-# benchmarks.
+# the experiment index) plus the ingest, tail, store, API-edge and
+# router-merge benchmarks.
 bench:
-	$(GO) test -run XXX -bench=. -benchtime=1x -benchmem . ./internal/ingest/ ./internal/streaming/ ./internal/store/ ./internal/api/
+	$(GO) test -run XXX -bench=. -benchtime=1x -benchmem . ./internal/ingest/ ./internal/streaming/ ./internal/store/ ./internal/api/ ./internal/cluster/
 
 # The ingest throughput benchmark alone (the EXPERIMENTS.md snapshot).
 bench-ingest:

@@ -69,9 +69,9 @@ func useState(t *testing.T, st *ShardState) {
 		t.Fatalf("the fold's encoder and the ring's disagree on %+v", got)
 	}
 	if st.LongHorizon != nil {
-		b := tier.NewBuilder(st.Resolution, st.Origin, nil)
+		b := tier.NewBuilder(st.Resolution, st.Origin)
 		b.AddFrame(st.LongHorizon)
-		b.Answer()
+		b.Answer(nil)
 	}
 }
 

@@ -156,9 +156,9 @@ func TestStateLongHorizon(t *testing.T) {
 	if st.TierFrames != q.LongHorizon.TierFrames || st.RawFrames != q.LongHorizon.RawFrames || st.TierFrames == 0 {
 		t.Fatalf("sources: state %d tier + %d raw, JSON %d + %d", st.TierFrames, st.RawFrames, q.LongHorizon.TierFrames, q.LongHorizon.RawFrames)
 	}
-	b := tier.NewBuilder(st.Resolution, st.Origin, nil)
+	b := tier.NewBuilder(st.Resolution, st.Origin)
 	b.AddFrame(st.LongHorizon)
-	got := b.Answer()
+	got := b.Answer(nil)
 	got.TierFrames, got.RawFrames = st.TierFrames, st.RawFrames
 	gotJSON, _ := json.Marshal(got)
 	wantJSON, _ := json.Marshal(q.LongHorizon)

@@ -40,7 +40,7 @@ import (
 
 // testGeoDB maps one distinct client /24 to every district through the
 // router-ground-truth path, so geolocation is exact and deterministic.
-func testGeoDB(t *testing.T, model *geo.Model) (*geodb.DB, []netip.Prefix) {
+func testGeoDB(t testing.TB, model *geo.Model) (*geodb.DB, []netip.Prefix) {
 	t.Helper()
 	districts := model.Districts()
 	infos := make([]geodb.PrefixInfo, len(districts))

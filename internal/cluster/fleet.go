@@ -279,7 +279,7 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 		if first == nil {
 			first = p
 			if p.Resolution != "" {
-				lh = tier.NewBuilder(p.Resolution, p.Origin, nil)
+				lh = tier.NewBuilder(p.Resolution, p.Origin)
 			}
 		} else if !p.Origin.Equal(first.Origin) {
 			return nil, fmt.Errorf("cluster: shard %d origin %s differs from fleet origin %s", i, p.Origin, first.Origin)
@@ -320,9 +320,8 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 		// and single-node answers stay the same bytes.
 		res.Snapshot = m.Populated().Snapshot()
 		res.Resolution = string(first.Resolution)
-		res.LongHorizon = lh.Answer()
+		res.LongHorizon = lh.Answer(f.model)
 		res.LongHorizon.TierFrames, res.LongHorizon.RawFrames = tierFrames, rawFrames
-		res.LongHorizon.Label(f.model)
 	}
 	res.Version = composeVersion(etags)
 	return res, nil

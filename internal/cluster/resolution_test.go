@@ -50,7 +50,7 @@ func newTierNode(t *testing.T, days int, byDay [][]netflow.Record, owns func(*ne
 
 // newTierNodeWith is newTierNode under a caller-chosen analytics
 // configuration (a geo database, for answers that carry districts).
-func newTierNodeWith(t *testing.T, acfg streaming.Config, byDay [][]netflow.Record, owns func(*netflow.Record) bool) *node {
+func newTierNodeWith(t testing.TB, acfg streaming.Config, byDay [][]netflow.Record, owns func(*netflow.Record) bool) *node {
 	t.Helper()
 	st, err := store.Open(t.TempDir(), store.Options{
 		Analytics: acfg,

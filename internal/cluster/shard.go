@@ -21,9 +21,9 @@ import (
 	"strconv"
 	"strings"
 
-	"cwatrace/internal/geo"
 	"cwatrace/internal/geodb"
 	"cwatrace/internal/netflow"
+	"cwatrace/internal/streaming"
 )
 
 // Assignment is one node's slot in an N-way partition.
@@ -61,18 +61,6 @@ func ParseAssignment(s string) (Assignment, error) {
 	return Assignment{Index: i, Count: n}, nil
 }
 
-// districtIndex is the canonical district ordering the partition keys
-// on: position in geo.Germany().Districts(), which every binary
-// reconstructs identically from the embedded model.
-var districtIndex = func() map[string]int {
-	ds := geo.Germany().Districts()
-	m := make(map[string]int, len(ds))
-	for i, d := range ds {
-		m[d.ID] = i
-	}
-	return m
-}()
-
 // Owner resolves the shard that owns record r under an n-way partition.
 // A record whose client (Dst) geolocates is owned by its district's
 // shard; everything else — unmapped prefixes, malformed addresses — is
@@ -83,8 +71,8 @@ func Owner(r *netflow.Record, db *geodb.DB, n int) int {
 	}
 	if db != nil {
 		if e, ok := db.Locate(r.Key.Dst); ok {
-			if di, ok := districtIndex[e.DistrictID]; ok {
-				return di % n
+			if di, ok := streaming.DistrictIndex(e.DistrictID); ok {
+				return int(di) % n
 			}
 		}
 	}

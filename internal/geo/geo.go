@@ -223,6 +223,13 @@ func (m *Model) DistrictByID(id string) (District, bool) {
 	return m.districts[i], true
 }
 
+// Index is the position of the district with the given id in Districts(),
+// the model's canonical order.
+func (m *Model) Index(id string) (int, bool) {
+	i, ok := m.byID[id]
+	return i, ok
+}
+
 // DistrictByName finds a district by exact name (the paper refers to
 // Gütersloh, Warendorf and Berlin this way).
 func (m *Model) DistrictByName(name string) (District, bool) {

@@ -295,7 +295,7 @@ func (s *Store) tierSources(list []tier.Meta, lo, hi int, runs bool, add func(*t
 	key := runKey{list[lo].Seq, list[hi-1].Seq}
 	f, ok := s.frameCache.get(key).(*tier.Frame)
 	if !ok {
-		b := tier.NewBuilder(list[lo].Level.Resolution(), s.cfg.Origin, s.districts)
+		b := tier.NewBuilder(list[lo].Level.Resolution(), s.cfg.Origin)
 		err := s.tierSources(list, lo, hi, false, b.AddFrame)
 		if err == nil {
 			f, err = b.Run()
@@ -303,7 +303,6 @@ func (s *Store) tierSources(list []tier.Meta, lo, hi int, runs bool, add func(*t
 		if err != nil {
 			return err
 		}
-		s.districts.Resolve(f)
 		s.frameCache.put(key, f)
 	}
 	add(f)

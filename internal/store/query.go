@@ -140,7 +140,7 @@ func (s *Store) tryQuery(from, to time.Time, res tier.Resolution) (*QueryResult,
 	var acc *tier.SketchAccum
 	if tiered {
 		result.Resolution = plan.Resolution
-		result.tiered, acc = tier.NewBuilder(plan.Resolution, s.cfg.Origin, s.districts), tier.NewSketchAccum()
+		result.tiered, acc = tier.NewBuilder(plan.Resolution, s.cfg.Origin), tier.NewSketchAccum()
 		err := s.addPlanned(weeks, plan.Week, result.tiered.AddFrame)
 		if err == nil {
 			err = s.addPlanned(days, plan.Day, result.tiered.AddFrame)
@@ -186,10 +186,9 @@ func (s *Store) tryQuery(from, to time.Time, res tier.Resolution) (*QueryResult,
 	// hours before it are what the selected tier frames cover, and
 	// rendering them would report zero traffic where the buckets report
 	// some (and dominate a year-span answer with empty rows). The builder
-	// reads a rendering of it, a few rows, whatever the caller will ask for.
-	result.tiered.AddResidual(result.fold.Populated().Snapshot(), acc, result.Frames)
-	result.LongHorizon = result.tiered.Answer()
-	result.LongHorizon.Label(s.cfg.Model)
+	// adds the fold itself, its districts by index.
+	result.tiered.AddResidual(result.fold.Populated(), acc, result.Frames)
+	result.LongHorizon = result.tiered.Answer(s.cfg.Model)
 	return result, nil
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"cmp"
+	"maps"
 	"math/bits"
 	"math/rand"
 	"net/netip"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"cwatrace/internal/geo"
 	"cwatrace/internal/sketch"
 	"cwatrace/internal/streaming"
 	"cwatrace/internal/tier"
@@ -19,9 +21,9 @@ import (
 // foldPerFrame is tryQuery without runs and without the frame cache —
 // every selected frame read from its file (loadFrame resolves nothing
 // against the store's prefix table) and added alone, the lists read as one
-// cut — and the reference the run cover is held to. Its prefix rows still
-// go through the fold and the sketch accumulator under test, so beside
-// the result it keeps them the plain way, in a prefixModel.
+// cut — and the reference the run cover is held to. Its prefix and district
+// rows still go through the folds and the sketch accumulator under test, so
+// beside the result it keeps them the plain way, in a prefixModel.
 func foldPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.Resolution) (*QueryResult, *prefixModel) {
 	t.Helper()
 	if res == tier.ResolutionAuto {
@@ -38,7 +40,7 @@ func foldPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.Resolutio
 	tiered := plan.Resolution != tier.ResolutionHour
 	acc := tier.NewSketchAccum()
 	if tiered {
-		r.Resolution, r.tiered = plan.Resolution, tier.NewBuilder(plan.Resolution, s.cfg.Origin, nil)
+		r.Resolution, r.tiered = plan.Resolution, tier.NewBuilder(plan.Resolution, s.cfg.Origin)
 		for _, l := range []struct {
 			list []tier.Meta
 			seqs []uint64
@@ -50,6 +52,9 @@ func foldPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.Resolutio
 						t.Fatal(err)
 					}
 					r.tiered.AddFrame(f)
+					for _, d := range f.Districts {
+						model.tierDistricts[d.ID] += d.Flows
+					}
 					model.hll.Merge(f.Prefixes)
 					model.quant.Merge(f.Presence)
 				}
@@ -71,11 +76,17 @@ func foldPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.Resolutio
 	}
 	r.fold = streaming.Fold(s.cfg, from, to, append(states, live...)...)
 	model.addShard(live...)
+	for _, st := range append(states, live...) {
+		// A state's own rows, each state rendered alone: the sums across
+		// states and frames are the model's.
+		for _, d := range streaming.Fold(s.cfg, time.Time{}, time.Time{}, st).Snapshot().Districts {
+			model.rawDistricts[d.ID] += d.Flows
+		}
+	}
 	if tiered {
 		acc.AddShard(live...)
-		r.tiered.AddResidual(r.fold.Populated().Snapshot(), acc, r.Frames)
-		r.LongHorizon = r.tiered.Answer()
-		r.LongHorizon.Label(s.cfg.Model)
+		r.tiered.AddResidual(r.fold.Populated(), acc, r.Frames)
+		r.LongHorizon = r.tiered.Answer(s.cfg.Model)
 	}
 	return r, model
 }
@@ -83,16 +94,40 @@ func foldPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.Resolutio
 // prefixModel is the prefix half of an answer in maps: the flows of every
 // prefix row folded, and in how many shards each appeared — a raw frame is
 // one, the live tails together another — beside the sketches of the tier
-// frames selected.
+// frames selected; and the district rows, the raw states' and the tier
+// frames' apart.
 type prefixModel struct {
-	flows, shards map[netip.Prefix]uint64
-	hll           *sketch.HLL
-	quant         *sketch.Quantile
+	flows, shards               map[netip.Prefix]uint64
+	hll                         *sketch.HLL
+	quant                       *sketch.Quantile
+	rawDistricts, tierDistricts map[string]uint64
 }
 
 func newPrefixModel() *prefixModel {
 	return &prefixModel{flows: map[netip.Prefix]uint64{}, shards: map[netip.Prefix]uint64{},
-		hll: sketch.NewHLL(), quant: sketch.NewQuantile()}
+		hll: sketch.NewHLL(), quant: sketch.NewQuantile(),
+		rawDistricts: map[string]uint64{}, tierDistricts: map[string]uint64{}}
+}
+
+// districtRows renders summed maps the plain way: sorted by id, named from
+// model (nil: unnamed), nil when empty.
+func districtRows(model *geo.Model, sums ...map[string]uint64) []streaming.DistrictCount {
+	all := map[string]uint64{}
+	for _, m := range sums {
+		for id, n := range m {
+			all[id] += n
+		}
+	}
+	var rows []streaming.DistrictCount
+	for _, id := range slices.Sorted(maps.Keys(all)) {
+		dc := streaming.DistrictCount{ID: id, Flows: all[id]}
+		if model != nil {
+			d, _ := model.DistrictByID(id)
+			dc.Name, dc.StateCode = d.Name, d.StateCode
+		}
+		rows = append(rows, dc)
+	}
+	return rows
 }
 
 // addShard counts states as one shard.
@@ -109,10 +144,11 @@ func (m *prefixModel) addShard(states ...*streaming.Stored) {
 	}
 }
 
-// check holds r's prefix half to the model: the leaderboard and the state a
-// shard ships are the model's busiest rows, and a day or week answer's
+// check holds r to the model: the leaderboard and the state a shard ships
+// are the model's busiest rows, the district rows are the model's sums in
+// id order, named where cfg names them, and a day or week answer's
 // sketches are the tier frames' with every residual prefix added by its text.
-func (m *prefixModel) check(t *testing.T, r *QueryResult, topK int) {
+func (m *prefixModel) check(t *testing.T, r *QueryResult, cfg streaming.Config) {
 	t.Helper()
 	rows := make([]streaming.PrefixCount, 0, len(m.flows))
 	for p, n := range m.flows {
@@ -128,7 +164,7 @@ func (m *prefixModel) check(t *testing.T, r *QueryResult, topK int) {
 		return cmp.Compare(a.Prefix.Bits(), b.Prefix.Bits())
 	}
 	slices.SortFunc(rows, byRank)
-	want := rows[:min(topK, len(rows))]
+	want := rows[:min(cfg.TopK, len(rows))]
 	if got := r.Snapshot().TopPrefixes; !slices.Equal(got, want) {
 		t.Fatalf("leaderboard %v, the model's %v", got, want)
 	}
@@ -138,8 +174,14 @@ func (m *prefixModel) check(t *testing.T, r *QueryResult, topK int) {
 	if slices.SortFunc(shipped, byRank); !slices.Equal(shipped, want) {
 		t.Fatalf("shipped state holds %v, the model's leaderboard %v", shipped, want)
 	}
+	if got, want := r.Snapshot().Districts, districtRows(cfg.Model, m.rawDistricts); !slices.Equal(got, want) {
+		t.Fatalf("districts %v, the model's %v", got, want)
+	}
 	if r.LongHorizon == nil {
 		return
+	}
+	if got, want := r.LongHorizon.Districts, districtRows(cfg.Model, m.rawDistricts, m.tierDistricts); !slices.Equal(got, want) {
+		t.Fatalf("long-horizon districts %v, the model's %v", got, want)
 	}
 	for p, n := range m.shards {
 		m.hll.Add(p.String())
@@ -183,7 +225,7 @@ func checkAgainstPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.R
 	if a, b := answerOf(t, got), answerOf(t, ref); a != b {
 		t.Fatalf("[%s, %s) at %q: runs answer\n%q\nthe per-frame fold\n%q", from, to, res, a, b)
 	}
-	model.check(t, got, s.cfg.TopK)
+	model.check(t, got, s.cfg)
 	return got
 }
 

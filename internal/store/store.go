@@ -224,11 +224,8 @@ type Store struct {
 	tailGen uint64
 
 	// Long-horizon tier frames per level (sorted by BaseSeg, under mu).
-	// They enter the frame cache through cacheTierFrame, resolved against
-	// districts, so a query folds their district rows by index.
 	tierDay       []tier.FrameMeta
 	tierWeek      []tier.FrameMeta
-	districts     *tier.DistrictTable
 	tierFoldsDay  uint64
 	tierFoldsWeek uint64
 
@@ -307,7 +304,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		boot: uint64(time.Now().UnixNano()) ^ uint64(os.Getpid())<<32,
 
 		frameCache: newFrameCache(frameCacheBudget),
-		districts:  tier.NewDistrictTable(),
 		prefixCap:  prefixTableCap,
 	}
 	s.prefixes.Store(streaming.NewPrefixTable())

@@ -93,7 +93,7 @@ func (s *Store) loadTierFrames(found []tier.FrameMeta) error {
 			}
 			continue
 		}
-		s.cacheTierFrame(frames[i])
+		s.frameCache.put(frameKey(o.Seq), frames[i])
 		live = append(live, o)
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].BaseSeg < live[j].BaseSeg })
@@ -119,16 +119,8 @@ func (s *Store) loadTierFrame(m tier.FrameMeta) (*tier.Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.cacheTierFrame(f)
-	return f, nil
-}
-
-// cacheTierFrame publishes a decoded or freshly folded frame to the
-// frame cache. Nothing else holds f yet, which is what lets its district
-// rows be resolved to dense indexes here, once, without a lock on f.
-func (s *Store) cacheTierFrame(f *tier.Frame) {
-	s.districts.Resolve(f)
 	s.frameCache.put(frameKey(f.Seq), f)
+	return f, nil
 }
 
 // tierFold runs the fold scheduler after a checkpoint (caller holds
@@ -217,7 +209,7 @@ func (s *Store) tierFoldOnce(ctx context.Context, level tier.Level) (did bool, e
 
 	var f *tier.Frame
 	if level == tier.LevelWeek {
-		b := tier.NewBuilder(level.Resolution(), s.cfg.Origin, s.districts)
+		b := tier.NewBuilder(level.Resolution(), s.cfg.Origin)
 		if err = s.tierSources(cand, lo, hi, false, b.AddFrame); err == nil {
 			f, err = b.Fold(seq, cand[lo:hi])
 		}
@@ -244,7 +236,7 @@ func (s *Store) tierFoldOnce(ctx context.Context, level tier.Level) (did bool, e
 	}
 	s.ckptGen++
 	s.mu.Unlock()
-	s.cacheTierFrame(f)
+	s.frameCache.put(frameKey(f.Seq), f)
 	s.om.tierFoldSeconds.ObserveSince(t0)
 	s.opts.Events.Record("tier_fold", "lower-level frames folded into a durable tier frame",
 		obs.Str("level", level.String()),

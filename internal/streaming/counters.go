@@ -3,17 +3,17 @@ package streaming
 import (
 	"encoding/binary"
 	"net/netip"
-	"sort"
 
 	"cwatrace/internal/core"
 )
 
 // counters is the half of a shard's state that is not time-resolved: the
-// drop census, the late and located totals and the interned per-prefix
-// and per-district flow counts. A live shard (Analytics) and a query's
-// fold target (Range) differ in how they keep the hourly series and how
-// they find a prefix's row, so both embed this and share one fold of the
-// rest (mergeCounters) and one rendering (snapshot).
+// drop census, the late and located totals, the interned per-prefix flow
+// counts and the per-district ones, by index (DistrictSums). A live shard
+// (Analytics) and a query's fold target (Range) differ in how they keep
+// the hourly series and how they find a prefix's row, so both embed this
+// and share one fold of the rest (mergeCounters) and one rendering
+// (snapshot).
 type counters struct {
 	dropped [nReasons]uint64
 	late    uint64
@@ -33,12 +33,10 @@ type counters struct {
 	rowIDs      []uint32
 	byID        []netip.Prefix
 
-	// Interned district counters; hasDistricts plays the role the nil-ness
-	// of the old district map played (rollup enabled).
-	hasDistricts  bool
-	districtIdx   map[string]uint32
-	districtIDs   []string
-	districtCount []uint64
+	// District counters by index in the one district id space;
+	// hasDistricts is whether the rollup is on.
+	hasDistricts bool
+	districts    DistrictSums
 }
 
 func newCounters() counters {
@@ -46,15 +44,6 @@ func newCounters() counters {
 		prefixIdx:  make(map[netip.Prefix]uint32),
 		prefix4Idx: make(map[uint32]uint32),
 	}
-}
-
-// enableDistricts turns the per-district rollup on (idempotent).
-func (c *counters) enableDistricts() {
-	if c.hasDistricts {
-		return
-	}
-	c.hasDistricts = true
-	c.districtIdx = make(map[string]uint32)
 }
 
 // internPrefix returns the counter index for p, allocating one on first
@@ -85,19 +74,6 @@ func (c *counters) internPrefix(p netip.Prefix) uint32 {
 	return idx
 }
 
-// internDistrict returns the counter index for a district ID, allocating
-// one on first sight.
-func (c *counters) internDistrict(id string) uint32 {
-	if idx, ok := c.districtIdx[id]; ok {
-		return idx
-	}
-	idx := uint32(len(c.districtIDs))
-	c.districtIdx[id] = idx
-	c.districtIDs = append(c.districtIDs, id)
-	c.districtCount = append(c.districtCount, 0)
-	return idx
-}
-
 // mergeCounters folds everything of st but its hourly bins and its prefix
 // rows: a live shard interns those (Analytics.MergeStored), a fold adds them
 // by id (Range.addPrefixes).
@@ -111,15 +87,8 @@ func (c *counters) mergeCounters(st *Stored) {
 		// checkpoint frames carry district counts that must survive a
 		// merge into a DB-less shard (a read-only query opens the store
 		// without the sidecar the collector ran with).
-		c.enableDistricts()
-		if n := len(st.districtIDs); len(c.districtIDs) == 0 && n > 0 {
-			c.districtIdx = make(map[string]uint32, n)
-			c.districtIDs = make([]string, 0, n)
-			c.districtCount = make([]uint64, 0, n)
-		}
-		for i, id := range st.districtIDs {
-			c.districtCount[c.internDistrict(id)] += st.districtCount[i]
-		}
+		c.hasDistricts = true
+		c.districts.Merge(&st.districts)
 	}
 	c.located += st.located
 }
@@ -134,36 +103,27 @@ func (c *counters) snapshot(cfg Config) *Snapshot {
 		Located:     c.located,
 	}
 
-	// Census in the batch pipeline's shape.
-	s.Census = core.Census{Dropped: make(map[core.DropReason]int)}
-	for i, n := range c.dropped {
-		s.Census.Total += int(n)
-		if core.DropReason(i) == core.Kept {
-			s.Census.Kept = int(n)
-		} else if n > 0 {
-			s.Census.Dropped[core.DropReason(i)] = int(n)
-		}
-	}
-
+	s.Census = c.census()
 	s.TopPrefixes = c.topPrefixes(cfg.TopK)
 
 	if c.hasDistricts {
-		ids := append([]string(nil), c.districtIDs...)
-		sort.Strings(ids)
-		if len(ids) > 0 {
-			s.Districts = make([]DistrictCount, 0, len(ids))
-		}
-		for _, id := range ids {
-			dc := DistrictCount{ID: id, Flows: c.districtCount[c.districtIdx[id]]}
-			if cfg.Model != nil {
-				if d, ok := cfg.Model.DistrictByID(id); ok {
-					dc.Name, dc.StateCode = d.Name, d.StateCode
-				}
-			}
-			s.Districts = append(s.Districts, dc)
-		}
+		s.Districts = c.districts.Counts(cfg.Model != nil)
 	}
 	return s
+}
+
+// census is the drop census in the batch pipeline's shape.
+func (c *counters) census() core.Census {
+	census := core.Census{Dropped: make(map[core.DropReason]int)}
+	for i, n := range c.dropped {
+		census.Total += int(n)
+		if core.DropReason(i) == core.Kept {
+			census.Kept = int(n)
+		} else if n > 0 {
+			census.Dropped[core.DropReason(i)] = int(n)
+		}
+	}
+	return census
 }
 
 // prefix is the prefix of row i.

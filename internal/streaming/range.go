@@ -4,6 +4,8 @@ import (
 	"math"
 	"net/netip"
 	"time"
+
+	"cwatrace/internal/core"
 )
 
 // Range is the fold target of one read: what New + MergeStored + Snapshot
@@ -138,8 +140,9 @@ func (r *Range) Populated() *Range {
 	return r
 }
 
-// series is the rendered hours: flows[i] and bytes[i] are hour lo+i's.
-func (r *Range) series() (lo int, flows, bytes []float64) {
+// Series is the rendered hours: flows[i] and bytes[i] are hour lo+i's.
+// The slices are the fold's own, to be read only.
+func (r *Range) Series() (lo int, flows, bytes []float64) {
 	skip := 0
 	if r.populated {
 		skip = min(max(r.first-r.lo, 0), len(r.flows))
@@ -147,11 +150,18 @@ func (r *Range) series() (lo int, flows, bytes []float64) {
 	return r.lo + skip, r.flows[skip:], r.bytes[skip:]
 }
 
+// Totals is what the fold holds besides its hours and prefixes: the drop
+// census, the late and located counts, and the district sums, which are
+// the fold's own, to be read only.
+func (r *Range) Totals() (census core.Census, late, located uint64, districts *DistrictSums) {
+	return r.census(), r.late, r.located, &r.districts
+}
+
 // Snapshot renders the fold: what Snapshot renders of a ring that folded
 // the same states, trimmed to the query's range.
 func (r *Range) Snapshot() *Snapshot {
 	s := r.counters.snapshot(r.cfg)
-	if lo, flows, bytes := r.series(); len(flows) > 0 {
+	if lo, flows, bytes := r.Series(); len(flows) > 0 {
 		s.SeriesStart = lo
 		s.Hours = make([]HourPoint, len(flows))
 		for i := range flows {
@@ -171,7 +181,7 @@ func (r *Range) Snapshot() *Snapshot {
 // shard, and the re-rendered union is byte-identical to what a single
 // node holding every record would have served.
 func (r *Range) Stored() *Stored {
-	lo, flows, bytes := r.series()
+	lo, flows, bytes := r.Series()
 	top := r.topPrefixes(r.cfg.TopK)
 	st := &Stored{window: r.cfg.WindowHours, maxHour: lo + len(flows) - 1, late: r.late, located: r.located, dropped: r.dropped,
 		bins: make([]hourBin, len(flows)), prefixes: make([]netip.Prefix, len(top)), prefixCount: make([]uint64, len(top))}
@@ -185,9 +195,7 @@ func (r *Range) Stored() *Stored {
 		st.prefixes[i], st.prefixCount[i] = pc.Prefix, pc.Flows
 	}
 	// A rendering cannot tell a rollup without rows and records from none.
-	if r.hasDistricts {
-		st.districtIDs, st.districtCount = r.districtIDs, r.districtCount
-	}
-	st.hasDistricts = len(st.districtIDs) > 0 || r.located > 0
+	st.districts = r.districts
+	st.hasDistricts = r.districts.Len() > 0 || r.located > 0
 	return st
 }

@@ -83,10 +83,11 @@ func randomState(rng *rand.Rand, base int) *Stored {
 		st.hasDistricts = true
 		st.located = uint64(rng.Intn(100))
 		for i, n := 0, rng.Intn(4); i < n; i++ {
-			if id := fmt.Sprintf("%02d-%03d", 1+rng.Intn(3), rng.Intn(4)); !containsKey(st.districtIDs, id) {
-				st.districtIDs = append(st.districtIDs, id)
-				st.districtCount = append(st.districtCount, uint64(rng.Intn(50)))
+			id := fmt.Sprintf("%02d-%03d", 1+rng.Intn(3), rng.Intn(4))
+			if rng.Intn(2) == 0 {
+				id = modelDistricts[rng.Intn(len(modelDistricts))].ID
 			}
+			st.districts.set(NoDistrict, id, uint64(rng.Intn(50)))
 		}
 	}
 	return st
@@ -136,10 +137,11 @@ func scrambled(st *Stored, origin time.Time) []byte {
 	if !st.hasDistricts {
 		return append(enc, 0)
 	}
-	enc = be.AppendUint32(append(enc, 1), uint32(2*len(st.districtIDs)))
-	for i := len(st.districtIDs) - 1; i >= 0; i-- {
-		for _, n := range []uint64{7, st.districtCount[i]} {
-			id := st.districtIDs[i]
+	rows := st.districts.Counts(false)
+	enc = be.AppendUint32(append(enc, 1), uint32(2*len(rows)))
+	for i := len(rows) - 1; i >= 0; i-- {
+		for _, n := range []uint64{7, rows[i].Flows} {
+			id := rows[i].ID
 			enc = be.AppendUint64(append(append(enc, 0, byte(len(id))), id...), n)
 		}
 	}
@@ -323,9 +325,11 @@ func (f *stateFeed) state(cfg Config, from, to time.Time) *Stored {
 	}
 	if st.hasDistricts = f.n(1) == 1; st.hasDistricts {
 		for i := f.n(3); i > 0; i-- {
-			if id := fmt.Sprintf("0%d", f.n(4)); !containsKey(st.districtIDs, id) {
-				st.districtIDs, st.districtCount = append(st.districtIDs, id), append(st.districtCount, uint64(f.n(99)))
+			id := fmt.Sprintf("0%d", f.n(4))
+			if f.n(1) == 1 {
+				id = modelDistricts[f.n(255)].ID
 			}
+			st.districts.set(NoDistrict, id, uint64(f.n(99)))
 		}
 	}
 	if f.n(2) == 0 {

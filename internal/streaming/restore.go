@@ -49,9 +49,9 @@ func FromSnapshot(s *Snapshot) *Analytics {
 	}
 
 	if len(s.Districts) > 0 || s.Located > 0 {
-		a.enableDistricts()
+		a.hasDistricts = true
 		for _, dc := range s.Districts {
-			a.districtCount[a.internDistrict(dc.ID)] = dc.Flows
+			a.districts.set(NoDistrict, dc.ID, dc.Flows)
 		}
 	}
 	a.located = s.Located

@@ -9,7 +9,6 @@
 package streaming
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -59,11 +58,14 @@ func (st *Stored) AppendBinary(buf []byte, origin time.Time) ([]byte, error) {
 	}
 	if st.hasDistricts {
 		size += 4
-		for _, id := range st.districtIDs {
-			if len(id) > math.MaxUint16 {
-				return nil, fmt.Errorf("streaming: district id %q too long", id)
+		var long string
+		st.districts.Each(func(_ uint32, id string, _ uint64) {
+			if size += minDistrictRowLen + len(id); len(id) > math.MaxUint16 {
+				long = id
 			}
-			size += minDistrictRowLen + len(id)
+		})
+		if long != "" {
+			return nil, fmt.Errorf("streaming: district id %q too long", long)
 		}
 	}
 	if cap(buf)-len(buf) < size {
@@ -106,18 +108,17 @@ func (st *Stored) AppendBinary(buf []byte, origin time.Time) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint64(buf, st.prefixCount[i])
 	}
 
-	// District rollup (flag + sorted entries).
+	// District rollup (flag + entries in id order).
 	if !st.hasDistricts {
 		return append(buf, 0), nil
 	}
 	buf = append(buf, 1)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(st.districtIDs)))
-	for _, i := range ascending(st.districtIDs, cmp.Less[string]) {
-		id := st.districtIDs[i]
+	buf = binary.BigEndian.AppendUint32(buf, uint32(st.districts.Len()))
+	st.districts.Each(func(_ uint32, id string, flows uint64) {
 		buf = append(buf, byte(len(id)>>8), byte(len(id)))
 		buf = append(buf, id...)
-		buf = binary.BigEndian.AppendUint64(buf, st.districtCount[i])
-	}
+		buf = binary.BigEndian.AppendUint64(buf, flows)
+	})
 	return buf, nil
 }
 
@@ -164,10 +165,8 @@ func UnmarshalAnalyticsStored(cfg Config, data []byte) (*Analytics, error) {
 		a.prefixCount[a.internPrefix(p)] = st.prefixCount[i]
 	}
 	if st.hasDistricts {
-		a.enableDistricts()
-		for i, id := range st.districtIDs {
-			a.districtCount[a.internDistrict(id)] = st.districtCount[i]
-		}
+		a.hasDistricts = true
+		a.districts.Merge(&st.districts)
 	}
 	return a, nil
 }
@@ -242,7 +241,7 @@ func DecodeStored(cfg Config, data []byte) (*Stored, error) {
 	}
 
 	nPrefixes := int(d.U32())
-	prefixes := newStoredTable(min(nPrefixes, len(d.Buf)/minPrefixRowLen), lessPrefix)
+	prefixes := newStoredTable(min(nPrefixes, len(d.Buf)/minPrefixRowLen))
 	for i := 0; i < nPrefixes && d.Err == nil; i++ {
 		fam := d.U8()
 		var addr netip.Addr
@@ -275,8 +274,8 @@ func DecodeStored(cfg Config, data []byte) (*Stored, error) {
 
 	if d.U8() == 1 {
 		st.hasDistricts = true
+		// Each id resolves here, once: a fold adds the state by index.
 		nDistricts := int(d.U32())
-		districts := newStoredTable(min(nDistricts, len(d.Buf)/minDistrictRowLen), cmp.Less[string])
 		for i := 0; i < nDistricts && d.Err == nil; i++ {
 			idLen := int(d.U8())<<8 | int(d.U8())
 			id := d.Take(idLen)
@@ -284,9 +283,9 @@ func DecodeStored(cfg Config, data []byte) (*Stored, error) {
 			if d.Err != nil {
 				break
 			}
-			districts.set(string(id), count)
+			idx, text := ResolveDistrict(id)
+			st.districts.set(idx, text, count)
 		}
-		st.districtIDs, st.districtCount = districts.keys, districts.counts
 	}
 	if d.Err != nil {
 		return nil, fmt.Errorf("streaming: truncated state: %v", d.Err)
@@ -306,26 +305,25 @@ const (
 	minDistrictRowLen = 2 + 8
 )
 
-// storedTable collects one counter table of a state in encoded order. A
+// storedTable collects the prefix table of a state in encoded order. A
 // repeated key overwrites its count in place — what assigning through the
 // interning map did — but the map that finds repeats is built only once
 // the keys stop ascending: MarshalBinary emits them strictly ascending,
 // so canonical input never builds it.
-type storedTable[K comparable] struct {
-	keys   []K
+type storedTable struct {
+	keys   []netip.Prefix
 	counts []uint64
-	less   func(a, b K) bool
-	index  map[K]int
+	index  map[netip.Prefix]int
 }
 
-func newStoredTable[K comparable](sizeHint int, less func(a, b K) bool) *storedTable[K] {
-	return &storedTable[K]{keys: make([]K, 0, sizeHint), counts: make([]uint64, 0, sizeHint), less: less}
+func newStoredTable(sizeHint int) *storedTable {
+	return &storedTable{keys: make([]netip.Prefix, 0, sizeHint), counts: make([]uint64, 0, sizeHint)}
 }
 
-func (t *storedTable[K]) set(k K, count uint64) {
+func (t *storedTable) set(k netip.Prefix, count uint64) {
 	n := len(t.keys)
-	if t.index == nil && n > 0 && !t.less(t.keys[n-1], k) {
-		t.index = make(map[K]int, n)
+	if t.index == nil && n > 0 && !lessPrefix(t.keys[n-1], k) {
+		t.index = make(map[netip.Prefix]int, n)
 		for i, have := range t.keys {
 			t.index[have] = i
 		}

@@ -25,9 +25,9 @@ func populatedShard(t *testing.T) (*Analytics, Config) {
 	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(-time.Hour), client(2), 10)})
 	// District counts, as a restored checkpoint frame would carry them
 	// (white box: the real path needs a geodb sidecar).
-	a.enableDistricts()
-	a.districtCount[a.internDistrict("05-113")] = 7
-	a.districtCount[a.internDistrict("09-162")] = 3
+	a.hasDistricts = true
+	a.districts.set(NoDistrict, "05-113", 7)
+	a.districts.set(NoDistrict, "09-162", 3)
 	a.located = 10
 	return a, cfg
 }

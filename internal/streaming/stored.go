@@ -8,8 +8,8 @@ import (
 
 // Stored is one decoded Analytics state in compact form: the header
 // counters, the populated bins already in canonical (ascending hour)
-// order, and the prefix and district tables as flat parallel slices. It
-// has no series and no maps — a reader that only folds a checkpoint frame
+// order, the prefix table as flat parallel slices and the district counts
+// by index (DistrictSums). It has no series and no maps — a reader that only folds a checkpoint frame
 // into a merge target (every historical query, compaction, recovery)
 // needs neither; building them per frame read and scanning them back out
 // was most of what a year-span query once cost.
@@ -33,21 +33,21 @@ type Stored struct {
 	prefixCount []uint64
 	// ids[i] is prefixes[i]'s id in table, when the state was resolved
 	// against one (PrefixTable.Resolve); table is nil otherwise.
-	table         *PrefixTable
-	ids           []uint32
-	hasDistricts  bool
-	districtIDs   []string
-	districtCount []uint64
+	table        *PrefixTable
+	ids          []uint32
+	hasDistricts bool
+	districts    DistrictSums
 }
 
 // Size is the heap footprint of the decoded form in bytes, for callers
 // that budget how many they keep.
 func (st *Stored) Size() int {
 	// Row sizes on a 64-bit platform: a bin is three words, a netip.Prefix
-	// four, a string header two; every count is one, a prefix id half.
-	n := 256 + len(st.bins)*24 + len(st.prefixes)*(32+8) + len(st.ids)*4 + len(st.districtIDs)*(16+8)
-	for _, id := range st.districtIDs {
-		n += len(id)
+	// four, a string header two; every count is one, a prefix id half, and
+	// a district takes its count and its flag.
+	n := 256 + len(st.bins)*24 + len(st.prefixes)*(32+8) + len(st.ids)*4 + len(st.districts.flows)*9
+	for _, id := range st.districts.extra {
+		n += 16 + len(id)
 	}
 	return n
 }
@@ -77,7 +77,7 @@ func (st *Stored) MaxHour() int { return st.maxHour }
 // durable store detaches its live tails under the mutex ingest appends
 // wait on, so the copy walks the hours of the range, not the series (its
 // Bounds need no scan either), and the keys of the counter tables —
-// prefixes, their ids, district ids — are shared, not copied: the shard
+// prefixes, their ids, the district ids past the model's — are shared, not copied: the shard
 // only ever appends to those, so the rows the copy holds never change (and
 // an append to the copy's, capped, would reallocate).
 // Only the counts are copied.
@@ -104,9 +104,10 @@ func (a *Analytics) Detach(from, to time.Time) *Stored {
 		}
 	}
 	st := a.storedWith(bins)
-	st.prefixes, st.ids, st.districtIDs = slices.Clip(st.prefixes), slices.Clip(st.ids), slices.Clip(st.districtIDs)
+	st.prefixes, st.ids = slices.Clip(st.prefixes), slices.Clip(st.ids)
 	st.prefixCount = slices.Clone(st.prefixCount)
-	st.districtCount = slices.Clone(st.districtCount)
+	d := &a.districts
+	st.districts = DistrictSums{flows: slices.Clone(d.flows), named: slices.Clone(d.named), n: d.n, extra: slices.Clip(d.extra)}
 	return &st
 }
 
@@ -117,19 +118,18 @@ func (a *Analytics) stored() Stored { return a.storedWith(a.hours.bins()) }
 // storedWith is stored with the caller's choice of bins.
 func (a *Analytics) storedWith(bins []hourBin) Stored {
 	return Stored{
-		window:        a.cfg.WindowHours,
-		maxHour:       a.maxHour,
-		late:          a.late,
-		located:       a.located,
-		dropped:       a.dropped,
-		bins:          bins,
-		prefixes:      a.prefixList,
-		prefixCount:   a.prefixCount,
-		table:         a.table,
-		ids:           a.ids,
-		hasDistricts:  a.hasDistricts,
-		districtIDs:   a.districtIDs,
-		districtCount: a.districtCount,
+		window:       a.cfg.WindowHours,
+		maxHour:      a.maxHour,
+		late:         a.late,
+		located:      a.located,
+		dropped:      a.dropped,
+		bins:         bins,
+		prefixes:     a.prefixList,
+		prefixCount:  a.prefixCount,
+		table:        a.table,
+		ids:          a.ids,
+		hasDistricts: a.hasDistricts,
+		districts:    a.districts,
 	}
 }
 

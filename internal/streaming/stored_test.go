@@ -46,9 +46,9 @@ func storedSeeds(t testing.TB) (Config, map[string][]byte) {
 		a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(-time.Hour), client(2), 10)})
 		if districts {
 			// White box, as in populatedShard: the real path needs a sidecar.
-			a.enableDistricts()
-			a.districtCount[a.internDistrict("05-113")] = uint64(7 + d)
-			a.districtCount[a.internDistrict("09-162")] = 3
+			a.hasDistricts = true
+			a.districts.set(NoDistrict, "05-113", uint64(7+d))
+			a.districts.set(NoDistrict, "09-162", 3)
 			a.located = uint64(10 + d)
 		}
 		return a
@@ -191,8 +191,8 @@ func TestStoredLastEntryWins(t *testing.T) {
 	if len(got.prefixes) != 1 || got.prefixCount[0] != 6 {
 		t.Fatalf("prefixes %v counts %v, want one masked /24 with the last count", got.prefixes, got.prefixCount)
 	}
-	if len(got.districtIDs) != 2 || got.districtIDs[0] != "09-162" || got.districtCount[0] != 3 || got.districtCount[1] != 2 {
-		t.Fatalf("districts %v counts %v, want first-seen order with last counts", got.districtIDs, got.districtCount)
+	if rows := got.districts.Counts(false); len(rows) != 2 || rows[0] != (DistrictCount{ID: "05-113", Flows: 2}) || rows[1] != (DistrictCount{ID: "09-162", Flows: 3}) {
+		t.Fatalf("districts %+v, want each id once with its last count", rows)
 	}
 }
 

@@ -72,6 +72,8 @@ type Config struct {
 	// Filter is the paper's data-set restriction (nil = core.DefaultFilter()).
 	Filter *core.Filter
 	// DB and Model enable per-district rollups; both nil disables them.
+	// A rendering names the districts only where Model is set. Every
+	// model is geo.Germany(), whose order the district id space is.
 	DB    *geodb.DB
 	Model *geo.Model
 }
@@ -121,10 +123,10 @@ type hourBin struct {
 // use; the durable store guards each of its shards with its own locking.
 //
 // The hot-path state is flat arrays: the hourly series is one cell per
-// hour it spans (see series), and the prefix and district counters are
-// count arrays keyed by interned indexes, with the maps reduced to
-// string/prefix → index lookups. A per-record update is then a handful of
-// array writes; the only map the steady state touches is the int-keyed
+// hour it spans (see series), the prefix counters are a count array keyed
+// by interned indexes, with the maps reduced to prefix → index lookups,
+// and the district counters are indexed by the one district id space. A
+// per-record update is then a handful of array writes; the only map the steady state touches is the int-keyed
 // prefix fast index, whose lookups need no hashing of 32-byte netip.Prefix
 // values and whose hits never call mapassign. The district rollup adds no
 // map: a record's district is a function of its /24, so the prefix row
@@ -152,7 +154,7 @@ type Analytics struct {
 	// be re-proven by live traffic.
 	newestNano int64
 
-	// The drop census and the interned prefix and district counters.
+	// The drop census, the interned prefix counters and the district ones.
 	counters
 	// lastPrefKey/lastPrefIdx memoize the most recent fast-index hit:
 	// client records cluster by network, so runs of records share a
@@ -163,7 +165,7 @@ type Analytics struct {
 	lastPrefOK  bool
 	// rowDistrict is each prefix row's district: 0 unresolved (rows a merge
 	// interned, or past its end), -1 not placed by the DB, else 1 + its
-	// district counter index. A row's first record resolves it.
+	// district index. A row's first record resolves it.
 	rowDistrict []int32
 	// ids is each prefix row's id in table, given when the row is created;
 	// both are nil until Intern.
@@ -185,9 +187,7 @@ func New(cfg Config) *Analytics {
 		a.originSec = cfg.Origin.Unix()
 		a.originWhole = true
 	}
-	if cfg.DB != nil && cfg.Model != nil {
-		a.enableDistricts()
-	}
+	a.hasDistricts = cfg.DB != nil && cfg.Model != nil
 	return a
 }
 
@@ -276,13 +276,13 @@ func (a *Analytics) ingest(r *netflow.Record) {
 		if d == 0 {
 			d = -1
 			if entry, ok := a.cfg.DB.Locate(r.Dst); ok {
-				d = int32(a.internDistrict(entry.DistrictID)) + 1
+				d = int32(a.districts.Add(NoDistrict, entry.DistrictID, 0)) + 1
 			}
 			a.rowDistrict[row] = d
 		}
 		if d > 0 {
 			a.located++
-			a.districtCount[d-1]++
+			a.districts.flows[d-1]++
 		}
 	}
 }

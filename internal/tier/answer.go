@@ -16,8 +16,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"cwatrace/internal/core"
@@ -93,15 +91,6 @@ func (bs *buckets) add(hour int64, flows, bytes float64) {
 	bs.list[at].Bytes += bytes
 }
 
-func (bs *buckets) addHours(hours []streaming.HourPoint) {
-	for _, p := range hours {
-		if p.Flows == 0 && p.Bytes == 0 {
-			continue
-		}
-		bs.add(int64(p.Hour), p.Flows, p.Bytes)
-	}
-}
-
 // render returns the buckets sorted by StartHour, with Time filled from
 // origin when non-nil (frames store no Time; answers render it).
 func (bs *buckets) render(origin *time.Time) []Bucket {
@@ -168,54 +157,6 @@ func (sa *SketchAccum) AddShard(states ...*streaming.Stored) {
 	}
 }
 
-// DistrictTable interns district ids as dense indexes, so a fold over
-// hundreds of tier frames adds into a slice instead of probing a string
-// map once per district per frame. A store owns one and resolves each
-// frame against it once, before the frame is published to its cache;
-// builders given the same table fold that frame by index. Ids are only
-// ever added, so an index is good for the table's lifetime. Safe for
-// concurrent use.
-type DistrictTable struct {
-	mu  sync.Mutex
-	idx map[string]uint32
-	ids []string // append-only: a slice header read under mu stays valid
-}
-
-// NewDistrictTable builds an empty table.
-func NewDistrictTable() *DistrictTable {
-	return &DistrictTable{idx: map[string]uint32{}}
-}
-
-func (t *DistrictTable) intern(id string) uint32 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	i, ok := t.idx[id]
-	if !ok {
-		i = uint32(len(t.ids))
-		t.idx[id] = i
-		t.ids = append(t.ids, id)
-	}
-	return i
-}
-
-// snapshot returns the ids interned so far, by dense index.
-func (t *DistrictTable) snapshot() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ids
-}
-
-// Resolve records f's district indexes in t. It writes to f, so it must
-// run before f is shared; builders on the same table then read the
-// result concurrently. An id the table has never seen is interned.
-func (t *DistrictTable) Resolve(f *Frame) {
-	idx := make([]uint32, len(f.Districts))
-	for i, d := range f.Districts {
-		idx[i] = t.intern(d.ID)
-	}
-	f.districtTable, f.districtIdx = t, idx
-}
-
 // Builder accumulates a plan's sources into one Answer.
 type Builder struct {
 	res     Resolution
@@ -226,26 +167,15 @@ type Builder struct {
 	census  core.Census
 	late    uint64
 	located uint64
-	// Per-district flows by dense index; seen marks the districts a source
-	// named — one listed with zero flows is still listed in the answer.
-	table     *DistrictTable
-	districts []uint64
-	seen      []bool
-	// rows is the rendered district list, kept between the two renderings a
-	// shard makes of one builder (Answer, then Frame); an add drops it.
-	rows       []District
+	// Per-district flows by index in the one district id space: one a
+	// source named with zero flows is still listed in the answer.
+	districts  streaming.DistrictSums
 	tierFrames int
 	rawFrames  int
 }
 
 // NewBuilder starts an answer at a concrete (non-auto) resolution.
-// districts is the table the frames to come were resolved against; nil
-// gives the builder its own, and frames resolved elsewhere or not at all
-// (a router's, off the wire for this one merge) are interned as added.
-func NewBuilder(res Resolution, origin time.Time, districts *DistrictTable) *Builder {
-	if districts == nil {
-		districts = NewDistrictTable()
-	}
+func NewBuilder(res Resolution, origin time.Time) *Builder {
 	return &Builder{
 		res:     res,
 		origin:  origin,
@@ -253,20 +183,7 @@ func NewBuilder(res Resolution, origin time.Time, districts *DistrictTable) *Bui
 		hll:     sketch.NewHLL(),
 		quant:   sketch.NewQuantile(),
 		census:  core.Census{Dropped: map[core.DropReason]int{}},
-		table:   districts,
 	}
-}
-
-// addDistrict counts flows for the district at dense index i.
-func (b *Builder) addDistrict(i uint32, flows uint64) {
-	if int(i) >= len(b.districts) {
-		n := max(int(i)+1, len(b.table.snapshot()))
-		b.districts = append(b.districts, make([]uint64, n-len(b.districts))...)
-		b.seen = append(b.seen, make([]bool, n-len(b.seen))...)
-	}
-	b.districts[i] += flows
-	b.seen[i] = true
-	b.rows = nil
 }
 
 // AddFrame folds one selected tier frame in, counting it as the frames it
@@ -286,14 +203,12 @@ func (b *Builder) AddFrame(f *Frame) {
 	}
 	b.late += f.Late
 	b.located += f.Located
-	if f.districtTable == b.table {
-		for i, d := range f.Districts {
-			b.addDistrict(f.districtIdx[i], d.Flows)
+	for j, d := range f.Districts {
+		i := uint32(streaming.NoDistrict)
+		if f.districtIdx != nil {
+			i = f.districtIdx[j]
 		}
-	} else {
-		for _, d := range f.Districts {
-			b.addDistrict(b.table.intern(d.ID), d.Flows)
-		}
+		b.districts.Add(i, d.ID, d.Flows)
 	}
 	for _, bk := range f.Buckets {
 		b.buckets.add(bk.StartHour, bk.Flows, bk.Bytes)
@@ -302,25 +217,30 @@ func (b *Builder) AddFrame(f *Frame) {
 	b.quant.Merge(f.Presence)
 }
 
-// AddResidual folds the exact raw tail in: the snapshot the raw path
-// rendered over the residual frames and live tail, plus the sketch
-// accumulator fed from those shards (the snapshot's prefix leaderboard
-// is TopK-truncated, so it cannot feed the sketches). rawFrames is how
-// many residual checkpoint frames contributed.
-func (b *Builder) AddResidual(snap *streaming.Snapshot, acc *SketchAccum, rawFrames int) {
+// AddResidual folds the exact raw tail in: the raw path's fold over the
+// residual frames and live tail — its totals, its district sums by index
+// and the hours it renders — plus the sketch accumulator fed from those
+// shards (the fold keeps no prefix rows but by id, and renders only a
+// TopK leaderboard, so it cannot feed the sketches). rawFrames is how many
+// residual checkpoint frames contributed.
+func (b *Builder) AddResidual(r *streaming.Range, acc *SketchAccum, rawFrames int) {
 	b.rawFrames += rawFrames
-	if snap != nil {
-		b.census.Total += snap.Census.Total
-		b.census.Kept += snap.Census.Kept
-		for r, n := range snap.Census.Dropped {
+	if r != nil {
+		census, late, located, districts := r.Totals()
+		b.census.Total += census.Total
+		b.census.Kept += census.Kept
+		for r, n := range census.Dropped {
 			b.census.Dropped[r] += n
 		}
-		b.late += snap.Late
-		b.located += snap.Located
-		for _, d := range snap.Districts {
-			b.addDistrict(b.table.intern(d.ID), d.Flows)
+		b.late += late
+		b.located += located
+		b.districts.Merge(districts)
+		lo, flows, bytes := r.Series()
+		for i := range flows {
+			if flows[i] != 0 || bytes[i] != 0 {
+				b.buckets.add(int64(lo+i), flows[i], bytes[i])
+			}
 		}
-		b.buckets.addHours(snap.Hours)
 	}
 	if acc != nil {
 		b.hll.Merge(acc.hll)
@@ -330,25 +250,11 @@ func (b *Builder) AddResidual(snap *streaming.Snapshot, acc *SketchAccum, rawFra
 	}
 }
 
-// districtRows lists the districts a source named, sorted by ID — the
-// canonical order every district list in the system uses.
-func (b *Builder) districtRows() []District {
-	if b.rows == nil && len(b.seen) > 0 { // seen only grows for a district seen
-		b.rows = make([]District, 0, len(b.seen))
-		ids := b.table.snapshot()
-		for i, seen := range b.seen {
-			if seen {
-				b.rows = append(b.rows, District{ID: ids[i], Flows: b.districts[i]})
-			}
-		}
-		slices.SortFunc(b.rows, func(x, y District) int { return strings.Compare(x.ID, y.ID) })
-	}
-	return b.rows
-}
-
-// Answer renders the accumulated state.
-func (b *Builder) Answer() *Answer {
-	ans := &Answer{
+// Answer renders the accumulated state, its districts named from m; a nil
+// m leaves them unnamed. Frames and builders carry ids only: every
+// renderer of an answer (the store, the cluster router) names them here.
+func (b *Builder) Answer(m *geo.Model) *Answer {
+	return &Answer{
 		Resolution:       b.res,
 		Approximate:      true,
 		BucketHours:      b.res.Level().BucketHours(),
@@ -362,14 +268,8 @@ func (b *Builder) Answer() *Answer {
 		Presence:         b.quant.Summarize(),
 		PrefixSketch:     b.hll.AppendBinary(nil),
 		PresenceSketch:   b.quant.AppendBinary(nil),
+		Districts:        b.districts.Counts(m != nil),
 	}
-	if rows := b.districtRows(); rows != nil {
-		ans.Districts = make([]streaming.DistrictCount, len(rows))
-		for i, d := range rows {
-			ans.Districts[i] = streaming.DistrictCount{ID: d.ID, Flows: d.Flows}
-		}
-	}
-	return ans
 }
 
 // Frame renders the accumulated state as a tier frame at the builder's
@@ -400,7 +300,6 @@ func (b *Builder) Frame(m Meta, inputs int) (*Frame, error) {
 		Dropped:    make([]uint64, nReasons),
 		Late:       b.late,
 		Located:    b.located,
-		Districts:  b.districtRows(),
 		Buckets:    b.buckets.render(nil),
 		Prefixes:   b.hll,
 		Presence:   b.quant,
@@ -411,10 +310,19 @@ func (b *Builder) Frame(m Meta, inputs int) (*Frame, error) {
 		}
 		f.Dropped[r] = uint64(n)
 	}
-	for _, d := range f.Districts {
-		if len(d.ID) > math.MaxUint8 { // the codec's length byte
-			return nil, fmt.Errorf("tier: district id %q too long for a frame", d.ID)
+	// The rows in id order, each with the index a fold adds it by.
+	if n := b.districts.Len(); n > 0 {
+		f.Districts, f.districtIdx = make([]District, 0, n), make([]uint32, 0, n)
+	}
+	var long string
+	b.districts.Each(func(i uint32, id string, flows uint64) {
+		if len(id) > math.MaxUint8 { // the codec's length byte
+			long = id
 		}
+		f.Districts, f.districtIdx = append(f.Districts, District{ID: id, Flows: flows}), append(f.districtIdx, i)
+	})
+	if long != "" {
+		return nil, fmt.Errorf("tier: district id %q too long for a frame", long)
 	}
 	return f, nil
 }
@@ -428,19 +336,4 @@ func (b *Builder) Run() (*Frame, error) {
 		f.sources = b.tierFrames
 	}
 	return f, err
-}
-
-// Label fills the district names and state codes in from the geo model.
-// Frames and builders carry ids only; every renderer of an answer (the
-// store, the cluster router) labels it last. A nil model leaves the
-// labels blank.
-func (a *Answer) Label(m *geo.Model) {
-	if m == nil {
-		return
-	}
-	for i := range a.Districts {
-		if d, ok := m.DistrictByID(a.Districts[i].ID); ok {
-			a.Districts[i].Name, a.Districts[i].StateCode = d.Name, d.StateCode
-		}
-	}
 }

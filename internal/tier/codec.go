@@ -15,6 +15,7 @@ import (
 	"math"
 
 	"cwatrace/internal/sketch"
+	"cwatrace/internal/streaming"
 	"cwatrace/internal/wire"
 )
 
@@ -137,12 +138,13 @@ func DecodeFrame(data []byte) (*Frame, error) {
 	var prevID string
 	for i := 0; i < nd && d.Err == nil; i++ {
 		idLen := int(d.U8())
-		id := string(d.Take(idLen))
+		idx, id := streaming.ResolveDistrict(d.Take(idLen))
 		if d.Err == nil && i > 0 && id <= prevID {
 			fail(d, "district order %q after %q", id, prevID)
 		}
 		prevID = id
 		f.Districts = append(f.Districts, District{ID: id, Flows: d.U64()})
+		f.districtIdx = append(f.districtIdx, idx)
 	}
 
 	nb := int(d.U32())

@@ -95,8 +95,8 @@ func FoldStates(level Level, seq uint64, cfg streaming.Config, inputs []Meta, st
 	// The live window means nothing to a fold and would size its rendering:
 	// at one hour the target spans the run's own bins and no more.
 	cfg.WindowHours = 1
-	b := NewBuilder(level.Resolution(), cfg.Origin, nil)
-	b.AddResidual(streaming.Fold(cfg, time.Time{}, time.Time{}, states...).Snapshot(), acc, 0)
+	b := NewBuilder(level.Resolution(), cfg.Origin)
+	b.AddResidual(streaming.Fold(cfg, time.Time{}, time.Time{}, states...), acc, 0)
 	return b.Fold(seq, inputs)
 }
 

@@ -190,10 +190,10 @@ type Frame struct {
 	Prefixes *sketch.HLL
 	Presence *sketch.Quantile
 
-	// districtIdx is the dense index of each Districts row in
-	// districtTable, set once by DistrictTable.Resolve.
-	districtTable *DistrictTable
-	districtIdx   []uint32
+	// districtIdx is each Districts row's index in the one district id
+	// space (streaming.NoDistrict outside the model), resolved once where
+	// the frame is decoded or built; nil for a frame built by hand.
+	districtIdx []uint32
 	// sources is how many tier frames the frame stands for when it is a
 	// run of them merged once (Builder.Run); zero, as decoded, is one.
 	sources int

@@ -16,6 +16,7 @@ import (
 
 	"cwatrace/internal/core"
 	"cwatrace/internal/entime"
+	"cwatrace/internal/geo"
 	"cwatrace/internal/netflow"
 	"cwatrace/internal/sketch"
 	"cwatrace/internal/streaming"
@@ -173,9 +174,9 @@ func TestAddShardCountsAGroupOnce(t *testing.T) {
 	answer := func(add func(acc *SketchAccum)) *Answer {
 		acc := NewSketchAccum()
 		add(acc)
-		bl := NewBuilder(ResolutionDay, entime.StudyStart, nil)
+		bl := NewBuilder(ResolutionDay, entime.StudyStart)
 		bl.AddResidual(nil, acc, 0)
-		return bl.Answer()
+		return bl.Answer(nil)
 	}
 	grouped := answer(func(acc *SketchAccum) { acc.AddShard(a, b) })
 	apart := answer(func(acc *SketchAccum) { acc.AddShard(a); acc.AddShard(b) })
@@ -190,7 +191,7 @@ func TestAddShardCountsAGroupOnce(t *testing.T) {
 // foldWeek folds day frames into a week frame as the store does: a week
 // builder adds each, and its Fold checks and renders the run.
 func foldWeek(seq uint64, days ...*Frame) (*Frame, error) {
-	b := NewBuilder(ResolutionWeek, time.Time{}, nil)
+	b := NewBuilder(ResolutionWeek, time.Time{})
 	metas := make([]Meta, len(days))
 	for i, d := range days {
 		b.AddFrame(d)
@@ -348,9 +349,9 @@ func TestAnswerFrameMergesLikeTheWhole(t *testing.T) {
 	f1 := mkFrame(1, 0, 2, 1, 2, 3)
 	f2 := mkFrame(2, 0, 30, 2, 3, 4)
 
-	merged := NewBuilder(ResolutionDay, origin, nil)
+	merged := NewBuilder(ResolutionDay, origin)
 	for _, f := range []*Frame{f1, f2} {
-		b := NewBuilder(ResolutionDay, origin, nil)
+		b := NewBuilder(ResolutionDay, origin)
 		b.AddFrame(f)
 		shipped, err := b.Frame(Meta{MinHour: -1, MaxHour: -1}, 0)
 		if err != nil {
@@ -363,11 +364,11 @@ func TestAnswerFrameMergesLikeTheWhole(t *testing.T) {
 		merged.AddFrame(decoded)
 	}
 
-	whole := NewBuilder(ResolutionDay, origin, nil)
+	whole := NewBuilder(ResolutionDay, origin)
 	whole.AddFrame(f1)
 	whole.AddFrame(f2)
 
-	got, want := merged.Answer(), whole.Answer()
+	got, want := merged.Answer(nil), whole.Answer(nil)
 	if got.DistinctPrefixes != 4 || len(got.Buckets) != 2 || got.Census.Total != 8 {
 		t.Fatalf("merged answer: %d distinct prefixes, %d buckets, census total %d", got.DistinctPrefixes, len(got.Buckets), got.Census.Total)
 	}
@@ -385,10 +386,10 @@ func TestAnswerFrameMergesLikeTheWhole(t *testing.T) {
 		_, err = DecodeFrame(EncodeFrame(f))
 		t.Fatalf("a 300-byte district id rendered a frame (which decodes to: %v)", err)
 	}
-	if ans := whole.Answer(); ans.Districts[len(ans.Districts)-1].ID != long {
+	if ans := whole.Answer(nil); ans.Districts[len(ans.Districts)-1].ID != long {
 		t.Fatalf("the answer lost the long district id: %+v", ans.Districts)
 	}
-	if _, err := NewBuilder(ResolutionHour, origin, nil).Frame(Meta{}, 0); err == nil {
+	if _, err := NewBuilder(ResolutionHour, origin).Frame(Meta{}, 0); err == nil {
 		t.Fatal("hour resolution rendered a frame")
 	}
 }
@@ -408,10 +409,10 @@ func TestBuilderResidual(t *testing.T) {
 	acc := NewSketchAccum()
 	acc.AddShard(resid.Detach(time.Time{}, time.Time{}))
 
-	b := NewBuilder(ResolutionDay, origin, nil)
+	b := NewBuilder(ResolutionDay, origin)
 	b.AddFrame(f)
-	b.AddResidual(resid.Snapshot(), acc, 1)
-	ans := b.Answer()
+	b.AddResidual(streaming.Fold(testCfg(), time.Time{}, time.Time{}, resid.Detach(time.Time{}, time.Time{})), acc, 1)
+	ans := b.Answer(nil)
 
 	if ans.Census.Total != 4 || ans.Census.Kept != 3 {
 		t.Fatalf("census = %+v", ans.Census)
@@ -443,67 +444,83 @@ func districtFrame(seq uint64, h int64, districts ...District) *Frame {
 		Prefixes: sketch.NewHLL(), Presence: sketch.NewQuantile()}
 }
 
-// TestBuilderFoldsResolvedFramesLikeInternedOnes pins the dense district
-// index to the answer the id-keyed fold gives: frames resolved against a
-// store's table and folded by index, the same frames straight off the
-// wire and interned per builder, and a table that grew after the builder
-// was made all render one district list — sorted by id, a district a
-// frame names with zero flows still listed, an id no earlier frame had
-// still counted.
+// TestBuilderFoldsResolvedFramesLikeInternedOnes pins the fold by index
+// to the answer the id-keyed fold gives: frames decoded (each id resolved
+// once, off the bytes), the same frames built by hand (resolved as they are
+// added) and a mix of both all render one district list — sorted by id
+// with the model's districts and the ids it does not name interleaved, a
+// district a frame names with zero flows still listed, the residual fold's
+// districts added by index — and name exactly the model's districts when
+// the answer is given the model.
 func TestBuilderFoldsResolvedFramesLikeInternedOnes(t *testing.T) {
 	frames := func() []*Frame {
 		return []*Frame{
-			districtFrame(1, 0, District{"05315", 7}, District{"09162", 0}, District{"11000", 2}),
-			districtFrame(2, 24, District{"05315", 1}, District{"11000", 5}),
-			districtFrame(3, 48, District{"01001", 4}, District{"05315", 1}),
+			districtFrame(1, 0, District{"05315", 7}, District{"BE-000", 0}, District{"NW-001", 2}),
+			districtFrame(2, 24, District{"05315", 1}, District{"NW-001", 5}, District{"zz-1", 1}),
+			districtFrame(3, 48, District{"01001", 4}, District{"BE-000", 1}, District{"TH-022", 6}),
 		}
 	}
-	want := []streaming.DistrictCount{{ID: "01001", Flows: 4}, {ID: "05315", Flows: 9}, {ID: "09162", Flows: 0}, {ID: "11000", Flows: 7}, {ID: "16077", Flows: 3}}
-	residual := &streaming.Snapshot{Districts: []streaming.DistrictCount{{ID: "16077", Flows: 3}}}
-
-	table := NewDistrictTable()
-	table.intern("99999") // interned by some other frame, named by none of these: not listed
-	resolved := frames()
-	table.Resolve(resolved[0])
-	dense := NewBuilder(ResolutionDay, entime.StudyStart, table)
-	dense.AddFrame(resolved[0])
-	for _, f := range resolved[1:] { // resolved, and the table grown, after the builder sized itself
-		table.Resolve(f)
-		dense.AddFrame(f)
+	decoded := func() []*Frame {
+		var out []*Frame
+		for _, f := range frames() {
+			d, err := DecodeFrame(EncodeFrame(f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, d)
+		}
+		return out
 	}
-	dense.AddResidual(residual, nil, 0)
-
-	interned := NewBuilder(ResolutionDay, entime.StudyStart, nil)
-	foreign := NewBuilder(ResolutionDay, entime.StudyStart, NewDistrictTable()) // frames resolved against another table
-	for i, f := range frames() {
-		interned.AddFrame(f)
-		foreign.AddFrame(resolved[i])
+	model := geo.Germany()
+	label := func(id string, flows uint64) streaming.DistrictCount {
+		d, _ := model.DistrictByID(id)
+		return streaming.DistrictCount{ID: id, Name: d.Name, StateCode: d.StateCode, Flows: flows}
 	}
-	interned.AddResidual(residual, nil, 0)
-	foreign.AddResidual(residual, nil, 0)
+	want := []streaming.DistrictCount{label("01001", 4), label("05315", 8), label("16077", 3), label("BE-000", 1),
+		label("NW-000", 9), label("NW-001", 7), label("TH-022", 6), label("zz-1", 1)}
+	residual := func() *streaming.Range {
+		snap := &streaming.Snapshot{Origin: entime.StudyStart, WindowHours: 48,
+			Districts: []streaming.DistrictCount{{ID: "16077", Flows: 3}, {ID: "NW-000", Flows: 9}}}
+		return streaming.Fold(testCfg(), time.Time{}, time.Time{}, streaming.FromSnapshot(snap).Detach(time.Time{}, time.Time{}))
+	}
 
-	for name, b := range map[string]*Builder{"dense": dense, "interned": interned, "foreign table": foreign} {
-		if got := b.Answer(); !reflect.DeepEqual(got.Districts, want) {
+	builders := map[string]*Builder{}
+	for name, fs := range map[string][]*Frame{"decoded": decoded(), "by hand": frames(), "mixed": append(decoded()[:1], frames()[1:]...)} {
+		b := NewBuilder(ResolutionDay, entime.StudyStart)
+		for _, f := range fs {
+			b.AddFrame(f)
+		}
+		b.AddResidual(residual(), nil, 0)
+		builders[name] = b
+	}
+	for name, b := range builders {
+		if got := b.Answer(model); !reflect.DeepEqual(got.Districts, want) {
 			t.Errorf("%s: districts %+v, want %+v", name, got.Districts, want)
-		} else if !reflect.DeepEqual(got, dense.Answer()) {
-			t.Errorf("%s: answer differs from the dense fold's:\n got %+v\nwant %+v", name, got, dense.Answer())
+		} else if !reflect.DeepEqual(got, builders["decoded"].Answer(model)) {
+			t.Errorf("%s: answer differs from the decoded frames':\n got %+v\nwant %+v", name, got, builders["decoded"].Answer(model))
+		}
+		for i, d := range b.Answer(nil).Districts {
+			if d != (streaming.DistrictCount{ID: want[i].ID, Flows: want[i].Flows}) {
+				t.Errorf("%s: unnamed row %d is %+v", name, i, d)
+			}
 		}
 	}
-	if got := NewBuilder(ResolutionDay, entime.StudyStart, table).Answer(); got.Districts != nil {
+	if got := NewBuilder(ResolutionDay, entime.StudyStart).Answer(model); got.Districts != nil {
 		t.Errorf("an answer with no district source lists %+v", got.Districts)
 	}
 }
 
-// TestBuildersShareResolvedFrames is the race drill for the dense index:
-// cached frames are folded by concurrent queries while the store resolves
-// newly folded frames — with ids the table has not seen — against the
-// same table. Run under -race (make race).
+// TestBuildersShareResolvedFrames is the race drill for the fold by index:
+// decoded frames, as a store caches them, are folded by concurrent queries,
+// each numbering the ids outside the model its frames name on its own.
+// Run under -race (make race).
 func TestBuildersShareResolvedFrames(t *testing.T) {
-	table := NewDistrictTable()
 	var cached []*Frame
 	for i := 0; i < 8; i++ {
-		f := districtFrame(uint64(i), int64(24*i), District{"05315", 1}, District{fmt.Sprintf("%05d", 1000+i), 2})
-		table.Resolve(f)
+		f, err := DecodeFrame(EncodeFrame(districtFrame(uint64(i), int64(24*i), District{fmt.Sprintf("%05d", 1000+i), 2}, District{"NW-000", 1})))
+		if err != nil {
+			t.Fatal(err)
+		}
 		cached = append(cached, f)
 	}
 	var wg sync.WaitGroup
@@ -512,19 +529,16 @@ func TestBuildersShareResolvedFrames(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for n := 0; n < 50; n++ {
-				b := NewBuilder(ResolutionDay, entime.StudyStart, table)
+				b := NewBuilder(ResolutionDay, entime.StudyStart)
 				for _, f := range cached {
 					b.AddFrame(f)
 				}
-				if ans := b.Answer(); len(ans.Districts) != 9 || ans.Districts[0].ID != "01000" || ans.Districts[8] != (streaming.DistrictCount{ID: "05315", Flows: 8}) {
-					t.Errorf("districts under concurrent resolves: %+v", ans.Districts)
+				if ans := b.Answer(nil); len(ans.Districts) != 9 || ans.Districts[0].ID != "01000" || ans.Districts[8] != (streaming.DistrictCount{ID: "NW-000", Flows: 8}) {
+					t.Errorf("districts under concurrent folds: %+v", ans.Districts)
 					return
 				}
 			}
 		}()
-	}
-	for i := 0; i < 200; i++ {
-		table.Resolve(districtFrame(uint64(100+i), 0, District{fmt.Sprintf("%05d", 20000+i), 1}))
 	}
 	wg.Wait()
 }
