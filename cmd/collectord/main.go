@@ -255,6 +255,11 @@ func main() {
 		if err := st.Checkpoint(); err != nil {
 			fatal("final checkpoint: %v", err)
 		}
+		live, err := st.SnapshotResult()
+		if err != nil {
+			fatal("final snapshot: %v", err)
+		}
+		printSummary(p.Stats(), live.Snapshot())
 		if err := st.Close(); err != nil {
 			fatal("closing store: %v", err)
 		}
@@ -271,7 +276,6 @@ func main() {
 		<-sig
 		drain()
 	}
-	printSummary(p.Stats(), st.Snapshot())
 }
 
 // cleanup undoes a private temp store on the way out — closes it and
@@ -399,7 +403,11 @@ func runDemo(acfg streaming.Config, workers int, quick bool) (*ingest.Pipeline, 
 		elapsed := time.Since(start)
 
 		stats := p.Stats()
-		snap = st.Snapshot()
+		live, err := st.SnapshotResult()
+		if err != nil {
+			return nil, nil, err
+		}
+		snap = live.Snapshot()
 		if stats.Records == uint64(rs.Records) && stats.DroppedRecords == 0 {
 			printSummary(stats, snap)
 			fmt.Printf("demo: streamed %d records in %.2fs (%.0f records/s, %d exporter sources)\n",

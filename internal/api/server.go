@@ -46,9 +46,10 @@ type Live interface {
 // and every answer carries the Version of its own cut, which a 200's
 // ETag is derived from.
 type History interface {
-	Snapshot() *streaming.Snapshot
-	// SnapshotResult is Snapshot unrendered: what ?format=state ships.
-	SnapshotResult() *store.QueryResult
+	Snapshot() *streaming.Snapshot // SnapshotResult rendered; no handler calls it
+	// SnapshotResult is the live view /api/v1/snapshot renders, as JSON
+	// or as the state ?format=state ships.
+	SnapshotResult() (*store.QueryResult, error)
 	// QueryResolution answers a range query: hour is the exact answer,
 	// day/week come from the downsampled tier frames plus the exact raw
 	// residual, auto picks by span (see store.QueryResolution).
@@ -400,18 +401,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	version := func() uint64 { return s.cfg.History.Version(time.Time{}, time.Time{}) }
-	s.serveCached(w, r, "v1/snapshot", p.key(), version, p.mediaType(), func(room []byte) (b built, err error) {
-		if p.state {
-			res := s.cfg.History.SnapshotResult()
-			st, origin := res.State()
-			b.body, err = encodeState(room, st, origin, res)
-			b.version = res.Version
-			return b, err
-		}
-		snap := s.cfg.History.Snapshot()
-		b, err = renderBody(room, v1.NewSnapshot(snap, p.fields, p.top), p.pretty, s.blocks)
-		b.version = snap.Version
-		return b, err
+	s.serveCached(w, r, "v1/snapshot", p.key(), version, p.mediaType(), func(room []byte) (built, error) {
+		res, err := s.cfg.History.SnapshotResult()
+		return s.buildAnswer(room, p, res, err, false)
 	})
 }
 
@@ -444,27 +436,30 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	version := func() uint64 { return s.cfg.History.Version(from, to) }
 	s.serveCached(w, r, "v1/query", key, version, p.mediaType(), func(room []byte) (built, error) {
 		res, err := s.cfg.History.QueryResolution(from, to, resolution)
-		if err != nil {
-			return built{}, err
-		}
-		var b built
-		if p.state {
-			st, origin := res.State()
-			b.body, err = encodeState(room, st, origin, res)
-		} else {
-			b, err = renderBody(room, &v1.QueryResponse{
-				From:         res.From,
-				To:           res.To,
-				Frames:       res.Frames,
-				TailIncluded: res.TailIncluded,
-				Snapshot:     v1.NewSnapshot(res.Snapshot(), p.fields, p.top),
-				Resolution:   string(res.Resolution),
-				LongHorizon:  res.LongHorizon,
-			}, p.pretty, s.blocks)
-		}
-		b.version = res.Version
-		return b, err
+		return s.buildAnswer(room, p, res, err, true)
 	})
+}
+
+// buildAnswer renders a store answer, unless reading it failed: as the
+// state ?format=state ships, or as JSON, the snapshot alone or, for a
+// query, in the query envelope.
+func (s *Server) buildAnswer(room []byte, p reqParams, res *store.QueryResult, err error, query bool) (b built, _ error) {
+	if err != nil {
+		return b, err
+	}
+	if p.state {
+		st, origin := res.State()
+		b.body, err = encodeState(room, st, origin, res)
+	} else {
+		var v any = v1.NewSnapshot(res.Snapshot(), p.fields, p.top)
+		if query {
+			v = &v1.QueryResponse{From: res.From, To: res.To, Frames: res.Frames, TailIncluded: res.TailIncluded,
+				Snapshot: v.(*v1.Snapshot), Resolution: string(res.Resolution), LongHorizon: res.LongHorizon}
+		}
+		b, err = renderBody(room, v, p.pretty, s.blocks)
+	}
+	b.version = res.Version
+	return b, err
 }
 
 func (s *Server) handleUnknown(w http.ResponseWriter, r *http.Request) {

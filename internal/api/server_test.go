@@ -55,9 +55,9 @@ type slowHistory struct {
 	delay time.Duration
 }
 
-func (h slowHistory) Snapshot() *streaming.Snapshot {
+func (h slowHistory) SnapshotResult() (*store.QueryResult, error) {
 	time.Sleep(h.delay)
-	return h.Store.Snapshot()
+	return h.Store.SnapshotResult()
 }
 
 // sampleServer builds a server over sampleStore(t, shards).
@@ -548,11 +548,11 @@ type gatedHistory struct {
 	calls         atomic.Int32
 }
 
-func (h *gatedHistory) Snapshot() *streaming.Snapshot {
+func (h *gatedHistory) SnapshotResult() (*store.QueryResult, error) {
 	h.calls.Add(1)
 	h.once.Do(func() { close(h.started) })
 	<-h.gate
-	return h.Store.Snapshot()
+	return h.Store.SnapshotResult()
 }
 
 // TestWaiterAnswersTimeoutAtItsOwnDeadline pins the deadline of a

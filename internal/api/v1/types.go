@@ -162,7 +162,9 @@ type Snapshot struct {
 
 	// Hours is the hourly Figure-2 flow/byte series (FieldHourly).
 	Hours []HourPoint `json:"hours,omitempty"`
-	// Census and Late report the data-set filter outcomes (FieldFilters).
+	// Census reports the data-set filter outcomes, and Late the kept
+	// records no hour can hold: before Origin or past the plausibility
+	// bound (FieldFilters). Neither depends on when the store checkpointed.
 	Census *Census `json:"census,omitempty"`
 	Late   uint64  `json:"late,omitempty"`
 	// Spikes holds the launch/attention detector hits (FieldSpikes).

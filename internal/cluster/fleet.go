@@ -9,12 +9,10 @@
 package cluster
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -248,12 +246,9 @@ func (f *Fleet) Query(ctx context.Context, from, to time.Time, res tier.Resoluti
 // are dropped again here).
 //
 // A snapshot is the live window, so its parts fold at the window, as a
-// union collector's state does: each part holds only hours within the
-// window of its shard's newest, and the parts fold in ascending order of
-// that newest hour, so no bin arrives behind the window of a part folded
-// before it (none counts late), while the hours the fleet's newest has
-// slid past are left out. A query's fold widens to the span its parts
-// cover instead.
+// union collector's state does: the hours the fleet's newest has slid
+// past are left out, in whatever order the parts come. A query's fold
+// widens to the span its parts cover instead.
 //
 // The answering shards must agree on the effective resolution — with a
 // concrete day/week request they always do; an auto request against a
@@ -307,7 +302,6 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 	}
 	var m *streaming.Range
 	if snapshot {
-		slices.SortStableFunc(states, func(a, b *streaming.Stored) int { return cmp.Compare(a.MaxHour(), b.MaxHour()) })
 		m = streaming.FoldWindow(cfg, states...)
 	} else {
 		m = streaming.Fold(cfg, from, to, states...)

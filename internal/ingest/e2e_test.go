@@ -80,9 +80,7 @@ func streamTrace(t *testing.T, res *sim.Result, workers int) (*streaming.Snapsho
 			if s.SeqGaps != 0 {
 				t.Fatalf("no datagram was lost but sequence audit reports %d gaps", s.SeqGaps)
 			}
-			snap := st.Snapshot()
-			snap.Version = 0 // names one store's cut, not the data
-			return snap, s
+			return st.Snapshot(), s
 		}
 		if attempt >= 2 {
 			t.Fatalf("lossy loopback replay after %d attempts: stats=%+v sent=%d", attempt+1, s, rs.Records)

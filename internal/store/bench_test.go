@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/netip"
 	"runtime"
@@ -178,6 +179,64 @@ func BenchmarkQueryRange(b *testing.B) {
 				}
 				if res.LongHorizon == nil || res.LongHorizon.TierFrames != days-1 || res.Frames != 24/hoursPer {
 					b.Fatalf("day answer from %d tier and %d raw frames", res.LongHorizon.TierFrames, res.Frames)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSnapshot measures the live view over a year of history: a
+// 364-day store of 64 frames, 2 000 client /24s each that recur all year,
+// at a 48-hour window. A snapshot folds the frames' cached runs and the
+// live tail (here one frame-sized append) at the window, then renders the
+// JSON's source (json) or encodes the state a router is shipped (state).
+func BenchmarkSnapshot(b *testing.B) {
+	const (
+		frames  = 64
+		days    = 364
+		clients = 2000
+	)
+	s, err := Open(b.TempDir(), Options{Analytics: testConfig(), Sync: SyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	for f := 0; f <= frames; f++ {
+		batch := make([]netflow.Record, 0, clients)
+		for i := 0; i < clients; i++ {
+			day := min(f*days/frames+i%6, days-1)
+			r := keptRecord(day*24+i%24, 0, uint64(400+i%50))
+			r.Dst = netip.AddrFrom4([4]byte{100, byte(64 + i>>8), byte(i), 1})
+			batch = append(batch, r)
+		}
+		if err := s.Append(batch); err != nil {
+			b.Fatal(err)
+		}
+		if f < frames {
+			if err := s.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		render func(*QueryResult) ([]byte, error)
+	}{
+		{"json", func(r *QueryResult) ([]byte, error) { return json.Marshal(r.Snapshot()) }},
+		{"state", func(r *QueryResult) ([]byte, error) {
+			st, origin := r.State()
+			return st.AppendBinary(nil, origin)
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := s.SnapshotResult()
+				if err == nil {
+					_, err = c.render(res)
+				}
+				if err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -51,8 +51,8 @@ func (o walSpan) obsoleteAmong(frames []walSpan) bool {
 
 // loadFrames reads every checkpoint frame, drops frames whose WAL
 // interval is contained in another's (the half-done-compaction case),
-// merges the survivors into the base state in WAL order, and returns the
-// highest covered segment.
+// registers and caches the survivors in WAL order, and returns the highest
+// covered segment.
 func (s *Store) loadFrames(ckpts []frameMeta) (uint64, error) {
 	// One read+decode per frame; the states ride along until the obsolete
 	// sweep decides which ones merge (recovery is the latency-critical
@@ -90,11 +90,13 @@ func (s *Store) loadFrames(ckpts []frameMeta) (uint64, error) {
 	var covered uint64
 	for _, fr := range live {
 		s.cacheState(frameKey(fr.meta.Seq), fr.state)
-		s.base.MergeStored(fr.state)
 		s.frames = append(s.frames, fr.meta)
 		s.frameRecords += fr.meta.Records
 		if fr.meta.CoveredSeg > covered {
 			covered = fr.meta.CoveredSeg
+		}
+		if h := s.cfg.Origin.Add(time.Duration(fr.meta.MaxHour) * time.Hour); fr.meta.MaxHour >= 0 && h.After(s.watermark) {
+			s.watermark = h
 		}
 		if st, err := os.Stat(fr.meta.path); err == nil && st.ModTime().After(s.lastCheckpoint) {
 			s.lastCheckpoint = st.ModTime()
@@ -106,8 +108,8 @@ func (s *Store) loadFrames(ckpts []frameMeta) (uint64, error) {
 
 // Checkpoint folds the tail shard into a durable checkpoint frame: it
 // seals the active segment, writes the frame (atomically; the WAL is
-// only deleted once the frame is on disk), merges the tail into the
-// in-memory base, deletes the folded segments, starts a fresh segment
+// only deleted once the frame is on disk), registers it, deletes the
+// folded segments, starts a fresh segment
 // and compacts old frames past the MaxFrames bound. With no new records
 // since the last checkpoint it only refreshes the checkpoint clock.
 //
@@ -215,8 +217,9 @@ func (s *Store) checkpointLocked(ctx context.Context, sp *obs.Span) error {
 	s.mu.Lock()
 	s.frames = append(s.frames, frameMeta{frameInfo: info, path: path})
 	s.frameRecords += info.Records
-	s.base.Merge(oldTail)
-	s.baseState = s.base.Detach(time.Time{}, time.Time{})
+	if w := oldTail.Watermark(); w.After(s.watermark) {
+		s.watermark = w
+	}
 	s.foldingTail, s.foldingRecords = nil, 0
 	s.wal.drop(folded)
 	s.checkpoints++

@@ -316,8 +316,8 @@ func (s *Store) tierSources(list []tier.Meta, lo, hi int, runs bool, add func(*t
 // registered lists cannot change between the snapshot and the sweep.
 //
 // It also bounds the prefix table, which only grows: past s.prefixCap ids
-// the store starts a fresh one, gives the base and the tail their ids in
-// it and drops the whole cache, so what is read next is decoded and
+// the store starts a fresh one, gives the tail its ids in it and drops
+// the whole cache, so what is read next is decoded and
 // resolved again. (A state a query resolved against the old table just
 // before may still be cached after; a fold interns its rows, see
 // streaming.PrefixTable.IDs.)
@@ -327,9 +327,7 @@ func (s *Store) pruneFrameCache() {
 	if fresh {
 		t := streaming.NewPrefixTable()
 		s.prefixes.Store(t)
-		s.base.Intern(t)
 		s.tail.Intern(t)
-		s.baseState = s.base.Detach(time.Time{}, time.Time{})
 	}
 	registered := make(map[uint64]bool, len(s.frames)+len(s.tierDay)+len(s.tierWeek))
 	for _, fm := range s.frames {

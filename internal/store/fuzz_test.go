@@ -83,7 +83,10 @@ func FuzzDecode(f *testing.F) {
 // resolution must answer the bytes foldPerFrame computes — the JSON the
 // body renders and the state a shard ships — and again after two more
 // days, whose checkpoints compact past the runs the first round built,
-// and with records left in the live tail.
+// and with records left in the live tail. A twin store that is fed the
+// same appends and never checkpoints answers the snapshot, late count
+// included, with the same JSON and the same state after every round:
+// the live view does not depend on where checkpoints fell.
 func FuzzRunFold(f *testing.F) {
 	model := geo.Germany()
 	var infos []geodb.PrefixInfo
@@ -99,6 +102,7 @@ func FuzzRunFold(f *testing.F) {
 	f.Add([]byte{68, 0, 3, 3, 3, 3, 3, 3, 3})
 	f.Add([]byte{20, 3, 0x17, 0x0b, 0x40, 0x25, 0x83, 0x12, 0x2f})
 	f.Add([]byte{60, 17, 0x91, 0x33, 0x00, 0x47, 0x0c, 0x66, 0x2a, 0x15, 0xe1})
+	f.Add([]byte{30, 2, 0xcb, 0x03, 0x0b, 0xc9, 0x5a}) // records four days behind a 48-hour window
 
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) < 3 {
@@ -107,6 +111,8 @@ func FuzzRunFold(f *testing.F) {
 		days := 2 + int(prog[0])%70
 		s := mustOpen(t, t.TempDir(), Options{Analytics: cfg, MaxFrames: 8 + int(prog[1])%24, Tier: true, Sync: SyncNever})
 		defer s.Close()
+		twin := mustOpen(t, t.TempDir(), Options{Analytics: cfg, Sync: SyncNever})
+		defer twin.Close()
 		ops := prog[2:]
 		play := func(day int, checkpoint bool) {
 			op := ops[day%len(ops)]
@@ -127,6 +133,9 @@ func FuzzRunFold(f *testing.F) {
 			for i, part := range [][]netflow.Record{batch[:half], batch[half:]} {
 				if len(part) > 0 {
 					if err := s.Append(part); err != nil {
+						t.Fatal(err)
+					}
+					if err := twin.Append(part); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -152,6 +161,17 @@ func FuzzRunFold(f *testing.F) {
 						checkAgainstPerFrame(t, s, from, to, res)
 					}
 				}
+			}
+			got, err := s.SnapshotResult()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.SnapshotResult()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := answerOf(t, got), answerOf(t, want); a != b {
+				t.Fatalf("the snapshot answers\n%q\nthe store that never checkpointed\n%q", a, b)
 			}
 		}
 		ask()

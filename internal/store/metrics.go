@@ -75,7 +75,7 @@ func registerStoreFuncs(reg *obs.Registry, s *Store) {
 	gauge("store_watermark_timestamp_seconds",
 		"Newest record start timestamp folded into the store (unix seconds; 0 before traffic).",
 		locked(func() float64 {
-			wm := s.base.Watermark()
+			wm := s.watermark
 			if s.foldingTail != nil {
 				if w := s.foldingTail.Watermark(); w.After(wm) {
 					wm = w

@@ -111,39 +111,54 @@ func (s *Store) QueryResolution(from, to time.Time, res tier.Resolution) (*Query
 		start, end := s.historyBounds()
 		res = tier.AutoSpan(from, to, start, end)
 	}
+	return s.query(from, to, res, false)
+}
+
+// query is tryQuery on a fresh cut, retried when a compaction removed a
+// frame of the cut before it was read.
+func (s *Store) query(from, to time.Time, res tier.Resolution, window bool) (*QueryResult, error) {
 	for attempt := 0; ; attempt++ {
-		r, err := s.tryQuery(from, to, res)
+		r, err := s.tryQuery(s.cut(from, to), from, to, res, window)
 		if err == nil || attempt >= 2 || !errors.Is(err, os.ErrNotExist) {
 			return r, err
 		}
 	}
 }
 
-func (s *Store) tryQuery(from, to time.Time, res tier.Resolution) (*QueryResult, error) {
-	// Under mu, which ingest appends wait on, only what has to be one
-	// consistent cut: the live state and the three frame lists — their
-	// headers suffice, the lists are appended to or replaced whole, never
-	// written in place. Planning and selection run on the cut, unlocked.
-	s.mu.Lock()
-	weeks, days, frames := s.tierWeek, s.tierDay, s.frames
-	live := s.detachLive(from, to)
-	version := s.versionLocked(from, to)
-	s.mu.Unlock()
+// readCut is what a read takes under mu, which ingest appends wait on:
+// the frame lists (appended to or replaced whole, never written in
+// place), the detached live state and the Version naming them.
+type readCut struct {
+	weeks, days []tier.Meta
+	frames      []frameMeta
+	live        []*streaming.Stored
+	version     uint64
+}
 
+func (s *Store) cut(from, to time.Time) readCut {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return readCut{s.tierWeek, s.tierDay, s.frames, s.detachLive(from, to), s.versionLocked(from, to)}
+}
+
+// tryQuery answers from a cut; planning, selection and the fold run
+// unlocked. With window set it is the live view: the hour answer over
+// all of history folded by streaming.FoldWindow, without query metadata.
+func (s *Store) tryQuery(c readCut, from, to time.Time, res tier.Resolution, window bool) (*QueryResult, error) {
 	// At hour resolution the plan is empty — no tier frames, a raw floor
 	// of zero — and the answer is the raw fold alone.
-	plan := tier.BuildPlan(res, s.cfg.Origin, from, to, weeks, days)
+	plan := tier.BuildPlan(res, s.cfg.Origin, from, to, c.weeks, c.days)
 	tiered := plan.Resolution != tier.ResolutionHour
-	result := &QueryResult{From: from, To: to, TailIncluded: live != nil, Version: version}
+	result := &QueryResult{From: from, To: to, TailIncluded: c.live != nil, Version: c.version}
 	// Each selected stretch of a frame list is tiled with aligned blocks
 	// (cover), and a block of minRun frames or more is added as one run.
 	var acc *tier.SketchAccum
 	if tiered {
 		result.Resolution = plan.Resolution
 		result.tiered, acc = tier.NewBuilder(plan.Resolution, s.cfg.Origin), tier.NewSketchAccum()
-		err := s.addPlanned(weeks, plan.Week, result.tiered.AddFrame)
+		err := s.addPlanned(c.weeks, plan.Week, result.tiered.AddFrame)
 		if err == nil {
-			err = s.addPlanned(days, plan.Day, result.tiered.AddFrame)
+			err = s.addPlanned(c.days, plan.Day, result.tiered.AddFrame)
 		}
 		if err != nil {
 			return nil, err
@@ -153,13 +168,14 @@ func (s *Store) tryQuery(from, to time.Time, res tier.Resolution) (*QueryResult,
 	// The raw part: the frames beyond every selected tier's coverage that
 	// overlap the range (frames holding only dropped-record accounting
 	// ride along with every query so the census stays complete), then the
-	// detached live state, in chronological order like Snapshot. A
+	// detached live state, in chronological order. A
 	// historical range can span more hours than the live sliding window
 	// (that is the point of the store), so the fold target is not a ring
 	// at that window but a streaming.Range: sized by the hours the range
 	// shares with the selected frames, evicting nothing, and reporting the
 	// window a ring widened to hold them all would have. A day or week
 	// answer's residual goes frame by frame: presence counts frames.
+	frames, live := c.frames, c.live
 	states := make([]*streaming.Stored, 0, len(frames)+len(live))
 	err := cover(len(frames), func(i int) uint64 { return frames[i].BaseSeg }, func(i int) bool {
 		return frames[i].BaseSeg >= plan.RawFloor && tier.HoursOverlap(s.cfg.Origin, frames[i].MinHour, frames[i].MaxHour, from, to)
@@ -174,6 +190,9 @@ func (s *Store) tryQuery(from, to time.Time, res tier.Resolution) (*QueryResult,
 	})
 	if err != nil {
 		return nil, err
+	}
+	if window {
+		return &QueryResult{Version: c.version, fold: streaming.FoldWindow(s.cfg, append(states, live...)...)}, nil
 	}
 	result.fold = streaming.Fold(s.cfg, from, to, append(states, live...)...)
 	if !tiered {

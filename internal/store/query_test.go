@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -400,22 +403,24 @@ func TestQueryDuringFoldKeepsNonOverlappingTail(t *testing.T) {
 	s.mu.Unlock()
 }
 
-// TestSnapshotBeyondWindow holds the snapshot's fold — the compact base
-// and the detached tails, into a flat window, outside the append lock —
-// to the ring it replaced once history outgrows -window-hours: ten days
-// of checkpoints at a 48-hour window, a live tail that reaches past them,
-// and records that come late into frames and tail alike. The rendering
-// and the state a router is shipped are the bytes of a ring at the window
-// that merged base and tail under the lock, the late count included, and
-// again after a reopen.
+// TestSnapshotBeyondWindow holds the snapshot — the hour query over all
+// of history, folded to the window — to a ring at the window that saw the
+// same records in time order, once history outgrows -window-hours: ten
+// days of checkpoints at a 48-hour window, a live tail that reaches past
+// them, and records that come days late into frames and tail alike. The
+// rendering and the state a router is shipped are the bytes of that
+// ring's, a late record counts nothing late however far behind it came,
+// and the same holds again after a reopen.
 func TestSnapshotBeyondWindow(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
+	var all []netflow.Record
 	for day := 0; day < 10; day++ {
 		batch := []netflow.Record{keptRecord(day*24+3, day, 500), keptRecord(day*24+20, 7, 900)}
 		if day > 3 {
-			batch = append(batch, keptRecord((day-3)*24, 9, 100)) // late by the time its frame folds into base
+			batch = append(batch, keptRecord((day-3)*24, 9, 100)) // days behind the newest
 		}
+		all = append(all, batch...)
 		if err := s.Append(batch); err != nil {
 			t.Fatal(err)
 		}
@@ -427,24 +432,28 @@ func TestSnapshotBeyondWindow(t *testing.T) {
 	if err := s.Append(tail); err != nil {
 		t.Fatal(err)
 	}
+	all = append(all, tail...)
+	slices.SortStableFunc(all, func(a, b netflow.Record) int { return a.First.Compare(b.First) })
 	check := func(s *Store) {
 		t.Helper()
 		ring := streaming.New(s.cfg)
-		ring.Merge(s.base)
-		ring.Merge(s.tail)
+		ring.Ingest(all)
 		want := ring.Snapshot()
-		got := s.Snapshot()
-		if got.Late < 7 || got.SeriesStart != 10*24+30-47 || len(got.Hours) != 48 {
+		res, err := s.SnapshotResult()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Snapshot()
+		if got.Late != 0 || got.SeriesStart != 10*24+30-47 || len(got.Hours) != 48 {
 			t.Fatalf("late %d, series [%d +%d): the window did not slide over the history", got.Late, got.SeriesStart, len(got.Hours))
 		}
-		if got.Version == 0 {
+		if res.Version == 0 {
 			t.Fatal("snapshot carries no Version")
 		}
-		got.Version = 0
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("snapshot\n%+v\nthe ring\n%+v", got, want)
 		}
-		st, origin := s.SnapshotResult().State()
+		st, origin := res.State()
 		state, err := st.AppendBinary(nil, origin)
 		if err != nil {
 			t.Fatal(err)
@@ -463,14 +472,12 @@ func TestSnapshotBeyondWindow(t *testing.T) {
 }
 
 // TestSnapshotHoldsLockForItsCutOnly pins who waits for a snapshot. The
-// append lock is held for the cut — the compact base's pointer, the
-// detached tails, the Version — and not for the fold: with a cut taken
-// and its fold still to come, an Append goes through, and the fold then
-// renders the cut, not the append. And what the cut costs does not grow
-// with the history: the bytes it allocates are the same over a month and
-// over a year of frames, while the whole snapshot's grow with the window
-// they fill (at the parent of this test all of them were allocated, and
-// the ring folded, under the lock).
+// append lock is held for the cut — the frame lists, the detached tails,
+// the Version — and not for the fold: with a cut taken and its fold still
+// to come, an Append goes through, and the fold then renders the cut, not
+// the append. And what the cut costs does not grow with the history: the
+// bytes it allocates are the same over a month and over a year of frames,
+// while the whole snapshot's grow with the window they fill.
 func TestSnapshotHoldsLockForItsCutOnly(t *testing.T) {
 	build := func(days int) *Store {
 		s := mustOpen(t, t.TempDir(), Options{Analytics: streaming.Config{WindowHours: 366 * 24, TopK: 5}})
@@ -490,7 +497,7 @@ func TestSnapshotHoldsLockForItsCutOnly(t *testing.T) {
 	}
 	s := build(30)
 	before := snapJSON(t, s.Snapshot())
-	states, version := s.snapshotCut()
+	c := s.cut(time.Time{}, time.Time{})
 	done := make(chan error, 1)
 	go func() { done <- s.Append([]netflow.Record{keptRecord(30*24+1, 2, 300)}) }()
 	select {
@@ -501,11 +508,15 @@ func TestSnapshotHoldsLockForItsCutOnly(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("an Append waits for a snapshot that has taken its cut")
 	}
-	if got := snapJSON(t, streaming.FoldWindow(s.cfg, states...).Snapshot()); got != before {
+	res, err := s.tryQuery(c, time.Time{}, time.Time{}, tier.ResolutionHour, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snapJSON(t, res.Snapshot()); got != before {
 		t.Fatalf("the fold of a cut renders\n%s\nwant the state as of the cut\n%s", got, before)
 	}
-	if after := s.Snapshot(); after.Version == version || snapJSON(t, after) == before {
-		t.Fatal("the append is not in the next snapshot, or under the cut's Version")
+	if after, err := s.SnapshotResult(); err != nil || after.Version == c.version || snapJSON(t, after.Snapshot()) == before {
+		t.Fatalf("the append is not in the next snapshot, or under the cut's Version (err %v)", err)
 	}
 
 	bytesPer := func(fn func()) uint64 {
@@ -524,7 +535,7 @@ func TestSnapshotHoldsLockForItsCutOnly(t *testing.T) {
 	var cut, whole []uint64
 	for _, days := range []int{30, 120, 360} {
 		s := build(days)
-		cut = append(cut, bytesPer(func() { s.snapshotCut() }))
+		cut = append(cut, bytesPer(func() { s.cut(time.Time{}, time.Time{}) }))
 		whole = append(whole, bytesPer(func() { s.Snapshot() }))
 	}
 	t.Logf("bytes per snapshot over 30 / 120 / 360 days of frames: under the lock %v, in all %v", cut, whole)
@@ -533,5 +544,43 @@ func TestSnapshotHoldsLockForItsCutOnly(t *testing.T) {
 	}
 	if whole[2] < 4*whole[0] || cut[2]*10 > whole[2] {
 		t.Errorf("a snapshot allocates %v bytes in all and %v under the lock: want the first to grow with the history and the second under a tenth of it", whole, cut)
+	}
+}
+
+// TestSnapshotRetriesACompactedFrame stages the race a snapshot shares
+// with every query: its cut names frames that a compaction then merges
+// and removes before they are read (the checkpoint's sweep has dropped
+// them from the frame cache). Folding that cut reads os.ErrNotExist, and
+// SnapshotResult, which retries on a fresh cut, answers what a store that
+// never compacted answers.
+func TestSnapshotRetriesACompactedFrame(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{MaxFrames: 4})
+	defer s.Close()
+	ref := mustOpen(t, t.TempDir(), Options{})
+	defer ref.Close()
+	for day := 0; day < 5; day++ {
+		fillDay(t, ref, day)
+	}
+	for day := 0; day < 4; day++ {
+		fillDay(t, s, day)
+	}
+	c := s.cut(time.Time{}, time.Time{})
+	fillDay(t, s, 4)
+	if m := s.Metrics(); m.Frames != 4 || m.CompactedFrames != 1 {
+		t.Fatalf("%d frames, %d compactions: the oldest pair did not compact", m.Frames, m.CompactedFrames)
+	}
+	if _, err := s.tryQuery(c, time.Time{}, time.Time{}, tier.ResolutionHour, true); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("folding a cut whose frames compaction removed: err %v, want os.ErrNotExist", err)
+	}
+	got, err := s.SnapshotResult()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.SnapshotResult()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := answerOf(t, got), answerOf(t, want); a != b {
+		t.Fatalf("after the compaction the snapshot answers\n%q\nthe uncompacted store\n%q", a, b)
 	}
 }

@@ -444,9 +444,9 @@ func TestRunsSurviveCheckpointAndCompaction(t *testing.T) {
 // checkpoint starts a fresh table and empties the frame cache, and the
 // store answers every hour, day and auto question byte for byte as a store
 // at the default cap fed the same does, and as its per-frame reference
-// does. The table never holds more ids than the cap or the rows of the
-// store's own state, whichever is more: every id a replaced table gave out
-// for a read is gone with it.
+// does. The table never holds more ids than the cap or the prefixes the
+// store holds, whichever is more: every id a replaced table gave out for a
+// read is gone with it.
 func TestPrefixTableStartsAfreshPastItsCap(t *testing.T) {
 	const capIDs = 16
 	opts := Options{Tier: true, Sync: SyncNever, MaxFrames: 8}
@@ -479,12 +479,9 @@ func TestPrefixTableStartsAfreshPastItsCap(t *testing.T) {
 		fillDay(t, free, day)
 		tab := capped.prefixes.Load()
 		tables[tab] = true
-		capped.mu.Lock()
-		rows := 0
-		capped.baseState.EachPrefix(func(netip.Prefix, uint64) { rows++ })
-		capped.mu.Unlock()
+		rows := 3*day + 5 // the /24s fillDay has appended so far
 		if n := tab.Len(); n > max(capIDs, rows) {
-			t.Fatalf("day %d: %d ids in the table, the state holds %d rows", day, n, rows)
+			t.Fatalf("day %d: %d ids in the table, the store holds %d prefixes", day, n, rows)
 		}
 		for _, q := range [][2]int{{0, 24 * (day + 1)}, {24 * day, 24 * (day + 1)}, {24 * max(day-5, 0), 24*day + 12}} {
 			for _, res := range []tier.Resolution{tier.ResolutionHour, tier.ResolutionDay, tier.ResolutionAuto} {

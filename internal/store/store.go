@@ -186,14 +186,15 @@ type Store struct {
 	cfg    streaming.Config
 
 	frames       []frameMeta // sorted by BaseSeg
-	base         *streaming.Analytics
-	baseState    *streaming.Stored // base, compact and immutable: replaced at Open and every commit
 	tail         *streaming.Analytics
 	tailRecords  uint64
 	frameRecords uint64
+	// watermark is a lower bound on the newest record start the frames
+	// hold: each committed tail's, or at Open the newest frame hour's start.
+	watermark time.Time
 
 	// foldingTail is the swapped-out tail of an in-flight checkpoint
-	// (chronologically between base and tail). Snapshot and Query merge
+	// (chronologically between frames and tail). Snapshot and Query merge
 	// it so a fold in progress never makes records transiently invisible.
 	// Reads are safe: the checkpoint only reads it while it is set.
 	foldingTail    *streaming.Analytics
@@ -233,8 +234,8 @@ type Store struct {
 	// them (see framecache.go): seeded by Open, pruned to what is
 	// registered at every checkpoint.
 	frameCache *frameCache
-	// prefixes gives every prefix row of the cached states, the base and
-	// the tails an id; replaced (under mu and ckptMu) past prefixCap ids.
+	// prefixes gives every prefix row of the cached states and the tails
+	// an id; replaced (under mu and ckptMu) past prefixCap ids.
 	prefixes  atomic.Pointer[streaming.PrefixTable]
 	prefixCap int
 
@@ -249,7 +250,7 @@ type Store struct {
 // — a burst that ingests more data-hours than the live window between two
 // checkpoints must not lose its head. A tail costs the hours it holds, so
 // memory stays bounded by the checkpoint cadence; the live sliding-window
-// view is re-imposed when Snapshot folds at the live window.
+// view is imposed when Snapshot folds the frames and tails.
 func (s *Store) newTail() *streaming.Analytics {
 	cfg := s.cfg
 	cfg.Archive = true
@@ -259,7 +260,7 @@ func (s *Store) newTail() *streaming.Analytics {
 }
 
 // Open opens (or creates) the store in dir and runs crash recovery:
-// checkpoint frames are merged into the in-memory base state, the WAL
+// checkpoint frames are decoded into the frame cache, the WAL
 // tail beyond the last durable checkpoint is replayed into the tail
 // shard, a torn record at the end of the last segment is truncated, and
 // (unless ReadOnly) a fresh active segment is started.
@@ -300,7 +301,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:  dir,
 		opts: opts,
 		cfg:  cfg,
-		base: streaming.New(cfg),
 		boot: uint64(time.Now().UnixNano()) ^ uint64(os.Getpid())<<32,
 
 		frameCache: newFrameCache(frameCacheBudget),
@@ -325,7 +325,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.base.Intern(s.prefixes.Load())
 	if err := s.loadTierFrames(tiers); err != nil {
 		return nil, err
 	}
@@ -339,7 +338,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 
-	s.baseState = s.base.Detach(time.Time{}, time.Time{})
 	if s.nextFrameSeq == 0 {
 		s.nextFrameSeq = 1
 	}
@@ -561,31 +559,21 @@ func (s *Store) Flush() error {
 	return s.wal.syncTo(pos)
 }
 
-// Snapshot merges the checkpointed base state with the live tail into
-// one full-coverage snapshot — the durable equivalent of the pipeline's
-// in-memory view, and identical to it when both saw the same records —
-// stamped with the Version(zero, zero) of the instant it was taken.
+// Snapshot renders SnapshotResult, or returns nil when a frame could not
+// be read; serving code renders SnapshotResult instead.
 func (s *Store) Snapshot() *streaming.Snapshot {
-	res := s.SnapshotResult()
-	snap := res.Snapshot()
-	snap.Version = res.Version
-	return snap
+	res, err := s.SnapshotResult()
+	if err != nil {
+		return nil
+	}
+	return res.Snapshot()
 }
 
-// SnapshotResult is Snapshot unrendered (a shard answering a router ships
-// the state): the cut, folded into what a shard at -window-hours comes to.
-func (s *Store) SnapshotResult() *QueryResult {
-	states, version := s.snapshotCut()
-	return &QueryResult{Version: version, fold: streaming.FoldWindow(s.cfg, states...)}
-}
-
-// snapshotCut is all of a snapshot that holds mu, which ingest appends
-// wait on: the compact base, the detached tails, the Version.
-func (s *Store) snapshotCut() ([]*streaming.Stored, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	states := append([]*streaming.Stored{s.baseState}, s.detachLive(time.Time{}, time.Time{})...)
-	return states, s.versionLocked(time.Time{}, time.Time{})
+// SnapshotResult is the live view: the hour query over all of history
+// (read, retried and failed like QueryResolution's), folded to its last
+// -window-hours hours by streaming.FoldWindow, with no query metadata.
+func (s *Store) SnapshotResult() (*QueryResult, error) {
+	return s.query(time.Time{}, time.Time{}, tier.ResolutionHour, true)
 }
 
 // Config reports the resolved analytics configuration (meta-file values

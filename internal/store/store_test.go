@@ -628,7 +628,10 @@ func TestConcurrentAppendCheckpointQuery(t *testing.T) {
 				t.Errorf("query: %v", err)
 				return
 			}
-			_ = s.Snapshot()
+			if _, err := s.SnapshotResult(); err != nil {
+				t.Errorf("snapshot: %v", err)
+				return
+			}
 		}
 	}()
 	wg.Wait()
@@ -905,5 +908,69 @@ func TestForgedTimestampDoesNotBrickStore(t *testing.T) {
 	}
 	if len(snap.Hours) != 1 || snap.Hours[0].Hour != 0 || snap.Hours[0].Flows != 1 {
 		t.Fatalf("recovered window disturbed: %+v", snap.Hours)
+	}
+}
+
+// TestWatermarkSurvivesCleanRestart reads store_watermark_timestamp_seconds
+// across a checkpoint, a clean close and a reopen. In the tail and after
+// the checkpoint it is the newest record's start; after the reopen, with
+// every record in a frame, it is the start of that record's hour (frames
+// record hours), not 0; and a record the reopen replays from the WAL
+// raises it to that record's start again.
+func TestWatermarkSurvivesCleanRestart(t *testing.T) {
+	dir := t.TempDir()
+	watermark := func(reg *obs.Registry) float64 {
+		t.Helper()
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		exp, _ := obs.Lint(sb.String())
+		v, ok := exp.Value("store_watermark_timestamp_seconds", "")
+		if !ok {
+			t.Fatal("no store_watermark_timestamp_seconds")
+		}
+		return v
+	}
+	seconds := func(at time.Time) float64 { return float64(at.UnixNano()) / 1e9 }
+	open := func() (*Store, *obs.Registry) {
+		reg := obs.NewRegistry()
+		return mustOpen(t, dir, Options{Metrics: reg}), reg
+	}
+
+	s, reg := open()
+	rec := keptRecord(50, 1, 100)
+	rec.First = rec.First.Add(20 * time.Minute)
+	if err := s.Append([]netflow.Record{keptRecord(10, 2, 100), rec}); err != nil {
+		t.Fatal(err)
+	}
+	if got := watermark(reg); got != seconds(rec.First) {
+		t.Fatalf("in the tail: watermark %v, want %v", got, seconds(rec.First))
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := watermark(reg); got != seconds(rec.First) {
+		t.Fatalf("after a checkpoint: watermark %v, want %v", got, seconds(rec.First))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, reg = open()
+	if got, want := watermark(reg), seconds(entime.StudyStart.Add(50*time.Hour)); got != want {
+		t.Fatalf("after a reopen: watermark %v, want %v, the start of the newest frame hour", got, want)
+	}
+	late := keptRecord(51, 3, 100)
+	if err := s.Append([]netflow.Record{late}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, reg = open()
+	defer s.Close()
+	if got := watermark(reg); got != seconds(late.First) {
+		t.Fatalf("after a reopen that replays the WAL: watermark %v, want %v", got, seconds(late.First))
 	}
 }

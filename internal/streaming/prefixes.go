@@ -11,7 +11,7 @@ import (
 // into an array instead of interning every row of every state into a map
 // of its own, and a sketch reads a prefix's hash instead of hashing its text
 // again. A durable store owns one and resolves each state against it once,
-// before the state is shared (Resolve); its base and tails give a row its
+// before the state is shared (Resolve); its live tails give a row its
 // id when the row is created (Analytics.Intern). Ids are only ever added,
 // so an id is good for the table's lifetime. Safe for concurrent use.
 type PrefixTable struct {

@@ -19,24 +19,23 @@ import (
 // hand to hold every selected hour; the Range reports the window that
 // widening would have produced: cfg.WindowHours, or the span of the
 // folded bins when that is longer. FoldWindow is the live view and keeps
-// the ring's window instead: a bin cfg.WindowHours or more behind the
-// newest folded so far counts late, and one the window has since slid
-// past is left out, as the ring would have evicted it.
+// the ring's window instead: it renders the cfg.WindowHours hours up to
+// the newest folded bin. Neither depends on the order of the states, and
+// in neither does a bin come late for being old: late counts only the
+// implausible hours a state holds and the late counts it carries.
 type Range struct {
 	cfg Config // WindowHours: the window a rendering reports
 	counters
-	slide     int // how far behind the newest bin so far one counts late
 	populated bool
 
-	// first is the oldest bin of any folded state and maxHour the newest
-	// folded so far (-1 before any); flows[i]/bytes[i] accumulate hour
-	// lo+i, over the hours a rendering shows.
-	first, maxHour int
-	lo             int
-	flows, bytes   []float64
+	// first is the oldest bin of any folded state; flows[i]/bytes[i]
+	// accumulate hour lo+i, over the hours a rendering shows.
+	first        int
+	lo           int
+	flows, bytes []float64
 }
 
-// Fold folds states, oldest first, into the answer to a query over
+// Fold folds states, in any order, into the answer to a query over
 // [from, to); zero bounds are open. Of cfg it reads Origin, WindowHours
 // (the live window the answer reports unless the folded span is longer),
 // TopK, the spike parameters and Model. The states are not
@@ -46,15 +45,15 @@ func Fold(cfg Config, from, to time.Time, states ...*Stored) *Range {
 	return fold(cfg, false, lo, hi, states)
 }
 
-// FoldWindow folds states, oldest first, into the live view: what a
-// shard at cfg.WindowHours that merged them in this order snapshots.
+// FoldWindow folds states, in any order, into the live view: the last
+// cfg.WindowHours hours of everything they hold.
 func FoldWindow(cfg Config, states ...*Stored) *Range {
 	return fold(cfg, true, 0, math.MaxInt, states)
 }
 
 func fold(cfg Config, window bool, clipLo, clipHi int, states []*Stored) *Range {
 	cfg = cfg.withDefaults()
-	r := &Range{slide: math.MaxInt, first: math.MaxInt, maxHour: -1}
+	r := &Range{first: math.MaxInt}
 	last := -1
 	for _, st := range states {
 		for _, bin := range st.bins {
@@ -63,9 +62,7 @@ func fold(cfg Config, window bool, clipLo, clipHi int, states []*Stored) *Range 
 			}
 		}
 	}
-	if window {
-		r.slide = cfg.WindowHours
-	} else if last >= 0 {
+	if !window && last >= 0 {
 		cfg.WindowHours = max(cfg.WindowHours, last-r.first+1)
 	}
 	if lo, hi := max(clipLo, last-cfg.WindowHours+1), min(clipHi, last); lo <= hi {
@@ -74,13 +71,11 @@ func fold(cfg Config, window bool, clipLo, clipHi int, states []*Stored) *Range 
 	r.cfg = cfg
 	for _, st := range states {
 		for _, bin := range st.bins {
-			// Implausible (see Analytics.bin), or behind the live window: late,
-			// as against a ring.
-			if bin.hour >= MaxWindowHours || r.maxHour-bin.hour >= r.slide {
+			// Implausible (see Analytics.bin): late, as against a ring.
+			if bin.hour >= MaxWindowHours {
 				r.late += uint64(bin.flows)
 				continue
 			}
-			r.maxHour = max(r.maxHour, bin.hour)
 			if i := bin.hour - r.lo; i >= 0 && i < len(r.flows) {
 				r.flows[i] += bin.flows
 				r.bytes[i] += bin.bytes

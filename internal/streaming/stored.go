@@ -66,10 +66,6 @@ func (st *Stored) Table() *PrefixTable { return st.table }
 // Window is the window length the state was captured at.
 func (st *Stored) Window() int { return st.window }
 
-// MaxHour is the newest hour of the window the state was captured at, -1
-// before any.
-func (st *Stored) MaxHour() int { return st.maxHour }
-
 // Detach copies the live shard into compact form, for a fold that renders
 // no hour outside [from, to) (zero bounds are open). Only the bins in that
 // range are copied, plus the shard's oldest and newest bin: a fold reads
@@ -137,8 +133,8 @@ func (a *Analytics) storedWith(bins []hourBin) Stored {
 // share one Origin; other's window length may differ (an archive tail can
 // be wider than a's window — its overflow bins evict or count late
 // against a's window like any arrival). Aggregation is commutative, so
-// any merge order yields the same counters; the durable store merges
-// each tail it checkpoints into its base this way, under its own lock.
+// any merge order yields the same counters; the durable store merges a
+// tail whose checkpoint failed back into the live one this way.
 func (a *Analytics) Merge(other *Analytics) {
 	st := other.stored()
 	a.MergeStored(&st)

@@ -356,7 +356,7 @@ func (a *Analytics) Watermark() time.Time {
 
 // Snapshot reports this shard's aggregates alone. A view across shards is
 // a fold of their states (FoldWindow), which is how the durable store
-// renders its base and tails.
+// renders its frames and tails.
 func (a *Analytics) Snapshot() *Snapshot { return a.snapshot() }
 
 // Bounds reports the populated hour coverage of the window as inclusive
@@ -537,15 +537,14 @@ type Snapshot struct {
 	Spikes      []Spike         `json:"spikes"`
 	TopPrefixes []PrefixCount   `json:"top_prefixes"`
 	Districts   []DistrictCount `json:"districts,omitempty"`
-	// Late counts kept records that arrived after their bucket left the
-	// window (or predate Origin).
+	// Late counts kept records no hour can hold: they predate Origin or
+	// lie past MaxWindowHours. A live shard at its window also counts the
+	// records that arrived after their bucket left it; a fold of states
+	// (a durable store's snapshot and query answers) never does, so what
+	// it reports does not depend on when checkpoints ran.
 	Late uint64 `json:"late"`
 	// Located counts kept records the geolocation sidecar could place.
 	Located uint64 `json:"located"`
-	// Version is set by a durable store on the snapshots it serves: the
-	// generation token of the cut this snapshot renders (see
-	// store.Version). Zero everywhere else; never on the wire.
-	Version uint64 `json:"-"`
 }
 
 // Figure2 derives the paper's Figure-2 result from the snapshot series via
