@@ -1,7 +1,7 @@
 # Tier-1 verify is `make verify` (build + test); see ROADMAP.md.
 GO ?= go
 
-.PHONY: build test test-bench vet vet-bench fmt loc docs-check race bench bench-ingest obs-gate bench-store bench-api fuzz-smoke crash-smoke api-smoke cluster-smoke verify ci all ingest-demo ingest-demo-quick
+.PHONY: build test test-bench vet vet-bench fmt loc docs-check race bench bench-ingest obs-gate bench-store bench-api fuzz-smoke crash-smoke api-smoke cluster-smoke verify ci all ingest-demo
 
 all: verify vet
 
@@ -41,7 +41,7 @@ fmt:
 # read, and is only ever lowered. A PR that grows the stack past it fails
 # here and either finds the lines to delete or argues the new bar in
 # review.
-SERVING_LOC_MAX = 14139
+SERVING_LOC_MAX = 13991
 SERVING_DIRS = internal/api internal/cluster internal/ingest internal/nfv9 internal/obs internal/sketch internal/store internal/streaming internal/tier internal/wire cmd/collectord cmd/queryrouterd
 loc:
 	@total=0; for d in $(SERVING_DIRS); do \
@@ -104,9 +104,11 @@ bench-store:
 bench-api:
 	$(GO) test -run XXX -bench 'BenchmarkMarshalBody|BenchmarkWriteBody' -benchmem ./internal/api/
 
-# API smoke drill: collectord -demo -quick -serve, then an
-# /api/v1/snapshot If-None-Match round trip asserting the 304. CI runs
-# the same test.
+# API smoke drill: collectord as an operator starts it (no -data-dir),
+# fed a simulated capture over NFv9/UDP; under ingest and after the
+# drain it checks ETags, the If-None-Match 304, field selection, the
+# record-conservation identities and the /metrics page, then SIGTERMs
+# it and requires the temp store gone. CI runs the same test.
 api-smoke:
 	$(GO) test -run TestAPISmoke -count=1 -v ./cmd/collectord/
 
@@ -161,20 +163,18 @@ crash-smoke:
 cluster-smoke:
 	$(GO) test -run TestClusterSmoke -count=1 -v ./cmd/queryrouterd/
 
-# Live ingest smoke run: simulate, replay the trace as NFv9/UDP over
-# loopback into the collector pipeline, verify the streaming aggregates
-# against the batch analysis. `-quick` is the smaller CI variant.
+# Live ingest run: simulate, replay the trace as NFv9/UDP over loopback
+# into the collector pipeline and its store, and require the streaming
+# aggregates to equal the batch analysis exactly, at 1 and 4 workers.
+# `go test ./...` runs the same test.
 ingest-demo:
-	$(GO) run ./cmd/collectord -demo
-
-ingest-demo-quick:
-	$(GO) run ./cmd/collectord -demo -quick
+	$(GO) test -run TestLoopbackEndToEnd -count=1 -v ./internal/ingest/
 
 verify: build test
 
 # Mirrors .github/workflows/ci.yml: the formatting gate, the serving-stack
 # size ratchet, the docs check, static checks (the bench module
 # included), the full test suite and the harness's own, the race pass,
-# the ingest smoke run, the crash drill, the API conditional-GET smoke,
+# the crash drill, the API smoke against the real daemon,
 # the cluster kill/recovery drill and the fuzz smoke.
-ci: fmt loc docs-check vet vet-bench build test test-bench race ingest-demo-quick crash-smoke api-smoke cluster-smoke fuzz-smoke
+ci: fmt loc docs-check vet vet-bench build test test-bench race crash-smoke api-smoke cluster-smoke fuzz-smoke

@@ -37,6 +37,32 @@ type collectordProc struct {
 	lines []string
 }
 
+// buildCollectord builds the daemon from this checkout into a temp dir
+// and returns the binary's path.
+func buildCollectord(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "collectord")
+	build := exec.Command("go", "build", "-o", bin, "cwatrace/cmd/collectord")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("building collectord: %v", err)
+	}
+	return bin
+}
+
+// smokeTrace simulates the drills' capture: the quick experiment
+// configuration at a third of its devices (about 7 400 records).
+func smokeTrace(t *testing.T) *sim.Result {
+	t.Helper()
+	cfg := experiments.QuickConfig()
+	cfg.Scale *= 3
+	res, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // launchCollectord starts the built daemon with its stdout captured
 // line by line; callers poll linesCopy (or awaitLine) for the
 // announcement prefixes they care about.
@@ -165,19 +191,9 @@ func getSnapshot(t *testing.T, addr string) (snapshotBody, bool) {
 // the same data dir and require the recovered /api/v1/snapshot to match
 // the pre-kill accounting exactly.
 func TestCrashRecoverySmoke(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "collectord")
-	build := exec.Command("go", "build", "-o", bin, "cwatrace/cmd/collectord")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building collectord: %v", err)
-	}
+	bin := buildCollectord(t)
 
-	cfg := experiments.QuickConfig()
-	cfg.Scale *= 3 // demo-quick sized trace
-	res, err := sim.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := smokeTrace(t)
 	quarter := res.Records[:len(res.Records)/4]
 	second := res.Records[len(res.Records)/4 : len(res.Records)/2]
 
@@ -364,12 +380,7 @@ func queryDayAnswer(t *testing.T, addr string) (map[string]any, bool) {
 // racing a real SIGKILL against a microsecond fold window; the daemon
 // SIGKILL below keeps a real kill in the loop.
 func TestTierCrashSmoke(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "collectord")
-	build := exec.Command("go", "build", "-o", bin, "cwatrace/cmd/collectord")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building collectord: %v", err)
-	}
+	bin := buildCollectord(t)
 
 	// A month of history, one checkpoint per day, tier folding on: day
 	// frames for every closed day, week frames over them.

@@ -60,15 +60,8 @@
 //	           [-trace-ring N] [-trace-slow D] [-trace-sample N]
 //	           [-event-ring N]
 //
-//	collectord -demo [-quick] [-serve]
-//
-// Demo mode is the self-contained loopback smoke run behind
-// `make ingest-demo`: it runs the simulator, replays the trace through an
-// exporter pool into its own pipeline and temp-dir store over loopback
-// UDP, and checks the store's aggregates against the batch internal/core
-// analysis. With -serve the daemon then keeps serving that store over
-// HTTP until SIGTERM — the self-contained target the api-smoke CI step
-// curls.
+// The load generator is a second process: `cwasim -export ADDR` replays
+// a simulated capture to the -listen address as NFv9 over UDP.
 package main
 
 import (
@@ -78,21 +71,17 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"reflect"
 	"strings"
 	"syscall"
 	"time"
 
 	"cwatrace/internal/api"
 	"cwatrace/internal/cluster"
-	"cwatrace/internal/core"
 	"cwatrace/internal/entime"
-	"cwatrace/internal/experiments"
 	"cwatrace/internal/geo"
 	"cwatrace/internal/geodb"
 	"cwatrace/internal/ingest"
 	"cwatrace/internal/obs"
-	"cwatrace/internal/sim"
 	"cwatrace/internal/store"
 	"cwatrace/internal/streaming"
 )
@@ -107,9 +96,6 @@ func main() {
 		windowHours = flag.Int("window-hours", entime.StudyHours()+24, "live sliding window length in hours (bounds what /api/v1/snapshot renders, not what the store keeps or a range query costs)")
 		topK        = flag.Int("topk", 10, "active-prefix leaderboard size")
 		shard       = flag.String("shard", "", "cluster shard assignment i/N (e.g. 0/3): keep only this node's records")
-		demo        = flag.Bool("demo", false, "self-contained sim -> exporter -> pipeline loopback run")
-		quick       = flag.Bool("quick", false, "smaller demo workload (CI smoke mode)")
-		serve       = flag.Bool("serve", false, "with -demo: keep serving the demo state over HTTP after verification")
 		httpLog     = flag.Bool("http-log", false, "log one access line per HTTP request")
 		pprofOn     = flag.Bool("pprof", false, "mount /debug/pprof on the HTTP server")
 		slowQuery   = flag.Duration("slow-query", 0, "log any request at least this slow (0 disables)")
@@ -118,16 +104,16 @@ func main() {
 
 		dataDir      = flag.String("data-dir", "", "durable store directory (empty: a private temp dir, never fsynced, removed at exit)")
 		fsyncPolicy  = flag.String("fsync", "interval", "WAL fsync policy: always (a record counted as processed is on stable storage; one fsync per commit group, not per datagram), interval (fsync every -fsync-interval) or never (only on seal, checkpoint and shutdown)")
-		fsyncEvery   = flag.Duration("fsync-interval", time.Second, "fsync cadence under -fsync=interval")
+		fsyncEvery   = flag.Duration("fsync-interval", time.Second, "fsync cadence under -fsync=interval (must be positive)")
 		ckptEvery    = flag.Duration("checkpoint-interval", 5*time.Minute, "checkpoint/compaction cadence (0 disables the ticker)")
 		tierOn       = flag.Bool("tier", true, "fold long-horizon day/week tier frames at checkpoint time (enables resolution=day|week|auto queries)")
 		segmentBytes = flag.Int64("segment-bytes", 4<<20, "WAL segment rotation size in bytes")
 	)
 	flag.Parse()
 
-	// One observability stack for whichever mode runs below: the
-	// registry, the flight recorder's trace/event rings, the SIGQUIT
-	// crash dump and the panic dump on the main goroutine.
+	// One observability stack for the whole daemon: the registry, the
+	// flight recorder's trace/event rings, the SIGQUIT crash dump and the
+	// panic dump on the main goroutine.
 	o := newObsStack()
 	obs.InstallCrashDump(o.Events, os.Stderr)
 	defer obs.DumpOnPanic(o.Events, os.Stderr)
@@ -145,27 +131,6 @@ func main() {
 		}
 		acfg.DB = db
 		acfg.Model = geo.Germany()
-	}
-
-	if *demo {
-		p, st, err := runDemo(acfg, *workers, *quick)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if *serve {
-			// The drained pipeline's store is frozen, which makes it the
-			// perfect conditional-GET demo: every ETag stays valid until
-			// shutdown. Serve it until SIGTERM, then shut down gracefully:
-			// health flips to 503 draining while in-flight responses
-			// finish.
-			p.RegisterMetrics(o.Reg) // safe: the demo pipeline is drained
-			srv := newAPIServer(p, st, o, *httpLog, *slowQuery, *pprofOn)
-			if err := srv.ServeUntilSignal(listenHTTP(*httpAddr), func() { fmt.Println("collectord: draining") }); err != nil {
-				fatal("http: %v", err)
-			}
-		}
-		cleanup()
-		return
 	}
 
 	// One registry spans every layer, so /metrics is a single page:
@@ -197,6 +162,11 @@ func main() {
 	}
 	if *dataDir == "" {
 		pol = store.SyncNever // nothing in a temp dir outlives the process
+	}
+	if pol == store.SyncInterval && *fsyncEvery <= 0 {
+		// The pipeline runs no flush loop without a positive cadence, so
+		// the interval policy would silently never fsync.
+		fatal("-fsync interval needs a positive -fsync-interval, got %v", *fsyncEvery)
 	}
 	st, dir, err := openStore(*dataDir, store.Options{
 		Analytics:    acfg,
@@ -336,112 +306,6 @@ func newAPIServer(p *ingest.Pipeline, st *store.Store, o obs.Stack, accessLog bo
 	}
 	srv.MountTelemetry(o.Reg.Handler(), o.Tracer.Handler(), o.Events.Handler(), pprofOn)
 	return srv
-}
-
-// runDemo is the loopback smoke run: simulate, export, ingest, verify.
-// It returns the drained pipeline and its store, a private temp store
-// cleanup removes, so -serve can keep exposing the state.
-func runDemo(acfg streaming.Config, workers int, quick bool) (*ingest.Pipeline, *store.Store, error) {
-	cfg := experiments.QuickConfig()
-	if quick {
-		cfg.Scale *= 3 // fewer devices, smaller trace
-	}
-	fmt.Printf("demo: simulating the study window (scale 1:%d)\n", cfg.Scale)
-	res, err := sim.Run(cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sim: %w", err)
-	}
-
-	acfg.DB = res.GeoDB
-	acfg.Model = res.Model
-	if acfg.WindowHours < entime.StudyHours()+24 {
-		acfg.WindowHours = entime.StudyHours() + 24
-	}
-
-	// UDP makes no delivery promises even on loopback: retry a lossy
-	// replay on a fresh pipeline and store rather than skipping
-	// verification — the demo's whole point (and its CI role) is the
-	// exact-match check.
-	var (
-		p    *ingest.Pipeline
-		st   *store.Store
-		snap *streaming.Snapshot
-	)
-	for attempt := 1; ; attempt++ {
-		if st, _, err = openStore("", store.Options{Analytics: acfg, Sync: store.SyncNever}); err != nil {
-			return nil, nil, err
-		}
-		p, err = ingest.New(ingest.Config{
-			Listen:      []string{"127.0.0.1:0"},
-			Workers:     workers,
-			ShardBuffer: 4096,
-			Sink:        st,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		fmt.Printf("demo: replaying %d records over NFv9/UDP loopback to %s\n", len(res.Records), p.Addrs()[0])
-		start := time.Now()
-		rs, err := ingest.Replay(p.Addrs(), res.Records, ingest.ReplayConfig{
-			Sources:          8,
-			RecordsPerSecond: 50000,
-		})
-		if err != nil {
-			p.Close()
-			return nil, nil, fmt.Errorf("replay: %w", err)
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if s := p.Stats(); s.Records == uint64(rs.Records) && p.Drained() {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		if err := p.Close(); err != nil {
-			return nil, nil, err
-		}
-		elapsed := time.Since(start)
-
-		stats := p.Stats()
-		live, err := st.SnapshotResult()
-		if err != nil {
-			return nil, nil, err
-		}
-		snap = live.Snapshot()
-		if stats.Records == uint64(rs.Records) && stats.DroppedRecords == 0 {
-			printSummary(stats, snap)
-			fmt.Printf("demo: streamed %d records in %.2fs (%.0f records/s, %d exporter sources)\n",
-				stats.Processed, elapsed.Seconds(), float64(stats.Processed)/elapsed.Seconds(), rs.Sources)
-			break
-		}
-		if attempt >= 3 {
-			return nil, nil, fmt.Errorf("demo: loopback replay stayed lossy after %d attempts (sent %d, stats %+v)",
-				attempt, rs.Records, stats)
-		}
-		fmt.Printf("demo: attempt %d lost records (sent %d, received %d, dropped %d); retrying\n",
-			attempt, rs.Records, stats.Records, stats.DroppedRecords)
-		cleanup()
-	}
-
-	// Verification against the batch pipeline.
-	kept, census := core.ApplyFilter(res.Records, core.DefaultFilter())
-	if !reflect.DeepEqual(snap.Census, census) {
-		return nil, nil, fmt.Errorf("demo: streaming census %+v != batch %+v", snap.Census, census)
-	}
-	batchFig2, err := core.Figure2(kept, res.Curve)
-	if err != nil {
-		return nil, nil, err
-	}
-	streamFig2, err := snap.Figure2(res.Curve)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !reflect.DeepEqual(streamFig2, batchFig2) {
-		return nil, nil, fmt.Errorf("demo: streaming figure-2 series differs from batch")
-	}
-	fmt.Printf("demo: OK — streaming census and figure-2 series match batch exactly (release-day ratio %.2fx)\n",
-		streamFig2.ReleaseDayFlowRatio)
-	return p, st, nil
 }
 
 // printSummary renders the drained pipeline's headline state.

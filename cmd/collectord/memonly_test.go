@@ -1,108 +1,45 @@
 package main
 
 import (
-	"io"
-	"net/http"
+	"bytes"
+	"context"
+	"errors"
+	"net"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
-
-	"cwatrace/internal/experiments"
-	"cwatrace/internal/ingest"
-	"cwatrace/internal/obs"
-	"cwatrace/internal/sim"
 )
 
-// TestMemoryOnlyDaemon runs collectord without -data-dir, the way it is
-// started for a look at live traffic, and exports NFv9 to it over UDP.
-// Such a daemon runs a store like any other, in a private temp dir: the
-// range query answers 200 with an ETag, every snapshot 200 under ingest
-// carries an ETag, a 304 comes back once ingest is at rest, /metrics
-// carries the store's families and lints clean, and the temp dir is gone
-// after SIGTERM.
+// TestMemoryOnlyDaemon pins the lifecycle of the private temp store a
+// collectord without -data-dir runs on, on both ways out. The child gets
+// its own TMPDIR, so "nothing left" means the whole dir is empty, not
+// only the store dir it announced. A clean start announces an existing
+// "collectord-" dir inside TMPDIR, and SIGTERM exits 0 and removes it. A
+// start that fails after the store is open (the HTTP address is taken)
+// exits 1 naming the cause and removes it too. The serving side of such
+// a daemon under UDP ingest is TestAPISmoke's drill.
 func TestMemoryOnlyDaemon(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "collectord")
-	build := exec.Command("go", "build", "-o", bin, "cwatrace/cmd/collectord")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building collectord: %v", err)
-	}
-	cfg := experiments.QuickConfig()
-	cfg.Scale *= 3 // demo-quick sized trace
-	res, err := sim.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	bin := buildCollectord(t)
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	emptyTmp := func(when string) {
+		t.Helper()
+		if entries, err := os.ReadDir(tmp); err != nil || len(entries) != 0 {
+			t.Fatalf("%s: TMPDIR holds %v (%v), want nothing", when, entries, err)
+		}
 	}
 
-	proc, udp, httpAddr := startCollectord(t, bin, "-listen", "127.0.0.1:0", "-http", "127.0.0.1:0", "-workers", "2")
+	proc, _, _ := startCollectord(t, bin, "-listen", "127.0.0.1:0", "-http", "127.0.0.1:0")
 	dir, _, _ := strings.Cut(proc.awaitLine("collectord: store ", time.Second), " recovered ")
 	if fi, err := os.Stat(dir); dir == "" || err != nil || !fi.IsDir() {
 		t.Fatalf("store dir %q from %q: %v", dir, proc.linesCopy(), err)
 	}
-	base := "http://" + httpAddr
-
-	replayed := make(chan error, 1)
-	go func() {
-		_, err := ingest.Replay([]string{udp}, res.Records, ingest.ReplayConfig{Sources: 4, RecordsPerSecond: 5000})
-		replayed <- err
-	}()
-	for polls := 0; ; polls++ {
-		select {
-		case err := <-replayed:
-			if err != nil {
-				t.Fatalf("replay: %v", err)
-			}
-			if polls < 3 {
-				t.Fatalf("only %d polls under ingest", polls)
-			}
-		default:
-			for _, path := range []string{"/api/v1/snapshot", "/api/v1/query"} {
-				if resp, _ := smokeGet(t, base+path, ""); resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") == "" {
-					t.Fatalf("%s under ingest: status %d, ETag %q", path, resp.StatusCode, resp.Header.Get("ETag"))
-				}
-			}
-			time.Sleep(20 * time.Millisecond)
-			continue
-		}
-		break
+	if !strings.HasPrefix(dir, tmp+string(os.PathSeparator)+"collectord-") {
+		t.Fatalf("store dir %s is not a collectord- dir in TMPDIR %s", dir, tmp)
 	}
-
-	// At rest: the tag of one poll revalidates the next.
-	var tag string
-	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(50 * time.Millisecond) {
-		resp, _ := smokeGet(t, base+"/api/v1/snapshot", tag)
-		if resp.StatusCode == http.StatusNotModified {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no 304 at rest: status %d", resp.StatusCode)
-		}
-		tag = resp.Header.Get("ETag")
-	}
-
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	page, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, errs := obs.Lint(string(page))
-	for _, e := range errs {
-		t.Errorf("exposition lint: %v", e)
-	}
-	for _, name := range []string{"store_frames", "store_tail_records", "ingest_records_total"} {
-		if _, ok := exp.Value(name, ""); !ok {
-			t.Errorf("/metrics misses %s", name)
-		}
-	}
-
 	if err := proc.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +53,27 @@ func TestMemoryOnlyDaemon(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("collectord did not exit after SIGTERM")
 	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatalf("store dir %s still there after SIGTERM: %v", dir, err)
+	emptyTmp("after SIGTERM")
+
+	// A failed start: the store is open and the UDP socket bound before
+	// the HTTP listener, which finds its address taken.
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer busy.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin, "-listen", "127.0.0.1:0", "-http", busy.Addr().String())
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("start on a taken HTTP address: %v, want exit status 1; stderr %q", err, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "collectord: store ") || !strings.Contains(stderr.String(), "http:") {
+		t.Fatalf("start on a taken HTTP address: stdout %q, stderr %q; want the store opened, then an http error", stdout.String(), stderr.String())
+	}
+	emptyTmp("after a failed start")
 }

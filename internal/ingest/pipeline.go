@@ -587,16 +587,6 @@ func (p *Pipeline) flushLoop(fl Flusher) {
 	}
 }
 
-// RegisterMetrics registers the pipeline's telemetry on reg after
-// construction — the route for a pipeline whose state is frozen (the
-// drained demo pipeline collectord -demo -serve keeps exposing). A live
-// pipeline must use Config.Metrics instead: this path installs the
-// stage-timing histograms without synchronizing with running workers.
-func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
-	p.m.register(reg)
-	registerPipelineFuncs(reg, p)
-}
-
 // Stats sums the live counters.
 func (p *Pipeline) Stats() Stats {
 	var s Stats

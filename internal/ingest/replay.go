@@ -46,7 +46,8 @@ type ReplayStats struct {
 // collector addresses over NFv9/UDP. Exporter pool slot i dials
 // addrs[i%len(addrs)], so multi-socket collectors receive a spread of
 // sources per socket — the simulator-as-load-generator wiring behind
-// `cwasim -export` and `collectord -demo`.
+// `cwasim -export` and the loopback drills that feed a pipeline or a
+// running collectord.
 func Replay(addrs []string, records []netflow.Record, cfg ReplayConfig) (ReplayStats, error) {
 	cfg = cfg.withDefaults()
 	var stats ReplayStats

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"maps"
+	"math"
 	"math/bits"
 	"math/rand"
 	"net/netip"
@@ -130,17 +131,23 @@ func districtRows(model *geo.Model, sums ...map[string]uint64) []streaming.Distr
 	return rows
 }
 
+// stateRows is every prefix row of st with its flows: st rendered alone,
+// its leaderboard uncut.
+func stateRows(st *streaming.Stored) []streaming.PrefixCount {
+	return streaming.Fold(streaming.Config{TopK: math.MaxInt32}, time.Time{}, time.Time{}, st).Snapshot().TopPrefixes
+}
+
 // addShard counts states as one shard.
 func (m *prefixModel) addShard(states ...*streaming.Stored) {
 	seen := map[netip.Prefix]bool{}
 	for _, st := range states {
-		st.EachPrefix(func(p netip.Prefix, flows uint64) {
-			m.flows[p] += flows
-			if !seen[p] {
-				seen[p] = true
-				m.shards[p]++
+		for _, pc := range stateRows(st) {
+			m.flows[pc.Prefix] += pc.Flows
+			if !seen[pc.Prefix] {
+				seen[pc.Prefix] = true
+				m.shards[pc.Prefix]++
 			}
-		})
+		}
 	}
 }
 
@@ -169,8 +176,7 @@ func (m *prefixModel) check(t *testing.T, r *QueryResult, cfg streaming.Config) 
 		t.Fatalf("leaderboard %v, the model's %v", got, want)
 	}
 	st, _ := r.State()
-	var shipped []streaming.PrefixCount
-	st.EachPrefix(func(p netip.Prefix, n uint64) { shipped = append(shipped, streaming.PrefixCount{Prefix: p, Flows: n}) })
+	shipped := stateRows(st)
 	if slices.SortFunc(shipped, byRank); !slices.Equal(shipped, want) {
 		t.Fatalf("shipped state holds %v, the model's leaderboard %v", shipped, want)
 	}

@@ -371,7 +371,8 @@ func readMeta(dir string) (*metaFile, error) {
 }
 
 // resolveConfig fills zero analytics fields from the meta file, applies
-// defaults, and rejects conflicts on the state-affecting parameters.
+// defaults, and rejects conflicts on the state-affecting parameters and a
+// window past the bound every frame reader holds states to.
 func resolveConfig(cfg streaming.Config, m *metaFile) (streaming.Config, error) {
 	if m != nil {
 		if cfg.Origin.IsZero() {
@@ -394,6 +395,10 @@ func resolveConfig(cfg streaming.Config, m *metaFile) (streaming.Config, error) 
 		}
 	}
 	cfg = cfg.WithDefaults()
+	if cfg.WindowHours > streaming.MaxWindowHours {
+		// Every frame would carry a window its own reader refuses.
+		return cfg, fmt.Errorf("store: window of %d hours exceeds the %d-hour bound", cfg.WindowHours, streaming.MaxWindowHours)
+	}
 	if m != nil && (!cfg.Origin.Equal(m.Origin) || cfg.WindowHours != m.WindowHours || m.PrefixBits != streaming.ClientPrefixBits) {
 		return cfg, fmt.Errorf("store: configured window [%s +%dh /%d] conflicts with stored [%s +%dh /%d]",
 			cfg.Origin, cfg.WindowHours, streaming.ClientPrefixBits, m.Origin, m.WindowHours, m.PrefixBits)

@@ -486,6 +486,45 @@ func TestMetaAdoptionAndConflict(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsWindowPastBound holds Open to the window bound the frame
+// reader enforces: a window past streaming.MaxWindowHours fails the open
+// and leaves no meta behind, while one at the bound checkpoints, answers
+// and reopens.
+func TestOpenRejectsWindowPastBound(t *testing.T) {
+	dir := t.TempDir()
+	_, err := Open(dir, Options{Analytics: streaming.Config{WindowHours: streaming.MaxWindowHours + 1}})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(streaming.MaxWindowHours)) {
+		t.Fatalf("a window past the bound must fail the open naming it, got %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, metaName)); !os.IsNotExist(err) {
+		t.Fatalf("the refused open left %s behind: %v", metaName, err)
+	}
+
+	cfg := streaming.Config{WindowHours: streaming.MaxWindowHours, TopK: 5}
+	s := mustOpen(t, dir, Options{Analytics: cfg})
+	if err := s.Append([]netflow.Record{keptRecord(1, 1, 100)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SnapshotResult(); err != nil {
+		t.Fatalf("snapshot at the bound: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpen(t, dir, Options{Analytics: cfg})
+	defer r.Close()
+	res, err := r.SnapshotResult()
+	if err != nil {
+		t.Fatalf("snapshot after reopen: %v", err)
+	}
+	if got := res.Snapshot().Census.Total; got != 1 {
+		t.Fatalf("census total %d after reopen, want 1", got)
+	}
+}
+
 func TestSegmentBytesAdoptedFromMeta(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{SegmentBytes: 200})

@@ -52,14 +52,6 @@ func (st *Stored) Size() int {
 	return n
 }
 
-// EachPrefix calls fn for every client prefix of the state with its kept
-// flow count.
-func (st *Stored) EachPrefix(fn func(p netip.Prefix, flows uint64)) {
-	for i, p := range st.prefixes {
-		fn(p, st.prefixCount[i])
-	}
-}
-
 // Table is the prefix table st was resolved against, or nil.
 func (st *Stored) Table() *PrefixTable { return st.table }
 
