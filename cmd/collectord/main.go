@@ -110,6 +110,12 @@ func main() {
 		segmentBytes = flag.Int64("segment-bytes", 4<<20, "WAL segment rotation size in bytes")
 	)
 	flag.Parse()
+	// A negative value here would be read as the default, the stored value or never.
+	for _, name := range []string{"checkpoint-interval", "segment-bytes", "topk", "window-hours"} {
+		if v := flag.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			fatal("-%s must not be negative, got %s", name, v)
+		}
+	}
 
 	// One observability stack for the whole daemon: the registry, the
 	// flight recorder's trace/event rings, the SIGQUIT crash dump and the

@@ -76,6 +76,12 @@ func main() {
 		newObsStack = obs.StackFlags(flag.CommandLine)
 	)
 	flag.Parse()
+	// A negative value here would be read as the default: refuse it.
+	for _, name := range []string{"topk", "timeout"} {
+		if v := flag.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			fatal("-%s must not be negative, got %s", name, v)
+		}
+	}
 
 	var addrs []string
 	for _, a := range strings.Split(*nodes, ",") {

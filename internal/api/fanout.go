@@ -21,7 +21,6 @@ import (
 	"cwatrace/internal/ingest"
 	"cwatrace/internal/obs"
 	"cwatrace/internal/store"
-	"cwatrace/internal/streaming"
 	"cwatrace/internal/tier"
 )
 
@@ -47,19 +46,8 @@ type ShardTiming struct {
 
 // FanResult is one gathered-and-merged data fan-out (snapshot or query).
 type FanResult struct {
-	// Snapshot is the merged analytics over every shard that answered;
-	// nil when none did.
-	Snapshot *streaming.Snapshot
-	// Frames and TailIncluded aggregate the per-shard query metadata
-	// (sum and logical OR); both are zero for snapshot fan-outs.
-	Frames       int
-	TailIncluded bool
-	// Resolution and LongHorizon carry the merged long-horizon answer of
-	// a day/week/auto-resolution query fan-out (sketches merge across
-	// shards; see tier.Answer.Frame). Both are empty on the exact
-	// hourly path and for snapshot fan-outs.
-	Resolution  string
-	LongHorizon *tier.Answer
+	// QueryResult is the merged answer over every shard that answered,
+	// unrendered, as a store's own answer is; nil when none did. Its
 	// Version is the composite validator token: a hash over the
 	// per-shard strong ETags in shard order (a shard answer without one
 	// is a missing shard). The token and the merged body derive from the
@@ -67,7 +55,7 @@ type FanResult struct {
 	// bytes, and the merged body is a pure function of them — so it is
 	// both the version serveCached looks up with and the stamp of the
 	// body built from this result.
-	Version uint64
+	*store.QueryResult
 	// Missing lists the shards that did not answer, ascending by index.
 	Missing []ShardError
 	// Timings reports every shard's request duration, ascending by
@@ -99,8 +87,8 @@ type Fanout interface {
 	Snapshot(ctx context.Context) (*FanResult, error)
 	// Query gathers and merges /api/v1/query?from=&to=&resolution=
 	// across the fleet. res is forwarded to every shard verbatim (hour is
-	// the exact path); the merged long-horizon answer rides back on
-	// FanResult.LongHorizon.
+	// the exact path); the merged long-horizon answer rides back in the
+	// result's LongHorizon.
 	Query(ctx context.Context, from, to time.Time, res tier.Resolution) (*FanResult, error)
 	// Stats gathers and sums /api/v1/stats across the fleet.
 	Stats(ctx context.Context) (*FanStats, error)
@@ -151,41 +139,14 @@ func shardDetail(missing []ShardError) string {
 		len(missing), missing[0].Shard, missing[0].Node, missing[0].Err)
 }
 
-// handleFanSnapshot is /api/v1/snapshot in fan-out mode.
-func (s *Server) handleFanSnapshot(w http.ResponseWriter, r *http.Request, p reqParams) {
-	res, err := s.cfg.Fanout.Snapshot(r.Context())
-	s.serveFanned(w, r, "v1/snapshot", p.key(), res, err, p.pretty, func() any {
-		snap := v1.NewSnapshot(res.Snapshot, p.fields, p.top)
-		snap.Degraded = degradedOf(res.Missing, obs.RequestID(r.Context()))
-		return snap
-	})
-}
-
-// handleFanQuery is /api/v1/query in fan-out mode. from/to/resolution
-// are already parsed by the caller, and key is the question they ask.
-func (s *Server) handleFanQuery(w http.ResponseWriter, r *http.Request, p reqParams, key string, from, to time.Time, resolution tier.Resolution) {
-	res, err := s.cfg.Fanout.Query(r.Context(), from, to, resolution)
-	s.serveFanned(w, r, "v1/query", key, res, err, p.pretty, func() any {
-		return &v1.QueryResponse{
-			From:         from,
-			To:           to,
-			Frames:       res.Frames,
-			TailIncluded: res.TailIncluded,
-			Snapshot:     v1.NewSnapshot(res.Snapshot, p.fields, p.top),
-			Resolution:   res.Resolution,
-			LongHorizon:  res.LongHorizon,
-			Degraded:     degradedOf(res.Missing, obs.RequestID(r.Context())),
-		}
-	})
-}
-
 // serveFanned finishes a data fan-out: a failed one or one no shard
 // answered is an error envelope. A complete gather is serveCached's: the
 // composite token is the version, constant for this gather, and the
 // body is stamped with it. The degraded path serves 206 Partial Content
 // with Cache-Control: no-store and no validator — a partial body must
 // never 304-revalidate, be cached, or be replayed as a complete one.
-func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, params string, res *FanResult, err error, pretty bool, build func() any) {
+// Either body is buildAnswer's, as on a collector.
+func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, params string, p reqParams, res *FanResult, err error, query bool) {
 	if s.late(w, r) {
 		return
 	}
@@ -193,21 +154,20 @@ func (s *Server) serveFanned(w http.ResponseWriter, r *http.Request, endpoint, p
 		s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "fan-out failed", err.Error())
 		return
 	}
-	if res.Snapshot == nil {
+	if res.QueryResult == nil {
 		s.writeError(w, http.StatusServiceUnavailable, v1.CodeUnavailable, "no shard reachable", shardDetail(res.Missing))
 		return
 	}
 	setServerTiming(w.Header(), res.Timings)
+	build := func(room []byte) (built, error) {
+		return s.buildAnswer(room, p, res.QueryResult, nil, query, degradedOf(res.Missing, obs.RequestID(r.Context())))
+	}
 	if len(res.Missing) > 0 {
 		w.Header().Set("Cache-Control", "no-store")
-		s.writeJSON(w, r, http.StatusPartialContent, build(), pretty)
+		s.writeBuilt(w, r, http.StatusPartialContent, build)
 		return
 	}
-	s.serveCached(w, r, endpoint, params, func() uint64 { return res.Version }, jsonMediaType, func(room []byte) (built, error) {
-		b, err := renderBody(room, build(), pretty, s.blocks)
-		b.version = res.Version
-		return b, err
-	})
+	s.serveCached(w, r, endpoint, params, func() uint64 { return res.Version }, jsonMediaType, build)
 }
 
 // handleFanStats is /api/v1/stats in fan-out mode: the field-wise sum

@@ -10,6 +10,7 @@ import (
 
 	v1 "cwatrace/internal/api/v1"
 	"cwatrace/internal/obs"
+	"cwatrace/internal/store"
 	"cwatrace/internal/streaming"
 	"cwatrace/internal/tier"
 )
@@ -31,6 +32,10 @@ func (f *fakeFanout) NumShards() int { return f.shards }
 func (f *fakeFanout) Nonce() uint64  { return 42 }
 func (f *fakeFanout) gather() (*FanResult, error) {
 	r := f.res
+	if r.QueryResult != nil {
+		q := *r.QueryResult
+		r.QueryResult = &q
+	}
 	if f.moving {
 		r.Version = f.gathers.Add(1)
 	}
@@ -66,16 +71,16 @@ func fanGet(t *testing.T, s *Server, url string, hdr map[string]string) *httptes
 	return w
 }
 
-func emptySnap() *streaming.Snapshot {
-	return streaming.New(streaming.Config{WindowHours: 8}).Snapshot()
+func emptyAnswer() *store.QueryResult {
+	return store.NewQueryResult(time.Time{}, time.Time{}, streaming.FoldWindow(streaming.Config{WindowHours: 8}), nil)
 }
 
 // TestFanoutDegradedEnvelope pins the wire shape of a partial response:
 // 206, no-store, no ETag, degraded marker naming shard and node.
 func TestFanoutDegradedEnvelope(t *testing.T) {
 	f := &fakeFanout{shards: 3, res: FanResult{
-		Snapshot: emptySnap(),
-		Missing:  []ShardError{{Shard: 2, Node: "host2:8055", Err: "connection refused"}},
+		QueryResult: emptyAnswer(),
+		Missing:     []ShardError{{Shard: 2, Node: "host2:8055", Err: "connection refused"}},
 	}}
 	s := fanServer(t, f)
 	w := fanGet(t, s, "/api/v1/snapshot", nil)
@@ -114,7 +119,8 @@ func TestFanoutAllDownIsUnavailable(t *testing.T) {
 // complete gather serves a strong ETag and a bodyless 304 on
 // If-None-Match.
 func TestFanoutValidatedRoundTrip(t *testing.T) {
-	f := &fakeFanout{shards: 2, res: FanResult{Snapshot: emptySnap(), Version: 99}}
+	f := &fakeFanout{shards: 2, res: FanResult{QueryResult: emptyAnswer()}}
+	f.res.Version = 99
 	s := fanServer(t, f)
 	w := fanGet(t, s, "/api/v1/snapshot", nil)
 	etag := w.Header().Get("ETag")
@@ -141,7 +147,7 @@ func TestFanoutValidatedRoundTrip(t *testing.T) {
 // per question however many answers went by, and keeps no body, since
 // none was asked for twice.
 func TestFanoutOneBuildPerPollUnderIngest(t *testing.T) {
-	f := &fakeFanout{shards: 2, moving: true, res: FanResult{Snapshot: emptySnap()}}
+	f := &fakeFanout{shards: 2, moving: true, res: FanResult{QueryResult: emptyAnswer()}}
 	s, err := New(Config{Fanout: f, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)

@@ -397,13 +397,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cfg.Fanout != nil {
-		s.handleFanSnapshot(w, r, p)
+		res, err := s.cfg.Fanout.Snapshot(r.Context())
+		s.serveFanned(w, r, "v1/snapshot", p.key(), p, res, err, false)
 		return
 	}
 	version := func() uint64 { return s.cfg.History.Version(time.Time{}, time.Time{}) }
 	s.serveCached(w, r, "v1/snapshot", p.key(), version, p.mediaType(), func(room []byte) (built, error) {
 		res, err := s.cfg.History.SnapshotResult()
-		return s.buildAnswer(room, p, res, err, false)
+		return s.buildAnswer(room, p, res, err, false, nil)
 	})
 }
 
@@ -430,20 +431,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	key := fmt.Sprintf("from=%s&to=%s&resolution=%s&%s", stamp(from), stamp(to), resolution, p.key())
 	if s.cfg.Fanout != nil {
-		s.handleFanQuery(w, r, p, key, from, to, resolution)
+		res, err := s.cfg.Fanout.Query(r.Context(), from, to, resolution)
+		s.serveFanned(w, r, "v1/query", key, p, res, err, true)
 		return
 	}
 	version := func() uint64 { return s.cfg.History.Version(from, to) }
 	s.serveCached(w, r, "v1/query", key, version, p.mediaType(), func(room []byte) (built, error) {
 		res, err := s.cfg.History.QueryResolution(from, to, resolution)
-		return s.buildAnswer(room, p, res, err, true)
+		return s.buildAnswer(room, p, res, err, true, nil)
 	})
 }
 
-// buildAnswer renders a store answer, unless reading it failed: as the
-// state ?format=state ships, or as JSON, the snapshot alone or, for a
-// query, in the query envelope.
-func (s *Server) buildAnswer(room []byte, p reqParams, res *store.QueryResult, err error, query bool) (b built, _ error) {
+// buildAnswer renders an answer, a store's or a router's merge of its
+// shards', unless reading it failed: as the state ?format=state ships, or
+// as JSON, the snapshot alone or, for a query, in the query envelope,
+// marked degraded when some shards are missing from it. It is the one
+// builder of a v1 data body.
+func (s *Server) buildAnswer(room []byte, p reqParams, res *store.QueryResult, err error, query bool, degraded *v1.Degraded) (b built, _ error) {
 	if err != nil {
 		return b, err
 	}
@@ -451,10 +455,13 @@ func (s *Server) buildAnswer(room []byte, p reqParams, res *store.QueryResult, e
 		st, origin := res.State()
 		b.body, err = encodeState(room, st, origin, res)
 	} else {
-		var v any = v1.NewSnapshot(res.Snapshot(), p.fields, p.top)
+		snap := v1.NewSnapshot(res.Snapshot(), p.fields, p.top)
+		var v any = snap
 		if query {
 			v = &v1.QueryResponse{From: res.From, To: res.To, Frames: res.Frames, TailIncluded: res.TailIncluded,
-				Snapshot: v.(*v1.Snapshot), Resolution: string(res.Resolution), LongHorizon: res.LongHorizon}
+				Snapshot: snap, Resolution: string(res.Resolution), LongHorizon: res.LongHorizon, Degraded: degraded}
+		} else {
+			snap.Degraded = degraded
 		}
 		b, err = renderBody(room, v, p.pretty, s.blocks)
 	}
@@ -492,8 +499,8 @@ type built struct {
 	// cuts are the body's closed blocks (v1.AppendJSON, deflater.member).
 	cuts []v1.Cut
 	// version is the generation token of the cut the body shows, as the
-	// source stamped it (store.QueryResult.Version, Snapshot.Version,
-	// FanResult.Version).
+	// source stamped it (store.QueryResult.Version, a router's composite
+	// one included).
 	version uint64
 }
 
@@ -542,11 +549,16 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, p
 
 // writeJSON renders and sends an uncached response.
 func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any, pretty bool) {
+	s.writeBuilt(w, r, status, func(room []byte) (built, error) { return renderBody(room, v, pretty, s.blocks) })
+}
+
+// writeBuilt builds and sends an uncached JSON response.
+func (s *Server) writeBuilt(w http.ResponseWriter, r *http.Request, status int, build func(room []byte) (built, error)) {
 	if s.late(w, r) {
 		return
 	}
 	withRoom(func(room []byte) []byte {
-		b, err := renderBody(room, v, pretty, s.blocks)
+		b, err := build(room)
 		if err != nil {
 			s.writeError(w, http.StatusInternalServerError, v1.CodeInternal, "encoding response failed", err.Error())
 			return nil

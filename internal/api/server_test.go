@@ -218,7 +218,7 @@ func TestErrorEnvelopeEveryFailurePath(t *testing.T) {
 
 	// The pre-v1 paths are gone, on a collector and on a router: the mux's
 	// plain 404, like any path that never existed.
-	router := fanServer(t, &fakeFanout{shards: 1, res: FanResult{Snapshot: emptySnap()}})
+	router := fanServer(t, &fakeFanout{shards: 1, res: FanResult{QueryResult: emptyAnswer()}})
 	_, sts := storeServer(t)
 	for _, path := range []string{"/snapshot", "/query", "/healthz", "/never-existed"} {
 		if resp, _ := get(t, sts.URL+path, nil); resp.StatusCode != http.StatusNotFound {

@@ -91,8 +91,8 @@ func TestShortQueryCostsItsSpanNotTheWindow(t *testing.T) {
 				t.Fatalf("window %d: %d %v", window, w.Code, err)
 			}
 			res, err := fleet.merge([]*part{{st, w.Header().Get("ETag")}}, nil, nil, false, from, to)
-			if err != nil || len(res.Snapshot.Hours) == 0 || res.Snapshot.WindowHours != window {
-				t.Fatalf("window %d: merged to %+v (%v)", window, res.Snapshot, err)
+			if err != nil || len(res.Snapshot().Hours) == 0 || res.Snapshot().WindowHours != window {
+				t.Fatalf("window %d: merged to %+v (%v)", window, res.Snapshot(), err)
 			}
 		}
 		// Warm what a running daemon has warm (the decoded-frame cache,
@@ -131,7 +131,10 @@ func TestShortQueryCostsItsSpanNotTheWindow(t *testing.T) {
 // handler. Now a body nobody asks for twice is written from the room it
 // was rendered in, and 1 633 kB (43 %) are left, what a poll ships: the
 // state (read, decoded), two folds, the router's hour points, the
-// client's copy of the gzip. The bar sits just above that.
+// client's copy of the gzip. The router's render has since moved out of
+// Fleet.merge into the response-cache fill, as on a collector; a poll
+// still makes it once, and still reads 1 633 kB. The bar sits just
+// above that.
 func TestRoutedSnapshotPollAllocates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte counts under -race measure the detector")

@@ -447,6 +447,20 @@ func TestClusterDegradation(t *testing.T) {
 	if snap.Census.Kept == healthySnap.Census.Kept {
 		t.Fatalf("degraded census equals the full total (%d): the kill did not remove data, test is vacuous", liveKept)
 	}
+	// A 206 query body is the body of a router over the surviving shards
+	// alone, the degraded marker added as its last member: one merge, one
+	// rendering, whether shards are missing or were never there.
+	survivors := newRouter(t, []*node{nodes[0], nodes[2]}, acfg.TopK)
+	for _, q := range []string{"", "?resolution=day", "?fields=hourly,prefixes&top=3"} {
+		status, hdr, got := get(t, router.URL+"/api/v1/query"+q, nil)
+		wantStatus, _, want := get(t, survivors.URL+"/api/v1/query"+q, nil)
+		marker := bytes.LastIndex(got, []byte(`,"degraded":{"missing_shards":[1],`))
+		if status != http.StatusPartialContent || hdr.Get("Cache-Control") != "no-store" || hdr.Get("ETag") != "" ||
+			wantStatus != http.StatusOK || marker < 0 || string(got[:marker])+"}\n" != string(want) {
+			t.Fatalf("degraded query%s: %d %q %q\n%s\nwant, the marker aside, the survivors' %d\n%s",
+				q, status, hdr.Get("Cache-Control"), hdr.Get("ETag"), got, wantStatus, want)
+		}
+	}
 
 	// Health: serving but degraded (200), naming the shard.
 	hst, _, hb := get(t, router.URL+"/api/v1/health", nil)
@@ -832,7 +846,7 @@ func TestFleetContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cancelled gather should degrade, not error: %v", err)
 	}
-	if res.Snapshot != nil || len(res.Missing) != 1 {
+	if res.QueryResult != nil || len(res.Missing) != 1 {
 		t.Fatalf("cancelled gather = %+v, want every shard missing", res)
 	}
 }

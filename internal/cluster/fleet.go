@@ -1,11 +1,11 @@
 // The query-router half of the package: Fleet gathers every shard's
 // state over the typed client (the ?format=state representation: the
 // codecs the durable store writes frames in), folds it exactly as a
-// store folds the frames on its disk — streaming.Merge for the exact
-// part, tier.Builder.AddFrame for the long-horizon part — renders once,
-// and composes the per-shard strong ETags into one cluster-wide
-// validator. It implements api.Fanout, so cmd/queryrouterd is just
-// api.New(Config{Fanout: fleet}).
+// store folds the frames on its disk — streaming.Fold for the exact
+// part, tier.Builder.AddFrame for the long-horizon part — into the
+// store's own answer, and composes the per-shard strong ETags into one
+// cluster-wide validator. It implements api.Fanout, so
+// cmd/queryrouterd is just api.New(Config{Fanout: fleet}).
 package cluster
 
 import (
@@ -238,12 +238,12 @@ func (f *Fleet) Query(ctx context.Context, from, to time.Time, res tier.Resoluti
 	return f.merge(parts, missing, timings, false, from, to)
 }
 
-// merge folds the gathered parts into one FanResult and renders it with
-// the geo model every shard labels its districts from. The range bounds
-// trim the merged hour series for queries exactly as a union
-// collector's own query path would (a shard's zero-flow gap hours arrive
-// as populated-empty bins; the ones outside every shard's actual range
-// are dropped again here).
+// merge folds the gathered parts into one FanResult, an answer built as
+// a store builds its own (store.NewQueryResult). The range bounds trim
+// the merged hour series for queries exactly as a union collector's own
+// query path would (a shard's zero-flow gap hours arrive as
+// populated-empty bins; the ones outside every shard's actual range are
+// dropped again here).
 //
 // A snapshot is the live window, so its parts fold at the window, as a
 // union collector's state does: the hours the fleet's newest has slid
@@ -256,15 +256,15 @@ func (f *Fleet) Query(ctx context.Context, from, to time.Time, res tier.Resoluti
 // a mixed-resolution merge would silently sum day buckets into week
 // buckets, so it is an error instead.
 func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.ShardTiming, snapshot bool, from, to time.Time) (*api.FanResult, error) {
-	res := &api.FanResult{Missing: missing, Timings: timings}
 	var (
 		states []*streaming.Stored
 		first  *part
 		lh     *tier.Builder
 		etags  = make([]string, len(parts))
-		// The long-horizon sources: a shard's frame stands for all the
-		// tier and raw frames behind its answer.
-		tierFrames, rawFrames int
+		// The query metadata, and the long-horizon sources: a shard's
+		// frame stands for all the tier and raw frames behind its answer.
+		frames, tierFrames, rawFrames int
+		tail                          bool
 	)
 	for i, p := range parts {
 		if p == nil {
@@ -282,8 +282,7 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 			return nil, fmt.Errorf("cluster: shard %d answered at resolution %q, fleet at %q (retry with an explicit resolution)",
 				i, p.Resolution, first.Resolution)
 		}
-		res.Frames += p.Frames
-		res.TailIncluded = res.TailIncluded || p.TailIncluded
+		frames, tail = frames+p.Frames, tail || p.TailIncluded
 		states = append(states, p.State)
 		if lh != nil {
 			lh.AddFrame(p.LongHorizon)
@@ -291,6 +290,7 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 			rawFrames += p.RawFrames
 		}
 	}
+	res := &api.FanResult{Missing: missing, Timings: timings}
 	if first == nil {
 		return res, nil // every shard missing; the handler turns this into 503
 	}
@@ -306,18 +306,11 @@ func (f *Fleet) merge(parts []*part, missing []api.ShardError, timings []api.Sha
 	} else {
 		m = streaming.Fold(cfg, from, to, states...)
 	}
-	if lh == nil {
-		res.Snapshot = m.Snapshot()
-	} else {
-		// The merged exact part is the raw residual: render it under the
-		// store's own rule for one (see store.QueryResolution), so routed
-		// and single-node answers stay the same bytes.
-		res.Snapshot = m.Populated().Snapshot()
-		res.Resolution = string(first.Resolution)
-		res.LongHorizon = lh.Answer(f.model)
+	res.QueryResult = store.NewQueryResult(from, to, m, lh)
+	res.Frames, res.TailIncluded, res.Version = frames, tail, composeVersion(etags)
+	if lh != nil {
 		res.LongHorizon.TierFrames, res.LongHorizon.RawFrames = tierFrames, rawFrames
 	}
-	res.Version = composeVersion(etags)
 	return res, nil
 }
 

@@ -55,7 +55,7 @@ type QueryResult struct {
 	// reports whether the live (un-checkpointed) tail contributed.
 	Frames       int  `json:"frames"`
 	TailIncluded bool `json:"tail_included"`
-	// Resolution and LongHorizon are set by QueryResolution for day- and
+	// Resolution and LongHorizon are set by NewQueryResult for day- and
 	// week-resolution answers (see internal/tier); both are empty on the
 	// exact hourly path, keeping the v1 wire schema unchanged.
 	Resolution  tier.Resolution `json:"resolution,omitempty"`
@@ -89,6 +89,22 @@ func (r *QueryResult) State() (*streaming.Stored, time.Time) {
 // answer's source counts beside it. Only a day or week answer has one.
 func (r *QueryResult) Frame() (*tier.Frame, error) {
 	return r.tiered.Frame(tier.Meta{MinHour: -1, MaxHour: -1}, 0)
+}
+
+// NewQueryResult is the answer over [from, to) that fold holds, with the
+// long-horizon part lh when it has one (nil at hour resolution): a store's
+// and a router's merge of its shards' alike. Then fold is the raw residual,
+// whose series starts at its first populated hour: the hours before it are
+// lh's buckets, and rendering them would report zero traffic where the
+// buckets report some (and dominate a year-span answer with empty rows).
+func NewQueryResult(from, to time.Time, fold *streaming.Range, lh *tier.Builder) *QueryResult {
+	r := &QueryResult{From: from, To: to, fold: fold, tiered: lh}
+	if lh != nil {
+		fold.Populated()
+		r.LongHorizon = lh.Answer(fold.Model())
+		r.Resolution = r.LongHorizon.Resolution
+	}
+	return r
 }
 
 // QueryResolution answers a range query at the requested resolution.
@@ -148,17 +164,15 @@ func (s *Store) tryQuery(c readCut, from, to time.Time, res tier.Resolution, win
 	// At hour resolution the plan is empty — no tier frames, a raw floor
 	// of zero — and the answer is the raw fold alone.
 	plan := tier.BuildPlan(res, s.cfg.Origin, from, to, c.weeks, c.days)
-	tiered := plan.Resolution != tier.ResolutionHour
-	result := &QueryResult{From: from, To: to, TailIncluded: c.live != nil, Version: c.version}
+	var lh *tier.Builder
+	var acc *tier.SketchAccum
 	// Each selected stretch of a frame list is tiled with aligned blocks
 	// (cover), and a block of minRun frames or more is added as one run.
-	var acc *tier.SketchAccum
-	if tiered {
-		result.Resolution = plan.Resolution
-		result.tiered, acc = tier.NewBuilder(plan.Resolution, s.cfg.Origin), tier.NewSketchAccum()
-		err := s.addPlanned(c.weeks, plan.Week, result.tiered.AddFrame)
+	if plan.Resolution != tier.ResolutionHour {
+		lh, acc = tier.NewBuilder(plan.Resolution, s.cfg.Origin), tier.NewSketchAccum()
+		err := s.addPlanned(c.weeks, plan.Week, lh.AddFrame)
 		if err == nil {
-			err = s.addPlanned(c.days, plan.Day, result.tiered.AddFrame)
+			err = s.addPlanned(c.days, plan.Day, lh.AddFrame)
 		}
 		if err != nil {
 			return nil, err
@@ -175,15 +189,15 @@ func (s *Store) tryQuery(c readCut, from, to time.Time, res tier.Resolution, win
 	// shares with the selected frames, evicting nothing, and reporting the
 	// window a ring widened to hold them all would have. A day or week
 	// answer's residual goes frame by frame: presence counts frames.
-	frames, live := c.frames, c.live
+	frames, live, n := c.frames, c.live, 0
 	states := make([]*streaming.Stored, 0, len(frames)+len(live))
 	err := cover(len(frames), func(i int) uint64 { return frames[i].BaseSeg }, func(i int) bool {
 		return frames[i].BaseSeg >= plan.RawFloor && tier.HoursOverlap(s.cfg.Origin, frames[i].MinHour, frames[i].MaxHour, from, to)
 	}, func(lo, hi int) error {
-		result.Frames += hi - lo
-		return s.rawSources(frames, lo, hi, !tiered, func(st *streaming.Stored) {
+		n += hi - lo
+		return s.rawSources(frames, lo, hi, lh == nil, func(st *streaming.Stored) {
 			states = append(states, st)
-			if tiered {
+			if lh != nil {
 				acc.AddShard(st)
 			}
 		})
@@ -191,23 +205,22 @@ func (s *Store) tryQuery(c readCut, from, to time.Time, res tier.Resolution, win
 	if err != nil {
 		return nil, err
 	}
+	var result *QueryResult
 	if window {
-		return &QueryResult{Version: c.version, fold: streaming.FoldWindow(s.cfg, append(states, live...)...)}, nil
+		result = NewQueryResult(from, to, streaming.FoldWindow(s.cfg, append(states, live...)...), nil)
+	} else {
+		fold := streaming.Fold(s.cfg, from, to, append(states, live...)...)
+		if lh != nil {
+			// To the presence sketch, which counts the shards a prefix
+			// appears in, the live tails are one shard: a prefix both hold
+			// counts once. The builder adds the fold's districts by index.
+			acc.AddShard(live...)
+			lh.AddResidual(fold, acc, n)
+		}
+		result = NewQueryResult(from, to, fold, lh)
+		result.Frames, result.TailIncluded = n, live != nil
 	}
-	result.fold = streaming.Fold(s.cfg, from, to, append(states, live...)...)
-	if !tiered {
-		return result, nil
-	}
-	// To the presence sketch, which counts the shards a prefix appears in,
-	// the live tails are one shard: a prefix both hold counts once.
-	acc.AddShard(live...)
-	// The residual series starts at its own first populated hour: the
-	// hours before it are what the selected tier frames cover, and
-	// rendering them would report zero traffic where the buckets report
-	// some (and dominate a year-span answer with empty rows). The builder
-	// adds the fold itself, its districts by index.
-	result.tiered.AddResidual(result.fold.Populated(), acc, result.Frames)
-	result.LongHorizon = result.tiered.Answer(s.cfg.Model)
+	result.Version = c.version
 	return result, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cwatrace/internal/core"
+	"cwatrace/internal/geo"
 )
 
 // Range is the fold target of one read: what New + MergeStored + Snapshot
@@ -126,6 +127,9 @@ func (r *Range) addPrefixes(states []*Stored) {
 
 // Origin is the instant hour 0 is anchored at, in its rendering's zone.
 func (r *Range) Origin() time.Time { return r.cfg.Origin }
+
+// Model is what names the fold's districts when it renders.
+func (r *Range) Model() *geo.Model { return r.cfg.Model }
 
 // Populated makes the rendered series start no earlier than the first
 // folded bin, and returns r: the hours before a long-horizon answer's raw
