@@ -106,14 +106,17 @@ func main() {
 		fsyncPolicy  = flag.String("fsync", "interval", "WAL fsync policy: always (a record counted as processed is on stable storage; one fsync per commit group, not per datagram), interval (fsync every -fsync-interval) or never (only on seal, checkpoint and shutdown)")
 		fsyncEvery   = flag.Duration("fsync-interval", time.Second, "fsync cadence under -fsync=interval (must be positive)")
 		ckptEvery    = flag.Duration("checkpoint-interval", 5*time.Minute, "checkpoint/compaction cadence (0 disables the ticker)")
-		tierOn       = flag.Bool("tier", true, "fold long-horizon day/week tier frames at checkpoint time (enables resolution=day|week|auto queries)")
 		segmentBytes = flag.Int64("segment-bytes", 4<<20, "WAL segment rotation size in bytes")
 	)
 	flag.Parse()
-	// A negative value here would be read as the default, the stored value or never.
-	for _, name := range []string{"checkpoint-interval", "segment-bytes", "topk", "window-hours"} {
-		if v := flag.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
-			fatal("-%s must not be negative, got %s", name, v)
+	// A value refused here would be read as the default, the stored value
+	// or never; a zero -checkpoint-interval is documented to disable.
+	if *ckptEvery < 0 {
+		fatal("-checkpoint-interval must not be negative, got %v", *ckptEvery)
+	}
+	for _, name := range []string{"segment-bytes", "topk", "window-hours"} {
+		if v := flag.Lookup(name).Value.String(); v == "0" || strings.HasPrefix(v, "-") {
+			fatal("-%s must be positive, got %s", name, v)
 		}
 	}
 
@@ -178,7 +181,6 @@ func main() {
 		Analytics:    acfg,
 		SegmentBytes: *segmentBytes,
 		Sync:         pol,
-		Tier:         *tierOn,
 		Metrics:      o.Reg,
 		Tracer:       o.Tracer,
 		Events:       o.Events,

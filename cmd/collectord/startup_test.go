@@ -46,9 +46,9 @@ func TestFsyncIntervalMustBePositive(t *testing.T) {
 }
 
 // TestNegativeFlagsAreRefused: a negative checkpoint cadence would never
-// checkpoint, and a negative segment size, leaderboard or window would
-// become the default or the stored value without a word. Each is refused
-// at start-up, before the store writes a file.
+// checkpoint, and a segment size, leaderboard or window that is negative
+// or zero would become the default or the stored value without a word.
+// Each is refused at start-up, before the store writes a file.
 func TestNegativeFlagsAreRefused(t *testing.T) {
 	bin := buildCollectord(t)
 	for _, row := range [][2]string{
@@ -56,6 +56,9 @@ func TestNegativeFlagsAreRefused(t *testing.T) {
 		{"-segment-bytes", "-1"},
 		{"-topk", "-3"},
 		{"-window-hours", "-5"},
+		{"-segment-bytes", "0"},
+		{"-topk", "0"},
+		{"-window-hours", "0"},
 	} {
 		t.Run(row[0]+"="+row[1], func(t *testing.T) { refusedAtStart(t, bin, row[0], row[:]...) })
 	}

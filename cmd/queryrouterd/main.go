@@ -76,11 +76,12 @@ func main() {
 		newObsStack = obs.StackFlags(flag.CommandLine)
 	)
 	flag.Parse()
-	// A negative value here would be read as the default: refuse it.
-	for _, name := range []string{"topk", "timeout"} {
-		if v := flag.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
-			fatal("-%s must not be negative, got %s", name, v)
-		}
+	// Zero or a negative value here would be read as the default: refuse it.
+	if *topK <= 0 {
+		fatal("-topk must be positive, got %d", *topK)
+	}
+	if *timeout <= 0 {
+		fatal("-timeout must be positive, got %v", *timeout)
 	}
 
 	var addrs []string

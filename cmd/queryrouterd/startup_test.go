@@ -10,12 +10,12 @@ import (
 	"time"
 )
 
-// TestNegativeFlagsAreRefused: a negative leaderboard size or per-shard
-// timeout would become the default without a word. Each is refused at
+// TestNegativeFlagsAreRefused: a leaderboard size or per-shard timeout
+// that is negative or zero would become the default without a word. Each is refused at
 // start-up: exit 1, naming the flag.
 func TestNegativeFlagsAreRefused(t *testing.T) {
 	bin := buildBinary(t, "cwatrace/cmd/queryrouterd")
-	for _, row := range [][2]string{{"-topk", "-3"}, {"-timeout", "-1s"}} {
+	for _, row := range [][2]string{{"-topk", "-3"}, {"-timeout", "-1s"}, {"-topk", "0"}, {"-timeout", "0"}} {
 		t.Run(row[0]+"="+row[1], func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()

@@ -24,7 +24,6 @@ func tierServer(t testing.TB, days int) (*store.Store, *httptest.Server) {
 	st, err := store.Open(t.TempDir(), store.Options{
 		Analytics: streaming.Config{WindowHours: days*24 + 48, TopK: 5},
 		Sync:      store.SyncNever,
-		Tier:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ import (
 // is asked for twice, so none is kept: the cache notes each question's
 // last tag and holds no body.
 func TestOneBuildPerPollUnderIngest(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Options{Analytics: testCfg(), Sync: store.SyncNever, Tier: true})
+	st, err := store.Open(t.TempDir(), store.Options{Analytics: testCfg(), Sync: store.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}

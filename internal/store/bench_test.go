@@ -141,7 +141,7 @@ func BenchmarkQueryRange(b *testing.B) {
 		days    = 4
 		clients = 2000
 	)
-	s, err := Open(b.TempDir(), Options{Analytics: streaming.Config{WindowHours: 12000}, Sync: SyncNever, Tier: true})
+	s, err := Open(b.TempDir(), Options{Analytics: streaming.Config{WindowHours: 12000}, Sync: SyncNever})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,46 +1,44 @@
 package store
 
-// Checkpoint frames: loading them at Open, folding the tail into a new
-// one (Checkpoint), and compacting old ones past MaxFrames. A frame is
-// one internal/wire record — metadata (frameInfo) plus the marshaled
-// streaming state of the WAL interval it folded — written atomically
-// before the WAL it covers is dropped.
+// The frame hierarchy: loading every level's frames at Open, folding the
+// tail into a new checkpoint frame (Checkpoint), and compacting old ones
+// past MaxFrames. A checkpoint frame is one internal/wire record — its
+// metadata head plus the marshaled streaming state of the WAL interval it
+// folded — written atomically before the WAL it covers is dropped; a tier
+// frame is internal/tier's codec (see tier.go for its fold).
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"cwatrace/internal/obs"
-	"cwatrace/internal/streaming"
+	"cwatrace/internal/tier"
 	"cwatrace/internal/wire"
 )
 
-// frameMeta is one live checkpoint frame (metadata only; the decoded
-// state lives in the frame cache, or on disk until a read loads it).
+// frameMeta is one registered frame of any level (the decoded state lives
+// in the frame cache, or on disk until a read loads it). Its WAL interval
+// is (BaseSeg, CoveredSeg]: recovery orders a level by BaseSeg, replays
+// only segments past the checkpoints' highest CoveredSeg, and drops a
+// frame whose interval another of its level contains. CoveredOff (the
+// final size of segment CoveredSeg) and Records (the census total) are the
+// checkpoint header fields compaction carries forward, zero above level 0.
+// The file's path is kept so a cold read builds none.
 type frameMeta struct {
-	frameInfo
-	path string
+	tier.Meta
+	CoveredOff int64
+	Records    uint64
+	path       string
 }
-
-func ckptPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("ckpt-%016d.ck", seq))
-}
-
-// walSpan is what recovery reads of a frame, checkpoint or tier, to tell
-// whether a crash left it behind: its file identity and the WAL interval
-// (BaseSeg, CoveredSeg] it folded.
-type walSpan struct{ Seq, BaseSeg, CoveredSeg uint64 }
 
 // obsoleteAmong is the crash-recovery containment rule. A compaction or
 // a tier refold writes the merged frame before removing its inputs; a
 // crash in between leaves frames whose interval is contained in the
 // merged one. Containment with a higher Seq wins.
-func (o walSpan) obsoleteAmong(frames []walSpan) bool {
+func (o frameMeta) obsoleteAmong(frames []frameMeta) bool {
 	for _, n := range frames {
 		if n.BaseSeg <= o.BaseSeg && o.CoveredSeg <= n.CoveredSeg && n.Seq > o.Seq {
 			return true
@@ -49,60 +47,54 @@ func (o walSpan) obsoleteAmong(frames []walSpan) bool {
 	return false
 }
 
-// loadFrames reads every checkpoint frame, drops frames whose WAL
-// interval is contained in another's (the half-done-compaction case),
-// registers and caches the survivors in WAL order, and returns the highest
-// covered segment.
-func (s *Store) loadFrames(ckpts []frameMeta) (uint64, error) {
-	// One read+decode per frame; the states ride along until the obsolete
-	// sweep decides which ones merge (recovery is the latency-critical
-	// path, re-reading every file would double its I/O).
-	decoded := make([]*streaming.Stored, len(ckpts))
-	for i := range ckpts {
-		info, st, err := loadFrame(ckpts[i], s.cfg)
+// loadFrames reads every frame file once, sweeps within each level the
+// frames another one contains (only a frame of the same level supersedes:
+// a week frame contains its day frames' intervals by construction), and
+// registers and caches the survivors of each level in WAL order. It
+// returns the highest segment a checkpoint frame covers.
+func (s *Store) loadFrames(found []frameMeta) (uint64, error) {
+	// The decoded values ride along until the sweep decides which ones
+	// stay (recovery is the latency-critical path, re-reading every file
+	// would double its I/O).
+	vals := make(map[uint64]frameValue, len(found))
+	var byLevel [len(frameNames)][]frameMeta
+	for _, fm := range found {
+		fm, v, err := s.readFrame(fm)
 		if err != nil {
-			return 0, fmt.Errorf("store: checkpoint %s: %w", filepath.Base(ckpts[i].path), err)
+			return 0, err
 		}
-		ckpts[i].frameInfo = info
-		decoded[i] = st
+		vals[fm.Seq] = v
+		byLevel[fm.Level] = append(byLevel[fm.Level], fm)
 	}
-
-	type liveFrame struct {
-		meta  frameMeta
-		state *streaming.Stored
-	}
-	spans := make([]walSpan, len(ckpts))
-	for i, c := range ckpts {
-		spans[i] = walSpan{c.Seq, c.BaseSeg, c.CoveredSeg}
-	}
-	var live []liveFrame
-	for i := range ckpts {
-		if spans[i].obsoleteAmong(spans) {
-			if !s.opts.ReadOnly {
-				_ = os.Remove(ckpts[i].path)
+	for level, list := range byLevel {
+		for _, fm := range list {
+			if fm.obsoleteAmong(list) {
+				if !s.opts.ReadOnly {
+					_ = os.Remove(fm.path)
+				}
+				continue
 			}
-			continue
+			s.levels[level] = append(s.levels[level], fm)
 		}
-		live = append(live, liveFrame{meta: ckpts[i], state: decoded[i]})
+		live := s.levels[level]
+		sort.Slice(live, func(i, j int) bool { return live[i].BaseSeg < live[j].BaseSeg })
+		for _, fm := range live {
+			s.cacheFrame(frameKey(fm.Seq), vals[fm.Seq])
+		}
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].meta.BaseSeg < live[j].meta.BaseSeg })
 
 	var covered uint64
-	for _, fr := range live {
-		s.cacheState(frameKey(fr.meta.Seq), fr.state)
-		s.frames = append(s.frames, fr.meta)
-		s.frameRecords += fr.meta.Records
-		if fr.meta.CoveredSeg > covered {
-			covered = fr.meta.CoveredSeg
-		}
-		if h := s.cfg.Origin.Add(time.Duration(fr.meta.MaxHour) * time.Hour); fr.meta.MaxHour >= 0 && h.After(s.watermark) {
+	for _, fm := range s.levels[tier.LevelCheckpoint] {
+		s.frameRecords += fm.Records
+		covered = max(covered, fm.CoveredSeg)
+		if h := s.cfg.Origin.Add(time.Duration(fm.MaxHour) * time.Hour); fm.MaxHour >= 0 && h.After(s.watermark) {
 			s.watermark = h
 		}
-		if st, err := os.Stat(fr.meta.path); err == nil && st.ModTime().After(s.lastCheckpoint) {
+		if st, err := os.Stat(fm.path); err == nil && st.ModTime().After(s.lastCheckpoint) {
 			s.lastCheckpoint = st.ModTime()
 		}
 	}
-	s.recoveredFrames = len(s.frames)
+	s.recoveredFrames = len(s.levels[tier.LevelCheckpoint])
 	return covered, nil
 }
 
@@ -167,10 +159,7 @@ func (s *Store) checkpointLocked(ctx context.Context, sp *obs.Span) error {
 	s.tail = s.newTail()
 	s.tailRecords = 0
 	s.foldingTail, s.foldingRecords = oldTail, oldCount
-	var baseSeg uint64
-	if n := len(s.frames); n > 0 {
-		baseSeg = s.frames[n-1].CoveredSeg
-	}
+	baseSeg := horizon(s.levels[tier.LevelCheckpoint])
 	seq := s.nextFrameSeq
 	s.nextFrameSeq++
 	s.mu.Unlock()
@@ -194,28 +183,24 @@ func (s *Store) checkpointLocked(ctx context.Context, sp *obs.Span) error {
 	if err != nil {
 		return restore(err)
 	}
-	info := frameInfo{
-		Seq:        seq,
-		BaseSeg:    baseSeg,
-		CoveredSeg: coveredSeg.seq,
+	info := frameMeta{
+		Meta:       tier.Meta{Seq: seq, BaseSeg: baseSeg, CoveredSeg: coveredSeg.seq, MinHour: -1, MaxHour: -1},
 		CoveredOff: coveredSeg.size,
-		MinHour:    -1,
-		MaxHour:    -1,
 		Records:    oldCount,
+		path:       framePath(s.dir, tier.LevelCheckpoint, seq),
 	}
 	if minH, maxH, ok := oldTail.Bounds(); ok {
 		info.MinHour, info.MaxHour = int64(minH), int64(maxH)
 	}
-	path := ckptPath(s.dir, info.Seq)
 	rec := wire.AppendFrame(nil, recTypeFrame, appendFramePayload(nil, info, state))
-	if err := atomicWrite(path, rec); err != nil {
+	if err := atomicWrite(info.path, rec); err != nil {
 		return restore(err)
 	}
 
 	// Phase 3, under mu: the frame is durable — commit, then fold the
 	// covered WAL away (file removal itself needs no lock).
 	s.mu.Lock()
-	s.frames = append(s.frames, frameMeta{frameInfo: info, path: path})
+	s.levels[tier.LevelCheckpoint] = append(s.levels[tier.LevelCheckpoint], info)
 	s.frameRecords += info.Records
 	if w := oldTail.Watermark(); w.After(s.watermark) {
 		s.watermark = w
@@ -248,8 +233,8 @@ func (s *Store) checkpointLocked(ctx context.Context, sp *obs.Span) error {
 // under a fresh sequence before its inputs are removed, so a crash at
 // any point leaves either the inputs or a containing merged frame —
 // never a gap (Open's containment sweep deletes leftovers). Caller
-// holds ckptMu (the only writer of s.frames); file I/O runs outside mu,
-// with queries retrying if they race a removal.
+// holds ckptMu (the only writer of the frame lists); file I/O runs
+// outside mu, with queries retrying if they race a removal.
 func (s *Store) compact(ctx context.Context) error {
 	for {
 		done, err := s.compactOnce(ctx)
@@ -264,20 +249,21 @@ func (s *Store) compact(ctx context.Context) error {
 // is back under the bound.
 func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
 	s.mu.Lock()
-	if len(s.frames) <= s.opts.MaxFrames {
+	frames := s.levels[tier.LevelCheckpoint]
+	if len(frames) <= s.opts.MaxFrames {
 		s.mu.Unlock()
 		return true, nil
 	}
 	// Straddle guard: never merge a pair whose combined WAL interval
-	// crosses the day-tier coverage horizon. The tier planner separates
-	// tiered history from the raw residual by a single segment floor;
+	// crosses the day-tier coverage horizon. A query separates tiered
+	// history from the raw residual by a single segment floor;
 	// a frame spanning both sides would be half double-counted, half
 	// missing from every day/week answer. Skip to the first adjacent
 	// pair clear of the horizon (at most one pair straddles it).
-	dayCovered := tierCovered(s.tierDay)
+	dayCovered := horizon(s.levels[tier.LevelDay])
 	idx := -1
-	for i := 0; i+1 < len(s.frames); i++ {
-		if s.frames[i].BaseSeg < dayCovered && dayCovered < s.frames[i+1].CoveredSeg {
+	for i := 0; i+1 < len(frames); i++ {
+		if frames[i].BaseSeg < dayCovered && dayCovered < frames[i+1].CoveredSeg {
 			continue
 		}
 		idx = i
@@ -287,7 +273,7 @@ func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
 		s.mu.Unlock()
 		return true, nil
 	}
-	f0, f1 := s.frames[idx], s.frames[idx+1]
+	f0, f1 := frames[idx], frames[idx+1]
 	seq := s.nextFrameSeq
 	s.nextFrameSeq++
 	s.mu.Unlock()
@@ -306,33 +292,31 @@ func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	info := frameInfo{
-		Seq:        seq,
-		BaseSeg:    f0.BaseSeg,
-		CoveredSeg: f1.CoveredSeg,
+	info := frameMeta{
+		Meta: tier.Meta{Seq: seq, BaseSeg: f0.BaseSeg, CoveredSeg: f1.CoveredSeg,
+			MinHour: mergeBound(f0.MinHour, f1.MinHour, false), MaxHour: mergeBound(f0.MaxHour, f1.MaxHour, true)},
 		CoveredOff: f1.CoveredOff,
-		MinHour:    mergeBound(f0.MinHour, f1.MinHour, false),
-		MaxHour:    mergeBound(f0.MaxHour, f1.MaxHour, true),
 		Records:    f0.Records + f1.Records,
+		path:       framePath(s.dir, tier.LevelCheckpoint, seq),
 	}
-	path := ckptPath(s.dir, info.Seq)
 	rec := wire.AppendFrame(nil, recTypeFrame, appendFramePayload(nil, info, state))
-	if err := atomicWrite(path, rec); err != nil {
+	if err := atomicWrite(info.path, rec); err != nil {
 		return false, err
 	}
 
 	s.mu.Lock()
-	merged := make([]frameMeta, 0, len(s.frames)-1)
-	merged = append(merged, s.frames[:idx]...)
-	merged = append(merged, frameMeta{frameInfo: info, path: path})
-	merged = append(merged, s.frames[idx+2:]...)
-	s.frames = merged
+	frames = s.levels[tier.LevelCheckpoint]
+	merged := make([]frameMeta, 0, len(frames)-1)
+	merged = append(merged, frames[:idx]...)
+	merged = append(merged, info)
+	merged = append(merged, frames[idx+2:]...)
+	s.levels[tier.LevelCheckpoint] = merged
 	s.compacted++
 	s.ckptGen++
 	s.mu.Unlock()
 	// The pair's entries and the runs holding it go with the sweep that
 	// ends every Checkpoint.
-	s.cacheState(frameKey(seq), st)
+	s.cacheFrame(frameKey(seq), st)
 	_ = os.Remove(f0.path)
 	_ = os.Remove(f1.path)
 	return false, nil

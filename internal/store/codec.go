@@ -194,32 +194,13 @@ func readBatch(data []byte) (batch []netflow.Record, n int, err error) {
 	return batch, n, err
 }
 
-// frameInfo is the metadata head of a checkpoint-frame payload; the
+// frameInfoLen is the metadata head of a checkpoint-frame payload: seq,
+// base and covered segment, covered offset, hour bounds and records. The
 // marshaled analytics state follows it.
-type frameInfo struct {
-	// Seq is the frame's unique file identity (monotonically allocated,
-	// never reused).
-	Seq uint64
-	// BaseSeg/CoveredSeg bound the half-open WAL interval the frame
-	// folded: every batch in segments (BaseSeg, CoveredSeg]. Recovery
-	// orders frames by BaseSeg, replays only segments beyond the maximum
-	// CoveredSeg, and uses interval containment to drop frames made
-	// obsolete by a compaction that crashed before cleanup. CoveredOff is
-	// the final size of segment CoveredSeg.
-	BaseSeg    uint64
-	CoveredSeg uint64
-	CoveredOff int64
-	// MinHour/MaxHour bound the kept-record hours aggregated in the frame
-	// (-1 when the frame holds only dropped-record accounting).
-	MinHour, MaxHour int64
-	// Records is the census total folded into the frame.
-	Records uint64
-}
-
 const frameInfoLen = 7 * 8
 
 // appendFramePayload encodes a checkpoint frame payload.
-func appendFramePayload(buf []byte, info frameInfo, state []byte) []byte {
+func appendFramePayload(buf []byte, info frameMeta, state []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, info.Seq)
 	buf = binary.BigEndian.AppendUint64(buf, info.BaseSeg)
 	buf = binary.BigEndian.AppendUint64(buf, info.CoveredSeg)
@@ -232,8 +213,8 @@ func appendFramePayload(buf []byte, info frameInfo, state []byte) []byte {
 
 // decodeFramePayload splits a checkpoint frame payload into its metadata
 // and the marshaled analytics state.
-func decodeFramePayload(payload []byte) (frameInfo, []byte, error) {
-	var info frameInfo
+func decodeFramePayload(payload []byte) (frameMeta, []byte, error) {
+	var info frameMeta
 	if len(payload) < frameInfoLen {
 		return info, nil, fmt.Errorf("%w: frame payload of %d bytes", ErrCorrupt, len(payload))
 	}

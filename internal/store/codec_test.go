@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cwatrace/internal/netflow"
+	"cwatrace/internal/tier"
 	"cwatrace/internal/wire"
 )
 
@@ -92,7 +93,7 @@ func appendRecordFrame(buf []byte, typ byte, payload []byte) []byte {
 }
 
 func TestFramePayloadRoundTrip(t *testing.T) {
-	info := frameInfo{Seq: 7, BaseSeg: 2, CoveredSeg: 5, CoveredOff: 4096, MinHour: 3, MaxHour: 40, Records: 1234}
+	info := frameMeta{Meta: tier.Meta{Seq: 7, BaseSeg: 2, CoveredSeg: 5, MinHour: 3, MaxHour: 40}, CoveredOff: 4096, Records: 1234}
 	state := []byte("opaque-state")
 	payload := appendFramePayload(nil, info, state)
 	got, gotState, err := decodeFramePayload(payload)

@@ -1,10 +1,10 @@
 package store
 
-// Reading frames: the one checkpoint-frame loader, the runs a fold merges
-// once, and the cache of both. A frame file never changes once atomicWrite
-// has renamed it into place and its seq is never reused, so what was
-// decoded or merged stays valid while its frames are registered — the
-// cache needs no versioning, only pruning.
+// Reading frames: the one reader of every level's frame files, the runs a
+// fold merges once, and the cache of both. A frame file never changes once
+// atomicWrite has renamed it into place and its seq is never reused, so
+// what was decoded or merged stays valid while its frames are registered —
+// the cache needs no versioning, only pruning.
 
 import (
 	"fmt"
@@ -55,10 +55,13 @@ type frameCache struct {
 	misses  uint64
 }
 
-// frameCacheEntry holds a checkpoint frame's state or a run of them merged
-// (*streaming.Stored), or a tier frame or a run of them (*tier.Frame).
+// frameValue is a decoded frame or a run of frames merged: a checkpoint
+// frame's state (*streaming.Stored) or a tier frame (*tier.Frame).
+type frameValue interface{ Size() int }
+
+// frameCacheEntry holds one frameValue.
 type frameCacheEntry struct {
-	val  interface{ Size() int }
+	val  frameValue
 	size int64
 	used uint64
 }
@@ -68,7 +71,7 @@ func newFrameCache(budget int64) *frameCache {
 }
 
 // get returns what is cached under k, or nil.
-func (c *frameCache) get(k runKey) any {
+func (c *frameCache) get(k runKey) frameValue {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
@@ -84,7 +87,7 @@ func (c *frameCache) get(k runKey) any {
 
 // put caches v under k and evicts the least recently used entries past
 // the budget. A value larger than the whole budget is not kept.
-func (c *frameCache) put(k runKey, v interface{ Size() int }) {
+func (c *frameCache) put(k runKey, v frameValue) {
 	size := int64(v.Size())
 	if size > c.budget {
 		return
@@ -124,31 +127,50 @@ func (c *frameCache) retain(keep func(k runKey) bool) {
 	}
 }
 
-// loadFrame reads, validates and decodes one checkpoint frame file: the
-// record CRC, type and length, the frame's identity and hour bounds, and
-// every bound of the state codec. The state is decoded at its own
-// persisted window length (cfg's Origin must match): compacted frames
-// are archives whose span — and therefore window — can exceed the live
-// sliding window. A missing file surfaces as os.ErrNotExist, which is
-// how queries notice that compaction retired the frame under them.
-func loadFrame(fm frameMeta, cfg streaming.Config) (frameInfo, *streaming.Stored, error) {
+// readFrame reads, validates and decodes the file of fm and holds it to
+// fm's (level, seq), returning the metadata the file carries beside what
+// it decodes to. A missing file surfaces as os.ErrNotExist, which is how
+// queries notice that compaction retired the frame under them.
+func (s *Store) readFrame(fm frameMeta) (frameMeta, frameValue, error) {
 	data, err := os.ReadFile(fm.path)
 	if err != nil {
-		return frameInfo{}, nil, err
+		return frameMeta{}, nil, fmt.Errorf("store: frame %s: %w", filepath.Base(fm.path), err)
+	}
+	got, v, err := decodeFrame(fm.Level, data, s.cfg)
+	if err == nil && (got.Seq != fm.Seq || got.Level != fm.Level) {
+		err = fmt.Errorf("%w: file carries frame seq %d level %s", ErrCorrupt, got.Seq, got.Level)
+	}
+	if err != nil {
+		return frameMeta{}, nil, fmt.Errorf("store: frame %s: %w", filepath.Base(fm.path), err)
+	}
+	got.path = fm.path
+	return got, v, nil
+}
+
+// decodeFrame decodes the bytes of a frame file at level: a tier frame by
+// internal/tier's codec, a checkpoint frame by the record CRC, type and
+// length, its hour bounds and every bound of the state codec. The state is
+// decoded at its own persisted window length (cfg's Origin must match):
+// compacted frames are archives whose span — and therefore window — can
+// exceed the live sliding window.
+func decodeFrame(level tier.Level, data []byte, cfg streaming.Config) (frameMeta, frameValue, error) {
+	if level != tier.LevelCheckpoint {
+		f, err := tier.DecodeFrame(data)
+		if err != nil {
+			return frameMeta{}, nil, err
+		}
+		return frameMeta{Meta: f.Meta()}, f, nil
 	}
 	payload, n, err := readRecord(data, recTypeFrame)
 	if err != nil {
-		return frameInfo{}, nil, err
+		return frameMeta{}, nil, err
 	}
 	if n != len(data) {
-		return frameInfo{}, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-n)
+		return frameMeta{}, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-n)
 	}
 	info, state, err := decodeFramePayload(payload)
 	if err != nil {
-		return frameInfo{}, nil, err
-	}
-	if info.Seq != fm.Seq {
-		return frameInfo{}, nil, fmt.Errorf("%w: file of frame %d carries frame seq %d", ErrCorrupt, fm.Seq, info.Seq)
+		return frameMeta{}, nil, err
 	}
 	// Bound the metadata hour span before anything sizes a merge window
 	// from it (tryQuery, compact): the record-layer CRC does not bound
@@ -158,38 +180,39 @@ func loadFrame(fm frameMeta, cfg streaming.Config) (frameInfo, *streaming.Stored
 	// enforces.
 	if (info.MinHour == -1) != (info.MaxHour == -1) ||
 		info.MinHour < -1 || info.MaxHour < info.MinHour || info.MaxHour >= streaming.MaxWindowHours {
-		return frameInfo{}, nil, fmt.Errorf("%w: frame hour bounds [%d, %d]", ErrCorrupt, info.MinHour, info.MaxHour)
+		return frameMeta{}, nil, fmt.Errorf("%w: frame hour bounds [%d, %d]", ErrCorrupt, info.MinHour, info.MaxHour)
 	}
 	st, err := streaming.DecodeStored(cfg, state)
 	if err != nil {
-		return frameInfo{}, nil, err
+		return frameMeta{}, nil, err
 	}
 	return info, st, nil
 }
 
-// frameState returns the decoded state of a frame the caller found
-// registered: from the cache, or from its file, which then seeds the
-// cache. Only a fully validated frame is ever cached; a damaged file is
-// an error on every read.
-func (s *Store) frameState(fm frameMeta) (*streaming.Stored, error) {
-	if st, ok := s.frameCache.get(frameKey(fm.Seq)).(*streaming.Stored); ok {
-		return st, nil
+// frame returns the decoded frame of a registered fm: from the cache, or
+// from its file, which then seeds the cache. Only a fully validated frame
+// is ever cached; a damaged file is an error on every read.
+func (s *Store) frame(fm frameMeta) (frameValue, error) {
+	if v := s.frameCache.get(frameKey(fm.Seq)); v != nil {
+		return v, nil
 	}
-	_, st, err := loadFrame(fm, s.cfg)
+	_, v, err := s.readFrame(fm)
 	if err != nil {
-		return nil, fmt.Errorf("store: frame %s: %w", filepath.Base(fm.path), err)
+		return nil, err
 	}
-	s.cacheState(frameKey(fm.Seq), st)
-	return st, nil
+	s.cacheFrame(frameKey(fm.Seq), v)
+	return v, nil
 }
 
-// cacheState publishes a decoded or merged state to the frame cache.
-// Nothing else holds st yet, which is what lets it be resolved against the
-// store's prefix table here, once: every state a fold reads from the cache
-// is added by id.
-func (s *Store) cacheState(k runKey, st *streaming.Stored) {
-	s.prefixes.Load().Resolve(st)
-	s.frameCache.put(k, st)
+// cacheFrame publishes a decoded frame or merged run to the frame cache.
+// Nothing else holds v yet, which is what lets a checkpoint state be
+// resolved against the store's prefix table here, once: every state a fold
+// reads from the cache is added by id. A tier frame holds no prefix rows.
+func (s *Store) cacheFrame(k runKey, v frameValue) {
+	if st, ok := v.(*streaming.Stored); ok {
+		s.prefixes.Load().Resolve(st)
+	}
+	s.frameCache.put(k, v)
 }
 
 // minRun is the fewest frames a run merges: a shorter aligned block is
@@ -229,38 +252,62 @@ func cover(n int, base func(i int) uint64, sel func(i int) bool, each func(lo, h
 	return nil
 }
 
-// rawSources hands add what covers frames[lo:hi], an aligned block of the
-// checkpoint frames: each frame alone, or, when runs are asked for and the
+// sources hands add what covers list[lo:hi], an aligned block of one
+// level's frames: each frame alone, or, when runs are asked for and the
 // block holds minRun frames or more, the merge of them all, kept.
-func (s *Store) rawSources(frames []frameMeta, lo, hi int, runs bool, add func(*streaming.Stored)) error {
+func (s *Store) sources(list []frameMeta, lo, hi int, runs bool, add func(frameValue)) error {
 	if !runs || hi-lo < minRun {
-		for _, fm := range frames[lo:hi] {
-			st, err := s.frameState(fm)
+		for _, fm := range list[lo:hi] {
+			v, err := s.frame(fm)
 			if err != nil {
 				return err
 			}
-			add(st)
+			add(v)
 		}
 		return nil
 	}
-	key := runKey{frames[lo].Seq, frames[hi-1].Seq}
-	st, ok := s.frameCache.get(key).(*streaming.Stored)
-	if !ok {
+	key := runKey{list[lo].Seq, list[hi-1].Seq}
+	v := s.frameCache.get(key)
+	if v == nil {
 		var err error
-		if st, err = s.mergeFrames(frames[lo:hi]); err != nil {
+		if v, err = s.mergeRun(list[lo:hi]); err != nil {
 			return err
 		}
-		s.cacheState(key, st)
+		s.cacheFrame(key, v)
 	}
-	add(st)
+	add(v)
 	return nil
 }
 
-// mergeFrames merges the frames' states into one, with every bin and the
-// full counter tables: what a compaction writes and a run keeps. Its window
-// spans the frames' combined hours (validated metadata, so at most
-// streaming.MaxWindowHours): a shard at the live window would evict the
-// oldest, for compaction for good. DecodeStored adopts the window it records.
+// mergeRun merges a run of one level's frames into one: checkpoint states
+// by mergeFrames, tier frames into a frame at their level by Builder.Run,
+// resolved against the store's district table like every frame a query
+// adds.
+func (s *Store) mergeRun(run []frameMeta) (frameValue, error) {
+	if level := run[0].Level; level != tier.LevelCheckpoint {
+		b := tier.NewBuilder(level.Resolution(), s.cfg.Origin)
+		if err := s.sources(run, 0, len(run), false, func(v frameValue) { b.AddFrame(v.(*tier.Frame)) }); err != nil {
+			return nil, err
+		}
+		f, err := b.Run()
+		if err != nil {
+			return nil, err
+		}
+		return f, nil
+	}
+	st, err := s.mergeFrames(run)
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// mergeFrames merges checkpoint frames' states into one, with every bin
+// and the full counter tables: what a compaction writes and a run keeps.
+// Its window spans the frames' combined hours (validated metadata, so at
+// most streaming.MaxWindowHours): a shard at the live window would evict
+// the oldest, for compaction for good. DecodeStored adopts the window it
+// records.
 func (s *Store) mergeFrames(frames []frameMeta) (*streaming.Stored, error) {
 	cfg := s.cfg
 	minH, maxH := int64(-1), int64(-1)
@@ -271,42 +318,11 @@ func (s *Store) mergeFrames(frames []frameMeta) (*streaming.Stored, error) {
 		cfg.WindowHours = need
 	}
 	m := streaming.New(cfg)
-	err := s.rawSources(frames, 0, len(frames), false, m.MergeStored)
+	err := s.sources(frames, 0, len(frames), false, func(v frameValue) { m.MergeStored(v.(*streaming.Stored)) })
 	if err != nil {
 		return nil, err
 	}
 	return m.Detach(time.Time{}, time.Time{}), nil
-}
-
-// tierSources is rawSources for one tier level's frames: a run of them is
-// summed into one frame at that level, resolved against the store's
-// district table like every frame a query adds.
-func (s *Store) tierSources(list []tier.Meta, lo, hi int, runs bool, add func(*tier.Frame)) error {
-	if !runs || hi-lo < minRun {
-		for _, m := range list[lo:hi] {
-			f, err := s.loadTierFrame(m)
-			if err != nil {
-				return err
-			}
-			add(f)
-		}
-		return nil
-	}
-	key := runKey{list[lo].Seq, list[hi-1].Seq}
-	f, ok := s.frameCache.get(key).(*tier.Frame)
-	if !ok {
-		b := tier.NewBuilder(list[lo].Level.Resolution(), s.cfg.Origin)
-		err := s.tierSources(list, lo, hi, false, b.AddFrame)
-		if err == nil {
-			f, err = b.Run()
-		}
-		if err != nil {
-			return err
-		}
-		s.frameCache.put(key, f)
-	}
-	add(f)
-	return nil
 }
 
 // pruneFrameCache drops what no longer has both ends registered: a query
@@ -317,10 +333,11 @@ func (s *Store) tierSources(list []tier.Meta, lo, hi int, runs bool, add func(*t
 //
 // It also bounds the prefix table, which only grows: past s.prefixCap ids
 // the store starts a fresh one, gives the tail its ids in it and drops
-// the whole cache, so what is read next is decoded and
-// resolved again. (A state a query resolved against the old table just
-// before may still be cached after; a fold interns its rows, see
-// streaming.PrefixTable.IDs.)
+// every checkpoint state and run of them, so what is read next is decoded
+// and resolved again. Tier frames and their runs hold sketch registers,
+// not prefix ids, and stay. (A state a query resolved against the old
+// table just before may still be cached after; a fold interns its rows,
+// see streaming.PrefixTable.IDs.)
 func (s *Store) pruneFrameCache() {
 	s.mu.Lock()
 	fresh := s.prefixes.Load().Len() > s.prefixCap
@@ -329,15 +346,16 @@ func (s *Store) pruneFrameCache() {
 		s.prefixes.Store(t)
 		s.tail.Intern(t)
 	}
-	registered := make(map[uint64]bool, len(s.frames)+len(s.tierDay)+len(s.tierWeek))
-	for _, fm := range s.frames {
-		registered[fm.Seq] = true
-	}
-	for _, list := range [][]tier.Meta{s.tierDay, s.tierWeek} {
-		for _, m := range list {
-			registered[m.Seq] = true
+	level := make(map[uint64]tier.Level)
+	for l, list := range s.levels {
+		for _, fm := range list {
+			level[fm.Seq] = tier.Level(l)
 		}
 	}
 	s.mu.Unlock()
-	s.frameCache.retain(func(k runKey) bool { return !fresh && registered[k.first] && registered[k.last] })
+	s.frameCache.retain(func(k runKey) bool {
+		first, ok1 := level[k.first]
+		_, ok2 := level[k.last]
+		return ok1 && ok2 && !(fresh && first == tier.LevelCheckpoint)
+	})
 }

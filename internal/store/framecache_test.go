@@ -93,13 +93,10 @@ func keys(c *frameCache) []runKey {
 func checkFrameCache(t *testing.T, s *Store) {
 	t.Helper()
 	s.mu.Lock()
-	at := map[uint64][2]int{} // seq: list, position
-	for i, fm := range s.frames {
-		at[fm.Seq] = [2]int{0, i}
-	}
-	for l, list := range [][]tier.Meta{s.tierDay, s.tierWeek} {
-		for i, m := range list {
-			at[m.Seq] = [2]int{l + 1, i}
+	at := map[uint64][2]int{} // seq: level, position
+	for l, list := range s.levels {
+		for i, fm := range list {
+			at[fm.Seq] = [2]int{l, i}
 		}
 	}
 	s.mu.Unlock()
@@ -117,6 +114,74 @@ func checkFrameCache(t *testing.T, s *Store) {
 	}
 	if sum != c.bytes || c.bytes > c.budget {
 		t.Errorf("cache accounts %d bytes for entries totalling %d under a budget of %d", c.bytes, sum, c.budget)
+	}
+}
+
+// TestFreshPrefixTableKeepsTierFrames: past the prefix table's cap a
+// checkpoint starts a fresh table and drops what was resolved against the
+// old one, the checkpoint states and their runs. Tier frames and their runs
+// hold sketch registers, not prefix ids: every registered tier frame and
+// every run of them stays cached rather than being read from disk again.
+func TestFreshPrefixTableKeepsTierFrames(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
+	defer s.Close()
+	for day := 0; day < 24; day++ {
+		fillDay(t, s, day)
+	}
+	for _, res := range []tier.Resolution{tier.ResolutionDay, tier.ResolutionWeek} {
+		if _, err := s.QueryResolution(time.Time{}, time.Time{}, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// tierEntries is every cached key whose first frame is a tier frame,
+	// and every registered tier frame.
+	tierEntries := func() (cached map[runKey]bool, registered []runKey) {
+		s.mu.Lock()
+		levels := s.levels
+		s.mu.Unlock()
+		tiered := map[uint64]bool{}
+		for _, list := range levels[tier.LevelDay:] {
+			for _, fm := range list {
+				tiered[fm.Seq] = true
+				registered = append(registered, frameKey(fm.Seq))
+			}
+		}
+		cached = map[runKey]bool{}
+		for _, k := range keys(s.frameCache) {
+			cached[k] = tiered[k.first]
+		}
+		return cached, registered
+	}
+	before, _ := tierEntries()
+	s.prefixCap = 1
+	old := s.prefixes.Load()
+	fillDay(t, s, 24)
+	if s.prefixes.Load() == old {
+		t.Fatal("the checkpoint past the cap kept the prefix table")
+	}
+	checkFrameCache(t, s)
+	after, registered := tierEntries()
+	for k, tiered := range after {
+		if !tiered {
+			t.Errorf("the cache holds %+v, resolved against the replaced table", k)
+		}
+	}
+	runs := 0
+	for k, tiered := range before {
+		if tiered && !after[k] {
+			t.Errorf("tier entry %+v left the cache with the prefix table", k)
+		}
+		if tiered && k.first != k.last {
+			runs++
+		}
+	}
+	for _, k := range registered {
+		if !after[k] {
+			t.Errorf("tier frame %d is not cached", k.first)
+		}
+	}
+	if runs == 0 || len(registered) < 2*minRun {
+		t.Fatalf("%d tier runs cached over %d tier frames: the fixture builds too few", runs, len(registered))
 	}
 }
 
@@ -138,7 +203,7 @@ func TestFrameCacheCoherentUnderChurn(t *testing.T) {
 		readers = 3
 	)
 	dir := t.TempDir()
-	opts := Options{SegmentBytes: 2048, MaxFrames: 4, Tier: true}
+	opts := Options{SegmentBytes: 2048, MaxFrames: 4}
 	s := mustOpen(t, dir, opts)
 	defer s.Close()
 

@@ -29,7 +29,7 @@ func FuzzDecode(f *testing.F) {
 	} {
 		f.Add(appendRecordFrame(nil, recTypeBatch, appendBatchPayload(nil, batch)))
 	}
-	f.Add(appendRecordFrame(nil, recTypeFrame, appendFramePayload(nil, frameInfo{Seq: 1, MinHour: -1, MaxHour: -1}, nil)))
+	f.Add(appendRecordFrame(nil, recTypeFrame, appendFramePayload(nil, frameMeta{Meta: tier.Meta{Seq: 1, MinHour: -1, MaxHour: -1}}, nil)))
 	f.Add([]byte{})
 	f.Add([]byte{wire.Version, recTypeBatch, 0, 0, 0, 0})
 

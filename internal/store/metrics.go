@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"cwatrace/internal/obs"
+	"cwatrace/internal/tier"
 )
 
 // storeObsMetrics holds the store's hot-path instruments. The zero
@@ -67,7 +68,7 @@ func registerStoreFuncs(reg *obs.Registry, s *Store) {
 	gauge("store_wal_bytes", "Total WAL bytes on disk.",
 		locked(func() float64 { _, b, _ := s.wal.stats(); return float64(b) }))
 	gauge("store_frames", "Checkpoint frames on disk.",
-		locked(func() float64 { return float64(len(s.frames)) }))
+		locked(func() float64 { return float64(len(s.levels[tier.LevelCheckpoint])) }))
 	gauge("store_tail_records", "Records appended since the last checkpoint (crash replay cost).",
 		locked(func() float64 { return float64(s.tailRecords) }))
 	gauge("store_last_checkpoint_age_seconds", "Seconds since the newest checkpoint frame.",
@@ -116,7 +117,7 @@ func registerStoreFuncs(reg *obs.Registry, s *Store) {
 	gauge("store_frame_cache_bytes", "Decoded frames and merged runs held in the frame cache (bounded by a 64 MiB constant).",
 		cached(func() float64 { return float64(cache.bytes) }))
 	counter("store_tier_folds_day_total", "Day tier folds this process.",
-		locked(func() float64 { return float64(s.tierFoldsDay) }))
+		locked(func() float64 { return float64(s.tierFolds[tier.LevelDay]) }))
 	counter("store_tier_folds_week_total", "Week tier folds this process.",
-		locked(func() float64 { return float64(s.tierFoldsWeek) }))
+		locked(func() float64 { return float64(s.tierFolds[tier.LevelWeek]) }))
 }

@@ -109,11 +109,12 @@ func NewQueryResult(from, to time.Time, fold *streaming.Range, lh *tier.Builder)
 
 // QueryResolution answers a range query at the requested resolution.
 // Hour (and the empty string) is the finest tier: no tier frames, every
-// overlapping raw frame. Day and week take the coarsest tier frames
-// covering the range and stitch the raw residual beyond tier coverage
-// exactly on top; the tiered part is carried in the LongHorizon block
-// (the Snapshot field then holds only the exact residual tail). Auto
-// resolves from the span against the store's history bounds.
+// overlapping raw frame. Day and week walk the levels down from theirs,
+// taking each level's frames past the coverage of the one above, and
+// stitch the raw residual beyond tier coverage exactly on top; the tiered
+// part is carried in the LongHorizon block (the Snapshot field then holds
+// only the exact residual tail). Auto resolves from the span against the
+// store's history bounds.
 //
 // Frames are read outside the store mutex — a historical query must
 // never stall the hot Append path (a blocked worker means dropped
@@ -145,66 +146,76 @@ func (s *Store) query(from, to time.Time, res tier.Resolution, window bool) (*Qu
 // the frame lists (appended to or replaced whole, never written in
 // place), the detached live state and the Version naming them.
 type readCut struct {
-	weeks, days []tier.Meta
-	frames      []frameMeta
-	live        []*streaming.Stored
-	version     uint64
+	levels  [len(frameNames)][]frameMeta
+	live    []*streaming.Stored
+	version uint64
 }
 
 func (s *Store) cut(from, to time.Time) readCut {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return readCut{s.tierWeek, s.tierDay, s.frames, s.detachLive(from, to), s.versionLocked(from, to)}
+	return readCut{s.levels, s.detachLive(from, to), s.versionLocked(from, to)}
 }
 
-// tryQuery answers from a cut; planning, selection and the fold run
-// unlocked. With window set it is the live view: the hour answer over
-// all of history folded by streaming.FoldWindow, without query metadata.
+// tryQuery answers from a cut; selection and the fold run unlocked. With
+// window set it is the live view: the hour answer over all of history
+// folded by streaming.FoldWindow, without query metadata.
+//
+// It walks from the resolution's level down to the checkpoint frames. Each
+// level adds its frames past floor that overlap the range (frames holding
+// only dropped-record accounting ride along with every query so the
+// census stays complete), then raises floor to the level's horizon: weeks
+// only at week resolution, days past week coverage, checkpoint frames past
+// day coverage. Tier coverage is a prefix of the WAL, so one floor keeps
+// every source a disjoint slice of it (the compaction guard keeps a
+// checkpoint frame from straddling the floor). Each selected stretch of a
+// list is tiled with aligned blocks (cover), and a block of minRun frames
+// or more is added as one run — except a day or week answer's residual,
+// which goes frame by frame: presence counts frames.
+//
+// The residual and the detached live state, in chronological order, fold
+// into a streaming.Range: a historical range can span more hours than the
+// live sliding window (that is the point of the store), so the target is
+// sized by the hours the range shares with the selected frames, evicts
+// nothing, and reports the window a ring widened to hold them all would
+// have.
 func (s *Store) tryQuery(c readCut, from, to time.Time, res tier.Resolution, window bool) (*QueryResult, error) {
-	// At hour resolution the plan is empty — no tier frames, a raw floor
-	// of zero — and the answer is the raw fold alone.
-	plan := tier.BuildPlan(res, s.cfg.Origin, from, to, c.weeks, c.days)
+	top := res.Level()
 	var lh *tier.Builder
 	var acc *tier.SketchAccum
-	// Each selected stretch of a frame list is tiled with aligned blocks
-	// (cover), and a block of minRun frames or more is added as one run.
-	if plan.Resolution != tier.ResolutionHour {
-		lh, acc = tier.NewBuilder(plan.Resolution, s.cfg.Origin), tier.NewSketchAccum()
-		err := s.addPlanned(c.weeks, plan.Week, lh.AddFrame)
-		if err == nil {
-			err = s.addPlanned(c.days, plan.Day, lh.AddFrame)
+	if top != tier.LevelCheckpoint {
+		lh, acc = tier.NewBuilder(res, s.cfg.Origin), tier.NewSketchAccum()
+	}
+	live, n := c.live, 0
+	states := make([]*streaming.Stored, 0, len(c.levels[tier.LevelCheckpoint])+len(live))
+	add := func(v frameValue) {
+		switch v := v.(type) {
+		case *tier.Frame:
+			lh.AddFrame(v)
+		case *streaming.Stored:
+			states = append(states, v)
+			if acc != nil {
+				acc.AddShard(v)
+			}
 		}
+	}
+	var floor uint64
+	for level := int(top); level >= 0; level-- {
+		list := c.levels[level]
+		err := cover(len(list), func(i int) uint64 { return list[i].BaseSeg }, func(i int) bool {
+			return list[i].BaseSeg >= floor && tier.HoursOverlap(s.cfg.Origin, list[i].MinHour, list[i].MaxHour, from, to)
+		}, func(lo, hi int) error {
+			if level == 0 {
+				n += hi - lo
+			}
+			return s.sources(list, lo, hi, level > 0 || lh == nil, add)
+		})
 		if err != nil {
 			return nil, err
 		}
+		floor = max(floor, horizon(list))
 	}
 
-	// The raw part: the frames beyond every selected tier's coverage that
-	// overlap the range (frames holding only dropped-record accounting
-	// ride along with every query so the census stays complete), then the
-	// detached live state, in chronological order. A
-	// historical range can span more hours than the live sliding window
-	// (that is the point of the store), so the fold target is not a ring
-	// at that window but a streaming.Range: sized by the hours the range
-	// shares with the selected frames, evicting nothing, and reporting the
-	// window a ring widened to hold them all would have. A day or week
-	// answer's residual goes frame by frame: presence counts frames.
-	frames, live, n := c.frames, c.live, 0
-	states := make([]*streaming.Stored, 0, len(frames)+len(live))
-	err := cover(len(frames), func(i int) uint64 { return frames[i].BaseSeg }, func(i int) bool {
-		return frames[i].BaseSeg >= plan.RawFloor && tier.HoursOverlap(s.cfg.Origin, frames[i].MinHour, frames[i].MaxHour, from, to)
-	}, func(lo, hi int) error {
-		n += hi - lo
-		return s.rawSources(frames, lo, hi, lh == nil, func(st *streaming.Stored) {
-			states = append(states, st)
-			if lh != nil {
-				acc.AddShard(st)
-			}
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
 	var result *QueryResult
 	if window {
 		result = NewQueryResult(from, to, streaming.FoldWindow(s.cfg, append(states, live...)...), nil)
@@ -224,20 +235,6 @@ func (s *Store) tryQuery(c readCut, from, to time.Time, res tier.Resolution, win
 	return result, nil
 }
 
-// addPlanned hands add the frames of list a plan selected, as the runs
-// and frames that cover them. BuildPlan emits seqs as a subsequence of
-// the list it was given, in order, so one walk of both marks them all.
-func (s *Store) addPlanned(list []tier.Meta, seqs []uint64, add func(*tier.Frame)) error {
-	sel := make([]bool, len(list))
-	for i, m := range list {
-		if len(seqs) > 0 && m.Seq == seqs[0] {
-			sel[i], seqs = true, seqs[1:]
-		}
-	}
-	return cover(len(list), func(i int) uint64 { return list[i].BaseSeg }, func(i int) bool { return sel[i] },
-		func(lo, hi int) error { return s.tierSources(list, lo, hi, true, add) })
-}
-
 // historyBounds reports the wall-clock extent of everything the store
 // holds (frames plus live tail), for auto-resolution.
 func (s *Store) historyBounds() (start, end time.Time) {
@@ -255,7 +252,7 @@ func (s *Store) historyBounds() (start, end time.Time) {
 			hi = mx
 		}
 	}
-	for _, fr := range s.frames {
+	for _, fr := range s.levels[tier.LevelCheckpoint] {
 		cover(fr.MinHour, fr.MaxHour)
 	}
 	for _, t := range []*streaming.Analytics{s.foldingTail, s.tail} {

@@ -20,11 +20,15 @@ import (
 )
 
 // foldPerFrame is tryQuery without runs and without the frame cache —
-// every selected frame read from its file (loadFrame resolves nothing
+// every selected frame read from its file (readFrame resolves nothing
 // against the store's prefix table) and added alone, the lists read as one
-// cut — and the reference the run cover is held to. Its prefix and district
-// rows still go through the folds and the sketch accumulator under test, so
-// beside the result it keeps them the plain way, in a prefixModel.
+// cut — and the reference the run cover is held to. Its selection is
+// spelled out level by level, apart from the walk it checks: week frames
+// only at week resolution, day frames past the week coverage at day and
+// week resolution, raw frames past the day coverage of a day or week
+// answer. Its prefix and district rows still go through the folds and the
+// sketch accumulator under test, so beside the result it keeps them the
+// plain way, in a prefixModel.
 func foldPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.Resolution) (*QueryResult, *prefixModel) {
 	t.Helper()
 	if res == tier.ResolutionAuto {
@@ -32,43 +36,56 @@ func foldPerFrame(t *testing.T, s *Store, from, to time.Time, res tier.Resolutio
 		res = tier.AutoSpan(from, to, start, end)
 	}
 	s.mu.Lock()
-	weeks, days, frames := s.tierWeek, s.tierDay, s.frames
+	weeks, days, frames := s.levels[tier.LevelWeek], s.levels[tier.LevelDay], s.levels[tier.LevelCheckpoint]
 	live := s.detachLive(from, to)
 	s.mu.Unlock()
-	plan := tier.BuildPlan(res, s.cfg.Origin, from, to, weeks, days)
+	overlaps := func(fm frameMeta) bool { return tier.HoursOverlap(s.cfg.Origin, fm.MinHour, fm.MaxHour, from, to) }
+	var selected []frameMeta
+	var weekCovered, rawFloor uint64
+	if res == tier.ResolutionWeek {
+		for _, fm := range weeks {
+			weekCovered = max(weekCovered, fm.CoveredSeg)
+			if overlaps(fm) {
+				selected = append(selected, fm)
+			}
+		}
+	}
+	if res == tier.ResolutionDay || res == tier.ResolutionWeek {
+		for _, fm := range days {
+			rawFloor = max(rawFloor, fm.CoveredSeg)
+			if fm.BaseSeg >= weekCovered && overlaps(fm) {
+				selected = append(selected, fm)
+			}
+		}
+	}
 	r := &QueryResult{From: from, To: to, TailIncluded: live != nil}
 	model := newPrefixModel()
-	tiered := plan.Resolution != tier.ResolutionHour
+	tiered := res == tier.ResolutionDay || res == tier.ResolutionWeek
 	acc := tier.NewSketchAccum()
 	if tiered {
-		r.Resolution, r.tiered = plan.Resolution, tier.NewBuilder(plan.Resolution, s.cfg.Origin)
-		for _, l := range []struct {
-			list []tier.Meta
-			seqs []uint64
-		}{{weeks, plan.Week}, {days, plan.Day}} {
-			for _, m := range l.list {
-				if slices.Contains(l.seqs, m.Seq) {
-					f, err := s.readTierFrame(m.Level, m.Seq)
-					if err != nil {
-						t.Fatal(err)
-					}
-					r.tiered.AddFrame(f)
-					for _, d := range f.Districts {
-						model.tierDistricts[d.ID] += d.Flows
-					}
-					model.hll.Merge(f.Prefixes)
-					model.quant.Merge(f.Presence)
-				}
+		r.Resolution, r.tiered = res, tier.NewBuilder(res, s.cfg.Origin)
+		for _, fm := range selected {
+			_, v, err := s.readFrame(fm)
+			if err != nil {
+				t.Fatal(err)
 			}
+			f := v.(*tier.Frame)
+			r.tiered.AddFrame(f)
+			for _, d := range f.Districts {
+				model.tierDistricts[d.ID] += d.Flows
+			}
+			model.hll.Merge(f.Prefixes)
+			model.quant.Merge(f.Presence)
 		}
 	}
 	var states []*streaming.Stored
 	for _, fm := range frames {
-		if fm.BaseSeg >= plan.RawFloor && tier.HoursOverlap(s.cfg.Origin, fm.MinHour, fm.MaxHour, from, to) {
-			_, st, err := loadFrame(fm, s.cfg)
+		if fm.BaseSeg >= rawFloor && overlaps(fm) {
+			_, v, err := s.readFrame(fm)
 			if err != nil {
 				t.Fatal(err)
 			}
+			st := v.(*streaming.Stored)
 			states = append(states, st)
 			acc.AddShard(st)
 			model.addShard(st)
@@ -313,14 +330,14 @@ func TestCoverTilesEachStretchOnce(t *testing.T) {
 // TestYearSpanFoldsLogFrames pins the cost of a year-span answer where
 // it cannot rot, in the manner of TestShortQueryCostsItsSpanNotTheWindow:
 // on a store holding 400 days — a checkpoint a day, compacted at 64
-// frames, day and week frames folded — a warm 364-day day or hour answer
-// adds at most 2·log2(n) + 2·minRun sources for the n frames behind it,
-// where it added n, and answers byte for byte what the per-frame fold
+// frames, day and week frames folded — a warm 364-day hour, day or week
+// answer adds at most 2·log2(n) + 2·minRun sources for the n frames behind
+// it, where it added n, and answers byte for byte what the per-frame fold
 // does. Every source is one frame-cache hit, so the hits of a repeat
 // count them.
 func TestYearSpanFoldsLogFrames(t *testing.T) {
 	const days = 400
-	s := mustOpen(t, t.TempDir(), Options{Tier: true, Sync: SyncNever})
+	s := mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
 	defer s.Close()
 	for day := 0; day < days; day++ {
 		fillDay(t, s, day)
@@ -328,7 +345,7 @@ func TestYearSpanFoldsLogFrames(t *testing.T) {
 	c := s.frameCache
 	for _, start := range []int{0, 17, 36} {
 		from, to := at(24*start), at(24*(start+364))
-		for _, res := range []tier.Resolution{tier.ResolutionHour, tier.ResolutionDay} {
+		for _, res := range []tier.Resolution{tier.ResolutionHour, tier.ResolutionDay, tier.ResolutionWeek} {
 			checkAgainstPerFrame(t, s, from, to, res) // cold: builds the runs
 			hits, misses := c.hits, c.misses
 			r := checkAgainstPerFrame(t, s, from, to, res)
@@ -388,15 +405,15 @@ func TestRunsSurviveCheckpointAndCompaction(t *testing.T) {
 	ask()
 	before := runs()
 	s.mu.Lock()
-	oldest := s.frames[0].Seq
+	oldest := s.levels[tier.LevelCheckpoint][0].Seq
 	s.mu.Unlock()
 
 	fillDay(t, s, 64)
 	s.mu.Lock()
-	frames := append([]frameMeta(nil), s.frames...)
+	frames := append([]frameMeta(nil), s.levels[tier.LevelCheckpoint]...)
 	s.mu.Unlock()
 	if len(frames) != 64 || frames[0].BaseSeg != 0 || frames[0].Records != 2*frames[2].Records {
-		t.Fatalf("%d frames after the checkpoint, the oldest %+v: the oldest pair did not compact", len(frames), frames[0].frameInfo)
+		t.Fatalf("%d frames after the checkpoint, the oldest %+v: the oldest pair did not compact", len(frames), frames[0])
 	}
 	kept := runs()
 	survivors := 0
@@ -446,8 +463,9 @@ func TestRunsSurviveCheckpointAndCompaction(t *testing.T) {
 
 // TestPrefixTableStartsAfreshPastItsCap drives a store's prefix table past
 // a lowered cap while a reader keeps asking: three new /24s a day, a
-// checkpoint a day, compaction at eight frames, tiers on. Past the cap a
-// checkpoint starts a fresh table and empties the frame cache, and the
+// checkpoint a day, compaction at eight frames, tiers folded. Past the cap
+// a checkpoint starts a fresh table and drops the checkpoint states from
+// the frame cache, and the
 // store answers every hour, day and auto question byte for byte as a store
 // at the default cap fed the same does, and as its per-frame reference
 // does. The table never holds more ids than the cap or the prefixes the
@@ -455,7 +473,7 @@ func TestRunsSurviveCheckpointAndCompaction(t *testing.T) {
 // read is gone with it.
 func TestPrefixTableStartsAfreshPastItsCap(t *testing.T) {
 	const capIDs = 16
-	opts := Options{Tier: true, Sync: SyncNever, MaxFrames: 8}
+	opts := Options{Sync: SyncNever, MaxFrames: 8}
 	capped, free := mustOpen(t, t.TempDir(), opts), mustOpen(t, t.TempDir(), opts)
 	defer capped.Close()
 	defer free.Close()

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,11 +94,11 @@ type Options struct {
 	// ReadOnly opens the store for historical queries only: no WAL
 	// truncation, no new segment, Append/Checkpoint fail.
 	ReadOnly bool
-	// Tier enables long-horizon folding: checkpoints additionally fold
-	// closed day runs of checkpoint frames into day tier frames, and
-	// closed weeks of day frames into week frames (see internal/tier).
-	// Existing tier frames are always loaded and served regardless — the
-	// flag gates only the production of new ones.
+	// Tier is ignored: every checkpoint of a writable store also folds
+	// closed days of checkpoint frames into day tier frames and closed
+	// weeks of day frames into week frames (see internal/tier).
+	//
+	// Deprecated: ignored.
 	Tier bool
 	// Metrics, when set, registers the store's telemetry on the registry
 	// (see metrics.go for the catalogue). Nil runs uninstrumented.
@@ -185,7 +186,9 @@ type Store struct {
 	opts   Options
 	cfg    streaming.Config
 
-	frames       []frameMeta // sorted by BaseSeg
+	// levels holds the registered frames of each tier.Level (checkpoint,
+	// day, week), each sorted by BaseSeg.
+	levels       [len(frameNames)][]frameMeta
 	tail         *streaming.Analytics
 	tailRecords  uint64
 	frameRecords uint64
@@ -224,13 +227,10 @@ type Store struct {
 	ckptGen uint64
 	tailGen uint64
 
-	// Long-horizon tier frames per level (sorted by BaseSeg, under mu).
-	tierDay       []tier.FrameMeta
-	tierWeek      []tier.FrameMeta
-	tierFoldsDay  uint64
-	tierFoldsWeek uint64
+	// tierFolds counts this process's folds into each level.
+	tierFolds [len(frameNames)]uint64
 
-	// Decoded checkpoint and tier frames by seq, and the runs merged over
+	// Decoded frames of every level by seq, and the runs merged over
 	// them (see framecache.go): seeded by Open, pruned to what is
 	// registered at every checkpoint.
 	frameCache *frameCache
@@ -260,7 +260,7 @@ func (s *Store) newTail() *streaming.Analytics {
 }
 
 // Open opens (or creates) the store in dir and runs crash recovery:
-// checkpoint frames are decoded into the frame cache, the WAL
+// the frames of every level are decoded into the frame cache, the WAL
 // tail beyond the last durable checkpoint is replayed into the tail
 // shard, a torn record at the end of the last segment is truncated, and
 // (unless ReadOnly) a fresh active segment is started.
@@ -317,15 +317,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 
-	segs, ckpts, tiers, err := s.scanDir()
+	segs, found, err := s.scanDir()
 	if err != nil {
 		return nil, err
 	}
-	covered, err := s.loadFrames(ckpts)
+	covered, err := s.loadFrames(found)
 	if err != nil {
-		return nil, err
-	}
-	if err := s.loadTierFrames(tiers); err != nil {
 		return nil, err
 	}
 	s.wal, err = openWAL(dir, opts, &s.om, segs, covered, func(batch []netflow.Record) error {
@@ -425,48 +422,45 @@ func (s *Store) writeMeta() error {
 	return atomicWrite(filepath.Join(s.dir, metaName), append(data, '\n'))
 }
 
-// scanDir inventories segment, checkpoint and tier files (each kind in
-// sequence order: os.ReadDir sorts by name and the names are fixed-width)
-// and, on a writable open, sweeps stale temp files from crashed writes.
-func (s *Store) scanDir() ([]segInfo, []frameMeta, []tier.FrameMeta, error) {
+// frameNames are each level's file-name prefix and suffix around the
+// fixed-width seq: ckpt-%016d.ck, tier-d-%016d.tf and tier-w-%016d.tf.
+var frameNames = [...][2]string{{"ckpt-", ".ck"}, {"tier-d-", ".tf"}, {"tier-w-", ".tf"}}
+
+// framePath is the file of frame seq at level.
+func framePath(dir string, level tier.Level, seq uint64) string {
+	n := frameNames[level]
+	return filepath.Join(dir, fmt.Sprintf("%s%016d%s", n[0], seq, n[1]))
+}
+
+// scanDir inventories segment and frame files (each kind in sequence
+// order: os.ReadDir sorts by name and the names are fixed-width) and, on
+// a writable open, sweeps stale temp files from crashed writes.
+func (s *Store) scanDir() ([]segInfo, []frameMeta, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("store: %w", err)
+		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 	segs, err := listSegments(s.dir, entries)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	var ckpts []frameMeta
-	var tiers []tier.FrameMeta
+	var found []frameMeta
 	for _, e := range entries {
 		name := e.Name()
-		switch {
-		case len(name) > 4 && name[len(name)-4:] == ".tmp":
+		if strings.HasSuffix(name, ".tmp") {
 			if !s.opts.ReadOnly {
 				_ = os.Remove(filepath.Join(s.dir, name))
 			}
-		case matchSeq(name, "ckpt-", ".ck") != nil:
-			seq := *matchSeq(name, "ckpt-", ".ck")
-			ckpts = append(ckpts, frameMeta{frameInfo: frameInfo{Seq: seq}, path: filepath.Join(s.dir, name)})
-			if seq >= s.nextFrameSeq {
-				s.nextFrameSeq = seq + 1
-			}
-		case matchSeq(name, "tier-d-", ".tf") != nil:
-			seq := *matchSeq(name, "tier-d-", ".tf")
-			tiers = append(tiers, tier.FrameMeta{Level: tier.LevelDay, Seq: seq})
-			if seq >= s.nextFrameSeq {
-				s.nextFrameSeq = seq + 1
-			}
-		case matchSeq(name, "tier-w-", ".tf") != nil:
-			seq := *matchSeq(name, "tier-w-", ".tf")
-			tiers = append(tiers, tier.FrameMeta{Level: tier.LevelWeek, Seq: seq})
-			if seq >= s.nextFrameSeq {
-				s.nextFrameSeq = seq + 1
+			continue
+		}
+		for level, n := range frameNames {
+			if seq := matchSeq(name, n[0], n[1]); seq != nil {
+				found = append(found, frameMeta{Meta: tier.Meta{Level: tier.Level(level), Seq: *seq}, path: filepath.Join(s.dir, name)})
+				s.nextFrameSeq = max(s.nextFrameSeq, *seq+1)
 			}
 		}
 	}
-	return segs, ckpts, tiers, nil
+	return segs, found, nil
 }
 
 // matchSeq parses names like wal-%016d.seg; nil means no match.
@@ -593,7 +587,7 @@ func (s *Store) Metrics() Metrics {
 	return Metrics{
 		Segments:            segments,
 		WALBytes:            walBytes,
-		Frames:              len(s.frames),
+		Frames:              len(s.levels[tier.LevelCheckpoint]),
 		FrameRecords:        s.frameRecords,
 		TailRecords:         s.tailRecords,
 		AppendedRecords:     s.appendedRecords,
@@ -604,9 +598,9 @@ func (s *Store) Metrics() Metrics {
 		Checkpoints:         s.checkpoints,
 		CompactedFrames:     s.compacted,
 		LastCheckpoint:      s.lastCheckpoint,
-		TierFramesDay:       len(s.tierDay),
-		TierFramesWeek:      len(s.tierWeek),
-		TierFolds:           s.tierFoldsDay + s.tierFoldsWeek,
+		TierFramesDay:       len(s.levels[tier.LevelDay]),
+		TierFramesWeek:      len(s.levels[tier.LevelWeek]),
+		TierFolds:           s.tierFolds[tier.LevelDay] + s.tierFolds[tier.LevelWeek],
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // none.
 func TestTierFoldRefusesAFrameItsCodecCannotCarry(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Tier: true, Metrics: obs.NewRegistry()})
+	s := mustOpen(t, dir, Options{Metrics: obs.NewRegistry()})
 	written := func() int {
 		t.Helper()
 		files, err := filepath.Glob(filepath.Join(dir, "tier-*.tf"))
@@ -81,7 +81,7 @@ func TestTierFoldRefusesAFrameItsCodecCannotCarry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s = mustOpen(t, dir, Options{Tier: true})
+	s = mustOpen(t, dir, Options{})
 	defer s.Close()
 	if got := snapJSON(t, s.Snapshot()); got != want {
 		t.Fatalf("reopened store serves\n%s\nwant\n%s", got, want)

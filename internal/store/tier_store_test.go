@@ -1,7 +1,7 @@
 package store
 
 // Store-level tests of the long-horizon tier layer: fold scheduling on
-// checkpoint, planner-backed day/week answers against exact raw
+// checkpoint, level-walk day/week answers against exact raw
 // recomputation, byte-identical folds across batch interleavings,
 // crash/reopen survival, the obsolete-duplicate sweep and the
 // compaction straddle guard.
@@ -112,7 +112,7 @@ func checkAnswerExact(t *testing.T, s *Store, r *QueryResult, res tier.Resolutio
 
 func TestTierFoldOnCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Tier: true})
+	s := mustOpen(t, dir, Options{})
 	const days = 10
 	for d := 0; d < days; d++ {
 		fillDay(t, s, d)
@@ -147,7 +147,7 @@ func TestTierFoldOnCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAnswerExact(t, s, rw, tier.ResolutionWeek)
-	// Week plan: 1 week frame (days 0-6) + day frames beyond week
+	// Week answer: 1 week frame (days 0-6) + day frames beyond week
 	// coverage (days 7, 8).
 	if rw.LongHorizon.TierFrames != 3 {
 		t.Fatalf("week answer merged %d tier frames, want 3", rw.LongHorizon.TierFrames)
@@ -202,7 +202,7 @@ func TestTierFoldDeterministicAcrossBatching(t *testing.T) {
 	// commutativity the ingest workers rely on. Tier frame files must be
 	// byte-identical.
 	build := func(dir string, perRecord bool) {
-		s := mustOpen(t, dir, Options{Tier: true})
+		s := mustOpen(t, dir, Options{})
 		defer s.Close()
 		for d := 0; d < 5; d++ {
 			var batch []netflow.Record
@@ -250,7 +250,7 @@ func TestTierFoldDeterministicAcrossBatching(t *testing.T) {
 
 func TestTierCrashReopen(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Tier: true})
+	s := mustOpen(t, dir, Options{})
 	for d := 0; d < 9; d++ {
 		fillDay(t, s, d)
 	}
@@ -263,7 +263,7 @@ func TestTierCrashReopen(t *testing.T) {
 	// Abandon without Close — the SIGKILL shape (no flush, no seal).
 	releaseDirLock(s.lock)
 
-	s2 := mustOpen(t, dir, Options{Tier: true})
+	s2 := mustOpen(t, dir, Options{})
 	m := s2.Metrics()
 	if m.TierFramesDay != nDay || m.TierFramesWeek != nWeek {
 		t.Fatalf("reopen lost tier frames: %d/%d, want %d/%d", m.TierFramesDay, m.TierFramesWeek, nDay, nWeek)
@@ -299,7 +299,7 @@ func TestTierObsoleteSweep(t *testing.T) {
 	// WAL interval; Open must keep the newer frame and sweep the older,
 	// mirroring the checkpoint containment sweep.
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Tier: true})
+	s := mustOpen(t, dir, Options{})
 	for d := 0; d < 4; d++ {
 		fillDay(t, s, d)
 	}
@@ -322,12 +322,12 @@ func TestTierObsoleteSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Seq = 1000
-	dup := tierPath(dir, tier.LevelDay, f.Seq)
+	dup := framePath(dir, tier.LevelDay, f.Seq)
 	if err := os.WriteFile(dup, tier.EncodeFrame(f), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s2 := mustOpen(t, dir, Options{Tier: true})
+	s2 := mustOpen(t, dir, Options{})
 	defer s2.Close()
 	if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
 		t.Fatalf("contained older frame %s not swept", filepath.Base(files[0]))
@@ -350,13 +350,13 @@ func TestCompactionStraddleGuard(t *testing.T) {
 	// must never let a merged raw frame straddle the day-tier coverage
 	// horizon, and tiered answers must stay exact throughout.
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Tier: true, MaxFrames: 2})
+	s := mustOpen(t, dir, Options{MaxFrames: 2})
 	defer s.Close()
 	for d := 0; d < 8; d++ {
 		fillDay(t, s, d)
 		s.mu.Lock()
-		covered := tierCovered(s.tierDay)
-		for _, fr := range s.frames {
+		covered := horizon(s.levels[tier.LevelDay])
+		for _, fr := range s.levels[tier.LevelCheckpoint] {
 			if fr.BaseSeg < covered && covered < fr.CoveredSeg {
 				s.mu.Unlock()
 				t.Fatalf("day %d: raw frame (%d,%d] straddles tier horizon %d", d, fr.BaseSeg, fr.CoveredSeg, covered)
@@ -371,38 +371,12 @@ func TestCompactionStraddleGuard(t *testing.T) {
 	checkAnswerExact(t, s, r, tier.ResolutionDay)
 }
 
-func TestTierDisabledStillServes(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Tier: true})
-	for d := 0; d < 5; d++ {
-		fillDay(t, s, d)
-	}
-	nDay := s.Metrics().TierFramesDay
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2 := mustOpen(t, dir, Options{}) // Tier off
-	defer s2.Close()
-	if got := s2.Metrics().TierFramesDay; got != nDay {
-		t.Fatalf("tier frames not loaded with folding disabled: %d, want %d", got, nDay)
-	}
-	fillDay(t, s2, 5)
-	if got := s2.Metrics().TierFramesDay; got != nDay {
-		t.Fatalf("folding ran with Tier off: %d frames, want %d", got, nDay)
-	}
-	r, err := s2.QueryResolution(time.Time{}, time.Time{}, tier.ResolutionDay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAnswerExact(t, s2, r, tier.ResolutionDay)
-}
-
 // TestTierRangeQueryBuckets pins partial-range behaviour: bucket series
 // are trimmed to overlapping frames, and the residual snapshot stays
 // hour-exact inside the range.
 func TestTierRangeQueryBuckets(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Tier: true})
+	s := mustOpen(t, dir, Options{})
 	defer s.Close()
 	for d := 0; d < 6; d++ {
 		fillDay(t, s, d)
@@ -439,27 +413,39 @@ func TestTierRangeQueryBuckets(t *testing.T) {
 // path could go wrong at hour resolution: applying the raw floor, which
 // would drop every raw frame a day or week frame covers. On a store with
 // folded day and week frames the hour answer equals, field for field,
-// that of a store that never folded, over open, closed, frames-only and
-// tail-only ranges.
+// that of the same history with its tier files deleted, over open,
+// closed, frames-only and tail-only ranges. Both are opened read-only, so
+// they build their prefix tables in one order.
 func TestHourAnswerIgnoresTierFrames(t *testing.T) {
-	tiered := mustOpen(t, t.TempDir(), Options{Tier: true})
-	defer tiered.Close()
-	plain := mustOpen(t, t.TempDir(), Options{})
-	defer plain.Close()
+	tieredDir, plainDir := t.TempDir(), t.TempDir()
 	const days = 10
-	for _, s := range []*Store{tiered, plain} {
+	for _, dir := range []string{tieredDir, plainDir} {
+		s := mustOpen(t, dir, Options{})
 		for d := 0; d < days; d++ {
 			fillDay(t, s, d)
 		}
 		if err := s.Append([]netflow.Record{keptRecord(days*24+2, 7, 300), droppedRecord(days*24+2, 8)}); err != nil {
 			t.Fatal(err)
 		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	files, _ := filepath.Glob(filepath.Join(plainDir, "tier-*.tf"))
+	for _, f := range files {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tiered := mustOpen(t, tieredDir, Options{ReadOnly: true})
+	defer tiered.Close()
+	plain := mustOpen(t, plainDir, Options{ReadOnly: true})
+	defer plain.Close()
 	if m := tiered.Metrics(); m.TierFramesDay == 0 || m.TierFramesWeek == 0 {
 		t.Fatalf("fixture folded %d day and %d week frames, want some of each", m.TierFramesDay, m.TierFramesWeek)
 	}
 	if m := plain.Metrics(); m.TierFramesDay+m.TierFramesWeek != 0 {
-		t.Fatal("the reference store folded")
+		t.Fatal("the reference store has tier frames")
 	}
 	day := func(d int) time.Time { return entime.StudyStart.Add(time.Duration(d) * 24 * time.Hour) }
 	for name, r := range map[string][2]time.Time{

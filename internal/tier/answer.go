@@ -7,7 +7,7 @@ package tier
 // of a query response, or as a Frame, the form they are written to disk
 // and shipped between daemons in. It is the only place either is summed:
 // a day fold is the run's merged states as one residual, a week fold the
-// run's day frames, a query the planner's frames plus the raw tail, a
+// run's day frames, a query its selected frames plus the raw tail, a
 // shard's answer to a router the same builder's frame, and the router's
 // merge those frames added again.
 
@@ -157,7 +157,7 @@ func (sa *SketchAccum) AddShard(states ...*streaming.Stored) {
 	}
 }
 
-// Builder accumulates a plan's sources into one Answer.
+// Builder accumulates a query's sources into one Answer.
 type Builder struct {
 	res     Resolution
 	origin  time.Time

@@ -1,7 +1,7 @@
 // Package tier is the long-horizon half of the durable store: it folds
 // raw hourly checkpoint frames into daily and weekly downsampled frames
-// (Prometheus/Thanos-style compaction tiers) and plans which tier
-// combination answers a time-range query. The motivation is the paper's
+// (Prometheus/Thanos-style compaction tiers), the accumulator a query
+// sums them with, and the codec of a frame. The motivation is the paper's
 // multi-week dynamics — pandemic-wave upload/download behaviour (FW3)
 // and per-prefix persistence (T2) only show up over months, but raw
 // Query cost scales linearly with frames touched and the exact prefix
@@ -21,7 +21,9 @@
 //     alignment is only the fold TRIGGER: a run of raw frames closes
 //     when a later frame's hours prove the run's day is complete (see
 //     CloseRuns), and only closed runs fold — the open run is the raw
-//     tail the planner stitches on top.
+//     tail a query stitches on top. A query walks the levels down from
+//     its resolution's, each taken past the coverage of the one above,
+//     so every source covers a disjoint slice of the WAL.
 //   - Folds are additive: a tier frame is durable before it is visible,
 //     and its inputs are never deleted by the fold itself (the store's
 //     existing no-eviction compaction keeps raw exactness; the
@@ -52,6 +54,9 @@ import (
 type Level uint8
 
 const (
+	// LevelCheckpoint is the store's own hourly checkpoint frames, the
+	// level every tier folds from.
+	LevelCheckpoint Level = 0
 	// LevelDay frames fold raw hourly checkpoint frames, one per
 	// completed origin-relative day.
 	LevelDay Level = 1
@@ -115,8 +120,34 @@ func ParseResolution(s string) (Resolution, error) {
 	return "", fmt.Errorf("resolution %q: want hour, day, week or auto", s)
 }
 
-// Level returns the tier level a concrete resolution reads from (0 for
-// hour). Auto must be resolved first.
+// AutoSpan resolves ResolutionAuto by span: hour up to ~a week (8 days,
+// so a "last 7 days" dashboard stays exact), day up to ~two months (62
+// days), week beyond. Open bounds are filled from the store's history
+// bounds before the span is measured; a fully open query over an empty
+// store answers at hour resolution.
+func AutoSpan(from, to, histStart, histEnd time.Time) Resolution {
+	if from.IsZero() {
+		from = histStart
+	}
+	if to.IsZero() {
+		to = histEnd
+	}
+	if from.IsZero() || to.IsZero() || !to.After(from) {
+		return ResolutionHour
+	}
+	span := to.Sub(from)
+	switch {
+	case span <= 8*24*time.Hour:
+		return ResolutionHour
+	case span <= 62*24*time.Hour:
+		return ResolutionDay
+	default:
+		return ResolutionWeek
+	}
+}
+
+// Level returns the tier level a concrete resolution reads from
+// (LevelCheckpoint for hour). Auto must be resolved first.
 func (r Resolution) Level() Level {
 	switch r {
 	case ResolutionDay:
@@ -124,7 +155,7 @@ func (r Resolution) Level() Level {
 	case ResolutionWeek:
 		return LevelWeek
 	}
-	return 0
+	return LevelCheckpoint
 }
 
 // nReasons sizes the per-frame drop census array, mirroring streaming.
@@ -160,7 +191,7 @@ type Frame struct {
 	Seq uint64
 	// BaseSeg/CoveredSeg bound the half-open WAL interval
 	// (BaseSeg, CoveredSeg] the frame's inputs folded — the union of
-	// the inputs' consecutive intervals. Planner selection and the
+	// the inputs' consecutive intervals. A query's selection and the
 	// compaction straddle guard both key on it.
 	BaseSeg    uint64
 	CoveredSeg uint64
@@ -204,8 +235,9 @@ type Frame struct {
 func (f *Frame) Size() int { return 6<<10 + 64*(len(f.Dropped)+len(f.Buckets)+len(f.Districts)) }
 
 // Meta is a frame's identity and coverage without its payload: what run
-// grouping (CloseRuns), the folds and the planner read. Level is zero for a
-// raw checkpoint frame (a mirror of the store's frame metadata).
+// grouping (CloseRuns), the folds and a query's selection read. Level is
+// LevelCheckpoint for a raw checkpoint frame (the store's frame metadata
+// embeds it).
 type Meta struct {
 	Level            Level
 	Seq              uint64
@@ -213,9 +245,6 @@ type Meta struct {
 	CoveredSeg       uint64
 	MinHour, MaxHour int64
 }
-
-// FrameMeta is Meta under the name the planner knows a tier frame's by.
-type FrameMeta = Meta
 
 // Meta returns the frame's metadata.
 func (f *Frame) Meta() Meta {

@@ -241,39 +241,6 @@ func TestFoldFramesWeek(t *testing.T) {
 	}
 }
 
-func TestBuildPlan(t *testing.T) {
-	origin := entime.StudyStart
-	weeks := []FrameMeta{{Level: LevelWeek, Seq: 100, BaseSeg: 0, CoveredSeg: 14, MinHour: 0, MaxHour: 167}}
-	days := []FrameMeta{
-		{Level: LevelDay, Seq: 10, BaseSeg: 0, CoveredSeg: 7, MinHour: 0, MaxHour: 23},
-		{Level: LevelDay, Seq: 11, BaseSeg: 7, CoveredSeg: 14, MinHour: 24, MaxHour: 167},
-		{Level: LevelDay, Seq: 12, BaseSeg: 14, CoveredSeg: 16, MinHour: 168, MaxHour: 191},
-	}
-
-	p := BuildPlan(ResolutionWeek, origin, time.Time{}, time.Time{}, weeks, days)
-	if !reflect.DeepEqual(p.Week, []uint64{100}) || !reflect.DeepEqual(p.Day, []uint64{12}) || p.RawFloor != 16 {
-		t.Fatalf("week plan = %+v", p)
-	}
-
-	p = BuildPlan(ResolutionDay, origin, time.Time{}, time.Time{}, weeks, days)
-	if p.Week != nil || !reflect.DeepEqual(p.Day, []uint64{10, 11, 12}) || p.RawFloor != 16 {
-		t.Fatalf("day plan = %+v", p)
-	}
-
-	// A range past every tier selects nothing but keeps the floor.
-	from := origin.Add(400 * time.Hour)
-	p = BuildPlan(ResolutionDay, origin, from, time.Time{}, weeks, days)
-	if p.Day != nil || p.RawFloor != 16 {
-		t.Fatalf("out-of-range day plan = %+v", p)
-	}
-
-	// Hour resolution: zero plan, raw path untouched.
-	p = BuildPlan(ResolutionHour, origin, time.Time{}, time.Time{}, weeks, days)
-	if p.Week != nil || p.Day != nil || p.RawFloor != 0 {
-		t.Fatalf("hour plan = %+v", p)
-	}
-}
-
 func TestAutoSpan(t *testing.T) {
 	base := entime.StudyStart
 	cases := []struct {
