@@ -113,9 +113,8 @@
 // (the backend as a live HTTP server), cmd/collectord (the live NFv9
 // collector daemon with sliding-window analytics, durable
 // WAL/checkpoint persistence and the /api/v1 analytics surface;
-// -shard i/N keeps one cluster shard's slice), cmd/queryrouterd (the
+// -shard i/N keeps one cluster shard's slice) and cmd/queryrouterd (the
 // stateless cluster query router: scatter-gather over sharded
 // collectors, byte-identical merged responses, composite ETags,
-// partial-failure envelopes), and cmd/apiload (the concurrent API load
-// generator for a running daemon).
+// partial-failure envelopes).
 package cwatrace

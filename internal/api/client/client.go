@@ -1,6 +1,6 @@
 // Package client is the typed Go client for the collectord /api/v1
-// surface — the one way every remote consumer (cwanalyze -addr, the
-// apiload generator, dashboards) reaches the data. It retries transient
+// surface — the one way every remote consumer (cwanalyze -addr,
+// dashboards) reaches the data. It retries transient
 // failures with backoff, surfaces the server's structured errors as
 // *v1.Error values, and keeps a small ETag-aware local cache: repeated
 // reads revalidate with If-None-Match and decode the locally cached

@@ -1,9 +1,9 @@
 // Package v1 is the frozen wire schema of the collectord analytics API
 // (the /api/v1 surface): typed request/response structs, the structured
 // error envelope, and the field-selection vocabulary. Every consumer —
-// the server (internal/api), the Go client (internal/api/client),
-// cwanalyze's remote mode and the apiload generator — shares these
-// types, so the contract lives in exactly one place.
+// the server (internal/api), the Go client (internal/api/client) and
+// cwanalyze's remote mode — shares these types, so the contract lives in
+// exactly one place.
 //
 // Versioning policy: v1 shapes only ever gain optional
 // (omitempty-tagged) fields. Any change that would alter the meaning or

@@ -4,11 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
+	"os"
 	"runtime"
 	"testing"
 	"time"
 
+	"cwatrace/internal/geo"
+	"cwatrace/internal/geodb"
 	"cwatrace/internal/netflow"
+	"cwatrace/internal/obs"
 	"cwatrace/internal/streaming"
 	"cwatrace/internal/tier"
 )
@@ -241,6 +245,101 @@ func BenchmarkSnapshot(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCheckpointPastMaxFrames measures what oldest-pair compaction
+// costs once a store holds more than the default 64 frames, on a store
+// shaped like the harness's 364-day fixture: one checkpoint a day, 2 000
+// client /24s that recur all year, spread over every hour and over the
+// model's districts, at a 500-day window. Past 64 frames each checkpoint
+// folds frame 0, which holds all compacted history, with the next one and
+// rewrites it, and the runs that held it are dropped, so the next snapshot
+// merges them again. Each iteration appends and checkpoints one more day,
+// then takes a snapshot and repeats it. It reports the compaction's time
+// and bytes (the checkpoint trace's store.compact spans and the files they
+// wrote), the whole checkpoint's time, and the first snapshot's time and
+// frame-cache misses beside the repeat's time.
+func BenchmarkCheckpointPastMaxFrames(b *testing.B) {
+	const (
+		days    = 364
+		clients = 2000
+	)
+	model := geo.Germany()
+	dst := func(c int) netip.Addr { return netip.AddrFrom4([4]byte{100, byte(64 + c>>8), byte(c), 1}) }
+	var infos []geodb.PrefixInfo
+	for c := 0; c < clients; c++ {
+		d := model.Districts()[c%len(model.Districts())]
+		infos = append(infos, geodb.PrefixInfo{Prefix: netip.PrefixFrom(dst(c), 24).Masked(), RouterID: fmt.Sprintf("R%04d", c), DistrictID: d.ID, ISPName: "Blau"})
+	}
+	db, err := geodb.Build(model, infos, geodb.Config{PartnerISP: "Blau", Seed: 1}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tracer := obs.NewTracer(obs.TracerConfig{Policy: obs.Policy{Slow: time.Nanosecond}})
+	dir := b.TempDir()
+	s, err := Open(dir, Options{Analytics: streaming.Config{WindowHours: 500 * 24, DB: db, Model: model}, Sync: SyncNever, Tracer: tracer})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	day := func(d int) time.Duration {
+		batch := make([]netflow.Record, clients)
+		for c := range batch {
+			batch[c] = keptRecord(d*24+c%24, 0, uint64(400+c%50))
+			batch[c].Dst = dst(c)
+		}
+		if err := s.Append(batch); err != nil {
+			b.Fatal(err)
+		}
+		t0 := time.Now()
+		if err := s.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(t0)
+	}
+	snapshot := func() time.Duration {
+		t0 := time.Now()
+		if _, err := s.SnapshotResult(); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(t0)
+	}
+	for d := 0; d < days; d++ {
+		day(d)
+	}
+	snapshot()
+	f0 := s.levels[tier.LevelCheckpoint][0]
+	b.Logf("%d frames; frame 0 spans hours [%d, %d] and holds %d of %d records",
+		len(s.levels[tier.LevelCheckpoint]), f0.MinHour, f0.MaxHour, f0.Records, s.Metrics().FrameRecords)
+
+	var ckpt, compact, cold, warm time.Duration
+	var written int64
+	var misses uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ckpt += day(days + i)
+		for _, sp := range tracer.Traces()[0].Spans {
+			if sp.Name == "store.compact" {
+				compact += time.Duration(sp.Microns) * time.Microsecond
+				st, err := os.Stat(framePath(dir, tier.LevelCheckpoint, uint64(sp.Attrs["frame_seq"].(int64))))
+				if err != nil {
+					b.Fatal(err)
+				}
+				written += st.Size()
+			}
+		}
+		before := s.frameCache.misses
+		cold += snapshot()
+		misses += s.frameCache.misses - before
+		warm += snapshot()
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(compact.Microseconds())/n, "compact_us/ckpt")
+	b.ReportMetric(float64(written)/n, "compact_B/ckpt")
+	b.ReportMetric(float64(ckpt.Microseconds())/n, "ckpt_us")
+	b.ReportMetric(float64(cold.Microseconds())/n, "snap_next_us")
+	b.ReportMetric(float64(misses)/n, "snap_next_misses")
+	b.ReportMetric(float64(warm.Microseconds())/n, "snap_repeat_us")
 }
 
 // TestWarmYearQueryDecodesNothing pins the win where it cannot rot: on a

@@ -51,22 +51,37 @@ func (o frameMeta) obsoleteAmong(frames []frameMeta) bool {
 // frames another one contains (only a frame of the same level supersedes:
 // a week frame contains its day frames' intervals by construction), and
 // registers and caches the survivors of each level in WAL order. It
-// returns the highest segment a checkpoint frame covers.
+// returns the highest segment a checkpoint frame covers. A checkpoint
+// frame that does not read fails the open; a tier frame is derived data,
+// and one that does not read drops its level and those above (which a
+// writable open removes, to be folded again): frames of a level left
+// past a lowered horizon could straddle it.
 func (s *Store) loadFrames(found []frameMeta) (uint64, error) {
 	// The decoded values ride along until the sweep decides which ones
 	// stay (recovery is the latency-critical path, re-reading every file
 	// would double its I/O).
 	vals := make(map[uint64]frameValue, len(found))
 	var byLevel [len(frameNames)][]frameMeta
+	damaged := tier.Level(len(frameNames)) // the lowest level with a frame that does not read
 	for _, fm := range found {
-		fm, v, err := s.readFrame(fm)
+		got, v, err := s.readFrame(fm)
 		if err != nil {
-			return 0, err
+			if fm.Level == tier.LevelCheckpoint {
+				return 0, err
+			}
+			damaged = min(damaged, fm.Level)
+			s.opts.Events.Record("tier_frame_unreadable", "its level and those above are dropped", obs.Str("error", err.Error()))
+			continue
 		}
-		vals[fm.Seq] = v
-		byLevel[fm.Level] = append(byLevel[fm.Level], fm)
+		vals[got.Seq] = v
+		byLevel[got.Level] = append(byLevel[got.Level], got)
 	}
-	for level, list := range byLevel {
+	for _, fm := range found {
+		if fm.Level >= damaged && !s.opts.ReadOnly {
+			_ = os.Remove(fm.path)
+		}
+	}
+	for level, list := range byLevel[:damaged] {
 		for _, fm := range list {
 			if fm.obsoleteAmong(list) {
 				if !s.opts.ReadOnly {
@@ -105,8 +120,8 @@ func (s *Store) loadFrames(found []frameMeta) (uint64, error) {
 // and compacts old frames past the MaxFrames bound. With no new records
 // since the last checkpoint it only refreshes the checkpoint clock.
 //
-// Only the seal and the state swap run under the append mutex; the
-// expensive part — marshaling megabytes of shard state, writing and
+// Only the seal and freezing the tail run under the append mutex; the
+// expensive part — encoding megabytes of shard state, writing and
 // fsyncing the frame, compaction — runs lock-free so a checkpoint never
 // stalls the pipeline workers into dropping batches. Appends that land
 // during the fold go to the fresh tail and the new active segment
@@ -134,7 +149,8 @@ func (s *Store) checkpointLocked(ctx context.Context, sp *obs.Span) error {
 		t0 = time.Now()
 	}
 
-	// Phase 1, under mu: seal the WAL position, swap the tail out.
+	// Phase 1, under mu: seal the WAL position, freeze the tail as the
+	// frame's state and start a fresh one.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -155,44 +171,39 @@ func (s *Store) checkpointLocked(ctx context.Context, sp *obs.Span) error {
 		return err
 	}
 	coveredSeg := folded[len(folded)-1]
-	oldTail, oldCount := s.tail, s.tailRecords
-	s.tail = s.newTail()
-	s.tailRecords = 0
-	s.foldingTail, s.foldingRecords = oldTail, oldCount
-	baseSeg := horizon(s.levels[tier.LevelCheckpoint])
-	seq := s.nextFrameSeq
+	minH, maxH := tailHours(s.tail)
+	info := &frameMeta{
+		Meta: tier.Meta{Seq: s.nextFrameSeq, BaseSeg: horizon(s.levels[tier.LevelCheckpoint]), CoveredSeg: coveredSeg.seq,
+			MinHour: minH, MaxHour: maxH},
+		CoveredOff: coveredSeg.size,
+		Records:    s.tailRecords,
+		path:       framePath(s.dir, tier.LevelCheckpoint, s.nextFrameSeq),
+	}
 	s.nextFrameSeq++
+	if w := s.tail.Watermark(); w.After(s.watermark) {
+		s.watermark = w
+	}
+	state := s.tail.Detach(time.Time{}, time.Time{})
+	s.folding, s.foldingState = info, state
+	s.tail, s.tailRecords = s.newTail(), 0
 	s.mu.Unlock()
 
-	// Phase 2, lock-free: marshal the swapped-out tail and write the
-	// frame. On failure the tail folds back in chronological order so
-	// the in-memory state again mirrors the un-covered WAL exactly (its
-	// segments were not deleted).
+	// Phase 2, lock-free: encode the frozen state and write the frame. On
+	// failure it folds back into the tail, so the in-memory state again
+	// mirrors the un-covered WAL exactly (its segments were not deleted).
 	restore := func(err error) error {
 		s.mu.Lock()
-		fresh := s.newTail()
-		fresh.Merge(oldTail)
-		fresh.Merge(s.tail)
-		s.tail = fresh
-		s.tailRecords += oldCount
-		s.foldingTail, s.foldingRecords = nil, 0
+		s.tail.MergeStored(state)
+		s.tailRecords += info.Records
+		s.folding, s.foldingState = nil, nil
 		s.mu.Unlock()
 		return err
 	}
-	state, err := oldTail.MarshalBinary()
+	blob, err := state.AppendBinary(nil, s.cfg.Origin)
 	if err != nil {
 		return restore(err)
 	}
-	info := frameMeta{
-		Meta:       tier.Meta{Seq: seq, BaseSeg: baseSeg, CoveredSeg: coveredSeg.seq, MinHour: -1, MaxHour: -1},
-		CoveredOff: coveredSeg.size,
-		Records:    oldCount,
-		path:       framePath(s.dir, tier.LevelCheckpoint, seq),
-	}
-	if minH, maxH, ok := oldTail.Bounds(); ok {
-		info.MinHour, info.MaxHour = int64(minH), int64(maxH)
-	}
-	rec := wire.AppendFrame(nil, recTypeFrame, appendFramePayload(nil, info, state))
+	rec := wire.AppendFrame(nil, recTypeFrame, appendFramePayload(nil, *info, blob))
 	if err := atomicWrite(info.path, rec); err != nil {
 		return restore(err)
 	}
@@ -200,12 +211,9 @@ func (s *Store) checkpointLocked(ctx context.Context, sp *obs.Span) error {
 	// Phase 3, under mu: the frame is durable — commit, then fold the
 	// covered WAL away (file removal itself needs no lock).
 	s.mu.Lock()
-	s.levels[tier.LevelCheckpoint] = append(s.levels[tier.LevelCheckpoint], info)
+	s.levels[tier.LevelCheckpoint] = append(s.levels[tier.LevelCheckpoint], *info)
 	s.frameRecords += info.Records
-	if w := oldTail.Watermark(); w.After(s.watermark) {
-		s.watermark = w
-	}
-	s.foldingTail, s.foldingRecords = nil, 0
+	s.folding, s.foldingState = nil, nil
 	s.wal.drop(folded)
 	s.checkpoints++
 	s.ckptGen++

@@ -92,60 +92,36 @@ func appendFlowRecord(buf []byte, r *netflow.Record) []byte {
 // the bytes consumed.
 func decodeFlowRecord(data []byte) (netflow.Record, int, error) {
 	var rec netflow.Record
-	off := 0
-	readAddr := func() (netip.Addr, error) {
-		if off >= len(data) {
-			return netip.Addr{}, fmt.Errorf("%w: truncated address family", ErrCorrupt)
-		}
-		fam := data[off]
-		off++
-		switch fam {
-		case 4:
-			if off+4 > len(data) {
-				return netip.Addr{}, fmt.Errorf("%w: truncated IPv4 address", ErrCorrupt)
-			}
+	d := wire.Cursor{Buf: data}
+	readAddr := func() netip.Addr {
+		switch fam := d.U8(); {
+		case fam == 4:
 			var b [4]byte
-			copy(b[:], data[off:])
-			off += 4
-			return netip.AddrFrom4(b), nil
-		case 16:
-			if off+16 > len(data) {
-				return netip.Addr{}, fmt.Errorf("%w: truncated IPv6 address", ErrCorrupt)
-			}
+			d.Bytes(b[:])
+			return netip.AddrFrom4(b)
+		case fam == 16:
 			var b [16]byte
-			copy(b[:], data[off:])
-			off += 16
-			return netip.AddrFrom16(b), nil
-		default:
-			return netip.Addr{}, fmt.Errorf("%w: address family %d", ErrCorrupt, fam)
+			d.Bytes(b[:])
+			return netip.AddrFrom16(b)
+		case d.Err == nil:
+			d.Err = fmt.Errorf("address family %d", fam)
 		}
+		return netip.Addr{}
 	}
-	var err error
-	if rec.Src, err = readAddr(); err != nil {
-		return rec, 0, err
+	rec.Src = readAddr()
+	rec.Dst = readAddr()
+	ports := d.U32()
+	rec.SrcPort, rec.DstPort = uint16(ports>>16), uint16(ports)
+	rec.Proto = d.U8()
+	rec.Packets = d.U64()
+	rec.Bytes = d.U64()
+	rec.First = time.Unix(0, int64(d.U64())).UTC()
+	rec.Last = time.Unix(0, int64(d.U64())).UTC()
+	rec.Exporter = string(d.Take(int(d.U8())))
+	if d.Err != nil {
+		return rec, 0, fmt.Errorf("%w: flow record: %v", ErrCorrupt, d.Err)
 	}
-	if rec.Dst, err = readAddr(); err != nil {
-		return rec, 0, err
-	}
-	if off+2+2+1+8+8+8+8+1 > len(data) {
-		return rec, 0, fmt.Errorf("%w: truncated flow record", ErrCorrupt)
-	}
-	rec.SrcPort = binary.BigEndian.Uint16(data[off:])
-	rec.DstPort = binary.BigEndian.Uint16(data[off+2:])
-	rec.Proto = data[off+4]
-	off += 5
-	rec.Packets = binary.BigEndian.Uint64(data[off:])
-	rec.Bytes = binary.BigEndian.Uint64(data[off+8:])
-	rec.First = time.Unix(0, int64(binary.BigEndian.Uint64(data[off+16:]))).UTC()
-	rec.Last = time.Unix(0, int64(binary.BigEndian.Uint64(data[off+24:]))).UTC()
-	off += 32
-	nameLen := int(data[off])
-	off++
-	if off+nameLen > len(data) {
-		return rec, 0, fmt.Errorf("%w: truncated exporter name", ErrCorrupt)
-	}
-	rec.Exporter = string(data[off : off+nameLen])
-	return rec, off + nameLen, nil
+	return rec, len(data) - len(d.Buf), nil
 }
 
 // appendBatchPayload encodes one batch: count(4) + records.

@@ -207,7 +207,8 @@ func (s *Store) frame(fm frameMeta) (frameValue, error) {
 // cacheFrame publishes a decoded frame or merged run to the frame cache.
 // Nothing else holds v yet, which is what lets a checkpoint state be
 // resolved against the store's prefix table here, once: every state a fold
-// reads from the cache is added by id. A tier frame holds no prefix rows.
+// reads from the cache is added by id (a merged run comes resolved against
+// it already). A tier frame holds no prefix rows.
 func (s *Store) cacheFrame(k runKey, v frameValue) {
 	if st, ok := v.(*streaming.Stored); ok {
 		s.prefixes.Load().Resolve(st)
@@ -302,27 +303,16 @@ func (s *Store) mergeRun(run []frameMeta) (frameValue, error) {
 	return st, nil
 }
 
-// mergeFrames merges checkpoint frames' states into one, with every bin
-// and the full counter tables: what a compaction writes and a run keeps.
-// Its window spans the frames' combined hours (validated metadata, so at
-// most streaming.MaxWindowHours): a shard at the live window would evict
-// the oldest, for compaction for good. DecodeStored adopts the window it
-// records.
+// mergeFrames merges checkpoint frames' states by the read path's fold,
+// kept whole (streaming.Range.Merged): what a compaction writes and a run
+// keeps. Its window spans the states' hours; DecodeStored adopts it.
 func (s *Store) mergeFrames(frames []frameMeta) (*streaming.Stored, error) {
-	cfg := s.cfg
-	minH, maxH := int64(-1), int64(-1)
-	for _, fm := range frames {
-		minH, maxH = mergeBound(minH, fm.MinHour, false), mergeBound(maxH, fm.MaxHour, true)
-	}
-	if need := int(maxH - minH + 1); minH >= 0 && need > cfg.WindowHours {
-		cfg.WindowHours = need
-	}
-	m := streaming.New(cfg)
-	err := s.sources(frames, 0, len(frames), false, func(v frameValue) { m.MergeStored(v.(*streaming.Stored)) })
+	states := make([]*streaming.Stored, 0, len(frames))
+	err := s.sources(frames, 0, len(frames), false, func(v frameValue) { states = append(states, v.(*streaming.Stored)) })
 	if err != nil {
 		return nil, err
 	}
-	return m.Detach(time.Time{}, time.Time{}), nil
+	return streaming.Fold(s.cfg, time.Time{}, time.Time{}, states...).Merged(), nil
 }
 
 // pruneFrameCache drops what no longer has both ends registered: a query

@@ -77,11 +77,6 @@ func registerStoreFuncs(reg *obs.Registry, s *Store) {
 		"Newest record start timestamp folded into the store (unix seconds; 0 before traffic).",
 		locked(func() float64 {
 			wm := s.watermark
-			if s.foldingTail != nil {
-				if w := s.foldingTail.Watermark(); w.After(wm) {
-					wm = w
-				}
-			}
 			if w := s.tail.Watermark(); w.After(wm) {
 				wm = w
 			}

@@ -241,27 +241,14 @@ func (s *Store) historyBounds() (start, end time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	lo, hi := int64(-1), int64(-1)
-	cover := func(mn, mx int64) {
-		if mn < 0 {
-			return
-		}
-		if lo < 0 || mn < lo {
-			lo = mn
-		}
-		if mx > hi {
-			hi = mx
-		}
-	}
+	cover := func(mn, mx int64) { lo, hi = mergeBound(lo, mn, false), mergeBound(hi, mx, true) }
 	for _, fr := range s.levels[tier.LevelCheckpoint] {
 		cover(fr.MinHour, fr.MaxHour)
 	}
-	for _, t := range []*streaming.Analytics{s.foldingTail, s.tail} {
-		if t != nil {
-			if mn, mx, ok := t.Bounds(); ok {
-				cover(int64(mn), int64(mx))
-			}
-		}
+	if s.folding != nil {
+		cover(s.folding.MinHour, s.folding.MaxHour)
 	}
+	cover(tailHours(s.tail))
 	if lo < 0 {
 		return time.Time{}, time.Time{}
 	}
@@ -269,47 +256,35 @@ func (s *Store) historyBounds() (start, end time.Time) {
 		s.cfg.Origin.Add(time.Duration(hi+1) * time.Hour)
 }
 
-// detachLive copies the live, un-checkpointed state for a query over
-// [from, to): the tail plus any checkpoint fold currently in flight
-// (chronologically between the frames and the tail). The two are one
-// unit: if either overlaps the range, both are copied, oldest first; nil
-// means the live state contributes nothing. Caller holds mu, which
-// ingest appends wait on — hence Detach, whose copy is sized by the range
-// and not by what the tails have archived.
+// detachLive is the live, un-checkpointed state for a query over
+// [from, to): the state of any checkpoint fold in flight (chronologically
+// between the frames and the tail), added as it is, and a copy of the
+// tail. The two are one unit: if either overlaps the range, both are
+// added, oldest first; nil means the live state contributes nothing.
+// Caller holds mu, which ingest appends wait on — hence Detach, whose copy
+// is sized by the range and not by what the tail has archived.
 func (s *Store) detachLive(from, to time.Time) []*streaming.Stored {
 	if !s.liveIncluded(from, to) {
 		return nil
 	}
-	live := make([]*streaming.Stored, 0, 2)
-	for _, t := range []*streaming.Analytics{s.foldingTail, s.tail} {
-		if t != nil {
-			live = append(live, t.Detach(from, to))
-		}
+	tail := s.tail.Detach(from, to)
+	if s.foldingState == nil {
+		return []*streaming.Stored{tail}
 	}
-	return live
+	return []*streaming.Stored{s.foldingState, tail}
 }
 
 // liveIncluded is the one rule for whether the live state is part of a
-// query over [from, to) (and so of its Version): it holds records, and
-// either tail could hold hours of the range — a tail without kept hours
-// always could, its accounting must reach every query. Caller holds mu.
+// query over [from, to) (and so of its Version): the in-flight fold's
+// frame overlaps the range as a frame would, or the tail holds records and
+// could hold hours of the range — a tail without kept hours always could,
+// its accounting must reach every query. Caller holds mu.
 func (s *Store) liveIncluded(from, to time.Time) bool {
-	if s.foldingRecords+s.tailRecords == 0 {
-		return false
+	if s.folding != nil && tier.HoursOverlap(s.cfg.Origin, s.folding.MinHour, s.folding.MaxHour, from, to) {
+		return true
 	}
-	for _, t := range []*streaming.Analytics{s.foldingTail, s.tail} {
-		if t == nil {
-			continue
-		}
-		minH, maxH := int64(-1), int64(-1)
-		if lo, hi, ok := t.Bounds(); ok {
-			minH, maxH = int64(lo), int64(hi)
-		}
-		if tier.HoursOverlap(s.cfg.Origin, minH, maxH, from, to) {
-			return true
-		}
-	}
-	return false
+	minH, maxH := tailHours(s.tail)
+	return s.tailRecords > 0 && tier.HoursOverlap(s.cfg.Origin, minH, maxH, from, to)
 }
 
 // Version reports an opaque generation token for the data a

@@ -62,7 +62,7 @@ func at(h int) time.Time { return entime.StudyStart.Add(time.Duration(h) * time.
 
 // TestParseTime pins the two accepted query-bound forms (RFC 3339 and
 // unix seconds) every store consumer documents: collectord's /query and
-// /api/v1/query params, cwanalyze's and apiload's -from/-to flags.
+// /api/v1/query params, cwanalyze's -from/-to flags.
 func TestParseTime(t *testing.T) {
 	cases := []struct {
 		in      string
@@ -354,8 +354,8 @@ func TestQueryIndependentOfCheckpointPlacement(t *testing.T) {
 }
 
 // TestQueryDuringFoldKeepsNonOverlappingTail stages the mid-checkpoint
-// shape directly: the folding tail holds old in-range hours while the
-// live tail has already moved far past the queried range. Merging the
+// shape directly: the in-flight fold's frozen state holds old in-range
+// hours while the live tail has already moved far past the queried range. Merging the
 // live pair must not let the newer (non-overlapping) tail bins slide a
 // span-sized window over the in-range bins — the range is served from
 // memory even though no frame holds it yet.
@@ -368,8 +368,10 @@ func TestQueryDuringFoldKeepsNonOverlappingTail(t *testing.T) {
 	for h := 0; h < 3; h++ {
 		fold.Ingest([]netflow.Record{keptRecord(h, h, 100)})
 	}
+	minH, maxH := tailHours(fold)
 	s.mu.Lock()
-	s.foldingTail, s.foldingRecords = fold, 3
+	s.folding = &frameMeta{Meta: tier.Meta{MinHour: minH, MaxHour: maxH}, Records: 3}
+	s.foldingState = fold.Detach(time.Time{}, time.Time{})
 	s.mu.Unlock()
 	for h := 20; h < 23; h++ {
 		if err := s.Append([]netflow.Record{keptRecord(h, h, 100)}); err != nil {
@@ -399,7 +401,7 @@ func TestQueryDuringFoldKeepsNonOverlappingTail(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	s.foldingTail, s.foldingRecords = nil, 0
+	s.folding, s.foldingState = nil, nil
 	s.mu.Unlock()
 }
 

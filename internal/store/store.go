@@ -192,16 +192,16 @@ type Store struct {
 	tail         *streaming.Analytics
 	tailRecords  uint64
 	frameRecords uint64
-	// watermark is a lower bound on the newest record start the frames
-	// hold: each committed tail's, or at Open the newest frame hour's start.
+	// watermark is a lower bound on the newest record start the frames and
+	// the in-flight fold hold: each frozen tail's, or at Open the newest
+	// frame hour's start.
 	watermark time.Time
 
-	// foldingTail is the swapped-out tail of an in-flight checkpoint
-	// (chronologically between frames and tail). Snapshot and Query merge
-	// it so a fold in progress never makes records transiently invisible.
-	// Reads are safe: the checkpoint only reads it while it is set.
-	foldingTail    *streaming.Analytics
-	foldingRecords uint64
+	// folding is the frame an in-flight checkpoint writes, foldingState
+	// the tail it froze for it: reads add it as it is, so a fold never
+	// hides records. Both are set and cleared under mu.
+	folding      *frameMeta
+	foldingState *streaming.Stored
 
 	// lock is the flocked data-dir LOCK file of a writable open (nil when
 	// ReadOnly); see lock.go.
@@ -257,6 +257,15 @@ func (s *Store) newTail() *streaming.Analytics {
 	t := streaming.New(cfg)
 	t.Intern(s.prefixes.Load())
 	return t
+}
+
+// tailHours is a tail's hour bounds as frame metadata: -1 for both while it
+// holds no kept hour.
+func tailHours(t *streaming.Analytics) (minHour, maxHour int64) {
+	if lo, hi, ok := t.Bounds(); ok {
+		return int64(lo), int64(hi)
+	}
+	return -1, -1
 }
 
 // Open opens (or creates) the store in dir and runs crash recovery:

@@ -22,11 +22,31 @@ import (
 	"cwatrace/internal/netflow"
 	"cwatrace/internal/obs"
 	"cwatrace/internal/streaming"
+	"cwatrace/internal/tier"
 )
 
 // testConfig is the analytics configuration the store tests share.
 func testConfig() streaming.Config {
 	return streaming.Config{WindowHours: 48, TopK: 5}
+}
+
+// locatingConfig is testConfig with a geolocation sidecar that places
+// 100.64.k.0/24 in the model's k-th district for every k below n.
+func locatingConfig(t *testing.T, n int) streaming.Config {
+	t.Helper()
+	model := geo.Germany()
+	var infos []geodb.PrefixInfo
+	for k, d := range model.Districts()[:n] {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 64, byte(k), 0}), 24)
+		infos = append(infos, geodb.PrefixInfo{Prefix: p, RouterID: fmt.Sprintf("R%03d", k), DistrictID: d.ID, ISPName: "Blau"})
+	}
+	db, err := geodb.Build(model, infos, geodb.Config{PartnerISP: "Blau", Seed: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.DB, cfg.Model = db, model
+	return cfg
 }
 
 // keptRecord fabricates a record the paper's filter keeps, landing in
@@ -153,17 +173,8 @@ func TestRecoveryAfterCheckpointAndTail(t *testing.T) {
 // records appended after that land in those rows. Located and every
 // district count must equal asking DB.Locate for each kept record.
 func TestReplayedTailLocatesLikeTheDB(t *testing.T) {
-	model := geo.Germany()
-	var infos []geodb.PrefixInfo
-	for k, d := range model.Districts()[:20] { // 100.64.k.0/24; k in [20, 40) unplaced
-		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 64, byte(k), 0}), 24)
-		infos = append(infos, geodb.PrefixInfo{Prefix: p, RouterID: fmt.Sprintf("R%03d", k), DistrictID: d.ID, ISPName: "Blau"})
-	}
-	db, err := geodb.Build(model, infos, geodb.Config{PartnerISP: "Blau", Seed: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Analytics: streaming.Config{WindowHours: 48, TopK: 5, DB: db, Model: model}, Sync: SyncNever}
+	opts := Options{Analytics: locatingConfig(t, 20), Sync: SyncNever} // 100.64.k.0/24; k in [20, 40) unplaced
+	db := opts.Analytics.DB
 	wantLocated, want := uint64(0), map[string]uint64{}
 	batch := func(round int) []netflow.Record {
 		var recs []netflow.Record
@@ -1011,5 +1022,94 @@ func TestWatermarkSurvivesCleanRestart(t *testing.T) {
 	defer s.Close()
 	if got := watermark(reg); got != seconds(late.First) {
 		t.Fatalf("after a reopen that replays the WAL: watermark %v, want %v", got, seconds(late.First))
+	}
+}
+
+// TestFailedCheckpointKeepsTheTail makes a checkpoint's frame write fail —
+// a directory sits where its temp file goes — after the tail was frozen
+// for it. The frozen state folds back into the tail: every answer and its
+// Version are what they were before, and the tail counts every record.
+// Once the write can succeed, the next checkpoint commits one frame
+// holding all of them, and a read-only reopen replays no WAL and answers
+// the same bytes.
+func TestFailedCheckpointKeepsTheTail(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{Analytics: locatingConfig(t, 20), Sync: SyncNever})
+	defer s.Close()
+	var n uint64
+	appendHours := func(lo, hi int) {
+		for h := lo; h < hi; h++ {
+			batch := []netflow.Record{keptRecord(h, h%30<<8, 100), keptRecord(h, (h+7)%30<<8, 200), droppedRecord(h, h)}
+			if err := s.Append(batch); err != nil {
+				t.Fatal(err)
+			}
+			n += uint64(len(batch))
+		}
+	}
+	appendHours(0, 20)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	n = 0
+	appendHours(30, 60)
+
+	ranges := [][2]time.Time{{}, {at(10), at(40)}, {at(0), at(20)}, {at(45), {}}}
+	answers := func(s *Store) (bodies []string, versions []uint64) {
+		snap, err := s.SnapshotResult()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, answerOf(t, snap))
+		for _, r := range ranges {
+			for _, res := range []tier.Resolution{tier.ResolutionHour, tier.ResolutionDay} {
+				q, err := s.QueryResolution(r[0], r[1], res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bodies = append(bodies, answerOf(t, q))
+			}
+			versions = append(versions, s.Version(r[0], r[1]))
+		}
+		return bodies, versions
+	}
+	wantBodies, wantVersions := answers(s)
+	frames := s.Metrics().Frames
+
+	blocker := framePath(dir, tier.LevelCheckpoint, s.nextFrameSeq) + ".tmp"
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err == nil {
+		t.Fatal("a checkpoint whose frame could not be written returned no error")
+	}
+	bodies, versions := answers(s)
+	if !reflect.DeepEqual(bodies, wantBodies) || !reflect.DeepEqual(versions, wantVersions) {
+		t.Fatal("the failed checkpoint changed an answer or its Version")
+	}
+	if m := s.Metrics(); m.TailRecords != n || m.Frames != frames {
+		t.Fatalf("after the failed checkpoint: %d tail records in %d frames, want %d in %d", m.TailRecords, m.Frames, n, frames)
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics(); m.TailRecords != 0 || m.Frames != frames+1 || s.levels[tier.LevelCheckpoint][frames].Records != n {
+		t.Fatalf("the next checkpoint left %d tail records and %d frames, the newest holding %d records; want 0, %d and %d",
+			m.TailRecords, m.Frames, s.levels[tier.LevelCheckpoint][m.Frames-1].Records, frames+1, n)
+	}
+	wantBodies, _ = answers(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ro := mustOpen(t, dir, Options{Analytics: locatingConfig(t, 20), ReadOnly: true})
+	defer ro.Close()
+	if m := ro.Metrics(); m.RecoveredWALRecords != 0 {
+		t.Fatalf("the reopen replayed %d WAL records, want none", m.RecoveredWALRecords)
+	}
+	if bodies, _ := answers(ro); !reflect.DeepEqual(bodies, wantBodies) {
+		t.Fatal("the read-only reopen answers differently")
 	}
 }

@@ -7,10 +7,12 @@ package store
 // compaction straddle guard.
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -343,6 +345,89 @@ func TestTierObsoleteSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAnswerExact(t, s2, r, tier.ResolutionDay)
+}
+
+// TestDamagedTierFrameIsFoldedAgain flips one byte of a day frame of a
+// four-day store. Day frames are derived from checkpoint frames that are
+// still on disk, so neither open fails: a read-only one answers a day
+// query from the checkpoint frames, with the buckets, census and districts
+// of an undamaged twin, and a writable one removes the day frames and
+// folds them again at its next checkpoint, after which it answers the day
+// query as the twin does, byte for byte.
+func TestDamagedTierFrameIsFoldedAgain(t *testing.T) {
+	cfg := locatingConfig(t, 20)
+	dir, twinDir := t.TempDir(), t.TempDir()
+	for _, d := range []string{dir, twinDir} {
+		s := mustOpen(t, d, Options{Analytics: cfg})
+		for day := 0; day < 4; day++ {
+			fillDay(t, s, day)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	damaged := framePath(dir, tier.LevelDay, 7)
+	data, err := os.ReadFile(damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xFF
+	if err := os.WriteFile(damaged, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tier.DecodeFrame(data); !errors.Is(err, tier.ErrCorrupt) || strings.Count(err.Error(), "corrupt") != 1 {
+		t.Fatalf("the damaged frame reads as %v: want tier.ErrCorrupt, named once", err)
+	}
+	dayAnswer := func(dir string, readOnly bool) (*Store, *QueryResult) {
+		t.Helper()
+		s, err := Open(dir, Options{Analytics: cfg, ReadOnly: readOnly})
+		if err != nil {
+			t.Fatalf("open (read-only %v): %v", readOnly, err)
+		}
+		r, err := s.QueryResolution(time.Time{}, time.Time{}, tier.ResolutionDay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, r
+	}
+
+	twin, want := dayAnswer(twinDir, true)
+	twin.Close()
+	ro, got := dayAnswer(dir, true)
+	ro.Close()
+	if got.LongHorizon.TierFrames != 0 {
+		t.Fatalf("the read-only open answered from %d tier frames, want none", got.LongHorizon.TierFrames)
+	}
+	if len(want.LongHorizon.Districts) == 0 {
+		t.Fatal("the twin's answer has no districts to compare")
+	}
+	for _, part := range []func(a *tier.Answer) any{
+		func(a *tier.Answer) any { return a.Buckets },
+		func(a *tier.Answer) any { return a.Census },
+		func(a *tier.Answer) any { return a.Districts },
+	} {
+		if a, b := snapJSON(t, part(got.LongHorizon)), snapJSON(t, part(want.LongHorizon)); a != b {
+			t.Fatalf("the read-only open answers\n%s\nthe undamaged twin\n%s", a, b)
+		}
+	}
+
+	for _, d := range []string{dir, twinDir} {
+		s := mustOpen(t, d, Options{Analytics: cfg})
+		fillDay(t, s, 4)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "tier-d-*.tf")); len(files) != 4 {
+		t.Fatalf("%d day frames after the next checkpoint, want the four closed days", len(files))
+	}
+	s, got := dayAnswer(dir, false)
+	defer s.Close()
+	twin, want = dayAnswer(twinDir, false)
+	defer twin.Close()
+	if a, b := answerOf(t, got), answerOf(t, want); a != b {
+		t.Fatalf("after the refold the store answers\n%q\nthe undamaged twin\n%q", a, b)
+	}
 }
 
 func TestCompactionStraddleGuard(t *testing.T) {

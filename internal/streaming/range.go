@@ -30,10 +30,14 @@ type Range struct {
 	populated bool
 
 	// first is the oldest bin of any folded state; flows[i]/bytes[i]
-	// accumulate hour lo+i, over the hours a rendering shows.
+	// accumulate hour lo+i, over the hours a rendering shows, and set[i]
+	// is whether a state held a bin for it (a bin may carry zero flows).
 	first        int
 	lo           int
 	flows, bytes []float64
+	set          []bool
+	// table is what rowIDs index: the prefix table the fold added by.
+	table *PrefixTable
 }
 
 // Fold folds states, in any order, into the answer to a query over
@@ -67,7 +71,7 @@ func fold(cfg Config, window bool, clipLo, clipHi int, states []*Stored) *Range 
 		cfg.WindowHours = max(cfg.WindowHours, last-r.first+1)
 	}
 	if lo, hi := max(clipLo, last-cfg.WindowHours+1), min(clipHi, last); lo <= hi {
-		r.lo, r.flows, r.bytes = lo, make([]float64, hi-lo+1), make([]float64, hi-lo+1)
+		r.lo, r.flows, r.bytes, r.set = lo, make([]float64, hi-lo+1), make([]float64, hi-lo+1), make([]bool, hi-lo+1)
 	}
 	r.cfg = cfg
 	for _, st := range states {
@@ -80,6 +84,7 @@ func fold(cfg Config, window bool, clipLo, clipHi int, states []*Stored) *Range 
 			if i := bin.hour - r.lo; i >= 0 && i < len(r.flows) {
 				r.flows[i] += bin.flows
 				r.bytes[i] += bin.bytes
+				r.set[i] = true
 			}
 		}
 		r.mergeCounters(st)
@@ -101,7 +106,7 @@ func (r *Range) addPrefixes(states []*Stored) {
 		ids[i] = t.IDs(st)
 		most = max(most, len(ids[i]))
 	}
-	r.byID = t.Prefixes()
+	r.table, r.byID = t, t.Prefixes()
 	slots := rowSlotPool.Get().(*[]uint32)
 	if len(*slots) < len(r.byID) {
 		*slots = make([]uint32, len(r.byID)+len(r.byID)/8)
@@ -196,5 +201,25 @@ func (r *Range) Stored() *Stored {
 	// A rendering cannot tell a rollup without rows and records from none.
 	st.districts = r.districts
 	st.hasDistricts = r.districts.Len() > 0 || r.located > 0
+	return st
+}
+
+// Merged is a Fold over open bounds whole, as one state sharing the fold's
+// tables: every hour a folded state held a bin for, every prefix row with
+// its id in the fold's table, the counters. A durable store compacts
+// frames and merges runs of them with it.
+func (r *Range) Merged() *Stored {
+	st := &Stored{window: r.cfg.WindowHours, maxHour: -1, late: r.late, located: r.located, dropped: r.dropped,
+		prefixes: make([]netip.Prefix, len(r.rowIDs)), prefixCount: r.prefixCount, table: r.table, ids: r.rowIDs,
+		hasDistricts: r.hasDistricts, districts: r.districts, bins: make([]hourBin, 0, len(r.set))}
+	for i, set := range r.set {
+		if set {
+			st.bins = append(st.bins, hourBin{hour: r.lo + i, flows: r.flows[i], bytes: r.bytes[i]})
+			st.maxHour = r.lo + i
+		}
+	}
+	for i, id := range r.rowIDs {
+		st.prefixes[i] = r.byID[id]
+	}
 	return st
 }

@@ -16,9 +16,10 @@ import (
 //
 // A Stored is immutable once built, so one value may be folded by any
 // number of goroutines at once; the durable store keeps them cached per
-// checkpoint frame. Besides DecodeStored there is one more source,
-// Analytics.Detach (a live shard, copied); AppendBinary encodes one, and
-// Range.Stored is what a fold of them renders to.
+// checkpoint frame. Besides DecodeStored there are two more sources,
+// Analytics.Detach (a live shard, copied) and Range.Merged (a fold, whole);
+// AppendBinary encodes one, and Range.Stored is what a fold of them
+// renders to.
 type Stored struct {
 	window  int
 	maxHour int
@@ -125,8 +126,7 @@ func (a *Analytics) storedWith(bins []hourBin) Stored {
 // share one Origin; other's window length may differ (an archive tail can
 // be wider than a's window — its overflow bins evict or count late
 // against a's window like any arrival). Aggregation is commutative, so
-// any merge order yields the same counters; the durable store merges a
-// tail whose checkpoint failed back into the live one this way.
+// any merge order yields the same counters.
 func (a *Analytics) Merge(other *Analytics) {
 	st := other.stored()
 	a.MergeStored(&st)
@@ -137,7 +137,8 @@ func (a *Analytics) Merge(other *Analytics) {
 
 // MergeStored folds a decoded state into a, exactly as
 // Merge(UnmarshalAnalyticsStored(data)) would for the bytes st was
-// decoded from. st is not modified.
+// decoded from. st is not modified. The durable store folds a frozen tail
+// whose frame could not be written back into its tail this way.
 func (a *Analytics) MergeStored(st *Stored) {
 	// Fold the incoming bins oldest hour first — the order live ingestion
 	// would have seen them. Any other order would let a newer incoming bin

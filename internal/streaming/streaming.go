@@ -8,8 +8,8 @@
 // June-16 release jump.
 //
 // An Analytics value is one single-goroutine shard: the durable store
-// (internal/store) ingests into its live tails and folds its checkpoints
-// into a base shard. Every aggregate is a commutative sum (flow counts and
+// (internal/store) ingests into its one tail and folds everything else it
+// holds as immutable states (Stored, Fold). Every aggregate is a commutative sum (flow counts and
 // byte totals are integer-valued, so float64 accumulation is exact and
 // order-free), so states fold (Merge, Fold) to the same bytes in any
 // grouping — the property the end-to-end loopback test pins against the

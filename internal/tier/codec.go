@@ -36,6 +36,13 @@ const maxBuckets = 1 << 20
 // ErrCorrupt marks framing or checksum damage in a tier frame.
 var ErrCorrupt = errors.New("tier: corrupt frame")
 
+// envelopeError is ErrCorrupt in the words of the wire error, which names
+// the damage already.
+type envelopeError struct{ error }
+
+func (e envelopeError) Error() string        { return "tier: " + e.error.Error() }
+func (e envelopeError) Is(target error) bool { return target == ErrCorrupt }
+
 // EncodeFrame renders the canonical framed encoding of f.
 func EncodeFrame(f *Frame) []byte {
 	payload := make([]byte, 0, 256+24*len(f.Districts)+24*len(f.Buckets))
@@ -98,7 +105,7 @@ func f64(d *wire.Cursor) float64 {
 func DecodeFrame(data []byte) (*Frame, error) {
 	kind, payload, n, err := wire.ReadFrame(data, maxPayload)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, envelopeError{err}
 	}
 	// A tier file holds exactly one frame: bytes after it are damage.
 	if n != len(data) {
