@@ -41,7 +41,7 @@ fmt:
 # read, and is only ever lowered. A PR that grows the stack past it fails
 # here and either finds the lines to delete or argues the new bar in
 # review.
-SERVING_LOC_MAX = 13776
+SERVING_LOC_MAX = 13722
 SERVING_DIRS = internal/api internal/cluster internal/ingest internal/nfv9 internal/obs internal/sketch internal/store internal/streaming internal/tier internal/wire cmd/collectord cmd/queryrouterd
 loc:
 	@total=0; for d in $(SERVING_DIRS); do \
@@ -60,11 +60,12 @@ docs-check:
 
 # The concurrency surface of the sharded engine and the live collector:
 # the simulator, the flow collector, the backend, the CDN, the scenario
-# sweep runner, the ingest/streaming pipeline and the durable store
-# (including the crash-recovery byte-identity test) under the race
+# sweep runner, the NFv9 codec, the ingest/streaming pipeline, the
+# durable store (including the crash-recovery byte-identity test) and
+# every serving package, the v1 body encoder included, under the race
 # detector.
 race:
-	$(GO) test -race ./internal/sim/ ./internal/netflow/ ./internal/cwaserver/ ./internal/cdn/ ./internal/workgroup/ ./internal/scenario/ ./internal/ingest/ ./internal/streaming/ ./internal/store/ ./internal/tier/ ./internal/sketch/ ./internal/api/ ./internal/api/client/ ./internal/cluster/ ./internal/obs/ ./internal/wire/
+	$(GO) test -race ./internal/sim/ ./internal/netflow/ ./internal/cwaserver/ ./internal/cdn/ ./internal/workgroup/ ./internal/scenario/ ./internal/nfv9/ ./internal/ingest/ ./internal/streaming/ ./internal/store/ ./internal/tier/ ./internal/sketch/ ./internal/api/ ./internal/api/v1/ ./internal/api/client/ ./internal/cluster/ ./internal/obs/ ./internal/wire/
 
 # One pass over every figure/table/ablation benchmark (see DESIGN.md for
 # the experiment index) plus the ingest, tail, store, API-edge and

@@ -323,7 +323,7 @@ func printSummary(s ingest.Stats, snap *streaming.Snapshot) {
 	fmt.Printf("sources: %d (seq gaps %d, lost packets %d, reordered %d)\n",
 		s.Sources, s.SeqGaps, s.SeqLost, s.SeqReordered)
 	fmt.Printf("window: %d populated hours, census kept %d of %d\n",
-		len(snap.Hours), snap.Census.Kept, snap.Census.Total)
+		populatedHours(snap.Hours), snap.Census.Kept, snap.Census.Total)
 	for i, sp := range snap.Spikes {
 		if i >= 3 {
 			fmt.Printf("spikes: ... %d more\n", len(snap.Spikes)-3)
@@ -341,6 +341,18 @@ func printSummary(s ingest.Stats, snap *streaming.Snapshot) {
 	if n := len(snap.Districts); n > 0 {
 		fmt.Printf("districts active: %d (located %d flows)\n", n, snap.Located)
 	}
+}
+
+// populatedHours counts the hours of a rendered series that hold flows or
+// bytes: a rendering zero-fills every hour between its ends.
+func populatedHours(hours []streaming.HourPoint) int {
+	n := 0
+	for _, p := range hours {
+		if p.Flows != 0 || p.Bytes != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // fatal prints and exits non-zero.

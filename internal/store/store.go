@@ -244,17 +244,15 @@ type Store struct {
 	closed bool
 }
 
-// newTail builds a tail shard. Tails run in archive mode: the hourly
-// series keeps every hour instead of evicting, because a checkpoint frame
-// must hold *every* hour of the WAL interval whose deletion it authorizes
-// — a burst that ingests more data-hours than the live window between two
-// checkpoints must not lose its head. A tail costs the hours it holds, so
-// memory stays bounded by the checkpoint cadence; the live sliding-window
-// view is imposed when Snapshot folds the frames and tails.
+// newTail builds a tail shard. A shard's hourly series keeps every hour
+// it bins, and a checkpoint frame must: it holds *every* hour of the WAL
+// interval whose deletion it authorizes — a burst that ingests more
+// data-hours than the live window between two checkpoints must not lose
+// its head. A tail costs the hours it holds, so memory stays bounded by
+// the checkpoint cadence; the live window's view is imposed when Snapshot
+// folds the frames and tails.
 func (s *Store) newTail() *streaming.Analytics {
-	cfg := s.cfg
-	cfg.Archive = true
-	t := streaming.New(cfg)
+	t := streaming.New(s.cfg)
 	t.Intern(s.prefixes.Load())
 	return t
 }

@@ -96,31 +96,29 @@ func allocBytes(fn func()) uint64 {
 }
 
 // TestShardCostsItsSpanNotItsWindow pins what a shard holding one record
-// costs: the same at a day's window as at over a year's, live or archive
-// — the series holds the hours it has, not the window — and so does
-// restoring a one-bin state whatever window it declares.
+// costs: the same at a day's window as at over a year's — the series
+// holds the hours it has, not the window — and so does restoring a
+// one-bin state whatever window it declares.
 func TestShardCostsItsSpanNotItsWindow(t *testing.T) {
 	const slack = 512
 	near := func(a, b uint64) bool { return max(a, b)-min(a, b) <= slack }
 	rec := []netflow.Record{keptRecord(entime.StudyStart.Add(100*time.Hour), client(1), 500)}
-	for _, archive := range []bool{false, true} {
-		var first uint64
-		for _, window := range []int{24, 12000, 17568} {
-			cfg := Config{WindowHours: window, Archive: archive}
-			got := allocBytes(func() {
-				a := New(cfg)
-				a.Ingest(rec)
-				a.Detach(time.Time{}, time.Time{})
-				if _, err := a.MarshalBinary(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			t.Logf("archive=%v, window %d: %d bytes", archive, window, got)
-			if window == 24 {
-				first = got
-			} else if !near(got, first) {
-				t.Errorf("archive=%v: a one-record shard at window %d allocates %d bytes, at window 24 %d", archive, window, got, first)
+	var first uint64
+	for _, window := range []int{24, 12000, 17568} {
+		cfg := Config{WindowHours: window}
+		got := allocBytes(func() {
+			a := New(cfg)
+			a.Ingest(rec)
+			a.Detach(time.Time{}, time.Time{})
+			if _, err := a.MarshalBinary(); err != nil {
+				t.Fatal(err)
 			}
+		})
+		t.Logf("window %d: %d bytes", window, got)
+		if window == 24 {
+			first = got
+		} else if !near(got, first) {
+			t.Errorf("a one-record shard at window %d allocates %d bytes, at window 24 %d", window, got, first)
 		}
 	}
 

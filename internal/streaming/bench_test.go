@@ -8,7 +8,7 @@ import (
 
 // BenchmarkTailIngest measures what a store tail costs per record over a
 // simulated capture, with and without the geolocation sidecar every
-// collector runs with: one fresh archive shard per op, as each checkpoint
+// collector runs with: one fresh shard per op, as each checkpoint
 // starts one, ingesting the whole trace. ns/record is the figure to read.
 func BenchmarkTailIngest(b *testing.B) {
 	cfg := sim.DefaultConfig()
@@ -21,8 +21,8 @@ func BenchmarkTailIngest(b *testing.B) {
 		name string
 		cfg  Config
 	}{
-		{"geodb", Config{Archive: true, DB: res.GeoDB, Model: res.Model}},
-		{"no-geodb", Config{Archive: true}},
+		{"geodb", Config{DB: res.GeoDB, Model: res.Model}},
+		{"no-geodb", Config{}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -53,7 +53,7 @@ func TestFoldByIndexAddsLikeAMap(t *testing.T) {
 			case 2:
 				st = decodeState(t, origin, scrambled(st, origin))
 			case 3:
-				live := New(Config{Archive: true})
+				live := New(Config{})
 				live.hasDistricts = true
 				live.districts.Add(NoDistrict, "zz-other", 0)
 				live.MergeStored(st)

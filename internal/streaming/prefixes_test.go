@@ -107,7 +107,7 @@ func TestFoldByIDAddsLikeAMap(t *testing.T) {
 // its Detach carries them, and Resolve gives an unresolved state one a row.
 func TestResolvedStatesCarryTheirIDs(t *testing.T) {
 	tab := NewPrefixTable()
-	a := New(Config{Archive: true})
+	a := New(Config{})
 	at := entime.StudyStart
 	a.Ingest([]netflow.Record{keptRecord(at, client(1), 10)})
 	a.Intern(tab)

@@ -10,20 +10,20 @@ import (
 )
 
 // Range is the fold target of one read: what New + MergeStored + Snapshot
-// compute, without the ring. A read folds states it will never ingest
-// into, so nothing slides and nothing is evicted: the hourly series is
-// two flat arrays over the hours the answer can render, allocated once
-// from what the states hold, beside the counters a live shard has, and
-// nothing in it is proportional to Config.WindowHours.
+// compute, without building a shard. A read folds states it will never
+// ingest into: the hourly series is two flat arrays over the hours the
+// answer can render, allocated once from what the states hold, beside the
+// counters a live shard has, and nothing in it is proportional to
+// Config.WindowHours.
 //
-// Fold is the target of a time-range query. Its ring had to be widened by
-// hand to hold every selected hour; the Range reports the window that
-// widening would have produced: cfg.WindowHours, or the span of the
-// folded bins when that is longer. FoldWindow is the live view and keeps
-// the ring's window instead: it renders the cfg.WindowHours hours up to
-// the newest folded bin. Neither depends on the order of the states, and
-// in neither does a bin come late for being old: late counts only the
-// implausible hours a state holds and the late counts it carries.
+// Fold is the target of a time-range query; the Range reports the window
+// that holds every selected hour: cfg.WindowHours, or the span of the
+// folded bins when that is longer. FoldWindow is the live view, a
+// shard's Snapshot included, and keeps cfg.WindowHours: it renders the
+// cfg.WindowHours hours up to the newest folded bin. Neither depends on
+// the order of the states, and in neither does a bin come late for being
+// old: late counts only the implausible hours a state holds and the late
+// counts it carries.
 type Range struct {
 	cfg Config // WindowHours: the window a rendering reports
 	counters
@@ -76,7 +76,7 @@ func fold(cfg Config, window bool, clipLo, clipHi int, states []*Stored) *Range 
 	r.cfg = cfg
 	for _, st := range states {
 		for _, bin := range st.bins {
-			// Implausible (see Analytics.bin): late, as against a ring.
+			// Implausible (see Analytics.bin): late, as in a shard.
 			if bin.hour >= MaxWindowHours {
 				r.late += uint64(bin.flows)
 				continue

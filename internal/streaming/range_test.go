@@ -33,6 +33,28 @@ func (a *Analytics) SnapshotPopulatedRange(from, to time.Time) *Snapshot {
 	return a.render(lo, hi)
 }
 
+// render builds the snapshot with the hourly series over the inclusive
+// hour range [lo, hi], which must lie inside the covered window.
+func (a *Analytics) render(lo, hi int) *Snapshot {
+	cfg := a.cfg
+	s := a.counters.snapshot(cfg)
+
+	// The populated window, oldest hour first.
+	if a.maxHour >= 0 && lo <= hi {
+		s.SeriesStart = lo
+		s.Hours = make([]HourPoint, 0, hi-lo+1)
+		for h := lo; h <= hi; h++ {
+			p := HourPoint{Hour: h, Time: cfg.Origin.Add(time.Duration(h) * time.Hour)}
+			if c := a.hours.at(h); c != nil {
+				p.Flows, p.Bytes = c.flows, c.bytes
+			}
+			s.Hours = append(s.Hours, p)
+		}
+	}
+	s.Spikes = detectSpikes(s.Hours, cfg)
+	return s
+}
+
 // hourRange intersects the covered window with [from, to) and returns
 // the inclusive hour-index range to render (lo > hi when it is empty).
 func (a *Analytics) hourRange(from, to time.Time) (lo, hi int) {
@@ -151,13 +173,13 @@ func scrambled(st *Stored, origin time.Time) []byte {
 
 // TestRangeFoldsLikeWidenedRing is the differential property behind the
 // flat query path: for any set of states and any range, the Range fold
-// renders what a sliding shard renders that was widened by hand to hold
+// renders what a shard renders that was widened by hand to hold
 // every folded hour — the target queries used before — and the rendering
 // encodes to the bytes the ring encoder makes of it. The live view
 // renders the widened ring's last cfg.WindowHours hours under the window
 // as it is, and counts late exactly what the open query does. The states come in
 // every form a fold meets: decoded from canonical bytes, decoded from
-// scrambled ones, and detached from a live archive shard; their hours
+// scrambled ones, and detached from a live shard; their hours
 // overlap, leave gaps, and (one case in eight) sit at the plausibility
 // bound with bins beyond it. The ranges are open on either side, empty,
 // before, inside and past the data, and off the hour.
@@ -212,11 +234,9 @@ func TestRangeFoldsLikeWidenedRing(t *testing.T) {
 			}
 			whole = append(whole, st)
 			if form == 2 {
-				// A live tail: an archive shard that folded the state,
-				// copied out for this range only.
-				tail := cfg
-				tail.Archive = true
-				a := New(tail)
+				// A live tail: a shard that folded the state, copied out
+				// for this range only.
+				a := New(cfg)
 				a.MergeStored(st)
 				st = a.Detach(from, to)
 			}
@@ -308,7 +328,7 @@ func (f *stateFeed) float() float64 {
 
 // state deals one state a fold can meet: a frame (bins with gaps from a
 // base hour on, counters, a few prefixes, a rollup or none), or the same
-// detached from a live archive tail for the range asked.
+// detached from a live tail for the range asked.
 func (f *stateFeed) state(cfg Config, from, to time.Time) *Stored {
 	st := &Stored{window: 24 + f.n(400), maxHour: -1, late: uint64(f.n(9)), located: uint64(f.n(3))}
 	for i := range st.dropped {
@@ -339,7 +359,6 @@ func (f *stateFeed) state(cfg Config, from, to time.Time) *Stored {
 		}
 	}
 	if f.n(2) == 0 {
-		cfg.Archive = true
 		tail := New(cfg)
 		tail.MergeStored(st)
 		return tail.Detach(from, to)

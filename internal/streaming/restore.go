@@ -3,7 +3,7 @@ package streaming
 import "cwatrace/internal/core"
 
 // FromSnapshot rebuilds an Analytics shard from a rendered Snapshot, the
-// inverse of snapshot() for everything Merge consumes: how a rendered
+// inverse of Snapshot for everything Merge consumes: how a rendered
 // answer becomes mergeable again. No serving path builds this shard — a
 // shard answering the cluster query router encodes the fold behind the
 // rendering (Range.Stored) — but what FromSnapshot(s).MarshalBinary()
@@ -18,7 +18,7 @@ import "cwatrace/internal/core"
 // snapshot, and Census.Total is the sum of the per-reason counters.
 //
 // Zero-flow gap hours inside the rendered window reconstruct as populated
-// empty bins. The live shard cannot tell the two apart either — snapshot()
+// empty bins. The live shard cannot tell the two apart either — Snapshot
 // renders every hour of the covered span, populated or not — so the
 // round trip stays byte-identical.
 func FromSnapshot(s *Snapshot) *Analytics {
@@ -27,9 +27,9 @@ func FromSnapshot(s *Snapshot) *Analytics {
 		p := &s.Hours[i]
 		c := a.bin(p.Hour)
 		if c == nil {
-			// Cannot happen for a self-consistent snapshot (every rendered
-			// hour fits its own window); a hand-built one degrades exactly
-			// like live ingestion of an out-of-window record.
+			// Cannot happen for a rendered snapshot (it holds no hour
+			// before Origin or past MaxWindowHours); a hand-built one
+			// degrades exactly like live ingestion of such a record.
 			a.late += uint64(p.Flows)
 			continue
 		}

@@ -23,10 +23,10 @@ import (
 const stateVersion = 1
 
 // MaxWindowHours is the plausibility bound on hour indices and window
-// lengths: 20 years of hourly bins past Origin (a multiple of 64, so an
-// archive's window never rounds past it). It caps three things
+// lengths: 20 years of hourly bins past Origin (a multiple of 64, so a
+// shard's window never rounds past it). It caps three things
 // consistently: ingest/merge reject records beyond it as Late (a forged
-// timestamp or garbage exporter clock must not widen an archive to a
+// timestamp or garbage exporter clock must not widen a shard to a
 // window that later reads reject), DecodeStored refuses a larger declared
 // window (a state's bins lie within its window, so this bounds the span a
 // decoded state restores to; the record-layer CRC bounds no allocation),
@@ -137,13 +137,12 @@ func ascending[K any](keys []K, less func(a, b K) bool) []int {
 
 // UnmarshalAnalyticsStored reconstructs a shard from MarshalBinary
 // output, adopting the window length embedded in the state instead of
-// requiring it to match cfg (Origin must match): a compacted checkpoint
-// frame is an archive persisted at a window wide enough to hold its
-// whole hour span, which can exceed the live sliding window. DB and
-// Model may differ — a restored shard keeps district counts even when
-// the reader has no geolocation sidecar. Readers that only fold the
-// state into another shard use DecodeStored + MergeStored instead and
-// never build a shard.
+// requiring it to match cfg (Origin must match): a checkpoint frame is
+// persisted at a window wide enough to hold its whole hour span, which
+// can exceed the configured one. DB and Model may differ — a restored
+// shard keeps district counts even when the reader has no geolocation
+// sidecar. Readers that only fold the state into another shard use
+// DecodeStored + MergeStored instead and never build a shard.
 //
 // The restored shard keeps the state's window; its series spans the
 // state's bins. The header's maxHour is restored as written (a fold would

@@ -130,22 +130,17 @@ func TestBounds(t *testing.T) {
 	if !ok || lo != 3 || hi != 6 {
 		t.Fatalf("bounds = [%d, %d] ok=%v, want [3, 6]", lo, hi, ok)
 	}
-	// Sliding the window past hour 3 moves the lower bound.
-	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(11*time.Hour), client(3), 10)})
-	lo, hi, ok = a.Bounds()
-	if !ok || lo != 6 || hi != 11 {
-		t.Fatalf("bounds after slide = [%d, %d] ok=%v, want [6, 11]", lo, hi, ok)
-	}
 }
 
-// TestBoundsArchive pins the O(1) fast path the store's tails use: an
-// Archive shard's tracked extremes must equal a populated-bin scan at
-// every step, including out-of-order arrivals and Merge-driven growth.
+// TestBoundsArchive pins the O(1) fast path the store's tails use: a
+// shard's tracked extremes must equal a populated-bin scan at every step,
+// including out-of-order arrivals, hours past the window and Merge-driven
+// growth.
 func TestBoundsArchive(t *testing.T) {
-	cfg := Config{WindowHours: 8, Archive: true}
+	cfg := Config{WindowHours: 8}
 	a := New(cfg)
 	if _, _, ok := a.Bounds(); ok {
-		t.Fatal("empty archive shard reports bounds")
+		t.Fatal("empty shard reports bounds")
 	}
 	scanBounds := func(s *Analytics) (int, int, bool) {
 		lo, hi := -1, -1
@@ -168,14 +163,14 @@ func TestBoundsArchive(t *testing.T) {
 		}
 	}
 	if lo, hi, ok := a.Bounds(); !ok || lo != 3 || hi != 100 {
-		t.Fatalf("archive bounds = [%d, %d] ok=%v, want [3, 100]", lo, hi, ok)
+		t.Fatalf("bounds = [%d, %d] ok=%v, want [3, 100]", lo, hi, ok)
 	}
 	// Merge-driven growth tracks too.
 	other := New(Config{WindowHours: 8})
 	other.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(200*time.Hour), client(9), 10)})
 	a.Merge(other)
 	if lo, hi, ok := a.Bounds(); !ok || lo != 3 || hi != 200 {
-		t.Fatalf("archive bounds after merge = [%d, %d] ok=%v, want [3, 200]", lo, hi, ok)
+		t.Fatalf("bounds after merge = [%d, %d] ok=%v, want [3, 200]", lo, hi, ok)
 	}
 }
 
@@ -303,10 +298,10 @@ func TestSnapshotPopulatedRangeStartsAtFirstBin(t *testing.T) {
 	}
 }
 
-// TestUnmarshalStoredAdoptsWiderWindow pins the archive-frame contract:
+// TestUnmarshalStoredAdoptsWiderWindow pins the frame contract:
 // UnmarshalAnalyticsStored adopts the window embedded in the state, not
 // the configuration's — the store's compacted frames span more hours
-// than the live sliding window and must restore without losing a bin.
+// than the live window and must restore without losing a bin.
 func TestUnmarshalStoredAdoptsWiderWindow(t *testing.T) {
 	wide := New(Config{WindowHours: 10})
 	for h := 0; h < 10; h++ {

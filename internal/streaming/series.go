@@ -4,10 +4,9 @@ package streaming
 // cells[i] is hour lo+i. A cell is a bin only where set — a merged bin may
 // carry zero flows, so a zero count cannot tell. first is the oldest bin;
 // the cells before it are room the series grew backward into, every other
-// unset cell is an hour nothing landed in. It grows at either end, and a
-// windowed shard drops the hours that leave its window from the front.
-// Nothing in it is proportional to Config.WindowHours: a shard pays for
-// the span of its bins.
+// unset cell is an hour nothing landed in. It grows at either end and
+// never drops an hour. Nothing in it is proportional to
+// Config.WindowHours: a shard pays for the span of its bins.
 type series struct {
 	lo, first int
 	cells     []cell
@@ -42,19 +41,6 @@ func (s *series) claim(h int) *cell {
 	c := &s.cells[h-s.lo]
 	c.set = true
 	return c
-}
-
-// drop removes every hour before from; the series then starts at its
-// oldest remaining bin.
-func (s *series) drop(from int) {
-	if s.empty() || s.first >= from {
-		return
-	}
-	k := min(from-s.lo, len(s.cells))
-	for k < len(s.cells) && !s.cells[k].set {
-		k++
-	}
-	s.lo, s.first, s.cells = s.lo+k, s.lo+k, s.cells[k:]
 }
 
 // at is hour h's cell if it is a bin, else nil.

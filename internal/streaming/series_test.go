@@ -16,34 +16,32 @@ import (
 
 // ringModel is the hourly ring Analytics kept before its series, as the
 // reference the series is held to: a ring of WindowHours slots, hour h in
-// slot h mod w, that a live shard slides and an archive shard reshapes to
-// a wider window. Everything but the hours — the census, late, prefix and
-// district counters, the watermark — rides in c, an archive shard that
-// counts a kept record or a merged bin only once the ring has taken it.
+// slot h mod w, that reshapes to a wider window whenever the span of its
+// hours outgrows it. Everything but the hours — the census, late, prefix
+// and district counters, the watermark — rides in c, a shard that counts
+// a kept record or a merged bin only once the ring has taken it.
 type ringModel struct {
-	c       *Analytics
-	archive bool
-	w       int
+	c *Analytics
+	w int
 
-	binHour    []int32
-	binFlows   []float64
-	binBytes   []float64
-	maxHour    int
-	archiveMin int
-	curHour    int
-	curSlot    int
+	binHour  []int32
+	binFlows []float64
+	binBytes []float64
+	maxHour  int
+	minHour  int
+	curHour  int
+	curSlot  int
 }
 
 func newRingModel(cfg Config) *ringModel {
 	cfg = cfg.withDefaults()
-	m := &ringModel{archive: cfg.Archive, w: cfg.WindowHours, maxHour: -1, archiveMin: -1, curHour: -1}
+	m := &ringModel{w: cfg.WindowHours, maxHour: -1, minHour: -1, curHour: -1}
 	m.binHour = make([]int32, m.w)
 	m.binFlows = make([]float64, m.w)
 	m.binBytes = make([]float64, m.w)
 	for i := range m.binHour {
 		m.binHour[i] = -1
 	}
-	cfg.Archive = true
 	m.c = New(cfg)
 	return m
 }
@@ -52,24 +50,9 @@ func (m *ringModel) binFor(h int) int {
 	if h >= MaxWindowHours {
 		return -1
 	}
-	if m.archive {
-		m.ensureArchiveWindow(h)
-	}
-	w := m.w
-	switch {
-	case m.maxHour >= 0 && h <= m.maxHour-w:
-		return -1
-	case h > m.maxHour:
-		from := m.maxHour + 1
-		if from < h-w+1 {
-			from = h - w + 1
-		}
-		for k := from; k <= h; k++ {
-			m.binHour[k%w] = -1
-		}
-		m.maxHour = h
-	}
-	slot := h % w
+	m.ensureWindow(h)
+	m.maxHour = max(m.maxHour, h)
+	slot := h % m.w
 	if m.binHour[slot] != int32(h) {
 		m.binHour[slot] = int32(h)
 		m.binFlows[slot] = 0
@@ -79,16 +62,18 @@ func (m *ringModel) binFor(h int) int {
 	return slot
 }
 
-func (m *ringModel) ensureArchiveWindow(h int) {
+// ensureWindow widens the ring, once h is binned, to the span of its
+// hours rounded up, so no two of them share a slot.
+func (m *ringModel) ensureWindow(h int) {
 	lo, hi := h, h
-	if m.archiveMin >= 0 && m.archiveMin < lo {
-		lo = m.archiveMin
+	if m.minHour >= 0 && m.minHour < lo {
+		lo = m.minHour
 	}
 	if m.maxHour > hi {
 		hi = m.maxHour
 	}
 	if need := hi - lo + 1; need > m.w {
-		w := (need + archiveGrowQuantum - 1) / archiveGrowQuantum * archiveGrowQuantum
+		w := (need + windowQuantum - 1) / windowQuantum * windowQuantum
 		hour := make([]int32, w)
 		flows := make([]float64, w)
 		bytes := make([]float64, w)
@@ -107,8 +92,8 @@ func (m *ringModel) ensureArchiveWindow(h int) {
 		m.w = w
 		m.curHour = -1
 	}
-	if m.archiveMin < 0 || h < m.archiveMin {
-		m.archiveMin = h
+	if m.minHour < 0 || h < m.minHour {
+		m.minHour = h
 	}
 }
 
@@ -137,31 +122,15 @@ func (m *ringModel) sortedBins() []hourBin {
 }
 
 func (m *ringModel) Bounds() (minHour, maxHour int, ok bool) {
-	if m.maxHour < 0 {
+	if m.maxHour < 0 || m.minHour < 0 {
 		return 0, 0, false
 	}
-	if m.archive {
-		if m.archiveMin < 0 {
-			return 0, 0, false
-		}
-		return m.archiveMin, m.maxHour, true
-	}
-	minHour = -1
-	for _, h := range m.binHour {
-		if h >= 0 && (minHour < 0 || int(h) < minHour) {
-			minHour = int(h)
-		}
-	}
-	if minHour < 0 {
-		return 0, 0, false
-	}
-	return minHour, m.maxHour, true
+	return m.minHour, m.maxHour, true
 }
 
 // render is Analytics.render over the ring.
 func (m *ringModel) render(lo, hi int) *Snapshot {
 	cfg := m.c.cfg
-	cfg.WindowHours = m.w
 	s := m.c.counters.snapshot(cfg)
 	if m.maxHour >= 0 && lo <= hi {
 		s.SeriesStart = lo
@@ -180,8 +149,9 @@ func (m *ringModel) render(lo, hi int) *Snapshot {
 	return s
 }
 
+// Snapshot is the live view: the configured window's last hours.
 func (m *ringModel) Snapshot() *Snapshot {
-	return m.render(max(0, m.maxHour-m.w+1), m.maxHour)
+	return m.render(max(0, m.maxHour-m.c.cfg.WindowHours+1), m.maxHour)
 }
 
 // stored is Analytics.stored: c's counters, the ring's hours.
@@ -278,12 +248,12 @@ func (m *ringModel) Merge(other *ringModel) {
 // seriesFeed deals the steps FuzzSeriesLikeRing drives.
 type seriesFeed struct{ stateFeed }
 
-// config deals a shard configuration: either mode, at one of the windows
-// the ring met its edges at (a window of one hour, a short one, the
-// archive quantum and one past it, and a long one).
+// config deals a shard configuration at one of the windows the ring met
+// its edges at (a window of one hour, a short one, the growth quantum and
+// one past it, and a long one).
 func (f *seriesFeed) config() Config {
 	windows := []int{1, 4, 64, 65, 12000}
-	return Config{Origin: entime.StudyStart, WindowHours: windows[f.n(len(windows)-1)], TopK: 1 + f.n(4), Archive: f.n(1) == 1}
+	return Config{Origin: entime.StudyStart, WindowHours: windows[f.n(len(windows)-1)], TopK: 1 + f.n(4)}
 }
 
 // hour deals an hour to bin relative to the newest so far: near it either
@@ -353,7 +323,7 @@ func (f *seriesFeed) state(newest int) *Stored {
 }
 
 // FuzzSeriesLikeRing holds the hourly series to the ring it replaced: any
-// sequence of Ingest, MergeStored and Merge, live or archive, at windows
+// sequence of Ingest, MergeStored and Merge, at windows
 // from one hour to over a year — hours in and out of order, before
 // Origin, at or past MaxWindowHours, more than a window behind, merged
 // bins of zero, -0 or NaN flows — leaves the shard encoding the same
@@ -361,8 +331,8 @@ func (f *seriesFeed) state(newest int) *Stored {
 // watermark, and detaching the same state for any range, after every step.
 func FuzzSeriesLikeRing(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0, 3, 0, 1, 2, 3, 4, 5, 6, 7}, 30))                  // live, short window, records
-	f.Add(bytes.Repeat([]byte{9, 1, 1, 4, 0, 3, 200, 17, 3, 0, 2, 1}, 40))         // archive, stragglers and merges
+	f.Add(bytes.Repeat([]byte{0, 3, 0, 1, 2, 3, 4, 5, 6, 7}, 30))                  // short window, records
+	f.Add(bytes.Repeat([]byte{9, 1, 1, 4, 0, 3, 200, 17, 3, 0, 2, 1}, 40))         // stragglers and merges
 	f.Add(bytes.Repeat([]byte{4, 0, 5, 2, 2, 0x7f, 0xf8, 1, 0, 0, 0, 0, 0}, 40))   // -0 and NaN bins
 	f.Add(bytes.Repeat([]byte{8, 1, 7, 3, 4, 60, 5, 1, 1, 255, 3, 9, 33}, 40))     // a year's window, far jumps
 	f.Add(bytes.Repeat([]byte{6, 0, 2, 5, 3, 1, 0, 2, 2, 250, 4, 1, 0, 6, 1}, 40)) // Merge of other shards

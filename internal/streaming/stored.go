@@ -107,7 +107,7 @@ func (a *Analytics) stored() Stored { return a.storedWith(a.hours.bins()) }
 // storedWith is stored with the caller's choice of bins.
 func (a *Analytics) storedWith(bins []hourBin) Stored {
 	return Stored{
-		window:       a.cfg.WindowHours,
+		window:       a.window,
 		maxHour:      a.maxHour,
 		late:         a.late,
 		located:      a.located,
@@ -123,10 +123,8 @@ func (a *Analytics) storedWith(bins []hourBin) Stored {
 }
 
 // Merge folds other into a without modifying other. Both shards must
-// share one Origin; other's window length may differ (an archive tail can
-// be wider than a's window — its overflow bins evict or count late
-// against a's window like any arrival). Aggregation is commutative, so
-// any merge order yields the same counters.
+// share one Origin; their window lengths may differ. Aggregation is
+// commutative, so any merge order yields the same counters.
 func (a *Analytics) Merge(other *Analytics) {
 	st := other.stored()
 	a.MergeStored(&st)
@@ -140,15 +138,9 @@ func (a *Analytics) Merge(other *Analytics) {
 // decoded from. st is not modified. The durable store folds a frozen tail
 // whose frame could not be written back into its tail this way.
 func (a *Analytics) MergeStored(st *Stored) {
-	// Fold the incoming bins oldest hour first — the order live ingestion
-	// would have seen them. Any other order would let a newer incoming bin
-	// slide the window before an older (but still in-order) one is folded,
-	// miscounting it as late; chronological order keeps merging a state
-	// that spans more hours than this window (the store's compacted
-	// archive frames) deterministic, with the overflow evicted silently
-	// exactly as live ingestion evicts. bin applies the same
-	// MaxWindowHours plausibility bound as ingest: a state persisted
-	// before the bound (or hand-built) must not poison this shard.
+	// bin applies the same MaxWindowHours plausibility bound as ingest: a
+	// state persisted before the bound (or hand-built) must not poison
+	// this shard; its implausible bins count late, as in a fold.
 	for i := range st.bins {
 		bin := &st.bins[i]
 		c := a.bin(bin.hour)

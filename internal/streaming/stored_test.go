@@ -13,7 +13,7 @@ import (
 
 // storedSeeds builds the state blobs of the checkpoint frames a store
 // holds, by name: two single-day frames with a district rollup, the
-// archive frame a compaction of the two persists (window wider than the
+// frame a compaction of the two persists (window wider than the
 // live one), a frame from a collector without a geolocation sidecar, and
 // a frame that aggregated only dropped records.
 func storedSeeds(t testing.TB) (Config, map[string][]byte) {
@@ -26,14 +26,8 @@ func storedSeeds(t testing.TB) (Config, map[string][]byte) {
 		}
 		return blob
 	}
-	// A checkpoint frame is the state of an archive tail.
-	tail := func() *Analytics {
-		c := cfg
-		c.Archive = true
-		return New(c)
-	}
 	day := func(d int, districts bool) *Analytics {
-		a := tail()
+		a := New(cfg)
 		for h := 0; h < 24; h++ {
 			for i := 0; i <= h%5; i++ {
 				at := entime.StudyStart.Add(time.Duration(d*24+h)*time.Hour + time.Duration(i)*time.Minute)
@@ -59,7 +53,7 @@ func storedSeeds(t testing.TB) (Config, map[string][]byte) {
 	archive := New(wide)
 	archive.Merge(day0)
 	archive.Merge(day3)
-	accounting := tail()
+	accounting := New(cfg)
 	for i := 0; i < 5; i++ {
 		r := keptRecord(entime.StudyStart, client(i), 10)
 		r.SrcPort = 80

@@ -1,11 +1,10 @@
 // Package streaming computes the paper's analyses online, over a live
 // record stream, instead of in batch over a finished trace. It is the
 // analytics half of the live ingest subsystem (internal/ingest is the
-// transport half): a sliding window of hourly buckets carries the Figure-2
-// flow/byte series, a per-prefix counter tracks the most active client
-// networks, district rollups reproduce the Figure-3 geography, and a
-// trailing-baseline detector flags launch/attention spikes like the
-// June-16 release jump.
+// transport half): hourly buckets carry the Figure-2 flow/byte series, a
+// per-prefix counter tracks the most active client networks, district
+// rollups reproduce the Figure-3 geography, and a trailing-baseline
+// detector flags launch/attention spikes like the June-16 release jump.
 //
 // An Analytics value is one single-goroutine shard: the durable store
 // (internal/store) ingests into its one tail and folds everything else it
@@ -44,11 +43,13 @@ const ClientPrefixBits = 24
 // defaults reproduce the paper's study window and filters.
 type Config struct {
 	// Origin anchors hour bucket 0 (default entime.StudyStart). Records
-	// before Origin, or more than WindowHours behind the newest record,
-	// count as Late and are otherwise ignored.
+	// before Origin, or MaxWindowHours or more hours past it, count as
+	// Late and are otherwise ignored.
 	Origin time.Time
-	// WindowHours is the sliding window length in hourly buckets
-	// (default entime.StudyHours(), i.e. the whole study window).
+	// WindowHours is the live view's length in hourly buckets: a Snapshot
+	// renders the WindowHours hours up to the newest bin (default
+	// entime.StudyHours(), i.e. the whole study window). A shard keeps
+	// every hour it bins, whatever the window.
 	WindowHours int
 	// TopK bounds the active-prefix leaderboard in snapshots (default 10).
 	TopK int
@@ -59,15 +60,7 @@ type Config struct {
 	SpikeFactor   float64
 	SpikeHistory  int
 	SpikeMinFlows float64
-	// Archive disables sliding-window eviction: instead of sliding past
-	// (and silently dropping) the oldest hourly bins, the shard keeps
-	// every hour it has binned, and WindowHours widens to their span
-	// (rounded up to 64 hours). The durable store's tail shards run this
-	// way — a checkpoint frame must hold *every* hour of the WAL interval
-	// it lets the store delete, no matter how many data-hours a burst
-	// ingested between checkpoints. Records before Origin still count as
-	// Late; memory is bounded by the span the shard binned in its lifetime
-	// (one checkpoint interval for the store's tail), not by WindowHours.
+	// Deprecated: ignored. Every shard keeps every hour it bins.
 	Archive bool
 	// Filter is the paper's data-set restriction (nil = core.DefaultFilter()).
 	Filter *core.Filter
@@ -146,6 +139,9 @@ type Analytics struct {
 	// The hourly series and its newest hour (-1 before any record).
 	hours   series
 	maxHour int
+	// window is the window the shard's state encodes: cfg.WindowHours
+	// while the span of its bins fits, else that span rounded up (see bin).
+	window int
 
 	// newestNano is the freshness watermark: the newest First timestamp
 	// (UnixNano) of any record binned into this shard. In-memory only —
@@ -181,6 +177,7 @@ func New(cfg Config) *Analytics {
 		filter:   *cfg.Filter,
 		cfilter:  cfg.Filter.Compile(),
 		maxHour:  -1,
+		window:   cfg.WindowHours,
 		counters: newCounters(),
 	}
 	if cfg.Origin.Nanosecond() == 0 {
@@ -211,8 +208,7 @@ func (a *Analytics) ingest(r *netflow.Record) {
 		return
 	}
 
-	// Sliding hourly window. The bucket index is hours since Origin;
-	// advancing past the newest hour slides the window (see bin). The
+	// Hourly series. The bucket index is hours since Origin. The
 	// explicit before-Origin check matters: negative sub-hour durations
 	// would truncate to bucket 0 otherwise. For whole-second Origins the
 	// binning runs on integer seconds — Unix() floors toward -inf, so
@@ -234,9 +230,9 @@ func (a *Analytics) ingest(r *netflow.Record) {
 		}
 		h = int(r.First.Sub(a.cfg.Origin) / time.Hour)
 	}
-	// Most records land in an hour that is a bin already, so inside the
-	// window: at finds it inline, without bin's call. Only a restored
-	// state can hold a bin at or past MaxWindowHours; bin refuses it.
+	// Most records land in an hour that is a bin already: at finds it
+	// inline, without bin's call. Only a restored state can hold a bin at
+	// or past MaxWindowHours; bin refuses it.
 	c := a.hours.at(h)
 	if c == nil || h >= MaxWindowHours {
 		if c = a.bin(h); c == nil {
@@ -304,46 +300,33 @@ func (a *Analytics) Intern(t *PrefixTable) {
 }
 
 // bin returns hour h's cell in the series, claimed, or nil when h counts
-// late: an hour before Origin's, one the window has left behind (h at
-// least WindowHours behind the newest hour of a windowed shard), or one
-// at or past MaxWindowHours — a forged timestamp or garbage exporter
-// clock must neither widen an archive past what reads accept back nor
-// slide a window over every real bin. An hour past the newest slides a
-// windowed shard's window, dropping the hours it leaves; an archive never
-// drops one and widens its window instead. Ingest, Merge and FromSnapshot
-// all bin through here, so they advance the window alike.
+// late: an hour before Origin's, or one at or past MaxWindowHours — a
+// forged timestamp or garbage exporter clock must not widen the window
+// past what reads accept back. Nothing is ever dropped: the window the
+// state encodes widens to the span instead. Ingest, Merge and
+// FromSnapshot all bin through here.
 func (a *Analytics) bin(h int) *cell {
 	if h < 0 || h >= MaxWindowHours {
 		return nil
 	}
-	w := a.cfg.WindowHours
-	if a.cfg.Archive {
-		lo := h
-		if !a.hours.empty() {
-			lo = min(lo, a.hours.first)
-		}
-		// The window an archive encodes: WindowHours while its span fits,
-		// else the span rounded up, a function of the span alone.
-		if span := max(a.maxHour, h) - lo + 1; span > w {
-			a.cfg.WindowHours = (span + archiveGrowQuantum - 1) / archiveGrowQuantum * archiveGrowQuantum
-		}
-	} else if a.maxHour >= 0 && h <= a.maxHour-w {
-		return nil
+	lo := h
+	if !a.hours.empty() {
+		lo = min(lo, a.hours.first)
 	}
-	if h > a.maxHour {
-		a.maxHour = h
-		if !a.cfg.Archive {
-			a.hours.drop(h - w + 1)
-		}
+	// The window a state encodes: cfg.WindowHours while its span fits,
+	// else the span rounded up, a function of the span alone.
+	if span := max(a.maxHour, h) - lo + 1; span > a.window {
+		a.window = (span + windowQuantum - 1) / windowQuantum * windowQuantum
 	}
+	a.maxHour = max(a.maxHour, h)
 	return a.hours.claim(h)
 }
 
-// archiveGrowQuantum rounds an archive's window up, so the window a state
+// windowQuantum rounds a shard's window up, so the window a state
 // encodes moves once per 64 hours of span, not with every new hour. It is
-// a function of the final span alone, so marshaled archive state stays
+// a function of the final span alone, so marshaled state stays
 // deterministic across arrival orders.
-const archiveGrowQuantum = 64
+const windowQuantum = 64
 
 // Watermark returns the newest record start timestamp binned into this
 // shard (the freshness watermark), or the zero time before any.
@@ -354,14 +337,17 @@ func (a *Analytics) Watermark() time.Time {
 	return time.Unix(0, a.newestNano)
 }
 
-// Snapshot reports this shard's aggregates alone. A view across shards is
-// a fold of their states (FoldWindow), which is how the durable store
-// renders its frames and tails.
-func (a *Analytics) Snapshot() *Snapshot { return a.snapshot() }
+// Snapshot reports this shard's aggregates alone: the live view
+// (FoldWindow) of its own state, which is how the durable store renders
+// its frames and tails together.
+func (a *Analytics) Snapshot() *Snapshot {
+	st := a.stored()
+	return FoldWindow(a.cfg, &st).Snapshot()
+}
 
-// Bounds reports the populated hour coverage of the window as inclusive
+// Bounds reports the populated hour coverage of the shard as inclusive
 // hour indices relative to Origin: the oldest bin and the newest hour.
-// ok is false when no kept record has landed in the window yet. The
+// ok is false when no kept record has been binned yet. The
 // durable store records the bounds as checkpoint-frame metadata for
 // time-range frame selection, and consults the live tails' bounds on
 // every ETag derivation (store.Version), under its append mutex: both
@@ -395,32 +381,6 @@ func ceilHours(d time.Duration) int {
 		h++
 	}
 	return int(h)
-}
-
-func (a *Analytics) snapshot() *Snapshot {
-	return a.render(max(0, a.maxHour-a.cfg.WindowHours+1), a.maxHour)
-}
-
-// render builds the snapshot with the hourly series over the inclusive
-// hour range [lo, hi], which must lie inside the covered window.
-func (a *Analytics) render(lo, hi int) *Snapshot {
-	cfg := a.cfg
-	s := a.counters.snapshot(cfg)
-
-	// The populated window, oldest hour first.
-	if a.maxHour >= 0 && lo <= hi {
-		s.SeriesStart = lo
-		s.Hours = make([]HourPoint, 0, hi-lo+1)
-		for h := lo; h <= hi; h++ {
-			p := HourPoint{Hour: h, Time: cfg.Origin.Add(time.Duration(h) * time.Hour)}
-			if c := a.hours.at(h); c != nil {
-				p.Flows, p.Bytes = c.flows, c.bytes
-			}
-			s.Hours = append(s.Hours, p)
-		}
-	}
-	s.Spikes = detectSpikes(s.Hours, cfg)
-	return s
 }
 
 // detectSpikes scans the populated window with a trailing-mean baseline.
@@ -493,7 +453,7 @@ func lessPrefix(a, b netip.Prefix) bool {
 	return a.Bits() < b.Bits()
 }
 
-// HourPoint is one bucket of the sliding hourly window.
+// HourPoint is one bucket of the hourly series.
 type HourPoint struct {
 	Hour  int       `json:"hour"`
 	Time  time.Time `json:"time"`
@@ -538,10 +498,9 @@ type Snapshot struct {
 	TopPrefixes []PrefixCount   `json:"top_prefixes"`
 	Districts   []DistrictCount `json:"districts,omitempty"`
 	// Late counts kept records no hour can hold: they predate Origin or
-	// lie past MaxWindowHours. A live shard at its window also counts the
-	// records that arrived after their bucket left it; a fold of states
-	// (a durable store's snapshot and query answers) never does, so what
-	// it reports does not depend on when checkpoints ran.
+	// lie MaxWindowHours or more past it. A record is never late for
+	// arriving behind the window, so what a fold of states reports does
+	// not depend on when checkpoints ran.
 	Late uint64 `json:"late"`
 	// Located counts kept records the geolocation sidecar could place.
 	Located uint64 `json:"located"`

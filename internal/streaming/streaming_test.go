@@ -65,43 +65,6 @@ func TestFilterCensusMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestSlidingWindowEvictsAndCountsLate(t *testing.T) {
-	cfg := Config{WindowHours: 4}
-	a := New(cfg)
-
-	// Hours 0,1,2,3 fill the ring.
-	for h := 0; h < 4; h++ {
-		a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(time.Duration(h)*time.Hour), client(h), 100)})
-	}
-	// Hour 5 slides the window to [2..5], evicting hours 0 and 1.
-	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(5*time.Hour), client(5), 100)})
-	// A record for hour 1 is now late.
-	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(time.Hour), client(1), 100)})
-	// As is anything before the origin — including less than an hour
-	// before it, where naive duration division would truncate to bucket 0.
-	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(-time.Hour), client(9), 100)})
-	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(-30*time.Minute), client(10), 100)})
-
-	snap := a.Snapshot()
-	if snap.Late != 3 {
-		t.Fatalf("late = %d, want 3", snap.Late)
-	}
-	if snap.SeriesStart != 2 || len(snap.Hours) != 4 {
-		t.Fatalf("window [%d +%d], want [2 +4]", snap.SeriesStart, len(snap.Hours))
-	}
-	wantFlows := []float64{1, 1, 0, 1} // hours 2,3,4(empty),5
-	for i, p := range snap.Hours {
-		if p.Flows != wantFlows[i] {
-			t.Fatalf("hour %d flows = %v, want %v", p.Hour, p.Flows, wantFlows[i])
-		}
-	}
-	// The census still counted the late records as kept: they passed the
-	// filter, only the window had moved on.
-	if snap.Census.Kept != 8 {
-		t.Fatalf("kept = %d, want 8", snap.Census.Kept)
-	}
-}
-
 func TestSpikeDetection(t *testing.T) {
 	cfg := Config{SpikeHistory: 3, SpikeFactor: 3, SpikeMinFlows: 5}
 	a := New(cfg)
@@ -219,19 +182,19 @@ func TestMergeEqualsSerial(t *testing.T) {
 	}
 }
 
-// TestEvictionDropsHoursOlderThanWindow proves the hourly ring forgets:
-// after the window slides, hours older than WindowHours are gone from
-// the snapshot and their flows are not re-attributed anywhere (only the
-// census remembers they were kept).
+// TestEvictionDropsHoursOlderThanWindow proves the live view clips: once
+// the newest hour moves on, hours older than WindowHours are gone from
+// the snapshot (the shard still holds them) and their flows are not
+// re-attributed to any hour it shows (only the census counts them).
 func TestEvictionDropsHoursOlderThanWindow(t *testing.T) {
 	cfg := Config{WindowHours: 4}
 	a := New(cfg)
 	for h := 0; h < 4; h++ {
 		a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(time.Duration(h)*time.Hour), client(h), 100)})
 	}
-	// Jump far past the window (more than 2x WindowHours), so every ring
-	// slot is slid over — including slots whose stale hour index happens
-	// to collide modulo WindowHours with a window hour.
+	// Jump far past the window (more than 2x WindowHours), to an hour
+	// whose window holds hours congruent modulo WindowHours to the held
+	// ones, which a ring would have had to clear.
 	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(11*time.Hour), client(11), 100)})
 
 	snap := a.Snapshot()
@@ -242,67 +205,24 @@ func TestEvictionDropsHoursOlderThanWindow(t *testing.T) {
 	for _, p := range snap.Hours {
 		total += p.Flows
 		if p.Hour < 8 {
-			t.Fatalf("hour %d survived eviction", p.Hour)
+			t.Fatalf("hour %d is still in the view", p.Hour)
 		}
-		// Hours 0..3 filled slots 0..3; hours 8..10 reuse those slots and
-		// must read as empty, not as the stale pre-slide counts.
+		// Hours 8..10 must read as empty, not as hours 0..3's counts.
 		if p.Hour != 11 && p.Flows != 0 {
-			t.Fatalf("evicted slot resurrected as hour %d with %v flows", p.Hour, p.Flows)
+			t.Fatalf("an older hour resurfaced as hour %d with %v flows", p.Hour, p.Flows)
 		}
 	}
 	if total != 1 {
 		t.Fatalf("window holds %v flows, want exactly the post-slide record", total)
 	}
 	if snap.Census.Kept != 5 {
-		t.Fatalf("census kept %d, want 5 (eviction must not touch the census)", snap.Census.Kept)
+		t.Fatalf("census kept %d, want 5 (the view must not touch the census)", snap.Census.Kept)
 	}
 }
 
-// TestSnapshotAfterEvictionNeverResurrectsBuckets pins the regression
-// the durable store cares about: a snapshot taken after eviction — and a
-// marshal/restore round trip of that state — must never bring evicted
-// buckets back.
-func TestSnapshotAfterEvictionNeverResurrectsBuckets(t *testing.T) {
-	cfg := Config{WindowHours: 3}
-	a := New(cfg)
-	// Two populated hours, then slides that evict them one at a time.
-	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart, client(0), 100)})
-	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(time.Hour), client(1), 100)})
-	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(3*time.Hour), client(3), 100)}) // evicts hour 0
-	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(4*time.Hour), client(4), 100)}) // evicts hour 1
-
-	for _, snap := range []*Snapshot{a.Snapshot(), a.Snapshot()} { // stable across repeated snapshots
-		for _, p := range snap.Hours {
-			if p.Hour < 2 {
-				t.Fatalf("evicted hour %d resurrected: %+v", p.Hour, p)
-			}
-		}
-		if snap.SeriesStart != 2 {
-			t.Fatalf("series start %d, want 2", snap.SeriesStart)
-		}
-	}
-
-	// The serialized state agrees: restoring it yields the same window.
-	blob, err := a.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := restore(t, cfg, blob)
-	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
-		t.Fatal("restored post-eviction state differs")
-	}
-	// And a record for an evicted hour stays evicted on both.
-	late := []netflow.Record{keptRecord(entime.StudyStart.Add(time.Hour), client(9), 100)}
-	a.Ingest(late)
-	b.Ingest(late)
-	if got := a.Snapshot(); got.Late != b.Snapshot().Late || got.Late != 1 {
-		t.Fatalf("late accounting diverged: %d", got.Late)
-	}
-}
-
-// TestMergeEvictsLikeIngest proves window eviction behaves identically
-// whether the slide comes from live records or from merging a shard
-// that is ahead in time.
+// TestMergeEvictsLikeIngest proves the live view is the same whether
+// its newest hour comes from live records or from merging a shard that
+// is ahead in time.
 func TestMergeEvictsLikeIngest(t *testing.T) {
 	cfg := Config{WindowHours: 4}
 	old := New(cfg)
@@ -311,9 +231,9 @@ func TestMergeEvictsLikeIngest(t *testing.T) {
 	ahead := New(cfg)
 	ahead.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(6*time.Hour), client(6), 100)})
 
-	// Merging the ahead shard into the old one slides the window: hours
-	// 0 and 1 fall out and are counted late, exactly as live ingestion
-	// of an hour-6 record would have done.
+	// Merging the ahead shard into the old one moves the view: hours 0
+	// and 1 leave it, and neither counts late, exactly as with live
+	// ingestion of an hour-6 record.
 	merged := New(cfg)
 	merged.Merge(old)
 	merged.Merge(ahead)
@@ -343,28 +263,32 @@ func TestFigure2RequiresStudyWindow(t *testing.T) {
 	}
 }
 
-// TestArchiveWindowGrowsInsteadOfEvicting pins the Archive contract the
-// durable store's tail shards rely on: the hourly ring widens to cover
-// every binned hour instead of sliding, in-window-stale records are
-// binned rather than counted late, and only pre-Origin records stay
-// Late. A marshal/restore round trip preserves the grown window.
+// TestArchiveWindowGrowsInsteadOfEvicting pins what the durable store's
+// tail shards rely on: a shard keeps every hour it bins, and the window
+// its state encodes widens to cover them instead of sliding. Records
+// behind the configured window are binned rather than counted late; only
+// pre-Origin records are Late. Snapshot renders the configured window's
+// last hours of it, and a marshal/restore round trip preserves the grown
+// window.
 func TestArchiveWindowGrowsInsteadOfEvicting(t *testing.T) {
-	cfg := Config{WindowHours: 4, Archive: true}
+	cfg := Config{WindowHours: 4}
 	a := New(cfg)
 	for h := 0; h < 12; h++ {
 		a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(time.Duration(h)*time.Hour), client(h), 100)})
 	}
-	// A stale-but-post-Origin record: a sliding window would count it
-	// late; the archive bins it.
+	// A record eleven hours behind the newest: binned, not late.
 	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart, client(50), 100)})
 	// Pre-Origin is still late.
 	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(-time.Hour), client(51), 100)})
 
-	snap := a.Snapshot()
-	if snap.SeriesStart != 0 || len(snap.Hours) != 12 {
-		t.Fatalf("archive window [%d +%d], want [0 +12]", snap.SeriesStart, len(snap.Hours))
+	if a.window != windowQuantum || a.cfg.WindowHours != 4 {
+		t.Fatalf("window %d (configured %d), want %d (4)", a.window, a.cfg.WindowHours, windowQuantum)
 	}
-	for _, p := range snap.Hours {
+	all := Fold(cfg, time.Time{}, time.Time{}, a.Detach(time.Time{}, time.Time{})).Snapshot()
+	if all.SeriesStart != 0 || len(all.Hours) != 12 {
+		t.Fatalf("held hours [%d +%d], want [0 +12]", all.SeriesStart, len(all.Hours))
+	}
+	for _, p := range all.Hours {
 		want := 1.0
 		if p.Hour == 0 {
 			want = 2
@@ -373,8 +297,12 @@ func TestArchiveWindowGrowsInsteadOfEvicting(t *testing.T) {
 			t.Fatalf("hour %d holds %v flows, want %v", p.Hour, p.Flows, want)
 		}
 	}
-	if snap.Late != 1 {
-		t.Fatalf("late = %d, want 1 (only the pre-Origin record)", snap.Late)
+	snap := a.Snapshot()
+	if snap.SeriesStart != 8 || len(snap.Hours) != 4 || snap.WindowHours != 4 {
+		t.Fatalf("live view [%d +%d] at window %d, want [8 +4] at 4", snap.SeriesStart, len(snap.Hours), snap.WindowHours)
+	}
+	if snap.Late != 1 || all.Late != 1 {
+		t.Fatalf("late = %d (held %d), want 1 (only the pre-Origin record)", snap.Late, all.Late)
 	}
 
 	blob, err := a.MarshalBinary()
@@ -385,47 +313,92 @@ func TestArchiveWindowGrowsInsteadOfEvicting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
-		t.Fatal("restored archive state differs")
+	again, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.window != a.window || !reflect.DeepEqual(again, blob) {
+		t.Fatalf("restored window %d, want %d; state re-encodes equal: %v", b.window, a.window, reflect.DeepEqual(again, blob))
+	}
+	if got := b.Snapshot(); !reflect.DeepEqual(got.Hours, all.Hours) || got.Late != all.Late {
+		t.Fatal("restored state renders other hours than it held")
+	}
+}
+
+// TestLateOnlyBeforeOriginOrPastCap pins the one rule of Late: a record
+// counts late only when no hour can hold it, never for arriving behind
+// the window. A shard at a 4-hour window that saw hour 10 first still
+// bins hour 0 — in its state, in a query over it — while its live view
+// shows the window's last four hours.
+func TestLateOnlyBeforeOriginOrPastCap(t *testing.T) {
+	cfg := Config{WindowHours: 4}
+	a := New(cfg)
+	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(10*time.Hour), client(0), 100)})
+	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart, client(256), 100)})
+	hour0 := netip.PrefixFrom(client(256), ClientPrefixBits).Masked()
+
+	blob, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	marshaled, err := DecodeStored(cfg, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*Stored{"Detach": a.Detach(time.Time{}, time.Time{}), "MarshalBinary": marshaled} {
+		if st.late != 0 || len(st.bins) != 2 || st.bins[0] != (hourBin{hour: 0, flows: 1, bytes: 100}) {
+			t.Fatalf("%s: late %d, bins %+v, want hour 0's bin and none late", name, st.late, st.bins)
+		}
+		if !containsKey(st.prefixes, hour0) {
+			t.Fatalf("%s: prefixes %v lack hour 0's %s", name, st.prefixes, hour0)
+		}
+	}
+
+	q := Fold(cfg, time.Time{}, time.Time{}, marshaled).Snapshot()
+	if q.Late != 0 || q.SeriesStart != 0 || len(q.Hours) != 11 || q.Hours[0].Flows != 1 || q.Hours[10].Flows != 1 {
+		t.Fatalf("query: late %d, hours %+v, want hours 0 and 10 with a flow each", q.Late, q.Hours)
+	}
+	snap := a.Snapshot()
+	if snap.Late != 0 || snap.WindowHours != 4 || snap.SeriesStart != 7 || len(snap.Hours) != 4 || snap.Hours[3].Flows != 1 {
+		t.Fatalf("live view: late %d, window %d, hours %+v, want hours 7-10 at window 4", snap.Late, snap.WindowHours, snap.Hours)
 	}
 }
 
 // TestImplausibleTimestampCountsLate pins the plausibility cap: a
-// record forged (or clock-skewed) past MaxWindowHours must count Late —
-// in both live and archive shards — instead of sliding a live window
-// over every real bin or growing an archive ring past what stored-state
-// reads accept back.
+// record forged (or clock-skewed) past MaxWindowHours must count Late
+// instead of growing the shard's window past what stored-state reads
+// accept back. A restored state may hold a bin past the cap: it counts
+// late, as a fold counts it, and a record for its hour does not join it.
 func TestImplausibleTimestampCountsLate(t *testing.T) {
-	for _, archive := range []bool{false, true} {
-		a := New(Config{WindowHours: 4, Archive: archive})
-		a.Ingest([]netflow.Record{keptRecord(entime.StudyStart, client(1), 100)})
-		a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(time.Duration(MaxWindowHours)*time.Hour), client(2), 100)})
-		snap := a.Snapshot()
-		if snap.Late != 1 {
-			t.Fatalf("archive=%v: late = %d, want 1", archive, snap.Late)
-		}
-		if len(snap.Hours) != 1 || snap.Hours[0].Hour != 0 || snap.Hours[0].Flows != 1 {
-			t.Fatalf("archive=%v: forged record disturbed the window: %+v", archive, snap.Hours)
-		}
-		if a.cfg.WindowHours > MaxWindowHours {
-			t.Fatalf("archive=%v: window grew past the cap: %d", archive, a.cfg.WindowHours)
-		}
+	a := New(Config{WindowHours: 4})
+	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart, client(1), 100)})
+	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(time.Duration(MaxWindowHours)*time.Hour), client(2), 100)})
+	snap := a.Snapshot()
+	if snap.Late != 1 {
+		t.Fatalf("late = %d, want 1", snap.Late)
+	}
+	if len(snap.Hours) != 1 || snap.Hours[0].Hour != 0 || snap.Hours[0].Flows != 1 {
+		t.Fatalf("forged record disturbed the series: %+v", snap.Hours)
+	}
+	if a.window > MaxWindowHours {
+		t.Fatalf("window grew past the cap: %d", a.window)
+	}
 
-		// A restored state may hold a bin past the cap; a record for its
-		// hour still counts late.
-		past := MaxWindowHours + 1
-		st := Stored{window: 4, maxHour: past, bins: []hourBin{{hour: past, flows: 1, bytes: 1}}}
-		blob, err := st.AppendBinary(nil, entime.StudyStart)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := UnmarshalAnalyticsStored(Config{Archive: archive}, blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(time.Duration(past)*time.Hour), client(3), 100)})
-		if snap := r.Snapshot(); snap.Late != 1 || snap.Hours[len(snap.Hours)-1].Flows != 1 {
-			t.Fatalf("archive=%v: a record past the cap joined a restored bin: late %d, %+v", archive, snap.Late, snap.Hours[len(snap.Hours)-1])
-		}
+	past := MaxWindowHours + 1
+	st := Stored{window: 4, maxHour: past, bins: []hourBin{{hour: past, flows: 1, bytes: 1}}}
+	blob, err := st.AppendBinary(nil, entime.StudyStart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := UnmarshalAnalyticsStored(Config{}, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(time.Duration(past)*time.Hour), client(3), 100)})
+	if snap := r.Snapshot(); snap.Late != 2 || len(snap.Hours) != 0 {
+		t.Fatalf("late %d, hours %+v, want the restored bin and the record late, no hour", snap.Late, snap.Hours)
+	}
+	if c := r.hours.at(past); c == nil || c.flows != 1 {
+		t.Fatalf("a record past the cap joined a restored bin: %+v", c)
 	}
 }
