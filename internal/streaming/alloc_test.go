@@ -1,6 +1,7 @@
 package streaming
 
 import (
+	"net/netip"
 	"runtime"
 	"testing"
 	"time"
@@ -136,5 +137,29 @@ func TestShardCostsItsSpanNotItsWindow(t *testing.T) {
 	}
 	if day, most := restore(24), restore(MaxWindowHours); !near(most, day) {
 		t.Errorf("restoring a one-bin state declaring window %d allocates %d bytes, declaring 24 %d", MaxWindowHours, most, day)
+	}
+}
+
+// TestShardSnapshotBuildsNoPrefixTable pins what a lone shard's Snapshot
+// costs: its rendering and nothing per prefix row. A shard never bound by
+// Intern, holding 4 000 /24s over two days, renders in a few kB — the hours,
+// the census, the leaderboard — where a fold of its own state interned
+// every row into a fresh PrefixTable on every call (over 300 B a row).
+func TestShardSnapshotBuildsNoPrefixTable(t *testing.T) {
+	const rows, bar = 4000, 16 << 10
+	a := New(Config{WindowHours: 48})
+	recs := make([]netflow.Record, rows)
+	for i := range recs {
+		at := entime.StudyStart.Add(time.Duration(i%48) * time.Hour)
+		recs[i] = keptRecord(at, netip.AddrFrom4([4]byte{100, byte(64 + i>>8), byte(i), 1}), 500)
+	}
+	a.Ingest(recs)
+	if s := a.Snapshot(); len(s.Hours) != 48 || s.Census.Kept != rows {
+		t.Fatalf("the shard renders %d hours of %d kept records, want 48 of %d", len(s.Hours), s.Census.Kept, rows)
+	}
+	got := allocBytes(func() { a.Snapshot() })
+	t.Logf("%d B a snapshot of %d prefix rows", got, rows)
+	if got > bar {
+		t.Fatalf("a snapshot of a shard with %d prefix rows allocates %d B, want at most %d", rows, got, bar)
 	}
 }

@@ -11,10 +11,10 @@ import (
 
 // Range is the fold target of one read: what New + MergeStored + Snapshot
 // compute, without building a shard. A read folds states it will never
-// ingest into: the hourly series is two flat arrays over the hours the
-// answer can render, allocated once from what the states hold, beside the
-// counters a live shard has, and nothing in it is proportional to
-// Config.WindowHours.
+// ingest into: its hours are a shard's series sized once, to the hours
+// the answer can render, beside the counters a live shard has (a shard's
+// Snapshot renders its own through a Range), and nothing in it is
+// proportional to Config.WindowHours.
 //
 // Fold is the target of a time-range query; the Range reports the window
 // that holds every selected hour: cfg.WindowHours, or the span of the
@@ -29,13 +29,9 @@ type Range struct {
 	counters
 	populated bool
 
-	// first is the oldest bin of any folded state; flows[i]/bytes[i]
-	// accumulate hour lo+i, over the hours a rendering shows, and set[i]
-	// is whether a state held a bin for it (a bin may carry zero flows).
-	first        int
-	lo           int
-	flows, bytes []float64
-	set          []bool
+	// hours accumulates the hours a rendering shows; its first is the
+	// oldest bin of any folded state, which may lie before them.
+	hours series
 	// table is what rowIDs index: the prefix table the fold added by.
 	table *PrefixTable
 }
@@ -58,20 +54,21 @@ func FoldWindow(cfg Config, states ...*Stored) *Range {
 
 func fold(cfg Config, window bool, clipLo, clipHi int, states []*Stored) *Range {
 	cfg = cfg.withDefaults()
-	r := &Range{first: math.MaxInt}
+	r := &Range{hours: series{first: math.MaxInt}}
 	last := -1
 	for _, st := range states {
 		for _, bin := range st.bins {
 			if bin.hour < MaxWindowHours {
-				r.first, last = min(r.first, bin.hour), max(last, bin.hour)
+				r.hours.first, last = min(r.hours.first, bin.hour), max(last, bin.hour)
 			}
 		}
 	}
 	if !window && last >= 0 {
-		cfg.WindowHours = max(cfg.WindowHours, last-r.first+1)
+		cfg.WindowHours = max(cfg.WindowHours, last-r.hours.first+1)
 	}
 	if lo, hi := max(clipLo, last-cfg.WindowHours+1), min(clipHi, last); lo <= hi {
-		r.lo, r.flows, r.bytes, r.set = lo, make([]float64, hi-lo+1), make([]float64, hi-lo+1), make([]bool, hi-lo+1)
+		r.hours.lo = lo
+		r.hours.widen(0, hi-lo+1)
 	}
 	r.cfg = cfg
 	for _, st := range states {
@@ -81,10 +78,8 @@ func fold(cfg Config, window bool, clipLo, clipHi int, states []*Stored) *Range 
 				r.late += uint64(bin.flows)
 				continue
 			}
-			if i := bin.hour - r.lo; i >= 0 && i < len(r.flows) {
-				r.flows[i] += bin.flows
-				r.bytes[i] += bin.bytes
-				r.set[i] = true
+			if i := bin.hour - r.hours.lo; uint(i) < uint(len(r.hours.set)) {
+				r.hours.add(i, bin.flows, bin.bytes)
 			}
 		}
 		r.mergeCounters(st)
@@ -149,9 +144,9 @@ func (r *Range) Populated() *Range {
 func (r *Range) Series() (lo int, flows, bytes []float64) {
 	skip := 0
 	if r.populated {
-		skip = min(max(r.first-r.lo, 0), len(r.flows))
+		skip = min(max(r.hours.first-r.hours.lo, 0), len(r.hours.flows))
 	}
-	return r.lo + skip, r.flows[skip:], r.bytes[skip:]
+	return r.hours.lo + skip, r.hours.flows[skip:], r.hours.bytes[skip:]
 }
 
 // Totals is what the fold holds besides its hours and prefixes: the drop
@@ -210,13 +205,10 @@ func (r *Range) Stored() *Stored {
 // frames and merges runs of them with it.
 func (r *Range) Merged() *Stored {
 	st := &Stored{window: r.cfg.WindowHours, maxHour: -1, late: r.late, located: r.located, dropped: r.dropped,
-		prefixes: make([]netip.Prefix, len(r.rowIDs)), prefixCount: r.prefixCount, table: r.table, ids: r.rowIDs,
-		hasDistricts: r.hasDistricts, districts: r.districts, bins: make([]hourBin, 0, len(r.set))}
-	for i, set := range r.set {
-		if set {
-			st.bins = append(st.bins, hourBin{hour: r.lo + i, flows: r.flows[i], bytes: r.bytes[i]})
-			st.maxHour = r.lo + i
-		}
+		bins: r.hours.bins(), prefixes: make([]netip.Prefix, len(r.rowIDs)), prefixCount: r.prefixCount, table: r.table, ids: r.rowIDs,
+		hasDistricts: r.hasDistricts, districts: r.districts}
+	if n := len(st.bins); n > 0 {
+		st.maxHour = st.bins[n-1].hour
 	}
 	for i, id := range r.rowIDs {
 		st.prefixes[i] = r.byID[id]

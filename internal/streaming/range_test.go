@@ -45,8 +45,8 @@ func (a *Analytics) render(lo, hi int) *Snapshot {
 		s.Hours = make([]HourPoint, 0, hi-lo+1)
 		for h := lo; h <= hi; h++ {
 			p := HourPoint{Hour: h, Time: cfg.Origin.Add(time.Duration(h) * time.Hour)}
-			if c := a.hours.at(h); c != nil {
-				p.Flows, p.Bytes = c.flows, c.bytes
+			if i := a.hours.at(h); i >= 0 {
+				p.Flows, p.Bytes = a.hours.flows[i], a.hours.bytes[i]
 			}
 			s.Hours = append(s.Hours, p)
 		}

@@ -23,17 +23,10 @@ import "cwatrace/internal/core"
 // round trip stays byte-identical.
 func FromSnapshot(s *Snapshot) *Analytics {
 	a := New(Config{Origin: s.Origin, WindowHours: s.WindowHours})
-	for i := range s.Hours {
-		p := &s.Hours[i]
-		c := a.bin(p.Hour)
-		if c == nil {
-			// Cannot happen for a rendered snapshot (it holds no hour
-			// before Origin or past MaxWindowHours); a hand-built one
-			// degrades exactly like live ingestion of such a record.
-			a.late += uint64(p.Flows)
-			continue
-		}
-		c.flows, c.bytes = p.Flows, p.Bytes
+	// A rendered snapshot holds no hour addBin refuses; a hand-built one
+	// degrades exactly like live ingestion of such a record.
+	for _, p := range s.Hours {
+		a.addBin(p.Hour, p.Flows, p.Bytes)
 	}
 
 	for reason, n := range s.Census.Dropped {

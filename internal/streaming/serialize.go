@@ -144,10 +144,12 @@ func ascending[K any](keys []K, less func(a, b K) bool) []int {
 // sidecar. Readers that only fold the state into another shard use
 // DecodeStored + MergeStored instead and never build a shard.
 //
-// The restored shard keeps the state's window; its series spans the
-// state's bins. The header's maxHour is restored as written (a fold would
-// recompute it from the bins), so MarshalBinary of the result reproduces
-// canonical input byte for byte.
+// The restored shard is New at the state's window, the state folded in
+// with MergeStored — its bins enter through bin, so one at or past
+// MaxWindowHours counts late, as in every fold — and the header's
+// maxHour, restored as written (a fold would recompute it from the bins),
+// so MarshalBinary of the result reproduces canonical input byte for
+// byte.
 func UnmarshalAnalyticsStored(cfg Config, data []byte) (*Analytics, error) {
 	st, err := DecodeStored(cfg, data)
 	if err != nil {
@@ -155,18 +157,8 @@ func UnmarshalAnalyticsStored(cfg Config, data []byte) (*Analytics, error) {
 	}
 	cfg.WindowHours = st.window
 	a := New(cfg)
+	a.MergeStored(st)
 	a.maxHour = st.maxHour
-	a.late = st.late
-	a.located = st.located
-	a.dropped = st.dropped
-	a.hours.fill(st.bins)
-	for i, p := range st.prefixes {
-		a.prefixCount[a.internPrefix(p)] = st.prefixCount[i]
-	}
-	if st.hasDistricts {
-		a.hasDistricts = true
-		a.districts.Merge(&st.districts)
-	}
 	return a, nil
 }
 
@@ -228,7 +220,7 @@ func DecodeStored(cfg Config, data []byte) (*Stored, error) {
 	}
 	if !ordered {
 		// Not MarshalBinary's order: sort, and let the last entry for an
-		// hour win, which is what writing each bin to its hour's cell does.
+		// hour win, which is what writing each bin to its hour did.
 		sort.SliceStable(st.bins, func(i, j int) bool { return st.bins[i].hour < st.bins[j].hour })
 		kept := st.bins[:0]
 		for i, bin := range st.bins {

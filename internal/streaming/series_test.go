@@ -327,7 +327,8 @@ func (f *seriesFeed) state(newest int) *Stored {
 // from one hour to over a year — hours in and out of order, before
 // Origin, at or past MaxWindowHours, more than a window behind, merged
 // bins of zero, -0 or NaN flows — leaves the shard encoding the same
-// bytes, rendering the same snapshot, reporting the same bounds and
+// bytes, rendering the same snapshot — which is also the live view
+// (FoldWindow) of its own state — reporting the same bounds and
 // watermark, and detaching the same state for any range, after every step.
 func FuzzSeriesLikeRing(f *testing.F) {
 	f.Add([]byte{})
@@ -387,9 +388,17 @@ func sameAsRing(t *testing.T, at string, a *Analytics, m *ringModel, in *seriesF
 	if !sameHours(gs.Hours, ws.Hours) {
 		t.Fatalf("%s: the series renders hours %v, the ring %v", at, gs.Hours, ws.Hours)
 	}
-	gs.Hours, ws.Hours = nil, nil
+	// The definition Snapshot replaced, the live view of the shard's state.
+	fs := FoldWindow(a.Config(), a.Detach(time.Time{}, time.Time{})).Snapshot()
+	if !sameHours(gs.Hours, fs.Hours) {
+		t.Fatalf("%s: the series renders hours %v, the live view of its state %v", at, gs.Hours, fs.Hours)
+	}
+	gs.Hours, ws.Hours, fs.Hours = nil, nil, nil
 	if !reflect.DeepEqual(gs, ws) {
 		t.Fatalf("%s: the series renders\n%+v\nthe ring\n%+v", at, gs, ws)
+	}
+	if !reflect.DeepEqual(gs, fs) {
+		t.Fatalf("%s: the series renders\n%+v\nthe live view of its state\n%+v", at, gs, fs)
 	}
 	glo, ghi, gok := a.Bounds()
 	wlo, whi, wok := m.Bounds()

@@ -76,8 +76,8 @@ func (a *Analytics) Detach(from, to time.Time) *Stored {
 		lo, hi := clipHours(a.cfg.Origin, from, to)
 		inRange := func(h int) bool { return h >= lo && h <= hi }
 		bin := func(h int) {
-			if c := a.hours.at(h); c != nil {
-				bins = append(bins, hourBin{hour: h, flows: c.flows, bytes: c.bytes})
+			if i := a.hours.at(h); i >= 0 {
+				bins = append(bins, hourBin{hour: h, flows: a.hours.flows[i], bytes: a.hours.bytes[i]})
 			}
 		}
 		lo, hi = max(lo, first), min(hi, last)
@@ -141,15 +141,8 @@ func (a *Analytics) MergeStored(st *Stored) {
 	// bin applies the same MaxWindowHours plausibility bound as ingest: a
 	// state persisted before the bound (or hand-built) must not poison
 	// this shard; its implausible bins count late, as in a fold.
-	for i := range st.bins {
-		bin := &st.bins[i]
-		c := a.bin(bin.hour)
-		if c == nil {
-			a.late += uint64(bin.flows)
-			continue
-		}
-		c.flows += bin.flows
-		c.bytes += bin.bytes
+	for _, bin := range st.bins {
+		a.addBin(bin.hour, bin.flows, bin.bytes)
 	}
 	a.mergeCounters(st)
 	for i, p := range st.prefixes {

@@ -115,10 +115,10 @@ type hourBin struct {
 // Analytics is one online-analytics shard. It is not safe for concurrent
 // use; the durable store guards each of its shards with its own locking.
 //
-// The hot-path state is flat arrays: the hourly series is one cell per
-// hour it spans (see series), the prefix counters are a count array keyed
-// by interned indexes, with the maps reduced to prefix → index lookups,
-// and the district counters are indexed by the one district id space. A
+// The hot-path state is flat arrays: the hourly series is three columns
+// over the hours it spans (see series), the prefix counters a count array
+// keyed by interned indexes, with the maps reduced to prefix → index
+// lookups, and the district counters are indexed by the one district id space. A
 // per-record update is then a handful of array writes; the only map the steady state touches is the int-keyed
 // prefix fast index, whose lookups need no hashing of 32-byte netip.Prefix
 // values and whose hits never call mapassign. The district rollup adds no
@@ -176,6 +176,7 @@ func New(cfg Config) *Analytics {
 		cfg:      cfg,
 		filter:   *cfg.Filter,
 		cfilter:  cfg.Filter.Compile(),
+		hours:    series{first: math.MaxInt},
 		maxHour:  -1,
 		window:   cfg.WindowHours,
 		counters: newCounters(),
@@ -231,17 +232,16 @@ func (a *Analytics) ingest(r *netflow.Record) {
 		h = int(r.First.Sub(a.cfg.Origin) / time.Hour)
 	}
 	// Most records land in an hour that is a bin already: at finds it
-	// inline, without bin's call. Only a restored state can hold a bin at
-	// or past MaxWindowHours; bin refuses it.
-	c := a.hours.at(h)
-	if c == nil || h >= MaxWindowHours {
-		if c = a.bin(h); c == nil {
+	// inline, without bin's call.
+	i := a.hours.at(h)
+	if i < 0 {
+		if i = a.bin(h); i < 0 {
 			a.late++
 			return
 		}
 	}
-	c.flows++
-	c.bytes += float64(r.Bytes)
+	a.hours.flows[i]++
+	a.hours.bytes[i] += float64(r.Bytes)
 	if n := r.First.UnixNano(); n > a.newestNano {
 		a.newestNano = n
 	}
@@ -299,27 +299,35 @@ func (a *Analytics) Intern(t *PrefixTable) {
 	a.table, a.ids = t, t.internAll(make([]uint32, 0, len(a.prefixList)), a.prefixList...)
 }
 
-// bin returns hour h's cell in the series, claimed, or nil when h counts
+// bin returns hour h's index in the series, claimed, or -1 when h counts
 // late: an hour before Origin's, or one at or past MaxWindowHours — a
 // forged timestamp or garbage exporter clock must not widen the window
 // past what reads accept back. Nothing is ever dropped: the window the
-// state encodes widens to the span instead. Ingest, Merge and
-// FromSnapshot all bin through here.
-func (a *Analytics) bin(h int) *cell {
+// state encodes widens to the span instead. Every hour enters a shard
+// here: Ingest's records, and the bins of MergeStored, Merge,
+// UnmarshalAnalyticsStored and FromSnapshot (addBin), so a shard holds no
+// hour a read would refuse.
+func (a *Analytics) bin(h int) int {
 	if h < 0 || h >= MaxWindowHours {
-		return nil
-	}
-	lo := h
-	if !a.hours.empty() {
-		lo = min(lo, a.hours.first)
+		return -1
 	}
 	// The window a state encodes: cfg.WindowHours while its span fits,
 	// else the span rounded up, a function of the span alone.
-	if span := max(a.maxHour, h) - lo + 1; span > a.window {
+	if span := max(a.maxHour, h) - min(a.hours.first, h) + 1; span > a.window {
 		a.window = (span + windowQuantum - 1) / windowQuantum * windowQuantum
 	}
 	a.maxHour = max(a.maxHour, h)
 	return a.hours.claim(h)
+}
+
+// addBin adds a bin's counts to its hour, or its flows to late when bin
+// refuses the hour.
+func (a *Analytics) addBin(h int, flows, bytes float64) {
+	if i := a.bin(h); i >= 0 {
+		a.hours.add(i, flows, bytes)
+	} else {
+		a.late += uint64(flows)
+	}
 }
 
 // windowQuantum rounds a shard's window up, so the window a state
@@ -337,12 +345,13 @@ func (a *Analytics) Watermark() time.Time {
 	return time.Unix(0, a.newestNano)
 }
 
-// Snapshot reports this shard's aggregates alone: the live view
-// (FoldWindow) of its own state, which is how the durable store renders
-// its frames and tails together.
+// Snapshot reports this shard's aggregates alone: the live view, the
+// cfg.WindowHours hours up to its newest bin, rendered by Range.Snapshot
+// from the shard's own series and counters — what FoldWindow of its state
+// renders, without the fold. The hours share the series unless the
+// window starts before it.
 func (a *Analytics) Snapshot() *Snapshot {
-	st := a.stored()
-	return FoldWindow(a.cfg, &st).Snapshot()
+	return (&Range{cfg: a.cfg, counters: a.counters, hours: a.hours.last(a.cfg.WindowHours)}).Snapshot()
 }
 
 // Bounds reports the populated hour coverage of the shard as inclusive
@@ -353,7 +362,7 @@ func (a *Analytics) Snapshot() *Snapshot {
 // every ETag derivation (store.Version), under its append mutex: both
 // ends are tracked, so it is O(1).
 func (a *Analytics) Bounds() (minHour, maxHour int, ok bool) {
-	if a.hours.empty() {
+	if len(a.hours.set) == 0 {
 		return 0, 0, false
 	}
 	return a.hours.first, a.maxHour, true

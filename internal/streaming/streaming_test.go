@@ -367,8 +367,9 @@ func TestLateOnlyBeforeOriginOrPastCap(t *testing.T) {
 // TestImplausibleTimestampCountsLate pins the plausibility cap: a
 // record forged (or clock-skewed) past MaxWindowHours must count Late
 // instead of growing the shard's window past what stored-state reads
-// accept back. A restored state may hold a bin past the cap: it counts
-// late, as a fold counts it, and a record for its hour does not join it.
+// accept back. A hand-built state may hold a bin past the cap: restoring
+// it counts the bin late, as a fold counts it, and leaves the shard no
+// hour past the cap for a record to join.
 func TestImplausibleTimestampCountsLate(t *testing.T) {
 	a := New(Config{WindowHours: 4})
 	a.Ingest([]netflow.Record{keptRecord(entime.StudyStart, client(1), 100)})
@@ -398,7 +399,7 @@ func TestImplausibleTimestampCountsLate(t *testing.T) {
 	if snap := r.Snapshot(); snap.Late != 2 || len(snap.Hours) != 0 {
 		t.Fatalf("late %d, hours %+v, want the restored bin and the record late, no hour", snap.Late, snap.Hours)
 	}
-	if c := r.hours.at(past); c == nil || c.flows != 1 {
-		t.Fatalf("a record past the cap joined a restored bin: %+v", c)
+	if len(r.hours.set) != 0 {
+		t.Fatalf("the restored shard holds hours [%d, %d), want none: its one bin lies past the cap", r.hours.lo, r.hours.lo+len(r.hours.set))
 	}
 }
