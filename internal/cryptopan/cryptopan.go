@@ -52,45 +52,48 @@ func New(key []byte) (*Anonymizer, error) {
 // IPv6 addresses are treated as IPv4, matching how flow exports canonicalize
 // them.
 func (a *Anonymizer) Anonymize(addr netip.Addr) netip.Addr {
-	if addr.Is4() || addr.Is4In6() {
-		v4 := addr.As4()
-		out := a.anonymizeBits(v4[:], 32)
-		var res [4]byte
-		copy(res[:], out)
-		return netip.AddrFrom4(res)
+	addr = addr.Unmap()
+	return a.walk(addr, addr, 0)
+}
+
+// walk anonymizes addr from bit from (a multiple of 8) on, and takes the
+// bits before it from done: the anonymized form of an address that shares
+// them with addr. Both are of one family, IPv4 or IPv6, never IPv4-mapped.
+func (a *Anonymizer) walk(addr, done netip.Addr, from int) netip.Addr {
+	if addr.Is4() {
+		orig, out := addr.As4(), done.As4()
+		copy(out[from/8:], orig[from/8:])
+		a.anonymizeBits(orig[:], out[:], from)
+		return netip.AddrFrom4(out)
 	}
-	v6 := addr.As16()
-	out := a.anonymizeBits(v6[:], 128)
-	var res [16]byte
-	copy(res[:], out)
-	return netip.AddrFrom16(res)
+	orig, out := addr.As16(), done.As16()
+	copy(out[from/8:], orig[from/8:])
+	a.anonymizeBits(orig[:], out[:], from)
+	return netip.AddrFrom16(out)
 }
 
 // anonymizeBits implements the Crypto-PAn bit walk: for each prefix length
-// i, the first i bits of the original address select a pseudorandom bit that
-// is XORed into bit i of the output. Two inputs agreeing on their first k
-// bits therefore produce identical coin flips for positions 0..k-1, which is
-// exactly the prefix-preservation property.
-func (a *Anonymizer) anonymizeBits(ip []byte, bits int) []byte {
-	out := make([]byte, len(ip))
-	copy(out, ip)
-
+// i, the first i bits of the original address select a pseudorandom bit
+// that is XORed into bit i of the output. Two inputs agreeing on their
+// first k bits therefore produce identical coin flips for positions
+// 0..k-1, which is exactly the prefix-preservation property. out starts as
+// a copy of orig, and the walk starts at bit from: the caller has already
+// anonymized the bits before it.
+func (a *Anonymizer) anonymizeBits(orig, out []byte, from int) {
 	var input [16]byte
 	var enc [16]byte
-	for i := 0; i < bits; i++ {
+	for i := from; i < len(orig)*8; i++ {
 		// Compose the cipher input: the first i bits of the original
 		// address followed by the padding block for the rest.
 		copy(input[:], a.pad[:])
 		// Whole bytes of original prefix.
 		nb := i / 8
-		for b := 0; b < nb; b++ {
-			input[b] = ip[b]
-		}
+		copy(input[:nb], orig[:nb])
 		// The partial byte: keep the top (i%8) original bits, fill the
 		// remainder from the pad.
 		if rem := i % 8; rem != 0 {
 			mask := byte(0xFF << (8 - rem))
-			input[nb] = ip[nb]&mask | a.pad[nb]&^mask
+			input[nb] = orig[nb]&mask | a.pad[nb]&^mask
 		}
 		a.block.Encrypt(enc[:], input[:])
 		// The most significant bit of the ciphertext is the coin flip
@@ -98,6 +101,48 @@ func (a *Anonymizer) anonymizeBits(ip []byte, bits int) []byte {
 		flip := enc[0] >> 7
 		out[i/8] ^= flip << (7 - uint(i%8))
 	}
+}
+
+// Memo remembers the mappings an Anonymizer has made. A flow trace names
+// the same client on many records, and the bit walk spends one AES block per
+// address bit: a Memo walks each distinct address once, and walks only the
+// last octet of an address whose other octets it has seen before, since
+// prefix preservation makes those bits common to every address that shares
+// them. A Memo is not safe for concurrent use: each ingestion lane owns
+// one, while the Anonymizer behind them all stays shared. It grows with the
+// distinct addresses it is given.
+type Memo struct {
+	anon *Anonymizer
+	seen map[netip.Addr]netip.Addr
+	// nets maps an address with its last octet zeroed to its anonymized
+	// form; every address of that octet block shares all of its bits but
+	// the last eight.
+	nets map[netip.Addr]netip.Addr
+}
+
+// NewMemo returns an empty memo over a.
+func NewMemo(a *Anonymizer) *Memo {
+	return &Memo{anon: a, seen: make(map[netip.Addr]netip.Addr), nets: make(map[netip.Addr]netip.Addr)}
+}
+
+// Anonymize returns exactly what the memo's Anonymizer returns for addr.
+func (m *Memo) Anonymize(addr netip.Addr) netip.Addr {
+	addr = addr.Unmap()
+	if out, ok := m.seen[addr]; ok {
+		return out
+	}
+	if !addr.IsValid() {
+		return m.anon.Anonymize(addr)
+	}
+	from := addr.BitLen() - 8
+	net := netip.PrefixFrom(addr, from).Masked().Addr()
+	done, ok := m.nets[net]
+	if !ok {
+		done = m.anon.walk(net, net, 0)
+		m.nets[net] = done
+	}
+	out := m.anon.walk(addr, done, from)
+	m.seen[addr] = out
 	return out
 }
 

@@ -2,6 +2,7 @@ package cryptopan
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -204,6 +205,67 @@ func TestConcurrentUse(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		if !<-done {
 			t.Fatal("concurrent anonymization returned inconsistent results")
+		}
+	}
+}
+
+// TestReferenceVectors holds the bit walk to the sample output published
+// with the Crypto-PAn reference implementation, directly and through a
+// Memo.
+func TestReferenceVectors(t *testing.T) {
+	key := []byte{21, 34, 23, 141, 51, 164, 207, 128, 19, 10, 91, 22, 73, 144, 125, 16,
+		216, 152, 143, 131, 121, 121, 101, 39, 98, 87, 76, 45, 42, 132, 34, 2}
+	a, err := New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMemo(a)
+	for in, want := range map[string]string{
+		"128.11.68.132":       "135.242.180.132",
+		"129.118.74.4":        "134.136.186.123",
+		"130.132.252.244":     "133.68.164.234",
+		"141.223.7.43":        "141.167.8.160",
+		"::ffff:141.223.7.43": "141.167.8.160",
+	} {
+		addr := netip.MustParseAddr(in)
+		if got := a.Anonymize(addr).String(); got != want {
+			t.Errorf("Anonymize(%s) = %s, want %s", in, got, want)
+		}
+		if got := m.Anonymize(addr).String(); got != want {
+			t.Errorf("Memo.Anonymize(%s) = %s, want %s", in, got, want)
+		}
+	}
+}
+
+// TestMemoMatchesAnonymize holds a Memo to its Anonymizer on the addresses
+// it takes shortcuts for: a full /24 sweep (one walk of the network bits,
+// then the last octet per address), random IPv4 and IPv6 addresses, each
+// asked twice so the second answer comes from the memo, and the edge cases
+// the Anonymizer itself defines.
+func TestMemoMatchesAnonymize(t *testing.T) {
+	a := newTestAnonymizer(t)
+	m := NewMemo(a)
+	var addrs []netip.Addr
+	for i := 0; i < 256; i++ {
+		addrs = append(addrs, netip.AddrFrom4([4]byte{198, 51, 100, byte(i)}))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		var v4 [4]byte
+		var v6 [16]byte
+		rng.Read(v4[:])
+		rng.Read(v6[:])
+		addrs = append(addrs, netip.AddrFrom4(v4), netip.AddrFrom16(v6))
+	}
+	addrs = append(addrs,
+		netip.MustParseAddr("::ffff:198.51.100.7"),
+		netip.MustParseAddr("fe80::1%eth0"),
+		netip.Addr{})
+	for pass := 0; pass < 2; pass++ {
+		for _, addr := range addrs {
+			if got, want := m.Anonymize(addr), a.Anonymize(addr); got != want {
+				t.Fatalf("pass %d: Memo.Anonymize(%s) = %s, Anonymize = %s", pass, addr, got, want)
+			}
 		}
 	}
 }

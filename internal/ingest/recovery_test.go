@@ -235,7 +235,7 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 							resend = append(resend, fullSamples[k])
 						}
 					}
-					sort.Slice(resend, func(i, j int) bool { return netflow.RecordLess(resend[i], resend[j]) })
+					sort.Slice(resend, func(i, j int) bool { return netflow.RecordLess(&resend[i], &resend[j]) })
 
 					// Restart on the same data dir: recovery replays the
 					// surviving WAL onto the checkpoint frames.

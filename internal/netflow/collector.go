@@ -1,8 +1,9 @@
 package netflow
 
 import (
+	"cmp"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"cwatrace/internal/cryptopan"
 )
@@ -15,9 +16,8 @@ import (
 // The collector is sharded: each shard owns a private record buffer, so a
 // parallel simulation engine can ingest from many workers without any
 // locking, as long as every shard is driven by at most one goroutine at a
-// time. Shards are merged in shard-index order before the final sort, which
-// keeps the output deterministic regardless of how work was scheduled onto
-// workers.
+// time. The final order breaks ties on shard index, which keeps the output
+// deterministic regardless of how work was scheduled onto workers.
 type Collector struct {
 	anon *cryptopan.Anonymizer
 	// keep decides which addresses stay un-anonymized (the CWA hosting
@@ -30,7 +30,10 @@ type Collector struct {
 // must be driven by at most one goroutine at a time; distinct shards may be
 // driven concurrently.
 type CollectorShard struct {
-	parent  *Collector
+	parent *Collector
+	// memo is the shard's own view of the shared anonymizer (nil when
+	// anonymization is off).
+	memo    *cryptopan.Memo
 	records []Record
 }
 
@@ -51,7 +54,11 @@ func NewCollector(anon *cryptopan.Anonymizer, keep func(netip.Addr) bool) *Colle
 // run starts. Existing shards (and their records) are preserved.
 func (c *Collector) Resize(n int) {
 	for len(c.shards) < n {
-		c.shards = append(c.shards, &CollectorShard{parent: c})
+		s := &CollectorShard{parent: c}
+		if c.anon != nil {
+			s.memo = cryptopan.NewMemo(c.anon)
+		}
+		c.shards = append(c.shards, s)
 	}
 }
 
@@ -64,14 +71,14 @@ func (c *Collector) Shard(i int) *CollectorShard { return c.shards[i] }
 // Ingest stores records after applying the anonymization policy. Records
 // land on the shard's private buffer; no locks are taken.
 func (s *CollectorShard) Ingest(recs []Record) {
-	c := s.parent
+	keep := s.parent.keep
 	for _, r := range recs {
-		if c.anon != nil {
-			if !c.keep(r.Src) {
-				r.Src = c.anon.Anonymize(r.Src)
+		if s.memo != nil {
+			if !keep(r.Src) {
+				r.Src = s.memo.Anonymize(r.Src)
 			}
-			if !c.keep(r.Dst) {
-				r.Dst = c.anon.Anonymize(r.Dst)
+			if !keep(r.Dst) {
+				r.Dst = s.memo.Anonymize(r.Dst)
 			}
 		}
 		s.records = append(s.records, r)
@@ -94,24 +101,56 @@ func (c *Collector) Len() int {
 	return n
 }
 
-// Records merges every shard (in shard-index order, so ties in the record
-// order resolve deterministically) and returns the records sorted under the
-// package's total record order. The returned slice is owned by the
-// collector until this call; callers must not Ingest afterwards while
-// holding it.
+// Records returns every shard's records under RecordLess, with ties kept in
+// shard-index order and, within a shard, in ingestion order: exactly a
+// stable sort of the shards' concatenation. It sorts small references that
+// carry each record's start time and position, so the 136-byte records are
+// compared in place and moved once, into the returned slice. The collector
+// keeps that slice as shard 0's records and empties the others; callers
+// must not Ingest afterwards while holding it.
 func (c *Collector) Records() []Record {
-	merged := c.shards[0].records
-	if len(c.shards) > 1 {
-		total := c.Len()
-		merged = make([]Record, 0, total)
-		for _, s := range c.shards {
-			merged = append(merged, s.records...)
-			s.records = nil
+	refs := make([]recordRef, 0, c.Len())
+	for _, s := range c.shards {
+		for i := range s.records {
+			r := &s.records[i]
+			refs = append(refs, recordRef{
+				sec: r.First.Unix(), nsec: int32(r.First.Nanosecond()),
+				pos: uint32(len(refs)), rec: r,
+			})
 		}
-		c.shards[0].records = merged
 	}
-	sort.SliceStable(merged, func(i, j int) bool {
-		return RecordLess(merged[i], merged[j])
-	})
-	return merged
+	slices.SortFunc(refs, compareRefs)
+	out := make([]Record, len(refs))
+	for i := range refs {
+		out[i] = *refs[i].rec
+	}
+	for _, s := range c.shards {
+		s.records = nil
+	}
+	c.shards[0].records = out
+	return out
+}
+
+// recordRef stands for one record in Records' sort: its start time, which
+// decides most comparisons without touching the record, and its position
+// in the shard-order concatenation, which breaks the ties RecordLess
+// leaves.
+type recordRef struct {
+	sec  int64
+	nsec int32
+	pos  uint32
+	rec  *Record
+}
+
+func compareRefs(a, b recordRef) int {
+	if c := cmp.Compare(a.sec, b.sec); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.nsec, b.nsec); c != 0 {
+		return c
+	}
+	if c := compareRecords(a.rec, b.rec); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pos, b.pos)
 }

@@ -1,7 +1,10 @@
 package netflow
 
 import (
+	"fmt"
+	"math/rand"
 	"net/netip"
+	"sort"
 	"testing"
 	"time"
 
@@ -99,5 +102,77 @@ func TestCollectorSortsByTime(t *testing.T) {
 	}
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d", c.Len())
+	}
+}
+
+// TestCollectorRecordsIsStableSort holds Records to its contract on records
+// it cannot tell apart: equal start, exporter and key, different counters.
+// The result must equal a stable sort of the shards' concatenation, so
+// ties stay in shard order and, within a shard, in ingestion order.
+func TestCollectorRecordsIsStableSort(t *testing.T) {
+	c := NewCollector(nil, nil)
+	c.Resize(5)
+	rng := rand.New(rand.NewSource(7))
+	var want []Record
+	for i := 0; i < c.NumShards(); i++ {
+		var batch []Record
+		for j := 0; j < 300; j++ {
+			r := rec("198.51.100.10", fmt.Sprintf("20.0.1.%d", rng.Intn(3)), t0.Add(time.Duration(rng.Intn(4))*time.Second))
+			r.Exporter = fmt.Sprintf("r%d", rng.Intn(2))
+			r.Packets = uint64(i*1000 + j)
+			r.Bytes = uint64(rng.Intn(1 << 20))
+			r.Last = r.First.Add(time.Duration(rng.Intn(1000)) * time.Millisecond)
+			batch = append(batch, r)
+		}
+		c.Shard(i).Ingest(batch[:100])
+		c.Shard(i).Ingest(batch[100:])
+		want = append(want, batch...)
+	}
+	sort.SliceStable(want, func(i, j int) bool { return RecordLess(&want[i], &want[j]) })
+	got := c.Records()
+	if len(got) != len(want) {
+		t.Fatalf("records = %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if c.Len() != len(want) {
+		t.Fatalf("Len after Records = %d, want %d", c.Len(), len(want))
+	}
+}
+
+// BenchmarkCollectorRecords measures the final sort of a simulated
+// capture's shape: 401 district shards whose records arrive in hourly
+// sweeps, each sweep in cache order rather than time order. Building the
+// shards is outside the timer.
+func BenchmarkCollectorRecords(b *testing.B) {
+	const shards, hours, perHour = 401, 24, 20
+	rng := rand.New(rand.NewSource(1))
+	batches := make([][]Record, shards)
+	for i := range batches {
+		for h := 0; h < hours; h++ {
+			for j := 0; j < perHour; j++ {
+				at := t0.Add(time.Duration(h)*time.Hour + time.Duration(rng.Int63n(int64(time.Hour))))
+				r := rec("198.51.100.10", fmt.Sprintf("20.%d.%d.%d", i/256, i%256, rng.Intn(256)), at)
+				r.Exporter = fmt.Sprintf("r%d", i)
+				batches[i] = append(batches[i], r)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := NewCollector(nil, nil)
+		c.Resize(shards)
+		for s, batch := range batches {
+			c.Shard(s).Ingest(batch)
+		}
+		b.StartTimer()
+		if got := c.Records(); len(got) != shards*hours*perHour {
+			b.Fatalf("records = %d", len(got))
+		}
 	}
 }

@@ -8,6 +8,7 @@
 package netflow
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -56,40 +57,51 @@ type Record struct {
 	Exporter string // router ID of the exporting device
 }
 
-// keyLess is a total order over flow keys, used to keep export batches
+// compareKeys is a total order over flow keys, used to keep export batches
 // deterministic regardless of map iteration order.
-func keyLess(a, b Key) bool {
+func compareKeys(a, b *Key) int {
 	if c := a.Src.Compare(b.Src); c != 0 {
-		return c < 0
+		return c
 	}
 	if c := a.Dst.Compare(b.Dst); c != 0 {
-		return c < 0
+		return c
 	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
+	if c := cmp.Compare(a.SrcPort, b.SrcPort); c != 0 {
+		return c
 	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
+	if c := cmp.Compare(a.DstPort, b.DstPort); c != 0 {
+		return c
 	}
-	return a.Proto < b.Proto
+	return cmp.Compare(a.Proto, b.Proto)
+}
+
+// compareRecords is the three-way form of RecordLess.
+func compareRecords(a, b *Record) int {
+	if c := a.First.Compare(b.First); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Exporter, b.Exporter); c != 0 {
+		return c
+	}
+	return compareKeys(&a.Key, &b.Key)
 }
 
 // RecordLess is a total order over records: start time, then exporter, then
 // flow key. Identical simulation runs produce identical record sequences
-// under this order.
-func RecordLess(a, b Record) bool {
-	if !a.First.Equal(b.First) {
-		return a.First.Before(b.First)
-	}
-	if a.Exporter != b.Exporter {
-		return a.Exporter < b.Exporter
-	}
-	return keyLess(a.Key, b.Key)
-}
+// under this order. It takes pointers because a Record is 136 bytes, and a
+// sort compares each one many times.
+func RecordLess(a, b *Record) bool { return compareRecords(a, b) < 0 }
 
-func sortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool { return RecordLess(recs[i], recs[j]) })
-}
+// byRecord sorts records under RecordLess, swapping them without reflection.
+type byRecord []Record
+
+func (s byRecord) Len() int           { return len(s) }
+func (s byRecord) Less(i, j int) bool { return RecordLess(&s[i], &s[j]) }
+func (s byRecord) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
+// sortRecords orders one cache's export batch. A cache holds one entry per
+// flow key, so a batch has no ties and needs no stable sort.
+func sortRecords(recs []Record) { sort.Sort(byRecord(recs)) }
 
 // Config parameterizes a router's flow monitoring.
 type Config struct {
@@ -292,7 +304,7 @@ func (c *Cache) evict() (Record, bool) {
 	var victim *entry
 	for k, e := range c.entries {
 		if victim == nil || e.rec.Last.Before(victim.rec.Last) ||
-			(e.rec.Last.Equal(victim.rec.Last) && keyLess(k, victimKey)) {
+			(e.rec.Last.Equal(victim.rec.Last) && compareKeys(&k, &victimKey) < 0) {
 			victimKey, victim = k, e
 		}
 	}

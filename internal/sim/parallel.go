@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"hash/fnv"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,12 +64,16 @@ type shard struct {
 
 	// sink is this shard's lock-free collector lane.
 	sink *netflow.CollectorShard
-	// labels is the shard-local ground-truth map, merged after the run.
+	// labels is the shard-local ground-truth map, merged after the run,
+	// and anon is the shard's own memo over the run's anonymizer.
 	labels map[netip.Addr]byte
+	anon   *cryptopan.Memo
 
 	// events is the day's event list, reused across days via the engine's
-	// pool.
+	// pool; order is the sort keys of the day's events, reused across
+	// days.
 	events []event
+	order  []eventKey
 
 	// genRNG and emitRNG are the per-day deterministic streams.
 	genRNG  *rand.Rand
@@ -308,8 +314,42 @@ func (s *shard) drain() {
 }
 
 // label records the ground-truth kind of a client address under its
-// anonymized identity, shard-locally. The anonymizer is stateless after
-// construction, so concurrent shard use is safe.
-func (s *shard) label(anon *cryptopan.Anonymizer, addr netip.Addr, kind byte) {
-	s.labels[anon.Anonymize(addr)] |= kind
+// anonymized identity, shard-locally.
+func (s *shard) label(addr netip.Addr, kind byte) {
+	s.labels[s.anon.Anonymize(addr)] |= kind
+}
+
+// eventKey stands for one event in sortEvents: its time and its position
+// in generation order.
+type eventKey struct {
+	sec  int64
+	nsec int32
+	pos  int32
+}
+
+// sortEvents orders the shard's day by time, keeping generation order
+// among events at the same instant: a stable sort. It sorts the small keys
+// and moves each event once, into a slice from the pool, and returns the
+// unsorted slice to the pool.
+func (s *shard) sortEvents(events []event) []event {
+	s.order = s.order[:0]
+	for i := range events {
+		t := events[i].t
+		s.order = append(s.order, eventKey{sec: t.Unix(), nsec: int32(t.Nanosecond()), pos: int32(i)})
+	}
+	slices.SortFunc(s.order, func(a, b eventKey) int {
+		if c := cmp.Compare(a.sec, b.sec); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.nsec, b.nsec); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	sorted := slices.Grow(getEventSlice(), len(events))
+	for _, k := range s.order {
+		sorted = append(sorted, events[k.pos])
+	}
+	putEventSlice(events)
+	return sorted
 }

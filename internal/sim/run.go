@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net/netip"
 	"runtime"
-	"sort"
 	"time"
 
 	"cwatrace/internal/adoption"
@@ -70,7 +69,6 @@ type engine struct {
 	// shards partition the simulation by district; see parallel.go.
 	shards []*shard
 
-	anon   *cryptopan.Anonymizer
 	labels map[netip.Addr]byte
 
 	installCarry float64
@@ -122,7 +120,6 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.anon = anon
 	e.labels = make(map[netip.Addr]byte)
 	e.traffic = device.DefaultTrafficModel()
 	e.districts = e.model.Districts()
@@ -136,6 +133,7 @@ func Run(cfg Config) (*Result, error) {
 			caches:   make(map[string]*netflow.Cache),
 			sink:     e.collector.Shard(i),
 			labels:   make(map[netip.Addr]byte),
+			anon:     cryptopan.NewMemo(anon),
 		}
 	}
 	e.stats.KeysByDay = make(map[string]int)
@@ -285,7 +283,7 @@ func (e *engine) generateShard(s *shard, day time.Time, dayIdx int, att float64,
 		}
 		devEvents := d.DayEvents(e.cfg.Device, ctx)
 		if len(devEvents) > 0 {
-			s.label(e.anon, e.addrs[id].Addr, LabelApp)
+			s.label(e.addrs[id].Addr, LabelApp)
 		}
 		for _, ev := range devEvents {
 			t := ev.Time
@@ -314,8 +312,7 @@ func (e *engine) generateShard(s *shard, day time.Time, dayIdx int, att float64,
 	// Filter-exercising noise, derived from the shard's real events.
 	events = e.noiseEvents(rng, events)
 
-	sort.SliceStable(events, func(i, j int) bool { return events[i].t.Before(events[j].t) })
-	s.events = events
+	s.events = s.sortEvents(events)
 	return nil
 }
 
@@ -538,7 +535,7 @@ func (e *engine) websiteVisits(s *shard, day time.Time, events []event) ([]event
 			if err != nil {
 				return events, err
 			}
-			s.label(e.anon, addr.Addr, LabelWeb)
+			s.label(addr.Addr, LabelWeb)
 			events = append(events, event{
 				t:          at.Add(time.Duration(rng.Intn(3600)) * time.Second),
 				client:     addr,
@@ -560,7 +557,7 @@ func (e *engine) websiteVisits(s *shard, day time.Time, events []event) ([]event
 				if err != nil {
 					return events, err
 				}
-				s.label(e.anon, addr.Addr, LabelWeb)
+				s.label(addr.Addr, LabelWeb)
 				events = append(events, event{
 					t:          at.Add(time.Duration(rng.Intn(3600)) * time.Second),
 					client:     addr,

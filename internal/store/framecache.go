@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"cwatrace/internal/streaming"
 	"cwatrace/internal/tier"
@@ -304,15 +303,15 @@ func (s *Store) mergeRun(run []frameMeta) (frameValue, error) {
 }
 
 // mergeFrames merges checkpoint frames' states by the read path's fold,
-// kept whole (streaming.Range.Merged): what a compaction writes and a run
-// keeps. Its window spans the states' hours; DecodeStored adopts it.
+// kept whole (streaming.Merge): what a compaction writes and a run keeps.
+// Its window spans the states' hours; DecodeStored adopts it.
 func (s *Store) mergeFrames(frames []frameMeta) (*streaming.Stored, error) {
 	states := make([]*streaming.Stored, 0, len(frames))
 	err := s.sources(frames, 0, len(frames), false, func(v frameValue) { states = append(states, v.(*streaming.Stored)) })
 	if err != nil {
 		return nil, err
 	}
-	return streaming.Fold(s.cfg, time.Time{}, time.Time{}, states...).Merged(), nil
+	return streaming.Merge(s.cfg, states...), nil
 }
 
 // pruneFrameCache drops what no longer has both ends registered: a query

@@ -163,3 +163,24 @@ func TestShardSnapshotBuildsNoPrefixTable(t *testing.T) {
 		t.Fatalf("a snapshot of a shard with %d prefix rows allocates %d B, want at most %d", rows, got, bar)
 	}
 }
+
+// TestMergeCostsItsSpanNotItsWindow pins what a store's merge allocates
+// for its hours: the span its states hold. Two two-bin states near hour
+// 5 000, merged at a 12 000-hour window, keep the window they report, but
+// the fold's three columns hold five hours, not the 5 005 from hour 0 to
+// the newest bin that an open query renders.
+func TestMergeCostsItsSpanNotItsWindow(t *testing.T) {
+	const bar = 4 << 10
+	cfg := Config{WindowHours: 12000}
+	a := &Stored{window: 24, maxHour: 5001, bins: []hourBin{{hour: 5000, flows: 1, bytes: 10}, {hour: 5001, flows: 2, bytes: 20}}}
+	b := &Stored{window: 24, maxHour: 5004, bins: []hourBin{{hour: 5003, flows: 3, bytes: 30}, {hour: 5004, flows: 4, bytes: 40}}}
+	st := Merge(cfg, a, b)
+	if st.window != 12000 || st.maxHour != 5004 || len(st.bins) != 4 || st.bins[0].hour != 5000 || st.bins[3] != b.bins[1] {
+		t.Fatalf("merged window %d ending at %d, bins %+v", st.window, st.maxHour, st.bins)
+	}
+	got := allocBytes(func() { Merge(cfg, a, b) })
+	t.Logf("%d B a merge", got)
+	if got > bar {
+		t.Fatalf("merging two two-bin states at window %d allocates %d B, want at most %d", cfg.WindowHours, got, bar)
+	}
+}

@@ -22,8 +22,8 @@ import (
 // shard's Snapshot included, and keeps cfg.WindowHours: it renders the
 // cfg.WindowHours hours up to the newest folded bin. Neither depends on
 // the order of the states, and in neither does a bin come late for being
-// old: late counts only the implausible hours a state holds and the late
-// counts it carries.
+// old: late counts only the late counts the states carry (no state holds
+// an hour past MaxWindowHours).
 type Range struct {
 	cfg Config // WindowHours: the window a rendering reports
 	counters
@@ -52,19 +52,22 @@ func FoldWindow(cfg Config, states ...*Stored) *Range {
 	return fold(cfg, true, 0, math.MaxInt, states)
 }
 
+const wholeBins = -1 // a clipLo: Merge's columns start at the oldest bin
+
 func fold(cfg Config, window bool, clipLo, clipHi int, states []*Stored) *Range {
 	cfg = cfg.withDefaults()
 	r := &Range{hours: series{first: math.MaxInt}}
 	last := -1
 	for _, st := range states {
-		for _, bin := range st.bins {
-			if bin.hour < MaxWindowHours {
-				r.hours.first, last = min(r.hours.first, bin.hour), max(last, bin.hour)
-			}
+		if n := len(st.bins); n > 0 {
+			r.hours.first, last = min(r.hours.first, st.bins[0].hour), max(last, st.bins[n-1].hour)
 		}
 	}
 	if !window && last >= 0 {
 		cfg.WindowHours = max(cfg.WindowHours, last-r.hours.first+1)
+	}
+	if clipLo == wholeBins {
+		clipLo = r.hours.first
 	}
 	if lo, hi := max(clipLo, last-cfg.WindowHours+1), min(clipHi, last); lo <= hi {
 		r.hours.lo = lo
@@ -73,11 +76,6 @@ func fold(cfg Config, window bool, clipLo, clipHi int, states []*Stored) *Range 
 	r.cfg = cfg
 	for _, st := range states {
 		for _, bin := range st.bins {
-			// Implausible (see Analytics.bin): late, as in a shard.
-			if bin.hour >= MaxWindowHours {
-				r.late += uint64(bin.flows)
-				continue
-			}
 			if i := bin.hour - r.hours.lo; uint(i) < uint(len(r.hours.set)) {
 				r.hours.add(i, bin.flows, bin.bytes)
 			}
@@ -199,11 +197,12 @@ func (r *Range) Stored() *Stored {
 	return st
 }
 
-// Merged is a Fold over open bounds whole, as one state sharing the fold's
-// tables: every hour a folded state held a bin for, every prefix row with
-// its id in the fold's table, the counters. A durable store compacts
-// frames and merges runs of them with it.
-func (r *Range) Merged() *Stored {
+// Merge folds states, in any order, into one state kept whole, sharing
+// the fold's tables: every hour a state held a bin for, every prefix row
+// with its id in the fold's table, the counters, and Fold's window over
+// open bounds. A durable store compacts frames and merges runs with it.
+func Merge(cfg Config, states ...*Stored) *Stored {
+	r := fold(cfg, false, wholeBins, math.MaxInt, states)
 	st := &Stored{window: r.cfg.WindowHours, maxHour: -1, late: r.late, located: r.located, dropped: r.dropped,
 		bins: r.hours.bins(), prefixes: make([]netip.Prefix, len(r.rowIDs)), prefixCount: r.prefixCount, table: r.table, ids: r.rowIDs,
 		hasDistricts: r.hasDistricts, districts: r.districts}

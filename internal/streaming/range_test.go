@@ -180,8 +180,8 @@ func scrambled(st *Stored, origin time.Time) []byte {
 // as it is, and counts late exactly what the open query does. The states come in
 // every form a fold meets: decoded from canonical bytes, decoded from
 // scrambled ones, and detached from a live shard; their hours
-// overlap, leave gaps, and (one case in eight) sit at the plausibility
-// bound with bins beyond it. The ranges are open on either side, empty,
+// overlap, leave gaps, and (one case in eight) reach the plausibility
+// bound. The ranges are open on either side, empty,
 // before, inside and past the data, and off the hour.
 func TestRangeFoldsLikeWidenedRing(t *testing.T) {
 	origin := entime.StudyStart
@@ -211,6 +211,15 @@ func TestRangeFoldsLikeWidenedRing(t *testing.T) {
 		minHour, maxHour := -1, -1
 		for i, n := 0, 1+rng.Intn(5); i < n; i++ {
 			drawn := randomState(rng, base)
+			if drawn.maxHour >= MaxWindowHours {
+				// No reader takes a window ending past the bound: fold what a
+				// state may hold there, its bins below it.
+				if blob, _ := drawn.AppendBinary(nil, origin); decodes(cfg, blob) {
+					t.Fatalf("seed %d: state %d ending at hour %d decoded", seed, i, drawn.maxHour)
+				}
+				drawn.bins = slices.DeleteFunc(drawn.bins, func(b hourBin) bool { return b.hour >= MaxWindowHours })
+				drawn.maxHour = MaxWindowHours - 1
+			}
 			blob, err := drawn.AppendBinary(nil, origin)
 			if err != nil {
 				t.Fatal(err)
@@ -297,6 +306,11 @@ func TestRangeFoldsLikeWidenedRing(t *testing.T) {
 	if slid < 40 {
 		t.Fatalf("the live view slid in %d seeds of 400: the window rule went unexercised", slid)
 	}
+}
+
+func decodes(cfg Config, blob []byte) bool {
+	_, err := DecodeStored(cfg, blob)
+	return err == nil
 }
 
 // stateFeed deals a fuzz input out as the scalars of shard states; an

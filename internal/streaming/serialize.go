@@ -28,10 +28,10 @@ const stateVersion = 1
 // consistently: ingest/merge reject records beyond it as Late (a forged
 // timestamp or garbage exporter clock must not widen a shard to a
 // window that later reads reject), DecodeStored refuses a larger declared
-// window (a state's bins lie within its window, so this bounds the span a
-// decoded state restores to; the record-layer CRC bounds no allocation),
-// and the durable store validates frame metadata hour spans against it
-// before sizing merge windows.
+// window or a window ending at or past it (a state's bins lie within its
+// window, so no decoded bin is past it; the record-layer CRC bounds no
+// allocation), and the durable store validates frame metadata hour spans
+// against it before sizing merge windows.
 const MaxWindowHours = 20 * 366 * 24
 
 // MarshalBinary encodes the shard's complete aggregate state. The shard
@@ -145,9 +145,9 @@ func ascending[K any](keys []K, less func(a, b K) bool) []int {
 // DecodeStored + MergeStored instead and never build a shard.
 //
 // The restored shard is New at the state's window, the state folded in
-// with MergeStored — its bins enter through bin, so one at or past
-// MaxWindowHours counts late, as in every fold — and the header's
-// maxHour, restored as written (a fold would recompute it from the bins),
+// with MergeStored — its bins enter through bin — and the header's
+// maxHour, restored as written (a fold would recompute it from the bins;
+// DecodeStored holds it below MaxWindowHours, as ingest holds a shard's),
 // so MarshalBinary of the result reproduces canonical input byte for
 // byte.
 func UnmarshalAnalyticsStored(cfg Config, data []byte) (*Analytics, error) {
@@ -184,6 +184,9 @@ func DecodeStored(cfg Config, data []byte) (*Stored, error) {
 		}
 	}
 	st.maxHour = int(int64(d.U64()))
+	if d.Err == nil && (st.maxHour < -1 || st.maxHour >= MaxWindowHours) {
+		return nil, fmt.Errorf("streaming: implausible state window end %d", st.maxHour)
+	}
 	st.late = d.U64()
 	st.located = d.U64()
 

@@ -1,7 +1,10 @@
 package streaming
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -295,6 +298,51 @@ func TestSnapshotPopulatedRangeStartsAtFirstBin(t *testing.T) {
 	empty := New(Config{WindowHours: 100})
 	if s := empty.SnapshotPopulatedRange(time.Time{}, at(50)); len(s.Hours) != 0 || s.SeriesStart != 0 {
 		t.Fatalf("empty shard: start %d, %d hours", s.SeriesStart, len(s.Hours))
+	}
+}
+
+// withWindowEnd rewrites the header's maxHour of an encoded state: the
+// field after version, origin and window.
+func withWindowEnd(blob []byte, h int) []byte {
+	out := append([]byte(nil), blob...)
+	binary.BigEndian.PutUint64(out[1+8+4:], uint64(int64(h)))
+	return out
+}
+
+// TestStateWindowEndBounded pins the header's maxHour to what a shard can
+// hold, -1 (no bin) up to MaxWindowHours-1. A state ending at the bound
+// restored as written before: one record ingested into it then widened the
+// shard to 175 744 hours, and MarshalBinary wrote a state DecodeStored
+// refused. Every state ending inside the bound still round-trips after a
+// record lands in it.
+func TestStateWindowEndBounded(t *testing.T) {
+	cfg := Config{WindowHours: 24}
+	blob, err := New(cfg).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []int{MaxWindowHours, MaxWindowHours + 1, math.MaxInt64, -2, math.MinInt64} {
+		bad := withWindowEnd(blob, h)
+		if _, err := DecodeStored(cfg, bad); err == nil || !strings.Contains(err.Error(), "implausible state window end") {
+			t.Errorf("window end %d: DecodeStored err %v, want implausible", h, err)
+		}
+		if _, err := UnmarshalAnalyticsStored(cfg, bad); err == nil {
+			t.Errorf("window end %d: UnmarshalAnalyticsStored accepted it", h)
+		}
+	}
+	for _, h := range []int{-1, 0, MaxWindowHours - 1} {
+		a, err := UnmarshalAnalyticsStored(cfg, withWindowEnd(blob, h))
+		if err != nil {
+			t.Fatalf("window end %d: %v", h, err)
+		}
+		a.Ingest([]netflow.Record{keptRecord(entime.StudyStart, client(1), 100)})
+		again, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeStored(cfg, again); err != nil {
+			t.Errorf("window end %d: one record later the shard marshals a state DecodeStored refuses: %v", h, err)
+		}
 	}
 }
 

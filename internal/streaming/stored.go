@@ -17,7 +17,7 @@ import (
 // A Stored is immutable once built, so one value may be folded by any
 // number of goroutines at once; the durable store keeps them cached per
 // checkpoint frame. Besides DecodeStored there are two more sources,
-// Analytics.Detach (a live shard, copied) and Range.Merged (a fold, whole);
+// Analytics.Detach (a live shard, copied) and Merge (a fold, whole);
 // AppendBinary encodes one, and Range.Stored is what a fold of them
 // renders to.
 type Stored struct {
@@ -138,9 +138,7 @@ func (a *Analytics) Merge(other *Analytics) {
 // decoded from. st is not modified. The durable store folds a frozen tail
 // whose frame could not be written back into its tail this way.
 func (a *Analytics) MergeStored(st *Stored) {
-	// bin applies the same MaxWindowHours plausibility bound as ingest: a
-	// state persisted before the bound (or hand-built) must not poison
-	// this shard; its implausible bins count late, as in a fold.
+	// Every bin enters through bin, under ingest's bound.
 	for _, bin := range st.bins {
 		a.addBin(bin.hour, bin.flows, bin.bytes)
 	}

@@ -212,6 +212,7 @@ func FuzzStoredState(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{stateVersion})
+	f.Add(withWindowEnd(seeds["day0"], MaxWindowHours))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		canonical := foldStored(t, cfg, data)
