@@ -87,11 +87,14 @@ obs-gate:
 	$(GO) run ./cmd/obsgate -o BENCH_obs.json
 
 # The durable-store benchmarks alone: WAL append per fsync policy,
-# historical range queries, a tail's per-record fold over a simulated
+# historical range queries, checkpoints of a year-long store past
+# MaxFrames (64 of them, so a compaction lands in the timed part), a
+# tail's per-record fold over a simulated
 # capture with and without the geolocation sidecar, and a lone shard's
 # snapshot of that capture (the EXPERIMENTS.md snapshot).
 bench-store:
 	$(GO) test -run XXX -bench 'BenchmarkStoreAppend|BenchmarkQueryRange' -benchmem ./internal/store/
+	$(GO) test -run XXX -bench 'BenchmarkCheckpointPastMaxFrames' -benchtime 64x -benchmem ./internal/store/
 	$(GO) test -run XXX -bench 'BenchmarkTailIngest|BenchmarkShardSnapshot' -benchmem ./internal/streaming/
 
 # The two halves of an API miss in isolation: value to body (renderBody:

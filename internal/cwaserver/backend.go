@@ -96,8 +96,9 @@ type Backend struct {
 	// current-day distribution path of the real service) serve one
 	// bucket.
 	keysByHour map[string]map[int][]exposure.DiagnosisKey
-	// exportCache invalidates per day when new keys arrive.
-	exportCache map[string][]byte
+	// exportCache holds each built day and hour package until new keys
+	// arrive for it.
+	exportCache map[exportKey][]byte
 	uploads     atomic.Int64
 	fakeCalls   atomic.Int64
 }
@@ -123,7 +124,7 @@ func New(cfg Config, clock entime.Clock) (*Backend, error) {
 		tests:       make(map[string]*testRecord),
 		tans:        make(map[string]bool),
 		keysByHour:  make(map[string]map[int][]exposure.DiagnosisKey),
-		exportCache: make(map[string][]byte),
+		exportCache: make(map[exportKey][]byte),
 	}, nil
 }
 
@@ -207,7 +208,8 @@ func (b *Backend) SubmitKeys(tan string, keys []exposure.DiagnosisKey) error {
 		b.keysByHour[day] = make(map[int][]exposure.DiagnosisKey)
 	}
 	b.keysByHour[day][now.Hour()] = append(b.keysByHour[day][now.Hour()], keys...)
-	delete(b.exportCache, day)
+	delete(b.exportCache, exportKey{day: day, whole: true})
+	delete(b.exportCache, exportKey{day: day, hour: now.Hour()})
 	b.uploads.Add(1)
 	return nil
 }
@@ -271,13 +273,21 @@ func (b *Backend) Index() (diagkeys.Index, error) {
 	return idx, nil
 }
 
-// ExportForDay returns the signed, padded, shuffled key package for a
-// DayKey. Exports are cached until the day receives new keys; the cached
-// path — the overwhelming majority of download traffic — takes only a read
-// lock.
-func (b *Backend) ExportForDay(day string) ([]byte, error) {
+// exportKey names a cached package: one hour of a day, or the whole day.
+type exportKey struct {
+	day   string
+	hour  int
+	whole bool
+}
+
+// export returns the package under key, built once and cached until the
+// day or hour receives new keys. The cached path — the overwhelming
+// majority of download traffic — takes only a read lock. The build is
+// deterministic (seeded padding and shuffle, HMAC signature), so a rebuilt
+// package is byte-identical.
+func (b *Backend) export(key exportKey) ([]byte, error) {
 	b.mu.RLock()
-	cached, ok := b.exportCache[day]
+	cached, ok := b.exportCache[key]
 	b.mu.RUnlock()
 	if ok {
 		return cached, nil
@@ -286,9 +296,31 @@ func (b *Backend) ExportForDay(day string) ([]byte, error) {
 	defer b.mu.Unlock()
 	// Re-check under the write lock: another goroutine may have built the
 	// export while we waited.
-	if cached, ok := b.exportCache[day]; ok {
+	if cached, ok := b.exportCache[key]; ok {
 		return cached, nil
 	}
+	var data []byte
+	var err error
+	if key.whole {
+		data, err = b.buildDay(key.day)
+	} else {
+		data, err = b.buildHour(key.day, key.hour)
+	}
+	if err != nil {
+		return nil, err
+	}
+	b.exportCache[key] = data
+	return data, nil
+}
+
+// ExportForDay returns the signed, padded, shuffled key package for a
+// DayKey.
+func (b *Backend) ExportForDay(day string) ([]byte, error) {
+	return b.export(exportKey{day: day, whole: true})
+}
+
+// buildDay builds a day package; the caller holds the write lock.
+func (b *Backend) buildDay(day string) ([]byte, error) {
 	hours, ok := b.keysByHour[day]
 	if !ok {
 		return nil, ErrNoSuchDay
@@ -317,12 +349,7 @@ func (b *Backend) ExportForDay(day string) ([]byte, error) {
 	rng := mrand.New(mrand.NewSource(b.cfg.PaddingSeed ^ int64(len(keys))<<32 ^ hashDay(day)))
 	diagkeys.Pad(export, b.cfg.MinKeysPerExport, rng)
 	diagkeys.Shuffle(export, rng)
-	data, err := export.Marshal(b.signer)
-	if err != nil {
-		return nil, err
-	}
-	b.exportCache[day] = data
-	return data, nil
+	return export.Marshal(b.signer)
 }
 
 // ErrNoSuchHour is returned when an hour package does not exist.
@@ -333,8 +360,11 @@ var ErrNoSuchHour = errors.New("cwaserver: no package for requested hour")
 // carry no plausible-deniability padding (matching the early production
 // behaviour — padding applied to the daily aggregates).
 func (b *Backend) ExportForHour(day string, hour int) ([]byte, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+	return b.export(exportKey{day: day, hour: hour})
+}
+
+// buildHour builds an hour package; the caller holds the write lock.
+func (b *Backend) buildHour(day string, hour int) ([]byte, error) {
 	hours, ok := b.keysByHour[day]
 	if !ok {
 		return nil, ErrNoSuchDay

@@ -1,14 +1,17 @@
 package cwaserver
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
 	"cwatrace/internal/diagkeys"
 	"cwatrace/internal/entime"
+	"cwatrace/internal/exposure"
 )
 
 // submitAtHour registers and uploads n keys at a specific hour of the
@@ -67,6 +70,82 @@ func TestExportForHour(t *testing.T) {
 	// The window must cover exactly that hour.
 	if export.End != export.Start.Add(6) {
 		t.Fatalf("hour window = [%d, %d), want 6 intervals", export.Start, export.End)
+	}
+}
+
+// TestHourPackageCachedUntilItsHourGrows pins the hour package cache: a
+// repeat answers the same bytes from the cache, keys submitted in another
+// hour leave it standing, keys submitted in its own hour rebuild it, and
+// the rebuilt package is the one a fresh backend builds from the same
+// submissions.
+func TestHourPackageCachedUntilItsHourGrows(t *testing.T) {
+	clock := entime.NewSimClock(entime.FirstKeysObserved)
+	b := newBackend(t, clock)
+	day := diagkeys.DayKey(clock.Now())
+	submitAtHour(t, b, clock, 9, 3)
+	first, err := b.ExportForHour(day, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAtHour(t, b, clock, 14, 2)
+	if again, err := b.ExportForHour(day, 9); err != nil || &again[0] != &first[0] {
+		t.Fatalf("hour 9 after a submission at hour 14: err %v, or not the cached package", err)
+	}
+	submitAtHour(t, b, clock, 9, 1)
+	grown, err := b.ExportForHour(day, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	export, err := diagkeys.Unmarshal(grown, b.Signer())
+	if err != nil || len(export.Keys) != 4 {
+		t.Fatalf("hour 9 after a fourth key: err %v, or not 4 keys", err)
+	}
+	// The hour's keys are part of the state, the submission order is not:
+	// a fresh backend holding the same hour-9 keys answers the same bytes.
+	fresh := newBackend(t, entime.NewSimClock(entime.FirstKeysObserved))
+	fresh.keysByHour[day] = map[int][]exposure.DiagnosisKey{9: b.keysByHour[day][9]}
+	if want, err := fresh.ExportForHour(day, 9); err != nil || !bytes.Equal(grown, want) {
+		t.Fatalf("the rebuilt hour package differs from a fresh build: err %v", err)
+	}
+}
+
+// TestConcurrentHourExports submits keys and downloads the hour package
+// from parallel goroutines, so the cache is filled and dropped under
+// contention (run with -race); afterwards the package holds every key
+// submitted in the hour.
+func TestConcurrentHourExports(t *testing.T) {
+	clock := entime.NewSimClock(entime.FirstKeysObserved.Add(12 * time.Hour))
+	b := newBackend(t, clock)
+	day, hour := diagkeys.DayKey(clock.Now()), clock.Now().In(entime.Berlin).Hour()
+	const workers, perWorker = 8, 10
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				tan, err := b.IssueTAN(b.RegisterTest(ResultPositive, clock.Now().Add(-time.Hour)))
+				if err == nil {
+					err = b.SubmitKeys(tan, sampleKeys(t, clock.Now(), 1))
+				}
+				if err == nil {
+					_, err = b.ExportForHour(day, hour)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	data, err := b.ExportForHour(day, hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	export, err := diagkeys.Unmarshal(data, b.Signer())
+	if err != nil || len(export.Keys) != workers*perWorker {
+		t.Fatalf("hour package after the uploads: err %v, or not %d keys", err, workers*perWorker)
 	}
 }
 

@@ -247,18 +247,20 @@ func BenchmarkSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointPastMaxFrames measures what oldest-pair compaction
-// costs once a store holds more than the default 64 frames, on a store
-// shaped like the harness's 364-day fixture: one checkpoint a day, 2 000
-// client /24s that recur all year, spread over every hour and over the
-// model's districts, at a 500-day window. Past 64 frames each checkpoint
-// folds frame 0, which holds all compacted history, with the next one and
-// rewrites it, and the runs that held it are dropped, so the next snapshot
-// merges them again. Each iteration appends and checkpoints one more day,
-// then takes a snapshot and repeats it. It reports the compaction's time
-// and bytes (the checkpoint trace's store.compact spans and the files they
-// wrote), the whole checkpoint's time, and the first snapshot's time and
-// frame-cache misses beside the repeat's time.
+// BenchmarkCheckpointPastMaxFrames measures what compaction costs once a
+// store holds more than the default 64 frames, on a store shaped like the
+// harness's 364-day fixture: one checkpoint a day, 2 000 client /24s that
+// recur all year, spread over every hour and over the model's districts,
+// at a 500-day window. Past 64 frames a checkpoint folds the oldest run
+// of frames into one, which leaves 32, and the runs that held one of them
+// are dropped, so the next snapshot merges them again; the other
+// checkpoints compact nothing. Each iteration appends and checkpoints one
+// more day, then takes a snapshot and repeats it; at -benchtime 64x at
+// least one compaction falls inside the timed part. It reports the
+// compaction's time and bytes per checkpoint (the checkpoint trace's
+// store.compact spans and the files they wrote), the whole checkpoint's
+// time, and the first snapshot's time and frame-cache misses beside the
+// repeat's time.
 func BenchmarkCheckpointPastMaxFrames(b *testing.B) {
 	const (
 		days    = 364

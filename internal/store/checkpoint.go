@@ -1,16 +1,17 @@
 package store
 
 // The frame hierarchy: loading every level's frames at Open, folding the
-// tail into a new checkpoint frame (Checkpoint), and compacting old ones
-// past MaxFrames. A checkpoint frame is one internal/wire record — its
-// metadata head plus the marshaled streaming state of the WAL interval it
-// folded — written atomically before the WAL it covers is dropped; a tier
-// frame is internal/tier's codec (see tier.go for its fold).
+// tail into a new checkpoint frame (Checkpoint), and past MaxFrames the
+// oldest frames into one until MaxFrames/2 are left. A checkpoint frame is
+// one internal/wire record — its metadata head plus the marshaled state of
+// the WAL interval it folded — written atomically before the WAL it covers
+// is dropped; a tier frame is internal/tier's codec (see tier.go).
 
 import (
 	"context"
 	"errors"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -116,9 +117,9 @@ func (s *Store) loadFrames(found []frameMeta) (uint64, error) {
 // Checkpoint folds the tail shard into a durable checkpoint frame: it
 // seals the active segment, writes the frame (atomically; the WAL is
 // only deleted once the frame is on disk), registers it, deletes the
-// folded segments, starts a fresh segment
-// and compacts old frames past the MaxFrames bound. With no new records
-// since the last checkpoint it only refreshes the checkpoint clock.
+// folded segments, starts a fresh segment, folds closed days and weeks
+// into tier frames and compacts past MaxFrames. With no new records since
+// the last checkpoint it only refreshes the checkpoint clock.
 //
 // Only the seal and freezing the tail run under the append mutex; the
 // expensive part — encoding megabytes of shard state, writing and
@@ -230,104 +231,102 @@ func (s *Store) checkpointLocked(ctx context.Context, sp *obs.Span) error {
 	if s.om.checkpointSeconds != nil {
 		s.om.checkpointSeconds.ObserveSince(t0)
 	}
-	if err := s.compact(ctx); err != nil {
+	// Tier folds first: a day that just closed moves the horizon before a
+	// compaction could join its frames with the next day's.
+	if err := s.tierFold(ctx); err != nil {
 		return err
 	}
-	return s.tierFold(ctx)
+	return s.compact(ctx)
 }
 
-// compact folds the oldest adjacent frame pairs together until the
-// frame count is back under MaxFrames. The merged frame is written
-// under a fresh sequence before its inputs are removed, so a crash at
-// any point leaves either the inputs or a containing merged frame —
-// never a gap (Open's containment sweep deletes leftovers). Caller
-// holds ckptMu (the only writer of the frame lists); file I/O runs
-// outside mu, with queries retrying if they race a removal.
-func (s *Store) compact(ctx context.Context) error {
-	for {
-		done, err := s.compactOnce(ctx)
-		if done || err != nil {
-			return err
-		}
-	}
-}
-
-// compactOnce folds the single oldest adjacent frame pair, as its own
-// child span under the checkpoint trace; done reports the frame count
-// is back under the bound.
-func (s *Store) compactOnce(ctx context.Context) (done bool, err error) {
+// compact folds a run of the oldest frames into one once there are more
+// than MaxFrames, as a child span of the checkpoint trace. The run leaves
+// MaxFrames/2 frames: a store past the bound writes one compaction frame
+// per MaxFrames/2+1 checkpoints, and one run takes MaxFrames+1 frames back
+// under it. The merged frame is written under a fresh sequence before its
+// inputs are removed, so a crash at any point leaves either the inputs or
+// a containing merged frame — never a gap (Open's containment sweep
+// deletes leftovers, however many). Caller holds ckptMu (the only writer
+// of the frame lists); file I/O runs outside mu, queries retry a removal.
+func (s *Store) compact(ctx context.Context) (err error) {
 	s.mu.Lock()
 	frames := s.levels[tier.LevelCheckpoint]
 	if len(frames) <= s.opts.MaxFrames {
 		s.mu.Unlock()
-		return true, nil
+		return nil
 	}
-	// Straddle guard: never merge a pair whose combined WAL interval
-	// crosses the day-tier coverage horizon. A query separates tiered
-	// history from the raw residual by a single segment floor;
-	// a frame spanning both sides would be half double-counted, half
-	// missing from every day/week answer. Skip to the first adjacent
-	// pair clear of the horizon (at most one pair straddles it).
+	// Straddle guard: never fold a run whose WAL interval crosses the
+	// day-tier coverage horizon. A query separates tiered history from
+	// the raw residual by a single segment floor; a frame spanning both
+	// sides would be half double-counted, half missing from every
+	// day/week answer. A run that starts below the horizon ends at it;
+	// with fewer than two frames below, it starts at the first one past.
 	dayCovered := horizon(s.levels[tier.LevelDay])
-	idx := -1
-	for i := 0; i+1 < len(frames); i++ {
-		if frames[i].BaseSeg < dayCovered && dayCovered < frames[i+1].CoveredSeg {
-			continue
+	lo, hi, below := 0, len(frames)-max(s.opts.MaxFrames/2, 1)+1, 0
+	for below < len(frames) && frames[below].CoveredSeg <= dayCovered {
+		below++
+	}
+	if below >= 2 {
+		hi = min(hi, below)
+	} else {
+		for lo < len(frames) && frames[lo].BaseSeg < dayCovered {
+			lo++
 		}
-		idx = i
-		break
+		hi = min(hi+lo, len(frames))
 	}
-	if idx < 0 {
+	if hi-lo < 2 {
 		s.mu.Unlock()
-		return true, nil
+		return nil
 	}
-	f0, f1 := frames[idx], frames[idx+1]
+	run := frames[lo:hi] // the caller holds ckptMu: nothing rewrites frames meanwhile
 	seq := s.nextFrameSeq
 	s.nextFrameSeq++
 	s.mu.Unlock()
+
+	last := run[len(run)-1]
+	info := frameMeta{
+		Meta:       tier.Meta{Seq: seq, BaseSeg: run[0].BaseSeg, CoveredSeg: last.CoveredSeg, MinHour: -1, MaxHour: -1},
+		CoveredOff: last.CoveredOff,
+		path:       framePath(s.dir, tier.LevelCheckpoint, seq),
+	}
+	for _, fm := range run {
+		info.Records += fm.Records
+		info.MinHour = mergeBound(info.MinHour, fm.MinHour, false)
+		info.MaxHour = mergeBound(info.MaxHour, fm.MaxHour, true)
+	}
 	_, sp := obs.StartSpan(ctx, "store.compact")
-	sp.Set(obs.Int("frame_seq", int64(seq)),
-		obs.Int("records", int64(f0.Records+f1.Records)))
+	sp.Set(obs.Int("frame_seq", int64(seq)), obs.Int("inputs", int64(len(run))),
+		obs.Int("records", int64(info.Records)))
 	defer func() {
 		sp.Fail(err)
 		sp.End()
 	}()
-	st, err := s.mergeFrames([]frameMeta{f0, f1})
+	st, err := s.mergeFrames(run)
 	if err != nil {
-		return false, err
+		return err
 	}
 	state, err := st.AppendBinary(nil, s.cfg.Origin)
 	if err != nil {
-		return false, err
-	}
-	info := frameMeta{
-		Meta: tier.Meta{Seq: seq, BaseSeg: f0.BaseSeg, CoveredSeg: f1.CoveredSeg,
-			MinHour: mergeBound(f0.MinHour, f1.MinHour, false), MaxHour: mergeBound(f0.MaxHour, f1.MaxHour, true)},
-		CoveredOff: f1.CoveredOff,
-		Records:    f0.Records + f1.Records,
-		path:       framePath(s.dir, tier.LevelCheckpoint, seq),
+		return err
 	}
 	rec := wire.AppendFrame(nil, recTypeFrame, appendFramePayload(nil, info, state))
 	if err := atomicWrite(info.path, rec); err != nil {
-		return false, err
+		return err
 	}
 
 	s.mu.Lock()
-	frames = s.levels[tier.LevelCheckpoint]
-	merged := make([]frameMeta, 0, len(frames)-1)
-	merged = append(merged, frames[:idx]...)
-	merged = append(merged, info)
-	merged = append(merged, frames[idx+2:]...)
-	s.levels[tier.LevelCheckpoint] = merged
+	// A fresh list: a query may still walk the one it took under mu.
+	s.levels[tier.LevelCheckpoint] = slices.Concat(frames[:lo], []frameMeta{info}, frames[hi:])
 	s.compacted++
 	s.ckptGen++
 	s.mu.Unlock()
-	// The pair's entries and the runs holding it go with the sweep that
-	// ends every Checkpoint.
+	// The inputs' entries and the runs holding them go with the sweep
+	// that ends every Checkpoint.
 	s.cacheFrame(frameKey(seq), st)
-	_ = os.Remove(f0.path)
-	_ = os.Remove(f1.path)
-	return false, nil
+	for _, fm := range run {
+		_ = os.Remove(fm.path)
+	}
+	return nil
 }
 
 // mergeBound combines two possibly-absent (-1) hour bounds.

@@ -224,9 +224,10 @@ const minRun = 8
 // list sorted by BaseSeg, as [lo, hi) positions. A block at level k is
 // every frame whose BaseSeg agrees with the others' above the low k bits:
 // aligned on the WAL chain, not on list positions, so a checkpoint changes
-// only the newest blocks and a compaction only those holding its pair.
-// Each block taken is the largest that starts where the last one ended and
-// holds no unselected frame, so O(log n) blocks tile n selected frames.
+// only the newest blocks and a compaction those holding its inputs or next
+// to its merged frame. Each block taken is the largest that starts where
+// the last one ended and holds no unselected frame, so O(log n) blocks
+// tile n selected frames.
 func cover(n int, base func(i int) uint64, sel func(i int) bool, each func(lo, hi int) error) error {
 	for lo := 0; lo < n; {
 		if !sel(lo) {

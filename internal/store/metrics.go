@@ -89,7 +89,7 @@ func registerStoreFuncs(reg *obs.Registry, s *Store) {
 		locked(func() float64 { return float64(s.appendedRecords) }))
 	counter("store_checkpoints_total", "Checkpoints folded this process.",
 		locked(func() float64 { return float64(s.checkpoints) }))
-	counter("store_compacted_frames_total", "Frame pairs compacted this process.",
+	counter("store_compacted_frames_total", "Compaction frames written this process.",
 		locked(func() float64 { return float64(s.compacted) }))
 	counter("store_recovered_wal_records_total", "WAL records replayed at open.",
 		locked(func() float64 { return float64(s.recoveredWAL) }))

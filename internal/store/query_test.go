@@ -550,11 +550,11 @@ func TestSnapshotHoldsLockForItsCutOnly(t *testing.T) {
 }
 
 // TestSnapshotRetriesACompactedFrame stages the race a snapshot shares
-// with every query: its cut names frames that a compaction then merges
-// and removes before they are read (the checkpoint's sweep has dropped
-// them from the frame cache). Folding that cut reads os.ErrNotExist, and
-// SnapshotResult, which retries on a fresh cut, answers what a store that
-// never compacted answers.
+// with every query: its cut names frames that a compaction then folds
+// into one and removes before they are read (the checkpoint's sweep has
+// dropped them from the frame cache). Folding that cut reads
+// os.ErrNotExist, and SnapshotResult, which retries on a fresh cut,
+// answers what a store that never compacted answers.
 func TestSnapshotRetriesACompactedFrame(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), Options{MaxFrames: 4})
 	defer s.Close()
@@ -568,8 +568,10 @@ func TestSnapshotRetriesACompactedFrame(t *testing.T) {
 	}
 	c := s.cut(time.Time{}, time.Time{})
 	fillDay(t, s, 4)
-	if m := s.Metrics(); m.Frames != 4 || m.CompactedFrames != 1 {
-		t.Fatalf("%d frames, %d compactions: the oldest pair did not compact", m.Frames, m.CompactedFrames)
+	// Five frames past a bound of four: the four closed days fold into
+	// one, which leaves half the bound.
+	if m := s.Metrics(); m.Frames != 2 || m.CompactedFrames != 1 {
+		t.Fatalf("%d frames, %d compactions: the oldest run did not compact", m.Frames, m.CompactedFrames)
 	}
 	if _, err := s.tryQuery(c, time.Time{}, time.Time{}, tier.ResolutionHour, true); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("folding a cut whose frames compaction removed: err %v, want os.ErrNotExist", err)

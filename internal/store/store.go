@@ -89,7 +89,7 @@ type Options struct {
 	// Sync is the fsync policy (default SyncInterval).
 	Sync SyncPolicy
 	// MaxFrames bounds the checkpoint-frame count: past it, the oldest
-	// adjacent frames are folded together (default 64).
+	// frames are folded into one until MaxFrames/2 are left (default 64).
 	MaxFrames int
 	// ReadOnly opens the store for historical queries only: no WAL
 	// truncation, no new segment, Append/Checkpoint fail.

@@ -3,8 +3,8 @@ package store
 // Store-level tests of the long-horizon tier layer: fold scheduling on
 // checkpoint, level-walk day/week answers against exact raw
 // recomputation, byte-identical folds across batch interleavings,
-// crash/reopen survival, the obsolete-duplicate sweep and the
-// compaction straddle guard.
+// crash/reopen survival, the obsolete-duplicate sweeps and the
+// compaction straddle guard and fold order.
 
 import (
 	"errors"
@@ -454,6 +454,108 @@ func TestCompactionStraddleGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAnswerExact(t, s, r, tier.ResolutionDay)
+}
+
+// TestTierFoldsBeforeCompaction pins the order a checkpoint runs its two
+// folds in: the day tier first, then compaction. With six checkpoints a
+// day and a bound of four frames, compaction runs every few checkpoints;
+// run first, it could join the frames of a day that has just closed with
+// the next day's into one frame, which the day fold then takes whole.
+// Every day frame holds the hours of one day, and no day answer over
+// whole days holds a bucket at or past its end.
+func TestTierFoldsBeforeCompaction(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{MaxFrames: 4})
+	defer s.Close()
+	for d := 0; d < 12; d++ {
+		for h := 0; h < 24; h += 4 {
+			if err := s.Append([]netflow.Record{keptRecord(d*24+h, d*8+h/4, 100)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if m := s.Metrics(); m.CompactedFrames == 0 || m.TierFramesDay < 10 {
+		t.Fatalf("%d compactions, %d day frames: the fixture exercises neither fold", m.CompactedFrames, m.TierFramesDay)
+	}
+	s.mu.Lock()
+	days := append([]frameMeta(nil), s.levels[tier.LevelDay]...)
+	s.mu.Unlock()
+	for _, fm := range days {
+		if fm.MinHour/24 != fm.MaxHour/24 {
+			t.Errorf("day frame %d holds hours [%d, %d]: more than one day", fm.Seq, fm.MinHour, fm.MaxHour)
+		}
+	}
+	for d := 1; d <= 10; d++ {
+		r, err := s.QueryResolution(at(0), at(24*d), tier.ResolutionDay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range r.LongHorizon.Buckets {
+			if b.StartHour >= int64(24*d) {
+				t.Errorf("days [0, %d): a bucket at hour %d", d, b.StartHour)
+			}
+		}
+	}
+}
+
+// TestCompactionLeftoversAreSwept stages a crash between a compaction's
+// write and its removes: the run of four frames it folded is put back
+// beside the merged frame. A reopen keeps the merged frame, removes every
+// input and answers every resolution as the store did before.
+func TestCompactionLeftoversAreSwept(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{MaxFrames: 4})
+	for d := 0; d < 4; d++ {
+		fillDay(t, s, d)
+	}
+	inputs := map[string][]byte{}
+	files, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.ck"))
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[f] = data
+	}
+	fillDay(t, s, 4)
+	answers := func(s *Store) (out []string) {
+		for _, res := range []tier.Resolution{tier.ResolutionHour, tier.ResolutionDay, tier.ResolutionWeek} {
+			r, err := s.QueryResolution(time.Time{}, time.Time{}, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, answerOf(t, r))
+		}
+		return out
+	}
+	want := answers(s)
+	if m := s.Metrics(); m.Frames != 2 || m.CompactedFrames != 1 || len(inputs) != 4 {
+		t.Fatalf("%d frames, %d compactions of %d frames: want the four oldest folded into one", m.Frames, m.CompactedFrames, len(inputs))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for f, data := range inputs {
+		if err := os.WriteFile(f, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r := mustOpen(t, dir, Options{})
+	defer r.Close()
+	if m := r.Metrics(); m.RecoveredFrames != 2 {
+		t.Fatalf("reopen recovered %d frames, want the merged one and the newest", m.RecoveredFrames)
+	}
+	for f := range inputs {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Errorf("compacted input %s not swept: %v", filepath.Base(f), err)
+		}
+	}
+	if got := answers(r); !reflect.DeepEqual(got, want) {
+		t.Fatal("the reopened store answers differently from the one that compacted")
+	}
 }
 
 // TestTierRangeQueryBuckets pins partial-range behaviour: bucket series

@@ -10,7 +10,9 @@ package wire_test
 // the "a store written by the previous version still opens" check.
 //
 // A second store (testdata/golden/weeks, written by the commit before
-// tier.Builder became the one place tier aggregates are summed) outlives
+// tier.Builder became the one place tier aggregates are summed, rewritten
+// when compaction came to fold runs of frames: the same folds under other
+// frame seqs, and other compacted frames, in the same codecs) outlives
 // two closed weeks, so that every shape a fold meets is held to its bytes:
 // day frames of one and of two inputs, one with an accounting-only input,
 // week frames of seven day frames, raw frames compacted past MaxFrames,
@@ -54,6 +56,10 @@ const (
 	// before the last fold, and with day 14 folded so do weeks 0 and 1.
 	weeksDays      = 16
 	weeksMaxFrames = 8
+	// weeksFrames checkpoint frames stay: past weeksMaxFrames a compaction
+	// folds the oldest run down to weeksMaxFrames/2, and the last such
+	// fold is followed by three more checkpoints.
+	weeksFrames = 7
 )
 
 // A fixture is one golden store under goldenDir and the state body it
@@ -72,7 +78,7 @@ var fixtures = []fixture{
 	{dir: "", url: "/api/v1/query?resolution=day&format=state", build: buildFixture,
 		frames: fixtureDays, dayFrames: 1, tailDay: fixtureDays},
 	{dir: "weeks", url: "/api/v1/query?resolution=week&format=state", build: buildWeeksFixture,
-		frames: weeksMaxFrames, dayFrames: weeksDays - 1, weekFrames: 2, tailDay: weeksDays},
+		frames: weeksFrames, dayFrames: weeksDays - 1, weekFrames: 2, tailDay: weeksDays},
 }
 
 func (fx fixture) path(name string) string { return filepath.Join(fx.dir, name) }
