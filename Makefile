@@ -41,7 +41,7 @@ fmt:
 # read, and is only ever lowered. A PR that grows the stack past it fails
 # here and either finds the lines to delete or argues the new bar in
 # review.
-SERVING_LOC_MAX = 13719
+SERVING_LOC_MAX = 13656
 SERVING_DIRS = internal/api internal/cluster internal/ingest internal/nfv9 internal/obs internal/sketch internal/store internal/streaming internal/tier internal/wire cmd/collectord cmd/queryrouterd
 loc:
 	@total=0; for d in $(SERVING_DIRS); do \
@@ -69,11 +69,11 @@ race:
 
 # One pass over every figure/table/ablation benchmark (see DESIGN.md for
 # the experiment index) plus the simulator's final sort and Crypto-PAn,
-# the ingest, decoder, tail, sketch, store, API-edge and router-merge
+# the trace codec's binary write and read, the ingest, decoder, tail, sketch, store, API-edge and router-merge
 # benchmarks: CI's "benchmarks once" step, so a benchmark that broke
 # fails there.
 bench:
-	$(GO) test -run XXX -bench=. -benchtime=1x -benchmem . ./internal/netflow/ ./internal/cryptopan/ ./internal/ingest/ ./internal/nfv9/ ./internal/streaming/ ./internal/sketch/ ./internal/store/ ./internal/api/ ./internal/cluster/
+	$(GO) test -run XXX -bench=. -benchtime=1x -benchmem . ./internal/netflow/ ./internal/cryptopan/ ./internal/trace/ ./internal/ingest/ ./internal/nfv9/ ./internal/streaming/ ./internal/sketch/ ./internal/store/ ./internal/api/ ./internal/cluster/
 
 # The ingest throughput benchmark alone (the EXPERIMENTS.md snapshot).
 bench-ingest:

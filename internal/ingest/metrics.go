@@ -1,10 +1,11 @@
 // The ingest metric catalogue. The counter and gauge names predate the
 // registry (cmd/collectord exposed them as a hand-rolled dump), so they
 // are frozen: the daemons' exposition tests parse /metrics and assert
-// on them by name. Everything reads the pipeline's existing atomics at
-// render time — the hot path carries no extra counters, only the
-// sampled stage histograms and the per-lane watermark wired in
-// pipeline.go.
+// on them by name. Every pipeline-wide family reads one field of
+// Pipeline.Stats at render time, so /metrics and /api/v1/stats show one
+// census summed in one place; the per-lane families read their lane.
+// The hot path carries no extra counters, only the sampled stage
+// histograms and the per-lane watermark wired in pipeline.go.
 package ingest
 
 import (
@@ -37,88 +38,44 @@ func (m *pipelineMetrics) register(reg *obs.Registry) {
 }
 
 // registerPipelineFuncs wires the render-time samples: the ported
-// counter/gauge names from the pre-registry /metrics page, the per-lane
-// queue depth and watermark families, and the pipeline-wide freshness
-// lag. Called from New after the lanes exist and before any socket can
-// deliver.
+// counter/gauge names from the pre-registry /metrics page and the
+// freshness watermark and lag, each one field of Stats, and the
+// per-lane queue depth and watermark families. Called from New after
+// the lanes exist and before any socket can deliver.
 func registerPipelineFuncs(reg *obs.Registry, p *Pipeline) {
 	if reg == nil {
 		return
 	}
-	sumReaders := func(pick func(*reader) uint64) func() float64 {
-		return func() float64 {
-			var n uint64
-			for _, r := range p.readers {
-				n += pick(r)
-			}
-			return float64(n)
-		}
-	}
-	sumLanes := func(pick func(*shardLane) uint64) func() float64 {
-		return func() float64 {
-			var n uint64
-			for _, l := range p.lanes {
-				n += pick(l)
-			}
-			return float64(n)
-		}
+	stat := func(pick func(Stats) float64) func() float64 {
+		return func() float64 { return pick(p.Stats()) }
 	}
 	reg.CounterFunc("ingest_packets_total", "NFv9 export datagrams decoded.",
-		sumReaders(func(r *reader) uint64 { return r.packets.Load() }))
+		stat(func(s Stats) float64 { return float64(s.Packets) }))
 	reg.CounterFunc("ingest_records_total", "Flow records decoded.",
-		sumReaders(func(r *reader) uint64 { return r.records.Load() }))
+		stat(func(s Stats) float64 { return float64(s.Records) }))
 	reg.CounterFunc("ingest_decode_errors_total", "Datagrams the decoder rejected.",
-		sumReaders(func(r *reader) uint64 { return r.decodeErrors.Load() }))
+		stat(func(s Stats) float64 { return float64(s.DecodeErrors) }))
 	reg.CounterFunc("ingest_socket_errors_total", "Transient socket receive errors (retried).",
-		sumReaders(func(r *reader) uint64 { return r.socketErrors.Load() }))
+		stat(func(s Stats) float64 { return float64(s.SocketErrors) }))
 	reg.CounterFunc("ingest_records_processed_total", "Records workers consumed and handed to the sink.",
-		sumLanes(func(l *shardLane) uint64 { return l.processed.Load() }))
+		stat(func(s Stats) float64 { return float64(s.Processed) }))
 	reg.CounterFunc("ingest_records_dropped_total", "Records dropped under backpressure.",
-		sumLanes(func(l *shardLane) uint64 { return l.droppedRecords.Load() }))
+		stat(func(s Stats) float64 { return float64(s.DroppedRecords) }))
 	reg.CounterFunc("ingest_batches_dropped_total", "Batches dropped under backpressure.",
-		sumLanes(func(l *shardLane) uint64 { return l.droppedBatches.Load() }))
+		stat(func(s Stats) float64 { return float64(s.DroppedBatches) }))
 	reg.CounterFunc("ingest_records_shard_filtered_total",
 		"Processed records discarded by the cluster shard filter (owned elsewhere).",
-		sumLanes(func(l *shardLane) uint64 { return l.shardFiltered.Load() }))
+		stat(func(s Stats) float64 { return float64(s.ShardFiltered) }))
 	reg.CounterFunc("ingest_sink_errors_total", "Failed sink appends and flushes.",
-		func() float64 {
-			var n uint64
-			for _, l := range p.lanes {
-				n += l.sinkErrors.Load()
-			}
-			return float64(n + p.flushErrors.Load())
-		})
-
-	// The sequence-audit family walks every source's decoder state under
-	// the reader locks — render-cadence work, same as Stats.
-	seq := func(pick func(gaps int, lost uint64, reordered int) float64) func() float64 {
-		return func() float64 {
-			var total float64
-			for _, r := range p.readers {
-				r.mu.Lock()
-				for _, dec := range r.sources {
-					total += pick(dec.SequenceStats())
-				}
-				r.mu.Unlock()
-			}
-			return total
-		}
-	}
+		stat(func(s Stats) float64 { return float64(s.SinkErrors) }))
 	reg.CounterFunc("ingest_seq_gaps_total", "Export sequence gaps observed across sources.",
-		seq(func(g int, _ uint64, _ int) float64 { return float64(g) }))
+		stat(func(s Stats) float64 { return float64(s.SeqGaps) }))
 	reg.CounterFunc("ingest_seq_lost_total", "Flow records lost to export sequence gaps.",
-		seq(func(_ int, l uint64, _ int) float64 { return float64(l) }))
+		stat(func(s Stats) float64 { return float64(s.SeqLost) }))
 	reg.CounterFunc("ingest_seq_reordered_total", "Reordered export packets observed.",
-		seq(func(_ int, _ uint64, r int) float64 { return float64(r) }))
-	reg.GaugeFunc("ingest_sources", "Distinct exporter sources seen.", func() float64 {
-		var n int
-		for _, r := range p.readers {
-			r.mu.Lock()
-			n += len(r.sources)
-			r.mu.Unlock()
-		}
-		return float64(n)
-	})
+		stat(func(s Stats) float64 { return float64(s.SeqReordered) }))
+	reg.GaugeFunc("ingest_sources", "Distinct exporter sources seen.",
+		stat(func(s Stats) float64 { return float64(s.Sources) }))
 
 	// Per-lane families: queue depth (batches waiting in the shard
 	// channel) and the per-shard freshness watermark.
@@ -135,25 +92,15 @@ func registerPipelineFuncs(reg *obs.Registry, p *Pipeline) {
 				return float64(l.watermark.Load()) / 1e9
 			}, shard)
 	}
-	watermark := func() int64 {
-		var wm int64
-		for _, l := range p.lanes {
-			if v := l.watermark.Load(); v > wm {
-				wm = v
-			}
-		}
-		return wm
-	}
 	reg.GaugeFunc("ingest_watermark_timestamp_seconds",
 		"Newest record start timestamp consumed by any lane (unix seconds; 0 before traffic).",
-		func() float64 { return float64(watermark()) / 1e9 })
+		stat(func(s Stats) float64 { return float64(s.WatermarkUnixNano) / 1e9 }))
 	reg.GaugeFunc("ingest_freshness_lag_seconds",
 		"Wall clock minus the ingest watermark: how far behind the wire the analytics are (0 before traffic).",
-		func() float64 {
-			wm := watermark()
-			if wm == 0 {
+		stat(func(s Stats) float64 {
+			if s.WatermarkUnixNano == 0 {
 				return 0
 			}
-			return time.Since(time.Unix(0, wm)).Seconds()
-		})
+			return time.Since(time.Unix(0, s.WatermarkUnixNano)).Seconds()
+		}))
 }

@@ -3,6 +3,7 @@ package ingest
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"cwatrace/internal/obs"
 	"cwatrace/internal/store"
@@ -90,6 +91,89 @@ func TestPipelineMetricsExposition(t *testing.T) {
 	}
 	if v, ok := exp.Value("ingest_batch_seconds_count", ""); !ok || v < 1 {
 		t.Errorf("ingest_batch_seconds_count = %v (present=%v), want >= 1", v, ok)
+	}
+
+	t.Run("census", testPipelineCensus)
+}
+
+// testPipelineCensus drives every census counter but the socket's off
+// zero — a garbage datagram, backpressure drops behind slow workers,
+// the shard filter, a failing sink, skipped and swapped sequence
+// numbers, a second source — and requires each family to read exactly
+// its Stats field.
+func testPipelineCensus(t *testing.T) {
+	const recsPerPkt = 12
+	reg := obs.NewRegistry()
+	p, err := New(Config{
+		Workers:     2,
+		ShardBuffer: 1,
+		Sink:        &flakySink{},
+		ShardFilter: dropEveryFourthPacket(recsPerPkt),
+		Metrics:     reg,
+		workerDelay: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := p.newLoopReader()
+	pkts := encodePackets(t, 40, recsPerPkt)
+	p.handleDatagram(r, "203.0.113.9:2055", []byte("not a v9 packet"))
+	// Round robin puts packets 0 and 1 on empty lanes, so both are
+	// processed: packet 0 is shard-filtered whole, packet 1 reaches the
+	// sink, whose first commit fails. The lanes hold one batch each and
+	// the workers sleep, so the packets after them are mostly dropped.
+	// Packet 5 never arrives (a gap, one lost) and 11 comes before 10
+	// (two gaps, a reorder, and the loss 11 charged is credited back).
+	for i, pkt := range pkts {
+		switch i {
+		case 5:
+		case 10:
+			p.handleDatagram(r, "203.0.113.9:2055", pkts[11])
+		case 11:
+			p.handleDatagram(r, "203.0.113.9:2055", pkts[10])
+		default:
+			p.handleDatagram(r, "203.0.113.9:2055", pkt)
+		}
+	}
+	p.handleDatagram(r, "203.0.113.10:2055", pkts[0])
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := p.Stats()
+	if s.SeqGaps != 3 || s.SeqLost != 1 || s.SeqReordered != 1 || s.Sources != 2 || s.DecodeErrors != 1 {
+		t.Fatalf("sequence audit %+v, want 3 gaps, 1 lost, 1 reordered over 2 sources", s)
+	}
+
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	exp, errs := obs.Lint(sb.String())
+	for _, err := range errs {
+		t.Errorf("lint: %v", err)
+	}
+	census := map[string]float64{
+		"ingest_packets_total":                float64(s.Packets),
+		"ingest_records_total":                float64(s.Records),
+		"ingest_decode_errors_total":          float64(s.DecodeErrors),
+		"ingest_records_processed_total":      float64(s.Processed),
+		"ingest_records_dropped_total":        float64(s.DroppedRecords),
+		"ingest_batches_dropped_total":        float64(s.DroppedBatches),
+		"ingest_records_shard_filtered_total": float64(s.ShardFiltered),
+		"ingest_sink_errors_total":            float64(s.SinkErrors),
+		"ingest_seq_gaps_total":               float64(s.SeqGaps),
+		"ingest_seq_lost_total":               float64(s.SeqLost),
+		"ingest_seq_reordered_total":          float64(s.SeqReordered),
+		"ingest_sources":                      float64(s.Sources),
+		"ingest_watermark_timestamp_seconds":  float64(s.WatermarkUnixNano) / 1e9,
+	}
+	for name, want := range census {
+		if want == 0 {
+			t.Errorf("%s: Stats reads 0, so the page is not checked against a count", name)
+		}
+		if got, ok := exp.Value(name, ""); !ok || got != want {
+			t.Errorf("%s = %v (present=%v), want %v", name, got, ok, want)
+		}
 	}
 }
 

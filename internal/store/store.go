@@ -160,7 +160,9 @@ type Metrics struct {
 }
 
 // metaFile persists the resolved analytics configuration so restarts and
-// read-only opens agree on the state-affecting parameters.
+// read-only opens agree on the state-affecting parameters. The spike
+// fields hold streaming's constants and are never read back: they keep
+// meta.json's bytes (the datadir golden), which older binaries adopt.
 type metaFile struct {
 	Version       int       `json:"version"`
 	Origin        time.Time `json:"origin"`
@@ -388,15 +390,6 @@ func resolveConfig(cfg streaming.Config, m *metaFile) (streaming.Config, error) 
 		if cfg.TopK <= 0 {
 			cfg.TopK = m.TopK
 		}
-		if cfg.SpikeFactor <= 0 {
-			cfg.SpikeFactor = m.SpikeFactor
-		}
-		if cfg.SpikeHistory <= 0 {
-			cfg.SpikeHistory = m.SpikeHistory
-		}
-		if cfg.SpikeMinFlows <= 0 {
-			cfg.SpikeMinFlows = m.SpikeMinFlows
-		}
 	}
 	cfg = cfg.WithDefaults()
 	if cfg.WindowHours > streaming.MaxWindowHours {
@@ -417,9 +410,9 @@ func (s *Store) writeMeta() error {
 		WindowHours:   s.cfg.WindowHours,
 		PrefixBits:    streaming.ClientPrefixBits,
 		TopK:          s.cfg.TopK,
-		SpikeFactor:   s.cfg.SpikeFactor,
-		SpikeHistory:  s.cfg.SpikeHistory,
-		SpikeMinFlows: s.cfg.SpikeMinFlows,
+		SpikeFactor:   streaming.SpikeFactor,
+		SpikeHistory:  streaming.SpikeHistory,
+		SpikeMinFlows: streaming.SpikeMinFlows,
 		SegmentBytes:  s.opts.SegmentBytes,
 	}
 	data, err := json.MarshalIndent(m, "", "  ")

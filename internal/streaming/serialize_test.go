@@ -178,7 +178,7 @@ func TestBoundsArchive(t *testing.T) {
 }
 
 func TestSnapshotRangeTrimsExactly(t *testing.T) {
-	cfg := Config{WindowHours: 48, SpikeHistory: 2, SpikeFactor: 3, SpikeMinFlows: 3}
+	cfg := Config{WindowHours: 48, spike: spikeParams{factor: 3, history: 2, minFlows: 3}}
 	a := New(cfg)
 	add := func(h, count int) {
 		for i := 0; i < count; i++ {
@@ -252,7 +252,7 @@ func trimmedReference(a *Analytics, from, to time.Time) *Snapshot {
 // the newest hour, inverted, on a window that has slid and on an empty
 // shard.
 func TestSnapshotRangeMatchesTrimmedSnapshot(t *testing.T) {
-	slid := New(Config{WindowHours: 48, SpikeHistory: 2, SpikeMinFlows: 1})
+	slid := New(Config{WindowHours: 48, spike: spikeParams{factor: SpikeFactor, history: 2, minFlows: 1}})
 	for h := 0; h < 70; h += 3 {
 		for i := 0; i <= h%5*4; i++ {
 			slid.Ingest([]netflow.Record{keptRecord(entime.StudyStart.Add(time.Duration(h)*time.Hour), client(i), 100)})

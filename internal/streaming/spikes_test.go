@@ -12,18 +12,18 @@ import (
 func detectSpikesBySumming(hours []HourPoint, cfg Config) []Spike {
 	var out []Spike
 	for i := range hours {
-		if i < cfg.SpikeHistory {
+		if i < cfg.spike.history {
 			continue
 		}
 		var sum float64
-		for j := i - cfg.SpikeHistory; j < i; j++ {
+		for j := i - cfg.spike.history; j < i; j++ {
 			sum += hours[j].Flows
 		}
-		baseline := sum / float64(cfg.SpikeHistory)
-		if baseline <= 0 || hours[i].Flows < cfg.SpikeMinFlows {
+		baseline := sum / float64(cfg.spike.history)
+		if baseline <= 0 || hours[i].Flows < cfg.spike.minFlows {
 			continue
 		}
-		if ratio := hours[i].Flows / baseline; ratio >= cfg.SpikeFactor {
+		if ratio := hours[i].Flows / baseline; ratio >= cfg.spike.factor {
 			out = append(out, Spike{Hour: hours[i].Hour, Time: hours[i].Time, Flows: hours[i].Flows, Baseline: baseline, Ratio: ratio})
 		}
 	}
@@ -69,11 +69,11 @@ func TestSpikesMatchSummedBaselines(t *testing.T) {
 			}
 			hours[i] = HourPoint{Hour: 1000 + i, Flows: kind()}
 		}
-		cfg := Config{
-			SpikeHistory:  histories[rng.Intn(len(histories))],
-			SpikeMinFlows: floors[rng.Intn(len(floors))],
-			SpikeFactor:   factors[rng.Intn(len(factors))],
-		}
+		cfg := Config{spike: spikeParams{
+			history:  histories[rng.Intn(len(histories))],
+			minFlows: floors[rng.Intn(len(floors))],
+			factor:   factors[rng.Intn(len(factors))],
+		}}
 		got, want := detectSpikes(hours, cfg), detectSpikesBySumming(hours, cfg)
 		if len(got) != len(want) {
 			t.Fatalf("round %d (%+v): %d spikes, want %d", round, cfg, len(got), len(want))

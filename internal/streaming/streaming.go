@@ -39,8 +39,24 @@ const nReasons = int(core.DropUpstream) + 1
 // prefix row locates once, for every record it counts.
 const ClientPrefixBits = 24
 
+// The spike detector's parameters: an hour is a spike when it holds at
+// least SpikeMinFlows flows and SpikeFactor times the mean of the
+// SpikeHistory hours before it.
+const (
+	SpikeFactor   = 3
+	SpikeHistory  = 24
+	SpikeMinFlows = 10
+)
+
+// spikeParams is one set of the detector's parameters.
+type spikeParams struct {
+	factor, minFlows float64
+	history          int
+}
+
 // Config parameterizes one analytics shard. The zero value is usable:
-// defaults reproduce the paper's study window and filters.
+// defaults reproduce the paper's study window; every shard applies
+// core.DefaultFilter and the spike constants above.
 type Config struct {
 	// Origin anchors hour bucket 0 (default entime.StudyStart). Records
 	// before Origin, or MaxWindowHours or more hours past it, count as
@@ -53,22 +69,15 @@ type Config struct {
 	WindowHours int
 	// TopK bounds the active-prefix leaderboard in snapshots (default 10).
 	TopK int
-	// SpikeFactor is the flows-over-baseline ratio that flags an hour as
-	// a spike (default 3). SpikeHistory is the trailing-mean length in
-	// hours (default 24); SpikeMinFlows suppresses noise spikes on tiny
-	// absolute volume (default 10).
-	SpikeFactor   float64
-	SpikeHistory  int
-	SpikeMinFlows float64
 	// Deprecated: ignored. Every shard keeps every hour it bins.
 	Archive bool
-	// Filter is the paper's data-set restriction (nil = core.DefaultFilter()).
-	Filter *core.Filter
 	// DB and Model enable per-district rollups; both nil disables them.
 	// A rendering names the districts only where Model is set. Every
 	// model is geo.Germany(), whose order the district id space is.
 	DB    *geodb.DB
 	Model *geo.Model
+	// spike, zero for the constants, is set by tests for short histories.
+	spike spikeParams
 }
 
 // WithDefaults returns the configuration with every zero field filled in,
@@ -87,18 +96,8 @@ func (c Config) withDefaults() Config {
 	if c.TopK <= 0 {
 		c.TopK = 10
 	}
-	if c.SpikeFactor <= 0 {
-		c.SpikeFactor = 3
-	}
-	if c.SpikeHistory <= 0 {
-		c.SpikeHistory = 24
-	}
-	if c.SpikeMinFlows <= 0 {
-		c.SpikeMinFlows = 10
-	}
-	if c.Filter == nil {
-		f := core.DefaultFilter()
-		c.Filter = &f
+	if c.spike == (spikeParams{}) {
+		c.spike = spikeParams{SpikeFactor, SpikeHistory, SpikeMinFlows}
 	}
 	return c
 }
@@ -126,7 +125,6 @@ type hourBin struct {
 // carries it (the DB is asked once per row).
 type Analytics struct {
 	cfg     Config
-	filter  core.Filter
 	cfilter core.CompiledFilter
 
 	// originSec enables the integer-seconds hour binning fast path; it is
@@ -174,8 +172,7 @@ func New(cfg Config) *Analytics {
 	cfg = cfg.withDefaults()
 	a := &Analytics{
 		cfg:      cfg,
-		filter:   *cfg.Filter,
-		cfilter:  cfg.Filter.Compile(),
+		cfilter:  core.DefaultFilter().Compile(),
 		hours:    series{first: math.MaxInt},
 		maxHour:  -1,
 		window:   cfg.WindowHours,
@@ -403,7 +400,7 @@ func ceilHours(d time.Duration) int {
 // 2^53, where any order of adding is exact) and counts the others; only
 // a window holding one of those is added up the long way.
 func detectSpikes(hours []HourPoint, cfg Config) []Spike {
-	n := cfg.SpikeHistory
+	n := cfg.spike.history
 	if n <= 0 {
 		return nil // no history, no baseline: NaN or -0, never a spike
 	}
@@ -426,8 +423,8 @@ func detectSpikes(hours []HourPoint, cfg Config) []Spike {
 	}
 	for i := range hours {
 		// Not ">=": a NaN on either side passes the floor, as it always has.
-		if i >= n && !(hours[i].Flows < cfg.SpikeMinFlows) {
-			if b := baseline(i); b > 0 && hours[i].Flows/b >= cfg.SpikeFactor {
+		if i >= n && !(hours[i].Flows < cfg.spike.minFlows) {
+			if b := baseline(i); b > 0 && hours[i].Flows/b >= cfg.spike.factor {
 				out = append(out, Spike{
 					Hour:     hours[i].Hour,
 					Time:     hours[i].Time,

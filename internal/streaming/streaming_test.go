@@ -67,7 +67,7 @@ func TestFilterCensusMatchesBatch(t *testing.T) {
 }
 
 func TestSpikeDetection(t *testing.T) {
-	cfg := Config{SpikeHistory: 3, SpikeFactor: 3, SpikeMinFlows: 5}
+	cfg := Config{spike: spikeParams{factor: 3, history: 3, minFlows: 5}}
 	a := New(cfg)
 	// Flat baseline of 2 flows/hour for 3 hours, then a 12-flow hour.
 	n := 0
